@@ -24,7 +24,14 @@ import sys
 import numpy as np
 
 from . import ensembles, matrixcore as mc, models, reduction
-from .errors import CorredError, DegenerateOverlap, TieUndefined, ValidationError
+from .errors import (
+    CorredError,
+    DegenerateOverlap,
+    DimensionMismatch,
+    IndexOutOfRange,
+    TieUndefined,
+    ValidationError,
+)
 from .matrixcore import BipartiteSystem
 from .states import DensityMatrix
 
@@ -131,41 +138,68 @@ def _state_factory(cfg: dict):
     raise ValidationError(f"unknown experiment {experiment!r}")
 
 
-def _reduce_one(rho: DensityMatrix, sys_: BipartiteSystem, rcfg: dict):
-    """Apply the configured reduction, returning a ReductionResult-like row."""
+def _required(rcfg: dict, key: str):
+    if rcfg.get(key) is None:
+        raise ValidationError(f"reduction method {rcfg.get('method')!r} needs {key!r}")
+    return rcfg[key]
+
+
+def _reducer(rcfg: dict, sys_: BipartiteSystem):
+    """Check a reduction config once and return the reduction it names.
+
+    The returned function maps a state to a ReductionResult, or to an
+    IterationReport for the correlated method. State files named by the
+    config are read here, once; the reduction itself checks their shapes
+    against the system (DimensionMismatch).
+    """
+    if not isinstance(rcfg, dict):
+        raise ValidationError(f"reduction must be an object, got {rcfg!r}")
     method = rcfg.get("method", "neumann")
     if method == "neumann":
-        res = reduction.neumann_reduce(rho, sys_)
-        return res, "-", 0
+        return lambda rho: reduction.neumann_reduce(rho, sys_)
     if method == "projective":
-        res = reduction.projective_reduce(rho, sys_, int(rcfg["level"]))
-        return res, "-", 0
+        level = int(_required(rcfg, "level"))
+        return lambda rho: reduction.projective_reduce(rho, sys_, level)
     if method == "conditioned":
-        sigma = _load_density(rcfg["state"])
+        sigma = _load_density(_required(rcfg, "state"))
         given = rcfg.get("given_side", "beta")
-        red = reduction.conditioned_reduce(rho, sys_, sigma, given_side=given)
-        if given == "beta":
-            res = reduction.ReductionResult(red, None, "conditioned", 0.0)
-        else:
-            res = reduction.ReductionResult(
+        if given not in ("alpha", "beta"):
+            raise ValidationError(f"given_side must be 'alpha' or 'beta', got {given!r}")
+
+        def conditioned(rho):
+            red = reduction.conditioned_reduce(rho, sys_, sigma, given_side=given)
+            if given == "beta":
+                return reduction.ReductionResult(red, None, "conditioned", 0.0)
+            return reduction.ReductionResult(
                 reduction.neumann_reduce(rho, sys_).rho_alpha, red, "conditioned", 0.0
             )
-        return res, "-", 0
+
+        return conditioned
     if method == "correlated":
         seed = rcfg.get("seed", "neumann")
+        seeded = None
         if isinstance(seed, str) and seed.startswith("file:"):
             seeded = _load_density(seed[5:])
-            base = reduction.neumann_reduce(rho, sys_)
-            seed = reduction.ReductionResult(seeded, base.rho_beta, "seed", 0.0)
-        report = reduction.correlated_reduce(
-            rho,
-            sys_,
-            seed=seed,
-            tol=float(rcfg.get("tol", 1e-12)),
-            max_iter=int(rcfg.get("max_iter", 10_000)),
-            scheme=rcfg.get("scheme", "gauss-seidel"),
-        )
-        return report.final, report.verdict, report.iterations
+        elif seed != "neumann":
+            raise ValidationError(f"seed must be 'neumann' or file:<path>, got {seed!r}")
+        tol = float(rcfg.get("tol", 1e-12))
+        max_iter = int(rcfg.get("max_iter", 10_000))
+        scheme = rcfg.get("scheme", "gauss-seidel")
+        if scheme not in reduction.SCHEMES:
+            raise ValidationError(f"scheme must be one of {reduction.SCHEMES}, got {scheme!r}")
+        if max_iter < 1:
+            raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+
+        def correlated(rho):
+            start = seed
+            if seeded is not None:
+                base = reduction.neumann_reduce(rho, sys_)
+                start = reduction.ReductionResult(seeded, base.rho_beta, "seed", 0.0)
+            return reduction.correlated_reduce(
+                rho, sys_, seed=start, tol=tol, max_iter=max_iter, scheme=scheme
+            )
+
+        return correlated
     raise ValidationError(f"unknown reduction method {method!r}")
 
 
@@ -179,20 +213,27 @@ def cmd_run(args) -> int:
     try:
         sys_, rho_of_t, ties = _state_factory(cfg)
         ts = _time_grid(cfg, ties, args.include_ties)
-    except (CorredError, KeyError) as exc:
+        reducer = _reducer(cfg.get("reduction", {"method": "neumann"}), sys_)
+    except (CorredError, KeyError, TypeError, ValueError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
 
-    rcfg = cfg.get("reduction", {"method": "neumann"})
     rows = []
     failures = 0
     for t in ts:
         rho = rho_of_t(float(t))
         try:
-            res, verdict, iters = _reduce_one(rho, sys_, rcfg)
+            out = reducer(rho)
         except DegenerateOverlap as exc:
             log.warning("t=%g: %s", t, exc)
             failures += 1
             continue
+        except (DimensionMismatch, IndexOutOfRange) as exc:
+            # A state file or level of the config that does not fit the system.
+            return _fail(EXIT_CONFIG, str(exc))
+        if isinstance(out, reduction.IterationReport):
+            res, verdict, iters = out.final, out.verdict, out.iterations
+        else:
+            res, verdict, iters = out, "-", 0
         ra = res.rho_alpha.matrix
         row = {
             "t": float(t),
@@ -262,7 +303,6 @@ def cmd_reduce(args) -> int:
         rho = _load_density(args.state)
     except ValidationError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    sys_ = BipartiteSystem(args.dims[0], args.dims[1])
     rcfg = {
         "method": args.method,
         "level": args.level,
@@ -274,27 +314,13 @@ def cmd_reduce(args) -> int:
         "scheme": args.scheme,
     }
     try:
-        if args.method == "correlated":
-            report = reduction.correlated_reduce(
-                rho, sys_, seed=args.seed if not args.seed.startswith("file:")
-                else _seed_from_file(rho, sys_, args.seed),
-                tol=args.tol, max_iter=args.max_iter, scheme=args.scheme,
-            )
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            res, _, _ = _reduce_one(rho, sys_, rcfg)
-            print(json.dumps(res.to_json(), indent=2))
+        out = _reducer(rcfg, BipartiteSystem(args.dims[0], args.dims[1]))(rho)
     except DegenerateOverlap as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
     except (CorredError, KeyError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
+    print(json.dumps(out.to_json(), indent=2))
     return 0
-
-
-def _seed_from_file(rho, sys_, spec: str):
-    seeded = _load_density(spec[5:])
-    base = reduction.neumann_reduce(rho, sys_)
-    return reduction.ReductionResult(seeded, base.rho_beta, "seed", 0.0)
 
 
 # ---------------------------------------------------------------- decompose
@@ -403,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--tol", type=float, default=1e-12)
     p_red.add_argument("--max-iter", type=int, default=10_000)
     p_red.add_argument("--seed", default="neumann", help="'neumann' or file:<path>")
-    p_red.add_argument("--scheme", choices=["gauss-seidel", "jacobi"], default="gauss-seidel")
+    p_red.add_argument("--scheme", choices=reduction.SCHEMES, default="gauss-seidel")
     p_red.set_defaults(func=cmd_reduce)
 
     p_dec = sub.add_parser("decompose", help="hidden-ensemble decomposition")

@@ -113,15 +113,30 @@ def partial_trace(rho, sys: BipartiteSystem, over: str) -> np.ndarray:
     over : {'alpha', 'beta'}
         Subsystem to trace out; the result lives on the other one.
     """
-    rho = as_matrix(rho)
+    return _contract(as_matrix(rho), sys, over)
+
+
+def _contract(rho: np.ndarray, sys: BipartiteSystem, over: str,
+              weight: np.ndarray | None = None) -> np.ndarray:
+    """Sp_over(rho W'), with W' the weight W on ``over`` extended by the identity.
+
+    W' is W x 1 for ``over='alpha'`` and 1 x W for ``over='beta'``; with no
+    weight this is the partial trace. One einsum on the (Na, Nb, Na, Nb) view
+    of rho costs O(Na^2 Nb^2) and never forms W' or the O(N^3) product rho W'.
+    """
     sys.check(rho)
     na, nb = sys.dim_alpha, sys.dim_beta
     r = rho.reshape(na, nb, na, nb)
-    if over == "beta":
-        return np.einsum("ibjb->ij", r)
+    if over not in ("alpha", "beta"):
+        raise ValueError(f"over must be 'alpha' or 'beta', got {over!r}")
+    if weight is None:
+        return np.einsum("ibjb->ij" if over == "beta" else "aiaj->ij", r)
+    n = na if over == "alpha" else nb
+    if weight.shape != (n, n):
+        raise DimensionMismatch(f"operator shape {weight.shape} does not match dim_{over}={n}")
     if over == "alpha":
-        return np.einsum("aiaj->ij", r)
-    raise ValueError(f"over must be 'alpha' or 'beta', got {over!r}")
+        return np.einsum("ibjc,ji->bc", r, weight)
+    return np.einsum("ibjc,cb->ij", r, weight)
 
 
 def extend(op, sys: BipartiteSystem, side: str) -> np.ndarray:

@@ -27,32 +27,40 @@ POSITIVITY_TOL = 1e-10
 class DensityMatrix:
     """Validated state operator: hermitian, unit trace, positive semidefinite.
 
-    ``validation='strict'`` rejects any eigenvalue below -tol;
-    ``validation='relaxed'`` records the minimum eigenvalue but permits small
-    negativity from roundoff (used for intermediate iterates).
+    Entries must be finite. ``validation='strict'`` computes the minimum
+    eigenvalue on construction and rejects any below -tol;
+    ``validation='relaxed'`` permits negativity (roundoff in intermediate
+    iterates) and computes the minimum eigenvalue only on first access of
+    ``min_eigenvalue``, so unread states cost no eigensolve.
     """
 
-    __slots__ = ("matrix", "validation", "min_eigenvalue")
+    __slots__ = ("matrix", "validation", "_min_eigenvalue")
 
     def __init__(self, matrix, validation: str = "strict", tol: float = POSITIVITY_TOL):
         m = mc.as_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValidationError("density matrix has non-finite entries")
         if not mc.is_hermitian(m, tol):
             raise ValidationError("density matrix is not hermitian within tolerance")
         tr = m.trace()
         if abs(tr - 1.0) > max(tol, 1e-12):
             raise ValidationError(f"trace must be 1, got {tr}")
-        self.min_eigenvalue = float(np.linalg.eigvalsh(mc.hermitize(m)).min())
-        if validation == "strict":
-            if self.min_eigenvalue < -tol:
-                raise ValidationError(
-                    f"negative eigenvalue {self.min_eigenvalue} below -{tol}"
-                )
-        elif validation != "relaxed":
+        if validation not in ("strict", "relaxed"):
             raise ValueError(f"validation must be 'strict' or 'relaxed', got {validation!r}")
         self.matrix = m
         self.validation = validation
+        self._min_eigenvalue: float | None = None
+        if validation == "strict" and self.min_eigenvalue < -tol:
+            raise ValidationError(f"negative eigenvalue {self.min_eigenvalue} below -{tol}")
+
+    @property
+    def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the hermitian part, computed once and cached."""
+        if self._min_eigenvalue is None:
+            self._min_eigenvalue = float(np.linalg.eigvalsh(mc.hermitize(self.matrix)).min())
+        return self._min_eigenvalue
 
     @property
     def dim(self) -> int:

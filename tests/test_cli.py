@@ -127,6 +127,42 @@ class TestRun:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize(
+        "reduction_cfg",
+        [
+            {"method": "bogus"},
+            {"method": "projective"},
+            {"method": "projective", "level": 5},
+            {"method": "conditioned"},
+            {"method": "correlated", "scheme": "bogus"},
+            {"method": "correlated", "max_iter": 0},
+            "correlated",
+        ],
+    )
+    def test_bad_reduction_exits_config(self, tmp_path, reduction_cfg):
+        cfg = {
+            "experiment": "epr",
+            "time_grid": {"start": 0.0, "stop": 1.0, "steps": 3},
+            "reduction": reduction_cfg,
+        }
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+
+    def test_wrong_shaped_conditioning_state_exits_config(self, tmp_path):
+        from corred.states import projector_state
+
+        sigma = write_state(tmp_path, "sigma.json", projector_state(3, 0))
+        cfg = {
+            "experiment": "epr",
+            "reduction": {"method": "conditioned", "state": sigma},
+        }
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+
+    def test_custom_dims_mismatch_exits_config(self, tmp_path):
+        state = write_state(tmp_path, "epr.json", epr_state())
+        cfg = {"experiment": "custom", "params": {"state": state, "dims": [2, 3]}}
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+
+
 class TestReduce:
     def test_neumann_on_epr(self, tmp_path, capsys):
         path = write_state(tmp_path, "epr.json", epr_state())
@@ -175,6 +211,16 @@ class TestReduce:
         assert obj["verdict"] == "converged"
         ra = mc.matrix_from_json(obj["rho_alpha"])
         assert ra[0, 0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_wrong_shaped_seed_file_exits_config(self, tmp_path, capsys):
+        path = write_state(tmp_path, "epr.json", epr_state())
+        from corred.states import projector_state
+
+        seed = write_state(tmp_path, "seed.json", projector_state(3, 0))
+        rc = cli.main(["reduce", path, "--dims", "2", "2",
+                       "--method", "correlated", "--seed", f"file:{seed}"])
+        assert rc == 2
+        assert "does not match dim_alpha=2" in capsys.readouterr().err
 
     def test_missing_state_exits_io(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -232,6 +278,15 @@ class TestValidate:
         assert cli.main(["validate", str(path)]) == 2
         obj = json.loads(capsys.readouterr().out)
         assert obj["valid"] is False
+
+    def test_non_finite_state_reason(self, tmp_path, capsys):
+        m = np.eye(2) / 2
+        m[0, 1] = np.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(mc.matrix_to_json(m)))
+        assert cli.main(["validate", str(path)]) == 2
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["reason"] == "density matrix has non-finite entries"
 
     def test_relaxed_level(self, tmp_path, capsys):
         m = np.diag([1.5, -0.5])

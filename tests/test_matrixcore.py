@@ -98,6 +98,17 @@ class TestExtend:
         with pytest.raises(DimensionMismatch):
             mc.extend(np.eye(3), SYS22, "alpha")
 
+    @pytest.mark.parametrize("side", ["alpha", "beta"])
+    def test_contraction_rejects_weight_as_extend_does(self, side):
+        # The contraction kernel replaced extend in conditioning; a weight of
+        # the wrong shape must fail there with extend's error.
+        sys_ = mc.BipartiteSystem(2, 3)
+        with pytest.raises(DimensionMismatch) as want:
+            mc.extend(np.eye(4), sys_, side)
+        with pytest.raises(DimensionMismatch) as got:
+            mc._contract(np.eye(6) / 6, sys_, side, np.eye(4))
+        assert str(got.value) == str(want.value)
+
     def test_reduction_intertwines_with_extension(self, rng):
         rho = random_density(rng, 4).matrix
         for _ in range(10):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corred import matrixcore as mc
 from corred import reduction as red
@@ -23,6 +25,17 @@ SYS22 = BipartiteSystem(2, 2)
 
 def product_state(ra, rb):
     return DensityMatrix(np.kron(ra.matrix, rb.matrix))
+
+
+def condition_dense(rho, sys_, sigma, given_side):
+    """Dense reference for reduction._condition.
+
+    Forms sigma' = sigma extended by the identity and the O(N^3) product
+    rho sigma', then traces out ``given_side``.
+    """
+    numerator = mc.partial_trace(rho @ mc.extend(sigma, sys_, given_side), sys_, given_side)
+    out = mc.hermitize(numerator / np.real(np.trace(numerator)))
+    return out / np.real(out.trace())
 
 
 class TestNeumannReduce:
@@ -93,6 +106,21 @@ class TestConditionedReduce:
             epr_state(), SYS22, projector_state(2, 1), given_side="beta"
         )
         assert mc.matrices_close(got.matrix, np.diag([1.0, 0.0]), 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.sampled_from(["alpha", "beta"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_contraction_matches_dense_reference(self, na, nb, side, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = BipartiteSystem(na, nb)
+        rho = random_density(rng, sys_.dim).matrix
+        sigma = random_density(rng, na if side == "alpha" else nb).matrix
+        got = red._condition(rho, sys_, sigma, side)
+        assert mc.max_abs_diff(got, condition_dense(rho, sys_, sigma, side)) <= 1e-13
 
     def test_degenerate_overlap(self):
         rho = product_state(projector_state(2, 0), projector_state(2, 1))

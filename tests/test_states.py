@@ -33,6 +33,34 @@ class TestDensityMatrix:
         relaxed = states.DensityMatrix(m, validation="relaxed")
         assert relaxed.min_eigenvalue == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(2) / 2
+        m[0, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            states.DensityMatrix(m, validation="relaxed")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from(["strict", "relaxed"]))
+    def test_min_eigenvalue_matches_eigvalsh(self, dim, seed, validation):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = g @ g.conj().T
+        m /= np.trace(m).real
+        dm = states.DensityMatrix(m, validation=validation)
+        want = float(np.linalg.eigvalsh(mc.hermitize(m)).min())
+        assert dm.min_eigenvalue == want
+
+    def test_relaxed_defers_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        dm = states.DensityMatrix(np.diag([1.5, -0.5]), validation="relaxed")
+        assert calls == []
+        assert dm.min_eigenvalue == pytest.approx(-0.5)
+        assert dm.min_eigenvalue == pytest.approx(-0.5)
+        assert calls == [1]
+
     def test_json_round_trip(self):
         dm = states.epr_state()
         again = states.DensityMatrix.from_json(dm.to_json())
