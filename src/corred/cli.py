@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 
@@ -68,7 +67,12 @@ def _fail(code: int, msg: str) -> int:
 
 def _load_density(path: str) -> DensityMatrix:
     obj = _load_json(path)
-    return DensityMatrix.from_json(obj)
+    try:
+        return DensityMatrix.from_json(obj)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: state file lacks key {exc}") from exc
+    except (DimensionMismatch, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: bad state file: {exc}") from exc
 
 
 # ---------------------------------------------------------------- run
@@ -108,16 +112,11 @@ def _state_factory(cfg: dict):
             d_coupling=float(params.get("d", 0.0)),
         )
         phi = float(params.get("phi", 0.0))
-        ties = []
-        c = p.c_coupling
-        if c != 0 and abs(math.cos(2 * phi)) > 1e-12:
-            stop = float(cfg.get("time_grid", {}).get("stop", 0.0))
-            step = math.pi / (4 * abs(c))
-            ties = [(2 * k + 1) * step for k in range(int(stop / step) + 1)]
+        stop = float(cfg.get("time_grid", {}).get("stop", 0.0))
         return (
             models.SPIN_PAIR_SYSTEM,
             lambda t: models.spin_pair_density(p, phi, t),
-            ties,
+            models.spin_pair_tie_times(p, phi, stop),
         )
     if experiment == "jcm_vacuum":
         p = models.JcmParams(
@@ -169,10 +168,10 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
         def conditioned(rho):
             red = reduction.conditioned_reduce(rho, sys_, sigma, given_side=given)
             if given == "beta":
-                return reduction.ReductionResult(red, None, "conditioned", 0.0)
-            return reduction.ReductionResult(
-                reduction.neumann_reduce(rho, sys_).rho_alpha, red, "conditioned", 0.0
-            )
+                return reduction.ReductionResult(red, None, "conditioned", None)
+            ra = reduction.neumann_reduce(rho, sys_).rho_alpha
+            error = reduction._reconstruction_error(rho.matrix, ra.matrix, red.matrix)
+            return reduction.ReductionResult(ra, red, "conditioned", error)
 
         return conditioned
     if method == "correlated":
@@ -194,7 +193,7 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
             start = seed
             if seeded is not None:
                 base = reduction.neumann_reduce(rho, sys_)
-                start = reduction.ReductionResult(seeded, base.rho_beta, "seed", 0.0)
+                start = reduction.ReductionResult(seeded, base.rho_beta, "seed", None)
             return reduction.correlated_reduce(
                 rho, sys_, seed=start, tol=tol, max_iter=max_iter, scheme=scheme
             )
@@ -211,6 +210,8 @@ def _max_coherence(m: np.ndarray) -> float:
 def cmd_run(args) -> int:
     cfg = _load_json(args.config)
     try:
+        if not isinstance(cfg, dict):
+            raise ValidationError(f"config must be a JSON object, got {type(cfg).__name__}")
         sys_, rho_of_t, ties = _state_factory(cfg)
         ts = _time_grid(cfg, ties, args.include_ties)
         reducer = _reducer(cfg.get("reduction", {"method": "neumann"}), sys_)
@@ -288,7 +289,8 @@ def _write_series(rows: list[dict], cfg: dict, fmt: str, path: str | None) -> No
             cells.append(_fmt(r["coh_alpha"]))
             if nb:
                 cells.append(_fmt(r["coh_beta"]))
-            cells += [_fmt(r["reconstruction_error"]), str(r["verdict"]), str(r["iterations"])]
+            error = r["reconstruction_error"]
+            cells += ["" if error is None else _fmt(error), str(r["verdict"]), str(r["iterations"])]
             out.write(",".join(cells) + "\n")
     finally:
         if path:

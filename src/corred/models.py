@@ -95,6 +95,16 @@ def spin_pair_populations(phi: float, c: float, t: float) -> tuple[float, float]
     return (1.0 + corr) / 2.0, (1.0 - corr) / 2.0
 
 
+def spin_pair_tie_times(p: SpinPairParams, phi: float, t_max: float) -> list[float]:
+    """Times t = (2l+1) pi / (4|c|) up to t_max where the |21> and |12>
+    populations cross; none without flip-flop coupling or when cos(2 phi) = 0
+    keeps them equal for all t."""
+    c = p.c_coupling
+    if c == 0 or abs(math.cos(2 * phi)) <= 1e-12:
+        return []
+    return _odd_multiples(math.pi / (4 * abs(c)), t_max)
+
+
 def spin_pair_coherence(phi: float, c: float, t: float) -> complex:
     """Analytic (21,12) coherence of the evolved spin-pair state."""
     return 0.5 * (1j * math.cos(2 * phi) * math.sin(2 * c * t) - math.sin(2 * phi))
@@ -150,52 +160,52 @@ def jcm_hamiltonian(p: JcmParams) -> np.ndarray:
 
 
 def jcm_evolution(p: JcmParams, t: float, adjoint: bool = False) -> np.ndarray:
-    """Closed-form JCM evolution operator via number-basis operator functions.
+    """Closed-form JCM evolution operator, filled from its dressed doublets.
 
-    cos/sin of sqrt(a a^dag) and sqrt(a^dag a) are diagonal in the number
-    basis; the phase operators exp(+-i phi) are the normalized shift
-    operators (a^dag a + 1)^(-1/2) a and its adjoint. At the truncation edge
-    the shift is only a partial isometry, so the top Fock block of the
-    returned matrix deviates from the infinite-dimensional operator (probability
-    leaks out of the |2, n_max> column); everything below it is exactly unitary.
+    U is block-diagonal over the doublets {|2,m>, |1,m+1>} and |1,0>, which
+    it leaves alone. With k = m + 1, e_k = exp(-+i omega t k) and
+    c_k, s_k = cos, sin(Omega t sqrt(k) / 2), doublet m is
+
+        [[ e_k c_k, +-e_k s_k],
+         [-+e_k s_k,   e_k c_k]]
+
+    (upper signs for U, lower for ``adjoint=True``, which returns U^dag(t)).
+    Its O(n_max) nonzero entries are written into a zero matrix; no matrix
+    product is formed.
+
+    At the truncation edge |2, n_max> has no partner |1, n_max + 1>, so its
+    column keeps only the cosine: probability leaks out of it, and the top
+    Fock block deviates from the infinite-dimensional operator. Everything
+    below it is exactly unitary.
     """
     nf = p.n_max + 1
-    a = lowering_operator(nf)
-    ad = a.conj().T
-    n_op = np.arange(nf, dtype=float)  # diagonal of a^dag a
+    k = np.arange(nf + 1, dtype=float)  # photon number of |1,k>, k = m + 1 of |2,m>
     sgn = -1.0 if not adjoint else 1.0
-
-    phase_down = np.diag(np.exp(sgn * 1j * p.omega * t * (n_op + 1.0)))  # exp(-i w t a a^dag)
-    phase_up = np.diag(np.exp(sgn * 1j * p.omega * t * n_op))  # exp(-i w t a^dag a)
-    cos_down = np.diag(np.cos(p.rabi * t / 2 * np.sqrt(n_op + 1.0)))
-    cos_up = np.diag(np.cos(p.rabi * t / 2 * np.sqrt(n_op)))
-    sin_down = np.diag(np.sin(p.rabi * t / 2 * np.sqrt(n_op + 1.0)))
-    sin_up = np.diag(np.sin(p.rabi * t / 2 * np.sqrt(n_op)))
-
-    norm = np.diag(1.0 / np.sqrt(n_op + 1.0))
-    exp_iphi = norm @ a  # lowers photon number
-    exp_miphi = ad @ norm  # raises photon number
-
+    phase = np.exp(sgn * 1j * p.omega * t * k)
+    cos = np.cos(p.rabi * t / 2 * np.sqrt(k))
+    sin = np.sin(p.rabi * t / 2 * np.sqrt(k))
     pm = -1.0 if adjoint else 1.0
-    u = (
-        np.kron(_atom_proj(0, 0), phase_down @ cos_down)
-        + np.kron(_atom_proj(1, 1), phase_up @ cos_up)
-        + pm * np.kron(_atom_proj(0, 1), phase_down @ exp_iphi @ sin_up)
-        - pm * np.kron(_atom_proj(1, 0), phase_up @ exp_miphi @ sin_down)
-    )
+
+    u = np.zeros((2 * nf, 2 * nf), dtype=complex)
+    n = np.arange(nf)
+    u[n, n] = phase[1:] * cos[1:]  # <2,n|U|2,n>
+    u[nf + n, nf + n] = phase[:-1] * cos[:-1]  # <1,n|U|1,n>
+    m = n[:-1]
+    mixing = phase[1:nf] * sin[1:nf]
+    u[m, nf + m + 1] = pm * mixing  # <2,m|U|1,m+1>
+    u[nf + m + 1, m] = -pm * mixing  # <1,m+1|U|2,m>
     return u
 
 
 def jcm_vacuum_density(p: JcmParams, t: float) -> DensityMatrix:
     """Evolved state of an excited atom in the vacuum field.
 
-    Supported on {|2,0>, |1,1>} for all t, so any n_max >= 1 is exact.
+    rho(t) = u0 u0^dag with u0 = U(t)|2,0>, column 0 of the propagator, so
+    the state costs one outer product. Supported on {|2,0>, |1,1>} for all t,
+    so any n_max >= 1 is exact.
     """
-    nf = p.n_max + 1
-    rho0 = np.zeros((2 * nf, 2 * nf), dtype=complex)
-    rho0[0, 0] = 1.0  # |2,0><2,0|
-    u = jcm_evolution(p, t)
-    return DensityMatrix(mc.hermitize(u @ rho0 @ u.conj().T), validation="relaxed")
+    u0 = jcm_evolution(p, t)[:, 0]
+    return DensityMatrix(mc.hermitize(np.outer(u0, u0.conj())), validation="relaxed")
 
 
 def vacuum_rabi_populations(p: JcmParams, t: float) -> tuple[float, float]:
@@ -225,7 +235,11 @@ def jcm_tie_times(p: JcmParams, t_max: float) -> list[float]:
     """Tie points t = (2l+1) pi / (2 Omega) of the step limit up to t_max."""
     if p.rabi == 0:
         return []
-    step = math.pi / (2 * abs(p.rabi))
+    return _odd_multiples(math.pi / (2 * abs(p.rabi)), t_max)
+
+
+def _odd_multiples(step: float, t_max: float) -> list[float]:
+    """(2k+1) step for k = 0, 1, ... up to t_max."""
     ties = []
     k = 0
     while (tie := (2 * k + 1) * step) <= t_max:

@@ -40,14 +40,15 @@ class ReductionResult:
     """Reduced state(s) of one reduction run.
 
     ``reconstruction_error`` is the max-abs difference between the composite
-    state and the product rho_alpha x rho_beta (only when both sides are
-    present).
+    state and the product rho_alpha x rho_beta. It is None when it is
+    undefined: when ``rho_beta`` is absent, or for a seed that was never
+    compared with a composite state.
     """
 
     rho_alpha: DensityMatrix
     rho_beta: DensityMatrix | None
     method: str
-    reconstruction_error: float
+    reconstruction_error: float | None
 
     def to_json(self) -> dict:
         obj = {

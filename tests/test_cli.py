@@ -147,6 +147,23 @@ class TestRun:
         }
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
 
+    def test_non_object_config_exits_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    def test_conditioned_on_beta_leaves_error_cell_empty(self, tmp_path, capsys):
+        sigma = write_state(tmp_path, "sigma.json", minimum_information_state(2))
+        cfg = {
+            "experiment": "epr",
+            "reduction": {"method": "conditioned", "state": sigma},
+        }
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header, row = lines[1].split(","), lines[2].split(",")
+        assert row[header.index("reconstruction_error")] == ""
+
     def test_wrong_shaped_conditioning_state_exits_config(self, tmp_path):
         from corred.states import projector_state
 
@@ -191,6 +208,26 @@ class TestReduce:
         ra = mc.matrix_from_json(obj["rho_alpha"])
         assert mc.matrices_close(ra, np.eye(2) / 2, 1e-12)
 
+    def test_conditioned_on_beta_has_no_reconstruction_error(self, tmp_path, capsys):
+        path = write_state(tmp_path, "epr.json", epr_state())
+        sigma = write_state(tmp_path, "sigma.json", minimum_information_state(2))
+        rc = cli.main(["reduce", path, "--dims", "2", "2",
+                       "--method", "conditioned", "--sigma", sigma])
+        assert rc == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["reconstruction_error"] is None
+        assert "rho_beta" not in obj
+
+    def test_conditioned_on_alpha_reports_reconstruction_error(self, tmp_path, capsys):
+        # both sides are I/2, and the EPR coherence 1/2 is what the product misses
+        path = write_state(tmp_path, "epr.json", epr_state())
+        sigma = write_state(tmp_path, "sigma.json", minimum_information_state(2))
+        rc = cli.main(["reduce", path, "--dims", "2", "2", "--method", "conditioned",
+                       "--sigma", sigma, "--given-side", "alpha"])
+        assert rc == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["reconstruction_error"] == pytest.approx(0.5, abs=1e-12)
+
     def test_correlated_report(self, tmp_path, capsys):
         path = write_state(tmp_path, "epr.json", epr_state())
         rc = cli.main(["reduce", path, "--dims", "2", "2", "--method", "correlated"])
@@ -221,6 +258,28 @@ class TestReduce:
                        "--method", "correlated", "--seed", f"file:{seed}"])
         assert rc == 2
         assert "does not match dim_alpha=2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"data": [[0.5, 0.0]] * 3}, "data length 3 != rows*cols = 4"),
+            ({"validation": "bogus"}, "bogus"),
+            ({"rows": None}, "lacks key 'rows'"),
+            ({"cols": None}, "lacks key 'cols'"),
+            ({"data": None}, "lacks key 'data'"),
+        ],
+    )
+    def test_bad_state_file_exits_config(self, tmp_path, capsys, edit, message):
+        obj = minimum_information_state(2).to_json()
+        for key, value in edit.items():
+            if value is None:
+                del obj[key]
+            else:
+                obj[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["reduce", str(path), "--dims", "2", "1"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_state_exits_io(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -109,6 +109,28 @@ class TestSpinPairDensity:
             assert abs(rho[1, 1].real - 0.5) < 1e-12
             assert abs(rho[2, 2].real - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("c,phi", [(0.7, 0.1), (-1.3, 1.2), (0.25, 0.0)])
+    def test_populations_cross_at_tie_times(self, c, phi):
+        ties = models.spin_pair_tie_times(SpinPairParams(1.0, c_coupling=c), phi, 12.0)
+        assert ties and ties[-1] <= 12.0
+        eps = 1e-4
+        for tie in ties:
+            up, down = models.spin_pair_populations(phi, c, tie)
+            assert abs(up - down) < 1e-12
+            before = np.subtract(*models.spin_pair_populations(phi, c, tie - eps))
+            after = np.subtract(*models.spin_pair_populations(phi, c, tie + eps))
+            assert before * after < 0
+        # and nowhere else on a fine grid
+        diff = [np.subtract(*models.spin_pair_populations(phi, c, t))
+                for t in np.linspace(0.0, 12.0, 12_001)]
+        assert np.count_nonzero(np.diff(np.sign(diff))) == len(ties)
+
+    def test_no_tie_times_without_crossing(self):
+        # no coupling, or cos(2 phi) = 0 so the populations stay equal
+        assert models.spin_pair_tie_times(SpinPairParams(1.0), 0.3, 10.0) == []
+        p = SpinPairParams(1.0, c_coupling=0.5)
+        assert models.spin_pair_tie_times(p, math.pi / 4, 10.0) == []
+
     def test_purity_preserved(self):
         rho = models.spin_pair_density(SpinPairParams(1.0, 0.1, 0.2, 0.3), 0.6, 3.3)
         assert rho.purity() == pytest.approx(1.0, abs=1e-12)
@@ -157,6 +179,71 @@ class TestLoweringOperator:
     def test_number_operator(self):
         a = models.lowering_operator(5)
         assert mc.matrices_close(a.conj().T @ a, np.diag([0.0, 1, 2, 3, 4]))
+
+
+def _atom_proj(i, j):
+    m = np.zeros((2, 2), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def jcm_evolution_dense(p, t, adjoint=False):
+    """Dense reference for models.jcm_evolution: number-basis operator functions.
+
+    cos/sin of sqrt(a a^dag) and sqrt(a^dag a) are diagonal in the number
+    basis; the phase operators exp(+-i phi) are the normalized shift
+    operators (a^dag a + 1)^(-1/2) a and its adjoint, and U is the sum of four
+    Kronecker products of their products.
+    """
+    nf = p.n_max + 1
+    a = models.lowering_operator(nf)
+    ad = a.conj().T
+    n_op = np.arange(nf, dtype=float)  # diagonal of a^dag a
+    sgn = -1.0 if not adjoint else 1.0
+
+    phase_down = np.diag(np.exp(sgn * 1j * p.omega * t * (n_op + 1.0)))  # exp(-i w t a a^dag)
+    phase_up = np.diag(np.exp(sgn * 1j * p.omega * t * n_op))  # exp(-i w t a^dag a)
+    cos_down = np.diag(np.cos(p.rabi * t / 2 * np.sqrt(n_op + 1.0)))
+    cos_up = np.diag(np.cos(p.rabi * t / 2 * np.sqrt(n_op)))
+    sin_down = np.diag(np.sin(p.rabi * t / 2 * np.sqrt(n_op + 1.0)))
+    sin_up = np.diag(np.sin(p.rabi * t / 2 * np.sqrt(n_op)))
+
+    norm = np.diag(1.0 / np.sqrt(n_op + 1.0))
+    exp_iphi = norm @ a  # lowers photon number
+    exp_miphi = ad @ norm  # raises photon number
+
+    pm = -1.0 if adjoint else 1.0
+    return (
+        np.kron(_atom_proj(0, 0), phase_down @ cos_down)
+        + np.kron(_atom_proj(1, 1), phase_up @ cos_up)
+        + pm * np.kron(_atom_proj(0, 1), phase_down @ exp_iphi @ sin_up)
+        - pm * np.kron(_atom_proj(1, 0), phase_up @ exp_miphi @ sin_down)
+    )
+
+
+class TestJcmEvolutionAgainstDense:
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 16, 64])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_matches_dense_formulation(self, n_max, adjoint, rng):
+        for _ in range(4):
+            p = JcmParams(omega=rng.uniform(-2, 2), rabi=rng.uniform(-2, 2), n_max=n_max)
+            for t in (0.0, rng.uniform(0, 1), rng.uniform(1, 30)):
+                u = models.jcm_evolution(p, t, adjoint=adjoint)
+                assert mc.max_abs_diff(u, jcm_evolution_dense(p, t, adjoint)) <= 1e-14
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 16, 64])
+    def test_vacuum_density_matches_dense_product(self, n_max, rng):
+        nf = n_max + 1
+        rho0 = np.zeros((2 * nf, 2 * nf), dtype=complex)
+        rho0[0, 0] = 1.0  # |2,0><2,0|
+        for _ in range(4):
+            p = JcmParams(omega=rng.uniform(-2, 2), rabi=rng.uniform(-2, 2), n_max=n_max)
+            t = rng.uniform(0, 30)
+            u = jcm_evolution_dense(p, t)
+            want = mc.hermitize(u @ rho0 @ u.conj().T)
+            got = models.jcm_vacuum_density(p, t)
+            assert got.validation == "relaxed"
+            assert mc.max_abs_diff(got.matrix, want) <= 1e-14
 
 
 class TestJcmEvolution:
