@@ -19,7 +19,6 @@ from .errors import (
     NotNonnegative,
     TieUndefined,
     ValidationError,
-    ZeroNeumannMean,
     ZeroTrace,
 )
 from .matrixcore import (

@@ -8,8 +8,15 @@ Subcommands:
 * ``decompose`` -- emit a hidden-ensemble decomposition plus verification.
 * ``validate`` -- validate a density-matrix file.
 
-All frequencies/energies are dimensionless (hbar = k_B = 1). Exit codes:
-0 success, 2 config/validation error, 3 numerical failure, 4 I/O error.
+All frequencies/energies are dimensionless (hbar = k_B = 1).
+
+Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
+4 I/O error. Commands raise and ``main`` alone maps the error class to the
+code, first match wins: ``OSError`` -> 4, ``DegenerateOverlap`` or
+``TieUndefined`` -> 3, any other ``CorredError`` -> 2. Malformed JSON and
+config values are raised as ``ValidationError``. The only codes a command
+returns itself are 3 from ``decompose`` when verification misses and 2 from
+``validate`` after its ``{"valid": false}`` report.
 """
 
 from __future__ import annotations
@@ -17,22 +24,16 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import ensembles, matrixcore as mc, models, reduction
-from .errors import (
-    CorredError,
-    DegenerateOverlap,
-    DimensionMismatch,
-    IndexOutOfRange,
-    TieUndefined,
-    ValidationError,
-)
+from .errors import CorredError, DegenerateOverlap, DimensionMismatch, TieUndefined, ValidationError
 from .matrixcore import BipartiteSystem
-from .states import DensityMatrix
+from .states import DensityMatrix, epr_state, spin_pair_initial, triplet_state
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -50,14 +51,14 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.ERROR))
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
+def _load_json(path: str):
+    if not isinstance(path, str):
+        raise ValidationError(f"file path must be a string, got {path!r}")
+    with open(path) as fh:
+        try:
             return json.load(fh)
-    except OSError as exc:
-        raise SystemExit(_fail(EXIT_IO, f"cannot read {path}: {exc}"))
-    except json.JSONDecodeError as exc:
-        raise SystemExit(_fail(EXIT_CONFIG, f"invalid JSON in {path}: {exc}"))
+        except ValueError as exc:
+            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _fail(code: int, msg: str) -> int:
@@ -65,10 +66,36 @@ def _fail(code: int, msg: str) -> int:
     return code
 
 
-def _load_density(path: str) -> DensityMatrix:
-    obj = _load_json(path)
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
+    """The object-valued config section ``key``, ``default`` (or {}) when absent."""
+    return _object(cfg.get(key, {} if default is None else default), key)
+
+
+def _number(section: dict, key: str, default=None, kind=float):
+    """``section[key]`` (or ``default``) as a finite float, or an int for ``kind=int``."""
+    value = section.get(key, default)
     try:
-        return DensityMatrix.from_json(obj)
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValidationError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _load_density(path: str, validation: str | None = None) -> DensityMatrix:
+    """The state in a state file, validated at its own level or at ``validation``."""
+    obj = _object(_load_json(path), f"state file {path}")
+    try:
+        if validation is None:
+            return DensityMatrix.from_json(obj)
+        return DensityMatrix(mc.matrix_from_json(obj), validation=validation)
     except KeyError as exc:
         raise ValidationError(f"{path}: state file lacks key {exc}") from exc
     except (DimensionMismatch, TypeError, ValueError) as exc:
@@ -78,9 +105,9 @@ def _load_density(path: str) -> DensityMatrix:
 # ---------------------------------------------------------------- run
 
 
-def _time_grid(cfg: dict, tie_times: list[float], include_ties: bool) -> np.ndarray:
-    grid = cfg.get("time_grid", {"start": 0.0, "stop": 0.0, "steps": 1})
-    start, stop, steps = float(grid["start"]), float(grid["stop"]), int(grid["steps"])
+def _time_grid(grid: dict, tie_times: list[float], include_ties: bool) -> np.ndarray:
+    start, stop = _number(grid, "start"), _number(grid, "stop")
+    steps = _number(grid, "steps", kind=int)
     if steps < 1 or stop < start:
         raise ValidationError(f"bad time grid {grid}")
     ts = np.linspace(start, stop, steps)
@@ -88,47 +115,43 @@ def _time_grid(cfg: dict, tie_times: list[float], include_ties: bool) -> np.ndar
         return ts
     # Nudge samples landing exactly on a tie point; the tie behavior is a
     # measure-zero special case (opt in with --include-ties).
-    delta = (ts[1] - ts[0]) * 1e-3 if steps > 1 else 1e-6
+    delta = (ts[1] - ts[0]) * 1e-3
     for i, t in enumerate(ts):
         if any(abs(t - tie) < 1e-9 for tie in tie_times):
             ts[i] = t + delta
     return ts
 
 
-def _state_factory(cfg: dict):
-    """Returns (system, rho_of_t, tie_times) for the configured experiment."""
+def _state_factory(cfg: dict, t_max: float):
+    """Returns (system, rho_of_t, tie_times up to t_max) for the configured experiment."""
     experiment = cfg.get("experiment")
-    params = cfg.get("params", {})
+    params = _section(cfg, "params")
     if experiment == "epr":
-        from .states import epr_state
-
         rho = epr_state()
         return BipartiteSystem(2, 2), lambda t: rho, []
     if experiment == "spin_pair":
         p = models.SpinPairParams(
-            omega=float(params.get("omega", 1.0)),
-            j_coupling=float(params.get("j", 0.0)),
-            c_coupling=float(params.get("c", 0.0)),
-            d_coupling=float(params.get("d", 0.0)),
+            omega=_number(params, "omega", 1.0),
+            j_coupling=_number(params, "j", 0.0),
+            c_coupling=_number(params, "c", 0.0),
+            d_coupling=_number(params, "d", 0.0),
         )
-        phi = float(params.get("phi", 0.0))
-        stop = float(cfg.get("time_grid", {}).get("stop", 0.0))
+        phi = _number(params, "phi", 0.0)
         return (
             models.SPIN_PAIR_SYSTEM,
             lambda t: models.spin_pair_density(p, phi, t),
-            models.spin_pair_tie_times(p, phi, stop),
+            models.spin_pair_tie_times(p, phi, t_max),
         )
     if experiment == "jcm_vacuum":
         p = models.JcmParams(
-            omega=float(params.get("omega", 1.0)),
-            rabi=float(params.get("rabi", 1.0)),
-            n_max=int(params.get("n_max", 16)),
+            omega=_number(params, "omega", 1.0),
+            rabi=_number(params, "rabi", 1.0),
+            n_max=_number(params, "n_max", 16, int),
         )
-        stop = float(cfg.get("time_grid", {}).get("stop", 0.0))
         return (
             models.jcm_system(p),
             lambda t: models.jcm_vacuum_density(p, t),
-            models.jcm_tie_times(p, stop),
+            models.jcm_tie_times(p, t_max),
         )
     if experiment == "custom":
         rho = _load_density(params["state"])
@@ -151,13 +174,12 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
     config are read here, once; the reduction itself checks their shapes
     against the system (DimensionMismatch).
     """
-    if not isinstance(rcfg, dict):
-        raise ValidationError(f"reduction must be an object, got {rcfg!r}")
     method = rcfg.get("method", "neumann")
     if method == "neumann":
         return lambda rho: reduction.neumann_reduce(rho, sys_)
     if method == "projective":
-        level = int(_required(rcfg, "level"))
+        _required(rcfg, "level")
+        level = _number(rcfg, "level", kind=int)
         return lambda rho: reduction.projective_reduce(rho, sys_, level)
     if method == "conditioned":
         sigma = _load_density(_required(rcfg, "state"))
@@ -181,8 +203,8 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
             seeded = _load_density(seed[5:])
         elif seed != "neumann":
             raise ValidationError(f"seed must be 'neumann' or file:<path>, got {seed!r}")
-        tol = float(rcfg.get("tol", 1e-12))
-        max_iter = int(rcfg.get("max_iter", 10_000))
+        tol = _number(rcfg, "tol", 1e-12)
+        max_iter = _number(rcfg, "max_iter", 10_000, int)
         scheme = rcfg.get("scheme", "gauss-seidel")
         if scheme not in reduction.SCHEMES:
             raise ValidationError(f"scheme must be one of {reduction.SCHEMES}, got {scheme!r}")
@@ -208,29 +230,30 @@ def _max_coherence(m: np.ndarray) -> float:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = _object(_load_json(args.config), "config")
     try:
-        if not isinstance(cfg, dict):
-            raise ValidationError(f"config must be a JSON object, got {type(cfg).__name__}")
-        sys_, rho_of_t, ties = _state_factory(cfg)
-        ts = _time_grid(cfg, ties, args.include_ties)
-        reducer = _reducer(cfg.get("reduction", {"method": "neumann"}), sys_)
-    except (CorredError, KeyError, TypeError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+        grid = _section(cfg, "time_grid", {"start": 0.0, "stop": 0.0, "steps": 1})
+        sys_, rho_of_t, ties = _state_factory(cfg, _number(grid, "stop"))
+        ts = _time_grid(grid, ties, args.include_ties)
+        reducer = _reducer(_section(cfg, "reduction"), sys_)
+        out_cfg = _section(cfg, "output")
+        fmt = args.format or out_cfg.get("format", "csv")
+        if fmt not in ("csv", "json"):
+            raise ValidationError(f"output.format must be 'csv' or 'json', got {fmt!r}")
+        path = args.out or out_cfg.get("path")
+        if path is not None and not isinstance(path, str):
+            raise ValidationError(f"output.path must be a string, got {path!r}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad config: {exc!r}") from exc
 
     rows = []
-    failures = 0
     for t in ts:
         rho = rho_of_t(float(t))
         try:
             out = reducer(rho)
         except DegenerateOverlap as exc:
             log.warning("t=%g: %s", t, exc)
-            failures += 1
             continue
-        except (DimensionMismatch, IndexOutOfRange) as exc:
-            # A state file or level of the config that does not fit the system.
-            return _fail(EXIT_CONFIG, str(exc))
         if isinstance(out, reduction.IterationReport):
             res, verdict, iters = out.final, out.verdict, out.iterations
         else:
@@ -251,15 +274,8 @@ def cmd_run(args) -> int:
         rows.append(row)
 
     if not rows:
-        return _fail(EXIT_NUMERICAL, "degenerate overlap at every time point")
-
-    out_cfg = cfg.get("output", {})
-    fmt = args.format or out_cfg.get("format", "csv")
-    path = args.out or out_cfg.get("path")
-    try:
-        _write_series(rows, cfg, fmt, path)
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
+        raise DegenerateOverlap("degenerate overlap at every time point")
+    _write_series(rows, cfg, fmt, path)
     return 0
 
 
@@ -301,10 +317,7 @@ def _write_series(rows: list[dict], cfg: dict, fmt: str, path: str | None) -> No
 
 
 def cmd_reduce(args) -> int:
-    try:
-        rho = _load_density(args.state)
-    except ValidationError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    rho = _load_density(args.state)
     rcfg = {
         "method": args.method,
         "level": args.level,
@@ -315,12 +328,7 @@ def cmd_reduce(args) -> int:
         "seed": args.seed,
         "scheme": args.scheme,
     }
-    try:
-        out = _reducer(rcfg, BipartiteSystem(args.dims[0], args.dims[1]))(rho)
-    except DegenerateOverlap as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
-    except (CorredError, KeyError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    out = _reducer(rcfg, BipartiteSystem(args.dims[0], args.dims[1]))(rho)
     print(json.dumps(out.to_json(), indent=2))
     return 0
 
@@ -329,32 +337,19 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        if args.kind == "epr":
-            ens = ensembles.epr_decomposition(args.theta)
-            from .states import epr_state
-
-            target = epr_state()
-        elif args.kind == "triplet":
-            ens = ensembles.triplet_decomposition(args.theta)
-            from .states import triplet_state
-
-            target = triplet_state()
-        elif args.kind == "spin_pair_initial":
-            ens = ensembles.spin_pair_initial_decomposition(args.phi, args.theta)
-            from .states import spin_pair_initial
-
-            target = spin_pair_initial(args.phi)
-        elif args.kind == "spin_pair_t":
-            ens = ensembles.spin_pair_reduced_decomposition(
-                args.phi, args.c, args.t, args.theta
-            )
-            p = models.SpinPairParams(omega=args.omega, c_coupling=args.c)
-            target = models.spin_pair_density(p, args.phi, args.t)
-        else:
-            return _fail(EXIT_CONFIG, f"unknown decomposition kind {args.kind!r}")
-    except TieUndefined as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
+    if args.kind == "epr":
+        ens = ensembles.epr_decomposition(args.theta)
+        target = epr_state()
+    elif args.kind == "triplet":
+        ens = ensembles.triplet_decomposition(args.theta)
+        target = triplet_state()
+    elif args.kind == "spin_pair_initial":
+        ens = ensembles.spin_pair_initial_decomposition(args.phi, args.theta)
+        target = spin_pair_initial(args.phi)
+    else:  # spin_pair_t
+        ens = ensembles.spin_pair_reduced_decomposition(args.phi, args.c, args.t, args.theta)
+        p = models.SpinPairParams(omega=args.omega, c_coupling=args.c)
+        target = models.spin_pair_density(p, args.phi, args.t)
 
     report = ensembles.verify_ensemble(ens, target, tol=args.tol)
     obj = ens.to_json()
@@ -375,11 +370,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    obj = _load_json(args.state)
     try:
-        m = mc.matrix_from_json(obj)
-        dm = DensityMatrix(m, validation=args.level)
-    except (CorredError, KeyError) as exc:
+        dm = _load_density(args.state, args.level)
+    except ValidationError as exc:
         print(json.dumps({"valid": False, "reason": str(exc)}))
         return EXIT_CONFIG
     print(
@@ -464,10 +457,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))
+    except (DegenerateOverlap, TieUndefined) as exc:
+        return _fail(EXIT_NUMERICAL, str(exc))
+    except CorredError as exc:
+        return _fail(EXIT_CONFIG, str(exc))
 
 
 if __name__ == "__main__":

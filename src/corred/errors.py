@@ -37,10 +37,6 @@ class DegenerateOverlap(CorredError):
     """The conditioning state is (numerically) orthogonal to the support of rho."""
 
 
-class ZeroNeumannMean(CorredError):
-    """A factorized correlator form needs a nonzero von Neumann mean."""
-
-
 class NotConverged(CorredError):
     """An operation requires a converged iteration report."""
 

@@ -70,9 +70,6 @@ class BipartiteSystem:
         """Composite dimension N_alpha * N_beta."""
         return self.dim_alpha * self.dim_beta
 
-    def composite_index(self, i: int, i_prime: int) -> int:
-        return i * self.dim_beta + i_prime
-
     def check(self, rho: np.ndarray) -> None:
         if rho.shape != (self.dim, self.dim):
             raise DimensionMismatch(
@@ -176,16 +173,6 @@ def evolve_operator(h, t: float, hbar: float = 1.0, tol: float = DEFAULT_TOL) ->
     phases = np.exp(-1j * t / hbar * spec.eigenvalues)
     v = spec.eigenvectors
     return (v * phases) @ v.conj().T
-
-
-def reorder_ascending(m) -> np.ndarray:
-    """Map between descending-energy and ascending-energy basis orderings.
-
-    Reverses the basis order on both axes; the map is its own inverse.
-    Intended for exchanging matrices with code that lists levels bottom-up.
-    """
-    m = as_matrix(m)
-    return m[::-1, ::-1].copy()
 
 
 def matrix_to_json(m) -> dict:

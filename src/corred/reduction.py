@@ -72,15 +72,13 @@ class IterationReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
+        """The final result's JSON, led by the verdict and the trajectory."""
         obj = {
             "verdict": self.verdict,
             "iterations": self.iterations,
             "residuals": self.residual_history,
-            "reconstruction_error": self.final.reconstruction_error,
-            "rho_alpha": self.final.rho_alpha.to_json(),
+            **self.final.to_json(),
         }
-        if self.final.rho_beta is not None:
-            obj["rho_beta"] = self.final.rho_beta.to_json()
         if self.warnings:
             obj["warnings"] = self.warnings
         return obj

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corred
 from corred import cli, matrixcore as mc
-from corred.states import epr_state, minimum_information_state
+from corred.states import epr_state, minimum_information_state, projector_state
 
 
 def write_state(tmp_path, name, dm):
@@ -115,17 +120,12 @@ class TestRun:
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
 
     def test_missing_config_exits_io(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--config", str(tmp_path / "absent.json")])
-        assert exc.value.code == 4
+        assert cli.main(["run", "--config", str(tmp_path / "absent.json")]) == 4
 
     def test_invalid_json_exits_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--config", str(bad)])
-        assert exc.value.code == 2
-
+        assert cli.main(["run", "--config", str(bad)]) == 2
 
     @pytest.mark.parametrize(
         "reduction_cfg",
@@ -236,6 +236,13 @@ class TestReduce:
         assert obj["verdict"] == "converged"
         assert obj["iterations"] >= 1
 
+    def test_correlated_report_extends_the_result_shape(self, tmp_path, capsys):
+        path = write_state(tmp_path, "epr.json", epr_state())
+        assert cli.main(["reduce", path, "--dims", "2", "2", "--method", "correlated"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["method"] == "correlated"
+        assert set(obj) >= {"reconstruction_error", "rho_alpha", "rho_beta", "residuals"}
+
     def test_correlated_seed_file(self, tmp_path, capsys):
         path = write_state(tmp_path, "epr.json", epr_state())
         from corred.states import projector_state
@@ -282,9 +289,7 @@ class TestReduce:
         assert message in capsys.readouterr().err
 
     def test_missing_state_exits_io(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["reduce", str(tmp_path / "none.json"), "--dims", "2", "2"])
-        assert exc.value.code == 4
+        assert cli.main(["reduce", str(tmp_path / "none.json"), "--dims", "2", "2"]) == 4
 
 
 class TestDecompose:
@@ -347,6 +352,16 @@ class TestValidate:
         obj = json.loads(capsys.readouterr().out)
         assert obj["reason"] == "density matrix has non-finite entries"
 
+    def test_non_object_state_reported_invalid(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert cli.main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        obj = json.loads(captured.out)
+        assert obj["valid"] is False
+        assert "must be a JSON object, got list" in obj["reason"]
+        assert captured.err == ""
+
     def test_relaxed_level(self, tmp_path, capsys):
         m = np.diag([1.5, -0.5])
         path = tmp_path / "neg.json"
@@ -355,3 +370,100 @@ class TestValidate:
         assert cli.main(["validate", str(path), "--level", "relaxed"]) == 0
         out = capsys.readouterr().out.splitlines()[-1]
         assert json.loads(out)["min_eigenvalue"] == pytest.approx(-0.5)
+
+
+# One row per exit code and per class of malformed input. "{dir}" in the
+# config text and in the arguments stands for the test's directory, which
+# also holds a product state |00><00| (dims 2 2) and the beta state |1><1|,
+# whose overlap vanishes.
+RUN = ["run", "--config", "{cfg}"]
+PRODUCT = ["{dir}/product.json", "--dims", "2", "2"]
+EXIT_CASES = [
+    ("ok", '{"experiment": "epr"}', RUN, 0),
+    ("params-list", '{"experiment": "spin_pair", "params": [1, 2]}', RUN, 2),
+    ("time-grid-list", '{"experiment": "spin_pair", "time_grid": [1]}', RUN, 2),
+    ("output-list", '{"experiment": "epr", "output": [1]}', RUN, 2),
+    ("reduction-list", '{"experiment": "epr", "reduction": []}', RUN, 2),
+    (
+        "max-iter-overflow",
+        '{"experiment": "epr", "reduction": {"method": "correlated", "max_iter": 1e400}}',
+        RUN,
+        2,
+    ),
+    (
+        "stop-infinite",
+        '{"experiment": "spin_pair", "time_grid": {"start": 0, "stop": Infinity, "steps": 3}}',
+        RUN,
+        2,
+    ),
+    (
+        "stop-nan",
+        '{"experiment": "spin_pair", "time_grid": {"start": 0, "stop": NaN, "steps": 3}}',
+        RUN,
+        2,
+    ),
+    ("rabi-nan", '{"experiment": "jcm_vacuum", "params": {"rabi": NaN, "n_max": 2}}', RUN, 2),
+    ("grid-key-missing", '{"experiment": "epr", "time_grid": {"stop": 1, "steps": 2}}', RUN, 2),
+    ("custom-key-missing", '{"experiment": "custom", "params": {"dims": [2, 2]}}', RUN, 2),
+    ("unknown-format", '{"experiment": "epr", "output": {"format": "xml"}}', RUN, 2),
+    ("path-not-string", '{"experiment": "epr", "output": {"path": 1}}', RUN, 2),
+    (
+        "state-path-not-string",
+        '{"experiment": "custom", "params": {"state": 0, "dims": [2, 2]}}',
+        RUN,
+        2,
+    ),
+    ("config-not-object", "[1, 2]", RUN, 2),
+    ("bad-json", "{not json", RUN, 2),
+    ("reduce-tol-nan", "{}", ["reduce", *PRODUCT, "--method", "correlated", "--tol", "nan"], 2),
+    ("missing-config", "{}", ["run", "--config", "{dir}/absent.json"], 4),
+    ("missing-state", "{}", ["reduce", "{dir}/absent.json", "--dims", "2", "2"], 4),
+    ("unwritable-output", '{"experiment": "epr", "output": {"path": "{dir}/no/out.csv"}}', RUN, 4),
+    (
+        "degenerate-at-every-time",
+        '{"experiment": "custom", "params": {"state": "{dir}/product.json", "dims": [2, 2]},'
+        ' "reduction": {"method": "conditioned", "state": "{dir}/beta1.json"}}',
+        RUN,
+        3,
+    ),
+    (
+        "reduce-degenerate",
+        "{}",
+        ["reduce", *PRODUCT, "--method", "conditioned", "--sigma", "{dir}/beta1.json"],
+        3,
+    ),
+    (
+        "decompose-tie",
+        "{}",
+        ["decompose", "spin_pair_t", "--phi", "0", "--c", "1", "--t", str(math.pi / 4)],
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize("config,argv,code", [c[1:] for c in EXIT_CASES],
+                         ids=[c[0] for c in EXIT_CASES])
+def test_exit_code_map(tmp_path, capsys, config, argv, code):
+    write_state(tmp_path, "product.json", projector_state(4, 0))
+    write_state(tmp_path, "beta1.json", projector_state(2, 1))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config.replace("{dir}", str(tmp_path)))
+    argv = [a.replace("{cfg}", str(cfg)).replace("{dir}", str(tmp_path)) for a in argv]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_module_entry_point_exit_status(tmp_path):
+    src = str(Path(corred.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "corred.cli", "run", "--config", str(tmp_path / "absent.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

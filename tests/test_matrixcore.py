@@ -174,11 +174,6 @@ def test_kron_associativity_property(values):
     assert mc.max_abs_diff(mc.kron(mc.kron(a, b), c), mc.kron(a, mc.kron(b, c))) < 1e-12
 
 
-def test_reorder_ascending_is_involution(rng):
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert mc.matrices_close(mc.reorder_ascending(mc.reorder_ascending(m)), m, 1e-15)
-
-
 def test_matrix_json_round_trip(rng):
     m = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     obj = json.loads(json.dumps(mc.matrix_to_json(m)))
