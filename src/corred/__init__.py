@@ -45,7 +45,6 @@ from .states import (
 )
 from .reduction import (
     CorrelatorBreakdown,
-    IterationReport,
     ReductionResult,
     conditioned_reduce,
     correlated_mean_pair,

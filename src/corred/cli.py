@@ -17,11 +17,18 @@ code, first match wins: ``OSError`` -> 4, ``DegenerateOverlap`` or
 config values are raised as ``ValidationError``. The only codes a command
 returns itself are 3 from ``decompose`` when verification misses and 2 from
 ``validate`` after its ``{"valid": false}`` report.
+
+``run`` reads its whole config and opens its output before the time loop.
+Every reduction returns a ``ReductionResult``; its ``verdict`` and
+``iterations`` fill the row's columns of the same name ("-" and 0 for the
+one-shot methods), and a correlated ``file:`` seed is the starting alpha
+state of every time point.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -78,14 +85,22 @@ def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
 
 
 def _number(section: dict, key: str, default=None, kind=float):
-    """``section[key]`` (or ``default``) as a finite float, or an int for ``kind=int``."""
-    value = section.get(key, default)
+    """``section[key]`` (or ``default``) read by ``_finite``."""
+    return _finite(section.get(key, default), key, kind)
+
+
+def _finite(value, key: str, kind=float):
+    """``value`` of config key ``key`` as a finite float, or an integral one as an int."""
     try:
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise ValidationError(f"{key} must be a finite number, got {value!r}")
+    if kind is int:
+        if not number.is_integer():
+            raise ValidationError(f"{key} must be an integer, got {value!r}")
+        return int(number)
     return number
 
 
@@ -105,30 +120,30 @@ def _load_density(path: str, validation: str | None = None) -> DensityMatrix:
 # ---------------------------------------------------------------- run
 
 
-def _time_grid(grid: dict, tie_times: list[float], include_ties: bool) -> np.ndarray:
+def _time_grid(grid: dict, tie_step: float | None, include_ties: bool) -> np.ndarray:
     start, stop = _number(grid, "start"), _number(grid, "stop")
     steps = _number(grid, "steps", kind=int)
     if steps < 1 or stop < start:
         raise ValidationError(f"bad time grid {grid}")
     ts = np.linspace(start, stop, steps)
-    if include_ties or not tie_times or steps < 2:
+    if include_ties or tie_step is None or steps < 2:
         return ts
-    # Nudge samples landing exactly on a tie point; the tie behavior is a
-    # measure-zero special case (opt in with --include-ties).
-    delta = (ts[1] - ts[0]) * 1e-3
-    for i, t in enumerate(ts):
-        if any(abs(t - tie) < 1e-9 for tie in tie_times):
-            ts[i] = t + delta
+    # Nudge samples within 1e-9 of a tie point (2k+1) tie_step <= stop; the
+    # tie behavior is a measure-zero special case (opt in with --include-ties).
+    # Ties are 2 tie_step apart, so only the nearest one can be that close.
+    k = np.maximum(np.rint((ts / tie_step - 1) / 2), 0)
+    tie = (2 * k + 1) * tie_step
+    ts[(np.abs(ts - tie) < 1e-9) & (tie <= stop)] += (ts[1] - ts[0]) * 1e-3
     return ts
 
 
-def _state_factory(cfg: dict, t_max: float):
-    """Returns (system, rho_of_t, tie_times up to t_max) for the configured experiment."""
+def _state_factory(cfg: dict):
+    """Returns (system, rho_of_t, tie_step or None) for the configured experiment."""
     experiment = cfg.get("experiment")
     params = _section(cfg, "params")
     if experiment == "epr":
         rho = epr_state()
-        return BipartiteSystem(2, 2), lambda t: rho, []
+        return BipartiteSystem(2, 2), lambda t: rho, None
     if experiment == "spin_pair":
         p = models.SpinPairParams(
             omega=_number(params, "omega", 1.0),
@@ -140,7 +155,7 @@ def _state_factory(cfg: dict, t_max: float):
         return (
             models.SPIN_PAIR_SYSTEM,
             lambda t: models.spin_pair_density(p, phi, t),
-            models.spin_pair_tie_times(p, phi, t_max),
+            models.spin_pair_tie_step(p, phi),
         )
     if experiment == "jcm_vacuum":
         p = models.JcmParams(
@@ -151,12 +166,12 @@ def _state_factory(cfg: dict, t_max: float):
         return (
             models.jcm_system(p),
             lambda t: models.jcm_vacuum_density(p, t),
-            models.jcm_tie_times(p, t_max),
+            models.jcm_tie_step(p),
         )
     if experiment == "custom":
         rho = _load_density(params["state"])
-        na, nb = params["dims"]
-        return BipartiteSystem(int(na), int(nb)), lambda t: rho, []
+        na, nb = (_finite(n, "dims", int) for n in params["dims"])
+        return BipartiteSystem(na, nb), lambda t: rho, None
     raise ValidationError(f"unknown experiment {experiment!r}")
 
 
@@ -169,10 +184,9 @@ def _required(rcfg: dict, key: str):
 def _reducer(rcfg: dict, sys_: BipartiteSystem):
     """Check a reduction config once and return the reduction it names.
 
-    The returned function maps a state to a ReductionResult, or to an
-    IterationReport for the correlated method. State files named by the
-    config are read here, once; the reduction itself checks their shapes
-    against the system (DimensionMismatch).
+    The returned function maps a state to a ReductionResult. State files
+    named by the config are read here, once; the reduction itself checks
+    their shapes against the system (DimensionMismatch).
     """
     method = rcfg.get("method", "neumann")
     if method == "neumann":
@@ -198,10 +212,11 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
         return conditioned
     if method == "correlated":
         seed = rcfg.get("seed", "neumann")
-        seeded = None
         if isinstance(seed, str) and seed.startswith("file:"):
-            seeded = _load_density(seed[5:])
-        elif seed != "neumann":
+            seed = _load_density(seed[5:])
+        elif seed == "neumann":
+            seed = None
+        else:
             raise ValidationError(f"seed must be 'neumann' or file:<path>, got {seed!r}")
         tol = _number(rcfg, "tol", 1e-12)
         max_iter = _number(rcfg, "max_iter", 10_000, int)
@@ -211,16 +226,9 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
         if max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
 
-        def correlated(rho):
-            start = seed
-            if seeded is not None:
-                base = reduction.neumann_reduce(rho, sys_)
-                start = reduction.ReductionResult(seeded, base.rho_beta, "seed", None)
-            return reduction.correlated_reduce(
-                rho, sys_, seed=start, tol=tol, max_iter=max_iter, scheme=scheme
-            )
-
-        return correlated
+        return lambda rho: reduction.correlated_reduce(
+            rho, sys_, seed, tol=tol, max_iter=max_iter, scheme=scheme
+        )
     raise ValidationError(f"unknown reduction method {method!r}")
 
 
@@ -233,8 +241,8 @@ def cmd_run(args) -> int:
     cfg = _object(_load_json(args.config), "config")
     try:
         grid = _section(cfg, "time_grid", {"start": 0.0, "stop": 0.0, "steps": 1})
-        sys_, rho_of_t, ties = _state_factory(cfg, _number(grid, "stop"))
-        ts = _time_grid(grid, ties, args.include_ties)
+        sys_, rho_of_t, tie_step = _state_factory(cfg)
+        ts = _time_grid(grid, tie_step, args.include_ties)
         reducer = _reducer(_section(cfg, "reduction"), sys_)
         out_cfg = _section(cfg, "output")
         fmt = args.format or out_cfg.get("format", "csv")
@@ -246,26 +254,30 @@ def cmd_run(args) -> int:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad config: {exc!r}") from exc
 
+    # Open the output first, so an unwritable path fails before the computation.
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
+        _write_series(_series(ts, rho_of_t, reducer, sys_), cfg, fmt, out)
+    return 0
+
+
+def _series(ts: np.ndarray, rho_of_t, reducer, sys_: BipartiteSystem) -> list[dict]:
+    """One output row per time point; points with a degenerate overlap are skipped."""
     rows = []
     for t in ts:
         rho = rho_of_t(float(t))
         try:
-            out = reducer(rho)
+            res = reducer(rho)
         except DegenerateOverlap as exc:
             log.warning("t=%g: %s", t, exc)
             continue
-        if isinstance(out, reduction.IterationReport):
-            res, verdict, iters = out.final, out.verdict, out.iterations
-        else:
-            res, verdict, iters = out, "-", 0
         ra = res.rho_alpha.matrix
         row = {
             "t": float(t),
             "pop_alpha": [float(np.real(ra[i, i])) for i in range(sys_.dim_alpha)],
             "coh_alpha": _max_coherence(ra),
             "reconstruction_error": res.reconstruction_error,
-            "verdict": verdict,
-            "iterations": iters,
+            "verdict": res.verdict,
+            "iterations": res.iterations,
         }
         if res.rho_beta is not None:
             rb = res.rho_beta.matrix
@@ -275,42 +287,36 @@ def cmd_run(args) -> int:
 
     if not rows:
         raise DegenerateOverlap("degenerate overlap at every time point")
-    _write_series(rows, cfg, fmt, path)
-    return 0
+    return rows
 
 
-def _write_series(rows: list[dict], cfg: dict, fmt: str, path: str | None) -> None:
-    out = open(path, "w") if path else sys.stdout
-    try:
-        if fmt == "json":
-            json.dump({"config": cfg, "rows": rows}, out, indent=2)
-            out.write("\n")
-            return
-        na = len(rows[0]["pop_alpha"])
-        nb = len(rows[0].get("pop_beta", []))
-        header = (
-            ["t"]
-            + [f"pop_alpha_{i}" for i in range(na)]
-            + [f"pop_beta_{i}" for i in range(nb)]
-            + ["coh_alpha"]
-            + (["coh_beta"] if nb else [])
-            + ["reconstruction_error", "verdict", "iterations"]
-        )
-        out.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
-        out.write(",".join(header) + "\n")
-        for r in rows:
-            cells = [_fmt(r["t"])]
-            cells += [_fmt(x) for x in r["pop_alpha"]]
-            cells += [_fmt(x) for x in r.get("pop_beta", [])]
-            cells.append(_fmt(r["coh_alpha"]))
-            if nb:
-                cells.append(_fmt(r["coh_beta"]))
-            error = r["reconstruction_error"]
-            cells += ["" if error is None else _fmt(error), str(r["verdict"]), str(r["iterations"])]
-            out.write(",".join(cells) + "\n")
-    finally:
-        if path:
-            out.close()
+def _write_series(rows: list[dict], cfg: dict, fmt: str, out) -> None:
+    if fmt == "json":
+        json.dump({"config": cfg, "rows": rows}, out, indent=2)
+        out.write("\n")
+        return
+    na = len(rows[0]["pop_alpha"])
+    nb = len(rows[0].get("pop_beta", []))
+    header = (
+        ["t"]
+        + [f"pop_alpha_{i}" for i in range(na)]
+        + [f"pop_beta_{i}" for i in range(nb)]
+        + ["coh_alpha"]
+        + (["coh_beta"] if nb else [])
+        + ["reconstruction_error", "verdict", "iterations"]
+    )
+    out.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
+    out.write(",".join(header) + "\n")
+    for r in rows:
+        cells = [_fmt(r["t"])]
+        cells += [_fmt(x) for x in r["pop_alpha"]]
+        cells += [_fmt(x) for x in r.get("pop_beta", [])]
+        cells.append(_fmt(r["coh_alpha"]))
+        if nb:
+            cells.append(_fmt(r["coh_beta"]))
+        error = r["reconstruction_error"]
+        cells += ["" if error is None else _fmt(error), str(r["verdict"]), str(r["iterations"])]
+        out.write(",".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------- reduce

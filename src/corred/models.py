@@ -95,14 +95,14 @@ def spin_pair_populations(phi: float, c: float, t: float) -> tuple[float, float]
     return (1.0 + corr) / 2.0, (1.0 - corr) / 2.0
 
 
-def spin_pair_tie_times(p: SpinPairParams, phi: float, t_max: float) -> list[float]:
-    """Times t = (2l+1) pi / (4|c|) up to t_max where the |21> and |12>
-    populations cross; none without flip-flop coupling or when cos(2 phi) = 0
-    keeps them equal for all t."""
+def spin_pair_tie_step(p: SpinPairParams, phi: float) -> float | None:
+    """Spacing s = pi / (4|c|) of the times t = (2l+1) s where the |21> and
+    |12> populations cross; None without flip-flop coupling or when
+    cos(2 phi) = 0 keeps them equal for all t."""
     c = p.c_coupling
     if c == 0 or abs(math.cos(2 * phi)) <= 1e-12:
-        return []
-    return _odd_multiples(math.pi / (4 * abs(c)), t_max)
+        return None
+    return math.pi / (4 * abs(c))
 
 
 def spin_pair_coherence(phi: float, c: float, t: float) -> complex:
@@ -231,18 +231,9 @@ def jcm_correlated_limit(t: float, p: JcmParams) -> tuple[float, float]:
     return c_val, 1.0 - c_val
 
 
-def jcm_tie_times(p: JcmParams, t_max: float) -> list[float]:
-    """Tie points t = (2l+1) pi / (2 Omega) of the step limit up to t_max."""
+def jcm_tie_step(p: JcmParams) -> float | None:
+    """Spacing s = pi / (2 Omega) of the step limit's tie points t = (2l+1) s;
+    None without atom-field coupling."""
     if p.rabi == 0:
-        return []
-    return _odd_multiples(math.pi / (2 * abs(p.rabi)), t_max)
-
-
-def _odd_multiples(step: float, t_max: float) -> list[float]:
-    """(2k+1) step for k = 0, 1, ... up to t_max."""
-    ties = []
-    k = 0
-    while (tie := (2 * k + 1) * step) <= t_max:
-        ties.append(tie)
-        k += 1
-    return ties
+        return None
+    return math.pi / (2 * abs(p.rabi))

@@ -3,7 +3,10 @@
 Covers the von Neumann partial-trace reduction, reduction conditioned on an
 assumed state of the unobserved subsystem, its projective special case, the
 replacement operator, the correlated (self-congruent) fixed-point iteration,
-and mean-value / correlator bookkeeping.
+and mean-value / correlator bookkeeping. The von Neumann, projective and
+correlated reductions all return a ``ReductionResult``; the correlated one
+starts from a given alpha state and adds the verdict and trajectory of its
+fixed-point run.
 """
 
 from __future__ import annotations
@@ -37,48 +40,38 @@ def _mat(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """Reduced state(s) of one reduction run.
+    """Reduced pair of one reduction run.
 
     ``reconstruction_error`` is the max-abs difference between the composite
-    state and the product rho_alpha x rho_beta. It is None when it is
-    undefined: when ``rho_beta`` is absent, or for a seed that was never
-    compared with a composite state.
+    state and the product rho_alpha x rho_beta, or None when ``rho_beta`` is
+    absent. The correlated reduction also reports its fixed-point run: the
+    ``verdict`` (converged | max_iter | oscillating | degenerate), the number
+    of ``iterations``, the max-abs change of each sweep in ``residuals`` and
+    near-degeneracy ``warnings``. The one-shot methods leave these at "-", 0
+    and empty.
     """
 
     rho_alpha: DensityMatrix
     rho_beta: DensityMatrix | None
     method: str
     reconstruction_error: float | None
-
-    def to_json(self) -> dict:
-        obj = {
-            "method": self.method,
-            "reconstruction_error": self.reconstruction_error,
-            "rho_alpha": self.rho_alpha.to_json(),
-        }
-        if self.rho_beta is not None:
-            obj["rho_beta"] = self.rho_beta.to_json()
-        return obj
-
-
-@dataclass
-class IterationReport:
-    """Trajectory and verdict of the correlated-reduction fixed-point run."""
-
-    iterations: int
-    verdict: str  # converged | max_iter | oscillating | degenerate
-    residual_history: list[float]
-    final: ReductionResult
+    verdict: str = "-"
+    iterations: int = 0
+    residuals: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        """The final result's JSON, led by the verdict and the trajectory."""
-        obj = {
-            "verdict": self.verdict,
-            "iterations": self.iterations,
-            "residuals": self.residual_history,
-            **self.final.to_json(),
-        }
+        """The reduced pair, led by the verdict and trajectory of an iterated run."""
+        obj = {}
+        if self.iterations:
+            obj.update(verdict=self.verdict, iterations=self.iterations, residuals=self.residuals)
+        obj.update(
+            method=self.method,
+            reconstruction_error=self.reconstruction_error,
+            rho_alpha=self.rho_alpha.to_json(),
+        )
+        if self.rho_beta is not None:
+            obj["rho_beta"] = self.rho_beta.to_json()
         if self.warnings:
             obj["warnings"] = self.warnings
         return obj
@@ -181,11 +174,11 @@ def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
 def correlated_reduce(
     rho,
     sys: BipartiteSystem,
-    seed="neumann",
+    seed=None,
     tol: float = 1e-12,
     max_iter: int = 10_000,
     scheme: str = "gauss-seidel",
-) -> IterationReport:
+) -> ReductionResult:
     """Self-congruent reduction by fixed-point iteration of the coupled pair.
 
     Each sweep updates the beta iterate from the current alpha iterate and
@@ -197,8 +190,9 @@ def correlated_reduce(
 
     Parameters
     ----------
-    seed : 'neumann' or ReductionResult
-        Zeroth-order iterate; the partial traces by default.
+    seed : DensityMatrix or array, optional
+        Starting alpha iterate; the partial trace over beta by default. The
+        beta iterate always starts at the partial trace over alpha.
     """
     r = _mat(rho)
     sys.check(r)
@@ -207,15 +201,8 @@ def correlated_reduce(
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be 'gauss-seidel' or 'jacobi', got {scheme!r}")
 
-    if isinstance(seed, ReductionResult):
-        if seed.rho_beta is None:
-            raise ValueError("seed ReductionResult must carry both subsystem states")
-        ra, rb = seed.rho_alpha.matrix.copy(), seed.rho_beta.matrix.copy()
-    elif seed == "neumann":
-        ra = mc.partial_trace(r, sys, over="beta")
-        rb = mc.partial_trace(r, sys, over="alpha")
-    else:
-        raise ValueError(f"seed must be 'neumann' or a ReductionResult, got {seed!r}")
+    ra = mc.partial_trace(r, sys, over="beta") if seed is None else _mat(seed)
+    rb = mc.partial_trace(r, sys, over="alpha")
 
     warnings: list[str] = []
     residuals: list[float] = []
@@ -254,17 +241,14 @@ def correlated_reduce(
             raise
         verdict = "degenerate"
 
-    final = ReductionResult(
+    return ReductionResult(
         rho_alpha=DensityMatrix(ra, validation="relaxed"),
         rho_beta=DensityMatrix(rb, validation="relaxed"),
         method="correlated",
         reconstruction_error=_reconstruction_error(r, ra, rb),
-    )
-    return IterationReport(
-        iterations=len(residuals),
         verdict=verdict,
-        residual_history=residuals,
-        final=final,
+        iterations=len(residuals),
+        residuals=residuals,
         warnings=warnings,
     )
 
@@ -324,7 +308,7 @@ def correlator(rho, sys: BipartiteSystem, a: Observable, b: Observable) -> Corre
 
 
 def correlated_mean_pair(
-    report: IterationReport, a: Observable, b: Observable
+    result: ReductionResult, a: Observable, b: Observable
 ) -> tuple[float, float, float]:
     """Correlated means (<A>_C, <B>_C, product) from a converged iteration.
 
@@ -332,8 +316,8 @@ def correlated_mean_pair(
     gap from the exact value measures the accuracy of the product-state
     representation.
     """
-    if report.verdict != "converged":
-        raise NotConverged(f"iteration verdict is {report.verdict!r}, not 'converged'")
-    mean_a = np.real(mean_value(report.final.rho_alpha, a))
-    mean_b = np.real(mean_value(report.final.rho_beta, b))
+    if result.verdict != "converged":
+        raise NotConverged(f"iteration verdict is {result.verdict!r}, not 'converged'")
+    mean_a = np.real(mean_value(result.rho_alpha, a))
+    mean_b = np.real(mean_value(result.rho_beta, b))
     return float(mean_a), float(mean_b), float(mean_a * mean_b)

@@ -35,3 +35,13 @@ def random_nonnegative(rng, dim: int) -> np.ndarray:
 def random_hermitian(rng, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (g + g.conj().T)
+
+
+def odd_multiples(step: float | None, t_max: float) -> list[float]:
+    """Tie times (2k+1) step for k = 0, 1, ... up to t_max; none for step None."""
+    ties = []
+    k = 0
+    while step is not None and (tie := (2 * k + 1) * step) <= t_max:
+        ties.append(tie)
+        k += 1
+    return ties

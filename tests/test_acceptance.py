@@ -143,7 +143,7 @@ def test_criterion_08_jcm_step_limit():
         rep = reduction.correlated_reduce(rho, sys_, tol=1e-12, max_iter=10_000)
         limit_c, _ = models.jcm_correlated_limit(t, p)
         ok &= rep.verdict == "converged"
-        ok &= abs(rep.final.rho_alpha.matrix[0, 0].real - limit_c) < 1e-9
+        ok &= abs(rep.rho_alpha.matrix[0, 0].real - limit_c) < 1e-9
     # near the tie, convergence slows; document the iteration count instead
     # of asserting a value
     x_near = math.pi / 4 + 0.005
@@ -179,7 +179,7 @@ def test_criterion_10_product_states_one_sweep(rng):
         rep = reduction.correlated_reduce(rho, BipartiteSystem(2, 3), tol=1e-12)
         ok &= rep.verdict == "converged"
         ok &= rep.iterations == 1
-        ok &= rep.final.reconstruction_error < 1e-12
+        ok &= rep.reconstruction_error < 1e-12
     _verdict(10, ok)
 
 

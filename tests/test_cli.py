@@ -7,10 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corred
-from corred import cli, matrixcore as mc
-from corred.states import epr_state, minimum_information_state, projector_state
+from corred import cli, matrixcore as mc, reduction
+from corred.states import DensityMatrix, epr_state, minimum_information_state, projector_state
+
+from conftest import odd_multiples
 
 
 def write_state(tmp_path, name, dm):
@@ -115,6 +119,17 @@ class TestRun:
         ts = [float(ln.split(",")[0]) for ln in out.splitlines()[2:]]
         assert any(abs(t - math.pi / 2) < 1e-12 for t in ts)
 
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_unwritable_output_fails_before_the_computation(self, tmp_path, monkeypatch, flag):
+        def computed(*args):
+            raise AssertionError("the time series was computed")
+
+        monkeypatch.setattr(reduction, "neumann_reduce", computed)
+        out = str(tmp_path / "no" / "out.csv")
+        cfg = {"experiment": "epr", "output": {} if flag else {"path": out}}
+        argv = ["run", "--config", write_config(tmp_path, cfg)] + (["--out", out] if flag else [])
+        assert cli.main(argv) == 4
+
     def test_unknown_experiment_exits_config(self, tmp_path):
         cfg = {"experiment": "nope"}
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
@@ -178,6 +193,41 @@ class TestRun:
         state = write_state(tmp_path, "epr.json", epr_state())
         cfg = {"experiment": "custom", "params": {"state": state, "dims": [2, 3]}}
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+
+
+def time_grid_reference(grid: dict, tie_times: list[float]) -> np.ndarray:
+    """Tie nudging as first written: every sample against every tie."""
+    ts = np.linspace(grid["start"], grid["stop"], grid["steps"])
+    if not tie_times or grid["steps"] < 2:
+        return ts
+    delta = (ts[1] - ts[0]) * 1e-3
+    for i, t in enumerate(ts):
+        if any(abs(t - tie) < 1e-9 for tie in tie_times):
+            ts[i] = t + delta
+    return ts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tie_step=st.floats(1e-3, 10.0),
+    start_half_steps=st.integers(-4, 40),
+    span_half_steps=st.integers(0, 60),
+    per_half_step=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    jitter=st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]),
+    end_jitter=st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]),
+)
+def test_tie_nudging_matches_reference(tie_step, start_half_steps, span_half_steps,
+                                       per_half_step, extra, jitter, end_jitter):
+    # Grids that start and end on (near) multiples of half the tie spacing,
+    # with samples on those multiples when extra is 0, so ties are hit often.
+    start = start_half_steps * tie_step / 2 + jitter
+    stop = max(start, start + span_half_steps * tie_step / 2 + end_jitter)
+    grid = {"start": start, "stop": stop, "steps": span_half_steps * per_half_step + 1 + extra}
+    nudged = cli._time_grid(grid, tie_step, include_ties=False)
+    assert np.array_equal(nudged, time_grid_reference(grid, odd_multiples(tie_step, stop)))
+    assert np.array_equal(cli._time_grid(grid, tie_step, include_ties=True),
+                          np.linspace(start, stop, grid["steps"]))
 
 
 class TestReduce:
@@ -290,6 +340,66 @@ class TestReduce:
 
     def test_missing_state_exits_io(self, tmp_path):
         assert cli.main(["reduce", str(tmp_path / "none.json"), "--dims", "2", "2"]) == 4
+
+
+# Key order of the result JSON that ``reduce`` prints. A correlated result
+# leads with its verdict and trajectory; "warnings" closes a result only when
+# a sweep met a near-degenerate overlap. "{dir}" stands for the test's
+# directory, which holds the EPR state, sigma = I/2, the beta state |1><1| and
+# a state with weight 1e-12 on |11>, where that seed meets an overlap of 1e-12.
+ONE_SHOT_KEYS = ["method", "reconstruction_error", "rho_alpha", "rho_beta"]
+CORRELATED_KEYS = ["verdict", "iterations", "residuals", *ONE_SHOT_KEYS]
+SHAPE_CASES = [
+    ("neumann", "epr", [], ONE_SHOT_KEYS),
+    ("projective", "epr", ["--method", "projective", "--level", "1"], ONE_SHOT_KEYS),
+    (
+        "conditioned-beta",
+        "epr",
+        ["--method", "conditioned", "--sigma", "{dir}/sigma.json"],
+        ONE_SHOT_KEYS[:3],
+    ),
+    (
+        "conditioned-alpha",
+        "epr",
+        ["--method", "conditioned", "--sigma", "{dir}/sigma.json", "--given-side", "alpha"],
+        ONE_SHOT_KEYS,
+    ),
+    ("correlated", "epr", ["--method", "correlated"], CORRELATED_KEYS),
+    (
+        "correlated-warnings",
+        "faint",
+        ["--method", "correlated", "--seed", "file:{dir}/beta1.json"],
+        [*CORRELATED_KEYS, "warnings"],
+    ),
+]
+
+
+@pytest.mark.parametrize("state,argv,keys", [c[1:] for c in SHAPE_CASES],
+                         ids=[c[0] for c in SHAPE_CASES])
+def test_reduce_result_json_shape(tmp_path, capsys, state, argv, keys):
+    write_state(tmp_path, "epr.json", epr_state())
+    write_state(tmp_path, "sigma.json", minimum_information_state(2))
+    write_state(tmp_path, "beta1.json", projector_state(2, 1))
+    write_state(tmp_path, "faint.json", DensityMatrix(np.diag([1 - 1e-12, 0.0, 0.0, 1e-12])))
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    assert cli.main(["reduce", str(tmp_path / f"{state}.json"), "--dims", "2", "2", *argv]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert list(obj) == keys
+    assert obj.get("warnings", ["non-empty"])
+
+
+@pytest.mark.parametrize("method", [{"method": "neumann"}, {"method": "projective", "level": 0}])
+def test_run_json_one_shot_rows_carry_no_iteration(tmp_path, capsys, method):
+    cfg = {
+        "experiment": "spin_pair",
+        "params": {"c": 0.5, "phi": 0.2},
+        "time_grid": {"start": 0.0, "stop": 2.0, "steps": 3},
+        "reduction": method,
+    }
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 3
+    assert all(row["verdict"] == "-" and row["iterations"] == 0 for row in rows)
 
 
 class TestDecompose:
@@ -413,6 +523,31 @@ EXIT_CASES = [
         RUN,
         2,
     ),
+    ("n_max-fractional", '{"experiment": "jcm_vacuum", "params": {"n_max": 2.9}}', RUN, 2),
+    (
+        "steps-fractional",
+        '{"experiment": "epr", "time_grid": {"start": 0, "stop": 1, "steps": 3.7}}',
+        RUN,
+        2,
+    ),
+    (
+        "level-fractional",
+        '{"experiment": "epr", "reduction": {"method": "projective", "level": 0.6}}',
+        RUN,
+        2,
+    ),
+    (
+        "dims-fractional",
+        '{"experiment": "custom", "params": {"state": "{dir}/product.json", "dims": [2.5, 2]}}',
+        RUN,
+        2,
+    ),
+    (
+        "max_iter-integral-float",
+        '{"experiment": "epr", "reduction": {"method": "correlated", "max_iter": 1e4}}',
+        RUN,
+        0,
+    ),
     ("config-not-object", "[1, 2]", RUN, 2),
     ("bad-json", "{not json", RUN, 2),
     ("reduce-tol-nan", "{}", ["reduce", *PRODUCT, "--method", "correlated", "--tol", "nan"], 2),
@@ -441,21 +576,34 @@ EXIT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("config,argv,code", [c[1:] for c in EXIT_CASES],
-                         ids=[c[0] for c in EXIT_CASES])
-def test_exit_code_map(tmp_path, capsys, config, argv, code):
+def run_exit_case(tmp_path, capsys, config, argv) -> tuple[int, str]:
+    """Exit code and stderr of one EXIT_CASES row."""
     write_state(tmp_path, "product.json", projector_state(4, 0))
     write_state(tmp_path, "beta1.json", projector_state(2, 1))
     cfg = tmp_path / "config.json"
     cfg.write_text(config.replace("{dir}", str(tmp_path)))
     argv = [a.replace("{cfg}", str(cfg)).replace("{dir}", str(tmp_path)) for a in argv]
-    assert cli.main(argv) == code
-    err = capsys.readouterr().err
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,argv,code", [c[1:] for c in EXIT_CASES],
+                         ids=[c[0] for c in EXIT_CASES])
+def test_exit_code_map(tmp_path, capsys, config, argv, code):
+    got, err = run_exit_case(tmp_path, capsys, config, argv)
+    assert got == code
     if code == 0:
         assert err == ""
     else:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["n_max", "steps", "level", "dims"])
+def test_fractional_integer_names_its_key(tmp_path, capsys, key):
+    _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == f"{key}-fractional")
+    _, err = run_exit_case(tmp_path, capsys, config, argv)
+    assert f"{key} must be an integer, got " in err
 
 
 def test_module_entry_point_exit_status(tmp_path):

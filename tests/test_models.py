@@ -10,6 +10,8 @@ from corred.models import JcmParams, SpinPairParams
 from corred.reduction import neumann_reduce
 from corred.states import spin_pair_initial
 
+from conftest import odd_multiples
+
 
 def expm(h, t):
     """Spectral matrix exponential exp(-i h t), independent of evolve_operator
@@ -111,7 +113,8 @@ class TestSpinPairDensity:
 
     @pytest.mark.parametrize("c,phi", [(0.7, 0.1), (-1.3, 1.2), (0.25, 0.0)])
     def test_populations_cross_at_tie_times(self, c, phi):
-        ties = models.spin_pair_tie_times(SpinPairParams(1.0, c_coupling=c), phi, 12.0)
+        step = models.spin_pair_tie_step(SpinPairParams(1.0, c_coupling=c), phi)
+        ties = odd_multiples(step, 12.0)
         assert ties and ties[-1] <= 12.0
         eps = 1e-4
         for tie in ties:
@@ -127,9 +130,9 @@ class TestSpinPairDensity:
 
     def test_no_tie_times_without_crossing(self):
         # no coupling, or cos(2 phi) = 0 so the populations stay equal
-        assert models.spin_pair_tie_times(SpinPairParams(1.0), 0.3, 10.0) == []
+        assert models.spin_pair_tie_step(SpinPairParams(1.0), 0.3) is None
         p = SpinPairParams(1.0, c_coupling=0.5)
-        assert models.spin_pair_tie_times(p, math.pi / 4, 10.0) == []
+        assert models.spin_pair_tie_step(p, math.pi / 4) is None
 
     def test_purity_preserved(self):
         rho = models.spin_pair_density(SpinPairParams(1.0, 0.1, 0.2, 0.3), 0.6, 3.3)
@@ -350,10 +353,10 @@ class TestCorrelatedLimit:
 
     def test_tie_times(self):
         p = JcmParams(1.0, 2.0)
-        ties = models.jcm_tie_times(p, 4.0)
+        ties = odd_multiples(models.jcm_tie_step(p), 4.0)
         assert ties == pytest.approx([math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4])
         for tie in ties:
             assert models.jcm_correlated_limit(tie, p)[0] == 0.5
 
     def test_no_ties_without_coupling(self):
-        assert models.jcm_tie_times(JcmParams(1.0, 0.0), 10.0) == []
+        assert models.jcm_tie_step(JcmParams(1.0, 0.0)) is None

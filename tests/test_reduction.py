@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -159,15 +160,15 @@ class TestCorrelatedReduce:
         rep = red.correlated_reduce(product_state(ra, rb), SYS22)
         assert rep.verdict == "converged"
         assert rep.iterations == 1
-        assert rep.final.reconstruction_error < 1e-12
-        assert mc.matrices_close(rep.final.rho_alpha.matrix, ra.matrix, 1e-12)
+        assert rep.reconstruction_error < 1e-12
+        assert mc.matrices_close(rep.rho_alpha.matrix, ra.matrix, 1e-12)
 
     def test_jcm_plateau_one(self):
         p = JcmParams(omega=1.0, rabi=1.0, n_max=1)
         t = 2 * (math.pi / 8) / p.rabi  # Omega t / 2 = pi / 8
         rep = red.correlated_reduce(jcm_vacuum_density(p, t), jcm_system(p))
         assert rep.verdict == "converged"
-        pops = np.real(np.diag(rep.final.rho_alpha.matrix))
+        pops = np.real(np.diag(rep.rho_alpha.matrix))
         assert np.allclose(pops, [1.0, 0.0], atol=1e-9)
 
     def test_jcm_plateau_zero(self):
@@ -175,44 +176,34 @@ class TestCorrelatedReduce:
         t = 2 * (3 * math.pi / 8) / p.rabi
         rep = red.correlated_reduce(jcm_vacuum_density(p, t), jcm_system(p))
         assert rep.verdict == "converged"
-        pops = np.real(np.diag(rep.final.rho_alpha.matrix))
+        pops = np.real(np.diag(rep.rho_alpha.matrix))
         assert np.allclose(pops, [0.0, 1.0], atol=1e-9)
 
     def test_epr_neumann_seed_is_stationary(self):
         rep = red.correlated_reduce(epr_state(), SYS22)
         assert rep.verdict == "converged"
-        assert mc.matrices_close(rep.final.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
-        assert mc.matrices_close(rep.final.rho_beta.matrix, np.eye(2) / 2, 1e-12)
+        assert mc.matrices_close(rep.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
+        assert mc.matrices_close(rep.rho_beta.matrix, np.eye(2) / 2, 1e-12)
 
     def test_epr_asymmetric_diagonal_seed_converges_immediately(self):
         # any diagonal pair with swapped populations is a fixed point
-        seed = red.ReductionResult(
-            DensityMatrix(np.diag([0.7, 0.3])),
-            DensityMatrix(np.diag([0.3, 0.7])),
-            "seed",
-            0.0,
-        )
+        seed = DensityMatrix(np.diag([0.7, 0.3]))
         rep = red.correlated_reduce(epr_state(), SYS22, seed=seed)
         assert rep.verdict == "converged"
-        assert mc.matrices_close(rep.final.rho_alpha.matrix, np.diag([0.7, 0.3]), 1e-12)
+        assert mc.matrices_close(rep.rho_alpha.matrix, np.diag([0.7, 0.3]), 1e-12)
 
     def test_jacobi_oscillation_detected(self):
-        seed = red.ReductionResult(
-            DensityMatrix(np.diag([0.7, 0.3])),
-            DensityMatrix(np.diag([0.6, 0.4])),
-            "seed",
-            0.0,
-        )
+        seed = DensityMatrix(np.diag([0.7, 0.3]))
         rep = red.correlated_reduce(epr_state(), SYS22, seed=seed, scheme="jacobi")
         assert rep.verdict == "oscillating"
 
     def test_report_invariants(self, rng):
         rho = random_density(rng, 4)
         rep = red.correlated_reduce(rho, SYS22, max_iter=500)
-        assert len(rep.residual_history) == rep.iterations
+        assert len(rep.residuals) == rep.iterations
         if rep.verdict == "converged":
-            assert rep.residual_history[-1] < 1e-12
-        for side in (rep.final.rho_alpha, rep.final.rho_beta):
+            assert rep.residuals[-1] < 1e-12
+        for side in (rep.rho_alpha, rep.rho_beta):
             assert abs(side.matrix.trace() - 1.0) < 1e-12
             assert mc.is_hermitian(side.matrix, 1e-12)
 
@@ -224,7 +215,7 @@ class TestCorrelatedReduce:
             corr = red.correlated_reduce(rho, jcm_system(p))
             neu = red.neumann_reduce(rho, jcm_system(p))
             assert (
-                corr.final.reconstruction_error
+                corr.reconstruction_error
                 <= neu.reconstruction_error + 1e-10
             )
 
@@ -335,8 +326,7 @@ class TestCorrelatedMeanPair:
         assert exact == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_convergence(self):
-        rep = red.correlated_reduce(epr_state(), SYS22)
-        rep.verdict = "max_iter"
+        rep = dataclasses.replace(red.correlated_reduce(epr_state(), SYS22), verdict="max_iter")
         with pytest.raises(NotConverged):
             red.correlated_mean_pair(rep, Observable(np.eye(2)), Observable(np.eye(2)))
 
