@@ -22,7 +22,8 @@ returns itself are 3 from ``decompose`` when verification misses and 2 from
 Every reduction returns a ``ReductionResult``; its ``verdict`` and
 ``iterations`` fill the row's columns of the same name ("-" and 0 for the
 one-shot methods), and a correlated ``file:`` seed is the starting alpha
-state of every time point.
+state of every time point where the loop does not start at its closed form
+(see ``reduction``).
 """
 
 from __future__ import annotations
@@ -90,9 +91,12 @@ def _number(section: dict, key: str, default=None, kind=float):
 
 
 def _finite(value, key: str, kind=float):
-    """``value`` of config key ``key`` as a finite float, or an integral one as an int."""
+    """``value`` of config key ``key`` as a finite float, or an integral one as an int.
+
+    A JSON string or boolean is no number, though ``float`` would take it.
+    """
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, (str, bool)) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
@@ -205,7 +209,7 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
             red = reduction.conditioned_reduce(rho, sys_, sigma, given_side=given)
             if given == "beta":
                 return reduction.ReductionResult(red, None, "conditioned", None)
-            ra = reduction.neumann_reduce(rho, sys_).rho_alpha
+            ra = DensityMatrix(mc.partial_trace(rho.matrix, sys_, "beta"), validation="relaxed")
             error = reduction._reconstruction_error(rho.matrix, ra.matrix, red.matrix)
             return reduction.ReductionResult(ra, red, "conditioned", error)
 

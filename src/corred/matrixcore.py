@@ -181,7 +181,7 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in m.ravel()],
+        "data": np.stack([m.real.ravel(), m.imag.ravel()], 1).tolist(),
     }
 
 

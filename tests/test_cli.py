@@ -548,6 +548,13 @@ EXIT_CASES = [
         RUN,
         0,
     ),
+    ("c-string", '{"experiment": "spin_pair", "params": {"c": "0.5"}}', RUN, 2),
+    (
+        "steps-bool",
+        '{"experiment": "epr", "time_grid": {"start": 0, "stop": 1, "steps": true}}',
+        RUN,
+        2,
+    ),
     ("config-not-object", "[1, 2]", RUN, 2),
     ("bad-json", "{not json", RUN, 2),
     ("reduce-tol-nan", "{}", ["reduce", *PRODUCT, "--method", "correlated", "--tol", "nan"], 2),
@@ -604,6 +611,13 @@ def test_fractional_integer_names_its_key(tmp_path, capsys, key):
     _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == f"{key}-fractional")
     _, err = run_exit_case(tmp_path, capsys, config, argv)
     assert f"{key} must be an integer, got " in err
+
+
+@pytest.mark.parametrize("case,key", [("c-string", "c"), ("steps-bool", "steps")])
+def test_non_number_names_its_key(tmp_path, capsys, case, key):
+    _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == case)
+    _, err = run_exit_case(tmp_path, capsys, config, argv)
+    assert f"{key} must be a finite number, got " in err
 
 
 def test_module_entry_point_exit_status(tmp_path):

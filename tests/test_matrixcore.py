@@ -179,3 +179,22 @@ def test_matrix_json_round_trip(rng):
     obj = json.loads(json.dumps(mc.matrix_to_json(m)))
     assert mc.matrices_close(mc.matrix_from_json(obj), m, 1e-15)
     assert obj["rows"] == 2 and obj["cols"] == 3
+
+
+def matrix_to_json_reference(m) -> dict:
+    """The per-element serialization that ``matrix_to_json`` vectorizes."""
+    m = mc.as_matrix(m)
+    return {
+        "rows": m.shape[0],
+        "cols": m.shape[1],
+        "data": [[float(z.real), float(z.imag)] for z in m.ravel()],
+    }
+
+
+def test_matrix_json_text_matches_reference(rng):
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([[-0.0 + 0.0j, complex(0.0, -0.0), complex(tiny, -tiny)],
+                        [complex(-tiny * 3, 5e-320), complex(1e308, -1e-308), 1 / 3 - 2j]])
+    cases = [special, special.T, rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))]
+    for m in cases:
+        assert json.dumps(mc.matrix_to_json(m)) == json.dumps(matrix_to_json_reference(m))

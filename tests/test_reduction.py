@@ -3,12 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corred import matrixcore as mc
+from corred import models
 from corred import reduction as red
-from corred.errors import DegenerateOverlap, DimensionMismatch, NotConverged, NotNonnegative
+from corred.errors import (
+    DegenerateOverlap,
+    DimensionMismatch,
+    NotConverged,
+    NotNonnegative,
+    ValidationError,
+)
 from corred.matrixcore import BipartiteSystem
 from corred.models import JcmParams, jcm_system, jcm_vacuum_density
 from corred.states import (
@@ -37,6 +44,31 @@ def condition_dense(rho, sys_, sigma, given_side):
     numerator = mc.partial_trace(rho @ mc.extend(sigma, sys_, given_side), sys_, given_side)
     out = mc.hermitize(numerator / np.real(np.trace(numerator)))
     return out / np.real(out.trace())
+
+
+def realigned(rho, sys_):
+    """The realigned state R[(i,j),(b,c)] = rho[(i,b),(j,c)], Na^2 x Nb^2."""
+    na, nb = sys_.dim_alpha, sys_.dim_beta
+    return rho.reshape(na, nb, na, nb).transpose(0, 2, 1, 3).reshape(na * na, nb * nb)
+
+
+def gauss_seidel_reference(rho, sys_, seed=None, tol=1e-12, max_iter=10_000):
+    """Plain Gauss-Seidel loop of the correlated reduction, with dense conditioning.
+
+    Starts at the seed (the partial trace by default) and the partial trace
+    of beta. Returns rho_alpha, rho_beta and the number of sweeps to
+    convergence, or None in its place after ``max_iter`` sweeps.
+    """
+    ra = mc.partial_trace(rho, sys_, "beta") if seed is None else seed
+    rb = mc.partial_trace(rho, sys_, "alpha")
+    for n in range(1, max_iter + 1):
+        rb_new = condition_dense(rho, sys_, ra, "alpha")
+        ra_new = condition_dense(rho, sys_, rb_new, "beta")
+        residual = max(mc.max_abs_diff(ra_new, ra), mc.max_abs_diff(rb_new, rb))
+        ra, rb = ra_new, rb_new
+        if residual < tol:
+            return ra, rb, n
+    return ra, rb, None
 
 
 class TestNeumannReduce:
@@ -225,6 +257,139 @@ class TestCorrelatedReduce:
         assert obj["verdict"] == "converged"
         assert len(obj["residuals"]) == obj["iterations"]
         assert "rho_alpha" in obj and "rho_beta" in obj
+
+
+class TestClosedFormStart:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_matches_sweep_reference(self, na, nb, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = BipartiteSystem(na, nb)
+        rho = random_density(rng, sys_.dim)
+        sv = np.linalg.svd(realigned(rho.matrix, sys_), compute_uv=False)
+        assume(sv.size == 1 or sv[1] < 0.9 * sv[0])
+        ra, rb, sweeps = gauss_seidel_reference(rho.matrix, sys_, tol=1e-13)
+        assert sweeps is not None
+        rep = red.correlated_reduce(rho, sys_)
+        assert rep.verdict == "converged" and rep.iterations == 1
+        assert mc.max_abs_diff(rep.rho_alpha.matrix, ra) <= 1e-10
+        assert mc.max_abs_diff(rep.rho_beta.matrix, rb) <= 1e-10
+
+    @pytest.mark.parametrize("na,nb", [(2, 3), (3, 2), (3, 3)])
+    def test_pure_state_gives_top_schmidt_projectors(self, rng, na, nb):
+        psi = rng.standard_normal(na * nb) + 1j * rng.standard_normal(na * nb)
+        psi /= np.linalg.norm(psi)
+        u, s, vh = np.linalg.svd(psi.reshape(na, nb))
+        assert s[1] < 0.9 * s[0]
+        rho = DensityMatrix(np.outer(psi, psi.conj()))
+        rep = red.correlated_reduce(rho, BipartiteSystem(na, nb))
+        assert rep.verdict == "converged" and rep.iterations == 1
+        assert mc.max_abs_diff(rep.rho_alpha.matrix, np.outer(u[:, 0], u[:, 0].conj())) < 1e-12
+        assert mc.max_abs_diff(rep.rho_beta.matrix, np.outer(vh[0], vh[0].conj())) < 1e-12
+
+    def test_jcm_vacuum_operator_schmidt_values(self):
+        # sigma = {c^2, s^2, |cs|, |cs|}: a tie c^2 = s^2 is a tie of the top two
+        p = JcmParams(omega=1.0, rabi=1.0, n_max=4)
+        for t in (0.3, 1.1, 2.0, 4.0, 7.0):
+            c, s = math.cos(p.rabi * t / 2), math.sin(p.rabi * t / 2)
+            got = np.linalg.svd(realigned(jcm_vacuum_density(p, t).matrix, jcm_system(p)),
+                                compute_uv=False)
+            want = sorted([c * c, s * s, abs(c * s), abs(c * s)], reverse=True)
+            assert mc.max_abs_diff(got, want) < 1e-14
+
+    @pytest.mark.parametrize("n_max", [1, 16])
+    def test_jcm_step_limit_in_one_sweep(self, n_max):
+        p = JcmParams(omega=1.0, rabi=1.0, n_max=n_max)
+        half_angles = np.concatenate([
+            np.linspace(0.02, math.pi / 4 - 0.05, 6),
+            np.linspace(math.pi / 4 + 0.05, 3 * math.pi / 4 - 0.05, 6),
+        ])
+        # The last point is 2.9e-4 past the tie 5 pi / 2, where the sweep
+        # loop from the partial trace stops at max_iter.
+        for t in [*(2 * half_angles / p.rabi), 5 * math.pi / 2 + 2.9e-4]:
+            rep = red.correlated_reduce(jcm_vacuum_density(p, t), jcm_system(p))
+            assert rep.verdict == "converged" and rep.iterations == 1
+            limit_c, _ = models.jcm_correlated_limit(t, p)
+            assert abs(rep.rho_alpha.matrix[0, 0].real - limit_c) < 1e-12
+
+    @pytest.mark.parametrize("offset", [1e-5, 5e-5, -5e-5])
+    def test_gap_at_or_below_eps_over_tol_keeps_the_seed_start(self, offset):
+        # The relative gap at 5 pi / 2 + offset is about 2 |offset|: 2e-5 and
+        # 1e-4 against eps / tol = 2.2e-4. The loop from the partial trace
+        # contracts at 1 - gap per sweep, so it ends at max_iter.
+        p = JcmParams(omega=1.0, rabi=1.0, n_max=1)
+        rho = jcm_vacuum_density(p, 5 * math.pi / 2 + offset).matrix
+        ra, rb, sweeps = gauss_seidel_reference(rho, jcm_system(p), max_iter=40)
+        assert sweeps is None
+        rep = red.correlated_reduce(rho, jcm_system(p), max_iter=40)
+        assert rep.verdict == "max_iter" and rep.iterations == 40
+        assert mc.max_abs_diff(rep.rho_alpha.matrix, ra) < 1e-14
+        assert mc.max_abs_diff(rep.rho_beta.matrix, rb) < 1e-14
+
+    @pytest.mark.parametrize("offset", [1.5e-4, -1.5e-4])
+    def test_gap_just_above_eps_over_tol_starts_at_the_closed_form(self, offset):
+        # Relative gap 3e-4, 1.35 eps / tol.
+        p = JcmParams(omega=1.0, rabi=1.0, n_max=1)
+        t = 5 * math.pi / 2 + offset
+        rep = red.correlated_reduce(jcm_vacuum_density(p, t), jcm_system(p), max_iter=40)
+        assert rep.verdict == "converged" and rep.iterations == 1
+        limit_c, _ = models.jcm_correlated_limit(t, p)
+        assert abs(rep.rho_alpha.matrix[0, 0].real - limit_c) < 1e-12
+
+    @pytest.mark.parametrize("na,nb", [(5, 5), (5, 7), (7, 5)])
+    def test_min_dim_above_the_cutoff_keeps_the_seed_start(self, rng, na, nb):
+        assert min(na, nb) > red.CLOSED_FORM_MAX_DIM
+        sys_ = BipartiteSystem(na, nb)
+        rho = random_density(rng, sys_.dim).matrix
+        ra, rb, sweeps = gauss_seidel_reference(rho, sys_)
+        assert sweeps is not None and sweeps > 1
+        rep = red.correlated_reduce(rho, sys_)
+        assert rep.verdict == "converged" and rep.iterations == sweeps
+        assert mc.max_abs_diff(rep.rho_alpha.matrix, ra) < 1e-13
+        assert mc.max_abs_diff(rep.rho_beta.matrix, rb) < 1e-13
+
+    @pytest.mark.parametrize("na,nb,calls", [(2, 3, 2), (4, 9, 2), (3, 2, 3), (9, 4, 3)])
+    def test_closed_form_run_conditions_no_pair_twice(self, rng, monkeypatch, na, nb, calls):
+        # Alpha side: the start conditions rho_beta on rho_alpha, the sweep
+        # rho_alpha on it. Beta side: one more, rho_alpha on the top vector.
+        seen = []
+        condition = red._condition
+        monkeypatch.setattr(red, "_condition",
+                            lambda *a, **k: seen.append(a[3]) or condition(*a, **k))
+        sys_ = BipartiteSystem(na, nb)
+        rep = red.correlated_reduce(random_density(rng, sys_.dim), sys_)
+        assert rep.verdict == "converged" and rep.iterations == 1
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("seed", [None, np.diag([0.7, 0.3])])
+    def test_degenerate_spectrum_keeps_the_seed_start(self, seed):
+        # All four operator-Schmidt values of EPR are 1/2.
+        ra, rb, sweeps = gauss_seidel_reference(epr_state().matrix, SYS22, seed)
+        rep = red.correlated_reduce(epr_state(), SYS22, seed=seed)
+        assert rep.verdict == "converged" and rep.iterations == sweeps
+        assert mc.max_abs_diff(rep.rho_alpha.matrix, ra) < 1e-15
+        assert mc.max_abs_diff(rep.rho_beta.matrix, rb) < 1e-15
+
+    def test_seed_orthogonal_to_top_vector_keeps_the_seed_start(self):
+        # Two fixed points, |00> (top, sigma 0.8) and |11> (sigma 0.2); the
+        # seed |1><1| sees only the second.
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        rho = DensityMatrix(0.8 * np.kron(p0, p0) + 0.2 * np.kron(p1, p1))
+        ra, rb, sweeps = gauss_seidel_reference(rho.matrix, SYS22, p1)
+        rep = red.correlated_reduce(rho, SYS22, seed=DensityMatrix(p1))
+        assert rep.verdict == "converged" and rep.iterations == sweeps
+        assert mc.max_abs_diff(rep.rho_alpha.matrix, ra) < 1e-15
+        assert mc.max_abs_diff(rep.rho_alpha.matrix, p1) < 1e-15
+        assert mc.max_abs_diff(rep.rho_beta.matrix, rb) < 1e-15
+        top = red.correlated_reduce(rho, SYS22)
+        assert mc.max_abs_diff(top.rho_alpha.matrix, p0) < 1e-15
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_array_fails_as_the_sweep_loop_does(self):
+        # eigh cannot take NaN; the loop from the seed runs and its NaN
+        # result fails validation.
+        with pytest.raises(ValidationError, match="non-finite"):
+            red.correlated_reduce(np.full((4, 4), np.nan), SYS22, max_iter=3)
 
 
 class TestMeanValue:
