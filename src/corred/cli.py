@@ -19,6 +19,8 @@ returns itself are 3 from ``decompose`` when verification misses and 2 from
 ``validate`` after its ``{"valid": false}`` report.
 
 ``run`` reads its whole config and opens its output before the time loop.
+The ``reduction`` section takes only the keys in ``REDUCTION_KEYS``; an
+unknown key and a correlated ``tol`` <= 0 are config errors.
 Every reduction returns a ``ReductionResult``; its ``verdict`` and
 ``iterations`` fill the row's columns of the same name ("-" and 0 for the
 one-shot methods), and a correlated ``file:`` seed is the starting alpha
@@ -46,6 +48,9 @@ from .states import DensityMatrix, epr_state, spin_pair_initial, triplet_state
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+#: Keys of the ``reduction`` config section, shared by ``run`` and ``reduce``.
+REDUCTION_KEYS = ("method", "level", "state", "given_side", "tol", "max_iter", "seed")
 
 log = logging.getLogger("corred")
 
@@ -192,6 +197,9 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
     named by the config are read here, once; the reduction itself checks
     their shapes against the system (DimensionMismatch).
     """
+    for key in rcfg:
+        if key not in REDUCTION_KEYS:
+            raise ValidationError(f"unknown reduction key {key!r}")
     method = rcfg.get("method", "neumann")
     if method == "neumann":
         return lambda rho: reduction.neumann_reduce(rho, sys_)
@@ -204,16 +212,7 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
         given = rcfg.get("given_side", "beta")
         if given not in ("alpha", "beta"):
             raise ValidationError(f"given_side must be 'alpha' or 'beta', got {given!r}")
-
-        def conditioned(rho):
-            red = reduction.conditioned_reduce(rho, sys_, sigma, given_side=given)
-            if given == "beta":
-                return reduction.ReductionResult(red, None, "conditioned", None)
-            ra = DensityMatrix(mc.partial_trace(rho.matrix, sys_, "beta"), validation="relaxed")
-            error = reduction._reconstruction_error(rho.matrix, ra.matrix, red.matrix)
-            return reduction.ReductionResult(ra, red, "conditioned", error)
-
-        return conditioned
+        return lambda rho: reduction.conditioned_reduce(rho, sys_, sigma, given)
     if method == "correlated":
         seed = rcfg.get("seed", "neumann")
         if isinstance(seed, str) and seed.startswith("file:"):
@@ -224,15 +223,12 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
             raise ValidationError(f"seed must be 'neumann' or file:<path>, got {seed!r}")
         tol = _number(rcfg, "tol", 1e-12)
         max_iter = _number(rcfg, "max_iter", 10_000, int)
-        scheme = rcfg.get("scheme", "gauss-seidel")
-        if scheme not in reduction.SCHEMES:
-            raise ValidationError(f"scheme must be one of {reduction.SCHEMES}, got {scheme!r}")
+        if tol <= 0:
+            raise ValidationError(f"tol must be > 0, got {tol!r}")
         if max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
 
-        return lambda rho: reduction.correlated_reduce(
-            rho, sys_, seed, tol=tol, max_iter=max_iter, scheme=scheme
-        )
+        return lambda rho: reduction.correlated_reduce(rho, sys_, seed, tol=tol, max_iter=max_iter)
     raise ValidationError(f"unknown reduction method {method!r}")
 
 
@@ -336,7 +332,6 @@ def cmd_reduce(args) -> int:
         "tol": args.tol,
         "max_iter": args.max_iter,
         "seed": args.seed,
-        "scheme": args.scheme,
     }
     out = _reducer(rcfg, BipartiteSystem(args.dims[0], args.dims[1]))(rho)
     print(json.dumps(out.to_json(), indent=2))
@@ -434,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--tol", type=float, default=1e-12)
     p_red.add_argument("--max-iter", type=int, default=10_000)
     p_red.add_argument("--seed", default="neumann", help="'neumann' or file:<path>")
-    p_red.add_argument("--scheme", choices=reduction.SCHEMES, default="gauss-seidel")
     p_red.set_defaults(func=cmd_reduce)
 
     p_dec = sub.add_parser("decompose", help="hidden-ensemble decomposition")

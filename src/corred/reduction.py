@@ -3,21 +3,21 @@
 Covers the von Neumann partial-trace reduction, reduction conditioned on an
 assumed state of the unobserved subsystem, its projective special case, the
 replacement operator, the correlated (self-congruent) fixed-point iteration,
-and mean-value / correlator bookkeeping. The von Neumann, projective and
-correlated reductions all return a ``ReductionResult``; the correlated one
-adds the verdict and trajectory of its fixed-point run.
+and mean-value / correlator bookkeeping. Every reduction returns a
+``ReductionResult``; the correlated one adds the verdict and trajectory of
+its fixed-point run.
 
 The correlated fixed point is the top pair of rho's operator-Schmidt
 decomposition, its nearest Kronecker product (Van Loan & Pitsianis 1993):
-a Gauss-Seidel sweep is one step of a power iteration toward it. Where
-min(Na, Nb) <= CLOSED_FORM_MAX_DIM the Gauss-Seidel loop therefore starts
-at that pair, read from the top eigenvector of a Gram matrix of size
-min(Na^2, Nb^2). A relative eigenvalue gap above eps / tol bounds that
-start's error below tol; the first sweep only recomputes the pair, so a
-converged run takes one sweep. It starts at the given alpha state (the
-partial trace by default) instead for larger dimensions, where the top is
-within eps / tol of a tie, the top vector has a trace about 0, or the given
-state does not overlap it. The Jacobi loop always starts at the given state.
+the loop computes it by Gauss-Seidel sweeps only, each one step of a power
+iteration toward it. Where min(Na, Nb) <= CLOSED_FORM_MAX_DIM the loop
+therefore starts at that pair, read from the top eigenvector of a Gram
+matrix of size min(Na^2, Nb^2). A relative eigenvalue gap above eps / tol
+bounds that start's error below tol; the first sweep only recomputes the
+pair, so a converged run takes one sweep. It starts at the given alpha
+state (the partial trace by default) instead for larger dimensions, where
+the top is within eps / tol of a tie, the top vector has a trace about 0,
+or the given state does not overlap it.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ EPS = np.finfo(float).eps
 #: thousands near a tie, but at n = 16 an eigh alone of about 35 sweeps.
 CLOSED_FORM_MAX_DIM = 4
 
-#: Update orders of the correlated fixed-point iteration.
-SCHEMES = ("gauss-seidel", "jacobi")
-
 
 def _mat(x) -> np.ndarray:
     return x.matrix if isinstance(x, DensityMatrix) else mc.as_matrix(x)
@@ -65,11 +62,11 @@ class ReductionResult:
 
     ``reconstruction_error`` is the max-abs difference between the composite
     state and the product rho_alpha x rho_beta, or None when ``rho_beta`` is
-    absent. The correlated reduction also reports its fixed-point run: the
-    ``verdict`` (converged | max_iter | oscillating | degenerate), the number
-    of ``iterations``, the max-abs change of each sweep in ``residuals`` and
-    near-degeneracy ``warnings``. The one-shot methods leave these at "-", 0
-    and empty.
+    absent, as for a reduction conditioned on the beta side. The correlated
+    reduction also reports its fixed-point run: the ``verdict`` (converged |
+    max_iter | degenerate), the number of ``iterations``, the max-abs change
+    of each sweep in ``residuals`` and near-degeneracy ``warnings``. The
+    one-shot methods leave these at "-", 0 and empty.
     """
 
     rho_alpha: DensityMatrix
@@ -160,15 +157,27 @@ def _condition(rho: np.ndarray, sys: BipartiteSystem, sigma: np.ndarray, given_s
     return out / np.real(out.trace())
 
 
-def conditioned_reduce(rho, sys: BipartiteSystem, sigma, given_side: str) -> DensityMatrix:
+def conditioned_reduce(rho, sys: BipartiteSystem, sigma, given_side: str) -> ReductionResult:
     """Reduction given an assumed state ``sigma`` of subsystem ``given_side``.
 
-    Returns the reduced state of the *other* subsystem. With sigma equal to
-    the minimum-information state this coincides with the partial trace.
+    Conditions the state of the *other* subsystem; with sigma equal to the
+    minimum-information state this coincides with the partial trace. Given
+    beta, the pair is (conditioned alpha, None) with no reconstruction
+    error. Given alpha, it is (partial trace over beta, conditioned beta)
+    with that pair's reconstruction error.
     """
     r = _mat(rho)
     sys.check(r)
-    return DensityMatrix(_condition(r, sys, _mat(sigma), given_side), validation="relaxed")
+    cond = DensityMatrix(_condition(r, sys, _mat(sigma), given_side), validation="relaxed")
+    if given_side == "beta":
+        return ReductionResult(cond, None, "conditioned", None)
+    ra = mc.partial_trace(r, sys, over="beta")
+    return ReductionResult(
+        rho_alpha=DensityMatrix(ra, validation="relaxed"),
+        rho_beta=cond,
+        method="conditioned",
+        reconstruction_error=_reconstruction_error(r, ra, cond.matrix),
+    )
 
 
 def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
@@ -246,24 +255,22 @@ def correlated_reduce(
     seed=None,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    scheme: str = "gauss-seidel",
 ) -> ReductionResult:
     """Self-congruent reduction by fixed-point iteration of the coupled pair.
 
-    Each sweep updates the beta iterate from the current alpha iterate and
-    then (Gauss-Seidel, the default) the alpha iterate from the fresh beta
-    iterate; ``scheme='jacobi'`` updates both from the previous sweep, which
-    is useful for studying oscillatory behavior. Iterates are hermitized and
-    trace-renormalized every step; convergence is measured by the max-abs
-    change of both iterates, and ``iterations`` counts the sweeps run.
+    Each (Gauss-Seidel) sweep updates the beta iterate from the current
+    alpha iterate and then the alpha iterate from the fresh beta iterate.
+    Iterates are hermitized and trace-renormalized every step; convergence
+    is measured by the max-abs change of both iterates, and ``iterations``
+    counts the sweeps run. The sweep is a power iteration on a positive
+    semidefinite map, so it has no period-2 cycle to detect.
 
-    The Gauss-Seidel loop starts at its closed-form fixed point, the top
-    operator-Schmidt pair (``_schmidt_start``), whose error the eigenvalue
-    gap test bounds below tol; the first sweep recomputes the pair and a
-    converged run takes one sweep. It keeps the seed's start where
-    min(Na, Nb) exceeds ``CLOSED_FORM_MAX_DIM``, the top of the spectrum is
-    too close to a tie, the top vector's trace is about 0 or the seed does
-    not overlap it.
+    The loop starts at its closed-form fixed point, the top operator-Schmidt
+    pair (``_schmidt_start``), whose error the eigenvalue gap test bounds
+    below tol; the first sweep recomputes the pair and a converged run takes
+    one sweep. It keeps the seed's start where min(Na, Nb) exceeds
+    ``CLOSED_FORM_MAX_DIM``, the top of the spectrum is too close to a tie,
+    the top vector's trace is about 0 or the seed does not overlap it.
 
     Parameters
     ----------
@@ -276,46 +283,29 @@ def correlated_reduce(
     sys.check(r)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be 'gauss-seidel' or 'jacobi', got {scheme!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
 
     warnings: list[str] = []
     residuals: list[float] = []
     ra = mc.partial_trace(r, sys, over="beta") if seed is None else _mat(seed)
-    start = _schmidt_start(r, sys, ra, tol, warnings) if scheme == "gauss-seidel" else None
+    start = _schmidt_start(r, sys, ra, tol, warnings)
     ra, rb = start or (ra, mc.partial_trace(r, sys, over="alpha"))
-    prev2: tuple[np.ndarray, np.ndarray] | None = None
     verdict = "max_iter"
-    n = 0
     try:
-        for n in range(1, max_iter + 1):
+        for n in range(max_iter):
             # The closed-form start already holds the first sweep's beta update.
-            if n == 1 and start is not None:
+            if n == 0 and start is not None:
                 rb_new = rb
             else:
                 rb_new = _condition(r, sys, ra, "alpha", warnings)
-            # Gauss-Seidel conditions on the fresh beta iterate, Jacobi on the old one.
-            given = rb_new if scheme == "gauss-seidel" else rb
-            ra_new = _condition(r, sys, given, "beta", warnings)
+            ra_new = _condition(r, sys, rb_new, "beta", warnings)
             residual = max(mc.max_abs_diff(ra_new, ra), mc.max_abs_diff(rb_new, rb))
             residuals.append(residual)
+            ra, rb = ra_new, rb_new
             if residual < tol:
-                ra, rb = ra_new, rb_new
                 verdict = "converged"
                 break
-            # Period-2 cycle: the new iterate repeats the one from two sweeps
-            # ago while successive iterates stay apart. By the triangle
-            # inequality a cycle needs residual > previous residual - tol, so
-            # a residual that is still shrinking skips the comparison.
-            if prev2 is not None and residual + 2 * tol > residuals[-2] and (
-                mc.max_abs_diff(ra_new, prev2[0]) < tol
-                and mc.max_abs_diff(rb_new, prev2[1]) < tol
-            ):
-                ra, rb = ra_new, rb_new
-                verdict = "oscillating"
-                break
-            prev2 = (ra, rb)
-            ra, rb = ra_new, rb_new
     except DegenerateOverlap:
         if not residuals:
             raise
@@ -367,15 +357,14 @@ def correlator(rho, sys: BipartiteSystem, a: Observable, b: Observable) -> Corre
     r = _mat(rho)
     sys.check(r)
     exact = complex(np.trace(r @ np.kron(a.matrix, b.matrix)))
-    red = neumann_reduce(r, sys)
-    mean_a_n = mean_value(red.rho_alpha, a)
-    mean_b_n = mean_value(red.rho_beta, b)
+    mean_a_n = mean_value(mc.partial_trace(r, sys, over="beta"), a)
+    mean_b_n = mean_value(mc.partial_trace(r, sys, over="alpha"), b)
     ab_form = ba_form = None
     if abs(mean_a_n) > MEAN_ZERO_TOL and abs(mean_b_n) > MEAN_ZERO_TOL:
-        sigma_b = state_from_observable(b.matrix)
-        sigma_a = state_from_observable(a.matrix)
-        rho_alpha_b = conditioned_reduce(r, sys, sigma_b, given_side="beta")
-        rho_beta_a = conditioned_reduce(r, sys, sigma_a, given_side="alpha")
+        sigma_b = state_from_observable(b.matrix).matrix
+        sigma_a = state_from_observable(a.matrix).matrix
+        rho_alpha_b = _condition(r, sys, sigma_b, given_side="beta")
+        rho_beta_a = _condition(r, sys, sigma_a, given_side="alpha")
         ab_form = mean_value(rho_alpha_b, a) * mean_b_n
         ba_form = mean_a_n * mean_value(rho_beta_a, b)
     return CorrelatorBreakdown(

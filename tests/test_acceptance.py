@@ -43,7 +43,7 @@ def test_criterion_01_conditioned_minimum_information_equals_neumann(rng):
         sigma = minimum_information_state(nb)
         cond = reduction.conditioned_reduce(rho, sys_, sigma, given_side="beta")
         neu = reduction.neumann_reduce(rho, sys_).rho_alpha
-        ok &= mc.max_abs_diff(cond.matrix, neu.matrix) < 1e-12
+        ok &= mc.max_abs_diff(cond.rho_alpha.matrix, neu.matrix) < 1e-12
     _verdict(1, ok)
 
 

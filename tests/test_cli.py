@@ -150,6 +150,8 @@ class TestRun:
             {"method": "projective", "level": 5},
             {"method": "conditioned"},
             {"method": "correlated", "scheme": "bogus"},
+            {"method": "correlated", "scheme": "gauss-seidel"},
+            {"method": "correlated", "max_iters": 5},
             {"method": "correlated", "max_iter": 0},
             "correlated",
         ],
@@ -558,6 +560,13 @@ EXIT_CASES = [
     ("config-not-object", "[1, 2]", RUN, 2),
     ("bad-json", "{not json", RUN, 2),
     ("reduce-tol-nan", "{}", ["reduce", *PRODUCT, "--method", "correlated", "--tol", "nan"], 2),
+    ("reduce-tol-zero", "{}", ["reduce", *PRODUCT, "--method", "correlated", "--tol", "0"], 2),
+    (
+        "tol-negative",
+        '{"experiment": "epr", "reduction": {"method": "correlated", "tol": -1}}',
+        RUN,
+        2,
+    ),
     ("missing-config", "{}", ["run", "--config", "{dir}/absent.json"], 4),
     ("missing-state", "{}", ["reduce", "{dir}/absent.json", "--dims", "2", "2"], 4),
     ("unwritable-output", '{"experiment": "epr", "output": {"path": "{dir}/no/out.csv"}}', RUN, 4),

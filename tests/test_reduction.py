@@ -125,20 +125,20 @@ class TestConditionedReduce:
                     rho, sys_, minimum_information_state(nb), given_side="beta"
                 )
                 want = mc.partial_trace(rho.matrix, sys_, "beta")
-                assert mc.max_abs_diff(got.matrix, want) < 1e-12
+                assert mc.max_abs_diff(got.rho_alpha.matrix, want) < 1e-12
 
     def test_product_state_cancels_sigma(self, rng):
         ra, rb = random_density(rng, 2), random_density(rng, 2)
         sigma = random_density(rng, 2)
         got = red.conditioned_reduce(product_state(ra, rb), SYS22, sigma, given_side="beta")
-        assert mc.matrices_close(got.matrix, ra.matrix, 1e-12)
+        assert mc.matrices_close(got.rho_alpha.matrix, ra.matrix, 1e-12)
 
     def test_epr_conditioned_on_lower_level(self):
         # conditioning beta on |1> forces alpha into |2>
         got = red.conditioned_reduce(
             epr_state(), SYS22, projector_state(2, 1), given_side="beta"
         )
-        assert mc.matrices_close(got.matrix, np.diag([1.0, 0.0]), 1e-12)
+        assert mc.matrices_close(got.rho_alpha.matrix, np.diag([1.0, 0.0]), 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -154,6 +154,22 @@ class TestConditionedReduce:
         sigma = random_density(rng, na if side == "alpha" else nb).matrix
         got = red._condition(rho, sys_, sigma, side)
         assert mc.max_abs_diff(got, condition_dense(rho, sys_, sigma, side)) <= 1e-13
+
+    def test_epr_pair_given_alpha(self):
+        # partial trace I/2 paired with the conditioned I/2; the product
+        # misses the EPR coherence 1/2
+        got = red.conditioned_reduce(epr_state(), SYS22, np.eye(2) / 2, given_side="alpha")
+        assert got.method == "conditioned"
+        assert mc.matrices_close(got.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
+        assert mc.matrices_close(got.rho_beta.matrix, np.eye(2) / 2, 1e-12)
+        assert got.reconstruction_error == pytest.approx(0.5, abs=1e-12)
+
+    def test_epr_pair_given_beta(self):
+        got = red.conditioned_reduce(epr_state(), SYS22, np.eye(2) / 2, given_side="beta")
+        assert got.method == "conditioned"
+        assert mc.matrices_close(got.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
+        assert got.rho_beta is None
+        assert got.reconstruction_error is None
 
     def test_degenerate_overlap(self):
         rho = product_state(projector_state(2, 0), projector_state(2, 1))
@@ -224,10 +240,10 @@ class TestCorrelatedReduce:
         assert rep.verdict == "converged"
         assert mc.matrices_close(rep.rho_alpha.matrix, np.diag([0.7, 0.3]), 1e-12)
 
-    def test_jacobi_oscillation_detected(self):
-        seed = DensityMatrix(np.diag([0.7, 0.3]))
-        rep = red.correlated_reduce(epr_state(), SYS22, seed=seed, scheme="jacobi")
-        assert rep.verdict == "oscillating"
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            red.correlated_reduce(epr_state(), SYS22, tol=tol)
 
     def test_report_invariants(self, rng):
         rho = random_density(rng, 4)
