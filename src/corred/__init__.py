@@ -74,7 +74,9 @@ from .models import (
     jcm_evolution,
     jcm_hamiltonian,
     jcm_system,
+    jcm_vacuum_amplitudes,
     jcm_vacuum_density,
+    spin_pair_amplitudes,
     spin_pair_density,
     spin_pair_evolution,
     spin_pair_hamiltonian,

@@ -147,7 +147,11 @@ def _time_grid(grid: dict, tie_step: float | None, include_ties: bool) -> np.nda
 
 
 def _state_factory(cfg: dict):
-    """Returns (system, rho_of_t, tie_step or None) for the configured experiment."""
+    """Returns (system, rho_of_t, tie_step or None) for the configured experiment.
+
+    The two models evolve pure states, so their rho_of_t gives the amplitude
+    vector, which the reductions take in place of the N x N state.
+    """
     experiment = cfg.get("experiment")
     params = _section(cfg, "params")
     if experiment == "epr":
@@ -163,7 +167,7 @@ def _state_factory(cfg: dict):
         phi = _number(params, "phi", 0.0)
         return (
             models.SPIN_PAIR_SYSTEM,
-            lambda t: models.spin_pair_density(p, phi, t),
+            lambda t: models.spin_pair_amplitudes(p, phi, t),
             models.spin_pair_tie_step(p, phi),
         )
     if experiment == "jcm_vacuum":
@@ -174,7 +178,7 @@ def _state_factory(cfg: dict):
         )
         return (
             models.jcm_system(p),
-            lambda t: models.jcm_vacuum_density(p, t),
+            lambda t: models.jcm_vacuum_amplitudes(p, t),
             models.jcm_tie_step(p),
         )
     if experiment == "custom":
@@ -233,8 +237,11 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
 
 
 def _max_coherence(m: np.ndarray) -> float:
-    off = m - np.diag(np.diag(m))
-    return float(np.max(np.abs(off))) if m.shape[0] > 1 else 0.0
+    if m.shape[0] < 2:
+        return 0.0
+    off = np.abs(m)
+    np.fill_diagonal(off, 0.0)
+    return float(off.max())
 
 
 def cmd_run(args) -> int:
@@ -256,11 +263,11 @@ def cmd_run(args) -> int:
 
     # Open the output first, so an unwritable path fails before the computation.
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
-        _write_series(_series(ts, rho_of_t, reducer, sys_), cfg, fmt, out)
+        _write_series(_series(ts, rho_of_t, reducer), cfg, fmt, out)
     return 0
 
 
-def _series(ts: np.ndarray, rho_of_t, reducer, sys_: BipartiteSystem) -> list[dict]:
+def _series(ts: np.ndarray, rho_of_t, reducer) -> list[dict]:
     """One output row per time point; points with a degenerate overlap are skipped."""
     rows = []
     for t in ts:
@@ -273,7 +280,7 @@ def _series(ts: np.ndarray, rho_of_t, reducer, sys_: BipartiteSystem) -> list[di
         ra = res.rho_alpha.matrix
         row = {
             "t": float(t),
-            "pop_alpha": [float(np.real(ra[i, i])) for i in range(sys_.dim_alpha)],
+            "pop_alpha": ra.diagonal().real.tolist(),
             "coh_alpha": _max_coherence(ra),
             "reconstruction_error": res.reconstruction_error,
             "verdict": res.verdict,
@@ -281,7 +288,7 @@ def _series(ts: np.ndarray, rho_of_t, reducer, sys_: BipartiteSystem) -> list[di
         }
         if res.rho_beta is not None:
             rb = res.rho_beta.matrix
-            row["pop_beta"] = [float(np.real(rb[i, i])) for i in range(sys_.dim_beta)]
+            row["pop_beta"] = rb.diagonal().real.tolist()
             row["coh_beta"] = _max_coherence(rb)
         rows.append(row)
 

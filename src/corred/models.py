@@ -2,6 +2,13 @@
 Jaynes-Cummings model (JCM), with closed-form evolution operators and the
 analytic formulas used as test oracles.
 
+Both models evolve pure states. ``jcm_vacuum_amplitudes`` and
+``spin_pair_amplitudes`` give the evolved amplitude vector psi, which the
+reductions take as the composite state; the JCM one writes its two nonzero
+entries without forming U. ``jcm_vacuum_density`` is psi psi^dag of the
+same vector, and ``spin_pair_density`` forms U rho(0) U^dag densely as an
+independent check.
+
 Basis conventions (hbar = 1 throughout):
 
 * Spin pair: composite basis |22>, |21>, |12>, |11> (descending energy within
@@ -77,8 +84,16 @@ def spin_pair_evolution(p: SpinPairParams, t: float, adjoint: bool = False) -> n
     return u
 
 
+def spin_pair_amplitudes(p: SpinPairParams, phi: float, t: float) -> np.ndarray:
+    """Evolved pure state U(t) psi(0), psi(0) = cos(phi)|21> - sin(phi)|12>,
+    whose projector is ``spin_pair_initial(phi)``."""
+    psi0 = np.array([0.0, math.cos(phi), -math.sin(phi), 0.0], dtype=complex)
+    return spin_pair_evolution(p, t) @ psi0
+
+
 def spin_pair_density(p: SpinPairParams, phi: float, t: float) -> DensityMatrix:
-    """Evolved state U(t) rho(0) U^dag(t) of the spin-pair initial condition."""
+    """Evolved state U(t) rho(0) U^dag(t) of the spin-pair initial condition,
+    formed densely as the independent check of ``spin_pair_amplitudes``."""
     u = spin_pair_evolution(p, t)
     rho0 = spin_pair_initial(phi).matrix
     return DensityMatrix(mc.hermitize(u @ rho0 @ u.conj().T), validation="relaxed")
@@ -159,6 +174,16 @@ def jcm_hamiltonian(p: JcmParams) -> np.ndarray:
     return h_atom + h_field + h_int
 
 
+def _doublet_factors(p: JcmParams, t: float, k: np.ndarray, adjoint: bool = False):
+    """(e_k, c_k, s_k) of the dressed doublets with photon numbers ``k``, as in
+    ``jcm_evolution``."""
+    sgn = -1.0 if not adjoint else 1.0
+    phase = np.exp(sgn * 1j * p.omega * t * k)
+    cos = np.cos(p.rabi * t / 2 * np.sqrt(k))
+    sin = np.sin(p.rabi * t / 2 * np.sqrt(k))
+    return phase, cos, sin
+
+
 def jcm_evolution(p: JcmParams, t: float, adjoint: bool = False) -> np.ndarray:
     """Closed-form JCM evolution operator, filled from its dressed doublets.
 
@@ -179,11 +204,8 @@ def jcm_evolution(p: JcmParams, t: float, adjoint: bool = False) -> np.ndarray:
     below it is exactly unitary.
     """
     nf = p.n_max + 1
-    k = np.arange(nf + 1, dtype=float)  # photon number of |1,k>, k = m + 1 of |2,m>
-    sgn = -1.0 if not adjoint else 1.0
-    phase = np.exp(sgn * 1j * p.omega * t * k)
-    cos = np.cos(p.rabi * t / 2 * np.sqrt(k))
-    sin = np.sin(p.rabi * t / 2 * np.sqrt(k))
+    # k = m + 1 of |2,m>, the photon number of its partner |1,k>
+    phase, cos, sin = _doublet_factors(p, t, np.arange(nf + 1, dtype=float), adjoint)
     pm = -1.0 if adjoint else 1.0
 
     u = np.zeros((2 * nf, 2 * nf), dtype=complex)
@@ -197,15 +219,28 @@ def jcm_evolution(p: JcmParams, t: float, adjoint: bool = False) -> np.ndarray:
     return u
 
 
-def jcm_vacuum_density(p: JcmParams, t: float) -> DensityMatrix:
-    """Evolved state of an excited atom in the vacuum field.
+def jcm_vacuum_amplitudes(p: JcmParams, t: float) -> np.ndarray:
+    """Amplitudes u0 = U(t)|2,0> of an excited atom in the vacuum field.
 
-    rho(t) = u0 u0^dag with u0 = U(t)|2,0>, column 0 of the propagator, so
-    the state costs one outer product. Supported on {|2,0>, |1,1>} for all t,
-    so any n_max >= 1 is exact.
+    Column 0 of ``jcm_evolution``, written from its doublet m = 0 (k = 1)
+    with the same expressions: e_1 c_1 on |2,0> and -e_1 s_1 on |1,1>, so
+    it equals that column bit for bit and U is never formed. Supported on
+    {|2,0>, |1,1>} for all t, so any n_max >= 1 is exact.
     """
-    u0 = jcm_evolution(p, t)[:, 0]
-    return DensityMatrix(mc.hermitize(np.outer(u0, u0.conj())), validation="relaxed")
+    nf = p.n_max + 1
+    phase, cos, sin = _doublet_factors(p, t, np.array([1.0]))
+    u0 = np.zeros(2 * nf, dtype=complex)
+    u0[0] = (phase * cos)[0]  # <2,0|U|2,0>
+    # <1,1|U|2,0>; a complex product with -1.0, as jcm_evolution's -pm * mixing,
+    # since a unary minus would flip the sign of a zero imaginary part.
+    u0[nf + 1] = (-1.0 * (phase * sin))[0]
+    return u0
+
+
+def jcm_vacuum_density(p: JcmParams, t: float) -> DensityMatrix:
+    """Evolved state u0 u0^dag of an excited atom in the vacuum field, the
+    projector of ``jcm_vacuum_amplitudes``."""
+    return DensityMatrix(mc.projector(jcm_vacuum_amplitudes(p, t)), validation="relaxed")
 
 
 def vacuum_rabi_populations(p: JcmParams, t: float) -> tuple[float, float]:

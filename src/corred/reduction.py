@@ -7,6 +7,14 @@ and mean-value / correlator bookkeeping. Every reduction returns a
 ``ReductionResult``; the correlated one adds the verdict and trajectory of
 its fixed-point run.
 
+The composite state ``rho`` of the four reductions may be a pure state's
+amplitude vector psi (1-D, length N), validated as strictly as a
+``DensityMatrix``. ``neumann_reduce`` reduces it from Psi = psi.reshape(Na,
+Nb) and never forms the N x N psi psi^dag; the other three form that
+projector once, where their input is read. Every other matrix argument
+(sigma, seed, observables) must be 2-D. The reconstruction error is taken
+slab by slab over the smaller subsystem, so no N x N temporary is built.
+
 The correlated fixed point is the top pair of rho's operator-Schmidt
 decomposition, its nearest Kronecker product (Van Loan & Pitsianis 1993):
 the loop computes it by Gauss-Seidel sweeps only, each one step of a power
@@ -28,9 +36,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrixcore as mc
-from .errors import DegenerateOverlap, DimensionMismatch, IndexOutOfRange, NotConverged
+from .errors import (
+    DegenerateOverlap,
+    DimensionMismatch,
+    IndexOutOfRange,
+    NotConverged,
+    ValidationError,
+)
 from .matrixcore import BipartiteSystem
-from .states import DensityMatrix, Observable, state_from_observable
+from .states import POSITIVITY_TOL, DensityMatrix, Observable, state_from_observable
 
 log = logging.getLogger("corred")
 
@@ -54,6 +68,39 @@ CLOSED_FORM_MAX_DIM = 4
 
 def _mat(x) -> np.ndarray:
     return x.matrix if isinstance(x, DensityMatrix) else mc.as_matrix(x)
+
+
+def _state(rho, sys: BipartiteSystem) -> np.ndarray:
+    """The composite state ``rho`` as a checked array.
+
+    A 1-D ``rho`` is a pure state's amplitude vector psi and is returned as
+    one, validated as a ``DensityMatrix`` validates psi psi^dag: length N
+    (else DimensionMismatch), finite entries and a squared norm within the
+    trace tolerance of 1 (else ValidationError). Anything else is the
+    N x N matrix.
+    """
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    if m.ndim != 1:
+        m = mc.as_matrix(m)
+        sys.check(m)
+        return m
+    if m.shape != (sys.dim,):
+        raise DimensionMismatch(
+            f"amplitude vector length {m.size} does not match composite dimension {sys.dim}"
+        )
+    if not np.isfinite(m).all():
+        raise ValidationError("amplitude vector has non-finite entries")
+    norm = float(np.vdot(m, m).real)
+    if abs(norm - 1.0) > max(POSITIVITY_TOL, 1e-12):
+        raise ValidationError(f"squared norm of the amplitude vector must be 1, got {norm}")
+    return m
+
+
+def _density(rho, sys: BipartiteSystem) -> np.ndarray:
+    """The composite state as a checked N x N matrix; an amplitude vector
+    becomes its projector here, once."""
+    r = _state(rho, sys)
+    return mc.projector(r) if r.ndim == 1 else r
 
 
 @dataclass(frozen=True)
@@ -95,21 +142,58 @@ class ReductionResult:
         return obj
 
 
+def _product_error(slab, ra: np.ndarray, rb: np.ndarray) -> float:
+    """max |rho[i,b,j,c] - ra[i,j] rb[b,c]| over the (Na, Nb, Na, Nb) view of rho.
+
+    Taken one slab of the smaller side at a time: ``slab(k, True)`` is
+    rho[k] (Nb, Na, Nb) and ``slab(k, False)`` is rho[:, k] (Na, Na, Nb),
+    so no temporary has N x N entries. The products are np.kron's,
+    ra[i,j] * rb[b,c], so the value equals max |rho - kron(ra, rb)| exactly.
+    """
+    na, nb = ra.shape[0], rb.shape[0]
+    if na <= nb:
+        return max(mc.max_abs_diff(slab(i, True), ra[i][None, :, None] * rb[:, None, :])
+                   for i in range(na))
+    return max(mc.max_abs_diff(slab(b, False), ra[:, :, None] * rb[b][None, None, :])
+               for b in range(nb))
+
+
 def _reconstruction_error(rho: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> float:
-    return mc.max_abs_diff(rho, np.kron(ra, rb))
+    r = rho.reshape(ra.shape[0], rb.shape[0], ra.shape[0], rb.shape[0])
+    return _product_error(lambda k, alpha: r[k] if alpha else r[:, k], ra, rb)
+
+
+def _pure_error(psi: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> float:
+    """``_reconstruction_error`` of psi psi^dag, Psi = ``psi`` (Na, Nb), taken
+    over the rows and columns of Psi that hold a nonzero entry: outside them
+    psi_ib psi_jc^* and ra[i,j] rb[b,c] are both exactly 0."""
+    rows, cols = np.flatnonzero(psi.any(axis=1)), np.flatnonzero(psi.any(axis=0))
+    p = psi[np.ix_(rows, cols)]
+    return _product_error(lambda k, alpha: np.multiply.outer(p[k] if alpha else p[:, k], p.conj()),
+                          ra[np.ix_(rows, rows)], rb[np.ix_(cols, cols)])
 
 
 def neumann_reduce(rho, sys: BipartiteSystem) -> ReductionResult:
-    """Both partial traces of the composite state (the standard reduction)."""
-    r = _mat(rho)
-    sys.check(r)
-    ra = mc.partial_trace(r, sys, over="beta")
-    rb = mc.partial_trace(r, sys, over="alpha")
+    """Both partial traces of the composite state (the standard reduction).
+
+    For an amplitude vector psi, with Psi = psi.reshape(Na, Nb), they are
+    Psi Psi^dag and Psi^T Psi^*: O(N min(Na, Nb)) work plus the output, and
+    psi psi^dag is never formed.
+    """
+    r = _state(rho, sys)
+    if r.ndim == 1:
+        psi = r.reshape(sys.dim_alpha, sys.dim_beta)
+        ra, rb = psi @ psi.conj().T, psi.T @ psi.conj()
+        error = _pure_error(psi, ra, rb)
+    else:
+        ra = mc.partial_trace(r, sys, over="beta")
+        rb = mc.partial_trace(r, sys, over="alpha")
+        error = _reconstruction_error(r, ra, rb)
     return ReductionResult(
         rho_alpha=DensityMatrix(ra, validation="relaxed"),
         rho_beta=DensityMatrix(rb, validation="relaxed"),
         method="neumann",
-        reconstruction_error=_reconstruction_error(r, ra, rb),
+        reconstruction_error=error,
     )
 
 
@@ -166,8 +250,7 @@ def conditioned_reduce(rho, sys: BipartiteSystem, sigma, given_side: str) -> Red
     error. Given alpha, it is (partial trace over beta, conditioned beta)
     with that pair's reconstruction error.
     """
-    r = _mat(rho)
-    sys.check(r)
+    r = _density(rho, sys)
     cond = DensityMatrix(_condition(r, sys, _mat(sigma), given_side), validation="relaxed")
     if given_side == "beta":
         return ReductionResult(cond, None, "conditioned", None)
@@ -186,8 +269,7 @@ def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
     Pairs the conditioned alpha state with the beta projector itself, the
     quantum-nondemolition-measurement limit.
     """
-    r = _mat(rho)
-    sys.check(r)
+    r = _density(rho, sys)
     if not 0 <= level < sys.dim_beta:
         raise IndexOutOfRange(f"level {level} outside [0, {sys.dim_beta})")
     proj = np.zeros((sys.dim_beta, sys.dim_beta), dtype=complex)
@@ -279,8 +361,7 @@ def correlated_reduce(
         form; the partial trace over beta by default. The beta iterate then
         starts at the partial trace over alpha.
     """
-    r = _mat(rho)
-    sys.check(r)
+    r = _density(rho, sys)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not tol > 0:

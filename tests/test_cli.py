@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corred
-from corred import cli, matrixcore as mc, reduction
+from corred import cli, matrixcore as mc, models, reduction
 from corred.states import DensityMatrix, epr_state, minimum_information_state, projector_state
 
 from conftest import odd_multiples
@@ -195,6 +195,34 @@ class TestRun:
         state = write_state(tmp_path, "epr.json", epr_state())
         cfg = {"experiment": "custom", "params": {"state": state, "dims": [2, 3]}}
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+
+
+@pytest.mark.parametrize("experiment, params, populations", [
+    ("jcm_vacuum", {"n_max": 64}, lambda t: (math.cos(t / 2) ** 2, math.sin(t / 2) ** 2)),
+    ("spin_pair", {"c": 0.5, "phi": 0.2},
+     lambda t: models.spin_pair_populations(0.2, 0.5, t)),
+])
+def test_pure_neumann_run_forms_no_composite_matrix(tmp_path, capsys, monkeypatch,
+                                                    experiment, params, populations):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an N x N composite array was formed")
+
+    for module, name in [(models, "jcm_evolution"), (models, "jcm_vacuum_density"),
+                         (models, "spin_pair_density"), (mc, "projector"),
+                         (np, "kron"), (np, "outer")]:
+        monkeypatch.setattr(module, name, forbidden)
+    cfg = {
+        "experiment": experiment,
+        "params": params,
+        "time_grid": {"start": 0.0, "stop": 6.0, "steps": 9},
+        "reduction": {"method": "neumann"},
+        "output": {"format": "json"},
+    }
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 9
+    for row in rows:
+        assert row["pop_alpha"][:2] == pytest.approx(populations(row["t"]), abs=1e-12)
 
 
 def time_grid_reference(grid: dict, tie_times: list[float]) -> np.ndarray:

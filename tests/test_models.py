@@ -338,6 +338,33 @@ class TestJcmVacuum:
         assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestPureAmplitudes:
+    @pytest.mark.parametrize("n_max", [1, 16, 256])
+    def test_jcm_vacuum_is_column_zero_bit_for_bit(self, n_max):
+        rng = np.random.default_rng(n_max)
+        for omega, rabi in [(1.0, 1.0), (0.7, 1.3)]:
+            p = JcmParams(omega, rabi, n_max=n_max)
+            for t in [0.0, *rng.uniform(-40.0, 40.0, 20)]:
+                got = models.jcm_vacuum_amplitudes(p, t)
+                assert got.tobytes() == models.jcm_evolution(p, t)[:, 0].tobytes()
+
+    def test_jcm_vacuum_density_is_the_projector(self):
+        p = JcmParams(1.0, 0.8, n_max=5)
+        u0 = models.jcm_vacuum_amplitudes(p, 2.3)
+        rho = models.jcm_vacuum_density(p, 2.3).matrix
+        assert rho.tobytes() == mc.hermitize(np.outer(u0, u0.conj())).tobytes()
+
+    def test_spin_pair_projector_matches_dense_density(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            omega, j, c, d = rng.uniform(-2.0, 2.0, 4)
+            p = SpinPairParams(omega, j, c, d)
+            phi, t = rng.uniform(0.0, math.pi), rng.uniform(-20.0, 20.0)
+            psi = models.spin_pair_amplitudes(p, phi, t)
+            dense = models.spin_pair_density(p, phi, t).matrix
+            assert mc.max_abs_diff(np.outer(psi, psi.conj()), dense) < 1e-15
+
+
 class TestCorrelatedLimit:
     def test_excited_plateau(self):
         p = JcmParams(1.0, 1.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,128 @@ class TestClosedFormStart:
         # result fails validation.
         with pytest.raises(ValidationError, match="non-finite"):
             red.correlated_reduce(np.full((4, 4), np.nan), SYS22, max_iter=3)
+
+
+@st.composite
+def amplitude_vectors(draw):
+    """(psi, system) for a normalized Psi of dims 1-5 x 1-9 whose random rows
+    and columns are zeroed, down to a single nonzero entry."""
+    na, nb = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i0, j0 = draw(st.integers(0, na - 1)), draw(st.integers(0, nb - 1))
+    psi = rng.standard_normal((na, nb)) + 1j * rng.standard_normal((na, nb))
+    if draw(st.booleans()):
+        keep = np.zeros((na, nb), dtype=bool)
+        keep[i0, j0] = True
+    else:
+        rows = np.array(draw(st.lists(st.booleans(), min_size=na, max_size=na)))
+        cols = np.array(draw(st.lists(st.booleans(), min_size=nb, max_size=nb)))
+        rows[i0] = cols[j0] = True
+        keep = np.outer(rows, cols)
+    psi = np.where(keep, psi, 0.0)
+    return (psi / np.linalg.norm(psi)).ravel(), BipartiteSystem(na, nb)
+
+
+def random_amplitudes(rng, n):
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return psi / np.linalg.norm(psi)
+
+
+class TestAmplitudeVectorInput:
+    @settings(max_examples=300, deadline=None)
+    @given(amplitude_vectors())
+    def test_neumann_matches_the_dense_projector(self, case):
+        psi, sys_ = case
+        pure = red.neumann_reduce(psi, sys_)
+        dense = red.neumann_reduce(np.outer(psi, psi.conj()), sys_)
+        assert mc.max_abs_diff(pure.rho_alpha.matrix, dense.rho_alpha.matrix) < 1e-14
+        assert mc.max_abs_diff(pure.rho_beta.matrix, dense.rho_beta.matrix) < 1e-14
+        assert abs(pure.reconstruction_error - dense.reconstruction_error) < 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+    def test_slab_error_equals_the_kron_form(self, na, nb, seed, traces):
+        rng = np.random.default_rng(seed)
+        sys_ = BipartiteSystem(na, nb)
+        rho = random_density(rng, na * nb).matrix
+        if traces:
+            ra, rb = mc.partial_trace(rho, sys_, "beta"), mc.partial_trace(rho, sys_, "alpha")
+        else:
+            ra, rb = random_density(rng, na).matrix, random_density(rng, nb).matrix
+        assert red._reconstruction_error(rho, ra, rb) == mc.max_abs_diff(rho, np.kron(ra, rb))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (4, 2), (2, 17)])
+    def test_iterated_and_conditioned_reductions_match_the_dense_state(self, rng, dims):
+        sys_ = BipartiteSystem(*dims)
+        psi = random_amplitudes(rng, sys_.dim)
+        dense = np.outer(psi, psi.conj())
+        sigma = random_density(rng, dims[0])
+        for reduce in (
+            lambda r: red.correlated_reduce(r, sys_),
+            lambda r: red.projective_reduce(r, sys_, 1),
+            lambda r: red.conditioned_reduce(r, sys_, sigma, "alpha"),
+        ):
+            got, want = reduce(psi), reduce(dense)
+            assert (got.method, got.verdict, got.iterations) == (
+                want.method, want.verdict, want.iterations)
+            assert mc.max_abs_diff(got.rho_alpha.matrix, want.rho_alpha.matrix) < 1e-12
+            assert mc.max_abs_diff(got.rho_beta.matrix, want.rho_beta.matrix) < 1e-12
+            assert abs(got.reconstruction_error - want.reconstruction_error) < 1e-12
+
+    def test_jcm_vacuum_vector_and_density_agree_exactly(self):
+        p = JcmParams(1.0, 1.0, n_max=16)
+        for t in (0.4, 2.0, 7.3):
+            psi, rho = models.jcm_vacuum_amplitudes(p, t), jcm_vacuum_density(p, t)
+            for reduce in (red.correlated_reduce, lambda r, s: red.projective_reduce(r, s, 0)):
+                got, want = reduce(psi, jcm_system(p)), reduce(rho, jcm_system(p))
+                assert got.rho_alpha.matrix.tobytes() == want.rho_alpha.matrix.tobytes()
+                assert got.rho_beta.matrix.tobytes() == want.rho_beta.matrix.tobytes()
+                assert got.reconstruction_error == want.reconstruction_error
+
+    @pytest.mark.parametrize("edit, error", [
+        ("nan", ValidationError),
+        ("inf", ValidationError),
+        ("norm", ValidationError),
+        ("length", DimensionMismatch),
+    ])
+    @pytest.mark.parametrize("method", ["neumann", "conditioned", "projective", "correlated"])
+    def test_bad_vector_rejected(self, method, edit, error):
+        psi = models.jcm_vacuum_amplitudes(JcmParams(1.0, 1.0, n_max=2), 0.7)
+        if edit in ("nan", "inf"):
+            psi[3] = float(edit)
+        elif edit == "norm":
+            psi *= math.sqrt(1 + 1e-6)
+        else:
+            psi = np.append(psi, 0.0)
+        sys_ = BipartiteSystem(2, 3)
+        reduce = {
+            "neumann": lambda: red.neumann_reduce(psi, sys_),
+            "conditioned": lambda: red.conditioned_reduce(psi, sys_, np.eye(3) / 3, "alpha"),
+            "projective": lambda: red.projective_reduce(psi, sys_, 0),
+            "correlated": lambda: red.correlated_reduce(psi, sys_),
+        }[method]
+        with pytest.raises(error):
+            reduce()
+
+    def test_other_matrix_arguments_stay_two_dimensional(self):
+        psi = models.jcm_vacuum_amplitudes(JcmParams(1.0, 1.0, n_max=2), 0.7)
+        sys_ = BipartiteSystem(2, 3)
+        with pytest.raises(DimensionMismatch):
+            red.conditioned_reduce(psi, sys_, np.ones(2) / 2, "alpha")
+        with pytest.raises(DimensionMismatch):
+            red.correlated_reduce(psi, sys_, seed=np.ones(2) / 2)
+
+    def test_pure_neumann_peaks_below_one_composite_matrix(self):
+        p = JcmParams(1.0, 1.0, n_max=256)
+        psi, sys_ = models.jcm_vacuum_amplitudes(p, 0.7), jcm_system(p)
+        red.neumann_reduce(psi, sys_)
+        tracemalloc.start()
+        try:
+            red.neumann_reduce(psi, sys_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sys_.dim**2 * 16  # one 514 x 514 complex matrix, 4.2 MB
 
 
 class TestMeanValue:
