@@ -129,25 +129,16 @@ def _load_density(path: str, validation: str | None = None) -> DensityMatrix:
 # ---------------------------------------------------------------- run
 
 
-def _time_grid(grid: dict, tie_step: float | None, include_ties: bool) -> np.ndarray:
+def _time_grid(grid: dict) -> np.ndarray:
     start, stop = _number(grid, "start"), _number(grid, "stop")
     steps = _number(grid, "steps", kind=int)
     if steps < 1 or stop < start:
         raise ValidationError(f"bad time grid {grid}")
-    ts = np.linspace(start, stop, steps)
-    if include_ties or tie_step is None or steps < 2:
-        return ts
-    # Nudge samples within 1e-9 of a tie point (2k+1) tie_step <= stop; the
-    # tie behavior is a measure-zero special case (opt in with --include-ties).
-    # Ties are 2 tie_step apart, so only the nearest one can be that close.
-    k = np.maximum(np.rint((ts / tie_step - 1) / 2), 0)
-    tie = (2 * k + 1) * tie_step
-    ts[(np.abs(ts - tie) < 1e-9) & (tie <= stop)] += (ts[1] - ts[0]) * 1e-3
-    return ts
+    return np.linspace(start, stop, steps)
 
 
 def _state_factory(cfg: dict):
-    """Returns (system, rho_of_t, tie_step or None) for the configured experiment.
+    """Returns (system, rho_of_t) for the configured experiment.
 
     The two models evolve pure states, so their rho_of_t gives the amplitude
     vector, which the reductions take in place of the N x N state.
@@ -156,7 +147,7 @@ def _state_factory(cfg: dict):
     params = _section(cfg, "params")
     if experiment == "epr":
         rho = epr_state()
-        return BipartiteSystem(2, 2), lambda t: rho, None
+        return BipartiteSystem(2, 2), lambda t: rho
     if experiment == "spin_pair":
         p = models.SpinPairParams(
             omega=_number(params, "omega", 1.0),
@@ -165,26 +156,18 @@ def _state_factory(cfg: dict):
             d_coupling=_number(params, "d", 0.0),
         )
         phi = _number(params, "phi", 0.0)
-        return (
-            models.SPIN_PAIR_SYSTEM,
-            lambda t: models.spin_pair_amplitudes(p, phi, t),
-            models.spin_pair_tie_step(p, phi),
-        )
+        return models.SPIN_PAIR_SYSTEM, lambda t: models.spin_pair_amplitudes(p, phi, t)
     if experiment == "jcm_vacuum":
         p = models.JcmParams(
             omega=_number(params, "omega", 1.0),
             rabi=_number(params, "rabi", 1.0),
             n_max=_number(params, "n_max", 16, int),
         )
-        return (
-            models.jcm_system(p),
-            lambda t: models.jcm_vacuum_amplitudes(p, t),
-            models.jcm_tie_step(p),
-        )
+        return models.jcm_system(p), lambda t: models.jcm_vacuum_amplitudes(p, t)
     if experiment == "custom":
         rho = _load_density(params["state"])
         na, nb = (_finite(n, "dims", int) for n in params["dims"])
-        return BipartiteSystem(na, nb), lambda t: rho, None
+        return BipartiteSystem(na, nb), lambda t: rho
     raise ValidationError(f"unknown experiment {experiment!r}")
 
 
@@ -248,8 +231,8 @@ def cmd_run(args) -> int:
     cfg = _object(_load_json(args.config), "config")
     try:
         grid = _section(cfg, "time_grid", {"start": 0.0, "stop": 0.0, "steps": 1})
-        sys_, rho_of_t, tie_step = _state_factory(cfg)
-        ts = _time_grid(grid, tie_step, args.include_ties)
+        sys_, rho_of_t = _state_factory(cfg)
+        ts = _time_grid(grid)
         reducer = _reducer(_section(cfg, "reduction"), sys_)
         out_cfg = _section(cfg, "output")
         fmt = args.format or out_cfg.get("format", "csv")
@@ -349,21 +332,25 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    flags = ("theta", "phi", "c", "t", "omega", "tol")
+    theta, phi, c, t, omega, tol = (_finite(getattr(args, f), f"--{f}") for f in flags)
+    if tol <= 0:
+        raise ValidationError(f"--tol must be > 0, got {tol!r}")
     if args.kind == "epr":
-        ens = ensembles.epr_decomposition(args.theta)
+        ens = ensembles.epr_decomposition(theta)
         target = epr_state()
     elif args.kind == "triplet":
-        ens = ensembles.triplet_decomposition(args.theta)
+        ens = ensembles.triplet_decomposition(theta)
         target = triplet_state()
     elif args.kind == "spin_pair_initial":
-        ens = ensembles.spin_pair_initial_decomposition(args.phi, args.theta)
-        target = spin_pair_initial(args.phi)
+        ens = ensembles.spin_pair_initial_decomposition(phi, theta)
+        target = spin_pair_initial(phi)
     else:  # spin_pair_t
-        ens = ensembles.spin_pair_reduced_decomposition(args.phi, args.c, args.t, args.theta)
-        p = models.SpinPairParams(omega=args.omega, c_coupling=args.c)
-        target = models.spin_pair_density(p, args.phi, args.t)
+        ens = ensembles.spin_pair_reduced_decomposition(phi, c, t, theta)
+        p = models.SpinPairParams(omega=omega, c_coupling=c)
+        target = models.spin_pair_density(p, phi, t)
 
-    report = ensembles.verify_ensemble(ens, target, tol=args.tol)
+    report = ensembles.verify_ensemble(ens, target, tol=tol)
     obj = ens.to_json()
     obj["verification"] = {
         "max_error": report.max_error,
@@ -375,7 +362,7 @@ def cmd_decompose(args) -> int:
     print(json.dumps(obj, indent=2))
     if args.report_only or report.matches:
         return 0
-    return _fail(EXIT_NUMERICAL, f"verification error {report.max_error:g} above {args.tol:g}")
+    return _fail(EXIT_NUMERICAL, f"verification error {report.max_error:g} above {tol:g}")
 
 
 # ---------------------------------------------------------------- validate
@@ -415,11 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config path")
     p_run.add_argument("--out", help="output file (default stdout)")
     p_run.add_argument("--format", choices=["csv", "json"], help="override output format")
-    p_run.add_argument(
-        "--include-ties",
-        action="store_true",
-        help="do not nudge time samples off step-function tie points",
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_red = sub.add_parser("reduce", help="reduce a density-matrix file")

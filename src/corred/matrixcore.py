@@ -195,8 +195,18 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _json_size(obj: dict, key: str) -> int:
+    """``obj[key]`` as an int; an integral float such as 2.0 counts, 2.5 or a bool does not."""
+    value = obj[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DimensionMismatch(f"{key} must be an integer, got {value!r}")
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _json_size(obj, "rows"), _json_size(obj, "cols")
     data = obj["data"]
     if len(data) != rows * cols:
         raise DimensionMismatch(f"data length {len(data)} != rows*cols = {rows * cols}")

@@ -110,16 +110,6 @@ def spin_pair_populations(phi: float, c: float, t: float) -> tuple[float, float]
     return (1.0 + corr) / 2.0, (1.0 - corr) / 2.0
 
 
-def spin_pair_tie_step(p: SpinPairParams, phi: float) -> float | None:
-    """Spacing s = pi / (4|c|) of the times t = (2l+1) s where the |21> and
-    |12> populations cross; None without flip-flop coupling or when
-    cos(2 phi) = 0 keeps them equal for all t."""
-    c = p.c_coupling
-    if c == 0 or abs(math.cos(2 * phi)) <= 1e-12:
-        return None
-    return math.pi / (4 * abs(c))
-
-
 def spin_pair_coherence(phi: float, c: float, t: float) -> complex:
     """Analytic (21,12) coherence of the evolved spin-pair state."""
     return 0.5 * (1j * math.cos(2 * phi) * math.sin(2 * c * t) - math.sin(2 * phi))
@@ -264,11 +254,3 @@ def jcm_correlated_limit(t: float, p: JcmParams) -> tuple[float, float]:
     else:
         c_val = 0.0
     return c_val, 1.0 - c_val
-
-
-def jcm_tie_step(p: JcmParams) -> float | None:
-    """Spacing s = pi / (2 Omega) of the step limit's tie points t = (2l+1) s;
-    None without atom-field coupling."""
-    if p.rabi == 0:
-        return None
-    return math.pi / (2 * abs(p.rabi))

@@ -14,8 +14,6 @@ import corred
 from corred import cli, matrixcore as mc, models, reduction
 from corred.states import DensityMatrix, epr_state, minimum_information_state, projector_state
 
-from conftest import odd_multiples
-
 
 def write_state(tmp_path, name, dm):
     path = tmp_path / name
@@ -92,7 +90,7 @@ class TestRun:
             assert float(cells[1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_tie_nudging_default(self, tmp_path, capsys):
-        # grid point exactly on the step tie t = pi/2 gets nudged off it
+        # Nothing is nudged: the grid point on the step tie t = pi/2 is sampled as given.
         cfg = {
             "experiment": "jcm_vacuum",
             "params": {"rabi": 1.0, "n_max": 1},
@@ -102,19 +100,23 @@ class TestRun:
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
         out = capsys.readouterr().out
         ts = [float(ln.split(",")[0]) for ln in out.splitlines()[2:]]
-        assert all(abs(t - math.pi / 2) > 1e-6 for t in ts)
+        assert ts == np.linspace(0.0, math.pi, 3).tolist()
+        assert ts[1] == math.pi / 2
 
     def test_include_ties_keeps_grid(self, tmp_path, capsys):
+        # The grid keeps its ties without an option, and --include-ties is no option.
         cfg = {
             "experiment": "jcm_vacuum",
             "params": {"rabi": 1.0, "n_max": 1},
             "time_grid": {"start": 0.0, "stop": math.pi, "steps": 3},
             "reduction": {"method": "neumann"},
         }
-        rc = cli.main(
-            ["run", "--config", write_config(tmp_path, cfg), "--include-ties"]
-        )
-        assert rc == 0
+        config = write_config(tmp_path, cfg)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", config, "--include-ties"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --include-ties" in capsys.readouterr().err
+        assert cli.main(["run", "--config", config]) == 0
         out = capsys.readouterr().out
         ts = [float(ln.split(",")[0]) for ln in out.splitlines()[2:]]
         assert any(abs(t - math.pi / 2) < 1e-12 for t in ts)
@@ -225,19 +227,7 @@ def test_pure_neumann_run_forms_no_composite_matrix(tmp_path, capsys, monkeypatc
         assert row["pop_alpha"][:2] == pytest.approx(populations(row["t"]), abs=1e-12)
 
 
-def time_grid_reference(grid: dict, tie_times: list[float]) -> np.ndarray:
-    """Tie nudging as first written: every sample against every tie."""
-    ts = np.linspace(grid["start"], grid["stop"], grid["steps"])
-    if not tie_times or grid["steps"] < 2:
-        return ts
-    delta = (ts[1] - ts[0]) * 1e-3
-    for i, t in enumerate(ts):
-        if any(abs(t - tie) < 1e-9 for tie in tie_times):
-            ts[i] = t + delta
-    return ts
-
-
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     tie_step=st.floats(1e-3, 10.0),
     start_half_steps=st.integers(-4, 40),
@@ -245,19 +235,54 @@ def time_grid_reference(grid: dict, tie_times: list[float]) -> np.ndarray:
     per_half_step=st.integers(1, 4),
     extra=st.integers(0, 3),
     jitter=st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]),
-    end_jitter=st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]),
 )
-def test_tie_nudging_matches_reference(tie_step, start_half_steps, span_half_steps,
-                                       per_half_step, extra, jitter, end_jitter):
-    # Grids that start and end on (near) multiples of half the tie spacing,
-    # with samples on those multiples when extra is 0, so ties are hit often.
+def test_tie_nudging_matches_reference(tmp_path_factory, tie_step, start_half_steps,
+                                       span_half_steps, per_half_step, extra, jitter):
+    # No sample is nudged off a tie: the reference the emitted t column must
+    # equal is linspace itself. JCM ties sit at odd multiples of
+    # pi / (2 rabi) = tie_step; the grids start and end on (near) multiples of
+    # half of it, so samples often hit a tie.
     start = start_half_steps * tie_step / 2 + jitter
-    stop = max(start, start + span_half_steps * tie_step / 2 + end_jitter)
-    grid = {"start": start, "stop": stop, "steps": span_half_steps * per_half_step + 1 + extra}
-    nudged = cli._time_grid(grid, tie_step, include_ties=False)
-    assert np.array_equal(nudged, time_grid_reference(grid, odd_multiples(tie_step, stop)))
-    assert np.array_equal(cli._time_grid(grid, tie_step, include_ties=True),
-                          np.linspace(start, stop, grid["steps"]))
+    stop = start + span_half_steps * tie_step / 2
+    steps = span_half_steps * per_half_step + 1 + extra
+    cfg = {
+        "experiment": "jcm_vacuum",
+        "params": {"rabi": math.pi / (2 * tie_step), "n_max": 1},
+        "time_grid": {"start": start, "stop": stop, "steps": steps},
+        "reduction": {"method": "neumann"},
+        "output": {"format": "json"},
+    }
+    path = tmp_path_factory.mktemp("grid") / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = path.with_name("rows.json")
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["t"] for row in rows] == np.linspace(start, stop, steps).tolist()
+
+
+@pytest.mark.parametrize("experiment, params, stop, steps, tie", [
+    ("jcm_vacuum", {"rabi": 1.0, "n_max": 16}, math.pi, 101, math.pi / 2),
+    ("spin_pair", {"c": 1.0, "phi": 0.3}, math.pi / 2, 3, math.pi / 4),
+    ("spin_pair", {"c": -1.3, "phi": 1.2}, 3 * math.pi / 5.2, 7, math.pi / 5.2),
+])
+def test_correlated_run_reports_the_tie_in_one_sweep(tmp_path, capsys, experiment, params,
+                                                     stop, steps, tie):
+    # At a tie the step limit is exactly 1/2, and the closed-form start reaches it in one sweep.
+    cfg = {
+        "experiment": experiment,
+        "params": params,
+        "time_grid": {"start": 0.0, "stop": stop, "steps": steps},
+        "reduction": {"method": "correlated"},
+        "output": {"format": "json"},
+    }
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == steps
+    assert all(row["verdict"] == "converged" for row in rows)
+    row = min(rows, key=lambda row: abs(row["t"] - tie))
+    assert row["t"] == pytest.approx(tie, abs=1e-15)
+    assert row["iterations"] == 1
+    assert row["pop_alpha"][0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestReduce:
@@ -502,6 +527,18 @@ class TestValidate:
         assert "must be a JSON object, got list" in obj["reason"]
         assert captured.err == ""
 
+    @pytest.mark.parametrize("name, valid", [
+        ("size-fractional", False), ("size-bool", False), ("size-integral-float", True),
+    ])
+    def test_rows_and_cols_must_be_integers(self, tmp_path, capsys, name, valid):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(SIZE_FILES[name]))
+        assert cli.main(["validate", str(path)]) == (0 if valid else 2)
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["valid"] is valid
+        if not valid:
+            assert "rows must be an integer, got " in obj["reason"]
+
     def test_relaxed_level(self, tmp_path, capsys):
         m = np.diag([1.5, -0.5])
         path = tmp_path / "neg.json"
@@ -514,10 +551,19 @@ class TestValidate:
 
 # One row per exit code and per class of malformed input. "{dir}" in the
 # config text and in the arguments stands for the test's directory, which
-# also holds a product state |00><00| (dims 2 2) and the beta state |1><1|,
-# whose overlap vanishes.
+# also holds a product state |00><00| (dims 2 2), the beta state |1><1|,
+# whose overlap vanishes, and the state files of SIZE_FILES.
 RUN = ["run", "--config", "{cfg}"]
 PRODUCT = ["{dir}/product.json", "--dims", "2", "2"]
+DECOMPOSE = ["decompose", "spin_pair_t"]
+# State files whose rows and cols are no integer (I/2 read as 2 x 2, or [1]
+# read as 1 x 1, if they were truncated), and one whose 2.0 is an integer.
+HALF = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+SIZE_FILES = {
+    "size-fractional": {"rows": 2.5, "cols": 2.5, "data": HALF},
+    "size-bool": {"rows": True, "cols": True, "data": [[1.0, 0.0]]},
+    "size-integral-float": {"rows": 2.0, "cols": 2.0, "data": HALF},
+}
 EXIT_CASES = [
     ("ok", '{"experiment": "epr"}', RUN, 0),
     ("params-list", '{"experiment": "spin_pair", "params": [1, 2]}', RUN, 2),
@@ -617,6 +663,40 @@ EXIT_CASES = [
         ["decompose", "spin_pair_t", "--phi", "0", "--c", "1", "--t", str(math.pi / 4)],
         3,
     ),
+    ("decompose-c-nan", "{}", [*DECOMPOSE, "--c", "nan"], 2),
+    ("decompose-t-inf", "{}", [*DECOMPOSE, "--t", "inf"], 2),
+    ("decompose-omega-nan", "{}", [*DECOMPOSE, "--omega", "nan"], 2),
+    ("decompose-phi-nan", "{}", ["decompose", "spin_pair_initial", "--phi", "nan"], 2),
+    ("decompose-theta-nan", "{}", ["decompose", "epr", "--theta", "nan"], 2),
+    ("decompose-tol-nan", "{}", ["decompose", "epr", "--tol", "nan"], 2),
+    ("decompose-tol-negative", "{}", ["decompose", "epr", "--tol", "-1"], 2),
+    ("decompose-tol-zero", "{}", ["decompose", "epr", "--tol", "0"], 2),
+    (
+        "reduce-size-fractional",
+        "{}",
+        ["reduce", "{dir}/size-fractional.json", "--dims", "2", "1"],
+        2,
+    ),
+    ("reduce-size-bool", "{}", ["reduce", "{dir}/size-bool.json", "--dims", "1", "1"], 2),
+    (
+        "reduce-size-integral-float",
+        "{}",
+        ["reduce", "{dir}/size-integral-float.json", "--dims", "2", "1"],
+        0,
+    ),
+    (
+        "custom-size-fractional",
+        '{"experiment": "custom",'
+        ' "params": {"state": "{dir}/size-fractional.json", "dims": [2, 1]}}',
+        RUN,
+        2,
+    ),
+    (
+        "custom-size-bool",
+        '{"experiment": "custom", "params": {"state": "{dir}/size-bool.json", "dims": [1, 1]}}',
+        RUN,
+        2,
+    ),
 ]
 
 
@@ -624,6 +704,8 @@ def run_exit_case(tmp_path, capsys, config, argv) -> tuple[int, str]:
     """Exit code and stderr of one EXIT_CASES row."""
     write_state(tmp_path, "product.json", projector_state(4, 0))
     write_state(tmp_path, "beta1.json", projector_state(2, 1))
+    for name, obj in SIZE_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     cfg = tmp_path / "config.json"
     cfg.write_text(config.replace("{dir}", str(tmp_path)))
     argv = [a.replace("{cfg}", str(cfg)).replace("{dir}", str(tmp_path)) for a in argv]
@@ -650,7 +732,16 @@ def test_fractional_integer_names_its_key(tmp_path, capsys, key):
     assert f"{key} must be an integer, got " in err
 
 
-@pytest.mark.parametrize("case,key", [("c-string", "c"), ("steps-bool", "steps")])
+@pytest.mark.parametrize("case,key", [
+    ("c-string", "c"),
+    ("steps-bool", "steps"),
+    ("decompose-c-nan", "--c"),
+    ("decompose-t-inf", "--t"),
+    ("decompose-omega-nan", "--omega"),
+    ("decompose-phi-nan", "--phi"),
+    ("decompose-theta-nan", "--theta"),
+    ("decompose-tol-nan", "--tol"),
+])
 def test_non_number_names_its_key(tmp_path, capsys, case, key):
     _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == case)
     _, err = run_exit_case(tmp_path, capsys, config, argv)

@@ -10,8 +10,6 @@ from corred.models import JcmParams, SpinPairParams
 from corred.reduction import neumann_reduce
 from corred.states import spin_pair_initial
 
-from conftest import odd_multiples
-
 
 def expm(h, t):
     """Spectral matrix exponential exp(-i h t), independent of evolve_operator
@@ -113,9 +111,9 @@ class TestSpinPairDensity:
 
     @pytest.mark.parametrize("c,phi", [(0.7, 0.1), (-1.3, 1.2), (0.25, 0.0)])
     def test_populations_cross_at_tie_times(self, c, phi):
-        step = models.spin_pair_tie_step(SpinPairParams(1.0, c_coupling=c), phi)
-        ties = odd_multiples(step, 12.0)
-        assert ties and ties[-1] <= 12.0
+        # cos(2 c t) = 0 at t = (2k+1) pi / (4|c|)
+        ties = [(2 * k + 1) * math.pi / (4 * abs(c)) for k in range(16)]
+        ties = [tie for tie in ties if tie <= 12.0]
         eps = 1e-4
         for tie in ties:
             up, down = models.spin_pair_populations(phi, c, tie)
@@ -130,9 +128,11 @@ class TestSpinPairDensity:
 
     def test_no_tie_times_without_crossing(self):
         # no coupling, or cos(2 phi) = 0 so the populations stay equal
-        assert models.spin_pair_tie_step(SpinPairParams(1.0), 0.3) is None
-        p = SpinPairParams(1.0, c_coupling=0.5)
-        assert models.spin_pair_tie_step(p, math.pi / 4) is None
+        for t in np.linspace(0.0, 12.0, 121):
+            up, down = models.spin_pair_populations(0.3, 0.0, t)
+            assert up - down == pytest.approx(math.cos(0.6), abs=1e-15)
+            up, down = models.spin_pair_populations(math.pi / 4, 0.5, t)
+            assert abs(up - down) < 1e-15
 
     def test_purity_preserved(self):
         rho = models.spin_pair_density(SpinPairParams(1.0, 0.1, 0.2, 0.3), 0.6, 3.3)
@@ -380,10 +380,11 @@ class TestCorrelatedLimit:
 
     def test_tie_times(self):
         p = JcmParams(1.0, 2.0)
-        ties = odd_multiples(models.jcm_tie_step(p), 4.0)
-        assert ties == pytest.approx([math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4])
-        for tie in ties:
+        # t = (2k+1) pi / (2 Omega)
+        for tie in [math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4]:
             assert models.jcm_correlated_limit(tie, p)[0] == 0.5
 
     def test_no_ties_without_coupling(self):
-        assert models.jcm_tie_step(JcmParams(1.0, 0.0)) is None
+        p = JcmParams(1.0, 0.0)
+        for t in np.linspace(0.0, 100.0, 101):
+            assert models.jcm_correlated_limit(t, p) == (1.0, 0.0)
