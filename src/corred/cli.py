@@ -26,12 +26,16 @@ Every reduction returns a ``ReductionResult``; its ``verdict`` and
 one-shot methods), and a correlated ``file:`` seed is the starting alpha
 state of every time point where the loop does not start at its closed form
 (see ``reduction``).
+
+Indented JSON output (``reduce``, ``decompose``, ``run --format json``) goes
+through ``_dumps``, byte for byte the stdlib's ``json.dumps`` with an indent of 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
 import math
@@ -70,8 +74,81 @@ def _load_json(path: str):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+
+
+_encode_scalar = json.JSONEncoder().encode
+_encode_key = json.encoder.encode_basestring_ascii
+#: Types of the entries of a number block; see ``_dumps``.
+_NUMBER_TYPES = {float, int, bool, type(None)}
+
+
+def _block_depth(value) -> int:
+    """1 for a non-empty list of numbers, booleans and nulls, 2 for a non-empty
+    list of such lists (``matrix_to_json``'s ``data``), 0 for anything else."""
+    if not isinstance(value, list) or not value:
+        return 0
+    if _NUMBER_TYPES.issuperset(map(type, value)):
+        return 1
+    if (
+        set(map(type, value)) == {list}
+        and all(value)
+        and _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(value)))
+    ):
+        return 2
+    return 0
+
+
+def _dumps(obj) -> str:
+    """``json.dumps`` of ``obj`` with an indent of 2, byte for byte, for JSON values (str keys).
+
+    CPython's C encoder ignores ``indent``, so the stdlib writes indented
+    JSON in pure Python. Here dicts and lists are walked in Python, but a
+    number block (``_block_depth``) is encoded compactly in one C call and
+    then indented at its separators. That is exact because no encoded
+    number, ``true``, ``false``, ``null``, ``NaN`` or ``Infinity`` contains
+    a bracket or ", ". The walk keeps its own stack, so nesting depth costs
+    no Python frames: whatever ``json.load`` reads can be written back.
+    """
+    pieces: list[str] = []
+    # Popped from the end: a (value, line break before its closing bracket)
+    # pair, or a str that is written as it is.
+    todo: list = [(obj, "\n")]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        value, indent = item
+        inner = indent + "  "
+        depth = _block_depth(value)
+        if depth == 1:
+            body = json.dumps(value)[1:-1].replace(", ", "," + inner)
+            pieces.append(f"[{inner}{body}{indent}]")
+            continue
+        if depth == 2:
+            cell = inner + "  "
+            body = json.dumps(value)[2:-2].replace("], [", f"{inner}],{inner}[{cell}")
+            pieces.append(f"[{inner}[{cell}{body.replace(', ', ',' + cell)}{inner}]{indent}]")
+            continue
+        if isinstance(value, dict) and value:
+            opener, closer = "{", "}"
+            entries = [(f"{_encode_key(key)}: ", child) for key, child in value.items()]
+        elif isinstance(value, (list, tuple)) and value:
+            opener, closer = "[", "]"
+            entries = [("", child) for child in value]
+        elif type(value) is float and math.isfinite(value):
+            pieces.append(float.__repr__(value))  # what the C encoder writes, without its set-up
+            continue
+        else:  # another scalar, {} or []
+            pieces.append(_encode_scalar(value))
+            continue
+        todo.append(indent + closer)
+        for i in reversed(range(len(entries))):
+            label, child = entries[i]
+            todo += [(child, inner), f"{',' if i else opener}{inner}{label}"]
+    return "".join(pieces)
 
 
 def _fail(code: int, msg: str) -> int:
@@ -122,7 +199,7 @@ def _load_density(path: str, validation: str | None = None) -> DensityMatrix:
         return DensityMatrix(mc.matrix_from_json(obj), validation=validation)
     except KeyError as exc:
         raise ValidationError(f"{path}: state file lacks key {exc}") from exc
-    except (DimensionMismatch, TypeError, ValueError) as exc:
+    except (DimensionMismatch, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: bad state file: {exc}") from exc
 
 
@@ -282,7 +359,7 @@ def _series(ts: np.ndarray, rho_of_t, reducer) -> list[dict]:
 
 def _write_series(rows: list[dict], cfg: dict, fmt: str, out) -> None:
     if fmt == "json":
-        json.dump({"config": cfg, "rows": rows}, out, indent=2)
+        out.write(_dumps({"config": cfg, "rows": rows}))
         out.write("\n")
         return
     na = len(rows[0]["pop_alpha"])
@@ -324,7 +401,7 @@ def cmd_reduce(args) -> int:
         "seed": args.seed,
     }
     out = _reducer(rcfg, BipartiteSystem(args.dims[0], args.dims[1]))(rho)
-    print(json.dumps(out.to_json(), indent=2))
+    print(_dumps(out.to_json()))
     return 0
 
 
@@ -359,7 +436,7 @@ def cmd_decompose(args) -> int:
         "matches": report.matches,
         "tolerance": report.tolerance,
     }
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
     if args.report_only or report.matches:
         return 0
     return _fail(EXIT_NUMERICAL, f"verification error {report.max_error:g} above {tol:g}")

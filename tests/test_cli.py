@@ -431,14 +431,20 @@ SHAPE_CASES = [
 
 @pytest.mark.parametrize("state,argv,keys", [c[1:] for c in SHAPE_CASES],
                          ids=[c[0] for c in SHAPE_CASES])
-def test_reduce_result_json_shape(tmp_path, capsys, state, argv, keys):
+def test_reduce_result_json_shape(tmp_path, capsys, monkeypatch, state, argv, keys):
     write_state(tmp_path, "epr.json", epr_state())
     write_state(tmp_path, "sigma.json", minimum_information_state(2))
     write_state(tmp_path, "beta1.json", projector_state(2, 1))
     write_state(tmp_path, "faint.json", DensityMatrix(np.diag([1 - 1e-12, 0.0, 0.0, 1e-12])))
     argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
-    assert cli.main(["reduce", str(tmp_path / f"{state}.json"), "--dims", "2", "2", *argv]) == 0
-    obj = json.loads(capsys.readouterr().out)
+    argv = ["reduce", str(tmp_path / f"{state}.json"), "--dims", "2", "2", *argv]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    # the bytes of the stdlib's indented encoding
+    monkeypatch.setattr(cli, "_dumps", lambda obj: json.dumps(obj, indent=2))
+    assert cli.main(argv) == 0
+    assert out == capsys.readouterr().out
+    obj = json.loads(out)
     assert list(obj) == keys
     assert obj.get("warnings", ["non-empty"])
 
@@ -455,6 +461,122 @@ def test_run_json_one_shot_rows_carry_no_iteration(tmp_path, capsys, method):
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 3
     assert all(row["verdict"] == "-" and row["iterations"] == 0 for row in rows)
+
+
+# Commands besides ``reduce`` (see test_reduce_result_json_shape) that print
+# indented JSON, run once with ``cli._dumps`` and once with the stdlib
+# encoder in its place: the bytes must agree.
+JSON_OUTPUT_CASES = [
+    ("decompose-epr", None, ["decompose", "epr", "--theta", "0.7"]),
+    ("decompose-triplet", None, ["decompose", "triplet", "--theta", "1.1"]),
+    ("decompose-spin-pair-initial", None, ["decompose", "spin_pair_initial", "--phi", "0.3"]),
+    (
+        "decompose-spin-pair-t",
+        None,
+        ["decompose", "spin_pair_t", "--phi", "0.3", "--c", "0.7", "--t", "0.4"],
+    ),
+    (
+        "run-jcm-correlated",
+        {
+            "experiment": "jcm_vacuum",
+            "params": {"omega": 1.0, "rabi": 1.0, "n_max": 3},
+            "time_grid": {"start": 0.0, "stop": 3.0, "steps": 4},
+            "reduction": {"method": "correlated"},
+            "note": ["a, b", "[[", "]]", {"x": [[1, -0.0], [1e300, 5e-324]], "y": []}],
+        },
+        ["run", "--format", "json"],
+    ),
+]
+
+
+@pytest.mark.parametrize("config,argv", [c[1:] for c in JSON_OUTPUT_CASES],
+                         ids=[c[0] for c in JSON_OUTPUT_CASES])
+def test_json_output_matches_stdlib_encoder(tmp_path, capsys, monkeypatch, config, argv):
+    if config is not None:
+        argv = [*argv, "--config", write_config(tmp_path, config)]
+    code = cli.main(argv)
+    ours = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_dumps", lambda obj: json.dumps(obj, indent=2))
+    assert cli.main(argv) == code
+    assert ours == capsys.readouterr().out
+    assert ours.count("\n") > 10
+
+
+def assert_same_text(ours: str, expected: str) -> None:
+    """``ours == expected``, reporting only the first difference: pytest's own
+    diff of two megabyte strings takes minutes."""
+    if ours != expected:
+        pairs = zip(ours, expected)
+        at = next((i for i, (a, b) in enumerate(pairs) if a != b), min(len(ours), len(expected)))
+        window = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"texts differ at {at}: {ours[window]!r} != {expected[window]!r}")
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e300]
+NUMBERS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(2**64)]),
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+)
+# strings that look like the separators the number blocks are indented at
+TEXT = st.text(st.sampled_from(["[", "]", ",", " ", '"', "\\", "\n", "1", "é", "中", "\x00"]))
+JSON_VALUES = st.recursive(
+    NUMBERS | TEXT | st.lists(st.lists(NUMBERS, max_size=4), max_size=4),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(TEXT, children, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_matches_stdlib_encoder(value):
+    assert_same_text(cli._dumps(value), json.dumps(value, indent=2))
+
+
+def test_dumps_matches_stdlib_encoder_on_a_large_matrix():
+    # the shapes of a 2 x 257 reduction's result, with special values in the data
+    rng = np.random.default_rng(7)
+    beta = rng.standard_normal((257, 257)) + 1j * rng.standard_normal((257, 257))
+    beta.real.flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    obj = {
+        "verdict": "converged",
+        "residuals": [1e-3, 0.0],
+        "rho_alpha": mc.matrix_to_json(np.eye(2) / 2),
+        "rho_beta": mc.matrix_to_json(beta),
+    }
+    assert_same_text(cli._dumps(obj), json.dumps(obj, indent=2))
+
+
+def test_run_json_writes_back_any_config_it_reads(tmp_path, capsys):
+    # The stdlib's indented encoder takes one Python frame per nesting level;
+    # whatever config depth json.load reads, run --format json writes it back.
+    def run(depth: int):
+        note = "[" * depth + '{"a": [[1.5, -0.0]], "b": "x"}' + "]" * depth
+        path = tmp_path / "config.json"
+        path.write_text('{"experiment": "epr", "note": ' + note + "}")
+        code = cli.main(["run", "--config", str(path), "--format", "json"])
+        return code, capsys.readouterr()
+
+    readable, unreadable = 0, sys.getrecursionlimit()
+    while unreadable - readable > 1:
+        depth = (readable + unreadable) // 2
+        code, _ = run(depth)
+        assert code in (0, 2)
+        readable, unreadable = (depth, unreadable) if code == 0 else (readable, depth)
+    code, captured = run(unreadable)
+    assert code == 2
+    assert captured.err.startswith("error: invalid JSON in ") and "recursion" in captured.err
+    code, captured = run(readable)
+    assert code == 0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 200)  # for the stdlib's own encoder below
+    try:
+        assert_same_text(captured.out, json.dumps(json.loads(captured.out), indent=2) + "\n")
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestDecompose:
@@ -539,6 +661,20 @@ class TestValidate:
         if not valid:
             assert "rows must be an integer, got " in obj["reason"]
 
+    @pytest.mark.parametrize("name, reason", [
+        ("int-overflow", "int too large to convert to float"),
+        ("deep", "maximum recursion depth exceeded"),
+    ])
+    def test_unreadable_number_or_depth_reported_invalid(self, tmp_path, capsys, name, reason):
+        path = tmp_path / "state.json"
+        path.write_text(STATE_TEXTS[name])
+        assert cli.main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        obj = json.loads(captured.out)
+        assert obj["valid"] is False
+        assert reason in obj["reason"]
+        assert captured.err == ""
+
     def test_relaxed_level(self, tmp_path, capsys):
         m = np.diag([1.5, -0.5])
         path = tmp_path / "neg.json"
@@ -563,6 +699,12 @@ SIZE_FILES = {
     "size-fractional": {"rows": 2.5, "cols": 2.5, "data": HALF},
     "size-bool": {"rows": True, "cols": True, "data": [[1.0, 0.0]]},
     "size-integral-float": {"rows": 2.0, "cols": 2.0, "data": HALF},
+}
+# State files that json.load reads but no float holds (an integer of 401
+# digits), or that json.load cannot read for their nesting depth.
+STATE_TEXTS = {
+    "int-overflow": '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ", 0]]}",
+    "deep": "[" * 200_000 + "]" * 200_000,
 }
 EXIT_CASES = [
     ("ok", '{"experiment": "epr"}', RUN, 0),
@@ -697,6 +839,28 @@ EXIT_CASES = [
         RUN,
         2,
     ),
+    ("reduce-int-overflow", "{}", ["reduce", "{dir}/int-overflow.json", "--dims", "1", "1"], 2),
+    (
+        "custom-int-overflow",
+        '{"experiment": "custom", "params": {"state": "{dir}/int-overflow.json", "dims": [1, 1]}}',
+        RUN,
+        2,
+    ),
+    (
+        "sigma-int-overflow",
+        "{}",
+        ["reduce", *PRODUCT, "--method", "conditioned", "--sigma", "{dir}/int-overflow.json"],
+        2,
+    ),
+    (
+        "seed-int-overflow",
+        '{"experiment": "epr",'
+        ' "reduction": {"method": "correlated", "seed": "file:{dir}/int-overflow.json"}}',
+        RUN,
+        2,
+    ),
+    ("reduce-deep", "{}", ["reduce", "{dir}/deep.json", "--dims", "1", "1"], 2),
+    ("experiment-deep", '{"experiment": ' + "[" * 200_000 + "]" * 200_000 + "}", RUN, 2),
 ]
 
 
@@ -706,6 +870,8 @@ def run_exit_case(tmp_path, capsys, config, argv) -> tuple[int, str]:
     write_state(tmp_path, "beta1.json", projector_state(2, 1))
     for name, obj in SIZE_FILES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    for name, text in STATE_TEXTS.items():
+        (tmp_path / f"{name}.json").write_text(text)
     cfg = tmp_path / "config.json"
     cfg.write_text(config.replace("{dir}", str(tmp_path)))
     argv = [a.replace("{cfg}", str(cfg)).replace("{dir}", str(tmp_path)) for a in argv]
