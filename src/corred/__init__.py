@@ -1,11 +1,12 @@
 """Generalized and correlated reduction of bipartite quantum states.
 
-The package provides dense linear algebra for bipartite systems
-(``matrixcore``), validated density operators and special states
-(``states``), the family of reduction algorithms including the correlated
-fixed-point iteration (``reduction``), hidden-ensemble decompositions of
-entangled states (``ensembles``), two exactly soluble reference models
-(``models``) and a CLI front end (``corred`` console script).
+The package provides the composite index layout, partial trace and
+contraction kernel of bipartite systems (``matrixcore``), validated density
+operators and special states (``states``), the family of reduction
+algorithms including the correlated fixed-point iteration (``reduction``),
+hidden-ensemble decompositions of entangled states (``ensembles``), two
+exactly soluble reference models (``models``) and a CLI front end
+(``corred`` console script).
 """
 
 from .errors import (
@@ -23,11 +24,6 @@ from .errors import (
 )
 from .matrixcore import (
     BipartiteSystem,
-    Spectrum,
-    evolve_operator,
-    extend,
-    hermitian_eig,
-    kron,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -71,15 +67,12 @@ from .models import (
     JcmParams,
     SpinPairParams,
     jcm_correlated_limit,
-    jcm_evolution,
-    jcm_hamiltonian,
     jcm_system,
     jcm_vacuum_amplitudes,
     jcm_vacuum_density,
     spin_pair_amplitudes,
     spin_pair_density,
     spin_pair_evolution,
-    spin_pair_hamiltonian,
 )
 
 __version__ = "0.1.0"

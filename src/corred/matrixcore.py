@@ -1,5 +1,11 @@
 """Dense complex linear algebra for bipartite systems.
 
+The composite index layout (``BipartiteSystem``), the one contraction kernel
+behind partial traces and conditioning (``_contract``), the comparison and
+hermiticity helpers, and the JSON (de)serialization of complex matrices.
+Kronecker products and eigendecompositions are numpy's own (``np.kron``,
+``np.linalg.eigh``).
+
 All operators are plain ``numpy.ndarray`` of dtype complex128, row-major.
 Composite basis convention: within each subsystem the levels are listed in
 descending energy (index 0 is the highest level, e.g. |2> before |1> for a
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch
 
 #: Default absolute per-entry comparison tolerance.
 DEFAULT_TOL = 1e-10
@@ -87,27 +93,6 @@ class BipartiteSystem:
             )
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a hermitian matrix.
-
-    ``eigenvalues`` ascending, ``eigenvectors`` orthonormal columns, so that
-    V diag(lam) V^dag reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product, block (i, j) equal to a[i, j] * b."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def partial_trace(rho, sys: BipartiteSystem, over: str) -> np.ndarray:
     """Partial trace of a composite operator over one subsystem.
 
@@ -144,45 +129,6 @@ def _contract(rho: np.ndarray, sys: BipartiteSystem, over: str,
     if over == "alpha":
         return np.einsum("ibjc,ji->bc", r, weight)
     return np.einsum("ibjc,cb->ij", r, weight)
-
-
-def extend(op, sys: BipartiteSystem, side: str) -> np.ndarray:
-    """Embed a subsystem operator in the composite space (A x 1 or 1 x B)."""
-    op = as_matrix(op)
-    if side == "alpha":
-        if op.shape != (sys.dim_alpha, sys.dim_alpha):
-            raise DimensionMismatch(
-                f"operator shape {op.shape} does not match dim_alpha={sys.dim_alpha}"
-            )
-        return np.kron(op, np.eye(sys.dim_beta))
-    if side == "beta":
-        if op.shape != (sys.dim_beta, sys.dim_beta):
-            raise DimensionMismatch(
-                f"operator shape {op.shape} does not match dim_beta={sys.dim_beta}"
-            )
-        return np.kron(np.eye(sys.dim_alpha), op)
-    raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
-
-
-def hermitian_eig(h, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Eigendecomposition of a hermitian matrix (eigenvalues ascending)."""
-    h = as_matrix(h)
-    if not is_hermitian(h, tol):
-        raise NotHermitian("matrix is not hermitian within tolerance")
-    w, v = np.linalg.eigh(h)
-    return Spectrum(eigenvalues=w, eigenvectors=v)
-
-
-def evolve_operator(h, t: float, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Unitary evolution operator exp(-i t H / hbar) of a hermitian generator.
-
-    Computed spectrally, so the output is unitary to roundoff on the whole
-    problem class (no series truncation).
-    """
-    spec = hermitian_eig(h, tol)
-    phases = np.exp(-1j * t / hbar * spec.eigenvalues)
-    v = spec.eigenvectors
-    return (v * phases) @ v.conj().T
 
 
 def matrix_to_json(m) -> dict:

@@ -432,12 +432,13 @@ class CorrelatorBreakdown:
 def correlator(rho, sys: BipartiteSystem, a: Observable, b: Observable) -> CorrelatorBreakdown:
     """Correlator of subsystem observables with both conditioned factorizations.
 
-    The exact value Tr[rho (A x B)] is always computed; the factorized forms
+    The exact value Tr[rho (A x B)] = Tr[Sp_beta(rho (1 x B)) A] is always
+    computed, by one contraction and no N x N product; the factorized forms
     additionally require nonnegative A, B with nonzero von Neumann means.
     """
     r = _mat(rho)
     sys.check(r)
-    exact = complex(np.trace(r @ np.kron(a.matrix, b.matrix)))
+    exact = complex(np.trace(mc._contract(r, sys, "beta", b.matrix) @ a.matrix))
     mean_a_n = mean_value(mc.partial_trace(r, sys, over="beta"), a)
     mean_b_n = mean_value(mc.partial_trace(r, sys, over="alpha"), b)
     ab_form = ba_form = None

@@ -117,11 +117,10 @@ def thermal_state(h, temperature: float) -> DensityMatrix:
         return minimum_information_state(h.shape[0])
     if temperature <= 0:
         raise NonPositiveTemperature(f"finite temperature must be > 0, got {temperature}")
-    spec = mc.hermitian_eig(h)
+    e, v = np.linalg.eigh(h)
     # Shift by the ground energy before exponentiating to avoid overflow.
-    w = np.exp(-(spec.eigenvalues - spec.eigenvalues.min()) / temperature)
+    w = np.exp(-(e - e.min()) / temperature)
     w /= w.sum()
-    v = spec.eigenvectors
     return DensityMatrix((v * w) @ v.conj().T)
 
 

@@ -209,9 +209,8 @@ def test_pure_neumann_run_forms_no_composite_matrix(tmp_path, capsys, monkeypatc
     def forbidden(*args, **kwargs):
         raise AssertionError("an N x N composite array was formed")
 
-    for module, name in [(models, "jcm_evolution"), (models, "jcm_vacuum_density"),
-                         (models, "spin_pair_density"), (mc, "projector"),
-                         (np, "kron"), (np, "outer")]:
+    for module, name in [(models, "jcm_vacuum_density"), (models, "spin_pair_density"),
+                         (mc, "projector"), (np, "kron"), (np, "outer")]:
         monkeypatch.setattr(module, name, forbidden)
     cfg = {
         "experiment": experiment,
@@ -808,6 +807,8 @@ EXIT_CASES = [
     ("decompose-c-nan", "{}", [*DECOMPOSE, "--c", "nan"], 2),
     ("decompose-t-inf", "{}", [*DECOMPOSE, "--t", "inf"], 2),
     ("decompose-omega-nan", "{}", [*DECOMPOSE, "--omega", "nan"], 2),
+    ("decompose-omega-neg-inf", "{}", [*DECOMPOSE, "--omega", "-inf"], 2),
+    ("decompose-omega-eq-neg-inf", "{}", [*DECOMPOSE, "--omega=-inf"], 2),
     ("decompose-phi-nan", "{}", ["decompose", "spin_pair_initial", "--phi", "nan"], 2),
     ("decompose-theta-nan", "{}", ["decompose", "epr", "--theta", "nan"], 2),
     ("decompose-tol-nan", "{}", ["decompose", "epr", "--tol", "nan"], 2),
@@ -875,17 +876,30 @@ def run_exit_case(tmp_path, capsys, config, argv) -> tuple[int, str]:
     cfg = tmp_path / "config.json"
     cfg.write_text(config.replace("{dir}", str(tmp_path)))
     argv = [a.replace("{cfg}", str(cfg)).replace("{dir}", str(tmp_path)) for a in argv]
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config,argv,code", [c[1:] for c in EXIT_CASES],
-                         ids=[c[0] for c in EXIT_CASES])
-def test_exit_code_map(tmp_path, capsys, config, argv, code):
+# Rows that argparse rejects before corred sees them: a value that starts
+# with "-" and is not a number argparse knows (-inf) reads as an option.
+# Their stderr is argparse's usage and one "corred <cmd>: error:" line.
+USAGE_ERRORS = {
+    "decompose-omega-neg-inf": "corred decompose: error: argument --omega: expected one argument",
+}
+
+
+@pytest.mark.parametrize("name,config,argv,code", EXIT_CASES, ids=[c[0] for c in EXIT_CASES])
+def test_exit_code_map(tmp_path, capsys, name, config, argv, code):
     got, err = run_exit_case(tmp_path, capsys, config, argv)
     assert got == code
     if code == 0:
         assert err == ""
+    elif name in USAGE_ERRORS:
+        assert err.startswith("usage: corred ")
+        assert err.splitlines()[-1] == USAGE_ERRORS[name]
     else:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -904,6 +918,7 @@ def test_fractional_integer_names_its_key(tmp_path, capsys, key):
     ("decompose-c-nan", "--c"),
     ("decompose-t-inf", "--t"),
     ("decompose-omega-nan", "--omega"),
+    ("decompose-omega-eq-neg-inf", "--omega"),
     ("decompose-phi-nan", "--phi"),
     ("decompose-theta-nan", "--theta"),
     ("decompose-tol-nan", "--tol"),

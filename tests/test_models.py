@@ -10,21 +10,87 @@ from corred.models import JcmParams, SpinPairParams
 from corred.reduction import neumann_reduce
 from corred.states import spin_pair_initial
 
+from conftest import expm, spin_pair_hamiltonian
 
-def expm(h, t):
-    """Spectral matrix exponential exp(-i h t), independent of evolve_operator
-    internals only in the sense of being assembled inline here."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+def lowering_operator(dim: int) -> np.ndarray:
+    """Truncated photon annihilation operator, a|n> = sqrt(n) |n-1>."""
+    a = np.zeros((dim, dim), dtype=complex)
+    for n in range(1, dim):
+        a[n - 1, n] = math.sqrt(n)
+    return a
+
+
+def _atom_proj(i, j):
+    m = np.zeros((2, 2), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def jcm_hamiltonian(p: JcmParams) -> np.ndarray:
+    """Resonant JCM hamiltonian on the truncated composite space.
+
+    Atom term (omega/2)(P22 - P11), symmetrized field term
+    (omega/2)(a^dag a + a a^dag), interaction (i Omega/2)(P21 a - P12 a^dag).
+    """
+    nf = p.n_max + 1
+    a = lowering_operator(nf)
+    ad = a.conj().T
+    h_atom = np.kron((p.omega / 2) * (_atom_proj(0, 0) - _atom_proj(1, 1)), np.eye(nf))
+    h_field = np.kron(np.eye(2), (p.omega / 2) * (ad @ a + a @ ad))
+    h_int = (1j * p.rabi / 2) * (
+        np.kron(_atom_proj(0, 1), a) - np.kron(_atom_proj(1, 0), ad)
+    )
+    return h_atom + h_field + h_int
+
+
+def jcm_evolution(p: JcmParams, t: float, adjoint: bool = False) -> np.ndarray:
+    """Closed-form JCM evolution operator, filled from its dressed doublets.
+
+    U is block-diagonal over the doublets {|2,m>, |1,m+1>} and |1,0>, which
+    it leaves alone. With k = m + 1, e_k = exp(-+i omega t k) and
+    c_k, s_k = cos, sin(Omega t sqrt(k) / 2), doublet m is
+
+        [[ e_k c_k, +-e_k s_k],
+         [-+e_k s_k,   e_k c_k]]
+
+    (upper signs for U, lower for ``adjoint=True``, which returns U^dag(t)).
+    Its O(n_max) nonzero entries are written into a zero matrix; no matrix
+    product is formed. Column 0 is ``models.jcm_vacuum_amplitudes``, written
+    with the same expressions.
+
+    At the truncation edge |2, n_max> has no partner |1, n_max + 1>, so its
+    column keeps only the cosine: probability leaks out of it, and the top
+    Fock block deviates from the infinite-dimensional operator. Everything
+    below it is exactly unitary.
+    """
+    nf = p.n_max + 1
+    # k = m + 1 of |2,m>, the photon number of its partner |1,k>
+    k = np.arange(nf + 1, dtype=float)
+    sgn = -1.0 if not adjoint else 1.0
+    phase = np.exp(sgn * 1j * p.omega * t * k)
+    cos = np.cos(p.rabi * t / 2 * np.sqrt(k))
+    sin = np.sin(p.rabi * t / 2 * np.sqrt(k))
+    pm = -1.0 if adjoint else 1.0
+
+    u = np.zeros((2 * nf, 2 * nf), dtype=complex)
+    n = np.arange(nf)
+    u[n, n] = phase[1:] * cos[1:]  # <2,n|U|2,n>
+    u[nf + n, nf + n] = phase[:-1] * cos[:-1]  # <1,n|U|1,n>
+    m = n[:-1]
+    mixing = phase[1:nf] * sin[1:nf]
+    u[m, nf + m + 1] = pm * mixing  # <2,m|U|1,m+1>
+    u[nf + m + 1, m] = -pm * mixing  # <1,m+1|U|2,m>
+    return u
 
 
 class TestSpinPairHamiltonian:
     def test_free_pair(self):
-        h = models.spin_pair_hamiltonian(SpinPairParams(omega=2.0))
+        h = spin_pair_hamiltonian(SpinPairParams(omega=2.0))
         assert mc.matrices_close(h, np.diag([2.0, 0.0, 0.0, -2.0]))
 
     def test_coupling_placement(self):
-        h = models.spin_pair_hamiltonian(
+        h = spin_pair_hamiltonian(
             SpinPairParams(omega=1.0, j_coupling=0.1, c_coupling=0.2, d_coupling=0.3)
         )
         assert h[0, 0] == 1.1 and h[3, 3] == -0.9
@@ -38,7 +104,7 @@ class TestSpinPairHamiltonian:
         p = SpinPairParams(omega=0.8, j_coupling=0.05, c_coupling=0.3, d_coupling=0.6)
         omega_eff = math.hypot(0.8, 0.6)
         want = sorted([0.05 + omega_eff, 0.05 - omega_eff, -0.05 + 0.3, -0.05 - 0.3])
-        got = np.linalg.eigvalsh(models.spin_pair_hamiltonian(p))
+        got = np.linalg.eigvalsh(spin_pair_hamiltonian(p))
         assert np.allclose(got, want, atol=1e-12)
 
 
@@ -58,13 +124,14 @@ class TestSpinPairEvolution:
             p = SpinPairParams(*rng.uniform(-3, 3, size=4))
             for t in (0.5, 2.0, 10.0):
                 u = models.spin_pair_evolution(p, t)
-                ref = expm(models.spin_pair_hamiltonian(p), t)
+                ref = expm(spin_pair_hamiltonian(p), t)
                 assert np.linalg.norm(u - ref, 2) < 1e-9
 
     def test_adjoint(self):
+        # evolving back in time inverts U: U(-t) = U(t)^dag
         p = SpinPairParams(1.3, 0.2, 0.5, 0.7)
         u = models.spin_pair_evolution(p, 1.9)
-        ud = models.spin_pair_evolution(p, 1.9, adjoint=True)
+        ud = models.spin_pair_evolution(p, -1.9)
         assert mc.max_abs_diff(ud, u.conj().T) < 1e-13
 
     def test_group_property(self):
@@ -141,11 +208,11 @@ class TestSpinPairDensity:
 
 class TestJcmHamiltonian:
     def test_hermitian(self):
-        assert mc.is_hermitian(models.jcm_hamiltonian(JcmParams(1.0, 0.4, n_max=5)))
+        assert mc.is_hermitian(jcm_hamiltonian(JcmParams(1.0, 0.4, n_max=5)))
 
     def test_coupling_entry(self):
         # <2,0| H |1,1> = i Omega / 2
-        h = models.jcm_hamiltonian(JcmParams(omega=1.0, rabi=0.8, n_max=3))
+        h = jcm_hamiltonian(JcmParams(omega=1.0, rabi=0.8, n_max=3))
         nf = 4
         assert h[0, nf + 1] == pytest.approx(1j * 0.4)
         assert h[nf + 1, 0] == pytest.approx(-1j * 0.4)
@@ -154,7 +221,7 @@ class TestJcmHamiltonian:
         # |2,n>: w/2 + w(n + 1/2); |1,n>: -w/2 + w(n + 1/2), except the
         # truncated top field entry
         w = 1.3
-        h = models.jcm_hamiltonian(JcmParams(omega=w, rabi=0.0, n_max=4))
+        h = jcm_hamiltonian(JcmParams(omega=w, rabi=0.0, n_max=4))
         nf = 5
         for n in range(nf - 1):
             assert h[n, n] == pytest.approx(w / 2 + w * (n + 0.5))
@@ -163,7 +230,7 @@ class TestJcmHamiltonian:
     def test_degenerate_pairs(self):
         # |2,n> and |1,n+1> are degenerate at resonance without coupling
         w = 0.9
-        h = models.jcm_hamiltonian(JcmParams(omega=w, rabi=0.0, n_max=6))
+        h = jcm_hamiltonian(JcmParams(omega=w, rabi=0.0, n_max=6))
         nf = 7
         for n in range(nf - 2):
             assert abs(h[n, n] - h[nf + n + 1, nf + n + 1]) < 1e-13
@@ -175,23 +242,17 @@ class TestJcmHamiltonian:
 
 class TestLoweringOperator:
     def test_matrix_elements(self):
-        a = models.lowering_operator(3)
+        a = lowering_operator(3)
         want = np.array([[0, 1, 0], [0, 0, math.sqrt(2)], [0, 0, 0]], dtype=complex)
         assert mc.matrices_close(a, want)
 
     def test_number_operator(self):
-        a = models.lowering_operator(5)
+        a = lowering_operator(5)
         assert mc.matrices_close(a.conj().T @ a, np.diag([0.0, 1, 2, 3, 4]))
 
 
-def _atom_proj(i, j):
-    m = np.zeros((2, 2), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
 def jcm_evolution_dense(p, t, adjoint=False):
-    """Dense reference for models.jcm_evolution: number-basis operator functions.
+    """Dense reference for jcm_evolution: number-basis operator functions.
 
     cos/sin of sqrt(a a^dag) and sqrt(a^dag a) are diagonal in the number
     basis; the phase operators exp(+-i phi) are the normalized shift
@@ -199,7 +260,7 @@ def jcm_evolution_dense(p, t, adjoint=False):
     Kronecker products of their products.
     """
     nf = p.n_max + 1
-    a = models.lowering_operator(nf)
+    a = lowering_operator(nf)
     ad = a.conj().T
     n_op = np.arange(nf, dtype=float)  # diagonal of a^dag a
     sgn = -1.0 if not adjoint else 1.0
@@ -231,7 +292,7 @@ class TestJcmEvolutionAgainstDense:
         for _ in range(4):
             p = JcmParams(omega=rng.uniform(-2, 2), rabi=rng.uniform(-2, 2), n_max=n_max)
             for t in (0.0, rng.uniform(0, 1), rng.uniform(1, 30)):
-                u = models.jcm_evolution(p, t, adjoint=adjoint)
+                u = jcm_evolution(p, t, adjoint=adjoint)
                 assert mc.max_abs_diff(u, jcm_evolution_dense(p, t, adjoint)) <= 1e-14
 
     @pytest.mark.parametrize("n_max", [1, 2, 5, 16, 64])
@@ -251,7 +312,7 @@ class TestJcmEvolutionAgainstDense:
 
 class TestJcmEvolution:
     def test_time_zero(self):
-        u = models.jcm_evolution(JcmParams(1.0, 0.7, n_max=4), 0.0)
+        u = jcm_evolution(JcmParams(1.0, 0.7, n_max=4), 0.0)
         assert mc.matrices_close(u, np.eye(10), 1e-14)
 
     @pytest.mark.parametrize("n_max,t", [(3, 1.7), (8, 0.4), (16, 12.0)])
@@ -261,8 +322,8 @@ class TestJcmEvolution:
         # composite indices touching photon numbers n_max-1 and n_max on the
         # excited row and n_max on the ground row
         p = JcmParams(omega=1.1, rabi=0.6, n_max=n_max)
-        u = models.jcm_evolution(p, t)
-        ref = expm(models.jcm_hamiltonian(p), t)
+        u = jcm_evolution(p, t)
+        ref = expm(jcm_hamiltonian(p), t)
         nf = n_max + 1
         keep = np.array([k for k in range(2 * nf) if k not in (nf - 2, nf - 1, 2 * nf - 1)])
         diff = np.abs(u - ref)[np.ix_(keep, keep)]
@@ -272,7 +333,7 @@ class TestJcmEvolution:
         # |2,0> -> cos(Omega t/2) e^{-i w t} |2,0> - sin(Omega t/2) e^{-i w t} |1,1>
         p = JcmParams(omega=0.9, rabi=1.3, n_max=2)
         t = 0.8
-        u = models.jcm_evolution(p, t)
+        u = jcm_evolution(p, t)
         nf = 3
         ph = np.exp(-1j * p.omega * t)
         assert abs(u[0, 0] - ph * math.cos(p.rabi * t / 2)) < 1e-13
@@ -281,15 +342,15 @@ class TestJcmEvolution:
     def test_adjoint_inverts_below_cutoff(self):
         p = JcmParams(1.0, 0.5, n_max=6)
         nf = 7
-        u = models.jcm_evolution(p, 2.1)
-        ud = models.jcm_evolution(p, 2.1, adjoint=True)
+        u = jcm_evolution(p, 2.1)
+        ud = jcm_evolution(p, 2.1, adjoint=True)
         prod = ud @ u
         keep = np.array([k for k in range(2 * nf) if k not in (nf - 1, 2 * nf - 1)])
         assert mc.max_abs_diff(prod[np.ix_(keep, keep)], np.eye(2 * nf)[np.ix_(keep, keep)]) < 1e-12
 
     def test_columns_below_cutoff_are_normalized(self):
         p = JcmParams(1.0, 0.9, n_max=5)
-        u = models.jcm_evolution(p, 3.7)
+        u = jcm_evolution(p, 3.7)
         nf = 6
         norms = np.linalg.norm(u, axis=0)
         for k in range(2 * nf):
@@ -346,7 +407,7 @@ class TestPureAmplitudes:
             p = JcmParams(omega, rabi, n_max=n_max)
             for t in [0.0, *rng.uniform(-40.0, 40.0, 20)]:
                 got = models.jcm_vacuum_amplitudes(p, t)
-                assert got.tobytes() == models.jcm_evolution(p, t)[:, 0].tobytes()
+                assert got.tobytes() == jcm_evolution(p, t)[:, 0].tobytes()
 
     def test_jcm_vacuum_density_is_the_projector(self):
         p = JcmParams(1.0, 0.8, n_max=5)

@@ -42,7 +42,9 @@ def condition_dense(rho, sys_, sigma, given_side):
     Forms sigma' = sigma extended by the identity and the O(N^3) product
     rho sigma', then traces out ``given_side``.
     """
-    numerator = mc.partial_trace(rho @ mc.extend(sigma, sys_, given_side), sys_, given_side)
+    eye_a, eye_b = np.eye(sys_.dim_alpha), np.eye(sys_.dim_beta)
+    extended = np.kron(sigma, eye_b) if given_side == "alpha" else np.kron(eye_a, sigma)
+    numerator = mc.partial_trace(rho @ extended, sys_, given_side)
     out = mc.hermitize(numerator / np.real(np.trace(numerator)))
     return out / np.real(out.trace())
 
@@ -593,6 +595,19 @@ class TestCorrelator:
         assert br.ab_form is None and br.ba_form is None
         assert br.exact == pytest.approx(0.0, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_exact_equals_the_kron_form(self, na, nb, seed):
+        # the exact value contracts beta once; the dense reference forms the
+        # N x N product rho (A x B)
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, na * nb).matrix
+        a = Observable(random_nonnegative(rng, na))
+        b = Observable(random_nonnegative(rng, nb))
+        want = np.trace(rho @ np.kron(a.matrix, b.matrix))
+        got = red.correlator(rho, BipartiteSystem(na, nb), a, b).exact
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
     def test_negative_observable_rejected_for_factorized_path(self, rng):
         rho = random_density(rng, 4)
         a = Observable(np.diag([1.0, -1.0]))
@@ -640,6 +655,6 @@ def test_neumann_mean_equals_extended_mean(rng):
     for _ in range(20):
         rho = random_density(rng, 4)
         a = np.diag([0.3, 1.7]).astype(complex)
-        lhs = np.trace(rho.matrix @ mc.extend(a, SYS22, "alpha"))
+        lhs = np.trace(rho.matrix @ np.kron(a, np.eye(2)))
         rhs = red.mean_value(red.neumann_reduce(rho, SYS22).rho_alpha, Observable(a))
         assert abs(lhs - rhs) < 1e-12
