@@ -40,6 +40,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -522,9 +523,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -1e5`` as ``--flag=-1e5``, so that argparse reads the value:
+    it takes a token that starts with "-" for a value only if it is a plain
+    decimal such as -1 or -0.5, and reads -1e5, -inf or -nan as a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and arg[:1] == "-" and re.fullmatch(r"--[^=]+", out[-1]):
+            with contextlib.suppress(ValueError):
+                float(arg)
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except OSError as exc:

@@ -7,25 +7,25 @@ and mean-value / correlator bookkeeping. Every reduction returns a
 ``ReductionResult``; the correlated one adds the verdict and trajectory of
 its fixed-point run.
 
-The composite state ``rho`` of the four reductions may be a pure state's
-amplitude vector psi (1-D, length N), validated as strictly as a
-``DensityMatrix``. ``neumann_reduce`` reduces it from Psi = psi.reshape(Na,
-Nb) and never forms the N x N psi psi^dag; the other three form that
-projector once, where their input is read. Every other matrix argument
-(sigma, seed, observables) must be 2-D. The reconstruction error is taken
-slab by slab over the smaller subsystem, so no N x N temporary is built.
+States are checked once, at entry (``_state``, ``_matrix``): a
+``DensityMatrix`` is taken as it is; a raw matrix, whether the composite
+``rho``, a ``sigma`` or a ``seed``, must have the right shape and pass the
+relaxed ``DensityMatrix`` check (finite, hermitian, unit trace). ``rho`` may
+also be a pure state's amplitude vector psi (1-D, length N), which
+``neumann_reduce`` reduces from Psi = psi.reshape(Na, Nb) and the other
+reductions turn into psi psi^dag once. The reduced states are built
+hermitian with unit trace, and one epilogue (``_result``) wraps them
+without a second check and takes the reconstruction error slab by slab, so
+no N x N temporary is built.
 
 The correlated fixed point is the top pair of rho's operator-Schmidt
-decomposition, its nearest Kronecker product (Van Loan & Pitsianis 1993):
-the loop computes it by Gauss-Seidel sweeps only, each one step of a power
-iteration toward it. Where min(Na, Nb) <= CLOSED_FORM_MAX_DIM the loop
-therefore starts at that pair, read from the top eigenvector of a Gram
-matrix of size min(Na^2, Nb^2). A relative eigenvalue gap above eps / tol
-bounds that start's error below tol; the first sweep only recomputes the
-pair, so a converged run takes one sweep. It starts at the given alpha
-state (the partial trace by default) instead for larger dimensions, where
-the top is within eps / tol of a tie, the top vector has a trace about 0,
-or the given state does not overlap it.
+decomposition, its nearest Kronecker product (Van Loan & Pitsianis 1993),
+which each Gauss-Seidel sweep approaches by one power-iteration step. Where
+min(Na, Nb) <= CLOSED_FORM_MAX_DIM the loop starts at that pair, from the
+top eigenvector of a small Gram matrix, once an a-posteriori residual test
+bounds its error below tol (``_schmidt_start``); a converged run then takes
+one sweep. Otherwise it starts at the given alpha state, by default the
+partial trace.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ NEAR_DEGENERACY_THRESHOLD = 1e-10
 
 MEAN_ZERO_TOL = 1e-12
 
-#: Machine epsilon; eigh's error in the closed-form start scales with it.
-EPS = np.finfo(float).eps
 #: Largest min(Na, Nb) at which the Gauss-Seidel loop starts at its closed
 #: form. With n = min(Na, Nb) and m the other dimension, the start costs the
 #: flops of about n^2 / 2 sweeps for the Gram matrix plus an n^2 x n^2 eigh
@@ -66,28 +64,32 @@ EPS = np.finfo(float).eps
 CLOSED_FORM_MAX_DIM = 4
 
 
-def _mat(x) -> np.ndarray:
-    return x.matrix if isinstance(x, DensityMatrix) else mc.as_matrix(x)
+def _matrix(x, sys: BipartiteSystem, side: str | None = None) -> np.ndarray:
+    """The state ``x`` of the composite system, or of one ``side``, as a
+    checked matrix: the entry check of every matrix argument. A
+    ``DensityMatrix`` is taken as it is, its shape aside; any other array
+    must have the shape (else DimensionMismatch) and pass the relaxed
+    ``DensityMatrix`` check: finite, hermitian, unit trace (else ValidationError).
+    """
+    n = sys.dim if side is None else sys.dim_alpha if side == "alpha" else sys.dim_beta
+    m = x.matrix if isinstance(x, DensityMatrix) else mc.as_matrix(x)
+    if m.shape != (n, n):
+        dim = f"composite dimension {n}" if side is None else f"dim_{side}={n}"
+        raise DimensionMismatch(f"matrix shape {m.shape} does not match {dim}")
+    return m if isinstance(x, DensityMatrix) else DensityMatrix(m, validation="relaxed").matrix
 
 
 def _state(rho, sys: BipartiteSystem) -> np.ndarray:
-    """The composite state ``rho`` as a checked array.
-
-    A 1-D ``rho`` is a pure state's amplitude vector psi and is returned as
-    one, validated as a ``DensityMatrix`` validates psi psi^dag: length N
-    (else DimensionMismatch), finite entries and a squared norm within the
-    trace tolerance of 1 (else ValidationError). Anything else is the
-    N x N matrix.
-    """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if m.ndim != 1:
-        m = mc.as_matrix(m)
-        sys.check(m)
-        return m
+    """The composite state ``rho`` as a checked array: a pure state's amplitude
+    vector psi (1-D) stays one, checked as a ``DensityMatrix`` checks
+    psi psi^dag: length N (else DimensionMismatch), finite entries and unit
+    squared norm (else ValidationError). Anything else goes to ``_matrix``."""
+    if isinstance(rho, DensityMatrix) or np.ndim(rho) != 1:
+        return _matrix(rho, sys)
+    m = np.asarray(rho, dtype=complex)
     if m.shape != (sys.dim,):
-        raise DimensionMismatch(
-            f"amplitude vector length {m.size} does not match composite dimension {sys.dim}"
-        )
+        raise DimensionMismatch(f"amplitude vector length {m.size} does not match "
+                                f"composite dimension {sys.dim}")
     if not np.isfinite(m).all():
         raise ValidationError("amplitude vector has non-finite entries")
     norm = float(np.vdot(m, m).real)
@@ -158,8 +160,13 @@ def _product_error(slab, ra: np.ndarray, rb: np.ndarray) -> float:
                for b in range(nb))
 
 
-def _reconstruction_error(rho: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> float:
-    r = rho.reshape(ra.shape[0], rb.shape[0], ra.shape[0], rb.shape[0])
+def _reconstruction_error(state: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> float:
+    """max |rho - kron(ra, rb)| of the N x N ``state``, or of the projector of
+    an amplitude vector ``state`` (``_pure_error``)."""
+    na, nb = ra.shape[0], rb.shape[0]
+    if state.ndim == 1:
+        return _pure_error(state.reshape(na, nb), ra, rb)
+    r = state.reshape(na, nb, na, nb)
     return _product_error(lambda k, alpha: r[k] if alpha else r[:, k], ra, rb)
 
 
@@ -173,6 +180,16 @@ def _pure_error(psi: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> float:
                           ra[np.ix_(rows, rows)], rb[np.ix_(cols, cols)])
 
 
+def _result(method: str, state: np.ndarray, ra: np.ndarray, rb: np.ndarray | None,
+            **run) -> ReductionResult:
+    """The epilogue of every reduction: wraps a pair built hermitian with unit
+    trace as relaxed states without a second check, with its reconstruction
+    error against ``state`` (amplitude vector or N x N; None without ``rb``)."""
+    error = None if rb is None else _reconstruction_error(state, ra, rb)
+    wrap = DensityMatrix._unchecked
+    return ReductionResult(wrap(ra), None if rb is None else wrap(rb), method, error, **run)
+
+
 def neumann_reduce(rho, sys: BipartiteSystem) -> ReductionResult:
     """Both partial traces of the composite state (the standard reduction).
 
@@ -183,18 +200,11 @@ def neumann_reduce(rho, sys: BipartiteSystem) -> ReductionResult:
     r = _state(rho, sys)
     if r.ndim == 1:
         psi = r.reshape(sys.dim_alpha, sys.dim_beta)
-        ra, rb = psi @ psi.conj().T, psi.T @ psi.conj()
-        error = _pure_error(psi, ra, rb)
-    else:
-        ra = mc.partial_trace(r, sys, over="beta")
-        rb = mc.partial_trace(r, sys, over="alpha")
-        error = _reconstruction_error(r, ra, rb)
-    return ReductionResult(
-        rho_alpha=DensityMatrix(ra, validation="relaxed"),
-        rho_beta=DensityMatrix(rb, validation="relaxed"),
-        method="neumann",
-        reconstruction_error=error,
-    )
+        return _result("neumann", r, psi @ psi.conj().T, psi.T @ psi.conj())
+    # Hermitized where built, so a relaxed input's asymmetry does not add up
+    # over the traced side; on hermitian input hermitize changes no bit.
+    ra = mc.hermitize(mc.partial_trace(r, sys, over="beta"))
+    return _result("neumann", r, ra, mc.hermitize(mc.partial_trace(r, sys, over="alpha")))
 
 
 def replacement_operator(rho, sys: BipartiteSystem, observed: str = "alpha") -> np.ndarray:
@@ -204,14 +214,12 @@ def replacement_operator(rho, sys: BipartiteSystem, observed: str = "alpha") -> 
     observed side keeps its partial trace and the unobserved side is replaced
     by the minimum-information state.
     """
-    r = _mat(rho)
-    sys.check(r)
+    r = _density(rho, sys)
+    na, nb = sys.dim_alpha, sys.dim_beta
     if observed == "alpha":
-        ra = mc.partial_trace(r, sys, over="beta")
-        return np.kron(ra, np.eye(sys.dim_beta) / sys.dim_beta)
+        return np.kron(mc.partial_trace(r, sys, over="beta"), np.eye(nb) / nb)
     if observed == "beta":
-        rb = mc.partial_trace(r, sys, over="alpha")
-        return np.kron(np.eye(sys.dim_alpha) / sys.dim_alpha, rb)
+        return np.kron(np.eye(na) / na, mc.partial_trace(r, sys, over="alpha"))
     raise ValueError(f"observed must be 'alpha' or 'beta', got {observed!r}")
 
 
@@ -251,16 +259,10 @@ def conditioned_reduce(rho, sys: BipartiteSystem, sigma, given_side: str) -> Red
     with that pair's reconstruction error.
     """
     r = _density(rho, sys)
-    cond = DensityMatrix(_condition(r, sys, _mat(sigma), given_side), validation="relaxed")
+    cond = _condition(r, sys, _matrix(sigma, sys, given_side), given_side)
     if given_side == "beta":
-        return ReductionResult(cond, None, "conditioned", None)
-    ra = mc.partial_trace(r, sys, over="beta")
-    return ReductionResult(
-        rho_alpha=DensityMatrix(ra, validation="relaxed"),
-        rho_beta=cond,
-        method="conditioned",
-        reconstruction_error=_reconstruction_error(r, ra, cond.matrix),
-    )
+        return _result("conditioned", r, cond, None)
+    return _result("conditioned", r, mc.hermitize(mc.partial_trace(r, sys, over="beta")), cond)
 
 
 def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
@@ -274,13 +276,7 @@ def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
         raise IndexOutOfRange(f"level {level} outside [0, {sys.dim_beta})")
     proj = np.zeros((sys.dim_beta, sys.dim_beta), dtype=complex)
     proj[level, level] = 1.0
-    ra = _condition(r, sys, proj, given_side="beta")
-    return ReductionResult(
-        rho_alpha=DensityMatrix(ra, validation="relaxed"),
-        rho_beta=DensityMatrix(proj, validation="relaxed"),
-        method="projective",
-        reconstruction_error=_reconstruction_error(r, ra, proj),
-    )
+    return _result("projective", r, _condition(r, sys, proj, given_side="beta"), proj)
 
 
 def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: float,
@@ -296,35 +292,30 @@ def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: f
     trace and hermitized, is the start. Returns (rho_alpha, rho_beta) with
     rho_beta = _condition(rho_alpha), the first sweep's beta update.
 
-    None where the start costs more than the sweeps it saves or could be
-    another fixed point than the loop from ``seed`` reaches:
-    min(Na, Nb) above ``CLOSED_FORM_MAX_DIM``; a relative gap
-    (lambda_1 - lambda_2) / lambda_1 at or below eps / tol, since eigh
-    places the top vector to about eps / gap and so not within tol; a trace
-    about 0, which is no state; and a seed whose overlap with the start is
-    below tol, which that vector does not resolve, and which is not drawn
-    toward it.
+    None where the start costs more than the sweeps it saves, is not
+    certified, or could be another fixed point than the loop from ``seed``
+    reaches: min(Na, Nb) above ``CLOSED_FORM_MAX_DIM``; a tie, a gap
+    lambda_1 - lambda_2 within tol * lambda_1; a residual ||G x - lambda_1 x||
+    of the top vector x not below tol * gap, the Davis-Kahan (1970) bound on
+    sin of its angle to the true one; a trace about 0, which is no state;
+    and a seed that overlaps the start by less than tol.
     """
     na, nb = sys.dim_alpha, sys.dim_beta
     if min(na, nb) > CLOSED_FORM_MAX_DIM:
         return None
     rr = r.reshape(na, nb, na, nb).transpose(0, 2, 1, 3).reshape(na * na, nb * nb)
     side, n, gram = ("alpha", na, rr @ rr.conj().T) if na <= nb else ("beta", nb, rr.T @ rr.conj())
-    try:
-        lam, vecs = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError:  # non-finite entries in rho
-        return None
-    top = vecs[:, -1].reshape(n, n)
-    trace = np.trace(top)
-    if not (np.all(tol * (lam[-1] - lam[:-1]) > EPS * lam[-1])
+    lam, vecs = np.linalg.eigh(gram)
+    x = vecs[:, -1]
+    gap = lam[-1] - (lam[-2] if lam.size > 1 else 0.0)
+    trace = np.trace(x.reshape(n, n))
+    if not (gap > tol * lam[-1] and np.linalg.norm(gram @ x - lam[-1] * x) < tol * gap
             and abs(trace) > NEAR_DEGENERACY_THRESHOLD):
         return None
-    state = mc.hermitize(top / trace)
+    state = mc.hermitize(x.reshape(n, n) / trace)
     try:
         ra = state if side == "alpha" else _condition(r, sys, state, "beta")
-        if seed.shape != ra.shape or not (
-            abs(np.vdot(ra, seed)) > tol * np.linalg.norm(ra) * np.linalg.norm(seed)
-        ):
+        if not abs(np.vdot(ra, seed)) > tol * np.linalg.norm(ra) * np.linalg.norm(seed):
             return None
         return ra, _condition(r, sys, ra, "alpha", warnings)
     except DegenerateOverlap:
@@ -348,11 +339,8 @@ def correlated_reduce(
     semidefinite map, so it has no period-2 cycle to detect.
 
     The loop starts at its closed-form fixed point, the top operator-Schmidt
-    pair (``_schmidt_start``), whose error the eigenvalue gap test bounds
-    below tol; the first sweep recomputes the pair and a converged run takes
-    one sweep. It keeps the seed's start where min(Na, Nb) exceeds
-    ``CLOSED_FORM_MAX_DIM``, the top of the spectrum is too close to a tie,
-    the top vector's trace is about 0 or the seed does not overlap it.
+    pair, where ``_schmidt_start`` certifies it; the first sweep recomputes
+    the pair and a converged run takes one sweep.
 
     Parameters
     ----------
@@ -369,17 +357,14 @@ def correlated_reduce(
 
     warnings: list[str] = []
     residuals: list[float] = []
-    ra = mc.partial_trace(r, sys, over="beta") if seed is None else _mat(seed)
+    ra = mc.partial_trace(r, sys, over="beta") if seed is None else _matrix(seed, sys, "alpha")
     start = _schmidt_start(r, sys, ra, tol, warnings)
     ra, rb = start or (ra, mc.partial_trace(r, sys, over="alpha"))
     verdict = "max_iter"
     try:
         for n in range(max_iter):
             # The closed-form start already holds the first sweep's beta update.
-            if n == 0 and start is not None:
-                rb_new = rb
-            else:
-                rb_new = _condition(r, sys, ra, "alpha", warnings)
+            rb_new = rb if n == 0 and start else _condition(r, sys, ra, "alpha", warnings)
             ra_new = _condition(r, sys, rb_new, "beta", warnings)
             residual = max(mc.max_abs_diff(ra_new, ra), mc.max_abs_diff(rb_new, rb))
             residuals.append(residual)
@@ -392,21 +377,13 @@ def correlated_reduce(
             raise
         verdict = "degenerate"
 
-    return ReductionResult(
-        rho_alpha=DensityMatrix(ra, validation="relaxed"),
-        rho_beta=DensityMatrix(rb, validation="relaxed"),
-        method="correlated",
-        reconstruction_error=_reconstruction_error(r, ra, rb),
-        verdict=verdict,
-        iterations=len(residuals),
-        residuals=residuals,
-        warnings=warnings,
-    )
+    return _result("correlated", r, ra, rb, verdict=verdict, iterations=len(residuals),
+                   residuals=residuals, warnings=warnings)
 
 
 def mean_value(rho_sub, a: Observable | np.ndarray) -> complex:
     """Mean value Tr(rho A) of a subsystem observable."""
-    r = _mat(rho_sub)
+    r = rho_sub.matrix if isinstance(rho_sub, DensityMatrix) else mc.as_matrix(rho_sub)
     m = a.matrix if isinstance(a, Observable) else mc.as_matrix(a)
     if r.shape != m.shape:
         raise DimensionMismatch(f"state shape {r.shape} vs observable shape {m.shape}")
@@ -436,17 +413,14 @@ def correlator(rho, sys: BipartiteSystem, a: Observable, b: Observable) -> Corre
     computed, by one contraction and no N x N product; the factorized forms
     additionally require nonnegative A, B with nonzero von Neumann means.
     """
-    r = _mat(rho)
-    sys.check(r)
+    r = _density(rho, sys)
     exact = complex(np.trace(mc._contract(r, sys, "beta", b.matrix) @ a.matrix))
     mean_a_n = mean_value(mc.partial_trace(r, sys, over="beta"), a)
     mean_b_n = mean_value(mc.partial_trace(r, sys, over="alpha"), b)
     ab_form = ba_form = None
     if abs(mean_a_n) > MEAN_ZERO_TOL and abs(mean_b_n) > MEAN_ZERO_TOL:
-        sigma_b = state_from_observable(b.matrix).matrix
-        sigma_a = state_from_observable(a.matrix).matrix
-        rho_alpha_b = _condition(r, sys, sigma_b, given_side="beta")
-        rho_beta_a = _condition(r, sys, sigma_a, given_side="alpha")
+        rho_alpha_b = _condition(r, sys, state_from_observable(b).matrix, given_side="beta")
+        rho_beta_a = _condition(r, sys, state_from_observable(a).matrix, given_side="alpha")
         ab_form = mean_value(rho_alpha_b, a) * mean_b_n
         ba_form = mean_a_n * mean_value(rho_beta_a, b)
     return CorrelatorBreakdown(

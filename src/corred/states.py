@@ -55,6 +55,13 @@ class DensityMatrix:
         if validation == "strict" and self.min_eigenvalue < -tol:
             raise ValidationError(f"negative eigenvalue {self.min_eigenvalue} below -{tol}")
 
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """A relaxed state of a complex matrix built hermitian with unit trace, stored as it is."""
+        dm = cls.__new__(cls)
+        dm.matrix, dm.validation, dm._min_eigenvalue = matrix, "relaxed", None
+        return dm
+
     @property
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the hermitian part, computed once and cached."""

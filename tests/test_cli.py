@@ -808,6 +808,7 @@ EXIT_CASES = [
     ("decompose-t-inf", "{}", [*DECOMPOSE, "--t", "inf"], 2),
     ("decompose-omega-nan", "{}", [*DECOMPOSE, "--omega", "nan"], 2),
     ("decompose-omega-neg-inf", "{}", [*DECOMPOSE, "--omega", "-inf"], 2),
+    ("decompose-omega-no-value", "{}", [*DECOMPOSE, "--omega"], 2),
     ("decompose-omega-eq-neg-inf", "{}", [*DECOMPOSE, "--omega=-inf"], 2),
     ("decompose-phi-nan", "{}", ["decompose", "spin_pair_initial", "--phi", "nan"], 2),
     ("decompose-theta-nan", "{}", ["decompose", "epr", "--theta", "nan"], 2),
@@ -883,11 +884,10 @@ def run_exit_case(tmp_path, capsys, config, argv) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
-# Rows that argparse rejects before corred sees them: a value that starts
-# with "-" and is not a number argparse knows (-inf) reads as an option.
-# Their stderr is argparse's usage and one "corred <cmd>: error:" line.
+# Rows that argparse rejects before corred sees them. Their stderr is
+# argparse's usage and one "corred <cmd>: error:" line.
 USAGE_ERRORS = {
-    "decompose-omega-neg-inf": "corred decompose: error: argument --omega: expected one argument",
+    "decompose-omega-no-value": "corred decompose: error: argument --omega: expected one argument",
 }
 
 
@@ -918,6 +918,7 @@ def test_fractional_integer_names_its_key(tmp_path, capsys, key):
     ("decompose-c-nan", "--c"),
     ("decompose-t-inf", "--t"),
     ("decompose-omega-nan", "--omega"),
+    ("decompose-omega-neg-inf", "--omega"),
     ("decompose-omega-eq-neg-inf", "--omega"),
     ("decompose-phi-nan", "--phi"),
     ("decompose-theta-nan", "--theta"),
@@ -927,6 +928,21 @@ def test_non_number_names_its_key(tmp_path, capsys, case, key):
     _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == case)
     _, err = run_exit_case(tmp_path, capsys, config, argv)
     assert f"{key} must be a finite number, got " in err
+
+
+@pytest.mark.parametrize("flag,value", [("--t", "-1e5"), ("--t", "-2.5E-3"), ("--omega", "-inf"),
+                                        ("--c", "-nan"), ("--tol", "-1")])
+def test_negative_value_after_a_space_reads_as_after_equals(capsys, flag, value):
+    runs = []
+    for argv in ([*DECOMPOSE, flag, value], [*DECOMPOSE, f"{flag}={value}"]):
+        code = cli.main(argv)
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    if math.isfinite(float(value)) and flag != "--tol":
+        assert json.loads(out)["verification"]["tolerance"] == 1e-10
+    else:
+        assert (code, out) == (2, "") and err.startswith(f"error: {flag} must be ")
 
 
 def test_module_entry_point_exit_status(tmp_path):

@@ -332,22 +332,41 @@ class TestClosedFormStart:
             assert abs(rep.rho_alpha.matrix[0, 0].real - limit_c) < 1e-12
 
     @pytest.mark.parametrize("offset", [1e-5, 5e-5, -5e-5])
-    def test_gap_at_or_below_eps_over_tol_keeps_the_seed_start(self, offset):
+    def test_near_tie_reaches_the_step_limit_in_one_sweep(self, offset):
         # The relative gap at 5 pi / 2 + offset is about 2 |offset|: 2e-5 and
-        # 1e-4 against eps / tol = 2.2e-4. The loop from the partial trace
-        # contracts at 1 - gap per sweep, so it ends at max_iter.
+        # 1e-4, below eps / tol = 2.2e-4. The loop from the partial trace
+        # contracts at 1 - gap per sweep, so it ends at max_iter; the Gram
+        # matrix is diagonal, so eigh's top vector has residual 0 and the
+        # certified start is the step limit.
         p = JcmParams(omega=1.0, rabi=1.0, n_max=1)
-        rho = jcm_vacuum_density(p, 5 * math.pi / 2 + offset).matrix
-        ra, rb, sweeps = gauss_seidel_reference(rho, jcm_system(p), max_iter=40)
-        assert sweeps is None
+        t = 5 * math.pi / 2 + offset
+        rho = jcm_vacuum_density(p, t).matrix
+        assert gauss_seidel_reference(rho, jcm_system(p), max_iter=40)[2] is None
         rep = red.correlated_reduce(rho, jcm_system(p), max_iter=40)
-        assert rep.verdict == "max_iter" and rep.iterations == 40
-        assert mc.max_abs_diff(rep.rho_alpha.matrix, ra) < 1e-14
-        assert mc.max_abs_diff(rep.rho_beta.matrix, rb) < 1e-14
+        assert rep.verdict == "converged" and rep.iterations == 1
+        limit_c, _ = models.jcm_correlated_limit(t, p)
+        assert abs(rep.rho_alpha.matrix[0, 0].real - limit_c) < 1e-12
+
+    @pytest.mark.parametrize("rabi", [0.7, 1.0, 2.3])
+    def test_jcm_near_tie_band_converges_in_one_sweep(self, rabi):
+        # Offsets of Omega t from the ties pi/2 and 9 pi/2, on both sides.
+        # From 2e-12 on, the step value; closer, where cos^2 - sin^2 is
+        # within 2e-12 of 0, the step value or 1/2.
+        p = JcmParams(omega=1.0, rabi=rabi, n_max=16)
+        for tie in (math.pi / 2, 9 * math.pi / 2):
+            for offset in (1e-14, 1e-12, 2e-12, 1e-10, 1e-8, 1e-6, 1e-4, 2e-4):
+                for t in ((tie + offset) / rabi, (tie - offset) / rabi):
+                    rep = red.correlated_reduce(models.jcm_vacuum_amplitudes(p, t), jcm_system(p))
+                    assert rep.verdict == "converged" and rep.iterations == 1
+                    pop = rep.rho_alpha.matrix[0, 0].real
+                    step = float(math.cos(rabi * t / 2) ** 2 > 0.5)
+                    allowed = (step,) if offset >= 2e-12 else (step, 0.5)
+                    assert min(abs(pop - v) for v in allowed) < 1e-12, (t, pop)
 
     @pytest.mark.parametrize("offset", [1.5e-4, -1.5e-4])
     def test_gap_just_above_eps_over_tol_starts_at_the_closed_form(self, offset):
-        # Relative gap 3e-4, 1.35 eps / tol.
+        # Relative gap 3e-4, 1.35 eps / tol: eigh alone places the top vector
+        # within tol here.
         p = JcmParams(omega=1.0, rabi=1.0, n_max=1)
         t = 5 * math.pi / 2 + offset
         rep = red.correlated_reduce(jcm_vacuum_density(p, t), jcm_system(p), max_iter=40)
@@ -402,13 +421,6 @@ class TestClosedFormStart:
         assert mc.max_abs_diff(rep.rho_beta.matrix, rb) < 1e-15
         top = red.correlated_reduce(rho, SYS22)
         assert mc.max_abs_diff(top.rho_alpha.matrix, p0) < 1e-15
-
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_array_fails_as_the_sweep_loop_does(self):
-        # eigh cannot take NaN; the loop from the seed runs and its NaN
-        # result fails validation.
-        with pytest.raises(ValidationError, match="non-finite"):
-            red.correlated_reduce(np.full((4, 4), np.nan), SYS22, max_iter=3)
 
 
 @st.composite
@@ -477,6 +489,19 @@ class TestAmplitudeVectorInput:
             assert mc.max_abs_diff(got.rho_beta.matrix, want.rho_beta.matrix) < 1e-12
             assert abs(got.reconstruction_error - want.reconstruction_error) < 1e-12
 
+    def test_replacement_operator_and_correlator_take_a_vector(self, rng):
+        sys_ = BipartiteSystem(2, 3)
+        psi = random_amplitudes(rng, sys_.dim)
+        dense = np.outer(psi, psi.conj())
+        for observed in ("alpha", "beta"):
+            got = red.replacement_operator(psi, sys_, observed)
+            assert mc.max_abs_diff(got, red.replacement_operator(dense, sys_, observed)) < 1e-15
+        a = Observable(np.diag([1.0, 0.5]))
+        b = Observable(np.diag([0.2, 1.0, 0.7]))
+        got, want = red.correlator(psi, sys_, a, b), red.correlator(dense, sys_, a, b)
+        assert abs(got.exact - want.exact) < 1e-15
+        assert abs(got.ab_form - want.ab_form) < 1e-15
+
     def test_jcm_vacuum_vector_and_density_agree_exactly(self):
         p = JcmParams(1.0, 1.0, n_max=16)
         for t in (0.4, 2.0, 7.3):
@@ -531,6 +556,105 @@ class TestAmplitudeVectorInput:
         finally:
             tracemalloc.stop()
         assert peak < sys_.dim**2 * 16  # one 514 x 514 complex matrix, 4.2 MB
+
+
+def _bad_state(edit: str, n: int) -> np.ndarray:
+    """A copy of an n x n state made invalid by ``edit``."""
+    m = random_density(np.random.default_rng(7), n + (edit == "shape")).matrix.copy()
+    if edit == "non-hermitian":
+        m[0, 1] += 0.1
+    elif edit == "trace-2":
+        m *= 2
+    elif edit in ("nan", "inf"):
+        m[0, 0] = float(edit)
+    return m
+
+
+_A, _B = Observable(np.diag([1.0, 0.2])), Observable(np.diag([0.3, 1.0]))
+#: Each entry point with the argument under test in the place of x: the
+#: composite rho (4 x 4) or a one-side state (2 x 2).
+ENTRY_POINTS = {
+    "neumann_reduce": (4, lambda x: red.neumann_reduce(x, SYS22)),
+    "conditioned_reduce": (4, lambda x: red.conditioned_reduce(x, SYS22, np.eye(2) / 2, "beta")),
+    "projective_reduce": (4, lambda x: red.projective_reduce(x, SYS22, 0)),
+    "correlated_reduce": (4, lambda x: red.correlated_reduce(x, SYS22)),
+    "replacement_operator": (4, lambda x: red.replacement_operator(x, SYS22)),
+    "correlator": (4, lambda x: red.correlator(x, SYS22, _A, _B)),
+    "sigma": (2, lambda x: red.conditioned_reduce(epr_state(), SYS22, x, "alpha")),
+    "seed": (2, lambda x: red.correlated_reduce(epr_state(), SYS22, seed=x)),
+}
+
+
+@st.composite
+def reduction_inputs(draw):
+    """(rho, system) with rho a dense state, a raw matrix with up to 1e-11
+    asymmetry or an amplitude vector, of dims 1-4 x 1-4."""
+    na, nb = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "relaxed", "vector"]))
+    if kind == "vector":
+        return random_amplitudes(rng, na * nb), BipartiteSystem(na, nb)
+    rho = random_density(rng, na * nb)
+    if kind == "relaxed":
+        asymmetry = np.triu(rng.uniform(-1e-11, 1e-11, (na * nb, na * nb)), 1)
+        return rho.matrix + asymmetry, BipartiteSystem(na, nb)
+    return rho, BipartiteSystem(na, nb)
+
+
+#: The error each edit of ``_bad_state`` raises, and a phrase of its message.
+REJECTIONS = {
+    "non-hermitian": (ValidationError, "not hermitian"),
+    "trace-2": (ValidationError, "trace must be 1"),
+    "nan": (ValidationError, "non-finite"),
+    "inf": (ValidationError, "non-finite"),
+    "shape": (DimensionMismatch, "does not match"),
+}
+
+
+class TestEntryCheck:
+    @pytest.mark.parametrize("edit", list(REJECTIONS))
+    @pytest.mark.parametrize("target", list(ENTRY_POINTS))
+    def test_invalid_state_rejected_at_entry(self, monkeypatch, target, edit):
+        n, call = ENTRY_POINTS[target]
+        bad = _bad_state(edit, n)
+        error, message = REJECTIONS[edit]
+
+        def contract(*args, **kwargs):
+            raise AssertionError("a contraction ran on unchecked input")
+
+        monkeypatch.setattr(mc, "_contract", contract)
+        with pytest.raises(error, match=message):
+            call(bad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(reduction_inputs(), st.integers(0, 2**32 - 1))
+    def test_reduced_states_pass_the_relaxed_check(self, case, seed):
+        rho, sys_ = case
+        rng = np.random.default_rng(seed)
+        results = [
+            red.neumann_reduce(rho, sys_),
+            red.conditioned_reduce(rho, sys_, random_density(rng, sys_.dim_alpha), "alpha"),
+            red.conditioned_reduce(rho, sys_, random_density(rng, sys_.dim_beta).matrix, "beta"),
+            red.projective_reduce(rho, sys_, int(rng.integers(sys_.dim_beta))),
+            red.correlated_reduce(rho, sys_, max_iter=500),
+        ]
+        for res in results:
+            for m in (res.rho_alpha, res.rho_beta):
+                if m is not None:
+                    DensityMatrix(m.matrix, validation="relaxed")
+
+    def test_hermiticity_is_checked_once_at_entry(self, rng, monkeypatch):
+        p = JcmParams(1.0, 1.0, n_max=16)
+        psi, sys_ = models.jcm_vacuum_amplitudes(p, 0.7), jcm_system(p)
+        rho = random_density(rng, 4)
+        calls = []
+        is_hermitian = mc.is_hermitian
+        monkeypatch.setattr(mc, "is_hermitian", lambda *a: calls.append(1) or is_hermitian(*a))
+        red.neumann_reduce(psi, sys_)
+        red.neumann_reduce(rho, SYS22)
+        assert len(calls) == 0
+        red.neumann_reduce(rho.matrix, SYS22)
+        assert len(calls) == 1
 
 
 class TestMeanValue:
