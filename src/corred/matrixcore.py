@@ -1,7 +1,8 @@
 """Dense complex linear algebra for bipartite systems.
 
 The composite index layout (``BipartiteSystem``), the one contraction kernel
-behind partial traces and conditioning (``_contract``), the comparison and
+behind partial traces and conditioning, of an N x N state or of a pure
+state's amplitude vector (``_contract``), the comparison and
 hermiticity helpers, and the JSON (de)serialization of complex matrices.
 Kronecker products and eigendecompositions are numpy's own (``np.kron``,
 ``np.linalg.eigh``).
@@ -16,6 +17,8 @@ two-level system), and the composite index of the pair (i, i') is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -35,7 +38,8 @@ def as_matrix(data) -> np.ndarray:
 
 def max_abs_diff(a, b) -> float:
     """Max-abs elementwise difference, the comparison metric used throughout."""
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if np.asarray(a).size else 0.0
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
 def matrices_close(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -108,24 +112,32 @@ def partial_trace(rho, sys: BipartiteSystem, over: str) -> np.ndarray:
     return _contract(as_matrix(rho), sys, over)
 
 
-def _contract(rho: np.ndarray, sys: BipartiteSystem, over: str,
+def _contract(state: np.ndarray, sys: BipartiteSystem, over: str,
               weight: np.ndarray | None = None) -> np.ndarray:
     """Sp_over(rho W'), with W' the weight W on ``over`` extended by the identity.
 
     W' is W x 1 for ``over='alpha'`` and 1 x W for ``over='beta'``; with no
-    weight this is the partial trace. One einsum on the (Na, Nb, Na, Nb) view
-    of rho costs O(Na^2 Nb^2) and never forms W' or the O(N^3) product rho W'.
+    weight this is the partial trace. ``state`` is the N x N rho or a pure
+    state's amplitude vector psi, rho = psi psi^dag. One einsum on the
+    (Na, Nb, Na, Nb) view of rho costs O(Na^2 Nb^2) and never forms W' or the
+    O(N^3) product rho W'. On psi, with P = Psi = psi.reshape(Na, Nb) over
+    beta and P = Psi^T over alpha, it is P P^dag, or P W^T P^dag with a
+    weight: O(Na Nb (Na + Nb)), and psi psi^dag is never formed.
     """
-    sys.check(rho)
     na, nb = sys.dim_alpha, sys.dim_beta
-    r = rho.reshape(na, nb, na, nb)
     if over not in ("alpha", "beta"):
         raise ValueError(f"over must be 'alpha' or 'beta', got {over!r}")
+    n = na if over == "alpha" else nb
+    if weight is not None and weight.shape != (n, n):
+        raise DimensionMismatch(f"operator shape {weight.shape} does not match dim_{over}={n}")
+    if state.ndim == 1:
+        psi = state.reshape(na, nb)
+        p = psi if over == "beta" else psi.T
+        return (p if weight is None else p @ weight.T) @ p.conj().T
+    sys.check(state)
+    r = state.reshape(na, nb, na, nb)
     if weight is None:
         return np.einsum("ibjb->ij" if over == "beta" else "aiaj->ij", r)
-    n = na if over == "alpha" else nb
-    if weight.shape != (n, n):
-        raise DimensionMismatch(f"operator shape {weight.shape} does not match dim_{over}={n}")
     if over == "alpha":
         return np.einsum("ibjc,ji->bc", r, weight)
     return np.einsum("ibjc,cb->ij", r, weight)
@@ -156,5 +168,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     data = obj["data"]
     if len(data) != rows * cols:
         raise DimensionMismatch(f"data length {len(data)} != rows*cols = {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data])
-    return flat.reshape(rows, cols)
+    if not set(map(len, data)) <= {2}:
+        raise ValueError("data entries must be [re, im] pairs")
+    flat = list(chain.from_iterable(data))
+    # bool is a Real, and JSON true/false would otherwise read as 1 and 0.
+    if any(t is bool or not issubclass(t, Real) for t in set(map(type, flat))):
+        raise ValueError("data entries must be numbers")
+    return np.array(flat, dtype=float).view(complex).reshape(rows, cols)

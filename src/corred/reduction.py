@@ -11,21 +11,24 @@ States are checked once, at entry (``_state``, ``_matrix``): a
 ``DensityMatrix`` is taken as it is; a raw matrix, whether the composite
 ``rho``, a ``sigma`` or a ``seed``, must have the right shape and pass the
 relaxed ``DensityMatrix`` check (finite, hermitian, unit trace). ``rho`` may
-also be a pure state's amplitude vector psi (1-D, length N), which
-``neumann_reduce`` reduces from Psi = psi.reshape(Na, Nb) and the other
-reductions turn into psi psi^dag once. The reduced states are built
-hermitian with unit trace, and one epilogue (``_result``) wraps them
-without a second check and takes the reconstruction error slab by slab, so
-no N x N temporary is built.
+also be a pure state's amplitude vector psi (1-D, length N). It stays a
+vector through every reduction: the one contraction kernel
+(``matrixcore._contract``) takes partial traces and conditionings from
+Psi = psi.reshape(Na, Nb), and no reduction forms psi psi^dag. The reduced
+states are built hermitian with unit trace, and one epilogue (``_result``)
+wraps them without a second check and takes the reconstruction error slab by
+slab, so no N x N temporary is built.
 
 The correlated fixed point is the top pair of rho's operator-Schmidt
 decomposition, its nearest Kronecker product (Van Loan & Pitsianis 1993),
-which each Gauss-Seidel sweep approaches by one power-iteration step. Where
-min(Na, Nb) <= CLOSED_FORM_MAX_DIM the loop starts at that pair, from the
-top eigenvector of a small Gram matrix, once an a-posteriori residual test
-bounds its error below tol (``_schmidt_start``); a converged run then takes
-one sweep. Otherwise it starts at the given alpha state, by default the
-partial trace.
+which each Gauss-Seidel sweep approaches by one power-iteration step. The
+loop starts at that pair, from the top eigenvector of a small Gram matrix,
+once an a-posteriori residual test bounds its error below tol
+(``_schmidt_start``); a converged run then takes one sweep. For psi the pair
+is the projector pair on the top Schmidt vectors of Psi, from the Gram
+Psi Psi^dag or Psi^T Psi^* of the smaller side, at any size; for an N x N
+rho the start needs min(Na, Nb) <= CLOSED_FORM_MAX_DIM. Otherwise the loop
+starts at the given alpha state, by default the partial trace.
 """
 
 from __future__ import annotations
@@ -55,12 +58,19 @@ NEAR_DEGENERACY_THRESHOLD = 1e-10
 
 MEAN_ZERO_TOL = 1e-12
 
-#: Largest min(Na, Nb) at which the Gauss-Seidel loop starts at its closed
-#: form. With n = min(Na, Nb) and m the other dimension, the start costs the
-#: flops of about n^2 / 2 sweeps for the Gram matrix plus an n^2 x n^2 eigh
-#: growing as n^6 against a sweep's n^2 m^2: a few sweeps at n <= 4, where
-#: a loop from the partial trace takes 10 to 17 on random states and
-#: thousands near a tie, but at n = 16 an eigh alone of about 35 sweeps.
+#: Entries (Na Nb)^2 up to which ``_product_error`` compares the whole state
+#: in one block: below it numpy's per-call cost, not the temporary, is what
+#: slabs would spend.
+WHOLE_ERROR_ENTRIES = 4096
+
+#: Largest min(Na, Nb) at which the Gauss-Seidel loop starts an N x N rho at
+#: its closed form; an amplitude vector starts there at any size, since its
+#: Gram is only n x n. With n = min(Na, Nb) and m the other dimension, the
+#: start on a matrix costs the flops of about n^2 / 2 sweeps for the Gram
+#: matrix plus an n^2 x n^2 eigh growing as n^6 against a sweep's n^2 m^2:
+#: a few sweeps at n <= 4, where a loop from the partial trace takes 10 to
+#: 17 on random states and thousands near a tie, but at n = 16 an eigh alone
+#: of about 35 sweeps.
 CLOSED_FORM_MAX_DIM = 4
 
 
@@ -96,13 +106,6 @@ def _state(rho, sys: BipartiteSystem) -> np.ndarray:
     if abs(norm - 1.0) > max(POSITIVITY_TOL, 1e-12):
         raise ValidationError(f"squared norm of the amplitude vector must be 1, got {norm}")
     return m
-
-
-def _density(rho, sys: BipartiteSystem) -> np.ndarray:
-    """The composite state as a checked N x N matrix; an amplitude vector
-    becomes its projector here, once."""
-    r = _state(rho, sys)
-    return mc.projector(r) if r.ndim == 1 else r
 
 
 @dataclass(frozen=True)
@@ -149,10 +152,14 @@ def _product_error(slab, ra: np.ndarray, rb: np.ndarray) -> float:
 
     Taken one slab of the smaller side at a time: ``slab(k, True)`` is
     rho[k] (Nb, Na, Nb) and ``slab(k, False)`` is rho[:, k] (Na, Na, Nb),
-    so no temporary has N x N entries. The products are np.kron's,
-    ra[i,j] * rb[b,c], so the value equals max |rho - kron(ra, rb)| exactly.
+    so no temporary has N x N entries; up to ``WHOLE_ERROR_ENTRIES`` one
+    block, ``slab(slice(None), True)``, is the whole view. The products are
+    np.kron's, ra[i,j] * rb[b,c], so the value equals max |rho - kron(ra, rb)|
+    exactly.
     """
     na, nb = ra.shape[0], rb.shape[0]
+    if (na * nb) ** 2 <= WHOLE_ERROR_ENTRIES:
+        return mc.max_abs_diff(slab(slice(None), True), ra[:, None, :, None] * rb[None, :, None, :])
     if na <= nb:
         return max(mc.max_abs_diff(slab(i, True), ra[i][None, :, None] * rb[:, None, :])
                    for i in range(na))
@@ -174,10 +181,11 @@ def _pure_error(psi: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> float:
     """``_reconstruction_error`` of psi psi^dag, Psi = ``psi`` (Na, Nb), taken
     over the rows and columns of Psi that hold a nonzero entry: outside them
     psi_ib psi_jc^* and ra[i,j] rb[b,c] are both exactly 0."""
-    rows, cols = np.flatnonzero(psi.any(axis=1)), np.flatnonzero(psi.any(axis=0))
-    p = psi[np.ix_(rows, cols)]
-    return _product_error(lambda k, alpha: np.multiply.outer(p[k] if alpha else p[:, k], p.conj()),
-                          ra[np.ix_(rows, rows)], rb[np.ix_(cols, cols)])
+    rows, cols = psi.any(axis=1), psi.any(axis=0)
+    p = psi[rows][:, cols]
+    pc = p.conj()
+    return _product_error(lambda k, alpha: np.multiply.outer(p[k] if alpha else p[:, k], pc),
+                          ra[rows][:, rows], rb[cols][:, cols])
 
 
 def _result(method: str, state: np.ndarray, ra: np.ndarray, rb: np.ndarray | None,
@@ -198,13 +206,12 @@ def neumann_reduce(rho, sys: BipartiteSystem) -> ReductionResult:
     psi psi^dag is never formed.
     """
     r = _state(rho, sys)
+    ra, rb = mc._contract(r, sys, "beta"), mc._contract(r, sys, "alpha")
     if r.ndim == 1:
-        psi = r.reshape(sys.dim_alpha, sys.dim_beta)
-        return _result("neumann", r, psi @ psi.conj().T, psi.T @ psi.conj())
+        return _result("neumann", r, ra, rb)
     # Hermitized where built, so a relaxed input's asymmetry does not add up
     # over the traced side; on hermitian input hermitize changes no bit.
-    ra = mc.hermitize(mc.partial_trace(r, sys, over="beta"))
-    return _result("neumann", r, ra, mc.hermitize(mc.partial_trace(r, sys, over="alpha")))
+    return _result("neumann", r, mc.hermitize(ra), mc.hermitize(rb))
 
 
 def replacement_operator(rho, sys: BipartiteSystem, observed: str = "alpha") -> np.ndarray:
@@ -214,12 +221,12 @@ def replacement_operator(rho, sys: BipartiteSystem, observed: str = "alpha") -> 
     observed side keeps its partial trace and the unobserved side is replaced
     by the minimum-information state.
     """
-    r = _density(rho, sys)
+    r = _state(rho, sys)
     na, nb = sys.dim_alpha, sys.dim_beta
     if observed == "alpha":
-        return np.kron(mc.partial_trace(r, sys, over="beta"), np.eye(nb) / nb)
+        return np.kron(mc._contract(r, sys, "beta"), np.eye(nb) / nb)
     if observed == "beta":
-        return np.kron(np.eye(na) / na, mc.partial_trace(r, sys, over="alpha"))
+        return np.kron(np.eye(na) / na, mc._contract(r, sys, "alpha"))
     raise ValueError(f"observed must be 'alpha' or 'beta', got {observed!r}")
 
 
@@ -228,13 +235,14 @@ def _condition(rho: np.ndarray, sys: BipartiteSystem, sigma: np.ndarray, given_s
     """Raw conditioned reduction: Sp_given(rho sigma') / Sp(rho sigma').
 
     sigma' is sigma extended by the identity on the other side. The numerator
-    is one contraction of rho's (Na, Nb, Na, Nb) view with sigma, O(Na^2 Nb^2)
-    for N = Na Nb, where forming sigma' and the product rho sigma' would cost
-    O(N^3). Returns the hermitized, trace-normalized reduced matrix of the
-    side opposite to ``given_side``.
+    is one contraction with sigma (``matrixcore._contract``): O(Na^2 Nb^2) on
+    rho's (Na, Nb, Na, Nb) view for N = Na Nb, O(Na Nb (Na + Nb)) on an
+    amplitude vector, where forming sigma' and the product rho sigma' would
+    cost O(N^3). Returns the reduced matrix of the side opposite to
+    ``given_side``: the numerator hermitized, divided once by its real trace.
     """
-    numerator = mc._contract(rho, sys, given_side, sigma)
-    denom = float(np.real(np.trace(numerator)))
+    numerator = mc.hermitize(mc._contract(rho, sys, given_side, sigma))
+    denom = float(numerator.trace().real)
     if abs(denom) < DEGENERACY_THRESHOLD:
         raise DegenerateOverlap(
             f"overlap denominator {denom:.3e} below {DEGENERACY_THRESHOLD:.0e}; "
@@ -245,8 +253,7 @@ def _condition(rho: np.ndarray, sys: BipartiteSystem, sigma: np.ndarray, given_s
         log.warning(msg)
         if warnings is not None:
             warnings.append(msg)
-    out = mc.hermitize(numerator / denom)
-    return out / np.real(out.trace())
+    return numerator / denom
 
 
 def conditioned_reduce(rho, sys: BipartiteSystem, sigma, given_side: str) -> ReductionResult:
@@ -258,11 +265,11 @@ def conditioned_reduce(rho, sys: BipartiteSystem, sigma, given_side: str) -> Red
     error. Given alpha, it is (partial trace over beta, conditioned beta)
     with that pair's reconstruction error.
     """
-    r = _density(rho, sys)
+    r = _state(rho, sys)
     cond = _condition(r, sys, _matrix(sigma, sys, given_side), given_side)
     if given_side == "beta":
         return _result("conditioned", r, cond, None)
-    return _result("conditioned", r, mc.hermitize(mc.partial_trace(r, sys, over="beta")), cond)
+    return _result("conditioned", r, mc.hermitize(mc._contract(r, sys, "beta")), cond)
 
 
 def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
@@ -271,7 +278,7 @@ def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
     Pairs the conditioned alpha state with the beta projector itself, the
     quantum-nondemolition-measurement limit.
     """
-    r = _density(rho, sys)
+    r = _state(rho, sys)
     if not 0 <= level < sys.dim_beta:
         raise IndexOutOfRange(f"level {level} outside [0, {sys.dim_beta})")
     proj = np.zeros((sys.dim_beta, sys.dim_beta), dtype=complex)
@@ -289,30 +296,43 @@ def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: f
     top eigenvector of the Gram matrix R R^dag (Na^2 x Na^2), or, read on
     the beta side, of R^T R^* (Nb^2 x Nb^2); the smaller one is one matmul
     of the realigned copy. That vector, reshaped to a matrix, divided by its
-    trace and hermitized, is the start. Returns (rho_alpha, rho_beta) with
-    rho_beta = _condition(rho_alpha), the first sweep's beta update.
+    trace and hermitized, is the start. For an amplitude vector psi,
+    R R^dag = G x G^* with G = Psi Psi^dag (or Psi^T Psi^* on the beta side),
+    so the start is x x^dag for the top eigenvector x of the min(Na, Nb)
+    square G, with the same relative gap, and no realigned copy is made.
+    Returns (rho_alpha, rho_beta) with rho_beta = _condition(rho_alpha), the
+    first sweep's beta update.
 
     None where the start costs more than the sweeps it saves, is not
     certified, or could be another fixed point than the loop from ``seed``
-    reaches: min(Na, Nb) above ``CLOSED_FORM_MAX_DIM``; a tie, a gap
-    lambda_1 - lambda_2 within tol * lambda_1; a residual ||G x - lambda_1 x||
-    of the top vector x not below tol * gap, the Davis-Kahan (1970) bound on
-    sin of its angle to the true one; a trace about 0, which is no state;
-    and a seed that overlaps the start by less than tol.
+    reaches: an N x N rho with min(Na, Nb) above ``CLOSED_FORM_MAX_DIM``; a
+    tie, a gap lambda_1 - lambda_2 within tol * lambda_1; a residual
+    ||G x - lambda_1 x|| of the top vector x not below tol * gap, the
+    Davis-Kahan (1970) bound on sin of its angle to the true one; a trace
+    about 0, which is no state; and a seed that overlaps the start by less
+    than tol.
     """
     na, nb = sys.dim_alpha, sys.dim_beta
-    if min(na, nb) > CLOSED_FORM_MAX_DIM:
+    side, n = ("alpha", na) if na <= nb else ("beta", nb)
+    if r.ndim == 1:
+        gram = mc._contract(r, sys, "beta" if side == "alpha" else "alpha")
+    elif n > CLOSED_FORM_MAX_DIM:
         return None
-    rr = r.reshape(na, nb, na, nb).transpose(0, 2, 1, 3).reshape(na * na, nb * nb)
-    side, n, gram = ("alpha", na, rr @ rr.conj().T) if na <= nb else ("beta", nb, rr.T @ rr.conj())
+    else:
+        rr = r.reshape(na, nb, na, nb).transpose(0, 2, 1, 3).reshape(na * na, nb * nb)
+        gram = rr @ rr.conj().T if side == "alpha" else rr.T @ rr.conj()
+    # eigh reads one triangle and ignores the roundoff imaginary parts of a
+    # matmul's diagonal, which the residual below would count against x.
+    gram = mc.hermitize(gram)
     lam, vecs = np.linalg.eigh(gram)
     x = vecs[:, -1]
     gap = lam[-1] - (lam[-2] if lam.size > 1 else 0.0)
-    trace = np.trace(x.reshape(n, n))
+    top = x[:, None] * x.conj() if r.ndim == 1 else x.reshape(n, n)
+    trace = top.trace()
     if not (gap > tol * lam[-1] and np.linalg.norm(gram @ x - lam[-1] * x) < tol * gap
             and abs(trace) > NEAR_DEGENERACY_THRESHOLD):
         return None
-    state = mc.hermitize(x.reshape(n, n) / trace)
+    state = mc.hermitize(top / trace)
     try:
         ra = state if side == "alpha" else _condition(r, sys, state, "beta")
         if not abs(np.vdot(ra, seed)) > tol * np.linalg.norm(ra) * np.linalg.norm(seed):
@@ -349,7 +369,7 @@ def correlated_reduce(
         form; the partial trace over beta by default. The beta iterate then
         starts at the partial trace over alpha.
     """
-    r = _density(rho, sys)
+    r = _state(rho, sys)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not tol > 0:
@@ -357,16 +377,18 @@ def correlated_reduce(
 
     warnings: list[str] = []
     residuals: list[float] = []
-    ra = mc.partial_trace(r, sys, over="beta") if seed is None else _matrix(seed, sys, "alpha")
+    ra = mc._contract(r, sys, "beta") if seed is None else _matrix(seed, sys, "alpha")
     start = _schmidt_start(r, sys, ra, tol, warnings)
-    ra, rb = start or (ra, mc.partial_trace(r, sys, over="alpha"))
+    ra, rb = start or (ra, mc._contract(r, sys, "alpha"))
     verdict = "max_iter"
     try:
         for n in range(max_iter):
             # The closed-form start already holds the first sweep's beta update.
             rb_new = rb if n == 0 and start else _condition(r, sys, ra, "alpha", warnings)
             ra_new = _condition(r, sys, rb_new, "beta", warnings)
-            residual = max(mc.max_abs_diff(ra_new, ra), mc.max_abs_diff(rb_new, rb))
+            residual = mc.max_abs_diff(ra_new, ra)
+            if rb_new is not rb:  # a reused beta iterate has not moved
+                residual = max(residual, mc.max_abs_diff(rb_new, rb))
             residuals.append(residual)
             ra, rb = ra_new, rb_new
             if residual < tol:
@@ -413,10 +435,10 @@ def correlator(rho, sys: BipartiteSystem, a: Observable, b: Observable) -> Corre
     computed, by one contraction and no N x N product; the factorized forms
     additionally require nonnegative A, B with nonzero von Neumann means.
     """
-    r = _density(rho, sys)
+    r = _state(rho, sys)
     exact = complex(np.trace(mc._contract(r, sys, "beta", b.matrix) @ a.matrix))
-    mean_a_n = mean_value(mc.partial_trace(r, sys, over="beta"), a)
-    mean_b_n = mean_value(mc.partial_trace(r, sys, over="alpha"), b)
+    mean_a_n = mean_value(mc._contract(r, sys, "beta"), a)
+    mean_b_n = mean_value(mc._contract(r, sys, "alpha"), b)
     ab_form = ba_form = None
     if abs(mean_a_n) > MEAN_ZERO_TOL and abs(mean_b_n) > MEAN_ZERO_TOL:
         rho_alpha_b = _condition(r, sys, state_from_observable(b).matrix, given_side="beta")

@@ -199,6 +199,57 @@ class TestRun:
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
 
 
+def forbid_composite_matrices(monkeypatch):
+    """Make every builder of an N x N composite state raise, and the
+    contraction kernel reject any composite that is not an amplitude vector."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an N x N composite array was formed")
+
+    for module, name in [(models, "jcm_vacuum_density"), (models, "spin_pair_density"),
+                         (mc, "projector"), (np, "kron"), (np, "outer")]:
+        monkeypatch.setattr(module, name, forbidden)
+    contract = mc._contract
+
+    def vector_only(state, *args):
+        assert state.ndim == 1, f"an N x N composite {state.shape} reached the contraction"
+        return contract(state, *args)
+
+    monkeypatch.setattr(mc, "_contract", vector_only)
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("jcm_vacuum", {"n_max": 64}),
+    ("spin_pair", {"c": 0.5, "phi": 0.2, "j": 0.3}),
+])
+@pytest.mark.parametrize("reduction_cfg", [
+    {"method": "projective", "level": 0},
+    {"method": "conditioned", "state": "{sigma}", "given_side": "alpha"},
+    {"method": "conditioned", "state": "{sigma}", "given_side": "beta"},
+    {"method": "correlated"},
+], ids=["projective", "conditioned-alpha", "conditioned-beta", "correlated"])
+def test_pure_conditioned_and_correlated_runs_form_no_composite_matrix(
+        tmp_path, capsys, monkeypatch, experiment, params, reduction_cfg):
+    side = reduction_cfg.get("given_side")
+    sys_ = models.SPIN_PAIR_SYSTEM if experiment == "spin_pair" else models.jcm_system(
+        models.JcmParams(1.0, 1.0, n_max=params["n_max"]))
+    dim = sys_.dim_alpha if side == "alpha" else sys_.dim_beta
+    sigma = write_state(tmp_path, "sigma.json", minimum_information_state(dim))
+    rcfg = {k: sigma if v == "{sigma}" else v for k, v in reduction_cfg.items()}
+    forbid_composite_matrices(monkeypatch)
+    cfg = {
+        "experiment": experiment,
+        "params": params,
+        "time_grid": {"start": 0.0, "stop": 6.0, "steps": 9},
+        "reduction": rcfg,
+        "output": {"format": "json"},
+    }
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 9
+    if rcfg["method"] == "correlated":
+        assert all(row["verdict"] == "converged" for row in rows)
+
+
 @pytest.mark.parametrize("experiment, params, populations", [
     ("jcm_vacuum", {"n_max": 64}, lambda t: (math.cos(t / 2) ** 2, math.sin(t / 2) ** 2)),
     ("spin_pair", {"c": 0.5, "phi": 0.2},
@@ -206,12 +257,7 @@ class TestRun:
 ])
 def test_pure_neumann_run_forms_no_composite_matrix(tmp_path, capsys, monkeypatch,
                                                     experiment, params, populations):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an N x N composite array was formed")
-
-    for module, name in [(models, "jcm_vacuum_density"), (models, "spin_pair_density"),
-                         (mc, "projector"), (np, "kron"), (np, "outer")]:
-        monkeypatch.setattr(module, name, forbidden)
+    forbid_composite_matrices(monkeypatch)
     cfg = {
         "experiment": experiment,
         "params": params,
@@ -663,6 +709,7 @@ class TestValidate:
     @pytest.mark.parametrize("name, reason", [
         ("int-overflow", "int too large to convert to float"),
         ("deep", "maximum recursion depth exceeded"),
+        ("data-bool", "data entries must be numbers"),
     ])
     def test_unreadable_number_or_depth_reported_invalid(self, tmp_path, capsys, name, reason):
         path = tmp_path / "state.json"
@@ -704,6 +751,8 @@ SIZE_FILES = {
 STATE_TEXTS = {
     "int-overflow": '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ", 0]]}",
     "deep": "[" * 200_000 + "]" * 200_000,
+    # JSON booleans, which would read as 1 and 0 and give trace 1.5.
+    "data-bool": '{"rows": 2, "cols": 2, "data": [[0.5, 0], [0, 0], [0, 0], [true, false]]}',
 }
 EXIT_CASES = [
     ("ok", '{"experiment": "epr"}', RUN, 0),
@@ -862,6 +911,8 @@ EXIT_CASES = [
         2,
     ),
     ("reduce-deep", "{}", ["reduce", "{dir}/deep.json", "--dims", "1", "1"], 2),
+    ("reduce-data-bool", "{}", ["reduce", "{dir}/data-bool.json", "--dims", "2", "1"], 2),
+    ("validate-data-bool", "{}", ["validate", "{dir}/data-bool.json"], 2),
     ("experiment-deep", '{"experiment": ' + "[" * 200_000 + "]" * 200_000 + "}", RUN, 2),
 ]
 
@@ -900,6 +951,8 @@ def test_exit_code_map(tmp_path, capsys, name, config, argv, code):
     elif name in USAGE_ERRORS:
         assert err.startswith("usage: corred ")
         assert err.splitlines()[-1] == USAGE_ERRORS[name]
+    elif argv[0] == "validate":  # reports its verdict on stdout
+        assert err == ""
     else:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")

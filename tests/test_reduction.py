@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -424,10 +425,10 @@ class TestClosedFormStart:
 
 
 @st.composite
-def amplitude_vectors(draw):
-    """(psi, system) for a normalized Psi of dims 1-5 x 1-9 whose random rows
-    and columns are zeroed, down to a single nonzero entry."""
-    na, nb = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+def amplitude_vectors(draw, max_na=5):
+    """(psi, system) for a normalized Psi of dims 1-``max_na`` x 1-9 whose
+    random rows and columns are zeroed, down to a single nonzero entry."""
+    na, nb = draw(st.integers(1, max_na)), draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     i0, j0 = draw(st.integers(0, na - 1)), draw(st.integers(0, nb - 1))
     psi = rng.standard_normal((na, nb)) + 1j * rng.standard_normal((na, nb))
@@ -448,6 +449,66 @@ def random_amplitudes(rng, n):
     return psi / np.linalg.norm(psi)
 
 
+#: Largest difference allowed between a pure state's reductions taken from
+#: its amplitude vector and from its N x N matrix: two roundings. The
+#: correlated pair is a top eigenvector, so both forms carry a rounding
+#: error up to 1/(1 - q) times larger, q = (s_2 / s_1)^2 the ratio of Psi's
+#: top squared singular values (Davis-Kahan), and that bound is scaled by it.
+PURE_TOL = 2 * np.finfo(float).eps  # 4.44e-16
+
+
+def _outcome(reduce, state):
+    """The result of ``reduce(state)``, or DegenerateOverlap where it raises it."""
+    try:
+        return reduce(state)
+    except DegenerateOverlap:
+        return DegenerateOverlap
+
+
+def assert_vector_and_density_agree(psi, rho, sys_, rng):
+    """Every reduction of the pure state gives the same run from its amplitude
+    vector ``psi`` as from its matrix ``rho``: verdict, iterations, reduced
+    states and reconstruction error, the last two within PURE_TOL."""
+    na, nb = sys_.dim_alpha, sys_.dim_beta
+    sigma_a, sigma_b = random_density(rng, na), random_density(rng, nb)
+    reductions = [
+        lambda r: red.correlated_reduce(r, sys_),
+        lambda r: red.conditioned_reduce(r, sys_, sigma_a, "alpha"),
+        lambda r: red.conditioned_reduce(r, sys_, sigma_b, "beta"),
+        *(lambda r, level=level: red.projective_reduce(r, sys_, level) for level in range(nb)),
+    ]
+    s = np.linalg.svd(psi.reshape(na, nb), compute_uv=False)
+    q = (s[1] / s[0]) ** 2 if s.size > 1 else 0.0
+    for reduce in reductions:
+        got, want = _outcome(reduce, psi), _outcome(reduce, rho)
+        if want is DegenerateOverlap:
+            assert got is DegenerateOverlap
+            continue
+        assert (got.method, got.verdict, got.iterations) == (
+            want.method, want.verdict, want.iterations)
+        tol = PURE_TOL / (1 - q) if want.method == "correlated" else PURE_TOL
+        assert mc.max_abs_diff(got.rho_alpha.matrix, want.rho_alpha.matrix) <= tol
+        if want.rho_beta is None:
+            assert got.rho_beta is None and got.reconstruction_error is None
+        else:
+            assert mc.max_abs_diff(got.rho_beta.matrix, want.rho_beta.matrix) <= tol
+            assert abs(got.reconstruction_error - want.reconstruction_error) <= tol
+    for observed in ("alpha", "beta"):
+        got = red.replacement_operator(psi, sys_, observed)
+        assert mc.max_abs_diff(got, red.replacement_operator(rho, sys_, observed)) <= PURE_TOL
+    # Unit-trace nonnegative observables, so every mean and correlator is at most 1.
+    a, b = Observable(random_density(rng, na).matrix), Observable(random_density(rng, nb).matrix)
+    got, want = _outcome(lambda r: red.correlator(r, sys_, a, b), psi), _outcome(
+        lambda r: red.correlator(r, sys_, a, b), rho)
+    if want is DegenerateOverlap:
+        assert got is DegenerateOverlap
+        return
+    for field in dataclasses.fields(want):
+        x, y = getattr(got, field.name), getattr(want, field.name)
+        assert (x is None) == (y is None)
+        assert x is None or abs(x - y) <= PURE_TOL
+
+
 class TestAmplitudeVectorInput:
     @settings(max_examples=300, deadline=None)
     @given(amplitude_vectors())
@@ -460,8 +521,9 @@ class TestAmplitudeVectorInput:
         assert abs(pure.reconstruction_error - dense.reconstruction_error) < 1e-14
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
-    def test_slab_error_equals_the_kron_form(self, na, nb, seed, traces):
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(),
+           st.booleans())
+    def test_slab_error_equals_the_kron_form(self, na, nb, seed, traces, whole):
         rng = np.random.default_rng(seed)
         sys_ = BipartiteSystem(na, nb)
         rho = random_density(rng, na * nb).matrix
@@ -469,25 +531,16 @@ class TestAmplitudeVectorInput:
             ra, rb = mc.partial_trace(rho, sys_, "beta"), mc.partial_trace(rho, sys_, "alpha")
         else:
             ra, rb = random_density(rng, na).matrix, random_density(rng, nb).matrix
-        assert red._reconstruction_error(rho, ra, rb) == mc.max_abs_diff(rho, np.kron(ra, rb))
+        # One block at these sizes; a limit of 0 sends them one slab at a time.
+        with mock.patch.object(red, "WHOLE_ERROR_ENTRIES", red.WHOLE_ERROR_ENTRIES if whole else 0):
+            got = red._reconstruction_error(rho, ra, rb)
+        assert got == mc.max_abs_diff(rho, np.kron(ra, rb))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (4, 2), (2, 17)])
     def test_iterated_and_conditioned_reductions_match_the_dense_state(self, rng, dims):
         sys_ = BipartiteSystem(*dims)
         psi = random_amplitudes(rng, sys_.dim)
-        dense = np.outer(psi, psi.conj())
-        sigma = random_density(rng, dims[0])
-        for reduce in (
-            lambda r: red.correlated_reduce(r, sys_),
-            lambda r: red.projective_reduce(r, sys_, 1),
-            lambda r: red.conditioned_reduce(r, sys_, sigma, "alpha"),
-        ):
-            got, want = reduce(psi), reduce(dense)
-            assert (got.method, got.verdict, got.iterations) == (
-                want.method, want.verdict, want.iterations)
-            assert mc.max_abs_diff(got.rho_alpha.matrix, want.rho_alpha.matrix) < 1e-12
-            assert mc.max_abs_diff(got.rho_beta.matrix, want.rho_beta.matrix) < 1e-12
-            assert abs(got.reconstruction_error - want.reconstruction_error) < 1e-12
+        assert_vector_and_density_agree(psi, np.outer(psi, psi.conj()), sys_, rng)
 
     def test_replacement_operator_and_correlator_take_a_vector(self, rng):
         sys_ = BipartiteSystem(2, 3)
@@ -502,15 +555,17 @@ class TestAmplitudeVectorInput:
         assert abs(got.exact - want.exact) < 1e-15
         assert abs(got.ab_form - want.ab_form) < 1e-15
 
-    def test_jcm_vacuum_vector_and_density_agree_exactly(self):
+    def test_jcm_vacuum_vector_and_density_agree(self, rng):
         p = JcmParams(1.0, 1.0, n_max=16)
         for t in (0.4, 2.0, 7.3):
             psi, rho = models.jcm_vacuum_amplitudes(p, t), jcm_vacuum_density(p, t)
-            for reduce in (red.correlated_reduce, lambda r, s: red.projective_reduce(r, s, 0)):
-                got, want = reduce(psi, jcm_system(p)), reduce(rho, jcm_system(p))
-                assert got.rho_alpha.matrix.tobytes() == want.rho_alpha.matrix.tobytes()
-                assert got.rho_beta.matrix.tobytes() == want.rho_beta.matrix.tobytes()
-                assert got.reconstruction_error == want.reconstruction_error
+            assert_vector_and_density_agree(psi, rho, jcm_system(p), rng)
+
+    @settings(max_examples=200, deadline=None)
+    @given(amplitude_vectors(max_na=red.CLOSED_FORM_MAX_DIM), st.integers(0, 2**32 - 1))
+    def test_vector_and_density_agree(self, case, seed):
+        psi, sys_ = case
+        assert_vector_and_density_agree(psi, mc.projector(psi), sys_, np.random.default_rng(seed))
 
     @pytest.mark.parametrize("edit, error", [
         ("nan", ValidationError),
