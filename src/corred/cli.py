@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import logging
@@ -430,13 +431,7 @@ def cmd_decompose(args) -> int:
 
     report = ensembles.verify_ensemble(ens, target, tol=tol)
     obj = ens.to_json()
-    obj["verification"] = {
-        "max_error": report.max_error,
-        "diagonal_error": report.diagonal_error,
-        "coherence_error": report.coherence_error,
-        "matches": report.matches,
-        "tolerance": report.tolerance,
-    }
+    obj["verification"] = dataclasses.asdict(report)
     print(_dumps(obj))
     if args.report_only or report.matches:
         return 0

@@ -131,15 +131,14 @@ def jcm_vacuum_amplitudes(p: JcmParams, t: float) -> np.ndarray:
     and U is never formed.
     """
     nf = p.n_max + 1
-    k = np.array([1.0])  # photon number of the partner |1,1>
-    phase = np.exp(-1j * p.omega * t * k)
-    cos = np.cos(p.rabi * t / 2 * np.sqrt(k))
-    sin = np.sin(p.rabi * t / 2 * np.sqrt(k))
+    phase = np.exp(-1j * p.omega * t)
+    cos = np.cos(p.rabi * t / 2)
+    sin = np.sin(p.rabi * t / 2)
     u0 = np.zeros(2 * nf, dtype=complex)
-    u0[0] = (phase * cos)[0]  # <2,0|U|2,0>
+    u0[0] = phase * cos  # <2,0|U|2,0>
     # <1,1|U|2,0>; a complex product with -1.0, since a unary minus would
     # flip the sign of a zero imaginary part.
-    u0[nf + 1] = (-1.0 * (phase * sin))[0]
+    u0[nf + 1] = -1.0 * (phase * sin)
     return u0
 
 

@@ -16,8 +16,8 @@ vector through every reduction: the one contraction kernel
 (``matrixcore._contract``) takes partial traces and conditionings from
 Psi = psi.reshape(Na, Nb), and no reduction forms psi psi^dag. The reduced
 states are built hermitian with unit trace, and one epilogue (``_result``)
-wraps them without a second check and takes the reconstruction error slab by
-slab, so no N x N temporary is built.
+wraps them without a second check and takes the reconstruction error over
+blocks of alpha rows of rho, or of Psi, so no N x N temporary is built.
 
 The correlated fixed point is the top pair of rho's operator-Schmidt
 decomposition, its nearest Kronecker product (Van Loan & Pitsianis 1993),
@@ -58,10 +58,12 @@ NEAR_DEGENERACY_THRESHOLD = 1e-10
 
 MEAN_ZERO_TOL = 1e-12
 
-#: Entries (Na Nb)^2 up to which ``_product_error`` compares the whole state
-#: in one block: below it numpy's per-call cost, not the temporary, is what
-#: slabs would spend.
-WHOLE_ERROR_ENTRIES = 4096
+#: Most entries of rho's (Na, Nb, Na, Nb) view that ``_reconstruction_error``
+#: compares in one block of alpha rows, which holds one row at least: the
+#: whole state where (Na Nb)^2 is at most this, since there numpy's per-call
+#: cost, not the temporary, is what smaller blocks would spend; above it no
+#: N x N temporary.
+ERROR_BLOCK_ENTRIES = 4096
 
 #: Largest min(Na, Nb) at which the Gauss-Seidel loop starts an N x N rho at
 #: its closed form; an amplitude vector starts there at any size, since its
@@ -147,45 +149,36 @@ class ReductionResult:
         return obj
 
 
-def _product_error(slab, ra: np.ndarray, rb: np.ndarray) -> float:
-    """max |rho[i,b,j,c] - ra[i,j] rb[b,c]| over the (Na, Nb, Na, Nb) view of rho.
+def _reconstruction_error(state: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> float:
+    """max |rho[i,b,j,c] - ra[i,j] rb[b,c]| over the (Na, Nb, Na, Nb) view of
+    the N x N ``state``, or of psi psi^dag for an amplitude vector ``state``.
 
-    Taken one slab of the smaller side at a time: ``slab(k, True)`` is
-    rho[k] (Nb, Na, Nb) and ``slab(k, False)`` is rho[:, k] (Na, Na, Nb),
-    so no temporary has N x N entries; up to ``WHOLE_ERROR_ENTRIES`` one
-    block, ``slab(slice(None), True)``, is the whole view. The products are
+    Taken over blocks of alpha rows i of at most ``ERROR_BLOCK_ENTRIES``
+    entries: rho[i:i+k] of the view, or psi psi^dag on the rows Psi[i:i+k],
+    Psi = psi.reshape(Na, Nb) restricted to its rows and columns that hold a
+    nonzero entry (outside them psi_ib psi_jc^* and ra[i,j] rb[b,c] are both
+    exactly 0). The products are np.outer's, psi_ib * psi_jc^*, and
     np.kron's, ra[i,j] * rb[b,c], so the value equals max |rho - kron(ra, rb)|
-    exactly.
+    exactly, rho = np.outer(psi, psi.conj()) for psi.
     """
     na, nb = ra.shape[0], rb.shape[0]
-    if (na * nb) ** 2 <= WHOLE_ERROR_ENTRIES:
-        return mc.max_abs_diff(slab(slice(None), True), ra[:, None, :, None] * rb[None, :, None, :])
-    if na <= nb:
-        return max(mc.max_abs_diff(slab(i, True), ra[i][None, :, None] * rb[:, None, :])
-                   for i in range(na))
-    return max(mc.max_abs_diff(slab(b, False), ra[:, :, None] * rb[b][None, None, :])
-               for b in range(nb))
-
-
-def _reconstruction_error(state: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> float:
-    """max |rho - kron(ra, rb)| of the N x N ``state``, or of the projector of
-    an amplitude vector ``state`` (``_pure_error``)."""
-    na, nb = ra.shape[0], rb.shape[0]
-    if state.ndim == 1:
-        return _pure_error(state.reshape(na, nb), ra, rb)
-    r = state.reshape(na, nb, na, nb)
-    return _product_error(lambda k, alpha: r[k] if alpha else r[:, k], ra, rb)
-
-
-def _pure_error(psi: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> float:
-    """``_reconstruction_error`` of psi psi^dag, Psi = ``psi`` (Na, Nb), taken
-    over the rows and columns of Psi that hold a nonzero entry: outside them
-    psi_ib psi_jc^* and ra[i,j] rb[b,c] are both exactly 0."""
-    rows, cols = psi.any(axis=1), psi.any(axis=0)
-    p = psi[rows][:, cols]
-    pc = p.conj()
-    return _product_error(lambda k, alpha: np.multiply.outer(p[k] if alpha else p[:, k], pc),
-                          ra[rows][:, rows], rb[cols][:, cols])
+    pure = state.ndim == 1
+    if pure:
+        psi = state.reshape(na, nb)
+        rows, cols = psi.any(axis=1), psi.any(axis=0)
+        psi, ra, rb = psi[rows][:, cols], ra[rows][:, rows], rb[cols][:, cols]
+        na, nb = psi.shape
+        # A column times a row, the shapes np.outer multiplies: numpy can round
+        # a one-entry product of other shapes differently (np.multiply.outer of
+        # a 1 x 1 Psi gives |psi_k|^2 an imaginary part of 0, np.outer ~1e-17).
+        psic = psi.conj().reshape(1, -1)
+    else:
+        rho = state.reshape(na, nb, na, nb)
+    k = max(1, ERROR_BLOCK_ENTRIES // (na * nb * nb))
+    return max(mc.max_abs_diff((psi[i:i + k].reshape(-1, 1) * psic).reshape(-1, nb, na, nb)
+                               if pure else rho[i:i + k],
+                               ra[i:i + k, None, :, None] * rb[None, :, None, :])
+               for i in range(0, na, k))
 
 
 def _result(method: str, state: np.ndarray, ra: np.ndarray, rb: np.ndarray | None,
@@ -287,7 +280,8 @@ def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
 
 
 def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: float,
-                   warnings: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+                   warnings: list[str], trace: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray] | None:
     """Top operator-Schmidt pair of rho as the loop's start, or None to keep ``seed``.
 
     With R the realigned state, R[(i,j),(b,c)] = rho[(i,b),(j,c)], a
@@ -299,7 +293,9 @@ def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: f
     trace and hermitized, is the start. For an amplitude vector psi,
     R R^dag = G x G^* with G = Psi Psi^dag (or Psi^T Psi^* on the beta side),
     so the start is x x^dag for the top eigenvector x of the min(Na, Nb)
-    square G, with the same relative gap, and no realigned copy is made.
+    square G, with the same relative gap, and no realigned copy is made;
+    ``trace``, the partial trace over beta where the caller holds it (else
+    None), is G on the alpha side.
     Returns (rho_alpha, rho_beta) with rho_beta = _condition(rho_alpha), the
     first sweep's beta update.
 
@@ -315,7 +311,8 @@ def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: f
     na, nb = sys.dim_alpha, sys.dim_beta
     side, n = ("alpha", na) if na <= nb else ("beta", nb)
     if r.ndim == 1:
-        gram = mc._contract(r, sys, "beta" if side == "alpha" else "alpha")
+        over = "beta" if side == "alpha" else "alpha"
+        gram = trace if trace is not None and over == "beta" else mc._contract(r, sys, over)
     elif n > CLOSED_FORM_MAX_DIM:
         return None
     else:
@@ -378,7 +375,7 @@ def correlated_reduce(
     warnings: list[str] = []
     residuals: list[float] = []
     ra = mc._contract(r, sys, "beta") if seed is None else _matrix(seed, sys, "alpha")
-    start = _schmidt_start(r, sys, ra, tol, warnings)
+    start = _schmidt_start(r, sys, ra, tol, warnings, ra if seed is None else None)
     ra, rb = start or (ra, mc._contract(r, sys, "alpha"))
     verdict = "max_iter"
     try:

@@ -400,6 +400,24 @@ class TestClosedFormStart:
         assert rep.verdict == "converged" and rep.iterations == 1
         assert len(seen) == calls
 
+    @pytest.mark.parametrize("na,nb,pure,seeded,calls", [
+        (2, 3, True, False, 3), (4, 9, True, False, 3), (2, 3, True, True, 3),
+        (2, 3, False, False, 3), (2, 3, False, True, 2), (3, 2, True, False, 5),
+        (3, 2, True, True, 4), (3, 2, False, False, 4), (3, 2, False, True, 3)])
+    def test_closed_form_run_contracts_no_gram_twice(self, rng, monkeypatch, na, nb, pure,
+                                                     seeded, calls):
+        # The conditionings counted above, the default seed Sp_beta rho and an
+        # amplitude vector's Gram, which on the alpha side is that seed.
+        seen = []
+        contract = mc._contract
+        monkeypatch.setattr(mc, "_contract", lambda *a, **k: seen.append(a[2]) or contract(*a, **k))
+        sys_ = BipartiteSystem(na, nb)
+        state = random_amplitudes(rng, sys_.dim) if pure else random_density(rng, sys_.dim)
+        seed = random_density(rng, na) if seeded else None
+        rep = red.correlated_reduce(state, sys_, seed=seed)
+        assert rep.verdict == "converged" and rep.iterations == 1
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("seed", [None, np.diag([0.7, 0.3])])
     def test_degenerate_spectrum_keeps_the_seed_start(self, seed):
         # All four operator-Schmidt values of EPR are 1/2.
@@ -520,20 +538,28 @@ class TestAmplitudeVectorInput:
         assert mc.max_abs_diff(pure.rho_beta.matrix, dense.rho_beta.matrix) < 1e-14
         assert abs(pure.reconstruction_error - dense.reconstruction_error) < 1e-14
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(),
+    @settings(max_examples=300, deadline=None)
+    @given(amplitude_vectors(max_na=9), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
            st.booleans())
-    def test_slab_error_equals_the_kron_form(self, na, nb, seed, traces, whole):
+    def test_slab_error_equals_the_kron_form(self, case, seed, pure, traces, whole):
+        # Dense states and amplitude vectors (zeroed rows and columns) of
+        # 1-9 x 1-9, so Na > Nb and, above (Na Nb)^2 = 4096, blocks of some
+        # alpha rows with a shorter last one; a budget of 0 takes one row a block.
+        psi, sys_ = case
         rng = np.random.default_rng(seed)
-        sys_ = BipartiteSystem(na, nb)
-        rho = random_density(rng, na * nb).matrix
-        if traces:
-            ra, rb = mc.partial_trace(rho, sys_, "beta"), mc.partial_trace(rho, sys_, "alpha")
+        state = psi if pure else random_density(rng, sys_.dim).matrix
+        rho = np.outer(psi, psi.conj()) if pure else state
+        if traces or pure:
+            # Partial traces, or conditionings of psi on random states: like
+            # every pair a reduction of psi returns, they vanish off the rows
+            # and columns of Psi that hold a nonzero entry.
+            ra, rb = (mc._contract(state, sys_, over, None if traces else random_density(rng, n).matrix)
+                      for over, n in (("beta", sys_.dim_beta), ("alpha", sys_.dim_alpha)))
         else:
-            ra, rb = random_density(rng, na).matrix, random_density(rng, nb).matrix
-        # One block at these sizes; a limit of 0 sends them one slab at a time.
-        with mock.patch.object(red, "WHOLE_ERROR_ENTRIES", red.WHOLE_ERROR_ENTRIES if whole else 0):
-            got = red._reconstruction_error(rho, ra, rb)
+            ra, rb = random_density(rng, sys_.dim_alpha).matrix, random_density(rng, sys_.dim_beta).matrix
+        budget = red.ERROR_BLOCK_ENTRIES if whole else 0
+        with mock.patch.object(red, "ERROR_BLOCK_ENTRIES", budget):
+            got = red._reconstruction_error(state, ra, rb)
         assert got == mc.max_abs_diff(rho, np.kron(ra, rb))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (4, 2), (2, 17)])
