@@ -19,6 +19,10 @@ returns itself are 3 from ``decompose`` when verification misses and 2 from
 ``validate`` after its ``{"valid": false}`` report.
 
 ``run`` reads its whole config and opens its output before the time loop.
+It then holds one time point at a time: each row is written as its point
+completes, and the point's states are freed before the next reduction, so
+memory does not grow with ``steps``. After a nonzero exit the output holds
+only the rows of the points before the failure.
 The ``reduction`` section takes only the keys in ``REDUCTION_KEYS``; an
 unknown key and a correlated ``tol`` <= 0 are config errors.
 Every reduction returns a ``ReductionResult``; its ``verdict`` and
@@ -43,6 +47,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -329,63 +334,87 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _series(ts: np.ndarray, rho_of_t, reducer) -> list[dict]:
-    """One output row per time point; points with a degenerate overlap are skipped."""
-    rows = []
+def _series(ts: np.ndarray, rho_of_t, reducer) -> Iterator[dict]:
+    """One output row per time point, each built only when it is asked for;
+    points with a degenerate overlap are skipped."""
+    written = False
     for t in ts:
-        rho = rho_of_t(float(t))
-        try:
-            res = reducer(rho)
-        except DegenerateOverlap as exc:
-            log.warning("t=%g: %s", t, exc)
-            continue
-        ra = res.rho_alpha.matrix
-        row = {
-            "t": float(t),
-            "pop_alpha": ra.diagonal().real.tolist(),
-            "coh_alpha": _max_coherence(ra),
-            "reconstruction_error": res.reconstruction_error,
-            "verdict": res.verdict,
-            "iterations": res.iterations,
-        }
-        if res.rho_beta is not None:
-            rb = res.rho_beta.matrix
-            row["pop_beta"] = rb.diagonal().real.tolist()
-            row["coh_beta"] = _max_coherence(rb)
-        rows.append(row)
-
-    if not rows:
+        row = _row(float(t), rho_of_t, reducer)
+        if row is not None:
+            written = True
+            yield row
+    if not written:
         raise DegenerateOverlap("degenerate overlap at every time point")
-    return rows
 
 
-def _write_series(rows: list[dict], cfg: dict, fmt: str, out) -> None:
+def _row(t: float, rho_of_t, reducer) -> dict | None:
+    """The output row of time point t, or None where its overlap is degenerate.
+
+    Only the row leaves: the point's state and ``ReductionResult`` are freed
+    on return, before the next point is reduced.
+    """
+    try:
+        res = reducer(rho_of_t(t))
+    except DegenerateOverlap as exc:
+        log.warning("t=%g: %s", t, exc)
+        return None
+    ra = res.rho_alpha.matrix
+    row = {
+        "t": t,
+        "pop_alpha": ra.diagonal().real.tolist(),
+        "coh_alpha": _max_coherence(ra),
+        "reconstruction_error": res.reconstruction_error,
+        "verdict": res.verdict,
+        "iterations": res.iterations,
+    }
+    if res.rho_beta is not None:
+        rb = res.rho_beta.matrix
+        row["pop_beta"] = rb.diagonal().real.tolist()
+        row["coh_beta"] = _max_coherence(rb)
+    return row
+
+
+def _write_series(rows: Iterable[dict], cfg: dict, fmt: str, out) -> None:
+    """Write each row as it arrives, after the config and, in CSV, the header
+    of the first row's columns.
+
+    The JSON document is byte for byte ``_dumps({"config": cfg, "rows":
+    [...]})`` and a line break: a value nested d levels deep is its own
+    ``_dumps`` with 2 d spaces after each line break, since encoded JSON
+    holds literal line breaks only as indentation.
+    """
     if fmt == "json":
-        out.write(_dumps({"config": cfg, "rows": rows}))
-        out.write("\n")
+        lead = '{\n  "config": ' + _dumps(cfg).replace("\n", "\n  ") + ',\n  "rows": [\n    '
+        for row in rows:
+            out.write(lead + _dumps(row).replace("\n", "\n    "))
+            lead = ",\n    "
+        out.write("\n  ]\n}\n")
         return
-    na = len(rows[0]["pop_alpha"])
-    nb = len(rows[0].get("pop_beta", []))
-    header = (
+    for i, r in enumerate(rows):
+        if i == 0:
+            out.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
+            out.write(",".join(_csv_header(r)) + "\n")
+        cells = [_fmt(r["t"])]
+        cells += [_fmt(x) for x in r["pop_alpha"]]
+        cells += [_fmt(x) for x in r.get("pop_beta", [])]
+        cells.append(_fmt(r["coh_alpha"]))
+        if "coh_beta" in r:
+            cells.append(_fmt(r["coh_beta"]))
+        error = r["reconstruction_error"]
+        cells += ["" if error is None else _fmt(error), str(r["verdict"]), str(r["iterations"])]
+        out.write(",".join(cells) + "\n")
+
+
+def _csv_header(row: dict) -> list[str]:
+    nb = len(row.get("pop_beta", []))
+    return (
         ["t"]
-        + [f"pop_alpha_{i}" for i in range(na)]
+        + [f"pop_alpha_{i}" for i in range(len(row["pop_alpha"]))]
         + [f"pop_beta_{i}" for i in range(nb)]
         + ["coh_alpha"]
         + (["coh_beta"] if nb else [])
         + ["reconstruction_error", "verdict", "iterations"]
     )
-    out.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
-    out.write(",".join(header) + "\n")
-    for r in rows:
-        cells = [_fmt(r["t"])]
-        cells += [_fmt(x) for x in r["pop_alpha"]]
-        cells += [_fmt(x) for x in r.get("pop_beta", [])]
-        cells.append(_fmt(r["coh_alpha"]))
-        if nb:
-            cells.append(_fmt(r["coh_beta"]))
-        error = r["reconstruction_error"]
-        cells += ["" if error is None else _fmt(error), str(r["verdict"]), str(r["iterations"])]
-        out.write(",".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------- reduce

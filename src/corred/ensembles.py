@@ -18,6 +18,7 @@ import numpy as np
 from . import matrixcore as mc
 from .errors import DimensionMismatch, TieUndefined
 from .matrixcore import BipartiteSystem
+from .models import spin_pair_correlation
 from .states import DensityMatrix
 
 WEIGHT_TOL = 1e-12
@@ -182,7 +183,7 @@ def spin_pair_reduced_decomposition(
         return epr_decomposition(theta)
     if abs(tan_phi + 1.0) < 1e-12:
         return triplet_decomposition(theta)
-    corr = math.cos(2 * phi) * math.cos(2 * c * t)
+    corr = spin_pair_correlation(phi, c, t)
     if abs(corr) < TIE_TOL:
         raise TieUndefined(f"C(phi={phi}, t={t}) = {corr:.3e} is at the branch tie")
     p_half = (1.0 + corr) / 2.0

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixcore as mc
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ValidationError
 from .matrixcore import BipartiteSystem
 from .states import DensityMatrix, spin_pair_initial
 
@@ -46,6 +46,14 @@ class SpinPairParams:
     d_coupling: float = 0.0
 
 
+def _check_phases(t: float, *rates: tuple[str, float]) -> None:
+    """ValidationError naming the first ``(name, rate)`` whose phase rate * t
+    overflows a float, where a cos, sin or exp of it would raise or give nan."""
+    for name, rate in rates:
+        if not math.isfinite(float(rate) * float(t)):
+            raise ValidationError(f"{name} * t overflows at t={float(t)!r}")
+
+
 def spin_pair_evolution(p: SpinPairParams, t: float) -> np.ndarray:
     """Closed-form evolution operator U(t) of the spin pair.
 
@@ -55,6 +63,7 @@ def spin_pair_evolution(p: SpinPairParams, t: float) -> np.ndarray:
     """
     w, j, c, d = p.omega, p.j_coupling, p.c_coupling, p.d_coupling
     big_omega = math.hypot(w, d)
+    _check_phases(t, ("hypot(omega, d)", big_omega), ("j", j), ("c", c))
     if big_omega > 0:
         co, so = math.cos(big_omega * t), math.sin(big_omega * t)
         wr, dr = w / big_omega, d / big_omega
@@ -89,6 +98,7 @@ def spin_pair_density(p: SpinPairParams, phi: float, t: float) -> DensityMatrix:
 
 def spin_pair_correlation(phi: float, c: float, t: float) -> float:
     """Oscillating correlation C(phi, t) = cos(2 phi) cos(2 c t)."""
+    _check_phases(t, ("2 * c", 2.0 * float(c)))
     return math.cos(2 * phi) * math.cos(2 * c * t)
 
 
@@ -130,6 +140,7 @@ def jcm_vacuum_amplitudes(p: JcmParams, t: float) -> np.ndarray:
     supported on those two levels for all t, so any n_max >= 1 is exact,
     and U is never formed.
     """
+    _check_phases(t, ("omega", p.omega), ("rabi", p.rabi))
     nf = p.n_max + 1
     phase = np.exp(-1j * p.omega * t)
     cos = np.cos(p.rabi * t / 2)

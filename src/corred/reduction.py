@@ -280,7 +280,7 @@ def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
 
 
 def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: float,
-                   warnings: list[str], trace: np.ndarray | None
+                   warnings: list[str], traces: dict[str, np.ndarray]
                    ) -> tuple[np.ndarray, np.ndarray] | None:
     """Top operator-Schmidt pair of rho as the loop's start, or None to keep ``seed``.
 
@@ -293,9 +293,10 @@ def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: f
     trace and hermitized, is the start. For an amplitude vector psi,
     R R^dag = G x G^* with G = Psi Psi^dag (or Psi^T Psi^* on the beta side),
     so the start is x x^dag for the top eigenvector x of the min(Na, Nb)
-    square G, with the same relative gap, and no realigned copy is made;
-    ``trace``, the partial trace over beta where the caller holds it (else
-    None), is G on the alpha side.
+    square G, with the same relative gap, and no realigned copy is made. G is
+    the partial trace over the other side: it is taken from ``traces``, keyed
+    by the side traced over, where the caller holds it, and else is added
+    there, so the caller need not take it again.
     Returns (rho_alpha, rho_beta) with rho_beta = _condition(rho_alpha), the
     first sweep's beta update.
 
@@ -312,7 +313,9 @@ def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: f
     side, n = ("alpha", na) if na <= nb else ("beta", nb)
     if r.ndim == 1:
         over = "beta" if side == "alpha" else "alpha"
-        gram = trace if trace is not None and over == "beta" else mc._contract(r, sys, over)
+        if over not in traces:
+            traces[over] = mc._contract(r, sys, over)
+        gram = traces[over]
     elif n > CLOSED_FORM_MAX_DIM:
         return None
     else:
@@ -375,8 +378,12 @@ def correlated_reduce(
     warnings: list[str] = []
     residuals: list[float] = []
     ra = mc._contract(r, sys, "beta") if seed is None else _matrix(seed, sys, "alpha")
-    start = _schmidt_start(r, sys, ra, tol, warnings, ra if seed is None else None)
-    ra, rb = start or (ra, mc._contract(r, sys, "alpha"))
+    traces = {"beta": ra} if seed is None else {}  # partial traces, keyed by the side traced over
+    start = _schmidt_start(r, sys, ra, tol, warnings, traces)
+    if start:
+        ra, rb = start
+    else:
+        rb = traces["alpha"] if "alpha" in traces else mc._contract(r, sys, "alpha")
     verdict = "max_iter"
     try:
         for n in range(max_iter):

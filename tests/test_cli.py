@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,76 @@ def test_correlated_run_reports_the_tie_in_one_sweep(tmp_path, capsys, experimen
     assert row["t"] == pytest.approx(tie, abs=1e-15)
     assert row["iterations"] == 1
     assert row["pop_alpha"][0] == pytest.approx(0.5, abs=1e-12)
+
+
+def run_peak_bytes(tmp_path, n_max: int, steps: int, method: str) -> int:
+    """Peak tracemalloc bytes of a JCM vacuum ``run`` that writes to a file,
+    after one untraced run of the same config, so that first-call caches do
+    not count."""
+    cfg = {
+        "experiment": "jcm_vacuum",
+        "params": {"omega": 1.0, "rabi": 1.0, "n_max": n_max},
+        "time_grid": {"start": 0.0, "stop": 10.0, "steps": steps},
+        "reduction": {"method": method},
+    }
+    argv = ["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_does_not_grow_with_steps(tmp_path):
+    # Rows are written as each time point completes, not held to the end.
+    growth = run_peak_bytes(tmp_path, 16, 400, "correlated") - run_peak_bytes(
+        tmp_path, 16, 40, "correlated")
+    assert growth < 32 * 1024
+
+
+def test_large_neumann_run_holds_one_time_point(tmp_path):
+    # The reduced field state is a 257 x 257 complex matrix; one time point's
+    # reduction is live at a time, never the previous point's as well.
+    assert run_peak_bytes(tmp_path, 256, 10, "neumann") < 2 * 257**2 * 16
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failing_time_point_leaves_the_rows_before_it(tmp_path, capsys, fmt):
+    # c * t overflows from t = 2 on.
+    cfg = {
+        "experiment": "spin_pair",
+        "params": {"c": 1e308},
+        "time_grid": {"start": 0.0, "stop": 10.0, "steps": 11},
+        "output": {"format": fmt},
+    }
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: c * t overflows at t=2.0\n"
+    lines = out.splitlines()
+    if fmt == "csv":
+        assert lines[0].startswith("# config: ") and lines[1].startswith("t,pop_alpha_0,")
+        assert [float(line.split(",")[0]) for line in lines[2:]] == [0.0, 1.0]
+    else:  # the unfinished document up to the last complete row
+        assert lines[-1] == "    }"
+        rows = json.loads(out + "\n  ]\n}")["rows"]
+        assert [row["t"] for row in rows] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_degenerate_at_every_time_point_writes_nothing(tmp_path, capsys, fmt):
+    cfg = {
+        "experiment": "custom",
+        "params": {"state": write_state(tmp_path, "product.json", projector_state(4, 0)),
+                   "dims": [2, 2]},
+        "time_grid": {"start": 0.0, "stop": 1.0, "steps": 3},
+        "reduction": {"method": "conditioned",
+                      "state": write_state(tmp_path, "beta1.json", projector_state(2, 1))},
+        "output": {"format": fmt},
+    }
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr() == ("", "error: degenerate overlap at every time point\n")
 
 
 class TestReduce:
@@ -754,6 +825,7 @@ STATE_TEXTS = {
     # JSON booleans, which would read as 1 and 0 and give trace 1.5.
     "data-bool": '{"rows": 2, "cols": 2, "data": [[0.5, 0], [0, 0], [0, 0], [true, false]]}',
 }
+OVERFLOW_GRID = '{"experiment": %s, "time_grid": {"start": 0, "stop": 10, "steps": 11}}'
 EXIT_CASES = [
     ("ok", '{"experiment": "epr"}', RUN, 0),
     ("params-list", '{"experiment": "spin_pair", "params": [1, 2]}', RUN, 2),
@@ -914,6 +986,14 @@ EXIT_CASES = [
     ("reduce-data-bool", "{}", ["reduce", "{dir}/data-bool.json", "--dims", "2", "1"], 2),
     ("validate-data-bool", "{}", ["validate", "{dir}/data-bool.json"], 2),
     ("experiment-deep", '{"experiment": ' + "[" * 200_000 + "]" * 200_000 + "}", RUN, 2),
+    # Phases rate * t that overflow a float from t = 2 on (grid 0, 1, ..., 10).
+    ("spin-pair-omega-overflow", OVERFLOW_GRID % '"spin_pair", "params": {"omega": 1e308}', RUN, 2),
+    ("spin-pair-c-overflow", OVERFLOW_GRID % '"spin_pair", "params": {"c": 1e308}', RUN, 2),
+    ("spin-pair-j-overflow", OVERFLOW_GRID % '"spin_pair", "params": {"j": 1e308}', RUN, 2),
+    ("jcm-rabi-overflow", OVERFLOW_GRID % '"jcm_vacuum", "params": {"rabi": 1e308, "n_max": 2}',
+     RUN, 2),
+    ("decompose-omega-overflow", "{}", [*DECOMPOSE, "--omega=1e308", "--t=2"], 2),
+    ("decompose-c-overflow", "{}", [*DECOMPOSE, "--c=1e308", "--t=2"], 2),
 ]
 
 
@@ -981,6 +1061,20 @@ def test_non_number_names_its_key(tmp_path, capsys, case, key):
     _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == case)
     _, err = run_exit_case(tmp_path, capsys, config, argv)
     assert f"{key} must be a finite number, got " in err
+
+
+@pytest.mark.parametrize("case,product", [
+    ("spin-pair-omega-overflow", "hypot(omega, d) * t"),
+    ("spin-pair-c-overflow", "c * t"),
+    ("spin-pair-j-overflow", "j * t"),
+    ("jcm-rabi-overflow", "rabi * t"),
+    ("decompose-omega-overflow", "hypot(omega, d) * t"),
+    ("decompose-c-overflow", "2 * c * t"),
+])
+def test_overflowing_phase_names_its_product(tmp_path, capsys, case, product):
+    _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == case)
+    _, err = run_exit_case(tmp_path, capsys, config, argv)
+    assert err == f"error: {product} overflows at t=2.0\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--t", "-1e5"), ("--t", "-2.5E-3"), ("--omega", "-inf"),

@@ -5,7 +5,7 @@ import pytest
 
 from corred import ensembles as ens
 from corred import matrixcore as mc
-from corred.errors import TieUndefined
+from corred.errors import TieUndefined, ValidationError
 from corred.matrixcore import BipartiteSystem
 from corred.models import SpinPairParams, spin_pair_density
 from corred.states import epr_state, spin_pair_initial, triplet_state
@@ -191,3 +191,8 @@ class TestEnsembleValidation:
         e = ens.epr_decomposition(0.35)
         again = ens.Ensemble.from_json(e.to_json())
         assert mc.max_abs_diff(ens.assemble(again), ens.assemble(e)) < 1e-15
+
+
+def test_overflowing_phase_is_a_validation_error():
+    with pytest.raises(ValidationError, match=r"^2 \* c \* t overflows at t=2.0$"):
+        ens.spin_pair_reduced_decomposition(0.3, 1e308, 2.0)

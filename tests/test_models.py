@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from corred import matrixcore as mc
 from corred import models
-from corred.errors import DimensionMismatch
+from corred.errors import DimensionMismatch, ValidationError
 from corred.models import JcmParams, SpinPairParams
 from corred.reduction import neumann_reduce
 from corred.states import spin_pair_initial
@@ -449,3 +450,20 @@ class TestCorrelatedLimit:
         p = JcmParams(1.0, 0.0)
         for t in np.linspace(0.0, 100.0, 101):
             assert models.jcm_correlated_limit(t, p) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("call,product", [
+    (lambda t: models.jcm_vacuum_amplitudes(JcmParams(1.0, 1e308, 2), t), "rabi * t"),
+    (lambda t: models.jcm_vacuum_amplitudes(JcmParams(1e308, 1.0, 2), t), "omega * t"),
+    (lambda t: models.spin_pair_evolution(SpinPairParams(1e308), t), "hypot(omega, d) * t"),
+    (lambda t: models.spin_pair_evolution(SpinPairParams(1.0, d_coupling=1e308), t),
+     "hypot(omega, d) * t"),
+    (lambda t: models.spin_pair_evolution(SpinPairParams(1.0, j_coupling=1e308), t), "j * t"),
+    (lambda t: models.spin_pair_evolution(SpinPairParams(1.0, c_coupling=1e308), t), "c * t"),
+    (lambda t: models.spin_pair_correlation(0.3, 5e307, t), "2 * c * t"),
+])
+def test_overflowing_phase_is_a_validation_error(call, product):
+    # Finite at t = 1; the product overflows at t = 2.
+    assert np.isfinite(call(np.float64(1.0))).all()
+    with pytest.raises(ValidationError, match=rf"^{re.escape(product)} overflows at t=2.0$"):
+        call(np.float64(2.0))

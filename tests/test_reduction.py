@@ -418,6 +418,21 @@ class TestClosedFormStart:
         assert rep.verdict == "converged" and rep.iterations == 1
         assert len(seen) == calls
 
+    def test_refused_start_takes_the_beta_gram_once(self):
+        # Na > Nb: the start's Gram Psi^T Psi^* is the beta iterate's partial
+        # trace. The Bell pair's Gram I/2 is a tie, so the loop starts there:
+        # the default seed, that Gram and one sweep's two conditionings.
+        psi = np.zeros(6, dtype=complex)
+        psi[0] = psi[3] = 2 ** -0.5
+        contract = mc._contract
+        with mock.patch.object(mc, "_contract", side_effect=contract) as spy:
+            rep = red.correlated_reduce(psi, BipartiteSystem(3, 2))
+        assert [c.args[2:] for c in spy.call_args_list].count(("alpha",)) == 1
+        assert spy.call_count == 4
+        assert rep.verdict == "converged" and rep.iterations == 1
+        assert mc.max_abs_diff(rep.rho_alpha.matrix, np.diag([0.5, 0.5, 0.0])) < 1e-15
+        assert mc.max_abs_diff(rep.rho_beta.matrix, np.eye(2) / 2) < 1e-15
+
     @pytest.mark.parametrize("seed", [None, np.diag([0.7, 0.3])])
     def test_degenerate_spectrum_keeps_the_seed_start(self, seed):
         # All four operator-Schmidt values of EPR are 1/2.
