@@ -19,10 +19,14 @@ returns itself are 3 from ``decompose`` when verification misses and 2 from
 ``validate`` after its ``{"valid": false}`` report.
 
 ``run`` reads its whole config and opens its output before the time loop.
-It then holds one time point at a time: each row is written as its point
-completes, and the point's states are freed before the next reduction, so
-memory does not grow with ``steps``. After a nonzero exit the output holds
-only the rows of the points before the failure.
+It then holds one chunk of ``CHUNK`` time points at a time: each row is
+written as its chunk completes, and the chunk's states are freed before the
+next is reduced, so memory does not grow with ``steps``. A model's
+amplitude vectors are reduced a chunk at a time (``reduction.reduce_stack``)
+and each row is read off the stacked arrays; a point the stack does not
+settle, and every point of an N x N state, is reduced alone. After a
+nonzero exit the output holds only the rows of the points before the
+failure.
 The ``reduction`` section takes only the keys in ``REDUCTION_KEYS``; an
 unknown key and a correlated ``tol`` <= 0 are config errors.
 Every reduction returns a ``ReductionResult``; its ``verdict`` and
@@ -47,7 +51,8 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +64,10 @@ from .states import DensityMatrix, epr_state, spin_pair_initial, triplet_state
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+#: Time points that ``run`` reduces together: a few, since numpy's per-call
+#: cost is what a stack saves, while each point held adds to peak memory.
+CHUNK = 8
 
 #: Keys of the ``reduction`` config section, shared by ``run`` and ``reduce``.
 REDUCTION_KEYS = ("method", "level", "state", "given_side", "tol", "max_iter", "seed")
@@ -261,29 +270,42 @@ def _required(rcfg: dict, key: str):
     return rcfg[key]
 
 
-def _reducer(rcfg: dict, sys_: BipartiteSystem):
+class _Reducer(NamedTuple):
+    """The reduction a config names: ``one`` maps a state to a ReductionResult;
+    ``stack`` maps amplitude vectors (K, N) to a ``reduction.Stack``, or is
+    None where ``run`` reduces each point alone (a ``file:`` seed)."""
+
+    one: Callable
+    stack: Callable | None
+
+
+def _reducer(rcfg: dict, sys_: BipartiteSystem) -> _Reducer:
     """Check a reduction config once and return the reduction it names.
 
-    The returned function maps a state to a ReductionResult. State files
-    named by the config are read here, once; the reduction itself checks
-    their shapes against the system (DimensionMismatch).
+    State files named by the config are read here, once; the reduction
+    itself checks their shapes against the system (DimensionMismatch).
     """
     for key in rcfg:
         if key not in REDUCTION_KEYS:
             raise ValidationError(f"unknown reduction key {key!r}")
     method = rcfg.get("method", "neumann")
+
+    def stack(**params):
+        return lambda psi: reduction.reduce_stack(psi, sys_, method, **params)
+
     if method == "neumann":
-        return lambda rho: reduction.neumann_reduce(rho, sys_)
+        return _Reducer(lambda rho: reduction.neumann_reduce(rho, sys_), stack())
     if method == "projective":
         _required(rcfg, "level")
         level = _number(rcfg, "level", kind=int)
-        return lambda rho: reduction.projective_reduce(rho, sys_, level)
+        return _Reducer(lambda rho: reduction.projective_reduce(rho, sys_, level), stack(level=level))
     if method == "conditioned":
         sigma = _load_density(_required(rcfg, "state"))
         given = rcfg.get("given_side", "beta")
         if given not in ("alpha", "beta"):
             raise ValidationError(f"given_side must be 'alpha' or 'beta', got {given!r}")
-        return lambda rho: reduction.conditioned_reduce(rho, sys_, sigma, given)
+        return _Reducer(lambda rho: reduction.conditioned_reduce(rho, sys_, sigma, given),
+                        stack(sigma=sigma, given_side=given))
     if method == "correlated":
         seed = rcfg.get("seed", "neumann")
         if isinstance(seed, str) and seed.startswith("file:"):
@@ -298,17 +320,20 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem):
             raise ValidationError(f"tol must be > 0, got {tol!r}")
         if max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-
-        return lambda rho: reduction.correlated_reduce(rho, sys_, seed, tol=tol, max_iter=max_iter)
+        return _Reducer(
+            lambda rho: reduction.correlated_reduce(rho, sys_, seed, tol=tol, max_iter=max_iter),
+            stack(tol=tol) if seed is None else None)
     raise ValidationError(f"unknown reduction method {method!r}")
 
 
-def _max_coherence(m: np.ndarray) -> float:
-    if m.shape[0] < 2:
-        return 0.0
+def _max_coherence(m: np.ndarray) -> np.ndarray:
+    """Largest |m_ij|, i != j, of each matrix of a stack (..., n, n); 0 for n < 2."""
+    n = m.shape[-1]
+    if n < 2:
+        return np.zeros(m.shape[:-2])
     off = np.abs(m)
-    np.fill_diagonal(off, 0.0)
-    return float(off.max())
+    off[..., range(n), range(n)] = 0.0
+    return off.max(axis=(-2, -1))
 
 
 def cmd_run(args) -> int:
@@ -330,31 +355,99 @@ def cmd_run(args) -> int:
 
     # Open the output first, so an unwritable path fails before the computation.
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
-        _write_series(_series(ts, rho_of_t, reducer), cfg, fmt, out)
+        _write_series(_series(ts, sys_, rho_of_t, reducer), cfg, fmt, out)
     return 0
 
 
-def _series(ts: np.ndarray, rho_of_t, reducer) -> Iterator[dict]:
-    """One output row per time point, each built only when it is asked for;
-    points with a degenerate overlap are skipped."""
+def _series(ts: np.ndarray, sys_: BipartiteSystem, rho_of_t, reducer: _Reducer) -> Iterator[dict]:
+    """One output row per time point, each chunk of ``CHUNK`` points reduced
+    only when its first row is asked for; points with a degenerate overlap
+    are skipped."""
     written = False
-    for t in ts:
-        row = _row(float(t), rho_of_t, reducer)
-        if row is not None:
+    for i in range(0, len(ts), CHUNK):
+        for row in _chunk(ts[i:i + CHUNK].tolist(), sys_, rho_of_t, reducer):
             written = True
             yield row
     if not written:
         raise DegenerateOverlap("degenerate overlap at every time point")
 
 
-def _row(t: float, rho_of_t, reducer) -> dict | None:
-    """The output row of time point t, or None where its overlap is degenerate.
+def _chunk(ts: list[float], sys_: BipartiteSystem, rho_of_t, reducer: _Reducer) -> Iterator[dict]:
+    """The rows of the time points ts, without the degenerate ones.
 
-    Only the row leaves: the point's state and ``ReductionResult`` are freed
-    on return, before the next point is reduced.
+    A model's amplitude vectors are reduced together by ``reducer.stack``,
+    and their rows are read off the stacked arrays (``_stack_rows``); a
+    point the stack leaves undone, and every point of an N x N state, is
+    reduced alone (``_row``). Where the state of a point cannot be made, the
+    rows of the points before it come first, then its error.
+    """
+    states, failure = [], None
+    for t in ts:
+        try:
+            states.append(rho_of_t(t))
+        except CorredError as exc:
+            failure = exc
+            break
+    rows = itertools.repeat(None)
+    if states and reducer.stack is not None and np.ndim(states[0]) == 1:
+        states = np.array(states)  # (K, N), and the list of K vectors is freed
+        rows = _stack_rows(ts, reducer.stack(states), sys_)
+    for t, state, row in zip(ts, states, rows):
+        row = row or _row(t, state, reducer.one)
+        if row is not None:
+            yield row
+    if failure is not None:
+        raise failure
+
+
+def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) -> Iterator:
+    """The row of each point of the stack, or None where it is not done.
+
+    The populations are the diagonal of each reduced state on the support
+    and exact zeros off it, its coherence the largest off-diagonal there;
+    no Na x Na or Nb x Nb matrix is built. The rows are made one at a time
+    from these columns, and the stack itself is not held meanwhile.
+    """
+    done = stack.done
+    if not done.any():
+        return itertools.repeat(None)
+    sides = {"alpha": (stack.rho_alpha, stack.rows, sys_.dim_alpha)}
+    if stack.rho_beta is not None:
+        sides["beta"] = (stack.rho_beta, stack.cols, sys_.dim_beta)
+    pops, cohs = {}, {}
+    for side, (m, levels, n) in sides.items():
+        pops[side] = np.zeros((len(done), n))
+        pops[side][:, levels] = m.diagonal(axis1=-2, axis2=-1).real
+        cohs[side] = _max_coherence(m).tolist()
+    errors = [None] * len(done) if stack.error is None else stack.error.tolist()
+    verdict, iterations = stack.verdict, stack.iterations
+
+    def row(j: int, t: float) -> dict:
+        out = {
+            "t": t,
+            "pop_alpha": pops["alpha"][j].tolist(),
+            "coh_alpha": cohs["alpha"][j],
+            "reconstruction_error": errors[j],
+            "verdict": verdict,
+            "iterations": iterations,
+        }
+        if "beta" in pops:
+            out["pop_beta"] = pops["beta"][j].tolist()
+            out["coh_beta"] = cohs["beta"][j]
+        return out
+
+    return (row(j, t) if done[j] else None for j, t in enumerate(ts))
+
+
+def _row(t: float, state, reduce_one) -> dict | None:
+    """The output row of time point t, reduced alone, or None where its
+    overlap is degenerate; the library's log records name t.
+
+    Only the row leaves: the point's ``ReductionResult`` is freed on return.
     """
     try:
-        res = reducer(rho_of_t(t))
+        with _naming(t):
+            res = reduce_one(state)
     except DegenerateOverlap as exc:
         log.warning("t=%g: %s", t, exc)
         return None
@@ -362,7 +455,7 @@ def _row(t: float, rho_of_t, reducer) -> dict | None:
     row = {
         "t": t,
         "pop_alpha": ra.diagonal().real.tolist(),
-        "coh_alpha": _max_coherence(ra),
+        "coh_alpha": float(_max_coherence(ra)),
         "reconstruction_error": res.reconstruction_error,
         "verdict": res.verdict,
         "iterations": res.iterations,
@@ -370,8 +463,22 @@ def _row(t: float, rho_of_t, reducer) -> dict | None:
     if res.rho_beta is not None:
         rb = res.rho_beta.matrix
         row["pop_beta"] = rb.diagonal().real.tolist()
-        row["coh_beta"] = _max_coherence(rb)
+        row["coh_beta"] = float(_max_coherence(rb))
     return row
+
+
+@contextlib.contextmanager
+def _naming(t: float):
+    """Prefix "t=...: " to the messages the library logs meanwhile."""
+    def name(record: logging.LogRecord) -> bool:
+        record.msg = f"t={t:g}: {record.msg}"
+        return True
+
+    log.addFilter(name)
+    try:
+        yield
+    finally:
+        log.removeFilter(name)
 
 
 def _write_series(rows: Iterable[dict], cfg: dict, fmt: str, out) -> None:
@@ -431,7 +538,7 @@ def cmd_reduce(args) -> int:
         "max_iter": args.max_iter,
         "seed": args.seed,
     }
-    out = _reducer(rcfg, BipartiteSystem(args.dims[0], args.dims[1]))(rho)
+    out = _reducer(rcfg, BipartiteSystem(args.dims[0], args.dims[1])).one(rho)
     print(_dumps(out.to_json()))
     return 0
 

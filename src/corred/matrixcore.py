@@ -1,9 +1,12 @@
 """Dense complex linear algebra for bipartite systems.
 
 The composite index layout (``BipartiteSystem``), the one contraction kernel
-behind partial traces and conditioning, of an N x N state or of a pure
-state's amplitude vector (``_contract``), the comparison and
-hermiticity helpers, and the JSON (de)serialization of complex matrices.
+behind partial traces and conditioning, of an N x N state, of a pure
+state's amplitude vector or of a stack of amplitude matrices (``_contract``),
+the comparison and hermiticity helpers, and the JSON (de)serialization of
+complex matrices. A stack carries leading axes, (..., Na, Nb), and each of
+its states gets the bits it gets alone; the caller may restrict a stack to
+the rows and columns that hold a nonzero entry (see ``reduction``).
 Kronecker products and eigendecompositions are numpy's own (``np.kron``,
 ``np.linalg.eigh``).
 
@@ -53,9 +56,9 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def hermitize(m) -> np.ndarray:
-    """Project onto the hermitian part, (M + M^dag)/2."""
+    """Project onto the hermitian part, (M + M^dag)/2, of each matrix of a stack (..., n, n)."""
     m = np.asarray(m, dtype=complex)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def projector(psi) -> np.ndarray:
@@ -90,12 +93,6 @@ class BipartiteSystem:
         """Composite dimension N_alpha * N_beta."""
         return self.dim_alpha * self.dim_beta
 
-    def check(self, rho: np.ndarray) -> None:
-        if rho.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"matrix shape {rho.shape} does not match composite dimension {self.dim}"
-            )
-
 
 def partial_trace(rho, sys: BipartiteSystem, over: str) -> np.ndarray:
     """Partial trace of a composite operator over one subsystem.
@@ -117,24 +114,36 @@ def _contract(state: np.ndarray, sys: BipartiteSystem, over: str,
     """Sp_over(rho W'), with W' the weight W on ``over`` extended by the identity.
 
     W' is W x 1 for ``over='alpha'`` and 1 x W for ``over='beta'``; with no
-    weight this is the partial trace. ``state`` is the N x N rho or a pure
-    state's amplitude vector psi, rho = psi psi^dag. One einsum on the
-    (Na, Nb, Na, Nb) view of rho costs O(Na^2 Nb^2) and never forms W' or the
-    O(N^3) product rho W'. On psi, with P = Psi = psi.reshape(Na, Nb) over
-    beta and P = Psi^T over alpha, it is P P^dag, or P W^T P^dag with a
-    weight: O(Na Nb (Na + Nb)), and psi psi^dag is never formed.
+    weight this is the partial trace. ``state`` is one of:
+
+    * the N x N rho (2-D). One einsum on its (Na, Nb, Na, Nb) view costs
+      O(Na^2 Nb^2) and never forms W' or the O(N^3) product rho W';
+    * a pure state's amplitude vector psi (1-D), rho = psi psi^dag;
+    * a stack of amplitude matrices Psi = psi.reshape(Na, Nb) with leading
+      axes (..., Na, Nb), 3-D or more; the weight may then carry the same
+      leading axes, one W per state. A stack keeps the (Na, Nb) split, since
+      K vectors of length N, (K, N), would read as rho where K = N.
+
+    On amplitudes, with P = Psi over beta and P = Psi^T over alpha, it is
+    P P^dag, or P W^T P^dag with a weight: O(Na Nb (Na + Nb)) per state, by
+    broadcasting matmul, and psi psi^dag is never formed. One vector is a
+    stack with no leading axis, so it gets the same bits as in a stack.
     """
     na, nb = sys.dim_alpha, sys.dim_beta
     if over not in ("alpha", "beta"):
         raise ValueError(f"over must be 'alpha' or 'beta', got {over!r}")
     n = na if over == "alpha" else nb
-    if weight is not None and weight.shape != (n, n):
+    if weight is not None and weight.shape[-2:] != (n, n):
         raise DimensionMismatch(f"operator shape {weight.shape} does not match dim_{over}={n}")
-    if state.ndim == 1:
-        psi = state.reshape(na, nb)
-        p = psi if over == "beta" else psi.T
-        return (p if weight is None else p @ weight.T) @ p.conj().T
-    sys.check(state)
+    if state.ndim != 2:
+        p = state.reshape(na, nb) if state.ndim == 1 else state
+        if over == "alpha":
+            p = p.swapaxes(-1, -2)
+        return (p if weight is None else p @ weight.swapaxes(-1, -2)) @ p.conj().swapaxes(-1, -2)
+    if state.shape != (sys.dim, sys.dim):
+        raise DimensionMismatch(
+            f"matrix shape {state.shape} does not match composite dimension {sys.dim}"
+        )
     r = state.reshape(na, nb, na, nb)
     if weight is None:
         return np.einsum("ibjb->ij" if over == "beta" else "aiaj->ij", r)

@@ -46,12 +46,13 @@ class SpinPairParams:
     d_coupling: float = 0.0
 
 
-def _check_phases(t: float, *rates: tuple[str, float]) -> None:
+def _check_phases(t: float, *rates: tuple[str, float], at: str = "t") -> None:
     """ValidationError naming the first ``(name, rate)`` whose phase rate * t
-    overflows a float, where a cos, sin or exp of it would raise or give nan."""
+    overflows a float, where a cos, sin or exp of it would raise or give nan;
+    ``at`` names the variable t, the time by default."""
     for name, rate in rates:
         if not math.isfinite(float(rate) * float(t)):
-            raise ValidationError(f"{name} * t overflows at t={float(t)!r}")
+            raise ValidationError(f"{name} * {at} overflows at {at}={float(t)!r}")
 
 
 def spin_pair_evolution(p: SpinPairParams, t: float) -> np.ndarray:
@@ -99,6 +100,7 @@ def spin_pair_density(p: SpinPairParams, phi: float, t: float) -> DensityMatrix:
 def spin_pair_correlation(phi: float, c: float, t: float) -> float:
     """Oscillating correlation C(phi, t) = cos(2 phi) cos(2 c t)."""
     _check_phases(t, ("2 * c", 2.0 * float(c)))
+    _check_phases(phi, ("2", 2.0), at="phi")
     return math.cos(2 * phi) * math.cos(2 * c * t)
 
 
@@ -110,6 +112,8 @@ def spin_pair_populations(phi: float, c: float, t: float) -> tuple[float, float]
 
 def spin_pair_coherence(phi: float, c: float, t: float) -> complex:
     """Analytic (21,12) coherence of the evolved spin-pair state."""
+    _check_phases(t, ("2 * c", 2.0 * float(c)))
+    _check_phases(phi, ("2", 2.0), at="phi")
     return 0.5 * (1j * math.cos(2 * phi) * math.sin(2 * c * t) - math.sin(2 * phi))
 
 

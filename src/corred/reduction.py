@@ -29,12 +29,28 @@ is the projector pair on the top Schmidt vectors of Psi, from the Gram
 Psi Psi^dag or Psi^T Psi^* of the smaller side, at any size; for an N x N
 rho the start needs min(Na, Nb) <= CLOSED_FORM_MAX_DIM. Otherwise the loop
 starts at the given alpha state, by default the partial trace.
+
+Stacks. The kernels on amplitudes (``_contract``, ``_condition``,
+``_schmidt_start``, ``_reconstruction_error``) also take a stack of
+amplitude matrices Psi (..., Na, Nb), 3-D or more, by broadcasting matmul,
+and give each state of it the bits it gets alone: one vector is a stack
+with no leading axis, not a second implementation. A stack keeps the
+(Na, Nb) split, since K vectors of length N would read as an N x N rho
+where K = N. Where one state raises or warns, a stack marks that state NaN
+instead. ``reduce_stack`` reduces K time points of ``corred run`` this way,
+on the support of the stack: the rows and columns of Psi that hold a
+nonzero entry in some state. Off it every reduced entry is exactly 0, so
+the stack restricts Psi to it and builds no full Na x Na or Nb x Nb matrix;
+only the public reductions, which return one, do. A sum over the support
+skips zero terms, so its last bit can differ from the public reduction of
+the whole Psi.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,12 +74,17 @@ NEAR_DEGENERACY_THRESHOLD = 1e-10
 
 MEAN_ZERO_TOL = 1e-12
 
-#: Most entries of rho's (Na, Nb, Na, Nb) view that ``_reconstruction_error``
-#: compares in one block of alpha rows, which holds one row at least: the
-#: whole state where (Na Nb)^2 is at most this, since there numpy's per-call
-#: cost, not the temporary, is what smaller blocks would spend; above it no
-#: N x N temporary.
-ERROR_BLOCK_ENTRIES = 4096
+#: Largest deviation from 1 of an amplitude vector's squared norm.
+NORM_TOL = max(POSITIVITY_TOL, 1e-12)
+
+#: Most entries of rho's (Na, Nb, Na, Nb) view, over all states of a stack,
+#: that ``_reconstruction_error`` compares in one block of alpha rows, which
+#: holds one row at least; so no N x N temporary. A block's broadcast
+#: products also take numpy buffers of about three times its size. At 64 a
+#: chunk of ``corred run`` (8 states on a 2 x 2 support) takes a block per
+#: row and keeps ``peak_mem_mb`` near the per-point code's, while one state
+#: up to 2 x 2 still goes in one block.
+ERROR_BLOCK_ENTRIES = 64
 
 #: Largest min(Na, Nb) at which the Gauss-Seidel loop starts an N x N rho at
 #: its closed form; an amplitude vector starts there at any size, since its
@@ -95,19 +116,31 @@ def _state(rho, sys: BipartiteSystem) -> np.ndarray:
     """The composite state ``rho`` as a checked array: a pure state's amplitude
     vector psi (1-D) stays one, checked as a ``DensityMatrix`` checks
     psi psi^dag: length N (else DimensionMismatch), finite entries and unit
-    squared norm (else ValidationError). Anything else goes to ``_matrix``."""
+    squared norm (else ValidationError; ``_unit`` makes the same check over a
+    stack). Anything else goes to ``_matrix``."""
     if isinstance(rho, DensityMatrix) or np.ndim(rho) != 1:
         return _matrix(rho, sys)
     m = np.asarray(rho, dtype=complex)
     if m.shape != (sys.dim,):
         raise DimensionMismatch(f"amplitude vector length {m.size} does not match "
                                 f"composite dimension {sys.dim}")
-    if not np.isfinite(m).all():
+    finite, norm = _norm(m)
+    if not finite:
         raise ValidationError("amplitude vector has non-finite entries")
-    norm = float(np.vdot(m, m).real)
-    if abs(norm - 1.0) > max(POSITIVITY_TOL, 1e-12):
-        raise ValidationError(f"squared norm of the amplitude vector must be 1, got {norm}")
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValidationError(f"squared norm of the amplitude vector must be 1, got {float(norm)}")
     return m
+
+
+def _norm(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each amplitude vector of psi (..., N) is finite, and its squared norm."""
+    return np.isfinite(psi).all(axis=-1), np.einsum("...i,...i->...", psi.conj(), psi).real
+
+
+def _unit(psi: np.ndarray) -> np.ndarray:
+    """Which amplitude vectors of psi (..., N) pass ``_state``'s check."""
+    finite, norm = _norm(psi)
+    return finite & (abs(norm - 1.0) <= NORM_TOL)
 
 
 @dataclass(frozen=True)
@@ -149,36 +182,47 @@ class ReductionResult:
         return obj
 
 
-def _reconstruction_error(state: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> float:
+def _reconstruction_error(state: np.ndarray, ra: np.ndarray, rb: np.ndarray):
     """max |rho[i,b,j,c] - ra[i,j] rb[b,c]| over the (Na, Nb, Na, Nb) view of
-    the N x N ``state``, or of psi psi^dag for an amplitude vector ``state``.
+    the N x N ``state``, or of psi psi^dag for an amplitude vector ``state``;
+    for a stack of amplitude matrices Psi (..., Na, Nb) with its pairs ra
+    (..., Na, Na) and rb (..., Nb, Nb), the array of each state's error.
 
     Taken over blocks of alpha rows i of at most ``ERROR_BLOCK_ENTRIES``
     entries: rho[i:i+k] of the view, or psi psi^dag on the rows Psi[i:i+k],
     Psi = psi.reshape(Na, Nb) restricted to its rows and columns that hold a
-    nonzero entry (outside them psi_ib psi_jc^* and ra[i,j] rb[b,c] are both
-    exactly 0). The products are np.outer's, psi_ib * psi_jc^*, and
-    np.kron's, ra[i,j] * rb[b,c], so the value equals max |rho - kron(ra, rb)|
-    exactly, rho = np.outer(psi, psi.conj()) for psi.
+    nonzero entry, in any state of a stack (outside them psi_ib psi_jc^* and
+    ra[i,j] rb[b,c] are both exactly 0). The products are np.outer's,
+    psi_ib * psi_jc^*, and np.kron's, ra[i,j] * rb[b,c], so the value equals
+    max |rho - kron(ra, rb)| exactly, rho = np.outer(psi, psi.conj()) for psi.
     """
-    na, nb = ra.shape[0], rb.shape[0]
-    pure = state.ndim == 1
+    na, nb = ra.shape[-1], rb.shape[-1]
+    pure = state.ndim != 2
     if pure:
-        psi = state.reshape(na, nb)
-        rows, cols = psi.any(axis=1), psi.any(axis=0)
-        psi, ra, rb = psi[rows][:, cols], ra[rows][:, rows], rb[cols][:, cols]
-        na, nb = psi.shape
+        psi = state.reshape(na, nb) if state.ndim == 1 else state
+        lead = psi.shape[:-2]
+        axes = tuple(range(len(lead)))
+        rows, cols = psi.any(axis=axes + (-1,)), psi.any(axis=axes + (-2,))
+        if not (rows.all() and cols.all()):
+            psi = psi[..., rows, :][..., cols]
+            ra, rb = ra[..., rows, :][..., rows], rb[..., cols, :][..., cols]
+        na, nb = psi.shape[-2:]
         # A column times a row, the shapes np.outer multiplies: numpy can round
         # a one-entry product of other shapes differently (np.multiply.outer of
         # a 1 x 1 Psi gives |psi_k|^2 an imaginary part of 0, np.outer ~1e-17).
-        psic = psi.conj().reshape(1, -1)
+        psic = psi.conj().reshape(*lead, 1, -1)
     else:
+        lead = ()
         rho = state.reshape(na, nb, na, nb)
-    k = max(1, ERROR_BLOCK_ENTRIES // (na * nb * nb))
-    return max(mc.max_abs_diff((psi[i:i + k].reshape(-1, 1) * psic).reshape(-1, nb, na, nb)
-                               if pure else rho[i:i + k],
-                               ra[i:i + k, None, :, None] * rb[None, :, None, :])
-               for i in range(0, na, k))
+    k = max(1, ERROR_BLOCK_ENTRIES // (int(np.prod(lead)) * na * nb * nb))
+    blocks = []
+    for i in range(0, na, k):
+        diff = ra[..., i:i + k, None, :, None] * rb[..., None, :, None, :]
+        np.subtract((psi[..., i:i + k, :].reshape(*lead, -1, 1) * psic).reshape(diff.shape)
+                    if pure else rho[i:i + k], diff, out=diff)
+        blocks.append(np.abs(diff).max(axis=(-4, -3, -2, -1)))
+    error = np.max(blocks, axis=0)
+    return error if lead else float(error)
 
 
 def _result(method: str, state: np.ndarray, ra: np.ndarray, rb: np.ndarray | None,
@@ -233,9 +277,21 @@ def _condition(rho: np.ndarray, sys: BipartiteSystem, sigma: np.ndarray, given_s
     amplitude vector, where forming sigma' and the product rho sigma' would
     cost O(N^3). Returns the reduced matrix of the side opposite to
     ``given_side``: the numerator hermitized, divided once by its real trace.
+
+    On one state a denominator below ``DEGENERACY_THRESHOLD`` raises
+    DegenerateOverlap, one below ``NEAR_DEGENERACY_THRESHOLD`` warns. On a
+    stack of amplitude matrices (with one sigma, or one per state) neither
+    happens: the state's matrix is NaN instead, so that the caller reduces
+    that state alone.
     """
     numerator = mc.hermitize(mc._contract(rho, sys, given_side, sigma))
-    denom = float(numerator.trace().real)
+    denom = numerator.trace(axis1=-2, axis2=-1).real
+    if denom.ndim:
+        near = ~(abs(denom) >= NEAR_DEGENERACY_THRESHOLD)
+        numerator /= np.where(near, 1.0, denom)[..., None, None]
+        numerator[near] = np.nan
+        return numerator
+    denom = float(denom)
     if abs(denom) < DEGENERACY_THRESHOLD:
         raise DegenerateOverlap(
             f"overlap denominator {denom:.3e} below {DEGENERACY_THRESHOLD:.0e}; "
@@ -272,11 +328,16 @@ def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
     quantum-nondemolition-measurement limit.
     """
     r = _state(rho, sys)
+    proj = _projector(sys, level)
+    return _result("projective", r, _condition(r, sys, proj, given_side="beta"), proj)
+
+
+def _projector(sys: BipartiteSystem, level: int, levels: np.ndarray | None = None) -> np.ndarray:
+    """|level><level| on the beta ``levels``, by default all (else IndexOutOfRange)."""
     if not 0 <= level < sys.dim_beta:
         raise IndexOutOfRange(f"level {level} outside [0, {sys.dim_beta})")
-    proj = np.zeros((sys.dim_beta, sys.dim_beta), dtype=complex)
-    proj[level, level] = 1.0
-    return _result("projective", r, _condition(r, sys, proj, given_side="beta"), proj)
+    levels = np.arange(sys.dim_beta) if levels is None else levels
+    return np.diag(levels == level).astype(complex)
 
 
 def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: float,
@@ -307,11 +368,15 @@ def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: f
     ||G x - lambda_1 x|| of the top vector x not below tol * gap, the
     Davis-Kahan (1970) bound on sin of its angle to the true one; a trace
     about 0, which is no state; and a seed that overlaps the start by less
-    than tol.
+    than tol. On a stack of amplitude matrices (``seed`` one per state) the
+    pair is NaN for each state where one of these holds or a conditioning
+    meets a near-degenerate overlap (see ``_condition``), and None only
+    where it holds for all.
     """
     na, nb = sys.dim_alpha, sys.dim_beta
     side, n = ("alpha", na) if na <= nb else ("beta", nb)
-    if r.ndim == 1:
+    pure = r.ndim != 2
+    if pure:
         over = "beta" if side == "alpha" else "alpha"
         if over not in traces:
             traces[over] = mc._contract(r, sys, over)
@@ -325,21 +390,29 @@ def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: f
     # matmul's diagonal, which the residual below would count against x.
     gram = mc.hermitize(gram)
     lam, vecs = np.linalg.eigh(gram)
-    x = vecs[:, -1]
-    gap = lam[-1] - (lam[-2] if lam.size > 1 else 0.0)
-    top = x[:, None] * x.conj() if r.ndim == 1 else x.reshape(n, n)
-    trace = top.trace()
-    if not (gap > tol * lam[-1] and np.linalg.norm(gram @ x - lam[-1] * x) < tol * gap
-            and abs(trace) > NEAR_DEGENERACY_THRESHOLD):
+    x, top_lam = vecs[..., -1], lam[..., -1]
+    gap = top_lam - (lam[..., -2] if n > 1 else 0.0)
+    top = x[..., :, None] * x.conj()[..., None, :] if pure else x.reshape(n, n)
+    trace = top.trace(axis1=-2, axis2=-1)
+    residual = np.linalg.norm(gram @ x[..., None] - top_lam[..., None, None] * x[..., None],
+                              axis=(-2, -1))
+    ok = (gap > tol * top_lam) & (residual < tol * gap) & (abs(trace) > NEAR_DEGENERACY_THRESHOLD)
+    if not ok.any():
         return None
-    state = mc.hermitize(top / trace)
+    state = mc.hermitize(top / np.where(ok, trace, 1.0)[..., None, None])
     try:
         ra = state if side == "alpha" else _condition(r, sys, state, "beta")
-        if not abs(np.vdot(ra, seed)) > tol * np.linalg.norm(ra) * np.linalg.norm(seed):
+        overlap = abs((ra.conj() * seed).sum(axis=(-2, -1)))
+        ok &= overlap > tol * np.linalg.norm(ra, axis=(-2, -1)) * np.linalg.norm(seed, axis=(-2, -1))
+        if not ok.any():
             return None
-        return ra, _condition(r, sys, ra, "alpha", warnings)
+        rb = _condition(r, sys, ra, "alpha", warnings)
     except DegenerateOverlap:
         return None
+    if ok.ndim:
+        ok = ok[..., None, None]
+        ra, rb = np.where(ok, ra, np.nan), np.where(ok, rb, np.nan)
+    return ra, rb
 
 
 def correlated_reduce(
@@ -405,6 +478,95 @@ def correlated_reduce(
 
     return _result("correlated", r, ra, rb, verdict=verdict, iterations=len(residuals),
                    residuals=residuals, warnings=warnings)
+
+
+class Stack(NamedTuple):
+    """The reductions of a stack of K amplitude vectors, on the support of the
+    stack: its alpha levels ``rows`` and beta levels ``cols`` that hold a
+    nonzero entry in any of its states. ``rho_alpha`` (K, r, r) and
+    ``rho_beta`` (K, c, c) are the reduced states on that support, exactly 0
+    off it; ``error`` holds each state's reconstruction error, and
+    ``verdict`` and ``iterations`` those of every state that is ``done``.
+    A state not done is one to reduce alone, by the public reduction.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    rho_alpha: np.ndarray | None
+    rho_beta: np.ndarray | None
+    error: np.ndarray | None
+    done: np.ndarray
+    verdict: str = "-"
+    iterations: int = 0
+
+
+def reduce_stack(psi: np.ndarray, sys: BipartiteSystem, method: str, sigma=None,
+                 given_side: str = "beta", level: int = 0, tol: float = 1e-12) -> Stack:
+    """The reduction ``method`` of each amplitude vector in psi (K, N), with
+    the parameters of ``neumann_reduce``, ``conditioned_reduce`` (``sigma``,
+    ``given_side``), ``projective_reduce`` (``level``) or ``correlated_reduce``
+    from the default seed (``tol``; one sweep suffices where the state is
+    done, so ``max_iter`` does not matter).
+
+    The same kernels as the public reductions, over a leading axis and on the
+    support of the stack, where they give each state's reduced states and
+    error on its rows and columns: off them every entry is exactly 0. Only
+    the states that the kernels settle are done. The others are left to the
+    public reduction of that state alone, with its exceptions, warnings,
+    verdict and iterations: a state that fails ``_state``'s check, a
+    conditioning overlap below ``NEAR_DEGENERACY_THRESHOLD``, a correlated
+    start that ``_schmidt_start`` does not certify, and a first sweep whose
+    residual is not below ``tol``.
+    """
+    valid = _unit(psi)
+    if not valid.all():
+        psi = np.where(valid[:, None], psi, 0)
+    p = psi.reshape(-1, sys.dim_alpha, sys.dim_beta)
+    rows, cols = np.flatnonzero(p.any(axis=(0, 2))), np.flatnonzero(p.any(axis=(0, 1)))
+    if not valid.any():
+        return Stack(rows, cols, None, None, None, valid)
+    sub = BipartiteSystem(rows.size, cols.size)
+    if sub != sys:
+        p = p[:, rows[:, None], cols]
+    rb = None
+    if method == "neumann":
+        ra, rb = mc._contract(p, sub, "beta"), mc._contract(p, sub, "alpha")
+    elif method == "correlated":
+        start = _correlated_start(p, sub, tol)
+        if start is None:
+            return Stack(rows, cols, None, None, None, np.zeros_like(valid))
+        ra, rb, residual = start
+        valid &= residual < tol
+    else:
+        side = given_side if method == "conditioned" else "beta"
+        on = cols if side == "beta" else rows
+        w = (_matrix(sigma, sys, side)[on[:, None], on] if method == "conditioned"
+             else _projector(sys, level, cols))
+        ra = cond = _condition(p, sub, w, side)
+        valid &= ~np.isnan(cond).any(axis=(-2, -1))
+        if side == "alpha":
+            ra, rb = mc.hermitize(mc._contract(p, sub, "beta")), cond
+        elif method == "projective":
+            rb = np.broadcast_to(w, (len(p), *w.shape))
+    error = None if rb is None else _reconstruction_error(p, ra, rb)
+    run = ("converged", 1) if method == "correlated" else ()
+    return Stack(rows, cols, ra, rb, error, valid, *run)
+
+
+def _correlated_start(p: np.ndarray, sys: BipartiteSystem, tol: float):
+    """``correlated_reduce``'s closed-form start and first sweep on a stack of
+    amplitude matrices, from the default seed: (rho_alpha, rho_beta, residual
+    of the sweep), NaN where ``_schmidt_start`` leaves a state uncertified,
+    or None where it leaves all. Its temporaries are freed before the
+    caller takes the error, which sets a chunk's peak memory."""
+    seed = mc._contract(p, sys, "beta")
+    start = _schmidt_start(p, sys, seed, tol, [], {"beta": seed})
+    if start is None:
+        return None
+    ra, rb = start
+    # The start holds the sweep's beta update, so only rho_alpha moves.
+    ra_new = _condition(p, sys, rb, "beta")
+    return ra_new, rb, abs(ra_new - ra).max(axis=(-2, -1))
 
 
 def mean_value(rho_sub, a: Observable | np.ndarray) -> complex:

@@ -1,10 +1,12 @@
 import json
+import logging
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -202,7 +204,7 @@ class TestRun:
 
 def forbid_composite_matrices(monkeypatch):
     """Make every builder of an N x N composite state raise, and the
-    contraction kernel reject any composite that is not an amplitude vector."""
+    contraction kernel reject any composite that is not amplitude vectors."""
     def forbidden(*args, **kwargs):
         raise AssertionError("an N x N composite array was formed")
 
@@ -212,7 +214,8 @@ def forbid_composite_matrices(monkeypatch):
     contract = mc._contract
 
     def vector_only(state, *args):
-        assert state.ndim == 1, f"an N x N composite {state.shape} reached the contraction"
+        # 2-D is the N x N composite; an amplitude vector is 1-D, a stack of them 3-D.
+        assert state.ndim != 2, f"an N x N composite {state.shape} reached the contraction"
         return contract(state, *args)
 
     monkeypatch.setattr(mc, "_contract", vector_only)
@@ -384,6 +387,98 @@ def test_failing_time_point_leaves_the_rows_before_it(tmp_path, capsys, fmt):
         assert lines[-1] == "    }"
         rows = json.loads(out + "\n  ]\n}")["rows"]
         assert [row["t"] for row in rows] == [0.0, 1.0]
+
+
+def test_large_neumann_run_forms_no_field_matrix(tmp_path):
+    # Rows come from the reduced states on the two levels that hold the
+    # state, so no 257 x 257 field state is formed.
+    assert run_peak_bytes(tmp_path, 256, 10, "neumann") < 257**2 * 16
+
+
+@st.composite
+def chunked_runs(draw):
+    """A JCM vacuum or spin-pair ``run`` config of K - 1, K, K + 1 or 2 K + 1
+    points, K = ``cli.CHUNK``, whose first or last point is a tie of the
+    correlated step limit, 1e-8 from one, or neither."""
+    k = cli.CHUNK
+    steps = draw(st.sampled_from([k - 1, k, k + 1, 2 * k + 1]))
+    odd = 2 * draw(st.integers(0, 3)) + 1
+    if draw(st.booleans()):
+        experiment = "jcm_vacuum"
+        rabi = draw(st.floats(0.2, 3.0))
+        params = {"omega": draw(st.floats(-3.0, 3.0)), "rabi": rabi,
+                  "n_max": draw(st.integers(1, 40))}
+        tie = odd * math.pi / (2 * rabi)  # cos^2(rabi t / 2) = 1/2
+    else:
+        experiment = "spin_pair"
+        c = draw(st.floats(0.2, 2.0))
+        params = {"omega": draw(st.floats(-2.0, 2.0)), "c": c, "j": draw(st.floats(-1.0, 1.0)),
+                  "d": draw(st.floats(-1.0, 1.0)), "phi": draw(st.floats(-1.5, 1.5))}
+        tie = odd * math.pi / (4 * c)  # cos(2 c t) = 0
+    span = draw(st.floats(0.05, 5.0))
+    edge = tie + draw(st.sampled_from([0.0, 1e-8, -1e-8, draw(st.floats(-1.0, 1.0))]))
+    start, stop = (edge, edge + span) if draw(st.booleans()) else (edge - span, edge)
+    method = draw(st.sampled_from(["correlated", "correlated", "neumann", "projective"]))
+    return {
+        "experiment": experiment,
+        "params": params,
+        "time_grid": {"start": start, "stop": stop, "steps": steps},
+        "reduction": {"method": method, "level": 0} if method == "projective" else {"method": method},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunked_runs())
+def test_chunked_run_equals_point_by_point_run(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("chunks") / "config.json"
+    path.write_text(json.dumps(cfg))
+    for fmt in ("csv", "json"):
+        outs = []
+        for chunk in (cli.CHUNK, 1):
+            out = path.with_name(f"{chunk}.{fmt}")
+            with mock.patch.object(cli, "CHUNK", chunk):
+                code = cli.main(["run", "--config", str(path), "--format", fmt, "--out", str(out)])
+            outs.append((code, out.read_bytes()))
+        assert outs[0] == outs[1]
+
+
+def test_overflow_inside_a_chunk_leaves_the_rows_before_it(tmp_path, capsys):
+    # c * t overflows from the point in the middle of the second chunk on.
+    fail = cli.CHUNK + cli.CHUNK // 2
+    step = np.finfo(float).max / 1e308 / (fail - 0.5)
+    cfg = {
+        "experiment": "spin_pair",
+        "params": {"c": 1e308},
+        "time_grid": {"start": 0.0, "stop": 2 * cli.CHUNK * step, "steps": 2 * cli.CHUNK + 1},
+    }
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    out, err = capsys.readouterr()
+    ts = np.linspace(0.0, 2 * cli.CHUNK * step, 2 * cli.CHUNK + 1)
+    assert err == f"error: c * t overflows at t={float(ts[fail])!r}\n"
+    assert [float(line.split(",")[0]) for line in out.splitlines()[2:]] == ts[:fail].tolist()
+
+
+def test_degenerate_and_near_degenerate_points_inside_a_chunk(tmp_path, capsys, caplog):
+    # Projective on the excited atom's field vacuum: the overlap cos^2(t / 2)
+    # is 0 at t = pi, 1e-12 at pi + 2e-6. Each sits inside a chunk.
+    mid = cli.CHUNK // 2
+    ts = np.concatenate([np.linspace(0.5, 3.0, mid), [math.pi], np.linspace(3.2, 3.9, cli.CHUNK),
+                         [math.pi + 2e-6], np.linspace(4.0, 5.0, 3)])
+    cfg = {
+        "experiment": "jcm_vacuum",
+        "params": {"n_max": 3},
+        "reduction": {"method": "projective", "level": 0},
+        "output": {"format": "json"},
+    }
+    caplog.set_level(logging.WARNING, logger="corred")
+    reducer = cli._reducer(cfg["reduction"], models.jcm_system(models.JcmParams(1.0, 1.0, 3)))
+    sys_, rho_of_t = cli._state_factory(cfg)
+    rows = list(cli._series(ts, sys_, rho_of_t, reducer))
+    assert [row["t"] for row in rows] == [t for t in ts.tolist() if t != math.pi]
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[0].startswith(f"t={math.pi:g}: overlap denominator")
+    assert messages[1].startswith(f"t={math.pi + 2e-6:g}: near-degenerate overlap denominator")
+    assert len(messages) == 2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -994,6 +1089,8 @@ EXIT_CASES = [
      RUN, 2),
     ("decompose-omega-overflow", "{}", [*DECOMPOSE, "--omega=1e308", "--t=2"], 2),
     ("decompose-c-overflow", "{}", [*DECOMPOSE, "--c=1e308", "--t=2"], 2),
+    # 2 * phi overflows, though phi is finite.
+    ("decompose-phi-overflow", "{}", [*DECOMPOSE, "--phi=1e308", "--t", "1"], 2),
 ]
 
 

@@ -542,6 +542,80 @@ def assert_vector_and_density_agree(psi, rho, sys_, rng):
         assert x is None or abs(x - y) <= PURE_TOL
 
 
+@st.composite
+def amplitude_stacks(draw):
+    """(Psi, system) for a stack of 1-5 amplitude matrices of dims 1-4 x 1-4,
+    each normalized, with entries zeroed at random (one nonzero at least)."""
+    k, na, nb = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.standard_normal((k, na, nb)) + 1j * rng.standard_normal((k, na, nb))
+    p *= rng.random((k, na, nb)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    p[~p.any(axis=(1, 2)), 0, 0] = 1.0
+    return p / np.linalg.norm(p, axis=(1, 2))[:, None, None], BipartiteSystem(na, nb)
+
+
+class TestStackedKernels:
+    """A stack of amplitude matrices gives each state the bits of that state alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(amplitude_stacks(), st.integers(0, 2**32 - 1))
+    def test_each_state_of_a_stack_gets_its_own_bits(self, case, seed):
+        p, sys_ = case
+        rng = np.random.default_rng(seed)
+        for side, n in (("alpha", sys_.dim_alpha), ("beta", sys_.dim_beta)):
+            w = np.stack([random_density(rng, n).matrix for _ in p])
+            for weight in (None, w[0], w):
+                each = [None if weight is None else weight if weight.ndim == 2 else weight[k]
+                        for k in range(len(p))]
+                got = mc._contract(p, sys_, side, weight)
+                for k, psi in enumerate(p):
+                    assert got[k].tobytes() == mc._contract(psi.ravel(), sys_, side, each[k]).tobytes()
+                if weight is None:
+                    continue
+                got = red._condition(p, sys_, weight, side)
+                for k, psi in enumerate(p):
+                    num = mc._contract(psi.ravel(), sys_, side, each[k])
+                    if abs(num.trace().real) < red.NEAR_DEGENERACY_THRESHOLD:
+                        assert np.isnan(got[k]).all()
+                    else:
+                        want = red._condition(psi.ravel(), sys_, each[k], side)
+                        assert got[k].tobytes() == want.tobytes()
+        ra, rb = mc._contract(p, sys_, "beta"), mc._contract(p, sys_, "alpha")
+        errors = red._reconstruction_error(p, ra, rb)
+        for k, psi in enumerate(p):
+            assert errors[k] == red._reconstruction_error(psi.ravel(), ra[k], rb[k])
+
+    @settings(max_examples=200, deadline=None)
+    @given(amplitude_stacks())
+    def test_a_stack_starts_each_state_where_it_alone_starts(self, case):
+        p, sys_ = case
+        seed = mc._contract(p, sys_, "beta")
+        start = red._schmidt_start(p, sys_, seed, 1e-12, [], {"beta": seed})
+        for k, psi in enumerate(p):
+            want = red._schmidt_start(psi.ravel(), sys_, seed[k], 1e-12, [], {"beta": seed[k]})
+            if want is None:
+                assert start is None or np.isnan(start[0][k]).all() and np.isnan(start[1][k]).all()
+            else:
+                assert [m[k].tobytes() for m in start] == [m.tobytes() for m in want]
+
+    def test_a_stack_settles_only_what_one_sweep_certifies(self):
+        # JCM vacuum, rabi = 1: a tie at t = pi/2, where the start is not
+        # certified, between two points that converge in one sweep.
+        p = JcmParams(1.0, 1.0, n_max=3)
+        ts = [0.3, math.pi / 2, 2.0]
+        stack = red.reduce_stack(np.array([models.jcm_vacuum_amplitudes(p, t) for t in ts]),
+                                 jcm_system(p), "correlated")
+        assert stack.done.tolist() == [True, False, True]
+        assert (stack.verdict, stack.iterations) == ("converged", 1)
+        assert stack.rows.tolist() == [0, 1] and stack.cols.tolist() == [0, 1]
+        for k in (0, 2):
+            one = red.correlated_reduce(models.jcm_vacuum_amplitudes(p, ts[k]), jcm_system(p))
+            assert one.verdict == "converged" and one.iterations == 1
+            assert mc.max_abs_diff(stack.rho_alpha[k], one.rho_alpha.matrix) < 1e-15
+            assert mc.max_abs_diff(stack.rho_beta[k], one.rho_beta.matrix[:2, :2]) < 1e-15
+            assert abs(stack.error[k] - one.reconstruction_error) < 1e-15
+
+
 class TestAmplitudeVectorInput:
     @settings(max_examples=300, deadline=None)
     @given(amplitude_vectors())
@@ -558,8 +632,9 @@ class TestAmplitudeVectorInput:
            st.booleans())
     def test_slab_error_equals_the_kron_form(self, case, seed, pure, traces, whole):
         # Dense states and amplitude vectors (zeroed rows and columns) of
-        # 1-9 x 1-9, so Na > Nb and, above (Na Nb)^2 = 4096, blocks of some
-        # alpha rows with a shorter last one; a budget of 0 takes one row a block.
+        # 1-9 x 1-9, so Na > Nb and, above ERROR_BLOCK_ENTRIES entries, blocks
+        # of some alpha rows with a shorter last one; a budget of 0 takes one
+        # row a block.
         psi, sys_ = case
         rng = np.random.default_rng(seed)
         state = psi if pure else random_density(rng, sys_.dim).matrix
