@@ -19,12 +19,15 @@ returns itself are 3 from ``decompose`` when verification misses and 2 from
 ``validate`` after its ``{"valid": false}`` report.
 
 ``run`` reads its whole config and opens its output before the time loop.
-It then holds one chunk of ``CHUNK`` time points at a time: each row is
-written as its chunk completes, and the chunk's states are freed before the
-next is reduced, so memory does not grow with ``steps``. A model's
-amplitude vectors are reduced a chunk at a time (``reduction.reduce_stack``)
-and each row is read off the stacked arrays; a point the stack does not
-settle, and every point of an N x N state, is reduced alone. After a
+It then holds one chunk of ``CHUNK`` time points at a time, and makes each
+chunk's t values as ``np.linspace`` makes them, so memory does not grow
+with ``steps``. A chunk of a model's amplitude vectors is filled into one
+(K, N) array as each state is made; that array is freed once it is cut to
+the support of the chunk (``reduction.support``), before the stacked
+kernels run (``reduction.reduce_stack``). Each row is read off the stacked
+arrays and written as one formatted line, and the chunk's states are freed
+before the next chunk is made. A point the stack does not settle, and
+every point of an N x N state, is made again and reduced alone. After a
 nonzero exit the output holds only the rows of the points before the
 failure.
 The ``reduction`` section takes only the keys in ``REDUCTION_KEYS``; an
@@ -65,18 +68,23 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-#: Time points that ``run`` reduces together: a few, since numpy's per-call
-#: cost is what a stack saves, while each point held adds to peak memory.
-CHUNK = 8
+#: Time points that ``run`` reduces together. numpy's fixed cost per call is
+#: what a stack saves, while each point's amplitude vector is held until the
+#: chunk is cut to its support and the kernels' temporaries grow with it. On
+#: the run workloads of ``bench/``, 16 takes 25 to 30 % less time than 8 for
+#: 1 to 5 % more peak memory; 32 takes another 25 % less time for 10 to 15 %
+#: more (ROADMAP item 3).
+CHUNK = 16
+
+#: Most entries of a stack of reduced states that ``_max_coherence`` takes
+#: |m| of at once: a chunk's reduced states on its support in one block, and
+#: 15 rows of a 257 x 257 one.
+COHERENCE_BLOCK_ENTRIES = 4096
 
 #: Keys of the ``reduction`` config section, shared by ``run`` and ``reduce``.
 REDUCTION_KEYS = ("method", "level", "state", "given_side", "tol", "max_iter", "seed")
 
 log = logging.getLogger("corred")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _setup_logging() -> None:
@@ -222,12 +230,43 @@ def _load_density(path: str, validation: str | None = None) -> DensityMatrix:
 # ---------------------------------------------------------------- run
 
 
-def _time_grid(grid: dict) -> np.ndarray:
+class _Grid:
+    """The time grid ``np.linspace(start, stop, steps)``, a slice at a time.
+
+    ``grid[i:j]`` is ``np.linspace(start, stop, steps)[i:j]`` bit for bit,
+    made as linspace makes it: i * step + start, or (i / div) * delta + start
+    where the step underflows to 0, and the last point set to ``stop``. So no
+    array of ``steps`` points is ever made.
+    """
+
+    def __init__(self, start: float, stop: float, steps: int):
+        self.start, self.stop, self.steps = start, stop, steps
+
+    def __len__(self) -> int:
+        return self.steps
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        first, last, _ = s.indices(self.steps)
+        y = np.arange(first, last, dtype=float)
+        div = self.steps - 1
+        delta = np.subtract(self.stop, self.start)
+        step = delta / div if div else delta
+        if div and step == 0:
+            y /= div
+            step = delta
+        y *= step
+        y += self.start
+        if div and first < last == self.steps:
+            y[-1] = self.stop
+        return y
+
+
+def _time_grid(grid: dict) -> _Grid:
     start, stop = _number(grid, "start"), _number(grid, "stop")
     steps = _number(grid, "steps", kind=int)
-    if steps < 1 or stop < start:
+    if not 1 <= steps <= sys.maxsize or stop < start:
         raise ValidationError(f"bad time grid {grid}")
-    return np.linspace(start, stop, steps)
+    return _Grid(start, stop, steps)
 
 
 def _state_factory(cfg: dict):
@@ -272,8 +311,9 @@ def _required(rcfg: dict, key: str):
 
 class _Reducer(NamedTuple):
     """The reduction a config names: ``one`` maps a state to a ReductionResult;
-    ``stack`` maps amplitude vectors (K, N) to a ``reduction.Stack``, or is
-    None where ``run`` reduces each point alone (a ``file:`` seed)."""
+    ``stack`` maps amplitude vectors cut to their support (a
+    ``reduction.Support``) to a ``reduction.Stack``, or is None where ``run``
+    reduces each point alone (a ``file:`` seed)."""
 
     one: Callable
     stack: Callable | None
@@ -291,7 +331,7 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem) -> _Reducer:
     method = rcfg.get("method", "neumann")
 
     def stack(**params):
-        return lambda psi: reduction.reduce_stack(psi, sys_, method, **params)
+        return lambda cut: reduction.reduce_stack(cut, sys_, method, **params)
 
     if method == "neumann":
         return _Reducer(lambda rho: reduction.neumann_reduce(rho, sys_), stack())
@@ -327,13 +367,23 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem) -> _Reducer:
 
 
 def _max_coherence(m: np.ndarray) -> np.ndarray:
-    """Largest |m_ij|, i != j, of each matrix of a stack (..., n, n); 0 for n < 2."""
+    """Largest |m_ij|, i != j, of each matrix of a stack (..., n, n); 0 for n < 2.
+
+    Taken over blocks of rows of at most ``COHERENCE_BLOCK_ENTRIES`` entries
+    over the stack, one row at least, so no |m| of a whole N x N reduced
+    state is made.
+    """
     n = m.shape[-1]
+    best = np.zeros(m.shape[:-2])
     if n < 2:
-        return np.zeros(m.shape[:-2])
-    off = np.abs(m)
-    off[..., range(n), range(n)] = 0.0
-    return off.max(axis=(-2, -1))
+        return best
+    k = max(1, COHERENCE_BLOCK_ENTRIES // max(1, m.size // n))
+    for i in range(0, n, k):
+        off = np.abs(m[..., i:i + k, :])
+        diag = np.arange(i, i + off.shape[-2])
+        off[..., diag - i, diag] = 0.0
+        best = np.maximum(best, off.max(axis=(-2, -1)))
+    return best
 
 
 def cmd_run(args) -> int:
@@ -359,10 +409,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _series(ts: np.ndarray, sys_: BipartiteSystem, rho_of_t, reducer: _Reducer) -> Iterator[dict]:
-    """One output row per time point, each chunk of ``CHUNK`` points reduced
-    only when its first row is asked for; points with a degenerate overlap
-    are skipped."""
+def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, rho_of_t,
+            reducer: _Reducer) -> Iterator[dict]:
+    """One output row per time point of ts (an array or a ``_Grid``), each
+    chunk of ``CHUNK`` points reduced only when its first row is asked for;
+    points with a degenerate overlap are skipped."""
     written = False
     for i in range(0, len(ts), CHUNK):
         for row in _chunk(ts[i:i + CHUNK].tolist(), sys_, rho_of_t, reducer):
@@ -375,33 +426,48 @@ def _series(ts: np.ndarray, sys_: BipartiteSystem, rho_of_t, reducer: _Reducer) 
 def _chunk(ts: list[float], sys_: BipartiteSystem, rho_of_t, reducer: _Reducer) -> Iterator[dict]:
     """The rows of the time points ts, without the degenerate ones.
 
-    A model's amplitude vectors are reduced together by ``reducer.stack``,
-    and their rows are read off the stacked arrays (``_stack_rows``); a
-    point the stack leaves undone, and every point of an N x N state, is
-    reduced alone (``_row``). Where the state of a point cannot be made, the
-    rows of the points before it come first, then its error.
+    A model's amplitude vectors (``_stacked``) are cut to their support and
+    reduced together by ``reducer.stack``, and their rows are read off the
+    stacked arrays (``_stack_rows``). A point the stack leaves undone, and
+    every point of an N x N state, is made again by ``rho_of_t``, which
+    gives the same state each time, and reduced alone (``_row``). The stack
+    ends before a point whose state cannot be made, so the rows of the
+    points before it come first, then its error.
     """
-    states, failure = [], None
-    for t in ts:
-        try:
-            states.append(rho_of_t(t))
-        except CorredError as exc:
-            failure = exc
-            break
-    rows = itertools.repeat(None)
-    if states and reducer.stack is not None and np.ndim(states[0]) == 1:
-        states = np.array(states)  # (K, N), and the list of K vectors is freed
-        rows = _stack_rows(ts, reducer.stack(states), sys_)
-    for t, state, row in zip(ts, states, rows):
-        row = row or _row(t, state, reducer.one)
+    rows = ()
+    psi = None if reducer.stack is None else _stacked(ts, rho_of_t)
+    if psi is not None:
+        cut = reduction.support(psi, sys_)
+        psi = None  # the (K, N) array is freed before the stacked kernels run
+        rows = _stack_rows(ts, reducer.stack(cut), sys_)
+    for t, row in itertools.zip_longest(ts, rows):
+        row = row or _row(t, rho_of_t(t), reducer.one)
         if row is not None:
             yield row
-    if failure is not None:
-        raise failure
 
 
-def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) -> Iterator:
-    """The row of each point of the stack, or None where it is not done.
+def _stacked(ts: list[float], rho_of_t) -> np.ndarray | None:
+    """The amplitude vectors of the time points ts up to the first whose
+    state cannot be made, filled into one (K, N) array as each is made;
+    None where there is none, or the states are N x N."""
+    psi, made = None, 0
+    for t in ts:
+        try:
+            state = rho_of_t(t)
+        except CorredError:
+            break  # made again, and raised, after the rows before it
+        if psi is None:
+            if np.ndim(state) != 1:
+                return None
+            psi = np.empty((len(ts), state.size), dtype=state.dtype)
+        psi[made] = state
+        made += 1
+    return None if psi is None else psi[:made]
+
+
+def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) -> Iterable:
+    """The row of each point of the stack, the first points of ts, or None
+    where it is not done.
 
     The populations are the diagonal of each reduced state on the support
     and exact zeros off it, its coherence the largest off-diagonal there;
@@ -410,7 +476,7 @@ def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) 
     """
     done = stack.done
     if not done.any():
-        return itertools.repeat(None)
+        return ()
     sides = {"alpha": (stack.rho_alpha, stack.rows, sys_.dim_alpha)}
     if stack.rho_beta is not None:
         sides["beta"] = (stack.rho_beta, stack.cols, sys_.dim_beta)
@@ -436,7 +502,7 @@ def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) 
             out["coh_beta"] = cohs["beta"][j]
         return out
 
-    return (row(j, t) if done[j] else None for j, t in enumerate(ts))
+    return (row(j, t) if done[j] else None for j, t in enumerate(ts[:len(done)]))
 
 
 def _row(t: float, state, reduce_one) -> dict | None:
@@ -497,19 +563,32 @@ def _write_series(rows: Iterable[dict], cfg: dict, fmt: str, out) -> None:
             lead = ",\n    "
         out.write("\n  ]\n}\n")
         return
-    for i, r in enumerate(rows):
-        if i == 0:
+    line = None
+    for r in rows:
+        if line is None:
             out.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
             out.write(",".join(_csv_header(r)) + "\n")
-        cells = [_fmt(r["t"])]
-        cells += [_fmt(x) for x in r["pop_alpha"]]
-        cells += [_fmt(x) for x in r.get("pop_beta", [])]
-        cells.append(_fmt(r["coh_alpha"]))
+            line = _csv_line(r)
+        out.write(line(r))
+
+
+def _csv_line(first: dict) -> Callable[[dict], str]:
+    """The writer of the CSV rows of a series whose first row is ``first``:
+    each number as ``f"{x:.17g}"`` writes it, an error of None as an empty
+    cell, and the verdict and iterations as text, in one format call per row."""
+    numbers = ",".join(["%.17g"] * (len(_csv_header(first)) - 3))
+    with_error, without_error = f"{numbers},%.17g,%s,%s\n", f"{numbers},,%s,%s\n"
+
+    def line(r: dict) -> str:
+        cells = [r["t"], *r["pop_alpha"], *r.get("pop_beta", ()), r["coh_alpha"]]
         if "coh_beta" in r:
-            cells.append(_fmt(r["coh_beta"]))
+            cells.append(r["coh_beta"])
         error = r["reconstruction_error"]
-        cells += ["" if error is None else _fmt(error), str(r["verdict"]), str(r["iterations"])]
-        out.write(",".join(cells) + "\n")
+        if error is None:
+            return without_error % (*cells, r["verdict"], r["iterations"])
+        return with_error % (*cells, error, r["verdict"], r["iterations"])
+
+    return line
 
 
 def _csv_header(row: dict) -> list[str]:

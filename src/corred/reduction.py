@@ -40,10 +40,10 @@ where K = N. Where one state raises or warns, a stack marks that state NaN
 instead. ``reduce_stack`` reduces K time points of ``corred run`` this way,
 on the support of the stack: the rows and columns of Psi that hold a
 nonzero entry in some state. Off it every reduced entry is exactly 0, so
-the stack restricts Psi to it and builds no full Na x Na or Nb x Nb matrix;
-only the public reductions, which return one, do. A sum over the support
-skips zero terms, so its last bit can differ from the public reduction of
-the whole Psi.
+``support`` first cuts Psi to it, and no full Na x Na or Nb x Nb matrix is
+built; only the public reductions, which return one, do. A sum over the
+support skips zero terms, so its last bit can differ from the public
+reduction of the whole Psi.
 """
 
 from __future__ import annotations
@@ -76,14 +76,19 @@ MEAN_ZERO_TOL = 1e-12
 
 #: Largest deviation from 1 of an amplitude vector's squared norm.
 NORM_TOL = max(POSITIVITY_TOL, 1e-12)
+#: Most entries of a stack of amplitude vectors that ``_norm`` conjugates at
+#: once, one vector at least. At 256 a chunk of ``corred run`` at N = 34
+#: (JCM, n_max = 16) takes three blocks and stays under the peak memory of
+#: the list of vectors it replaced; a chunk at N = 4 takes one.
+NORM_BLOCK_ENTRIES = 256
 
 #: Most entries of rho's (Na, Nb, Na, Nb) view, over all states of a stack,
 #: that ``_reconstruction_error`` compares in one block of alpha rows, which
 #: holds one row at least; so no N x N temporary. A block's broadcast
 #: products also take numpy buffers of about three times its size. At 64 a
-#: chunk of ``corred run`` (8 states on a 2 x 2 support) takes a block per
-#: row and keeps ``peak_mem_mb`` near the per-point code's, while one state
-#: up to 2 x 2 still goes in one block.
+#: chunk of ``corred run`` (8 or more states on a 2 x 2 support) takes a
+#: block per row and keeps ``peak_mem_mb`` near the per-point code's, while
+#: one state up to 2 x 2 still goes in one block.
 ERROR_BLOCK_ENTRIES = 64
 
 #: Largest min(Na, Nb) at which the Gauss-Seidel loop starts an N x N rho at
@@ -133,12 +138,24 @@ def _state(rho, sys: BipartiteSystem) -> np.ndarray:
 
 
 def _norm(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each amplitude vector of psi (..., N) is finite, and its squared norm."""
-    return np.isfinite(psi).all(axis=-1), np.einsum("...i,...i->...", psi.conj(), psi).real
+    """Whether each amplitude vector of psi (N,) or (K, N) is finite, and its
+    squared norm.
+
+    Taken over blocks of at most ``NORM_BLOCK_ENTRIES`` entries, one vector
+    at least, so no conjugate copy of a whole stack is made; each vector
+    gets the bits it gets alone.
+    """
+    stack = psi.reshape(-1, psi.shape[-1])
+    norm = np.empty(len(stack))
+    k = max(1, NORM_BLOCK_ENTRIES // stack.shape[-1])
+    for i in range(0, len(stack), k):
+        block = stack[i:i + k]
+        norm[i:i + k] = np.einsum("ki,ki->k", block.conj(), block).real
+    return np.isfinite(psi).all(axis=-1), norm.reshape(psi.shape[:-1])
 
 
 def _unit(psi: np.ndarray) -> np.ndarray:
-    """Which amplitude vectors of psi (..., N) pass ``_state``'s check."""
+    """Which amplitude vectors of psi (K, N) pass ``_state``'s check."""
     finite, norm = _norm(psi)
     return finite & (abs(norm - 1.0) <= NORM_TOL)
 
@@ -480,12 +497,40 @@ def correlated_reduce(
                    residuals=residuals, warnings=warnings)
 
 
+class Support(NamedTuple):
+    """A stack of K amplitude vectors cut to its support (``support``):
+    ``p`` (K, r, c) holds each Psi = psi.reshape(Na, Nb) on the alpha levels
+    ``rows`` and beta levels ``cols`` that hold a nonzero entry in some
+    state; ``valid`` marks the states that pass ``_state``'s check, and the
+    others are zeroed."""
+
+    p: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    valid: np.ndarray
+
+
+def support(psi: np.ndarray, sys: BipartiteSystem) -> Support:
+    """The amplitude vectors psi (K, N) checked and cut to their support.
+
+    The cut is a copy where the support is smaller than Na x Nb, so the
+    caller can free psi before ``reduce_stack`` runs the kernels.
+    """
+    valid = _unit(psi)
+    if not valid.all():
+        psi = np.where(valid[:, None], psi, 0)
+    p = psi.reshape(-1, sys.dim_alpha, sys.dim_beta)
+    rows, cols = np.flatnonzero(p.any(axis=(0, 2))), np.flatnonzero(p.any(axis=(0, 1)))
+    if (rows.size, cols.size) != (sys.dim_alpha, sys.dim_beta):
+        p = p[:, rows[:, None], cols]
+    return Support(p, rows, cols, valid)
+
+
 class Stack(NamedTuple):
     """The reductions of a stack of K amplitude vectors, on the support of the
-    stack: its alpha levels ``rows`` and beta levels ``cols`` that hold a
-    nonzero entry in any of its states. ``rho_alpha`` (K, r, r) and
-    ``rho_beta`` (K, c, c) are the reduced states on that support, exactly 0
-    off it; ``error`` holds each state's reconstruction error, and
+    stack (``Support``). ``rho_alpha`` (K, r, r) and ``rho_beta`` (K, c, c)
+    are the reduced states on the levels ``rows`` and ``cols``, exactly 0
+    off them; ``error`` holds each state's reconstruction error, and
     ``verdict`` and ``iterations`` those of every state that is ``done``.
     A state not done is one to reduce alone, by the public reduction.
     """
@@ -500,13 +545,13 @@ class Stack(NamedTuple):
     iterations: int = 0
 
 
-def reduce_stack(psi: np.ndarray, sys: BipartiteSystem, method: str, sigma=None,
+def reduce_stack(cut: Support, sys: BipartiteSystem, method: str, sigma=None,
                  given_side: str = "beta", level: int = 0, tol: float = 1e-12) -> Stack:
-    """The reduction ``method`` of each amplitude vector in psi (K, N), with
-    the parameters of ``neumann_reduce``, ``conditioned_reduce`` (``sigma``,
-    ``given_side``), ``projective_reduce`` (``level``) or ``correlated_reduce``
-    from the default seed (``tol``; one sweep suffices where the state is
-    done, so ``max_iter`` does not matter).
+    """The reduction ``method`` of each amplitude vector of a stack cut to its
+    support (``support``), with the parameters of ``neumann_reduce``,
+    ``conditioned_reduce`` (``sigma``, ``given_side``), ``projective_reduce``
+    (``level``) or ``correlated_reduce`` from the default seed (``tol``; one
+    sweep suffices where the state is done, so ``max_iter`` does not matter).
 
     The same kernels as the public reductions, over a leading axis and on the
     support of the stack, where they give each state's reduced states and
@@ -518,16 +563,10 @@ def reduce_stack(psi: np.ndarray, sys: BipartiteSystem, method: str, sigma=None,
     start that ``_schmidt_start`` does not certify, and a first sweep whose
     residual is not below ``tol``.
     """
-    valid = _unit(psi)
-    if not valid.all():
-        psi = np.where(valid[:, None], psi, 0)
-    p = psi.reshape(-1, sys.dim_alpha, sys.dim_beta)
-    rows, cols = np.flatnonzero(p.any(axis=(0, 2))), np.flatnonzero(p.any(axis=(0, 1)))
+    p, rows, cols, valid = cut
     if not valid.any():
         return Stack(rows, cols, None, None, None, valid)
     sub = BipartiteSystem(rows.size, cols.size)
-    if sub != sys:
-        p = p[:, rows[:, None], cols]
     rb = None
     if method == "neumann":
         ra, rb = mc._contract(p, sub, "beta"), mc._contract(p, sub, "alpha")
@@ -536,14 +575,14 @@ def reduce_stack(psi: np.ndarray, sys: BipartiteSystem, method: str, sigma=None,
         if start is None:
             return Stack(rows, cols, None, None, None, np.zeros_like(valid))
         ra, rb, residual = start
-        valid &= residual < tol
+        valid = valid & (residual < tol)
     else:
         side = given_side if method == "conditioned" else "beta"
         on = cols if side == "beta" else rows
         w = (_matrix(sigma, sys, side)[on[:, None], on] if method == "conditioned"
              else _projector(sys, level, cols))
         ra = cond = _condition(p, sub, w, side)
-        valid &= ~np.isnan(cond).any(axis=(-2, -1))
+        valid = valid & ~np.isnan(cond).any(axis=(-2, -1))
         if side == "alpha":
             ra, rb = mc.hermitize(mc._contract(p, sub, "beta")), cond
         elif method == "projective":

@@ -17,6 +17,8 @@ import corred
 from corred import cli, matrixcore as mc, models, reduction
 from corred.states import DensityMatrix, epr_state, minimum_information_state, projector_state
 
+from conftest import random_density
+
 
 def write_state(tmp_path, name, dm):
     path = tmp_path / name
@@ -496,6 +498,187 @@ def test_degenerate_at_every_time_point_writes_nothing(tmp_path, capsys, fmt):
     assert capsys.readouterr() == ("", "error: degenerate overlap at every time point\n")
 
 
+def test_kernels_run_without_the_full_length_stack(tmp_path):
+    # A chunk of K = CHUNK vectors of length N = 514 is a (K, N) array of
+    # 16 K N bytes; it is cut to the two levels that hold the state and
+    # freed before reduce_stack runs, so neither reduce_stack's start nor
+    # its kernels see it in memory.
+    k, n = cli.CHUNK, 2 * 257
+    cfg = {
+        "experiment": "jcm_vacuum",
+        "params": {"omega": 1.0, "rabi": 1.0, "n_max": 256},
+        "time_grid": {"start": 0.0, "stop": 10.0, "steps": 2 * k},
+        "reduction": {"method": "neumann"},
+    }
+    argv = ["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out.csv")]
+    reduce_stack, seen = reduction.reduce_stack, []
+
+    def traced(cut, *args, **kwargs):
+        tracemalloc.reset_peak()  # to the memory in use at the start
+        stack = reduce_stack(cut, *args, **kwargs)
+        seen.append((len(cut.valid), tracemalloc.get_traced_memory()[1]))
+        return stack
+
+    assert cli.main(argv) == 0
+    with mock.patch.object(reduction, "reduce_stack", traced):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            tracemalloc.stop()
+    assert [size for size, _ in seen] == [k, k]
+    assert all(peak < 16 * k * n for _, peak in seen)
+
+
+def max_coherence_dense(m):
+    """Reference for ``cli._max_coherence``: one |m| of the whole stack."""
+    n = m.shape[-1]
+    if n < 2:
+        return np.zeros(m.shape[:-2])
+    off = np.abs(m)
+    off[..., range(n), range(n)] = 0.0
+    return off.max(axis=(-2, -1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=2), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_max_coherence_equals_the_whole_matrix_maximum(lead, n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((*lead, n, n)) + 1j * rng.standard_normal((*lead, n, n))
+    m *= rng.random(m.shape) < 0.3
+    with mock.patch.object(cli, "COHERENCE_BLOCK_ENTRIES", int(rng.integers(1, 2 * m.size + 2))):
+        assert cli._max_coherence(m).tobytes() == max_coherence_dense(m).tobytes()
+
+
+def test_max_coherence_of_a_large_state_takes_blocks_of_rows(rng):
+    # |m| of the whole 257 x 257 matrix would take 257**2 * 8 bytes.
+    m = random_density(rng, 257).matrix
+    tracemalloc.start()
+    try:
+        got = cli._max_coherence(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == max_coherence_dense(m)
+    assert peak < 2 * cli.COHERENCE_BLOCK_ENTRIES * 8 + 4096
+
+
+def csv_line_per_cell(r: dict) -> str:
+    """Reference for ``cli._csv_line``: each cell formatted on its own."""
+    def fmt(x):
+        return f"{x:.17g}"
+
+    cells = [fmt(r["t"])] + [fmt(x) for x in r["pop_alpha"]]
+    cells += [fmt(x) for x in r.get("pop_beta", [])]
+    cells.append(fmt(r["coh_alpha"]))
+    if "coh_beta" in r:
+        cells.append(fmt(r["coh_beta"]))
+    error = r["reconstruction_error"]
+    cells += ["" if error is None else fmt(error), str(r["verdict"]), str(r["iterations"])]
+    return ",".join(cells) + "\n"
+
+
+_cells = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, math.nan, math.inf])
+
+
+@st.composite
+def series_rows(draw):
+    """Rows of one series: the populations of na (and nb) levels, any floats."""
+    na, nb = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+
+    def row():
+        r = {
+            "t": draw(_cells),
+            "pop_alpha": draw(st.lists(_cells, min_size=na, max_size=na)),
+            "coh_alpha": draw(_cells),
+            "reconstruction_error": draw(st.none() | _cells),
+            "verdict": draw(st.sampled_from(["-", "converged", "max_iter", "degenerate"]) | st.text()),
+            "iterations": draw(st.integers(0, 10**6)),
+        }
+        if nb:
+            r["pop_beta"] = draw(st.lists(_cells, min_size=nb, max_size=nb))
+            r["coh_beta"] = draw(_cells)
+        return r
+
+    return [row() for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_rows())
+def test_csv_line_equals_the_per_cell_writer(rows):
+    line = cli._csv_line(rows[0])
+    for r in rows:
+        assert line(r) == csv_line_per_cell(r)
+
+
+@st.composite
+def time_grids(draw):
+    """(start, stop, steps) with steps of 1 or 2, start == stop, a step that
+    underflows to 0, a subnormal span, or any other span."""
+    start = draw(st.floats(-1e307, 1e307) | st.sampled_from([0.0, -0.0, 5e-324, 1.0]))
+    kind = draw(st.sampled_from(["equal", "next", "subnormal", "any"]))
+    if kind == "equal":
+        stop = start
+    elif kind == "next":
+        stop = float(np.nextafter(start, math.inf))
+    elif kind == "subnormal":
+        start = draw(st.sampled_from([0.0, -0.0, -5e-324, 5e-324]))
+        stop = start + draw(st.sampled_from([5e-324, 1e-323, 2.5e-310, 2.2e-308]))
+    else:
+        stop = start + abs(draw(st.floats(0.0, 1e307)))
+    steps = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 3000))
+    return start, stop, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(time_grids(), st.integers(1, 40))
+def test_time_grid_slices_equal_linspace(grid, chunk):
+    start, stop, steps = grid
+    ts = cli._time_grid({"start": start, "stop": stop, "steps": steps})
+    got = np.concatenate([ts[i:i + chunk] for i in range(0, steps, chunk)])
+    assert got.tobytes() == np.linspace(start, stop, steps).tobytes()
+
+
+class _DiskFullAfter:
+    """A text stream that takes ``lines`` writes and then fails as a full disk does."""
+
+    def __init__(self, lines: int):
+        self.left, self.text = lines, []
+
+    def write(self, text: str) -> None:
+        if not self.left:
+            raise OSError(28, "No space left on device")
+        self.left -= 1
+        self.text.append(text)
+
+
+def test_huge_time_grid_runs_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # np.linspace of 10**12 points would need 7.3 TiB; the grid is made a
+    # chunk at a time, so the first chunk's rows come out in well under 1 MB.
+    steps = 10**12
+    cfg = {
+        "experiment": "jcm_vacuum",
+        "params": {"n_max": 2},
+        "time_grid": {"start": 0.0, "stop": 10.0, "steps": steps},
+        "reduction": {"method": "neumann"},
+    }
+    argv = ["run", "--config", write_config(tmp_path, cfg)]
+    monkeypatch.setattr(sys, "stdout", _DiskFullAfter(2 + cli.CHUNK))
+    assert cli.main(argv) == cli.EXIT_IO
+    out = _DiskFullAfter(2 + cli.CHUNK)
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == cli.EXIT_IO
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    ts = [float(line.split(",")[0]) for line in out.text[2:]]
+    assert ts == (np.arange(cli.CHUNK) * (10.0 / (steps - 1))).tolist()
+
+
 class TestReduce:
     def test_neumann_on_epr(self, tmp_path, capsys):
         path = write_state(tmp_path, "epr.json", epr_state())
@@ -945,6 +1128,14 @@ EXIT_CASES = [
         RUN,
         2,
     ),
+    ("steps-zero", '{"experiment": "epr", "time_grid": {"start": 0, "stop": 1, "steps": 0}}', RUN, 2),
+    (
+        "steps-beyond-int64",
+        '{"experiment": "epr", "time_grid": {"start": 0, "stop": 1, "steps": 9223372036854775808}}',
+        RUN,
+        2,
+    ),
+    ("stop-before-start", '{"experiment": "epr", "time_grid": {"start": 1, "stop": 0, "steps": 2}}', RUN, 2),
     ("rabi-nan", '{"experiment": "jcm_vacuum", "params": {"rabi": NaN, "n_max": 2}}', RUN, 2),
     ("grid-key-missing", '{"experiment": "epr", "time_grid": {"stop": 1, "steps": 2}}', RUN, 2),
     ("custom-key-missing", '{"experiment": "custom", "params": {"dims": [2, 2]}}', RUN, 2),

@@ -603,8 +603,8 @@ class TestStackedKernels:
         # certified, between two points that converge in one sweep.
         p = JcmParams(1.0, 1.0, n_max=3)
         ts = [0.3, math.pi / 2, 2.0]
-        stack = red.reduce_stack(np.array([models.jcm_vacuum_amplitudes(p, t) for t in ts]),
-                                 jcm_system(p), "correlated")
+        psi = np.array([models.jcm_vacuum_amplitudes(p, t) for t in ts])
+        stack = red.reduce_stack(red.support(psi, jcm_system(p)), jcm_system(p), "correlated")
         assert stack.done.tolist() == [True, False, True]
         assert (stack.verdict, stack.iterations) == ("converged", 1)
         assert stack.rows.tolist() == [0, 1] and stack.cols.tolist() == [0, 1]
@@ -614,6 +614,41 @@ class TestStackedKernels:
             assert mc.max_abs_diff(stack.rho_alpha[k], one.rho_alpha.matrix) < 1e-15
             assert mc.max_abs_diff(stack.rho_beta[k], one.rho_beta.matrix[:2, :2]) < 1e-15
             assert abs(stack.error[k] - one.reconstruction_error) < 1e-15
+
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 600), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_a_stack_checks_each_norm_as_one_vector_alone(self, n, k, seed):
+        # Squared norms a few ulp either side of 1 +- NORM_TOL: ``_unit`` on
+        # the stack, in blocks of vectors, and ``_state`` on each vector alone
+        # compute the same bits, so they accept and refuse the same vectors.
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        psi *= rng.random((k, n)) < 0.5
+        psi[:, 0] += 1.0
+        edge = np.array([1.0 + red.NORM_TOL, 1.0 - red.NORM_TOL])[rng.integers(0, 2, k)]
+        target = edge + rng.integers(-4, 5, k) * np.spacing(edge)
+        psi *= np.sqrt(target / np.linalg.norm(psi, axis=1) ** 2)[:, None]
+        sys_ = BipartiteSystem(1, n)
+        finite, norm = red._norm(psi)
+        accepted = []
+        for j, vector in enumerate(psi):
+            assert red._norm(vector)[1].tobytes() == norm[j].tobytes()
+            try:
+                red._state(vector, sys_)
+                accepted.append(True)
+            except ValidationError:
+                accepted.append(False)
+        assert red._unit(psi).tolist() == accepted
+
+    def test_the_norm_edge_is_met_both_ways(self):
+        # 4 ulp past either edge, 1 + NORM_TOL or 1 - NORM_TOL, decide; the
+        # test above draws squared norms on both sides of both edges.
+        psi = np.zeros((4, 3), dtype=complex)
+        psi[:, 0] = np.sqrt([1.0 + red.NORM_TOL, 1.0 - red.NORM_TOL]).repeat(2)
+        psi[1::2, 0] *= 1.0 + 4 * np.finfo(float).eps
+        psi[::2, 0] *= 1.0 - 4 * np.finfo(float).eps
+        assert red._unit(psi).tolist() == [True, False, False, True]
 
 
 class TestAmplitudeVectorInput:
