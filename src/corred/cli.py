@@ -24,12 +24,12 @@ chunk's t values as ``np.linspace`` makes them, so memory does not grow
 with ``steps``. A chunk of a model's amplitude vectors is filled into one
 (K, N) array as each state is made; that array is freed once it is cut to
 the support of the chunk (``reduction.support``), before the stacked
-kernels run (``reduction.reduce_stack``). Each row is read off the stacked
-arrays and written as one formatted line, and the chunk's states are freed
-before the next chunk is made. A point the stack does not settle, and
-every point of an N x N state, is made again and reduced alone. After a
-nonzero exit the output holds only the rows of the points before the
-failure.
+kernels run (``reduction.reduce_stack``). A point the stack does not
+settle, and every point of an N x N state, is made again and reduced alone,
+its result a stack of one. Every row is read off a stack by the same reader
+and written as one formatted line, and the chunk's states are freed before
+the next chunk is made. After a nonzero exit the output holds only the
+rows of the points before the failure.
 The ``reduction`` section takes only the keys in ``REDUCTION_KEYS``; an
 unknown key and a correlated ``tol`` <= 0 are config errors.
 Every reduction returns a ``ReductionResult``; its ``verdict`` and
@@ -264,7 +264,8 @@ class _Grid:
 def _time_grid(grid: dict) -> _Grid:
     start, stop = _number(grid, "start"), _number(grid, "stop")
     steps = _number(grid, "steps", kind=int)
-    if not 1 <= steps <= sys.maxsize or stop < start:
+    # A span stop - start that overflows would make the first t 0 * inf = nan.
+    if not 1 <= steps <= sys.maxsize or stop < start or math.isinf(stop - start):
         raise ValidationError(f"bad time grid {grid}")
     return _Grid(start, stop, steps)
 
@@ -426,30 +427,29 @@ def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, rho_of_t,
 def _chunk(ts: list[float], sys_: BipartiteSystem, rho_of_t, reducer: _Reducer) -> Iterator[dict]:
     """The rows of the time points ts, without the degenerate ones.
 
-    A model's amplitude vectors (``_stacked``) are cut to their support and
-    reduced together by ``reducer.stack``, and their rows are read off the
-    stacked arrays (``_stack_rows``). A point the stack leaves undone, and
-    every point of an N x N state, is made again by ``rho_of_t``, which
-    gives the same state each time, and reduced alone (``_row``). The stack
-    ends before a point whose state cannot be made, so the rows of the
+    A model's amplitude vectors, cut to their support (``_stacked``), are
+    reduced together by ``reducer.stack``. A point the stack leaves undone,
+    and every point of an N x N state, is made again by ``rho_of_t``, which
+    gives the same state each time, and reduced alone (``_alone``). Either
+    way its row is read off a ``reduction.Stack`` (``_stack_rows``). The
+    stack ends before a point whose state cannot be made, so the rows of the
     points before it come first, then its error.
     """
-    rows = ()
-    psi = None if reducer.stack is None else _stacked(ts, rho_of_t)
-    if psi is not None:
-        cut = reduction.support(psi, sys_)
-        psi = None  # the (K, N) array is freed before the stacked kernels run
-        rows = _stack_rows(ts, reducer.stack(cut), sys_)
+    cut = None if reducer.stack is None else _stacked(ts, rho_of_t, sys_)
+    rows = () if cut is None else _stack_rows(ts, reducer.stack(cut), sys_)
     for t, row in itertools.zip_longest(ts, rows):
-        row = row or _row(t, rho_of_t(t), reducer.one)
+        if row is None:
+            alone = _alone(t, rho_of_t(t), reducer.one, sys_)
+            row = next(iter(_stack_rows([t], alone, sys_)), None)
         if row is not None:
             yield row
 
 
-def _stacked(ts: list[float], rho_of_t) -> np.ndarray | None:
+def _stacked(ts: list[float], rho_of_t, sys_: BipartiteSystem) -> reduction.Support | None:
     """The amplitude vectors of the time points ts up to the first whose
-    state cannot be made, filled into one (K, N) array as each is made;
-    None where there is none, or the states are N x N."""
+    state cannot be made, filled into one (K, N) array as each is made and
+    cut to their support, so the array is freed on return; None where there
+    is none, or the states are N x N."""
     psi, made = None, 0
     for t in ts:
         try:
@@ -462,17 +462,18 @@ def _stacked(ts: list[float], rho_of_t) -> np.ndarray | None:
             psi = np.empty((len(ts), state.size), dtype=state.dtype)
         psi[made] = state
         made += 1
-    return None if psi is None else psi[:made]
+    return None if psi is None else reduction.support(psi[:made], sys_)
 
 
 def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) -> Iterable:
     """The row of each point of the stack, the first points of ts, or None
-    where it is not done.
+    where it is not done: the one reader of every ``run`` row.
 
-    The populations are the diagonal of each reduced state on the support
-    and exact zeros off it, its coherence the largest off-diagonal there;
-    no Na x Na or Nb x Nb matrix is built. The rows are made one at a time
-    from these columns, and the stack itself is not held meanwhile.
+    The populations are the diagonal of each reduced state on the levels of
+    the stack and exact zeros off them, its coherence the largest
+    off-diagonal there; on a chunk's support no Na x Na or Nb x Nb matrix is
+    built. The rows are made one at a time from these columns, and the stack
+    itself is not held meanwhile.
     """
     done = stack.done
     if not done.any():
@@ -505,32 +506,20 @@ def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) 
     return (row(j, t) if done[j] else None for j, t in enumerate(ts[:len(done)]))
 
 
-def _row(t: float, state, reduce_one) -> dict | None:
-    """The output row of time point t, reduced alone, or None where its
-    overlap is degenerate; the library's log records name t.
-
-    Only the row leaves: the point's ``ReductionResult`` is freed on return.
-    """
+def _alone(t: float, state, reduce_one, sys_: BipartiteSystem) -> reduction.Stack:
+    """Time point t reduced alone, as a stack of one on all levels, not done
+    where its overlap is degenerate; the library's log records name t."""
+    levels = np.arange(sys_.dim_alpha), np.arange(sys_.dim_beta)
     try:
         with _naming(t):
             res = reduce_one(state)
     except DegenerateOverlap as exc:
         log.warning("t=%g: %s", t, exc)
-        return None
-    ra = res.rho_alpha.matrix
-    row = {
-        "t": t,
-        "pop_alpha": ra.diagonal().real.tolist(),
-        "coh_alpha": float(_max_coherence(ra)),
-        "reconstruction_error": res.reconstruction_error,
-        "verdict": res.verdict,
-        "iterations": res.iterations,
-    }
-    if res.rho_beta is not None:
-        rb = res.rho_beta.matrix
-        row["pop_beta"] = rb.diagonal().real.tolist()
-        row["coh_beta"] = float(_max_coherence(rb))
-    return row
+        return reduction.Stack(*levels, None, None, None, np.zeros(1, dtype=bool))
+    rb = None if res.rho_beta is None else res.rho_beta.matrix[None]
+    error = None if res.reconstruction_error is None else np.array([res.reconstruction_error])
+    return reduction.Stack(*levels, res.rho_alpha.matrix[None], rb, error, np.ones(1, dtype=bool),
+                           res.verdict, res.iterations)
 
 
 @contextlib.contextmanager

@@ -61,16 +61,6 @@ def hermitize(m) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def projector(psi) -> np.ndarray:
-    """psi psi^dag of an amplitude vector, hermitized.
-
-    The product alone is hermitian only to roundoff: numpy's complex
-    multiply may round psi_i psi_j^* and (psi_j psi_i^*)^* differently.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    return hermitize(np.outer(psi, psi.conj()))
-
-
 @dataclass(frozen=True)
 class BipartiteSystem:
     """Dimension pair (N_alpha, N_beta) fixing the composite index layout.

@@ -159,8 +159,10 @@ def jcm_vacuum_amplitudes(p: JcmParams, t: float) -> np.ndarray:
 
 def jcm_vacuum_density(p: JcmParams, t: float) -> DensityMatrix:
     """Evolved state u0 u0^dag of an excited atom in the vacuum field, the
-    projector of ``jcm_vacuum_amplitudes``."""
-    return DensityMatrix(mc.projector(jcm_vacuum_amplitudes(p, t)), validation="relaxed")
+    projector of ``jcm_vacuum_amplitudes``, hermitized: numpy's complex
+    multiply may round u0_i u0_j^* and (u0_j u0_i^*)^* differently."""
+    u0 = jcm_vacuum_amplitudes(p, t)
+    return DensityMatrix(mc.hermitize(np.outer(u0, u0.conj())), validation="relaxed")
 
 
 def vacuum_rabi_populations(p: JcmParams, t: float) -> tuple[float, float]:

@@ -76,19 +76,15 @@ MEAN_ZERO_TOL = 1e-12
 
 #: Largest deviation from 1 of an amplitude vector's squared norm.
 NORM_TOL = max(POSITIVITY_TOL, 1e-12)
-#: Most entries of a stack of amplitude vectors that ``_norm`` conjugates at
-#: once, one vector at least. At 256 a chunk of ``corred run`` at N = 34
-#: (JCM, n_max = 16) takes three blocks and stays under the peak memory of
-#: the list of vectors it replaced; a chunk at N = 4 takes one.
-NORM_BLOCK_ENTRIES = 256
 
 #: Most entries of rho's (Na, Nb, Na, Nb) view, over all states of a stack,
-#: that ``_reconstruction_error`` compares in one block of alpha rows, which
-#: holds one row at least; so no N x N temporary. A block's broadcast
-#: products also take numpy buffers of about three times its size. At 64 a
-#: chunk of ``corred run`` (8 or more states on a 2 x 2 support) takes a
-#: block per row and keeps ``peak_mem_mb`` near the per-point code's, while
-#: one state up to 2 x 2 still goes in one block.
+#: that ``_reconstruction_error`` compares in one block of alpha rows; so no
+#: N x N temporary. A block holds at least one alpha row of every state of a
+#: stack, so a chunk's block can exceed it: 128 entries on a 16-state 2 x 2
+#: chunk. A block's broadcast products also take numpy buffers of about
+#: three times its size. At 64 a chunk of ``corred run`` (8 or more states
+#: on a 2 x 2 support) takes a block per row and keeps ``peak_mem_mb`` near
+#: the per-point code's, while one state up to 2 x 2 still goes in one block.
 ERROR_BLOCK_ENTRIES = 64
 
 #: Largest min(Na, Nb) at which the Gauss-Seidel loop starts an N x N rho at
@@ -129,35 +125,27 @@ def _state(rho, sys: BipartiteSystem) -> np.ndarray:
     if m.shape != (sys.dim,):
         raise DimensionMismatch(f"amplitude vector length {m.size} does not match "
                                 f"composite dimension {sys.dim}")
-    finite, norm = _norm(m)
-    if not finite:
+    if not np.isfinite(m).all():
         raise ValidationError("amplitude vector has non-finite entries")
+    norm = _norm(m)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValidationError(f"squared norm of the amplitude vector must be 1, got {float(norm)}")
     return m
 
 
-def _norm(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each amplitude vector of psi (N,) or (K, N) is finite, and its
-    squared norm.
-
-    Taken over blocks of at most ``NORM_BLOCK_ENTRIES`` entries, one vector
-    at least, so no conjugate copy of a whole stack is made; each vector
-    gets the bits it gets alone.
-    """
-    stack = psi.reshape(-1, psi.shape[-1])
-    norm = np.empty(len(stack))
-    k = max(1, NORM_BLOCK_ENTRIES // stack.shape[-1])
-    for i in range(0, len(stack), k):
-        block = stack[i:i + k]
-        norm[i:i + k] = np.einsum("ki,ki->k", block.conj(), block).real
-    return np.isfinite(psi).all(axis=-1), norm.reshape(psi.shape[:-1])
+def _norm(psi: np.ndarray) -> np.ndarray:
+    """The squared norm of each amplitude vector of psi (N,) or (K, N),
+    summed over the real and imaginary parts, views of psi, so no conjugate
+    copy is made; each vector gets the bits it gets alone. A non-finite
+    entry gives a non-finite norm."""
+    re, im = psi.real, psi.imag
+    return np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im)
 
 
 def _unit(psi: np.ndarray) -> np.ndarray:
-    """Which amplitude vectors of psi (K, N) pass ``_state``'s check."""
-    finite, norm = _norm(psi)
-    return finite & (abs(norm - 1.0) <= NORM_TOL)
+    """Which amplitude vectors of psi (K, N) pass ``_state``'s check: a
+    non-finite norm fails the comparison."""
+    return abs(_norm(psi) - 1.0) <= NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -206,7 +194,8 @@ def _reconstruction_error(state: np.ndarray, ra: np.ndarray, rb: np.ndarray):
     (..., Na, Na) and rb (..., Nb, Nb), the array of each state's error.
 
     Taken over blocks of alpha rows i of at most ``ERROR_BLOCK_ENTRIES``
-    entries: rho[i:i+k] of the view, or psi psi^dag on the rows Psi[i:i+k],
+    entries, or of one alpha row of every state of a stack where that is
+    more: rho[i:i+k] of the view, or psi psi^dag on the rows Psi[i:i+k],
     Psi = psi.reshape(Na, Nb) restricted to its rows and columns that hold a
     nonzero entry, in any state of a stack (outside them psi_ib psi_jc^* and
     ra[i,j] rb[b,c] are both exactly 0). The products are np.outer's,

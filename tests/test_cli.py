@@ -211,7 +211,7 @@ def forbid_composite_matrices(monkeypatch):
         raise AssertionError("an N x N composite array was formed")
 
     for module, name in [(models, "jcm_vacuum_density"), (models, "spin_pair_density"),
-                         (mc, "projector"), (np, "kron"), (np, "outer")]:
+                         (np, "kron"), (np, "outer")]:
         monkeypatch.setattr(module, name, forbidden)
     contract = mc._contract
 
@@ -496,6 +496,46 @@ def test_degenerate_at_every_time_point_writes_nothing(tmp_path, capsys, fmt):
     }
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 3
     assert capsys.readouterr() == ("", "error: degenerate overlap at every time point\n")
+
+
+@pytest.mark.parametrize("rcfg", [
+    {"method": "neumann"},
+    {"method": "conditioned", "state": "{sigma_alpha}", "given_side": "alpha"},
+    {"method": "conditioned", "state": "{sigma_beta}", "given_side": "beta"},
+    {"method": "projective", "level": 1},
+    {"method": "correlated"},
+    {"method": "correlated", "seed": "file:{sigma_alpha}"},
+], ids=["neumann", "conditioned-alpha", "conditioned-beta", "projective", "correlated",
+        "correlated-file-seed"])
+def test_a_point_reduced_alone_has_the_public_reductions_row(tmp_path, rng, rcfg):
+    # A custom 2 x 3 state is N x N, so each point is reduced alone and its
+    # row read off a stack of one.
+    files = {name: write_state(tmp_path, f"{name}.json", random_density(rng, n))
+             for name, n in (("state", 6), ("sigma_alpha", 2), ("sigma_beta", 3))}
+    rcfg = {key: value.format(**files) if isinstance(value, str) else value
+            for key, value in rcfg.items()}
+    cfg = {"experiment": "custom", "params": {"state": files["state"], "dims": [2, 3]},
+           "time_grid": {"start": 0.0, "stop": 1.0, "steps": 2}, "reduction": rcfg}
+    out = tmp_path / "out.json"
+    argv = ["run", "--config", write_config(tmp_path, cfg), "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    sys_ = mc.BipartiteSystem(2, 3)
+    res = cli._reducer(rcfg, sys_).one(cli._load_density(files["state"]))
+    want = {
+        "pop_alpha": res.rho_alpha.matrix.diagonal().real.tolist(),
+        "coh_alpha": float(max_coherence_dense(res.rho_alpha.matrix)),
+        "reconstruction_error": res.reconstruction_error,
+        "verdict": res.verdict,
+        "iterations": res.iterations,
+    }
+    if rcfg.get("given_side") == "beta":
+        assert res.reconstruction_error is None and res.rho_beta is None
+    else:
+        want["pop_beta"] = res.rho_beta.matrix.diagonal().real.tolist()
+        want["coh_beta"] = float(max_coherence_dense(res.rho_beta.matrix))
+    assert res.verdict == ("converged" if rcfg["method"] == "correlated" else "-")
+    rows = json.loads(out.read_text())["rows"]
+    assert rows == [{"t": 0.0, **want}, {"t": 1.0, **want}]
 
 
 def test_kernels_run_without_the_full_length_stack(tmp_path):
@@ -1104,6 +1144,7 @@ STATE_TEXTS = {
     "data-bool": '{"rows": 2, "cols": 2, "data": [[0.5, 0], [0, 0], [0, 0], [true, false]]}',
 }
 OVERFLOW_GRID = '{"experiment": %s, "time_grid": {"start": 0, "stop": 10, "steps": 11}}'
+SPAN_OVERFLOW_GRID = '{"experiment": %s, "time_grid": {"start": -1e308, "stop": 1e308, "steps": 3}}'
 EXIT_CASES = [
     ("ok", '{"experiment": "epr"}', RUN, 0),
     ("params-list", '{"experiment": "spin_pair", "params": [1, 2]}', RUN, 2),
@@ -1136,6 +1177,9 @@ EXIT_CASES = [
         2,
     ),
     ("stop-before-start", '{"experiment": "epr", "time_grid": {"start": 1, "stop": 0, "steps": 2}}', RUN, 2),
+    # A span stop - start that overflows a float.
+    ("span-overflow-epr", SPAN_OVERFLOW_GRID % '"epr"', RUN, 2),
+    ("span-overflow-spin-pair", SPAN_OVERFLOW_GRID % '"spin_pair"', RUN, 2),
     ("rabi-nan", '{"experiment": "jcm_vacuum", "params": {"rabi": NaN, "n_max": 2}}', RUN, 2),
     ("grid-key-missing", '{"experiment": "epr", "time_grid": {"stop": 1, "steps": 2}}', RUN, 2),
     ("custom-key-missing", '{"experiment": "custom", "params": {"dims": [2, 2]}}', RUN, 2),
@@ -1363,6 +1407,13 @@ def test_overflowing_phase_names_its_product(tmp_path, capsys, case, product):
     _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == case)
     _, err = run_exit_case(tmp_path, capsys, config, argv)
     assert err == f"error: {product} overflows at t=2.0\n"
+
+
+@pytest.mark.parametrize("case", ["span-overflow-epr", "span-overflow-spin-pair"])
+def test_overflowing_span_is_a_bad_time_grid(tmp_path, capsys, case):
+    _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == case)
+    _, err = run_exit_case(tmp_path, capsys, config, argv)
+    assert err.startswith("error: bad time grid ")
 
 
 @pytest.mark.parametrize("flag,value", [("--t", "-1e5"), ("--t", "-2.5E-3"), ("--omega", "-inf"),

@@ -620,8 +620,8 @@ class TestStackedKernels:
     @given(st.integers(1, 600), st.integers(1, 20), st.integers(0, 2**32 - 1))
     def test_a_stack_checks_each_norm_as_one_vector_alone(self, n, k, seed):
         # Squared norms a few ulp either side of 1 +- NORM_TOL: ``_unit`` on
-        # the stack, in blocks of vectors, and ``_state`` on each vector alone
-        # compute the same bits, so they accept and refuse the same vectors.
+        # the stack and ``_state`` on each vector alone compute the same bits,
+        # so they accept and refuse the same vectors.
         rng = np.random.default_rng(seed)
         psi = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
         psi *= rng.random((k, n)) < 0.5
@@ -630,10 +630,10 @@ class TestStackedKernels:
         target = edge + rng.integers(-4, 5, k) * np.spacing(edge)
         psi *= np.sqrt(target / np.linalg.norm(psi, axis=1) ** 2)[:, None]
         sys_ = BipartiteSystem(1, n)
-        finite, norm = red._norm(psi)
+        norm = red._norm(psi)
         accepted = []
         for j, vector in enumerate(psi):
-            assert red._norm(vector)[1].tobytes() == norm[j].tobytes()
+            assert red._norm(vector).tobytes() == norm[j].tobytes()
             try:
                 red._state(vector, sys_)
                 accepted.append(True)
@@ -649,6 +649,30 @@ class TestStackedKernels:
         psi[1::2, 0] *= 1.0 + 4 * np.finfo(float).eps
         psi[::2, 0] *= 1.0 - 4 * np.finfo(float).eps
         assert red._unit(psi).tolist() == [True, False, False, True]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 20), st.integers(0, 2**32 - 1),
+           st.sampled_from([np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(np.nan, -np.inf),
+                            complex(-np.inf, np.inf), 1e200, -1e200j]))
+    def test_a_stack_refuses_exactly_the_vectors_state_refuses(self, n, k, seed, bad):
+        # Non-finite entries, or finite ones whose squared norm overflows:
+        # ``_unit`` refuses them by its norm alone, non-finite, which fails
+        # the comparison with 1.
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        hit = rng.random(k) < 0.5
+        psi[hit, rng.integers(0, n, hit.sum())] = bad
+        sys_ = BipartiteSystem(1, n)
+        accepted = []
+        for vector in psi:
+            try:
+                red._state(vector, sys_)
+                accepted.append(True)
+            except ValidationError:
+                accepted.append(False)
+        assert accepted == (~hit).tolist()
+        assert red._unit(psi).tolist() == accepted
 
 
 class TestAmplitudeVectorInput:
@@ -716,7 +740,8 @@ class TestAmplitudeVectorInput:
     @given(amplitude_vectors(max_na=red.CLOSED_FORM_MAX_DIM), st.integers(0, 2**32 - 1))
     def test_vector_and_density_agree(self, case, seed):
         psi, sys_ = case
-        assert_vector_and_density_agree(psi, mc.projector(psi), sys_, np.random.default_rng(seed))
+        assert_vector_and_density_agree(psi, mc.hermitize(np.outer(psi, psi.conj())), sys_,
+                                        np.random.default_rng(seed))
 
     @pytest.mark.parametrize("edit, error", [
         ("nan", ValidationError),
