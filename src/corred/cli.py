@@ -25,11 +25,13 @@ with ``steps``. A chunk of a model's amplitude vectors is filled into one
 (K, N) array as each state is made; that array is freed once it is cut to
 the support of the chunk (``reduction.support``), before the stacked
 kernels run (``reduction.reduce_stack``). A point the stack does not
-settle, and every point of an N x N state, is made again and reduced alone,
-its result a stack of one. Every row is read off a stack by the same reader
-and written as one formatted line, and the chunk's states are freed before
-the next chunk is made. After a nonzero exit the output holds only the
-rows of the points before the failure.
+settle, and every point of a correlated run with a ``file:`` seed, is made
+again and reduced alone, its result a stack of one. A state that does not
+change (``epr``, ``custom``) is reduced once, at the first t, its warnings
+logged once, and its row is written at every t. Every row is read off a
+stack by the same reader and written as one formatted line, and the
+chunk's states are freed before the next chunk is made. After a nonzero
+exit the output holds only the rows of the points before the failure.
 The ``reduction`` section takes only the keys in ``REDUCTION_KEYS``; an
 unknown key and a correlated ``tol`` <= 0 are config errors.
 Every reduction returns a ``ReductionResult``; its ``verdict`` and
@@ -274,13 +276,14 @@ def _state_factory(cfg: dict):
     """Returns (system, rho_of_t) for the configured experiment.
 
     The two models evolve pure states, so their rho_of_t gives the amplitude
-    vector, which the reductions take in place of the N x N state.
+    vector, which the reductions take in place of the N x N state. The
+    states of ``epr`` and ``custom`` do not change, so rho_of_t is that
+    state itself, not a function of t.
     """
     experiment = cfg.get("experiment")
     params = _section(cfg, "params")
     if experiment == "epr":
-        rho = epr_state()
-        return BipartiteSystem(2, 2), lambda t: rho
+        return BipartiteSystem(2, 2), epr_state()
     if experiment == "spin_pair":
         p = models.SpinPairParams(
             omega=_number(params, "omega", 1.0),
@@ -300,7 +303,7 @@ def _state_factory(cfg: dict):
     if experiment == "custom":
         rho = _load_density(params["state"])
         na, nb = (_finite(n, "dims", int) for n in params["dims"])
-        return BipartiteSystem(na, nb), lambda t: rho
+        return BipartiteSystem(na, nb), rho
     raise ValidationError(f"unknown experiment {experiment!r}")
 
 
@@ -414,12 +417,22 @@ def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, rho_of_t,
             reducer: _Reducer) -> Iterator[dict]:
     """One output row per time point of ts (an array or a ``_Grid``), each
     chunk of ``CHUNK`` points reduced only when its first row is asked for;
-    points with a degenerate overlap are skipped."""
+    points with a degenerate overlap are skipped. A state that does not
+    change (``rho_of_t`` no function) is reduced once, at the first t, and
+    its row is written at every t."""
     written = False
-    for i in range(0, len(ts), CHUNK):
-        for row in _chunk(ts[i:i + CHUNK].tolist(), sys_, rho_of_t, reducer):
-            written = True
-            yield row
+    if callable(rho_of_t):
+        for i in range(0, len(ts), CHUNK):
+            for row in _chunk(ts[i:i + CHUNK].tolist(), sys_, rho_of_t, reducer):
+                written = True
+                yield row
+    else:
+        first = ts[:1].tolist()
+        once = next(iter(_stack_rows(first, _alone(first[0], rho_of_t, reducer.one, sys_), sys_)), None)
+        for i in range(0, len(ts) if once else 0, CHUNK):
+            for t in ts[i:i + CHUNK].tolist():
+                written = True
+                yield {**once, "t": t}
     if not written:
         raise DegenerateOverlap("degenerate overlap at every time point")
 
@@ -429,11 +442,11 @@ def _chunk(ts: list[float], sys_: BipartiteSystem, rho_of_t, reducer: _Reducer) 
 
     A model's amplitude vectors, cut to their support (``_stacked``), are
     reduced together by ``reducer.stack``. A point the stack leaves undone,
-    and every point of an N x N state, is made again by ``rho_of_t``, which
-    gives the same state each time, and reduced alone (``_alone``). Either
-    way its row is read off a ``reduction.Stack`` (``_stack_rows``). The
-    stack ends before a point whose state cannot be made, so the rows of the
-    points before it come first, then its error.
+    and every point where there is no ``reducer.stack``, is made again by
+    ``rho_of_t``, which gives the same state each time, and reduced alone
+    (``_alone``). Either way its row is read off a ``reduction.Stack``
+    (``_stack_rows``). The stack ends before a point whose state cannot be
+    made, so the rows of the points before it come first, then its error.
     """
     cut = None if reducer.stack is None else _stacked(ts, rho_of_t, sys_)
     rows = () if cut is None else _stack_rows(ts, reducer.stack(cut), sys_)
@@ -449,7 +462,7 @@ def _stacked(ts: list[float], rho_of_t, sys_: BipartiteSystem) -> reduction.Supp
     """The amplitude vectors of the time points ts up to the first whose
     state cannot be made, filled into one (K, N) array as each is made and
     cut to their support, so the array is freed on return; None where there
-    is none, or the states are N x N."""
+    is none."""
     psi, made = None, 0
     for t in ts:
         try:
@@ -457,8 +470,6 @@ def _stacked(ts: list[float], rho_of_t, sys_: BipartiteSystem) -> reduction.Supp
         except CorredError:
             break  # made again, and raised, after the rows before it
         if psi is None:
-            if np.ndim(state) != 1:
-                return None
             psi = np.empty((len(ts), state.size), dtype=state.dtype)
         psi[made] = state
         made += 1

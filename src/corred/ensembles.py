@@ -6,6 +6,10 @@ but are deliberately *not* positive semidefinite: their off-diagonal entries
 encode the phase correlation between the subsystems, not a superposition
 within one subsystem. They are therefore stored as raw matrices, never as
 DensityMatrix values.
+
+The four-term ensembles turn the hidden phase theta of their terms by exact
+quarter turns, i**k exp(i theta), not exp(i (theta + k pi / 2)), whose
+offset rounding loses at large |theta|; so they assemble for every theta.
 """
 
 from __future__ import annotations
@@ -90,10 +94,15 @@ def assemble(e: Ensemble) -> np.ndarray:
     return out
 
 
-def _qubit_term(upper: bool, phase: float, magnitude: float = 1 / math.sqrt(2)) -> np.ndarray:
+#: i**k, exactly.
+_QUARTER_TURNS = (1, 1j, -1, -1j)
+
+
+def _qubit_term(upper: bool, theta: float, quarter: int = 0) -> np.ndarray:
     """Unit-trace 2x2 term with diagonal {1,0} (upper) or {0,1}, coherence
-    magnitude * exp(i*phase) in the (0,1) slot."""
-    z = magnitude * np.exp(1j * phase)
+    exp(i*theta) i**quarter / sqrt(2) in the (0,1) slot: the phase theta
+    plus ``quarter`` quarter turns."""
+    z = 1 / math.sqrt(2) * np.exp(1j * theta) * _QUARTER_TURNS[quarter]
     if upper:
         return np.array([[1.0, z], [np.conj(z), 0.0]])
     return np.array([[0.0, z], [np.conj(z), 1.0]])
@@ -112,12 +121,11 @@ def epr_decomposition(theta: float = 0.0) -> Ensemble:
     pi/2), which produces the -1/2 coherences on assembly; theta itself is
     unobservable in the assembled state.
     """
-    half = math.pi / 2
     terms = (
-        EnsembleTerm(0.25, _qubit_term(True, theta), _qubit_term(False, theta + math.pi)),
-        EnsembleTerm(0.25, _qubit_term(True, theta + math.pi), _qubit_term(False, theta)),
-        EnsembleTerm(0.25, _qubit_term(False, theta + half), _qubit_term(True, theta + 3 * half)),
-        EnsembleTerm(0.25, _qubit_term(False, theta + 3 * half), _qubit_term(True, theta + half)),
+        EnsembleTerm(0.25, _qubit_term(True, theta), _qubit_term(False, theta, 2)),
+        EnsembleTerm(0.25, _qubit_term(True, theta, 2), _qubit_term(False, theta)),
+        EnsembleTerm(0.25, _qubit_term(False, theta, 1), _qubit_term(True, theta, 3)),
+        EnsembleTerm(0.25, _qubit_term(False, theta, 3), _qubit_term(True, theta, 1)),
     )
     return Ensemble(terms=terms, system=_QUBIT_PAIR)
 
@@ -128,13 +136,8 @@ def triplet_decomposition(theta: float = 0.0) -> Ensemble:
     Here the left/right factors of each summand share the same phase, giving
     +1/2 coherences on assembly.
     """
-    half = math.pi / 2
     terms = tuple(
-        EnsembleTerm(
-            0.25,
-            _qubit_term(k % 2 == 0, theta + k * half),
-            _qubit_term(k % 2 == 1, theta + k * half),
-        )
+        EnsembleTerm(0.25, _qubit_term(k % 2 == 0, theta, k), _qubit_term(k % 2 == 1, theta, k))
         for k in range(4)
     )
     return Ensemble(terms=terms, system=_QUBIT_PAIR)

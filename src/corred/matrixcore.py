@@ -45,11 +45,6 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
-def matrices_close(a, b, tol: float = DEFAULT_TOL) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and max_abs_diff(a, b) < tol
-
-
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     m = np.asarray(m)
     return m.shape[0] == m.shape[1] and max_abs_diff(m, m.conj().T) < tol

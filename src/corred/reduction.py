@@ -21,17 +21,18 @@ blocks of alpha rows of rho, or of Psi, so no N x N temporary is built.
 
 The correlated fixed point is the top pair of rho's operator-Schmidt
 decomposition, its nearest Kronecker product (Van Loan & Pitsianis 1993),
-which each Gauss-Seidel sweep approaches by one power-iteration step. The
-loop starts at that pair, from the top eigenvector of a small Gram matrix,
-once an a-posteriori residual test bounds its error below tol
-(``_schmidt_start``); a converged run then takes one sweep. For psi the pair
-is the projector pair on the top Schmidt vectors of Psi, from the Gram
-Psi Psi^dag or Psi^T Psi^* of the smaller side, at any size; for an N x N
-rho the start needs min(Na, Nb) <= CLOSED_FORM_MAX_DIM. Otherwise the loop
-starts at the given alpha state, by default the partial trace.
+which each Gauss-Seidel sweep approaches by one power-iteration step.
+``_start``, for one state and a stack alike, starts the loop at that pair,
+from the top eigenvector of a small Gram matrix, once an a-posteriori
+residual test bounds its error below tol, and runs the loop's first sweep
+from it: a converged run takes one sweep. For psi the pair is the projector
+pair on the top Schmidt vectors of Psi, from the Gram Psi Psi^dag or
+Psi^T Psi^* of the smaller side, at any size; for an N x N rho the start
+needs min(Na, Nb) <= CLOSED_FORM_MAX_DIM. Otherwise the loop starts at the
+given alpha state, by default the partial trace.
 
 Stacks. The kernels on amplitudes (``_contract``, ``_condition``,
-``_schmidt_start``, ``_reconstruction_error``) also take a stack of
+``_start``, ``_reconstruction_error``) also take a stack of
 amplitude matrices Psi (..., Na, Nb), 3-D or more, by broadcasting matmul,
 and give each state of it the bits it gets alone: one vector is a stack
 with no leading axis, not a second implementation. A stack keeps the
@@ -346,52 +347,59 @@ def _projector(sys: BipartiteSystem, level: int, levels: np.ndarray | None = Non
     return np.diag(levels == level).astype(complex)
 
 
-def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: float,
-                   warnings: list[str], traces: dict[str, np.ndarray]
-                   ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Top operator-Schmidt pair of rho as the loop's start, or None to keep ``seed``.
+def _start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray | None, tol: float,
+           warnings: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Where the correlated loop starts: (rho_alpha, rho_beta, residual).
 
-    With R the realigned state, R[(i,j),(b,c)] = rho[(i,b),(j,c)], a
-    Gauss-Seidel sweep maps vec(rho_alpha) to R R^dag vec(rho_alpha) up to
-    normalization, so the sweep loop is a power iteration. Its limit is the
-    top eigenvector of the Gram matrix R R^dag (Na^2 x Na^2), or, read on
-    the beta side, of R^T R^* (Nb^2 x Nb^2); the smaller one is one matmul
-    of the realigned copy. That vector, reshaped to a matrix, divided by its
-    trace and hermitized, is the start. For an amplitude vector psi,
+    The certified start is the top operator-Schmidt pair of rho after one
+    verifying sweep, with that sweep's residual. With R the realigned state,
+    R[(i,j),(b,c)] = rho[(i,b),(j,c)], a Gauss-Seidel sweep maps
+    vec(rho_alpha) to R R^dag vec(rho_alpha) up to normalization, so the
+    sweep loop is a power iteration. Its limit is the top eigenvector of the
+    Gram matrix R R^dag (Na^2 x Na^2), or, read on the beta side, of
+    R^T R^* (Nb^2 x Nb^2); the smaller one is one matmul of the realigned
+    copy. That vector, reshaped to a matrix, divided by its trace and
+    hermitized, is the start. For an amplitude vector psi,
     R R^dag = G x G^* with G = Psi Psi^dag (or Psi^T Psi^* on the beta side),
     so the start is x x^dag for the top eigenvector x of the min(Na, Nb)
-    square G, with the same relative gap, and no realigned copy is made. G is
-    the partial trace over the other side: it is taken from ``traces``, keyed
-    by the side traced over, where the caller holds it, and else is added
-    there, so the caller need not take it again.
-    Returns (rho_alpha, rho_beta) with rho_beta = _condition(rho_alpha), the
-    first sweep's beta update.
+    square G, with the same relative gap, and no realigned copy is made.
+    rho_beta is conditioned on rho_alpha, so the sweep moves only rho_alpha.
 
-    None where the start costs more than the sweeps it saves, is not
-    certified, or could be another fixed point than the loop from ``seed``
-    reaches: an N x N rho with min(Na, Nb) above ``CLOSED_FORM_MAX_DIM``; a
-    tie, a gap lambda_1 - lambda_2 within tol * lambda_1; a residual
+    Otherwise the seeded start, ``seed`` (by default Sp_beta rho) and
+    Sp_alpha rho, with residual None: where the closed form costs more than
+    the sweeps it saves, is not certified, or could be another fixed point
+    than the loop from ``seed`` reaches. That is an N x N rho with
+    min(Na, Nb) above ``CLOSED_FORM_MAX_DIM``; a tie, a gap
+    lambda_1 - lambda_2 within tol * lambda_1; a residual
     ||G x - lambda_1 x|| of the top vector x not below tol * gap, the
     Davis-Kahan (1970) bound on sin of its angle to the true one; a trace
-    about 0, which is no state; and a seed that overlaps the start by less
-    than tol. On a stack of amplitude matrices (``seed`` one per state) the
-    pair is NaN for each state where one of these holds or a conditioning
-    meets a near-degenerate overlap (see ``_condition``), and None only
-    where it holds for all.
+    about 0, which is no state; a seed that overlaps the start by less than
+    tol; and a degenerate overlap before the verifying sweep, whose own
+    DegenerateOverlap is raised. Each partial trace is taken once. On a
+    stack of amplitude matrices a refused state, or one with a
+    near-degenerate overlap (see ``_condition``), is NaN, and residual None
+    means every state was refused.
     """
     na, nb = sys.dim_alpha, sys.dim_beta
     side, n = ("alpha", na) if na <= nb else ("beta", nb)
     pure = r.ndim != 2
+    # Sp_beta rho is the default seed and an amplitude vector's Gram on the
+    # alpha side, Sp_alpha rho its Gram on the beta side and the seeded rho_beta.
+    over_beta = mc._contract(r, sys, "beta") if seed is None or pure and side == "alpha" else None
+    over_alpha = mc._contract(r, sys, "alpha") if pure and side == "beta" else None
+    seed = over_beta if seed is None else seed
+
+    def seeded():
+        return seed, mc._contract(r, sys, "alpha") if over_alpha is None else over_alpha, None
+
     if pure:
-        over = "beta" if side == "alpha" else "alpha"
-        if over not in traces:
-            traces[over] = mc._contract(r, sys, over)
-        gram = traces[over]
+        gram = over_beta if side == "alpha" else over_alpha
     elif n > CLOSED_FORM_MAX_DIM:
-        return None
+        return seeded()
     else:
         rr = r.reshape(na, nb, na, nb).transpose(0, 2, 1, 3).reshape(na * na, nb * nb)
         gram = rr @ rr.conj().T if side == "alpha" else rr.T @ rr.conj()
+        del rr
     # eigh reads one triangle and ignores the roundoff imaginary parts of a
     # matmul's diagonal, which the residual below would count against x.
     gram = mc.hermitize(gram)
@@ -404,21 +412,28 @@ def _schmidt_start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray, tol: f
                               axis=(-2, -1))
     ok = (gap > tol * top_lam) & (residual < tol * gap) & (abs(trace) > NEAR_DEGENERACY_THRESHOLD)
     if not ok.any():
-        return None
-    state = mc.hermitize(top / np.where(ok, trace, 1.0)[..., None, None])
+        return seeded()
+    # The top vector's state: rho_alpha, or on the beta side the state of
+    # beta that rho_alpha is conditioned on.
+    ra = mc.hermitize(top / np.where(ok, trace, 1.0)[..., None, None])
+    # The eigensolve's temporaries go before the conditionings, which set
+    # the peak memory of a chunk.
+    del gram, lam, vecs, x, top, trace, residual
     try:
-        ra = state if side == "alpha" else _condition(r, sys, state, "beta")
+        if side == "beta":
+            ra = _condition(r, sys, ra, "beta")
         overlap = abs((ra.conj() * seed).sum(axis=(-2, -1)))
         ok &= overlap > tol * np.linalg.norm(ra, axis=(-2, -1)) * np.linalg.norm(seed, axis=(-2, -1))
         if not ok.any():
-            return None
+            return seeded()
         rb = _condition(r, sys, ra, "alpha", warnings)
     except DegenerateOverlap:
-        return None
+        return seeded()
     if ok.ndim:
         ok = ok[..., None, None]
         ra, rb = np.where(ok, ra, np.nan), np.where(ok, rb, np.nan)
-    return ra, rb
+    ra_new = _condition(r, sys, rb, "beta", warnings)
+    return ra_new, rb, abs(ra_new - ra).max(axis=(-2, -1))
 
 
 def correlated_reduce(
@@ -437,9 +452,10 @@ def correlated_reduce(
     counts the sweeps run. The sweep is a power iteration on a positive
     semidefinite map, so it has no period-2 cycle to detect.
 
-    The loop starts at its closed-form fixed point, the top operator-Schmidt
-    pair, where ``_schmidt_start`` certifies it; the first sweep recomputes
-    the pair and a converged run takes one sweep.
+    The loop starts where ``_start`` puts it: at its closed-form fixed
+    point, the top operator-Schmidt pair, after one verifying sweep that
+    counts as the first, so a converged run takes one sweep; or, where that
+    start is not certified, at the seeded start.
 
     Parameters
     ----------
@@ -455,28 +471,16 @@ def correlated_reduce(
         raise ValueError(f"tol must be > 0, got {tol}")
 
     warnings: list[str] = []
-    residuals: list[float] = []
-    ra = mc._contract(r, sys, "beta") if seed is None else _matrix(seed, sys, "alpha")
-    traces = {"beta": ra} if seed is None else {}  # partial traces, keyed by the side traced over
-    start = _schmidt_start(r, sys, ra, tol, warnings, traces)
-    if start:
-        ra, rb = start
-    else:
-        rb = traces["alpha"] if "alpha" in traces else mc._contract(r, sys, "alpha")
-    verdict = "max_iter"
+    ra, rb, residual = _start(r, sys, None if seed is None else _matrix(seed, sys, "alpha"),
+                              tol, warnings)
+    residuals = [] if residual is None else [float(residual)]
     try:
-        for n in range(max_iter):
-            # The closed-form start already holds the first sweep's beta update.
-            rb_new = rb if n == 0 and start else _condition(r, sys, ra, "alpha", warnings)
+        while len(residuals) < max_iter and not (residuals and residuals[-1] < tol):
+            rb_new = _condition(r, sys, ra, "alpha", warnings)
             ra_new = _condition(r, sys, rb_new, "beta", warnings)
-            residual = mc.max_abs_diff(ra_new, ra)
-            if rb_new is not rb:  # a reused beta iterate has not moved
-                residual = max(residual, mc.max_abs_diff(rb_new, rb))
-            residuals.append(residual)
+            residuals.append(max(mc.max_abs_diff(ra_new, ra), mc.max_abs_diff(rb_new, rb)))
             ra, rb = ra_new, rb_new
-            if residual < tol:
-                verdict = "converged"
-                break
+        verdict = "converged" if residuals[-1] < tol else "max_iter"
     except DegenerateOverlap:
         if not residuals:
             raise
@@ -549,7 +553,7 @@ def reduce_stack(cut: Support, sys: BipartiteSystem, method: str, sigma=None,
     public reduction of that state alone, with its exceptions, warnings,
     verdict and iterations: a state that fails ``_state``'s check, a
     conditioning overlap below ``NEAR_DEGENERACY_THRESHOLD``, a correlated
-    start that ``_schmidt_start`` does not certify, and a first sweep whose
+    start that ``_start`` does not certify, and a verifying sweep whose
     residual is not below ``tol``.
     """
     p, rows, cols, valid = cut
@@ -560,10 +564,9 @@ def reduce_stack(cut: Support, sys: BipartiteSystem, method: str, sigma=None,
     if method == "neumann":
         ra, rb = mc._contract(p, sub, "beta"), mc._contract(p, sub, "alpha")
     elif method == "correlated":
-        start = _correlated_start(p, sub, tol)
-        if start is None:
+        ra, rb, residual = _start(p, sub, None, tol, [])
+        if residual is None:
             return Stack(rows, cols, None, None, None, np.zeros_like(valid))
-        ra, rb, residual = start
         valid = valid & (residual < tol)
     else:
         side = given_side if method == "conditioned" else "beta"
@@ -579,22 +582,6 @@ def reduce_stack(cut: Support, sys: BipartiteSystem, method: str, sigma=None,
     error = None if rb is None else _reconstruction_error(p, ra, rb)
     run = ("converged", 1) if method == "correlated" else ()
     return Stack(rows, cols, ra, rb, error, valid, *run)
-
-
-def _correlated_start(p: np.ndarray, sys: BipartiteSystem, tol: float):
-    """``correlated_reduce``'s closed-form start and first sweep on a stack of
-    amplitude matrices, from the default seed: (rho_alpha, rho_beta, residual
-    of the sweep), NaN where ``_schmidt_start`` leaves a state uncertified,
-    or None where it leaves all. Its temporaries are freed before the
-    caller takes the error, which sets a chunk's peak memory."""
-    seed = mc._contract(p, sys, "beta")
-    start = _schmidt_start(p, sys, seed, tol, [], {"beta": seed})
-    if start is None:
-        return None
-    ra, rb = start
-    # The start holds the sweep's beta update, so only rho_alpha moves.
-    ra_new = _condition(p, sys, rb, "beta")
-    return ra_new, rb, abs(ra_new - ra).max(axis=(-2, -1))
 
 
 def mean_value(rho_sub, a: Observable | np.ndarray) -> complex:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corred import matrixcore as mc
 from corred.models import SpinPairParams
 from corred.states import DensityMatrix
 
@@ -18,6 +19,12 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def matrices_close(a, b, tol: float = mc.DEFAULT_TOL) -> bool:
+    """Same shape, and no entry differs by ``tol`` or more."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and mc.max_abs_diff(a, b) < tol
 
 
 def random_density(rng, dim: int) -> DensityMatrix:

@@ -17,7 +17,7 @@ import corred
 from corred import cli, matrixcore as mc, models, reduction
 from corred.states import DensityMatrix, epr_state, minimum_information_state, projector_state
 
-from conftest import random_density
+from conftest import matrices_close, random_density
 
 
 def write_state(tmp_path, name, dm):
@@ -483,6 +483,47 @@ def test_degenerate_and_near_degenerate_points_inside_a_chunk(tmp_path, capsys, 
     assert len(messages) == 2
 
 
+@pytest.mark.parametrize("experiment", ["epr", "custom"])
+def test_a_state_that_does_not_change_is_reduced_once(tmp_path, rng, experiment):
+    # Each row is the row of that point reduced alone; the state is reduced
+    # at the first t only.
+    if experiment == "epr":
+        sys_, rho, params = mc.BipartiteSystem(2, 2), epr_state(), {}
+    else:
+        sys_, rho = mc.BipartiteSystem(2, 3), random_density(rng, 6)
+        params = {"state": write_state(tmp_path, "state.json", rho), "dims": [2, 3]}
+    cfg = {"experiment": experiment, "params": params,
+           "time_grid": {"start": 0.0, "stop": 1.0, "steps": 3}, "reduction": {"method": "correlated"}}
+    out = tmp_path / "out.json"
+    argv = ["run", "--config", write_config(tmp_path, cfg), "--format", "json", "--out", str(out)]
+    with mock.patch.object(reduction, "correlated_reduce", wraps=reduction.correlated_reduce) as spy:
+        assert cli.main(argv) == 0
+    assert spy.call_count == 1
+    reducer = cli._reducer(cfg["reduction"], sys_)
+    want = [row for t in (0.0, 0.5, 1.0)
+            for row in cli._stack_rows([t], cli._alone(t, rho, reducer.one, sys_), sys_)]
+    assert json.loads(out.read_text())["rows"] == want
+
+
+@pytest.mark.parametrize("level,message", [
+    (1, "t=0: overlap denominator 0.000e+00 below 1e-14"),
+    (2, "t=0: near-degenerate overlap denominator 1.000e-12"),
+])
+def test_a_state_that_does_not_change_logs_its_warning_once(tmp_path, caplog, level, message):
+    # A custom 2 x 3 state with beta level 1 empty and level 2 at 1e-12:
+    # projective on it is degenerate, or near it, at every t.
+    rho = DensityMatrix(np.diag([1 - 1e-12, 0.0, 1e-12, 0.0, 0.0, 0.0]))
+    cfg = {"experiment": "custom",
+           "params": {"state": write_state(tmp_path, "state.json", rho), "dims": [2, 3]},
+           "time_grid": {"start": 0.0, "stop": 1.0, "steps": 3},
+           "reduction": {"method": "projective", "level": level}}
+    caplog.set_level(logging.WARNING, logger="corred")
+    code = cli.main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out.csv")])
+    assert code == (3 if level == 1 else 0)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1 and messages[0].startswith(message)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_degenerate_at_every_time_point_writes_nothing(tmp_path, capsys, fmt):
     cfg = {
@@ -725,7 +766,7 @@ class TestReduce:
         assert cli.main(["reduce", path, "--dims", "2", "2"]) == 0
         obj = json.loads(capsys.readouterr().out)
         ra = mc.matrix_from_json(obj["rho_alpha"])
-        assert mc.matrices_close(ra, np.eye(2) / 2, 1e-12)
+        assert matrices_close(ra, np.eye(2) / 2, 1e-12)
         assert obj["reconstruction_error"] == pytest.approx(0.5, abs=1e-12)
 
     def test_projective(self, tmp_path, capsys):
@@ -735,7 +776,7 @@ class TestReduce:
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
         ra = mc.matrix_from_json(obj["rho_alpha"])
-        assert mc.matrices_close(ra, np.diag([1.0, 0.0]), 1e-12)
+        assert matrices_close(ra, np.diag([1.0, 0.0]), 1e-12)
 
     def test_conditioned(self, tmp_path, capsys):
         path = write_state(tmp_path, "epr.json", epr_state())
@@ -745,7 +786,7 @@ class TestReduce:
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
         ra = mc.matrix_from_json(obj["rho_alpha"])
-        assert mc.matrices_close(ra, np.eye(2) / 2, 1e-12)
+        assert matrices_close(ra, np.eye(2) / 2, 1e-12)
 
     def test_conditioned_on_beta_has_no_reconstruction_error(self, tmp_path, capsys):
         path = write_state(tmp_path, "epr.json", epr_state())
@@ -1046,6 +1087,15 @@ class TestDecompose:
              "--t", str(math.pi / 4)]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("theta", ["1e7", "-1e7", "1e300", "-1e300"])
+    @pytest.mark.parametrize("kind", ["epr", "triplet", "spin_pair_initial", "spin_pair_t"])
+    def test_a_large_hidden_phase_still_assembles_the_state(self, capsys, kind, theta):
+        # The phase is unobservable; the quarter turns the terms add to it
+        # are exact, where theta + pi / 2 would lose them to rounding.
+        phi = ["--phi", str(math.pi / 4)] if kind.startswith("spin_pair") else []
+        assert cli.main(["decompose", kind, f"--theta={theta}", *phi]) == 0
+        assert json.loads(capsys.readouterr().out)["verification"]["max_error"] <= 1e-15
 
 
 class TestValidate:

@@ -10,7 +10,7 @@ from corred.matrixcore import BipartiteSystem
 from corred.models import SpinPairParams, spin_pair_density
 from corred.states import epr_state, spin_pair_initial, triplet_state
 
-from conftest import random_density
+from conftest import matrices_close, random_density
 
 SYS22 = BipartiteSystem(2, 2)
 
@@ -21,7 +21,7 @@ class TestAssemble:
         e = ens.Ensemble(
             terms=(ens.EnsembleTerm(1.0, ra, rb),), system=SYS22
         )
-        assert mc.matrices_close(ens.assemble(e), np.kron(ra, rb), 1e-14)
+        assert matrices_close(ens.assemble(e), np.kron(ra, rb), 1e-14)
 
     def test_epr_assembles(self):
         got = ens.assemble(ens.epr_decomposition(0.0))
@@ -89,8 +89,8 @@ class TestSpinPairInitialDecomposition:
         e = ens.spin_pair_initial_decomposition(0.0)
         assert len(e.terms) == 1
         term = e.terms[0]
-        assert mc.matrices_close(term.left, np.diag([0.0, 1.0]))
-        assert mc.matrices_close(term.right, np.diag([1.0, 0.0]))
+        assert matrices_close(term.left, np.diag([0.0, 1.0]))
+        assert matrices_close(term.right, np.diag([1.0, 0.0]))
 
     def test_branch_discrepancy_reported_not_hidden(self):
         # the printed branch disagrees with the initial state's diagonal;
@@ -107,14 +107,14 @@ class TestSpinPairReducedDecomposition:
         e = ens.spin_pair_reduced_decomposition(phi=0.0, c=1.0, t=0.0)
         assert len(e.terms) == 1
         assert e.terms[0].weight == pytest.approx(1.0)
-        assert mc.matrices_close(e.terms[0].left, np.diag([1.0, 0.0]))
-        assert mc.matrices_close(e.terms[0].right, np.diag([0.0, 1.0]))
+        assert matrices_close(e.terms[0].left, np.diag([1.0, 0.0]))
+        assert matrices_close(e.terms[0].right, np.diag([0.0, 1.0]))
 
     def test_negative_branch_at_half_period(self):
         e = ens.spin_pair_reduced_decomposition(phi=0.0, c=1.0, t=math.pi / 2)
         assert len(e.terms) == 1
-        assert mc.matrices_close(e.terms[0].left, np.diag([0.0, 1.0]))
-        assert mc.matrices_close(e.terms[0].right, np.diag([1.0, 0.0]))
+        assert matrices_close(e.terms[0].left, np.diag([0.0, 1.0]))
+        assert matrices_close(e.terms[0].right, np.diag([1.0, 0.0]))
 
     def test_weights_follow_correlation(self):
         phi, c, n = math.pi / 8, 0.7, 1

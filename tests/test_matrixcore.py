@@ -9,7 +9,7 @@ from corred import matrixcore as mc
 from corred.errors import DimensionMismatch
 from corred.states import epr_state
 
-from conftest import expm, random_density, random_hermitian
+from conftest import expm, matrices_close, random_density, random_hermitian
 
 I2 = np.eye(2)
 SYS22 = mc.BipartiteSystem(2, 2)
@@ -20,15 +20,15 @@ class TestKron:
     the pair (i, i') sits at composite index i * dim_beta + i'."""
 
     def test_identity(self):
-        assert mc.matrices_close(np.kron(I2, I2), np.eye(4))
+        assert matrices_close(np.kron(I2, I2), np.eye(4))
 
     def test_projector_product(self):
         got = np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert mc.matrices_close(got, np.diag([0.0, 1.0, 0.0, 0.0]))
+        assert matrices_close(got, np.diag([0.0, 1.0, 0.0, 0.0]))
 
     def test_maximally_mixed_pair(self):
         # (1/2) I x (1/2) I is the composite minimum-information state
-        assert mc.matrices_close(np.kron(I2 / 2, I2 / 2), np.eye(4) / 4)
+        assert matrices_close(np.kron(I2 / 2, I2 / 2), np.eye(4) / 4)
 
     def test_associativity(self, rng):
         a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -45,14 +45,14 @@ class TestKron:
 class TestPartialTrace:
     def test_epr_reduces_to_maximally_mixed(self):
         rho = epr_state().matrix
-        assert mc.matrices_close(mc.partial_trace(rho, SYS22, "beta"), I2 / 2, 1e-12)
-        assert mc.matrices_close(mc.partial_trace(rho, SYS22, "alpha"), I2 / 2, 1e-12)
+        assert matrices_close(mc.partial_trace(rho, SYS22, "beta"), I2 / 2, 1e-12)
+        assert matrices_close(mc.partial_trace(rho, SYS22, "alpha"), I2 / 2, 1e-12)
 
     def test_product_factorization(self, rng):
         ra = random_density(rng, 2).matrix
         rb = random_density(rng, 2).matrix
         got = mc.partial_trace(np.kron(ra, rb), SYS22, "beta")
-        assert mc.matrices_close(got, ra, 1e-12)
+        assert matrices_close(got, ra, 1e-12)
 
     def test_general_4x4_corner_entry(self, rng):
         # reduced (0,0) entry collects the two alpha-up diagonal entries
@@ -84,11 +84,11 @@ class TestExtend:
     """Operators on one side enter the composite space as A x 1 or 1 x B."""
 
     def test_identity(self):
-        assert mc.matrices_close(np.kron(I2, np.eye(3)), np.eye(6))
+        assert matrices_close(np.kron(I2, np.eye(3)), np.eye(6))
 
     def test_projector(self):
         got = np.kron(np.diag([1.0, 0.0]), I2)
-        assert mc.matrices_close(got, np.diag([1.0, 1.0, 0.0, 0.0]))
+        assert matrices_close(got, np.diag([1.0, 1.0, 0.0, 0.0]))
 
     def test_extended_operators_commute(self, rng):
         for _ in range(20):
@@ -126,12 +126,12 @@ class TestEvolveOperator:
 
     def test_time_zero_is_identity(self, rng):
         h = random_hermitian(rng, 5)
-        assert mc.matrices_close(expm(h, 0.0), np.eye(5), 1e-12)
+        assert matrices_close(expm(h, 0.0), np.eye(5), 1e-12)
 
     def test_diagonal_generator(self):
         e = np.array([2.0, -1.0, 0.5])
         u = expm(np.diag(e), 1.3)
-        assert mc.matrices_close(u, np.diag(np.exp(-1j * e * 1.3)), 1e-12)
+        assert matrices_close(u, np.diag(np.exp(-1j * e * 1.3)), 1e-12)
 
     def test_unitarity_up_to_dim_64(self, rng):
         for dim in (2, 8, 64):
@@ -141,7 +141,7 @@ class TestEvolveOperator:
     def test_hbar_scaling(self, rng):
         # exp(-i t H / hbar) at hbar = 2 is exp(-i (t / 2) H)
         h = random_hermitian(rng, 3)
-        assert mc.matrices_close(expm(h / 2.0, 1.0), expm(h, 0.5), 1e-12)
+        assert matrices_close(expm(h / 2.0, 1.0), expm(h, 0.5), 1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -156,7 +156,7 @@ def test_kron_associativity_property(values):
 def test_matrix_json_round_trip(rng):
     m = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     obj = json.loads(json.dumps(mc.matrix_to_json(m)))
-    assert mc.matrices_close(mc.matrix_from_json(obj), m, 1e-15)
+    assert matrices_close(mc.matrix_from_json(obj), m, 1e-15)
     assert obj["rows"] == 2 and obj["cols"] == 3
 
 

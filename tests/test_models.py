@@ -11,7 +11,7 @@ from corred.models import JcmParams, SpinPairParams
 from corred.reduction import neumann_reduce
 from corred.states import spin_pair_initial
 
-from conftest import expm, spin_pair_hamiltonian
+from conftest import expm, matrices_close, spin_pair_hamiltonian
 
 
 def lowering_operator(dim: int) -> np.ndarray:
@@ -88,7 +88,7 @@ def jcm_evolution(p: JcmParams, t: float, adjoint: bool = False) -> np.ndarray:
 class TestSpinPairHamiltonian:
     def test_free_pair(self):
         h = spin_pair_hamiltonian(SpinPairParams(omega=2.0))
-        assert mc.matrices_close(h, np.diag([2.0, 0.0, 0.0, -2.0]))
+        assert matrices_close(h, np.diag([2.0, 0.0, 0.0, -2.0]))
 
     def test_coupling_placement(self):
         h = spin_pair_hamiltonian(
@@ -112,7 +112,7 @@ class TestSpinPairHamiltonian:
 class TestSpinPairEvolution:
     def test_time_zero(self):
         u = models.spin_pair_evolution(SpinPairParams(1.0, 0.1, 0.2, 0.3), 0.0)
-        assert mc.matrices_close(u, np.eye(4), 1e-14)
+        assert matrices_close(u, np.eye(4), 1e-14)
 
     def test_unitary(self, rng):
         for _ in range(10):
@@ -245,11 +245,11 @@ class TestLoweringOperator:
     def test_matrix_elements(self):
         a = lowering_operator(3)
         want = np.array([[0, 1, 0], [0, 0, math.sqrt(2)], [0, 0, 0]], dtype=complex)
-        assert mc.matrices_close(a, want)
+        assert matrices_close(a, want)
 
     def test_number_operator(self):
         a = lowering_operator(5)
-        assert mc.matrices_close(a.conj().T @ a, np.diag([0.0, 1, 2, 3, 4]))
+        assert matrices_close(a.conj().T @ a, np.diag([0.0, 1, 2, 3, 4]))
 
 
 def jcm_evolution_dense(p, t, adjoint=False):
@@ -314,7 +314,7 @@ class TestJcmEvolutionAgainstDense:
 class TestJcmEvolution:
     def test_time_zero(self):
         u = jcm_evolution(JcmParams(1.0, 0.7, n_max=4), 0.0)
-        assert mc.matrices_close(u, np.eye(10), 1e-14)
+        assert matrices_close(u, np.eye(10), 1e-14)
 
     @pytest.mark.parametrize("n_max,t", [(3, 1.7), (8, 0.4), (16, 12.0)])
     def test_matches_matrix_exponential_below_cutoff(self, n_max, t):

@@ -28,7 +28,7 @@ from corred.states import (
     projector_state,
 )
 
-from conftest import random_density, random_nonnegative
+from conftest import matrices_close, random_density, random_nonnegative
 
 SYS22 = BipartiteSystem(2, 2)
 
@@ -79,14 +79,14 @@ class TestNeumannReduce:
     def test_product_state_exact(self, rng):
         ra, rb = random_density(rng, 2), random_density(rng, 2)
         res = red.neumann_reduce(product_state(ra, rb), SYS22)
-        assert mc.matrices_close(res.rho_alpha.matrix, ra.matrix, 1e-12)
-        assert mc.matrices_close(res.rho_beta.matrix, rb.matrix, 1e-12)
+        assert matrices_close(res.rho_alpha.matrix, ra.matrix, 1e-12)
+        assert matrices_close(res.rho_beta.matrix, rb.matrix, 1e-12)
         assert res.reconstruction_error < 1e-12
 
     def test_epr_reductions_and_error(self):
         res = red.neumann_reduce(epr_state(), SYS22)
-        assert mc.matrices_close(res.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
-        assert mc.matrices_close(res.rho_beta.matrix, np.eye(2) / 2, 1e-12)
+        assert matrices_close(res.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
+        assert matrices_close(res.rho_beta.matrix, np.eye(2) / 2, 1e-12)
         # max-abs of the entangled state minus the maximally mixed product
         assert res.reconstruction_error == pytest.approx(0.5, abs=1e-12)
 
@@ -100,23 +100,23 @@ class TestNeumannReduce:
 class TestReplacementOperator:
     def test_epr_gives_maximally_mixed_composite(self):
         got = red.replacement_operator(epr_state(), SYS22, observed="alpha")
-        assert mc.matrices_close(got, np.eye(4) / 4, 1e-12)
+        assert matrices_close(got, np.eye(4) / 4, 1e-12)
 
     def test_product_with_mixed_beta_is_fixed_point(self, rng):
         ra = random_density(rng, 2)
         rho = product_state(ra, minimum_information_state(2))
         got = red.replacement_operator(rho, SYS22, observed="alpha")
-        assert mc.matrices_close(got, rho.matrix, 1e-12)
+        assert matrices_close(got, rho.matrix, 1e-12)
 
     def test_block_pattern(self, rng):
         # observed side keeps its partial trace, the other becomes (1/N) I
         rho = random_density(rng, 4)
         got = red.replacement_operator(rho, SYS22, observed="alpha")
         ra = mc.partial_trace(rho.matrix, SYS22, "beta")
-        assert mc.matrices_close(got, np.kron(ra, np.eye(2) / 2), 1e-14)
+        assert matrices_close(got, np.kron(ra, np.eye(2) / 2), 1e-14)
         got_b = red.replacement_operator(rho, SYS22, observed="beta")
         rb = mc.partial_trace(rho.matrix, SYS22, "alpha")
-        assert mc.matrices_close(got_b, np.kron(np.eye(2) / 2, rb), 1e-14)
+        assert matrices_close(got_b, np.kron(np.eye(2) / 2, rb), 1e-14)
 
 
 class TestConditionedReduce:
@@ -135,14 +135,14 @@ class TestConditionedReduce:
         ra, rb = random_density(rng, 2), random_density(rng, 2)
         sigma = random_density(rng, 2)
         got = red.conditioned_reduce(product_state(ra, rb), SYS22, sigma, given_side="beta")
-        assert mc.matrices_close(got.rho_alpha.matrix, ra.matrix, 1e-12)
+        assert matrices_close(got.rho_alpha.matrix, ra.matrix, 1e-12)
 
     def test_epr_conditioned_on_lower_level(self):
         # conditioning beta on |1> forces alpha into |2>
         got = red.conditioned_reduce(
             epr_state(), SYS22, projector_state(2, 1), given_side="beta"
         )
-        assert mc.matrices_close(got.rho_alpha.matrix, np.diag([1.0, 0.0]), 1e-12)
+        assert matrices_close(got.rho_alpha.matrix, np.diag([1.0, 0.0]), 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -164,14 +164,14 @@ class TestConditionedReduce:
         # misses the EPR coherence 1/2
         got = red.conditioned_reduce(epr_state(), SYS22, np.eye(2) / 2, given_side="alpha")
         assert got.method == "conditioned"
-        assert mc.matrices_close(got.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
-        assert mc.matrices_close(got.rho_beta.matrix, np.eye(2) / 2, 1e-12)
+        assert matrices_close(got.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
+        assert matrices_close(got.rho_beta.matrix, np.eye(2) / 2, 1e-12)
         assert got.reconstruction_error == pytest.approx(0.5, abs=1e-12)
 
     def test_epr_pair_given_beta(self):
         got = red.conditioned_reduce(epr_state(), SYS22, np.eye(2) / 2, given_side="beta")
         assert got.method == "conditioned"
-        assert mc.matrices_close(got.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
+        assert matrices_close(got.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
         assert got.rho_beta is None
         assert got.reconstruction_error is None
 
@@ -188,22 +188,22 @@ class TestConditionedReduce:
 class TestProjectiveReduce:
     def test_epr(self):
         res = red.projective_reduce(epr_state(), SYS22, level=1)
-        assert mc.matrices_close(res.rho_alpha.matrix, np.diag([1.0, 0.0]), 1e-12)
-        assert mc.matrices_close(res.rho_beta.matrix, np.diag([0.0, 1.0]), 1e-12)
+        assert matrices_close(res.rho_alpha.matrix, np.diag([1.0, 0.0]), 1e-12)
+        assert matrices_close(res.rho_beta.matrix, np.diag([0.0, 1.0]), 1e-12)
         assert res.method == "projective"
 
     def test_product_state_unchanged(self, rng):
         ra = random_density(rng, 2)
         rho = product_state(ra, minimum_information_state(2))
         res = red.projective_reduce(rho, SYS22, level=0)
-        assert mc.matrices_close(res.rho_alpha.matrix, ra.matrix, 1e-12)
+        assert matrices_close(res.rho_alpha.matrix, ra.matrix, 1e-12)
 
     def test_jcm_emitted_photon_branch(self):
         # conditioning the field on |1 photon> leaves the atom in the ground state
         p = JcmParams(omega=1.0, rabi=1.0, n_max=4)
         rho = jcm_vacuum_density(p, t=0.9)
         res = red.projective_reduce(rho, jcm_system(p), level=1)
-        assert mc.matrices_close(res.rho_alpha.matrix, np.diag([0.0, 1.0]), 1e-10)
+        assert matrices_close(res.rho_alpha.matrix, np.diag([0.0, 1.0]), 1e-10)
 
 
 class TestCorrelatedReduce:
@@ -213,7 +213,7 @@ class TestCorrelatedReduce:
         assert rep.verdict == "converged"
         assert rep.iterations == 1
         assert rep.reconstruction_error < 1e-12
-        assert mc.matrices_close(rep.rho_alpha.matrix, ra.matrix, 1e-12)
+        assert matrices_close(rep.rho_alpha.matrix, ra.matrix, 1e-12)
 
     def test_jcm_plateau_one(self):
         p = JcmParams(omega=1.0, rabi=1.0, n_max=1)
@@ -234,15 +234,15 @@ class TestCorrelatedReduce:
     def test_epr_neumann_seed_is_stationary(self):
         rep = red.correlated_reduce(epr_state(), SYS22)
         assert rep.verdict == "converged"
-        assert mc.matrices_close(rep.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
-        assert mc.matrices_close(rep.rho_beta.matrix, np.eye(2) / 2, 1e-12)
+        assert matrices_close(rep.rho_alpha.matrix, np.eye(2) / 2, 1e-12)
+        assert matrices_close(rep.rho_beta.matrix, np.eye(2) / 2, 1e-12)
 
     def test_epr_asymmetric_diagonal_seed_converges_immediately(self):
         # any diagonal pair with swapped populations is a fixed point
         seed = DensityMatrix(np.diag([0.7, 0.3]))
         rep = red.correlated_reduce(epr_state(), SYS22, seed=seed)
         assert rep.verdict == "converged"
-        assert mc.matrices_close(rep.rho_alpha.matrix, np.diag([0.7, 0.3]), 1e-12)
+        assert matrices_close(rep.rho_alpha.matrix, np.diag([0.7, 0.3]), 1e-12)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0])
     def test_nonpositive_tol_rejected(self, tol):
@@ -433,6 +433,43 @@ class TestClosedFormStart:
         assert mc.max_abs_diff(rep.rho_alpha.matrix, np.diag([0.5, 0.5, 0.0])) < 1e-15
         assert mc.max_abs_diff(rep.rho_beta.matrix, np.eye(2) / 2) < 1e-15
 
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_a_seeded_run_stops_at_max_iter(self, max_iter):
+        # 5 x 5 is above the cutoff, so the loop starts at the seed and
+        # converges in 13 sweeps; every sweep up to max_iter is recorded.
+        sys_ = BipartiteSystem(5, 5)
+        rho = random_density(np.random.default_rng(3), sys_.dim)
+        assert red.correlated_reduce(rho, sys_).iterations == 13
+        ra, rb, sweeps = gauss_seidel_reference(rho.matrix, sys_, max_iter=max_iter)
+        rep = red.correlated_reduce(rho, sys_, max_iter=max_iter)
+        assert sweeps is None and rep.verdict == "max_iter"
+        assert rep.iterations == len(rep.residuals) == max_iter
+        assert mc.max_abs_diff(rep.rho_alpha.matrix, ra) < 1e-13
+        assert mc.max_abs_diff(rep.rho_beta.matrix, rb) < 1e-13
+
+    def test_a_degenerate_first_sweep_raises(self):
+        # The seed |1><1| does not overlap the top vector |0><0|, so the loop
+        # starts at the seed, whose overlap with rho is 0.
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        rho = DensityMatrix(np.kron(p0, p1))
+        with pytest.raises(DegenerateOverlap, match=r"overlap denominator 0\.000e\+00 below 1e-14"):
+            red.correlated_reduce(rho, SYS22, seed=DensityMatrix(p1))
+
+    def test_a_degenerate_verifying_sweep_raises(self, rng, monkeypatch):
+        # No sweep is recorded before the verifying one, so its
+        # DegenerateOverlap leaves the reduction rather than ending the run.
+        rho = random_density(rng, 4)
+        assert red.correlated_reduce(rho, SYS22).iterations == 1  # a certified start
+        condition = red._condition
+
+        def degenerate_on_beta(rho, sys_, sigma, given_side, warnings=None):
+            if given_side == "beta":
+                raise DegenerateOverlap("overlap denominator 0.000e+00 below 1e-14")
+            return condition(rho, sys_, sigma, given_side, warnings)
+        monkeypatch.setattr(red, "_condition", degenerate_on_beta)
+        with pytest.raises(DegenerateOverlap):
+            red.correlated_reduce(rho, SYS22)
+
     @pytest.mark.parametrize("seed", [None, np.diag([0.7, 0.3])])
     def test_degenerate_spectrum_keeps_the_seed_start(self, seed):
         # All four operator-Schmidt values of EPR are 1/2.
@@ -589,12 +626,11 @@ class TestStackedKernels:
     @given(amplitude_stacks())
     def test_a_stack_starts_each_state_where_it_alone_starts(self, case):
         p, sys_ = case
-        seed = mc._contract(p, sys_, "beta")
-        start = red._schmidt_start(p, sys_, seed, 1e-12, [], {"beta": seed})
+        start = red._start(p, sys_, None, 1e-12, [])
         for k, psi in enumerate(p):
-            want = red._schmidt_start(psi.ravel(), sys_, seed[k], 1e-12, [], {"beta": seed[k]})
-            if want is None:
-                assert start is None or np.isnan(start[0][k]).all() and np.isnan(start[1][k]).all()
+            want = red._start(psi.ravel(), sys_, None, 1e-12, [])
+            if want[2] is None:
+                assert start[2] is None or all(np.isnan(m[k]).all() for m in start)
             else:
                 assert [m[k].tobytes() for m in start] == [m.tobytes() for m in want]
 

@@ -16,6 +16,8 @@ from corred.errors import (
     ZeroTrace,
 )
 
+from conftest import matrices_close
+
 
 class TestDensityMatrix:
     def test_rejects_nonhermitian(self):
@@ -64,29 +66,29 @@ class TestDensityMatrix:
     def test_json_round_trip(self):
         dm = states.epr_state()
         again = states.DensityMatrix.from_json(dm.to_json())
-        assert mc.matrices_close(again.matrix, dm.matrix, 1e-15)
+        assert matrices_close(again.matrix, dm.matrix, 1e-15)
         assert dm.to_json()["kind"] == "density"
 
 
 class TestMinimumInformation:
     def test_qubit(self):
-        assert mc.matrices_close(states.minimum_information_state(2).matrix, np.eye(2) / 2)
+        assert matrices_close(states.minimum_information_state(2).matrix, np.eye(2) / 2)
 
     def test_trivial_dim(self):
-        assert mc.matrices_close(states.minimum_information_state(1).matrix, [[1.0]])
+        assert matrices_close(states.minimum_information_state(1).matrix, [[1.0]])
 
     def test_two_qubit(self):
-        assert mc.matrices_close(states.minimum_information_state(4).matrix, np.eye(4) / 4)
+        assert matrices_close(states.minimum_information_state(4).matrix, np.eye(4) / 4)
 
 
 class TestThermal:
     def test_infinite_temperature(self):
         got = states.thermal_state(np.array([[1.0, 0.2], [0.2, -0.3]]), math.inf)
-        assert mc.matrices_close(got.matrix, np.eye(2) / 2, 1e-12)
+        assert matrices_close(got.matrix, np.eye(2) / 2, 1e-12)
 
     def test_degenerate_spectrum(self):
         got = states.thermal_state(np.zeros((2, 2)), 0.7)
-        assert mc.matrices_close(got.matrix, np.eye(2) / 2, 1e-12)
+        assert matrices_close(got.matrix, np.eye(2) / 2, 1e-12)
 
     def test_boltzmann_populations(self):
         # independent scalar Boltzmann evaluation for H = diag(+e, -e), T = e
@@ -107,10 +109,10 @@ class TestThermal:
 
 class TestProjector:
     def test_upper_level(self):
-        assert mc.matrices_close(states.projector_state(2, 0).matrix, np.diag([1.0, 0.0]))
+        assert matrices_close(states.projector_state(2, 0).matrix, np.diag([1.0, 0.0]))
 
     def test_lower_level(self):
-        assert mc.matrices_close(states.projector_state(2, 1).matrix, np.diag([0.0, 1.0]))
+        assert matrices_close(states.projector_state(2, 1).matrix, np.diag([0.0, 1.0]))
 
     def test_unit_trace(self):
         for dim in (2, 3, 5):
@@ -148,7 +150,7 @@ class TestSpecialStates:
 
     def test_spin_pair_initial_at_zero(self):
         m = states.spin_pair_initial(0.0).matrix
-        assert mc.matrices_close(m, np.diag([0.0, 1.0, 0.0, 0.0]))
+        assert matrices_close(m, np.diag([0.0, 1.0, 0.0, 0.0]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-10.0, 10.0))
@@ -162,15 +164,15 @@ class TestSpecialStates:
 class TestStateFromObservable:
     def test_identity_gives_minimum_information(self):
         got = states.state_from_observable(np.eye(2))
-        assert mc.matrices_close(got.matrix, np.eye(2) / 2)
+        assert matrices_close(got.matrix, np.eye(2) / 2)
 
     def test_rank_one(self):
         got = states.state_from_observable(np.diag([2.0, 0.0]))
-        assert mc.matrices_close(got.matrix, np.diag([1.0, 0.0]))
+        assert matrices_close(got.matrix, np.diag([1.0, 0.0]))
 
     def test_diagonal_weights(self):
         got = states.state_from_observable(np.diag([1.0, 3.0]))
-        assert mc.matrices_close(got.matrix, np.diag([0.25, 0.75]))
+        assert matrices_close(got.matrix, np.diag([0.25, 0.75]))
 
     def test_rejects_negative_operator(self):
         with pytest.raises(NotNonnegative):
