@@ -21,12 +21,12 @@ returns itself are 3 from ``decompose`` when verification misses and 2 from
 ``run`` reads its whole config and opens its output before the time loop.
 It then holds one chunk of ``CHUNK`` time points at a time, and makes each
 chunk's t values as ``np.linspace`` makes them, so memory does not grow
-with ``steps``. A chunk of a model's amplitude vectors is filled into one
-(K, N) array as each state is made; that array is freed once it is cut to
-the support of the chunk (``reduction.support``), before the stacked
-kernels run (``reduction.reduce_stack``). A point the stack does not
-settle, and every point of a correlated run with a ``file:`` seed, is made
-again and reduced alone, its result a stack of one. A state that does not
+with ``steps``. A model makes a chunk's amplitude vectors in one call, as
+one (K, N) array; that array is freed once it is cut to the support of the
+chunk (``reduction.support``), before the stacked kernels run
+(``reduction.reduce_stack``). A point the stack does not settle is made
+again and reduced alone, its result a stack of one, and so is every point
+of a chunk that holds a state that cannot be made. A state that does not
 change (``epr``, ``custom``) is reduced once, at the first t, its warnings
 logged once, and its row is written at every t. Every row is read off a
 stack by the same reader and written as one formatted line, and the
@@ -75,7 +75,7 @@ EXIT_IO = 4
 #: chunk is cut to its support and the kernels' temporaries grow with it. On
 #: the run workloads of ``bench/``, 16 takes 25 to 30 % less time than 8 for
 #: 1 to 5 % more peak memory; 32 takes another 25 % less time for 10 to 15 %
-#: more (ROADMAP item 3).
+#: more (ROADMAP, Recent).
 CHUNK = 16
 
 #: Most entries of a stack of reduced states that ``_max_coherence`` takes
@@ -316,11 +316,10 @@ def _required(rcfg: dict, key: str):
 class _Reducer(NamedTuple):
     """The reduction a config names: ``one`` maps a state to a ReductionResult;
     ``stack`` maps amplitude vectors cut to their support (a
-    ``reduction.Support``) to a ``reduction.Stack``, or is None where ``run``
-    reduces each point alone (a ``file:`` seed)."""
+    ``reduction.Support``) to a ``reduction.Stack``."""
 
     one: Callable
-    stack: Callable | None
+    stack: Callable
 
 
 def _reducer(rcfg: dict, sys_: BipartiteSystem) -> _Reducer:
@@ -366,7 +365,7 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem) -> _Reducer:
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
         return _Reducer(
             lambda rho: reduction.correlated_reduce(rho, sys_, seed, tol=tol, max_iter=max_iter),
-            stack(tol=tol) if seed is None else None)
+            stack(tol=tol, seed=seed))
     raise ValidationError(f"unknown reduction method {method!r}")
 
 
@@ -423,7 +422,7 @@ def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, rho_of_t,
     written = False
     if callable(rho_of_t):
         for i in range(0, len(ts), CHUNK):
-            for row in _chunk(ts[i:i + CHUNK].tolist(), sys_, rho_of_t, reducer):
+            for row in _chunk(ts[i:i + CHUNK], sys_, rho_of_t, reducer):
                 written = True
                 yield row
     else:
@@ -437,48 +436,30 @@ def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, rho_of_t,
         raise DegenerateOverlap("degenerate overlap at every time point")
 
 
-def _chunk(ts: list[float], sys_: BipartiteSystem, rho_of_t, reducer: _Reducer) -> Iterator[dict]:
+def _chunk(ts: np.ndarray, sys_: BipartiteSystem, rho_of_t, reducer: _Reducer) -> Iterator[dict]:
     """The rows of the time points ts, without the degenerate ones.
 
-    A model's amplitude vectors, cut to their support (``_stacked``), are
-    reduced together by ``reducer.stack``. A point the stack leaves undone,
-    and every point where there is no ``reducer.stack``, is made again by
-    ``rho_of_t``, which gives the same state each time, and reduced alone
-    (``_alone``). Either way its row is read off a ``reduction.Stack``
-    (``_stack_rows``). The stack ends before a point whose state cannot be
-    made, so the rows of the points before it come first, then its error.
+    A model makes the chunk's amplitude vectors in one call, reduced
+    together by ``reducer.stack``. A point the stack leaves undone is made
+    again and reduced alone (``_alone``), and so is every point of a chunk
+    where one state raises, so the rows before it come first, then its error.
     """
-    cut = None if reducer.stack is None else _stacked(ts, rho_of_t, sys_)
-    rows = () if cut is None else _stack_rows(ts, reducer.stack(cut), sys_)
-    for t, row in itertools.zip_longest(ts, rows):
+    points = ts.tolist()
+    try:
+        cut = reduction.support(rho_of_t(ts), sys_)
+    except CorredError:
+        cut = None
+    rows = () if cut is None else _stack_rows(points, reducer.stack(cut), sys_)
+    for t, row in itertools.zip_longest(points, rows):
         if row is None:
-            alone = _alone(t, rho_of_t(t), reducer.one, sys_)
-            row = next(iter(_stack_rows([t], alone, sys_)), None)
-        if row is not None:
+            yield from _stack_rows([t], _alone(t, rho_of_t(t), reducer.one, sys_), sys_)
+        else:
             yield row
 
 
-def _stacked(ts: list[float], rho_of_t, sys_: BipartiteSystem) -> reduction.Support | None:
-    """The amplitude vectors of the time points ts up to the first whose
-    state cannot be made, filled into one (K, N) array as each is made and
-    cut to their support, so the array is freed on return; None where there
-    is none."""
-    psi, made = None, 0
-    for t in ts:
-        try:
-            state = rho_of_t(t)
-        except CorredError:
-            break  # made again, and raised, after the rows before it
-        if psi is None:
-            psi = np.empty((len(ts), state.size), dtype=state.dtype)
-        psi[made] = state
-        made += 1
-    return None if psi is None else reduction.support(psi[:made], sys_)
-
-
 def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) -> Iterable:
-    """The row of each point of the stack, the first points of ts, or None
-    where it is not done: the one reader of every ``run`` row.
+    """The row of each point ts of the stack, or None where it is not done:
+    the one reader of every ``run`` row.
 
     The populations are the diagonal of each reduced state on the levels of
     the stack and exact zeros off them, its coherence the largest
@@ -514,7 +495,7 @@ def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) 
             out["coh_beta"] = cohs["beta"][j]
         return out
 
-    return (row(j, t) if done[j] else None for j, t in enumerate(ts[:len(done)]))
+    return (row(j, t) if done[j] else None for j, t in enumerate(ts))
 
 
 def _alone(t: float, state, reduce_one, sys_: BipartiteSystem) -> reduction.Stack:

@@ -6,11 +6,12 @@ Both models evolve pure states. ``jcm_vacuum_amplitudes`` and
 ``spin_pair_amplitudes`` give the evolved amplitude vector psi, which the
 reductions take as the composite state. The JCM one writes the two nonzero
 entries of U(t)|2,0> without forming U; the spin-pair one applies the
-closed-form 4x4 ``spin_pair_evolution``. ``jcm_vacuum_density`` is
-psi psi^dag of the same vector, and ``spin_pair_density`` forms
-U rho(0) U^dag densely as an independent check. The hamiltonians, the full
-JCM evolution operator and a matrix exponential, which only check these
-forms, live with the tests.
+closed-form 4x4 ``spin_pair_evolution``. All three take t as a scalar or
+an array of times, each stacked with the bits of its t alone.
+``jcm_vacuum_density`` is psi psi^dag of the same vector, and
+``spin_pair_density`` forms U rho(0) U^dag densely as an independent
+check. The hamiltonians, the full JCM evolution operator and a matrix
+exponential, which only check these forms, live with the tests.
 
 Basis conventions (hbar = 1 throughout):
 
@@ -46,17 +47,20 @@ class SpinPairParams:
     d_coupling: float = 0.0
 
 
-def _check_phases(t: float, *rates: tuple[str, float], at: str = "t") -> None:
-    """ValidationError naming the first ``(name, rate)`` whose phase rate * t
-    overflows a float, where a cos, sin or exp of it would raise or give nan;
-    ``at`` names the variable t, the time by default."""
-    for name, rate in rates:
-        if not math.isfinite(float(rate) * float(t)):
-            raise ValidationError(f"{name} * {at} overflows at {at}={float(t)!r}")
+def _check_phases(t, *rates: tuple[str, float], at: str = "t") -> None:
+    """ValidationError naming the first t (scalar or array) where a phase
+    rate * t overflows, so a cos, sin or exp of it would raise or give nan,
+    and the first ``(name, rate)`` there; ``at`` names t, the time by default."""
+    ts = np.ravel(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(np.multiply.outer(ts, [float(rate) for _, rate in rates]))
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise ValidationError(f"{rates[k][0]} * {at} overflows at {at}={float(ts[i])!r}")
 
 
-def spin_pair_evolution(p: SpinPairParams, t: float) -> np.ndarray:
-    """Closed-form evolution operator U(t) of the spin pair.
+def spin_pair_evolution(p: SpinPairParams, t) -> np.ndarray:
+    """Closed-form evolution operator U(t) of the spin pair, (..., 4, 4).
 
     The outer block {|22>, |11>} rotates at Omega = sqrt(omega^2 + d^2) (the
     unique rate that makes the block unitary), the inner block {|21>, |12>}
@@ -65,26 +69,30 @@ def spin_pair_evolution(p: SpinPairParams, t: float) -> np.ndarray:
     w, j, c, d = p.omega, p.j_coupling, p.c_coupling, p.d_coupling
     big_omega = math.hypot(w, d)
     _check_phases(t, ("hypot(omega, d)", big_omega), ("j", j), ("c", c))
+    t = np.asarray(t, dtype=float)
     if big_omega > 0:
-        co, so = math.cos(big_omega * t), math.sin(big_omega * t)
+        co, so = np.cos(big_omega * t), np.sin(big_omega * t)
         wr, dr = w / big_omega, d / big_omega
     else:
         co, so, wr, dr = 1.0, 0.0, 0.0, 0.0
     ph_out = np.exp(-1j * j * t)
     ph_in = np.exp(1j * j * t)
-    ci, si = math.cos(c * t), math.sin(c * t)
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = ph_out * (co - 1j * wr * so)
-    u[3, 3] = ph_out * (co + 1j * wr * so)
-    u[0, 3] = u[3, 0] = -1j * dr * ph_out * so
-    u[1, 1] = u[2, 2] = ph_in * ci
-    u[1, 2] = u[2, 1] = -1j * ph_in * si
+    ci, si = np.cos(c * t), np.sin(c * t)
+    u = np.zeros((*t.shape, 4, 4), dtype=complex)
+    # No product of two general complex numbers, which numpy rounds apart
+    # for scalars (a scalar t) and arrays: each has a real or imaginary factor.
+    turn = 1j * wr * (ph_out * so)
+    u[..., 0, 0] = ph_out * co - turn
+    u[..., 3, 3] = ph_out * co + turn
+    u[..., 0, 3] = u[..., 3, 0] = -1j * dr * ph_out * so
+    u[..., 1, 1] = u[..., 2, 2] = ph_in * ci
+    u[..., 1, 2] = u[..., 2, 1] = -1j * ph_in * si
     return u
 
 
-def spin_pair_amplitudes(p: SpinPairParams, phi: float, t: float) -> np.ndarray:
+def spin_pair_amplitudes(p: SpinPairParams, phi: float, t) -> np.ndarray:
     """Evolved pure state U(t) psi(0), psi(0) = cos(phi)|21> - sin(phi)|12>,
-    whose projector is ``spin_pair_initial(phi)``."""
+    whose projector is ``spin_pair_initial(phi)``; (K, 4) for K times."""
     psi0 = np.array([0.0, math.cos(phi), -math.sin(phi), 0.0], dtype=complex)
     return spin_pair_evolution(p, t) @ psi0
 
@@ -135,25 +143,29 @@ def jcm_system(p: JcmParams) -> BipartiteSystem:
     return BipartiteSystem(2, p.n_max + 1)
 
 
-def jcm_vacuum_amplitudes(p: JcmParams, t: float) -> np.ndarray:
-    """Amplitudes u0 = U(t)|2,0> of an excited atom in the vacuum field.
+def jcm_vacuum_amplitudes(p: JcmParams, t) -> np.ndarray:
+    """Amplitudes u0 = U(t)|2,0> of an excited atom in the vacuum field; (K, N) for K times.
 
     U(t) is block-diagonal over the dressed doublets {|2,m>, |1,m+1>}, and
     |2,0> lies in the doublet m = 0. With e = exp(-i omega t) and c, s =
     cos, sin(Omega t / 2), u0 is e c on |2,0> and -e s on |1,1>. It is
     supported on those two levels for all t, so any n_max >= 1 is exact,
-    and U is never formed.
+    and U is never formed; an n_max too large to allocate is a ValidationError.
     """
     _check_phases(t, ("omega", p.omega), ("rabi", p.rabi))
+    t = np.asarray(t, dtype=float)
     nf = p.n_max + 1
     phase = np.exp(-1j * p.omega * t)
     cos = np.cos(p.rabi * t / 2)
     sin = np.sin(p.rabi * t / 2)
-    u0 = np.zeros(2 * nf, dtype=complex)
-    u0[0] = phase * cos  # <2,0|U|2,0>
+    try:
+        u0 = np.zeros((*t.shape, 2 * nf), dtype=complex)
+    except (ValueError, MemoryError) as exc:  # ValueError: more bytes than an array can hold
+        raise ValidationError(f"n_max={p.n_max} is too large: {exc}") from None
+    u0[..., 0] = phase * cos  # <2,0|U|2,0>
     # <1,1|U|2,0>; a complex product with -1.0, since a unary minus would
     # flip the sign of a zero imaginary part.
-    u0[nf + 1] = -1.0 * (phase * sin)
+    u0[..., nf + 1] = -1.0 * (phase * sin)
     return u0
 
 

@@ -539,12 +539,12 @@ class Stack(NamedTuple):
 
 
 def reduce_stack(cut: Support, sys: BipartiteSystem, method: str, sigma=None,
-                 given_side: str = "beta", level: int = 0, tol: float = 1e-12) -> Stack:
+                 given_side: str = "beta", level: int = 0, tol: float = 1e-12, seed=None) -> Stack:
     """The reduction ``method`` of each amplitude vector of a stack cut to its
     support (``support``), with the parameters of ``neumann_reduce``,
     ``conditioned_reduce`` (``sigma``, ``given_side``), ``projective_reduce``
-    (``level``) or ``correlated_reduce`` from the default seed (``tol``; one
-    sweep suffices where the state is done, so ``max_iter`` does not matter).
+    (``level``) or ``correlated_reduce`` (``seed``, ``tol``; one sweep
+    suffices where the state is done, so ``max_iter`` does not matter).
 
     The same kernels as the public reductions, over a leading axis and on the
     support of the stack, where they give each state's reduced states and
@@ -554,19 +554,24 @@ def reduce_stack(cut: Support, sys: BipartiteSystem, method: str, sigma=None,
     verdict and iterations: a state that fails ``_state``'s check, a
     conditioning overlap below ``NEAR_DEGENERACY_THRESHOLD``, a correlated
     start that ``_start`` does not certify, and a verifying sweep whose
-    residual is not below ``tol``.
+    residual is not below ``tol``; and, with a ``seed``, a stack whose
+    support leaves out an alpha level, where the seed test could decide otherwise.
     """
     p, rows, cols, valid = cut
+    not_done = Stack(rows, cols, None, None, None, np.zeros_like(valid))
     if not valid.any():
-        return Stack(rows, cols, None, None, None, valid)
+        return not_done
     sub = BipartiteSystem(rows.size, cols.size)
     rb = None
     if method == "neumann":
         ra, rb = mc._contract(p, sub, "beta"), mc._contract(p, sub, "alpha")
     elif method == "correlated":
-        ra, rb, residual = _start(p, sub, None, tol, [])
+        if seed is not None and rows.size < sys.dim_alpha:
+            return not_done
+        ra, rb, residual = _start(p, sub, seed if seed is None else _matrix(seed, sys, "alpha"),
+                                  tol, [])
         if residual is None:
-            return Stack(rows, cols, None, None, None, np.zeros_like(valid))
+            return not_done
         valid = valid & (residual < tol)
     else:
         side = given_side if method == "conditioned" else "beta"

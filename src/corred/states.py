@@ -115,15 +115,15 @@ def thermal_state(h, temperature: float) -> DensityMatrix:
     """Boltzmann state exp(-H/T) / Tr exp(-H/T) of a hermitian hamiltonian.
 
     ``temperature`` is in energy units (k_B = 1); ``math.inf`` gives the
-    minimum-information state.
+    minimum-information state; any other not > 0 (nan, -inf) raises.
     """
     h = mc.as_matrix(h)
     if not mc.is_hermitian(h):
         raise NotHermitian("hamiltonian is not hermitian")
+    if not temperature > 0:
+        raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
     if math.isinf(temperature):
         return minimum_information_state(h.shape[0])
-    if temperature <= 0:
-        raise NonPositiveTemperature(f"finite temperature must be > 0, got {temperature}")
     e, v = np.linalg.eigh(h)
     # Shift by the ground energy before exponentiating to avoid overflow.
     w = np.exp(-(e - e.min()) / temperature)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import logging
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import corred
 from corred import cli, matrixcore as mc, models, reduction
+from corred.errors import DegenerateOverlap
 from corred.states import DensityMatrix, epr_state, minimum_information_state, projector_state
 
 from conftest import matrices_close, random_density
@@ -401,7 +403,8 @@ def test_large_neumann_run_forms_no_field_matrix(tmp_path):
 def chunked_runs(draw):
     """A JCM vacuum or spin-pair ``run`` config of K - 1, K, K + 1 or 2 K + 1
     points, K = ``cli.CHUNK``, whose first or last point is a tie of the
-    correlated step limit, 1e-8 from one, or neither."""
+    correlated step limit, 1e-8 from one, or neither; and, for half the
+    correlated ones, the random alpha state of a ``file:`` seed (else None)."""
     k = cli.CHUNK
     steps = draw(st.sampled_from([k - 1, k, k + 1, 2 * k + 1]))
     odd = 2 * draw(st.integers(0, 3)) + 1
@@ -421,18 +424,25 @@ def chunked_runs(draw):
     edge = tie + draw(st.sampled_from([0.0, 1e-8, -1e-8, draw(st.floats(-1.0, 1.0))]))
     start, stop = (edge, edge + span) if draw(st.booleans()) else (edge - span, edge)
     method = draw(st.sampled_from(["correlated", "correlated", "neumann", "projective"]))
+    reduction_cfg = {"method": method, "level": 0} if method == "projective" else {"method": method}
+    seed = None
+    if method == "correlated" and draw(st.booleans()):
+        seed = random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 2)
     return {
         "experiment": experiment,
         "params": params,
         "time_grid": {"start": start, "stop": stop, "steps": steps},
-        "reduction": {"method": method, "level": 0} if method == "projective" else {"method": method},
-    }
+        "reduction": reduction_cfg,
+    }, seed
 
 
 @settings(max_examples=60, deadline=None)
 @given(chunked_runs())
-def test_chunked_run_equals_point_by_point_run(tmp_path_factory, cfg):
+def test_chunked_run_equals_point_by_point_run(tmp_path_factory, case):
+    cfg, seed = case
     path = tmp_path_factory.mktemp("chunks") / "config.json"
+    if seed is not None:
+        cfg["reduction"]["seed"] = "file:" + write_state(path.parent, "seed.json", seed)
     path.write_text(json.dumps(cfg))
     for fmt in ("csv", "json"):
         outs = []
@@ -481,6 +491,57 @@ def test_degenerate_and_near_degenerate_points_inside_a_chunk(tmp_path, capsys, 
     assert messages[0].startswith(f"t={math.pi:g}: overlap denominator")
     assert messages[1].startswith(f"t={math.pi + 2e-6:g}: near-degenerate overlap denominator")
     assert len(messages) == 2
+
+
+@pytest.mark.parametrize("seed", ["ground", "random"])
+def test_a_seeded_run_has_the_per_point_verdicts(tmp_path, rng, caplog, seed):
+    # JCM vacuum over two chunks with a file: seed. Where the start is the
+    # excited atom, it does not overlap a ground-state seed, and the loop
+    # runs from the seed: degenerate at t = 0, near-degenerate at 1e-5.
+    # Elsewhere the stack settles a point. Either way its verdict,
+    # iterations, warnings and row are those of the point reduced alone, up
+    # to the last bit of a population.
+    sigma = projector_state(2, 1) if seed == "ground" else random_density(rng, 2)
+    path = write_state(tmp_path, "seed.json", sigma)
+    cfg = {"experiment": "jcm_vacuum", "params": {"n_max": 3},
+           "reduction": {"method": "correlated", "seed": "file:" + path}}
+    ts = np.concatenate([[0.0, 1e-5, 3e-5, math.pi / 2],
+                         np.linspace(0.3, 10.0, 2 * cli.CHUNK - 4)])
+    sys_, rho_of_t = cli._state_factory(cfg)
+    reducer = cli._reducer(cfg["reduction"], sys_)
+    caplog.set_level(logging.WARNING, logger="corred")
+    one = reduction.correlated_reduce
+    with mock.patch.object(reduction, "correlated_reduce", wraps=one) as spy:
+        rows = list(cli._series(ts, sys_, rho_of_t, reducer))
+    assert 0 < spy.call_count < len(ts)  # some points on the stack, some alone
+    messages = [r.getMessage() for r in caplog.records]
+    want_messages, want_rows = [], []
+    for t in ts.tolist():
+        try:
+            res = reduction.correlated_reduce(rho_of_t(t), sys_, sigma)
+        except DegenerateOverlap as exc:
+            want_messages.append(f"t={t:g}: {exc}")
+            continue
+        want_messages += [f"t={t:g}: {w}" for w in res.warnings]
+        want_rows.append({
+            "t": t,
+            "pop_alpha": res.rho_alpha.matrix.diagonal().real,
+            "pop_beta": res.rho_beta.matrix.diagonal().real,
+            "coh_alpha": float(max_coherence_dense(res.rho_alpha.matrix)),
+            "coh_beta": float(max_coherence_dense(res.rho_beta.matrix)),
+            "reconstruction_error": res.reconstruction_error,
+            "verdict": res.verdict,
+            "iterations": res.iterations,
+        })
+    assert messages == want_messages
+    if seed == "ground":
+        assert messages[0].startswith("t=0: overlap denominator")
+        assert messages[1].startswith("t=1e-05: near-degenerate overlap denominator")
+    assert len(rows) == len(want_rows)
+    for row, want in zip(rows, want_rows):
+        for side in ("pop_alpha", "pop_beta"):
+            np.testing.assert_array_max_ulp(np.array(row.pop(side)), want.pop(side), maxulp=1)
+        assert row == want
 
 
 @pytest.mark.parametrize("experiment", ["epr", "custom"])
@@ -1376,6 +1437,10 @@ EXIT_CASES = [
     ("decompose-c-overflow", "{}", [*DECOMPOSE, "--c=1e308", "--t=2"], 2),
     # 2 * phi overflows, though phi is finite.
     ("decompose-phi-overflow", "{}", [*DECOMPOSE, "--phi=1e308", "--t", "1"], 2),
+    # Amplitude vectors of more bytes than an array can hold, and ones that
+    # a mock of their allocation finds no memory for (see MOCKS).
+    ("n_max-too-big", '{"experiment": "jcm_vacuum", "params": {"n_max": 1e18}}', RUN, 2),
+    ("n_max-out-of-memory", '{"experiment": "jcm_vacuum", "params": {"n_max": 1000}}', RUN, 2),
 ]
 
 
@@ -1397,6 +1462,18 @@ def run_exit_case(tmp_path, capsys, config, argv) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
+def _no_memory_for_jcm_vectors(shape, *args, _zeros=np.zeros, **kwargs):
+    """``np.zeros``, but out of memory for the amplitude vectors of JCM
+    n_max = 1000, one or a stack of them, as numpy is for a huge n_max."""
+    if tuple(np.ravel(shape))[-1:] == (2 * 1001,):
+        raise MemoryError("Unable to allocate the amplitude vectors")
+    return _zeros(shape, *args, **kwargs)
+
+
+#: Patches that EXIT_CASES rows run under.
+MOCKS = {"n_max-out-of-memory": lambda: mock.patch.object(np, "zeros", _no_memory_for_jcm_vectors)}
+
+
 # Rows that argparse rejects before corred sees them. Their stderr is
 # argparse's usage and one "corred <cmd>: error:" line.
 USAGE_ERRORS = {
@@ -1406,7 +1483,8 @@ USAGE_ERRORS = {
 
 @pytest.mark.parametrize("name,config,argv,code", EXIT_CASES, ids=[c[0] for c in EXIT_CASES])
 def test_exit_code_map(tmp_path, capsys, name, config, argv, code):
-    got, err = run_exit_case(tmp_path, capsys, config, argv)
+    with MOCKS.get(name, contextlib.nullcontext)():
+        got, err = run_exit_case(tmp_path, capsys, config, argv)
     assert got == code
     if code == 0:
         assert err == ""

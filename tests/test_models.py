@@ -416,6 +416,25 @@ class TestPureAmplitudes:
         rho = models.jcm_vacuum_density(p, 2.3).matrix
         assert rho.tobytes() == mc.hermitize(np.outer(u0, u0.conj())).tobytes()
 
+    @pytest.mark.parametrize("k", [1, 16])
+    def test_a_time_axis_gives_each_time_its_own_bits(self, k):
+        # A (K,) array of times is a stack of the per-t calls, and a 0-d
+        # time is a scalar one; omega = d = 0 takes the outer block's branch.
+        rng = np.random.default_rng(k)
+        ts = rng.uniform(-40.0, 40.0, k)
+        ts[0] = 0.0
+        calls = [
+            lambda t: models.jcm_vacuum_amplitudes(JcmParams(0.7, 1.3, n_max=5), t),
+            lambda t: models.spin_pair_amplitudes(SpinPairParams(0.9, 0.3, 1.1, 0.4), 0.6, t),
+            lambda t: models.spin_pair_evolution(SpinPairParams(-1.2, -0.5, 0.8, 0.2), t),
+            lambda t: models.spin_pair_evolution(SpinPairParams(0.0, 0.5, 0.8), t),
+        ]
+        for call in calls:
+            got = call(ts)
+            assert len(got) == k
+            for row, t in zip(got, ts.tolist()):
+                assert row.tobytes() == call(t).tobytes() == call(np.array(t)).tobytes()
+
     def test_spin_pair_projector_matches_dense_density(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -467,3 +486,16 @@ def test_overflowing_phase_is_a_validation_error(call, product):
     assert np.isfinite(call(np.float64(1.0))).all()
     with pytest.raises(ValidationError, match=rf"^{re.escape(product)} overflows at t=2.0$"):
         call(np.float64(2.0))
+    # An array names its first t that overflows.
+    with pytest.raises(ValidationError, match=rf"^{re.escape(product)} overflows at t=2.0$"):
+        call(np.array([1.0, -1.5, 2.0, 3.0]))
+
+
+def test_an_array_names_its_first_overflowing_t_and_the_first_rate_there():
+    # j * t overflows from t = 3 on, c * t from t = 2 on: t = 2 comes first,
+    # where only c overflows, as a call at each t in turn would report.
+    p = SpinPairParams(1.0, j_coupling=7e307, c_coupling=1e308)
+    with pytest.raises(ValidationError, match=r"^c \* t overflows at t=2.0$"):
+        models.spin_pair_evolution(p, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValidationError, match=r"^j \* t overflows at t=3.0$"):
+        models.spin_pair_evolution(p, np.array([1.0, 3.0, 2.0]))

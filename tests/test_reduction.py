@@ -639,7 +639,7 @@ class TestStackedKernels:
         # certified, between two points that converge in one sweep.
         p = JcmParams(1.0, 1.0, n_max=3)
         ts = [0.3, math.pi / 2, 2.0]
-        psi = np.array([models.jcm_vacuum_amplitudes(p, t) for t in ts])
+        psi = models.jcm_vacuum_amplitudes(p, np.array(ts))
         stack = red.reduce_stack(red.support(psi, jcm_system(p)), jcm_system(p), "correlated")
         assert stack.done.tolist() == [True, False, True]
         assert (stack.verdict, stack.iterations) == ("converged", 1)

@@ -102,6 +102,12 @@ class TestThermal:
         with pytest.raises(NonPositiveTemperature):
             states.thermal_state(np.eye(2) * 0.5, -1.0)
 
+    @pytest.mark.parametrize("temperature", [-math.inf, math.nan, 0.0, -0.0, -5e-324])
+    def test_rejects_every_temperature_not_above_zero(self, temperature):
+        # -inf is infinite but no temperature, and nan compares false with 0.
+        with pytest.raises(NonPositiveTemperature, match="temperature must be > 0"):
+            states.thermal_state(np.diag([1.0, -1.0]), temperature)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             states.thermal_state(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
