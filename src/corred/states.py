@@ -27,11 +27,14 @@ POSITIVITY_TOL = 1e-10
 class DensityMatrix:
     """Validated state operator: hermitian, unit trace, positive semidefinite.
 
-    Entries must be finite. ``validation='strict'`` computes the minimum
-    eigenvalue on construction and rejects any below -tol;
+    Entries must be finite. ``validation='strict'`` rejects a state with an
+    eigenvalue below -tol: it accepts one that ``_positive_within`` certifies
+    by one Cholesky factorization, and only a state that the certificate
+    does not accept pays the eigensolve, which then decides.
     ``validation='relaxed'`` permits negativity (roundoff in intermediate
-    iterates) and computes the minimum eigenvalue only on first access of
-    ``min_eigenvalue``, so unread states cost no eigensolve.
+    iterates). Either way the minimum eigenvalue is computed only on first
+    access of ``min_eigenvalue``, or for a strict state that the certificate
+    does not accept, so unread states cost no eigensolve.
     """
 
     __slots__ = ("matrix", "validation", "_min_eigenvalue")
@@ -52,7 +55,7 @@ class DensityMatrix:
         self.matrix = m
         self.validation = validation
         self._min_eigenvalue: float | None = None
-        if validation == "strict" and self.min_eigenvalue < -tol:
+        if validation == "strict" and not _positive_within(m, tol) and self.min_eigenvalue < -tol:
             raise ValidationError(f"negative eigenvalue {self.min_eigenvalue} below -{tol}")
 
     @classmethod
@@ -88,6 +91,39 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, validation={self.validation!r})"
+
+
+def _positive_within(m: np.ndarray, tol: float) -> bool:
+    """True when one Cholesky factorization proves that no eigenvalue of
+    H = hermitize(m), the matrix ``min_eigenvalue`` reads, is below -tol;
+    False leaves the decision to the eigensolve. m is square with finite
+    entries and real trace within tol of 1.
+
+    The factorization is of A = H + (tol/2) I. If it runs to completion, the
+    computed factor L satisfies L L^dag = A + E with |E| <= g |L| |L^dag|
+    entrywise, g about (n + 1) u for unit roundoff u (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3; complex arithmetic
+    costs a small constant factor, Sec. 3.6). Hence ||E||_2 <= g ||L||_F^2,
+    and ||L||_F^2 = tr(A + E) <= tr(A) + g ||L||_F^2, so ||E||_2 is at most
+    g tr(A) / (1 - g): it is bounded by the trace, whatever the norm of H.
+    L L^dag has no negative eigenvalue, so lambda_min(H) >= -tol/2 - ||E||_2.
+    The premise checked below takes g as 8 (n + 1) u and asks the bound to
+    be under tol/4, so an accepted H has lambda_min >= -3 tol / 4, where the
+    eigensolve, whose own error is of the same small order, accepts it too.
+    At the default tol and n = 514 the bound is about 5e-13 against 2.5e-11,
+    and it holds up to n of about 28,000; a tol too small for n leaves every
+    state to the eigensolve.
+    """
+    n = m.shape[0]
+    if 4 * (n + 1) * np.finfo(float).eps * (m.trace().real + n * tol / 2) >= tol / 4:
+        return False
+    a = mc.hermitize(m)
+    a.flat[:: n + 1] += tol / 2
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import gc
 import json
 import logging
 import math
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import corred
 from corred import cli, matrixcore as mc, models, reduction
-from corred.errors import DegenerateOverlap
+from corred.errors import DegenerateOverlap, ValidationError
 from corred.states import DensityMatrix, epr_state, minimum_information_state, projector_state
 
 from conftest import matrices_close, random_density
@@ -1115,6 +1117,80 @@ def test_run_json_writes_back_any_config_it_reads(tmp_path, capsys):
         sys.setrecursionlimit(limit)
 
 
+README_CONFIG = {
+    "experiment": "jcm_vacuum",
+    "params": {"omega": 1.0, "rabi": 1.0, "n_max": 16},
+    "time_grid": {"start": 0.0, "stop": 10.0, "steps": 200},
+    "reduction": {"method": "correlated", "tol": 1e-12, "max_iter": 10000},
+    "output": {"format": "csv"},
+}
+
+
+@pytest.fixture(scope="module")
+def wishart_514(tmp_path_factory):
+    """A random full-rank 2 x 257 state (seed 0) and the path of its state file."""
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((514, 514)) + 1j * rng.standard_normal((514, 514))
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+    path = tmp_path_factory.mktemp("wishart") / "wishart-514.json"
+    data = np.stack([rho.real.ravel(), rho.imag.ravel()], axis=1).tolist()
+    path.write_text(json.dumps({"rows": 514, "cols": 514, "data": data}))
+    return rho, str(path)
+
+
+def test_a_dense_state_file_reduces_to_its_fixed_point_in_stdlib_json(tmp_path, capsys, wishart_514):
+    rho, path = wishart_514
+    assert cli.main(["reduce", path, "--method", "correlated", "--dims", "2", "257"]) == 0
+    reduced = capsys.readouterr().out
+    assert cli.main(["decompose", "epr"]) == 0
+    decomposed = capsys.readouterr().out
+    run_out = tmp_path / "run-out.json"
+    argv = ["run", "--config", write_config(tmp_path, README_CONFIG), "--format", "json",
+            "--out", str(run_out)]
+    assert cli.main(argv) == 0
+    for out in (reduced, decomposed, run_out.read_text()):
+        assert_same_text(out, json.dumps(json.loads(out), indent=2) + "\n")
+
+    out = json.loads(reduced)
+    ra, rb = mc.matrix_from_json(out["rho_alpha"]), mc.matrix_from_json(out["rho_beta"])
+
+    def conditioned(sigma, given):
+        # Sp_given(rho sigma') / Sp(rho sigma'), sigma' = sigma extended by the identity
+        ext = np.kron(sigma, np.eye(257)) if given == "alpha" else np.kron(np.eye(2), sigma)
+        num = (rho @ ext).reshape(2, 257, 2, 257)
+        num = np.einsum("ibic->bc", num) if given == "alpha" else np.einsum("ibjb->ij", num)
+        return num / np.trace(num).real
+
+    errors = (abs(rb - conditioned(ra, "alpha")).max(), abs(ra - conditioned(rb, "beta")).max())
+    assert (out["verdict"], out["iterations"]) == ("converged", 1)
+    assert max(errors) <= 1e-9
+    assert cli.main(["decompose", "epr", "--theta=1e7"]) == 0
+
+
+def test_a_point_reduced_alone_has_the_diagonals_reduce_prints(tmp_path, capsys, wishart_514):
+    _, path = wishart_514
+    cfg = {
+        "experiment": "custom",
+        "params": {"state": path, "dims": [2, 257]},
+        "time_grid": {"start": 0.0, "stop": 1.0, "steps": 3},
+        "reduction": {"method": "neumann"},
+        "output": {"format": "csv"},
+    }
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert cli.main(["reduce", path, "--method", "neumann", "--dims", "2", "257"]) == 0
+    reduced = json.loads(capsys.readouterr().out)
+    want = {}
+    for side in ("alpha", "beta"):
+        diagonal = mc.matrix_from_json(reduced[f"rho_{side}"]).diagonal().real.tolist()
+        want.update((f"pop_{side}_{i}", x) for i, x in enumerate(diagonal))
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    pops = [key for key in rows[0] if key.startswith("pop_")] if rows else []
+    assert len(rows) == 3 and sorted(pops) == sorted(want)
+    assert [row["t"] for row in rows if any(float(row[k]) != v for k, v in want.items())] == []
+
+
 class TestDecompose:
     def test_epr_matches(self, capsys):
         assert cli.main(["decompose", "epr", "--theta", "0.7"]) == 0
@@ -1210,10 +1286,11 @@ class TestValidate:
         ("int-overflow", "int too large to convert to float"),
         ("deep", "maximum recursion depth exceeded"),
         ("data-bool", "data entries must be numbers"),
+        ("not-utf8", "invalid JSON in "),
     ])
     def test_unreadable_number_or_depth_reported_invalid(self, tmp_path, capsys, name, reason):
         path = tmp_path / "state.json"
-        path.write_text(STATE_TEXTS[name])
+        write_text(path, STATE_TEXTS[name])
         assert cli.main(["validate", str(path)]) == 2
         captured = capsys.readouterr()
         obj = json.loads(captured.out)
@@ -1247,13 +1324,22 @@ SIZE_FILES = {
     "size-integral-float": {"rows": 2.0, "cols": 2.0, "data": HALF},
 }
 # State files that json.load reads but no float holds (an integer of 401
-# digits), or that json.load cannot read for their nesting depth.
+# digits), or that json.load cannot read for their nesting depth or encoding.
 STATE_TEXTS = {
     "int-overflow": '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ", 0]]}",
     "deep": "[" * 200_000 + "]" * 200_000,
     # JSON booleans, which would read as 1 and 0 and give trace 1.5.
     "data-bool": '{"rows": 2, "cols": 2, "data": [[0.5, 0], [0, 0], [0, 0], [true, false]]}',
+    # A valid state file written as UTF-16 with its byte order mark, which
+    # json.loads would take from bytes but a UTF-8 text read cannot decode.
+    "not-utf8": b"\xff\xfe" + json.dumps(projector_state(4, 0).to_json()).encode("utf-16-le"),
 }
+
+
+def write_text(path: Path, text: str | bytes) -> None:
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
+
+
 OVERFLOW_GRID = '{"experiment": %s, "time_grid": {"start": 0, "stop": 10, "steps": 11}}'
 SPAN_OVERFLOW_GRID = '{"experiment": %s, "time_grid": {"start": -1e308, "stop": 1e308, "steps": 3}}'
 EXIT_CASES = [
@@ -1426,6 +1512,15 @@ EXIT_CASES = [
     ("reduce-deep", "{}", ["reduce", "{dir}/deep.json", "--dims", "1", "1"], 2),
     ("reduce-data-bool", "{}", ["reduce", "{dir}/data-bool.json", "--dims", "2", "1"], 2),
     ("validate-data-bool", "{}", ["validate", "{dir}/data-bool.json"], 2),
+    ("reduce-not-utf8", "{}", ["reduce", "{dir}/not-utf8.json", "--dims", "2", "2"], 2),
+    ("validate-not-utf8", "{}", ["validate", "{dir}/not-utf8.json"], 2),
+    # Dims whose levels numpy cannot allocate, checked against the state first.
+    (
+        "custom-dims-huge",
+        '{"experiment": "custom", "params": {"state": "{dir}/product.json", "dims": [1e308, 1]}}',
+        RUN,
+        2,
+    ),
     ("experiment-deep", '{"experiment": ' + "[" * 200_000 + "]" * 200_000 + "}", RUN, 2),
     # Phases rate * t that overflow a float from t = 2 on (grid 0, 1, ..., 10).
     ("spin-pair-omega-overflow", OVERFLOW_GRID % '"spin_pair", "params": {"omega": 1e308}', RUN, 2),
@@ -1451,7 +1546,7 @@ def run_exit_case(tmp_path, capsys, config, argv) -> tuple[int, str]:
     for name, obj in SIZE_FILES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     for name, text in STATE_TEXTS.items():
-        (tmp_path / f"{name}.json").write_text(text)
+        write_text(tmp_path / f"{name}.json", text)
     cfg = tmp_path / "config.json"
     cfg.write_text(config.replace("{dir}", str(tmp_path)))
     argv = [a.replace("{cfg}", str(cfg)).replace("{dir}", str(tmp_path)) for a in argv]
@@ -1542,6 +1637,44 @@ def test_overflowing_span_is_a_bad_time_grid(tmp_path, capsys, case):
     _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == case)
     _, err = run_exit_case(tmp_path, capsys, config, argv)
     assert err.startswith("error: bad time grid ")
+
+
+def test_state_file_that_is_not_utf8_is_invalid_json(tmp_path, capsys):
+    _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == "reduce-not-utf8")
+    _, err = run_exit_case(tmp_path, capsys, config, argv)
+    assert err.startswith(f"error: invalid JSON in {tmp_path}/not-utf8.json: ")
+
+
+def test_huge_custom_dims_name_the_mismatch(tmp_path, capsys):
+    _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == "custom-dims-huge")
+    _, err = run_exit_case(tmp_path, capsys, config, argv)
+    assert err == f"error: matrix shape (4, 4) does not match composite dimension {int(1e308)}\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"a": [[0.5, 0.0]]}', None),
+    ("{not json", ValidationError),
+    (STATE_TEXTS["deep"], ValidationError),
+    (STATE_TEXTS["not-utf8"], ValidationError),
+    (None, OSError),  # no file
+], ids=["good", "invalid", "deep", "not-utf8", "missing"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_load_json_parses_with_the_collector_paused(tmp_path, monkeypatch, text, error, enabled):
+    path = tmp_path / "in.json"
+    if text is not None:
+        write_text(path, text)
+    seen = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: seen.append(gc.isenabled()) or load(fh))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            cli._load_json(str(path))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([] if text is None else [False])
 
 
 @pytest.mark.parametrize("flag,value", [("--t", "-1e5"), ("--t", "-2.5E-3"), ("--omega", "-inf"),

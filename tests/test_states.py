@@ -18,6 +18,49 @@ from corred.errors import (
 
 from conftest import matrices_close
 
+TOL = states.POSITIVITY_TOL
+#: Smallest planted eigenvalue of each spectrum, in units of TOL; "pure" is
+#: rank 1, "full-rank" has every eigenvalue positive.
+SPECTRA = {"below-floor": -1.1, "above-floor": -0.9, "half-floor": -0.5, "pure": 0.0,
+           "full-rank": None}
+
+
+def haar_unitary(rng, n: int) -> np.ndarray:
+    """Q of the QR of a complex Gaussian matrix, its column phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = r.diagonal()
+    return q * (d / abs(d))
+
+
+def planted_state(rng, n: int, spectrum: str) -> np.ndarray:
+    """U diag(lam) U^dag for a Haar U, with trace 1 and the smallest eigenvalue of ``SPECTRA``."""
+    if spectrum == "pure":
+        lam = np.zeros(n)
+        lam[0] = 1.0
+    elif spectrum == "full-rank":
+        lam = rng.uniform(0.1, 1.0, n)
+        lam /= lam.sum()
+    else:
+        lam = rng.uniform(0.1, 1.0, n)
+        lam[0] = SPECTRA[spectrum] * TOL
+        lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
+    u = haar_unitary(rng, n)
+    return (u * lam) @ u.conj().T
+
+
+def assert_strict_decides_as_the_eigensolve(m: np.ndarray, spectrum: str) -> None:
+    lowest = float(np.linalg.eigvalsh(mc.hermitize(m)).min())
+    assert (lowest < -TOL) == (spectrum == "below-floor")
+    if lowest < -TOL:
+        with pytest.raises(ValidationError) as refused:
+            states.DensityMatrix(m)
+        assert str(refused.value) == f"negative eigenvalue {lowest} below -{TOL}"
+        return
+    dm = states.DensityMatrix(m)
+    if spectrum in ("pure", "full-rank"):  # certified without an eigensolve
+        assert dm._min_eigenvalue is None
+    assert dm.min_eigenvalue == lowest
+
 
 class TestDensityMatrix:
     def test_rejects_nonhermitian(self):
@@ -62,6 +105,33 @@ class TestDensityMatrix:
         assert dm.min_eigenvalue == pytest.approx(-0.5)
         assert dm.min_eigenvalue == pytest.approx(-0.5)
         assert calls == [1]
+
+    def test_strict_acceptance_defers_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        dm = states.DensityMatrix(planted_state(np.random.default_rng(3), 6, "full-rank"))
+        assert calls == []
+        assert dm.min_eigenvalue == float(eigvalsh(mc.hermitize(dm.matrix)).min())
+        assert calls == [1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 16), st.sampled_from(list(SPECTRA)), st.integers(0, 2**32 - 1))
+    def test_strict_decides_as_the_eigensolve(self, dim, spectrum, seed):
+        assert_strict_decides_as_the_eigensolve(
+            planted_state(np.random.default_rng(seed), dim, spectrum), spectrum)
+
+    @pytest.mark.parametrize("spectrum", ["below-floor", "pure"])
+    def test_strict_decides_as_the_eigensolve_at_n_514(self, spectrum):
+        assert_strict_decides_as_the_eigensolve(
+            planted_state(np.random.default_rng(514), 514, spectrum), spectrum)
+
+    def test_a_floor_under_the_certificate_bound_leaves_the_decision_to_the_eigensolve(self):
+        # At n = 16 the Cholesky error bound is about 1.5e-14: a floor of
+        # 1e-16 cannot be certified by it.
+        m = mc.hermitize(planted_state(np.random.default_rng(5), 16, "full-rank"))
+        assert states.DensityMatrix(m)._min_eigenvalue is None
+        assert states.DensityMatrix(m, tol=1e-16)._min_eigenvalue is not None
 
     def test_json_round_trip(self):
         dm = states.epr_state()
