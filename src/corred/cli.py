@@ -41,7 +41,8 @@ state of every time point where the loop does not start at its closed form
 (see ``reduction``).
 
 Indented JSON output (``reduce``, ``decompose``, ``run --format json``) goes
-through ``_dumps``, byte for byte the stdlib's ``json.dumps`` with an indent of 2.
+through ``_dumps``, byte for byte the stdlib's ``json.dumps`` with an indent of 2;
+``reduce`` hands it the result's matrices as arrays (``_matrix_block``).
 """
 
 from __future__ import annotations
@@ -103,15 +104,16 @@ def _load_json(path: str):
     a 514 x 514 state, and every collection the parse would trigger walks
     the whole growing tree. A JSON value holds no reference cycle, so the
     pause leaves nothing to collect; the collector is switched back on only
-    if it was on. Text that is not UTF-8 and text that is no JSON are a
-    ``ValidationError``; a file that cannot be opened raises ``OSError``.
+    if it was on. The file is read as UTF-8 whatever the locale; text that
+    is not UTF-8 and text that is no JSON are a ``ValidationError``, and a
+    file that cannot be opened raises ``OSError``.
     """
     if not isinstance(path, str):
         raise ValidationError(f"file path must be a string, got {path!r}")
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
@@ -145,6 +147,10 @@ def _block_depth(value) -> int:
 def _dumps(obj) -> str:
     """``json.dumps`` of ``obj`` with an indent of 2, byte for byte, for JSON values (str keys).
 
+    A complex array in ``obj`` is written as the "data" of ``matrix_to_json``
+    would be (``_matrix_block``), so ``_dumps(mc._matrix_fields(m))`` is
+    ``json.dumps(mc.matrix_to_json(m), indent=2)``.
+
     CPython's C encoder ignores ``indent``, so the stdlib writes indented
     JSON in pure Python. Here dicts and lists are walked in Python, but a
     number block (``_block_depth``) is encoded compactly in one C call and
@@ -163,6 +169,9 @@ def _dumps(obj) -> str:
             pieces.append(item)
             continue
         value, indent = item
+        if isinstance(value, np.ndarray):
+            pieces.append(_matrix_block(value, indent))
+            continue
         inner = indent + "  "
         depth = _block_depth(value)
         if depth == 1:
@@ -191,6 +200,47 @@ def _dumps(obj) -> str:
             label, child = entries[i]
             todo += [(child, inner), f"{',' if i else opener}{inner}{label}"]
     return "".join(pieces)
+
+
+def _matrix_block(m: np.ndarray, indent: str) -> str:
+    """The "data" of ``matrix_to_json(m)`` as ``json.dumps(..., indent=2)``
+    writes it at ``indent``, made from the complex array ``m`` with no
+    [re, im] list.
+
+    Each float is written as the stdlib writes it (``_floats``), once per
+    distinct pair of a hermitian matrix: an entry below the diagonal whose
+    real part has the bits of its mirror's and whose imaginary part has the
+    bits of the mirror's negation, that is m[i, j] == conj(m[j, i]) bit for
+    bit, takes the mirror's strings, the imaginary one with its leading "-"
+    flipped. Every other entry (above or on the diagonal, not finite, not
+    matched, or of a matrix that is not square) is written itself. The
+    strings and the separators between them are laid out in one object
+    array, row-major, and joined once.
+    """
+    m = np.ascontiguousarray(m)
+    rows, cols = m.shape
+    inner, cell = indent + "  ", indent + "    "
+    parts = np.empty((rows, cols, 4), dtype=object)
+    parts[..., 1] = "," + cell
+    parts[..., 3] = f"{inner}],{inner}[{cell}"
+    parts[-1, -1, 3] = f"{inner}]{indent}]"
+    re, im = parts[..., 0], parts[..., 2]
+    mirror = np.zeros(m.shape, dtype=bool)
+    if rows == cols:
+        same = m.view(np.uint64) == np.ascontiguousarray(m.conj().T).view(np.uint64)
+        mirror = same.reshape(rows, cols, 2).all(-1) & np.isfinite(m) & np.tri(rows, k=-1, dtype=bool)
+    own = ~mirror
+    re[own] = _floats(m.real[own])
+    im[own] = _floats(m.imag[own])
+    i, j = np.nonzero(mirror)
+    re[i, j] = re[j, i]
+    im[i, j] = [s[1:] if s[0] == "-" else "-" + s for s in im[j, i]]
+    return f"[{inner}[{cell}" + "".join(parts.ravel().tolist())
+
+
+def _floats(x: np.ndarray) -> list[str]:
+    """Each float of ``x`` as ``json.dumps`` writes it: its repr, or NaN, Infinity or -Infinity."""
+    return list(map(float.__repr__ if np.isfinite(x).all() else _encode_scalar, x.tolist()))
 
 
 def _fail(code: int, msg: str) -> int:
@@ -619,7 +669,7 @@ def cmd_reduce(args) -> int:
         "seed": args.seed,
     }
     out = _reducer(rcfg, BipartiteSystem(args.dims[0], args.dims[1])).one(rho)
-    print(_dumps(out.to_json()))
+    print(_dumps(out._to_json(mc._matrix_fields)))
     return 0
 
 
@@ -658,8 +708,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # Strictness is decided by the eigenvalue printed below, so a strict check
+    # pays the one eigensolve and no Cholesky certificate on top of it.
     try:
-        dm = _load_density(args.state, args.level)
+        dm = _load_density(args.state, "relaxed")
+        if args.level == "strict":
+            dm._check_positive()
     except ValidationError as exc:
         print(json.dumps({"valid": False, "reason": str(exc)}))
         return EXIT_CONFIG

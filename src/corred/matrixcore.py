@@ -139,12 +139,17 @@ def _contract(state: np.ndarray, sys: BipartiteSystem, over: str,
 
 def matrix_to_json(m) -> dict:
     """Serialize to the shared schema {"rows", "cols", "data": [[re, im], ...]}."""
+    obj = _matrix_fields(m)
+    data = obj["data"]
+    obj["data"] = np.stack([data.real.ravel(), data.imag.ravel()], 1).tolist()
+    return obj
+
+
+def _matrix_fields(m) -> dict:
+    """``matrix_to_json``'s object with the complex matrix itself as its "data",
+    for a writer that encodes the array without the [re, im] lists (``cli._dumps``)."""
     m = as_matrix(m)
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "data": np.stack([m.real.ravel(), m.imag.ravel()], 1).tolist(),
-    }
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": m}
 
 
 def _json_size(obj: dict, key: str) -> int:

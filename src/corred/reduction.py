@@ -173,16 +173,20 @@ class ReductionResult:
 
     def to_json(self) -> dict:
         """The reduced pair, led by the verdict and trajectory of an iterated run."""
+        return self._to_json(mc.matrix_to_json)
+
+    def _to_json(self, matrix) -> dict:
+        """``to_json`` with each reduced state's matrix encoded by ``matrix``."""
         obj = {}
         if self.iterations:
             obj.update(verdict=self.verdict, iterations=self.iterations, residuals=self.residuals)
         obj.update(
             method=self.method,
             reconstruction_error=self.reconstruction_error,
-            rho_alpha=self.rho_alpha.to_json(),
+            rho_alpha=self.rho_alpha._to_json(matrix),
         )
         if self.rho_beta is not None:
-            obj["rho_beta"] = self.rho_beta.to_json()
+            obj["rho_beta"] = self.rho_beta._to_json(matrix)
         if self.warnings:
             obj["warnings"] = self.warnings
         return obj

@@ -55,8 +55,8 @@ class DensityMatrix:
         self.matrix = m
         self.validation = validation
         self._min_eigenvalue: float | None = None
-        if validation == "strict" and not _positive_within(m, tol) and self.min_eigenvalue < -tol:
-            raise ValidationError(f"negative eigenvalue {self.min_eigenvalue} below -{tol}")
+        if validation == "strict" and not _positive_within(m, tol):
+            self._check_positive(tol)
 
     @classmethod
     def _unchecked(cls, matrix: np.ndarray) -> "DensityMatrix":
@@ -64,6 +64,11 @@ class DensityMatrix:
         dm = cls.__new__(cls)
         dm.matrix, dm.validation, dm._min_eigenvalue = matrix, "relaxed", None
         return dm
+
+    def _check_positive(self, tol: float = POSITIVITY_TOL) -> None:
+        """Strict validation's test, decided by the eigensolve: no eigenvalue below -tol."""
+        if self.min_eigenvalue < -tol:
+            raise ValidationError(f"negative eigenvalue {self.min_eigenvalue} below -{tol}")
 
     @property
     def min_eigenvalue(self) -> float:
@@ -80,7 +85,11 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def to_json(self) -> dict:
-        obj = mc.matrix_to_json(self.matrix)
+        return self._to_json(mc.matrix_to_json)
+
+    def _to_json(self, matrix) -> dict:
+        """``to_json`` with the matrix encoded by ``matrix`` in place of ``mc.matrix_to_json``."""
+        obj = matrix(self.matrix)
         obj["kind"] = "density"
         obj["validation"] = self.validation
         return obj

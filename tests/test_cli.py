@@ -976,12 +976,16 @@ def test_reduce_result_json_shape(tmp_path, capsys, monkeypatch, state, argv, ke
     write_state(tmp_path, "faint.json", DensityMatrix(np.diag([1 - 1e-12, 0.0, 0.0, 1e-12])))
     argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
     argv = ["reduce", str(tmp_path / f"{state}.json"), "--dims", "2", "2", *argv]
+    # reduce writes the result from its arrays; keep the result to encode it here
+    results = []
+    encode = reduction.ReductionResult._to_json
+    monkeypatch.setattr(reduction.ReductionResult, "_to_json",
+                        lambda self, matrix: results.append(self) or encode(self, matrix))
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
-    # the bytes of the stdlib's indented encoding
-    monkeypatch.setattr(cli, "_dumps", lambda obj: json.dumps(obj, indent=2))
-    assert cli.main(argv) == 0
-    assert out == capsys.readouterr().out
+    # the bytes of the stdlib's indented encoding of the public to_json()
+    assert len(results) == 1
+    assert out == json.dumps(results[0].to_json(), indent=2) + "\n"
     obj = json.loads(out)
     assert list(obj) == keys
     assert obj.get("warnings", ["non-empty"])
@@ -1075,17 +1079,73 @@ def test_dumps_matches_stdlib_encoder(value):
 
 
 def test_dumps_matches_stdlib_encoder_on_a_large_matrix():
-    # the shapes of a 2 x 257 reduction's result, with special values in the data
+    # the shapes of a 2 x 257 reduction's result, with special values in the
+    # data, as lists and as the arrays that reduce writes; rho_beta is
+    # bit-hermitian but where a special value breaks the mirror, "general"
+    # is not hermitian, and "rows" not square
     rng = np.random.default_rng(7)
-    beta = rng.standard_normal((257, 257)) + 1j * rng.standard_normal((257, 257))
-    beta.real.flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
-    obj = {
-        "verdict": "converged",
-        "residuals": [1e-3, 0.0],
-        "rho_alpha": mc.matrix_to_json(np.eye(2) / 2),
-        "rho_beta": mc.matrix_to_json(beta),
-    }
-    assert_same_text(cli._dumps(obj), json.dumps(obj, indent=2))
+    general = rng.standard_normal((257, 257)) + 1j * rng.standard_normal((257, 257))
+    beta = mc.hermitize(general)
+    for m in (general, beta):
+        m.real.flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+        m.imag.flat[-len(SPECIAL_FLOATS):] = SPECIAL_FLOATS
+    alpha = np.eye(2) / 2
+
+    def result(matrix):
+        return {"verdict": "converged", "residuals": [1e-3, 0.0], "rho_alpha": matrix(alpha),
+                "rho_beta": matrix(beta), "general": matrix(general), "rows": matrix(beta[:2])}
+
+    want = json.dumps(result(mc.matrix_to_json), indent=2)
+    assert_same_text(cli._dumps(result(mc.matrix_to_json)), want)
+    assert_same_text(cli._dumps(result(mc._matrix_fields)), want)
+
+
+# Matrices for the array writer (cli._matrix_block): any finite or special
+# floats; bit-hermitian ones, m[i, j] == conj(m[j, i]) bit for bit, which it
+# writes from one triangle; such a one with one mirrored entry 1 ulp off in
+# its real or imaginary part; and ones whose imaginary parts are all +0.0 or
+# -0.0, matched with their mirrors or not. Each comes C-ordered, Fortran-
+# ordered or as a transposed view.
+WRITER_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([*SPECIAL_FLOATS, -5e-324, 1e-310, -1e300, 0.0]),
+)
+
+
+@st.composite
+def written_matrices(draw):
+    kind = draw(st.sampled_from(["any", "hermitian", "ulp-re", "ulp-im", "zeros"]))
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6)) if kind == "any" else rows
+    parts = st.lists(WRITER_FLOATS, min_size=rows * cols, max_size=rows * cols)
+    m = np.array(draw(parts), dtype=complex).reshape(rows, cols)
+    m.imag = np.reshape(draw(st.lists(st.sampled_from([0.0, -0.0]) if kind == "zeros"
+                                      else WRITER_FLOATS,
+                                      min_size=rows * cols, max_size=rows * cols)), m.shape)
+    if kind != "any":
+        lower = np.tri(rows, k=-1, dtype=bool)
+        mirrored = m.conj().T
+        if kind == "zeros":
+            mirrored.imag = m.imag  # signs drawn independently: some match, some not
+        m[lower] = mirrored[lower]
+        if kind.startswith("ulp") and rows > 1:
+            i, j = draw(st.sampled_from(list(zip(*np.nonzero(lower)))))
+            part = m.real if kind == "ulp-re" else m.imag
+            part[i, j] = np.nextafter(part[i, j], draw(st.sampled_from([-np.inf, np.inf])))
+    layout = draw(st.sampled_from(["C", "F", "transposed"]))
+    if layout == "F":
+        return np.asfortranarray(m)
+    return np.ascontiguousarray(m.T).T if layout == "transposed" else m
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_matrices())
+def test_matrix_block_matches_stdlib_encoder(m):
+    want = json.dumps(mc.matrix_to_json(m), indent=2)
+    assert cli._dumps(mc._matrix_fields(m)) == want
+    # the same matrix nested, where its lines carry more indentation
+    assert cli._dumps([{"x": mc._matrix_fields(m)}]) == json.dumps([{"x": mc.matrix_to_json(m)}],
+                                                                   indent=2)
 
 
 def test_run_json_writes_back_any_config_it_reads(tmp_path, capsys):
@@ -1189,6 +1249,86 @@ def test_a_point_reduced_alone_has_the_diagonals_reduce_prints(tmp_path, capsys,
     pops = [key for key in rows[0] if key.startswith("pop_")] if rows else []
     assert len(rows) == 3 and sorted(pops) == sorted(want)
     assert [row["t"] for row in rows if any(float(row[k]) != v for k, v in want.items())] == []
+
+
+def run_rows(tmp_path, cfg: dict) -> list[dict]:
+    """The CSV rows that ``corred run`` writes to its ``--out`` file for ``cfg``."""
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    with open(out) as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+def jcm_config(n_max: int, grid: dict, method: str) -> dict:
+    return {
+        "experiment": "jcm_vacuum",
+        "params": {"omega": 1.0, "rabi": 1.0, "n_max": n_max},
+        "time_grid": grid,
+        "reduction": {"method": method},
+        "output": {"format": "csv"},
+    }
+
+
+def test_an_exact_tie_on_the_grid_converges_to_one_half(tmp_path):
+    rows = run_rows(tmp_path, jcm_config(16, {"start": 0.0, "stop": math.pi, "steps": 101},
+                                         "correlated"))
+    assert len(rows) == 101
+    assert [row["t"] for row in rows if row["verdict"] != "converged"] == []
+    # the step limit is exactly 1/2 at the tie t = pi/2 (rabi = 1)
+    tie = min(rows, key=lambda row: abs(float(row["t"]) - math.pi / 2))
+    assert abs(float(tie["pop_alpha_0"]) - 0.5) <= 1e-12
+
+
+# rabi = 1: the step limit of pop_alpha_0 is 0 above the tie t = pi/2 and 1 below it
+@pytest.mark.parametrize("sign,limit", [(1, 0.0), (-1, 1.0)], ids=["above", "below"])
+def test_near_tie_grids_converge_to_the_step_limit(tmp_path, sign, limit):
+    lo, hi = sorted(math.pi / 2 + sign * d for d in (1e-8, 1e-4))
+    rows = run_rows(tmp_path, jcm_config(16, {"start": lo, "stop": hi, "steps": 50}, "correlated"))
+    assert len(rows) == 50
+    assert [row["t"] for row in rows if row["verdict"] != "converged"
+            or not abs(float(row["pop_alpha_0"]) - limit) <= 1e-12] == []
+
+
+def test_a_spin_pair_run_converges_to_the_step_limit(tmp_path):
+    cfg = {
+        "experiment": "spin_pair",
+        "params": {"omega": 1.0, "c": 1.0, "j": 0.3, "d": 0.2, "phi": 0.3},
+        "time_grid": {"start": 0.0, "stop": 10.0, "steps": 200},
+        "reduction": {"method": "correlated", "tol": 1e-12, "max_iter": 10000},
+        "output": {"format": "csv"},
+    }
+    rows = run_rows(tmp_path, cfg)
+    bad = []
+    for row in rows:
+        # The step limit: the pair settles in the more populated of |21> and |12>.
+        up, down = models.spin_pair_populations(0.3, 1.0, float(row["t"]))
+        lim = 0.5 if abs(up - down) < 1e-12 else float(up > down)
+        want = {"pop_alpha_0": lim, "pop_alpha_1": 1 - lim, "pop_beta_0": 1 - lim, "pop_beta_1": lim}
+        if row["verdict"] != "converged" or any(abs(float(row[k]) - v) > 1e-8
+                                                for k, v in want.items()):
+            bad.append(row["t"])
+    assert len(rows) == 200
+    assert bad == []
+
+
+N256_GRID = {"start": 0.0, "stop": 10.0, "steps": 10}
+
+
+def test_a_pure_state_run_at_n_max_256_follows_the_rabi_oscillation(tmp_path):
+    rows = run_rows(tmp_path, jcm_config(256, N256_GRID, "neumann"))
+    assert len(rows) == 10
+    # rabi = 1: the excited-atom population is cos^2(t / 2)
+    assert [row["t"] for row in rows
+            if not abs(float(row["pop_alpha_0"]) - math.cos(float(row["t"]) / 2) ** 2) <= 1e-12] == []
+
+
+def test_a_large_correlated_run_converges_to_the_step_limit(tmp_path):
+    p = models.JcmParams(1.0, 1.0, n_max=256)
+    rows = run_rows(tmp_path, jcm_config(256, N256_GRID, "correlated"))
+    assert len(rows) == 10
+    assert [row["t"] for row in rows if row["verdict"] != "converged"
+            or not abs(float(row["pop_alpha_0"]) - models.jcm_correlated_limit(float(row["t"]), p)[0])
+            <= 1e-12] == []
 
 
 class TestDecompose:
@@ -1297,6 +1437,26 @@ class TestValidate:
         assert obj["valid"] is False
         assert reason in obj["reason"]
         assert captured.err == ""
+
+    @pytest.mark.parametrize("level", ["strict", "relaxed"])
+    @pytest.mark.parametrize("diagonal", [[0.75, 0.25], [1.5, -0.5]], ids=["positive", "negative"])
+    def test_one_eigensolve_and_no_cholesky(self, tmp_path, capsys, monkeypatch, level, diagonal):
+        m = np.diag(diagonal).astype(complex)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(mc.matrix_to_json(m)))
+        refused = level == "strict" and min(diagonal) < 0
+        with pytest.raises(ValidationError) if refused else contextlib.nullcontext() as exc:
+            dm = DensityMatrix(m, level)
+        want = ({"valid": False, "reason": str(exc.value)} if refused else
+                {"valid": True, "dim": 2, "min_eigenvalue": dm.min_eigenvalue, "purity": dm.purity()})
+        calls = []
+        for name in ("cholesky", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _name=name, _fn=fn: calls.append(_name) or _fn(*a))
+        assert cli.main(["validate", str(path), "--level", level]) == (2 if refused else 0)
+        assert capsys.readouterr().out == json.dumps(want) + "\n"
+        assert calls == ["eigvalsh"]
 
     def test_relaxed_level(self, tmp_path, capsys):
         m = np.diag([1.5, -0.5])
@@ -1643,6 +1803,28 @@ def test_state_file_that_is_not_utf8_is_invalid_json(tmp_path, capsys):
     _, config, argv, _ = next(c for c in EXIT_CASES if c[0] == "reduce-not-utf8")
     _, err = run_exit_case(tmp_path, capsys, config, argv)
     assert err.startswith(f"error: invalid JSON in {tmp_path}/not-utf8.json: ")
+
+
+@pytest.mark.parametrize("command", [["reduce", "--dims", "2", "2"], ["validate"]],
+                         ids=["reduce", "validate"])
+def test_state_files_are_read_as_utf8_in_an_ascii_locale(tmp_path, command):
+    # a C locale whose preferred encoding is ASCII: no coercion, no UTF-8 mode
+    src = str(Path(corred.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0"}
+    write_text(tmp_path / "note.json", json.dumps({**epr_state().to_json(), "note": "état"},
+                                                  ensure_ascii=False))
+    write_text(tmp_path / "not-utf8.json", STATE_TEXTS["not-utf8"])
+    codes = {}
+    for name in ("note", "not-utf8"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "corred.cli", command[0], str(tmp_path / f"{name}.json"),
+             *command[1:]],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+        codes[name] = proc.returncode
+    assert codes == {"note": 0, "not-utf8": 2}
 
 
 def test_huge_custom_dims_name_the_mismatch(tmp_path, capsys):
