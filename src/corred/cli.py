@@ -21,16 +21,18 @@ returns itself are 3 from ``decompose`` when verification misses and 2 from
 ``run`` reads its whole config and opens its output before the time loop.
 It then holds one chunk of ``CHUNK`` time points at a time, and makes each
 chunk's t values as ``np.linspace`` makes them, so memory does not grow
-with ``steps``. A model makes a chunk's amplitude vectors in one call, as
-one (K, N) array; that array is freed once it is cut to the support of the
-chunk (``reduction.support``), before the stacked kernels run
-(``reduction.reduce_stack``). A point the stack does not settle is made
-again and reduced alone, its result a stack of one, and so is every point
-of a chunk that holds a state that cannot be made. A state that does not
-change (``epr``, ``custom``) is reduced once, at the first t, its warnings
-logged once, and its row is written at every t. Every row is read off a
-stack by the same reader and written as one formatted line, and the
-chunk's states are freed before the next chunk is made. After a nonzero
+with ``steps``. A model makes a chunk's amplitude matrices in one call, on
+the levels that can hold its state (a 2 x 2 block for the JCM vacuum at any
+n_max); they are cut to the support of the chunk (``reduction.support``)
+before the stacked kernels run (``reduction.reduce_stack``), so a chunk
+holds nothing of size K x N. A point the stack does not settle is made
+again, as a whole vector, and reduced alone, its result a stack of one, and
+so is every point of a chunk that holds a state that cannot be made. A
+state that does not change (``epr``, ``custom``) is reduced once, at the
+first t, its warnings logged once, and its row is written at every t. Every
+row is read off a stack by the same reader, its populations listed as it is
+read, and written as one formatted line, and the chunk's states are freed
+before the next chunk is made. After a nonzero
 exit the output holds only the rows of the points before the failure.
 The ``reduction`` section takes only the keys in ``REDUCTION_KEYS``; an
 unknown key and a correlated ``tol`` <= 0 are config errors.
@@ -73,7 +75,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 #: Time points that ``run`` reduces together. numpy's fixed cost per call is
-#: what a stack saves, while each point's amplitude vector is held until the
+#: what a stack saves, while each point's amplitudes are held until the
 #: chunk is cut to its support and the kernels' temporaries grow with it. On
 #: the run workloads of ``bench/``, 16 takes 25 to 30 % less time than 8 for
 #: 1 to 5 % more peak memory; 32 takes another 25 % less time for 10 to 15 %
@@ -338,13 +340,28 @@ def _time_grid(grid: dict) -> _Grid:
     return _Grid(start, stop, steps)
 
 
-def _state_factory(cfg: dict):
-    """Returns (system, rho_of_t) for the configured experiment.
+class _Model(NamedTuple):
+    """A model's evolving pure state, which the reductions take as amplitudes
+    in place of the N x N state: ``chunk`` maps an array of K times to their
+    amplitude matrices on the leading levels that can hold the state, the
+    (K, r, c) stack that ``reduction.support`` takes; ``vector`` maps one t
+    to its whole amplitude vector."""
 
-    The two models evolve pure states, so their rho_of_t gives the amplitude
-    vector, which the reductions take in place of the N x N state. The
-    states of ``epr`` and ``custom`` do not change, so rho_of_t is that
-    state itself, not a function of t.
+    chunk: Callable[[np.ndarray], np.ndarray]
+    vector: Callable[[float], np.ndarray]
+
+
+def _zeros(n: int) -> list[float]:
+    """n exact zeros: a row's populations off the levels of its stack."""
+    return [0.0] * n
+
+
+def _state_factory(cfg: dict):
+    """Returns (system, state) for the configured experiment.
+
+    The two models evolve pure states, so their state is a ``_Model``. The
+    states of ``epr`` and ``custom`` do not change, so their state is that
+    state itself.
     """
     experiment = cfg.get("experiment")
     params = _section(cfg, "params")
@@ -358,14 +375,27 @@ def _state_factory(cfg: dict):
             d_coupling=_number(params, "d", 0.0),
         )
         phi = _number(params, "phi", 0.0)
-        return models.SPIN_PAIR_SYSTEM, lambda t: models.spin_pair_amplitudes(p, phi, t)
+
+        def vector(t):
+            return models.spin_pair_amplitudes(p, phi, t)
+
+        return models.SPIN_PAIR_SYSTEM, _Model(lambda ts: vector(ts).reshape(-1, 2, 2), vector)
     if experiment == "jcm_vacuum":
         p = models.JcmParams(
             omega=_number(params, "omega", 1.0),
             rabi=_number(params, "rabi", 1.0),
             n_max=_number(params, "n_max", 16, int),
         )
-        return models.jcm_system(p), lambda t: models.jcm_vacuum_amplitudes(p, t)
+        # Each row lists the n_max + 1 field populations, the first thing of
+        # the run that grows with n_max: a field too large to list is
+        # refused here, once, before the output is opened.
+        try:
+            _zeros(p.n_max + 1)
+        except (MemoryError, OverflowError):
+            raise ValidationError(f"n_max={p.n_max} is too large: a row of its "
+                                  f"{p.n_max + 1} field populations cannot be allocated") from None
+        return models.jcm_system(p), _Model(lambda ts: models._jcm_vacuum_block(p, ts),
+                                            lambda t: models.jcm_vacuum_amplitudes(p, t))
     if experiment == "custom":
         rho = _load_density(params["state"])
         na, nb = (_finite(n, "dims", int) for n in params["dims"])
@@ -482,22 +512,22 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, rho_of_t,
+def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, state,
             reducer: _Reducer) -> Iterator[dict]:
     """One output row per time point of ts (an array or a ``_Grid``), each
     chunk of ``CHUNK`` points reduced only when its first row is asked for;
     points with a degenerate overlap are skipped. A state that does not
-    change (``rho_of_t`` no function) is reduced once, at the first t, and
-    its row is written at every t."""
+    change (no ``_Model``) is reduced once, at the first t, and its row is
+    written at every t."""
     written = False
-    if callable(rho_of_t):
+    if isinstance(state, _Model):
         for i in range(0, len(ts), CHUNK):
-            for row in _chunk(ts[i:i + CHUNK], sys_, rho_of_t, reducer):
+            for row in _chunk(ts[i:i + CHUNK], sys_, state, reducer):
                 written = True
                 yield row
     else:
         first = ts[:1].tolist()
-        once = next(iter(_stack_rows(first, _alone(first[0], rho_of_t, reducer.one, sys_), sys_)), None)
+        once = next(iter(_stack_rows(first, _alone(first[0], state, reducer.one, sys_), sys_)), None)
         for i in range(0, len(ts) if once else 0, CHUNK):
             for t in ts[i:i + CHUNK].tolist():
                 written = True
@@ -506,23 +536,24 @@ def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, rho_of_t,
         raise DegenerateOverlap("degenerate overlap at every time point")
 
 
-def _chunk(ts: np.ndarray, sys_: BipartiteSystem, rho_of_t, reducer: _Reducer) -> Iterator[dict]:
+def _chunk(ts: np.ndarray, sys_: BipartiteSystem, model: _Model, reducer: _Reducer) -> Iterator[dict]:
     """The rows of the time points ts, without the degenerate ones.
 
-    A model makes the chunk's amplitude vectors in one call, reduced
-    together by ``reducer.stack``. A point the stack leaves undone is made
-    again and reduced alone (``_alone``), and so is every point of a chunk
-    where one state raises, so the rows before it come first, then its error.
+    A model makes the chunk's amplitude matrices in one call, on the levels
+    that can hold its state, reduced together by ``reducer.stack``. A point
+    the stack leaves undone is made again as a whole vector and reduced
+    alone (``_alone``), and so is every point of a chunk where one state
+    raises, so the rows before it come first, then its error.
     """
     points = ts.tolist()
     try:
-        cut = reduction.support(rho_of_t(ts), sys_)
+        cut = reduction.support(model.chunk(ts))
     except CorredError:
         cut = None
     rows = () if cut is None else _stack_rows(points, reducer.stack(cut), sys_)
     for t, row in itertools.zip_longest(points, rows):
         if row is None:
-            yield from _stack_rows([t], _alone(t, rho_of_t(t), reducer.one, sys_), sys_)
+            yield from _stack_rows([t], _alone(t, model.vector(t), reducer.one, sys_), sys_)
         else:
             yield row
 
@@ -534,8 +565,8 @@ def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) 
     The populations are the diagonal of each reduced state on the levels of
     the stack and exact zeros off them, its coherence the largest
     off-diagonal there; on a chunk's support no Na x Na or Nb x Nb matrix is
-    built. The rows are made one at a time from these columns, and the stack
-    itself is not held meanwhile.
+    built. The rows are made one at a time from these columns, each row's
+    populations when it is made, and the stack itself is not held meanwhile.
     """
     done = stack.done
     if not done.any():
@@ -545,8 +576,7 @@ def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) 
         sides["beta"] = (stack.rho_beta, stack.cols, sys_.dim_beta)
     pops, cohs = {}, {}
     for side, (m, levels, n) in sides.items():
-        pops[side] = np.zeros((len(done), n))
-        pops[side][:, levels] = m.diagonal(axis1=-2, axis2=-1).real
+        pops[side] = _populations(m.diagonal(axis1=-2, axis2=-1).real, levels, n)
         cohs[side] = _max_coherence(m).tolist()
     errors = [None] * len(done) if stack.error is None else stack.error.tolist()
     verdict, iterations = stack.verdict, stack.iterations
@@ -554,18 +584,35 @@ def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) 
     def row(j: int, t: float) -> dict:
         out = {
             "t": t,
-            "pop_alpha": pops["alpha"][j].tolist(),
+            "pop_alpha": pops["alpha"](j),
             "coh_alpha": cohs["alpha"][j],
             "reconstruction_error": errors[j],
             "verdict": verdict,
             "iterations": iterations,
         }
         if "beta" in pops:
-            out["pop_beta"] = pops["beta"][j].tolist()
+            out["pop_beta"] = pops["beta"](j)
             out["coh_beta"] = cohs["beta"][j]
         return out
 
     return (row(j, t) if done[j] else None for j, t in enumerate(ts))
+
+
+def _populations(diag: np.ndarray, levels: np.ndarray, n: int) -> Callable[[int], list[float]]:
+    """The populations of state j of a stack, as a list of n: the diagonal
+    ``diag`` (K, r) of its reduced states on the ``levels``, exact zeros off
+    them."""
+    if len(levels) == n:
+        return lambda j: diag[j].tolist()
+    levels = levels.tolist()
+
+    def row(j: int) -> list[float]:
+        pops = _zeros(n)
+        for level, x in zip(levels, diag[j].tolist()):
+            pops[level] = x
+        return pops
+
+    return row
 
 
 def _alone(t: float, state, reduce_one, sys_: BipartiteSystem) -> reduction.Stack:
@@ -627,7 +674,9 @@ def _csv_line(first: dict) -> Callable[[dict], str]:
     """The writer of the CSV rows of a series whose first row is ``first``:
     each number as ``f"{x:.17g}"`` writes it, an error of None as an empty
     cell, and the verdict and iterations as text, in one format call per row."""
-    numbers = ",".join(["%.17g"] * (len(_csv_header(first)) - 3))
+    # t, the populations, coh_alpha and, with beta populations, coh_beta
+    nb = len(first.get("pop_beta", ()))
+    numbers = ",".join(["%.17g"] * (2 + len(first["pop_alpha"]) + nb + (nb > 0)))
     with_error, without_error = f"{numbers},%.17g,%s,%s\n", f"{numbers},,%s,%s\n"
 
     def line(r: dict) -> str:

@@ -4,10 +4,14 @@ used as test oracles.
 
 Both models evolve pure states. ``jcm_vacuum_amplitudes`` and
 ``spin_pair_amplitudes`` give the evolved amplitude vector psi, which the
-reductions take as the composite state. The JCM one writes the two nonzero
-entries of U(t)|2,0> without forming U; the spin-pair one applies the
-closed-form 4x4 ``spin_pair_evolution``. All three take t as a scalar or
-an array of times, each stacked with the bits of its t alone.
+reductions take as the composite state. The JCM state has two nonzero
+entries at any n_max, on |2,0> and |1,1>: ``_jcm_vacuum_block`` writes
+U(t)|2,0> on atom and field levels {0, 1} alone, without forming U, which
+``corred run`` reduces at any n_max with nothing of length N, and
+``jcm_vacuum_amplitudes`` scatters that block into the whole vector. The
+spin-pair one applies the closed-form 4x4 ``spin_pair_evolution``. All of
+them take t as a scalar or an array of times, each stacked with the bits of
+its t alone.
 ``jcm_vacuum_density`` is psi psi^dag of the same vector, and
 ``spin_pair_density`` forms U rho(0) U^dag densely as an independent
 check. The hamiltonians, the full JCM evolution operator and a matrix
@@ -143,29 +147,40 @@ def jcm_system(p: JcmParams) -> BipartiteSystem:
     return BipartiteSystem(2, p.n_max + 1)
 
 
-def jcm_vacuum_amplitudes(p: JcmParams, t) -> np.ndarray:
-    """Amplitudes u0 = U(t)|2,0> of an excited atom in the vacuum field; (K, N) for K times.
+def _jcm_vacuum_block(p: JcmParams, t) -> np.ndarray:
+    """u0 = U(t)|2,0> on atom levels {|2>, |1>} and field levels {|0>, |1>},
+    (2, 2) for one t and (K, 2, 2) for K times: the leading 2 x 2 block of
+    u0.reshape(2, n_max + 1), outside which u0 is 0 (``jcm_vacuum_amplitudes``).
 
     U(t) is block-diagonal over the dressed doublets {|2,m>, |1,m+1>}, and
     |2,0> lies in the doublet m = 0. With e = exp(-i omega t) and c, s =
-    cos, sin(Omega t / 2), u0 is e c on |2,0> and -e s on |1,1>. It is
-    supported on those two levels for all t, so any n_max >= 1 is exact,
-    and U is never formed; an n_max too large to allocate is a ValidationError.
+    cos, sin(Omega t / 2), u0 is e c on |2,0> and -e s on |1,1>, for all t
+    and any n_max >= 1, and U is never formed.
     """
     _check_phases(t, ("omega", p.omega), ("rabi", p.rabi))
     t = np.asarray(t, dtype=float)
-    nf = p.n_max + 1
     phase = np.exp(-1j * p.omega * t)
-    cos = np.cos(p.rabi * t / 2)
-    sin = np.sin(p.rabi * t / 2)
-    try:
-        u0 = np.zeros((*t.shape, 2 * nf), dtype=complex)
-    except (ValueError, MemoryError) as exc:  # ValueError: more bytes than an array can hold
-        raise ValidationError(f"n_max={p.n_max} is too large: {exc}") from None
-    u0[..., 0] = phase * cos  # <2,0|U|2,0>
+    block = np.zeros((*t.shape, 2, 2), dtype=complex)
+    block[..., 0, 0] = phase * np.cos(p.rabi * t / 2)  # <2,0|U|2,0>
     # <1,1|U|2,0>; a complex product with -1.0, since a unary minus would
     # flip the sign of a zero imaginary part.
-    u0[..., nf + 1] = -1.0 * (phase * sin)
+    block[..., 1, 1] = -1.0 * (phase * np.sin(p.rabi * t / 2))
+    return block
+
+
+def jcm_vacuum_amplitudes(p: JcmParams, t) -> np.ndarray:
+    """Amplitudes u0 = U(t)|2,0> of an excited atom in the vacuum field; (K, N) for K times.
+
+    ``_jcm_vacuum_block`` scattered onto |2,0> .. |1,n_max>; an n_max too
+    large to allocate is a ValidationError.
+    """
+    block = _jcm_vacuum_block(p, t)
+    nf = p.n_max + 1
+    try:
+        u0 = np.zeros((*block.shape[:-2], 2 * nf), dtype=complex)
+    except (ValueError, MemoryError) as exc:  # ValueError: more bytes than an array can hold
+        raise ValidationError(f"n_max={p.n_max} is too large: {exc}") from None
+    u0.reshape(*block.shape[:-2], 2, nf)[..., :2] = block
     return u0
 
 

@@ -41,10 +41,11 @@ where K = N. Where one state raises or warns, a stack marks that state NaN
 instead. ``reduce_stack`` reduces K time points of ``corred run`` this way,
 on the support of the stack: the rows and columns of Psi that hold a
 nonzero entry in some state. Off it every reduced entry is exactly 0, so
-``support`` first cuts Psi to it, and no full Na x Na or Nb x Nb matrix is
-built; only the public reductions, which return one, do. A sum over the
-support skips zero terms, so its last bit can differ from the public
-reduction of the whole Psi.
+``support`` first cuts Psi to it, from a model's block on the levels that
+can hold its state where the model gives one, and no full Na x Na or
+Nb x Nb matrix is built; only the public reductions, which return one, do.
+A sum over the support skips zero terms, so its last bit can differ from
+the public reduction of the whole Psi.
 """
 
 from __future__ import annotations
@@ -495,7 +496,7 @@ def correlated_reduce(
 
 
 class Support(NamedTuple):
-    """A stack of K amplitude vectors cut to its support (``support``):
+    """A stack of K amplitude matrices cut to its support (``support``):
     ``p`` (K, r, c) holds each Psi = psi.reshape(Na, Nb) on the alpha levels
     ``rows`` and beta levels ``cols`` that hold a nonzero entry in some
     state; ``valid`` marks the states that pass ``_state``'s check, and the
@@ -507,18 +508,20 @@ class Support(NamedTuple):
     valid: np.ndarray
 
 
-def support(psi: np.ndarray, sys: BipartiteSystem) -> Support:
-    """The amplitude vectors psi (K, N) checked and cut to their support.
+def support(p: np.ndarray) -> Support:
+    """The amplitude matrices p (K, r, c) checked and cut to their support.
 
-    The cut is a copy where the support is smaller than Na x Nb, so the
-    caller can free psi before ``reduce_stack`` runs the kernels.
+    p holds the leading r alpha and c beta levels of each state's Psi,
+    outside which every entry is 0: a model's block on the levels that can
+    hold its state, or the whole Psi, psi.reshape(K, Na, Nb). The cut is a
+    copy where the support is smaller than r x c, so the caller can free p
+    before ``reduce_stack`` runs the kernels.
     """
-    valid = _unit(psi)
+    valid = _unit(p.reshape(len(p), -1))
     if not valid.all():
-        psi = np.where(valid[:, None], psi, 0)
-    p = psi.reshape(-1, sys.dim_alpha, sys.dim_beta)
+        p = np.where(valid[:, None, None], p, 0)
     rows, cols = np.flatnonzero(p.any(axis=(0, 2))), np.flatnonzero(p.any(axis=(0, 1)))
-    if (rows.size, cols.size) != (sys.dim_alpha, sys.dim_beta):
+    if (rows.size, cols.size) != p.shape[1:]:
         p = p[:, rows[:, None], cols]
     return Support(p, rows, cols, valid)
 

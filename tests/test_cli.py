@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -486,8 +487,8 @@ def test_degenerate_and_near_degenerate_points_inside_a_chunk(tmp_path, capsys, 
     }
     caplog.set_level(logging.WARNING, logger="corred")
     reducer = cli._reducer(cfg["reduction"], models.jcm_system(models.JcmParams(1.0, 1.0, 3)))
-    sys_, rho_of_t = cli._state_factory(cfg)
-    rows = list(cli._series(ts, sys_, rho_of_t, reducer))
+    sys_, model = cli._state_factory(cfg)
+    rows = list(cli._series(ts, sys_, model, reducer))
     assert [row["t"] for row in rows] == [t for t in ts.tolist() if t != math.pi]
     messages = [r.getMessage() for r in caplog.records]
     assert messages[0].startswith(f"t={math.pi:g}: overlap denominator")
@@ -509,18 +510,18 @@ def test_a_seeded_run_has_the_per_point_verdicts(tmp_path, rng, caplog, seed):
            "reduction": {"method": "correlated", "seed": "file:" + path}}
     ts = np.concatenate([[0.0, 1e-5, 3e-5, math.pi / 2],
                          np.linspace(0.3, 10.0, 2 * cli.CHUNK - 4)])
-    sys_, rho_of_t = cli._state_factory(cfg)
+    sys_, model = cli._state_factory(cfg)
     reducer = cli._reducer(cfg["reduction"], sys_)
     caplog.set_level(logging.WARNING, logger="corred")
     one = reduction.correlated_reduce
     with mock.patch.object(reduction, "correlated_reduce", wraps=one) as spy:
-        rows = list(cli._series(ts, sys_, rho_of_t, reducer))
+        rows = list(cli._series(ts, sys_, model, reducer))
     assert 0 < spy.call_count < len(ts)  # some points on the stack, some alone
     messages = [r.getMessage() for r in caplog.records]
     want_messages, want_rows = [], []
     for t in ts.tolist():
         try:
-            res = reduction.correlated_reduce(rho_of_t(t), sys_, sigma)
+            res = reduction.correlated_reduce(model.vector(t), sys_, sigma)
         except DegenerateOverlap as exc:
             want_messages.append(f"t={t:g}: {exc}")
             continue
@@ -643,10 +644,9 @@ def test_a_point_reduced_alone_has_the_public_reductions_row(tmp_path, rng, rcfg
 
 
 def test_kernels_run_without_the_full_length_stack(tmp_path):
-    # A chunk of K = CHUNK vectors of length N = 514 is a (K, N) array of
-    # 16 K N bytes; it is cut to the two levels that hold the state and
-    # freed before reduce_stack runs, so neither reduce_stack's start nor
-    # its kernels see it in memory.
+    # K = CHUNK whole vectors of length N = 514 would be a (K, N) array of
+    # 16 K N bytes; a chunk is made on the two levels that can hold the
+    # state, so neither reduce_stack's start nor its kernels see one.
     k, n = cli.CHUNK, 2 * 257
     cfg = {
         "experiment": "jcm_vacuum",
@@ -672,6 +672,30 @@ def test_kernels_run_without_the_full_length_stack(tmp_path):
             tracemalloc.stop()
     assert [size for size, _ in seen] == [k, k]
     assert all(peak < 16 * k * n for _, peak in seen)
+
+
+def test_a_jcm_run_holds_no_k_by_n_array(tmp_path):
+    # Each chunk is made on its two levels, and each row's populations when
+    # the row is read, so a run at n_max = 4096 (N = 8194) over two chunks
+    # peaks below one (K, N) complex array of 16 K N bytes, where a chunk
+    # made as K whole vectors peaked at 2.3 MB.
+    k, n = cli.CHUNK, 2 * 4097
+    assert run_peak_bytes(tmp_path, 4096, 2 * k, "neumann") < 16 * k * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 5), st.data())
+def test_populations_are_the_diagonal_on_its_levels_and_zeros_off_them(n, k, data):
+    levels = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=np.intp)
+    cells = st.floats() | st.sampled_from([0.0, -0.0, 5e-324])
+    diag = np.array(data.draw(st.lists(st.lists(cells, min_size=len(levels), max_size=len(levels)),
+                                       min_size=k, max_size=k)))
+    dense = np.zeros((k, n))
+    dense[:, levels] = diag
+    pops = cli._populations(diag, levels, n)
+    for j in range(k):
+        got = pops(j)
+        assert type(got) is list and np.array(got).tobytes() == dense[j].tobytes()
 
 
 def max_coherence_dense(m):
@@ -1131,7 +1155,10 @@ def written_matrices(draw):
         if kind.startswith("ulp") and rows > 1:
             i, j = draw(st.sampled_from(list(zip(*np.nonzero(lower)))))
             part = m.real if kind == "ulp-re" else m.imag
-            part[i, j] = np.nextafter(part[i, j], draw(st.sampled_from([-np.inf, np.inf])))
+            toward = draw(st.sampled_from([-np.inf, np.inf]))
+            if abs(part[i, j]) == np.finfo(float).max:
+                toward = 0.0  # the finite side: a step past +-max would overflow to +-inf
+            part[i, j] = np.nextafter(part[i, j], toward)
     layout = draw(st.sampled_from(["C", "F", "transposed"]))
     if layout == "F":
         return np.asfortranarray(m)
@@ -1329,6 +1356,91 @@ def test_a_large_correlated_run_converges_to_the_step_limit(tmp_path):
     assert [row["t"] for row in rows if row["verdict"] != "converged"
             or not abs(float(row["pop_alpha_0"]) - models.jcm_correlated_limit(float(row["t"]), p)[0])
             <= 1e-12] == []
+
+
+def seed_alpha_file(tmp_path) -> str:
+    """The path of a random full-rank 2 x 2 alpha state (seed 1), written as JSON."""
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    seed = g @ g.conj().T
+    seed = 0.5 * (seed + seed.conj().T) / np.trace(seed).real
+    path = tmp_path / "seed-alpha.json"
+    data = np.stack([seed.real.ravel(), seed.imag.ravel()], axis=1).tolist()
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "data": data}))
+    return str(path)
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["readme", "file-seed"])
+def test_the_readme_run_is_byte_identical_at_chunk_1(tmp_path, seeded):
+    # The README config, and the same with a file: seed: the chunked run
+    # writes the bytes of the point-by-point run, and all 200 rows converge.
+    cfg = README_CONFIG
+    if seeded:
+        cfg = {**cfg, "reduction": {**cfg["reduction"], "seed": "file:" + seed_alpha_file(tmp_path)}}
+    config = write_config(tmp_path, cfg)
+    outs = []
+    for chunk in (cli.CHUNK, 1):
+        out = tmp_path / f"run-chunk{chunk}.csv"
+        with mock.patch.object(cli, "CHUNK", chunk):
+            assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    lines = outs[0].decode().splitlines()
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    assert len(rows) == 200
+    assert [row["t"] for row in rows if row["verdict"] != "converged"] == []
+
+
+def test_run_rss_does_not_grow_with_steps(tmp_path):
+    # JCM vacuum, n_max = 256, Neumann, each run in a process of its own:
+    # the max RSS at 5,000 steps is within 16 MiB of that at 10. os.wait4
+    # gives each child's own peak; RUSAGE_CHILDREN would be the largest of
+    # every child this process has waited for, other tests' children too.
+    src = str(Path(corred.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    rss = {}
+    for steps in (10, 5000):
+        cfg = jcm_config(256, {"start": 0.0, "stop": 10.0, "steps": steps}, "neumann")
+        config = tmp_path / f"rss-{steps}-config.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / f"rss-{steps}-run.csv"
+        argv = [sys.executable, "-m", "corred.cli", "run", "--config", str(config), "--out", str(out)]
+        pid = os.posix_spawn(sys.executable, argv, env)
+        _, status, usage = os.wait4(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert len(out.read_text().splitlines()) == steps + 2
+        rss[steps] = usage.ru_maxrss  # KiB
+    assert (rss[5000] - rss[10]) / 1024 < 16
+
+
+def test_the_library_alone_runs_from_a_copy(tmp_path):
+    # A copy of src/corred outside the checkout, with no tests on the path:
+    # every module imports from the copy, and decompose epr and the README
+    # config run.
+    lib = tmp_path / "lib"
+    shutil.copytree(Path(corred.__file__).parent, lib / "corred",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    work = tmp_path / "work"
+    work.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(lib)}
+    imports = (
+        "import importlib, pkgutil, sys, corred\n"
+        "if not corred.__file__.startswith(sys.argv[1]):\n"
+        "    sys.exit(f'corred imported from {corred.__file__}, not from {sys.argv[1]}')\n"
+        "for m in pkgutil.iter_modules(corred.__path__, 'corred.'):\n"
+        "    importlib.import_module(m.name)\n"
+    )
+    commands = [
+        ["-c", imports, str(lib)],
+        ["-m", "corred.cli", "decompose", "epr"],
+        ["-m", "corred.cli", "run", "--config", write_config(work, README_CONFIG),
+         "--out", str(work / "copy-run.csv")],
+    ]
+    for command in commands:
+        proc = subprocess.run([sys.executable, *command], cwd=work, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert len((work / "copy-run.csv").read_text().splitlines()) == 202
 
 
 class TestDecompose:
@@ -1692,8 +1804,8 @@ EXIT_CASES = [
     ("decompose-c-overflow", "{}", [*DECOMPOSE, "--c=1e308", "--t=2"], 2),
     # 2 * phi overflows, though phi is finite.
     ("decompose-phi-overflow", "{}", [*DECOMPOSE, "--phi=1e308", "--t", "1"], 2),
-    # Amplitude vectors of more bytes than an array can hold, and ones that
-    # a mock of their allocation finds no memory for (see MOCKS).
+    # A row of more field populations than a list can hold, and one that a
+    # mock of its allocation finds no memory for (see MOCKS).
     ("n_max-too-big", '{"experiment": "jcm_vacuum", "params": {"n_max": 1e18}}', RUN, 2),
     ("n_max-out-of-memory", '{"experiment": "jcm_vacuum", "params": {"n_max": 1000}}', RUN, 2),
 ]
@@ -1717,16 +1829,17 @@ def run_exit_case(tmp_path, capsys, config, argv) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
-def _no_memory_for_jcm_vectors(shape, *args, _zeros=np.zeros, **kwargs):
-    """``np.zeros``, but out of memory for the amplitude vectors of JCM
-    n_max = 1000, one or a stack of them, as numpy is for a huge n_max."""
-    if tuple(np.ravel(shape))[-1:] == (2 * 1001,):
-        raise MemoryError("Unable to allocate the amplitude vectors")
-    return _zeros(shape, *args, **kwargs)
+def _no_memory_for_jcm_rows(n, _zeros=cli._zeros):
+    """``cli._zeros``, the first allocation of a JCM run that grows with
+    n_max, but out of memory for the 1001 field populations of n_max =
+    1000, as it is for a huge n_max."""
+    if n == 1001:
+        raise MemoryError
+    return _zeros(n)
 
 
 #: Patches that EXIT_CASES rows run under.
-MOCKS = {"n_max-out-of-memory": lambda: mock.patch.object(np, "zeros", _no_memory_for_jcm_vectors)}
+MOCKS = {"n_max-out-of-memory": lambda: mock.patch.object(cli, "_zeros", _no_memory_for_jcm_rows)}
 
 
 # Rows that argparse rejects before corred sees them. Their stderr is

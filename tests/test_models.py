@@ -410,6 +410,22 @@ class TestPureAmplitudes:
                 got = models.jcm_vacuum_amplitudes(p, t)
                 assert got.tobytes() == jcm_evolution(p, t)[:, 0].tobytes()
 
+    @pytest.mark.parametrize("n_max", [1, 2, 16, 256])
+    def test_jcm_vacuum_is_its_block_scattered(self, n_max):
+        # The whole vector is the block on atom and field levels {0, 1}
+        # scattered into zeros, for a scalar, a 0-d and a (K,) t.
+        p = JcmParams(0.7, 1.3, n_max=n_max)
+        ts = np.random.default_rng(n_max).uniform(-40.0, 40.0, 16)
+        ts[0] = 0.0
+        for t in (0.0, float(ts[1]), np.array(ts[2]), ts):
+            block = models._jcm_vacuum_block(p, t)
+            assert block.shape == (*np.shape(t), 2, 2)
+            want = np.zeros((*np.shape(t), 2, n_max + 1), dtype=complex)
+            want[..., :2] = block
+            got = models.jcm_vacuum_amplitudes(p, t)
+            assert got.shape == (*np.shape(t), 2 * (n_max + 1))
+            assert got.tobytes() == want.tobytes()
+
     def test_jcm_vacuum_density_is_the_projector(self):
         p = JcmParams(1.0, 0.8, n_max=5)
         u0 = models.jcm_vacuum_amplitudes(p, 2.3)
