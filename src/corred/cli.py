@@ -25,11 +25,16 @@ with ``steps``. A model makes a chunk's amplitude matrices in one call, on
 the levels that can hold its state (a 2 x 2 block for the JCM vacuum at any
 n_max); they are cut to the support of the chunk (``reduction.support``)
 before the stacked kernels run (``reduction.reduce_stack``), so a chunk
-holds nothing of size K x N. A point the stack does not settle is made
-again, as a whole vector, and reduced alone, its result a stack of one, and
-so is every point of a chunk that holds a state that cannot be made. A
-state that does not change (``epr``, ``custom``) is reduced once, at the
-first t, its warnings logged once, and its row is written at every t. Every
+holds nothing of size K x N. A point the stack does not settle is made as
+its own one-point block, on the same levels, and reduced alone
+(``reduction._reduce_block``, the same body with the public semantics),
+its result a stack of one, and so is every point of a chunk that holds a
+state that cannot be made; no whole vector is made. A reduction setting
+that does not fit the system (a projective level, the shape of a
+conditioning state or of a seed) is a config error before the output is
+opened. A state that does not change (``epr``, ``custom``) is reduced
+once, at the first t, its warnings logged once, and its row is written at
+every t. Every
 row is read off a stack by the same reader, its populations listed as it is
 read, and written as one formatted line, and the chunk's states are freed
 before the next chunk is made. After a nonzero
@@ -81,11 +86,6 @@ EXIT_IO = 4
 #: 1 to 5 % more peak memory; 32 takes another 25 % less time for 10 to 15 %
 #: more (ROADMAP, Recent).
 CHUNK = 16
-
-#: Most entries of a stack of reduced states that ``_max_coherence`` takes
-#: |m| of at once: a chunk's reduced states on its support in one block, and
-#: 15 rows of a 257 x 257 one.
-COHERENCE_BLOCK_ENTRIES = 4096
 
 #: Keys of the ``reduction`` config section, shared by ``run`` and ``reduce``.
 REDUCTION_KEYS = ("method", "level", "state", "given_side", "tol", "max_iter", "seed")
@@ -340,17 +340,6 @@ def _time_grid(grid: dict) -> _Grid:
     return _Grid(start, stop, steps)
 
 
-class _Model(NamedTuple):
-    """A model's evolving pure state, which the reductions take as amplitudes
-    in place of the N x N state: ``chunk`` maps an array of K times to their
-    amplitude matrices on the leading levels that can hold the state, the
-    (K, r, c) stack that ``reduction.support`` takes; ``vector`` maps one t
-    to its whole amplitude vector."""
-
-    chunk: Callable[[np.ndarray], np.ndarray]
-    vector: Callable[[float], np.ndarray]
-
-
 def _zeros(n: int) -> list[float]:
     """n exact zeros: a row's populations off the levels of its stack."""
     return [0.0] * n
@@ -359,9 +348,12 @@ def _zeros(n: int) -> list[float]:
 def _state_factory(cfg: dict):
     """Returns (system, state) for the configured experiment.
 
-    The two models evolve pure states, so their state is a ``_Model``. The
-    states of ``epr`` and ``custom`` do not change, so their state is that
-    state itself.
+    The two models evolve pure states, which the reductions take as
+    amplitudes in place of the N x N state: their state is a function of an
+    array of K times to the amplitude matrices on the leading levels that
+    can hold the state, every alpha level and c beta levels, the (K, Na, c)
+    stack that ``reduction.support`` takes. The states of ``epr`` and
+    ``custom`` do not change, so their state is that state itself.
     """
     experiment = cfg.get("experiment")
     params = _section(cfg, "params")
@@ -375,11 +367,8 @@ def _state_factory(cfg: dict):
             d_coupling=_number(params, "d", 0.0),
         )
         phi = _number(params, "phi", 0.0)
-
-        def vector(t):
-            return models.spin_pair_amplitudes(p, phi, t)
-
-        return models.SPIN_PAIR_SYSTEM, _Model(lambda ts: vector(ts).reshape(-1, 2, 2), vector)
+        return models.SPIN_PAIR_SYSTEM, lambda ts: (
+            models.spin_pair_amplitudes(p, phi, ts).reshape(-1, 2, 2))
     if experiment == "jcm_vacuum":
         p = models.JcmParams(
             omega=_number(params, "omega", 1.0),
@@ -394,8 +383,7 @@ def _state_factory(cfg: dict):
         except (MemoryError, OverflowError):
             raise ValidationError(f"n_max={p.n_max} is too large: a row of its "
                                   f"{p.n_max + 1} field populations cannot be allocated") from None
-        return models.jcm_system(p), _Model(lambda ts: models._jcm_vacuum_block(p, ts),
-                                            lambda t: models.jcm_vacuum_amplitudes(p, t))
+        return models.jcm_system(p), lambda ts: models._jcm_vacuum_block(p, ts)
     if experiment == "custom":
         rho = _load_density(params["state"])
         na, nb = (_finite(n, "dims", int) for n in params["dims"])
@@ -414,41 +402,51 @@ def _required(rcfg: dict, key: str):
 
 
 class _Reducer(NamedTuple):
-    """The reduction a config names: ``one`` maps a state to a ReductionResult;
-    ``stack`` maps amplitude vectors cut to their support (a
-    ``reduction.Support``) to a ``reduction.Stack``."""
+    """The reduction a config names: its ``method`` on the system ``sys``,
+    with the ``weights`` (the keywords of ``reduction._weights``: sigma and
+    given_side, level or seed), ``tol`` and ``max_iter``."""
 
-    one: Callable
-    stack: Callable
+    sys: BipartiteSystem
+    method: str
+    weights: dict = {}
+    tol: float = 1e-12
+    max_iter: int = 10_000
+
+    def one(self, rho) -> reduction.ReductionResult:
+        """The public reduction of a state, ``reduction.<method>_reduce``."""
+        run = {"tol": self.tol, "max_iter": self.max_iter} if self.method == "correlated" else {}
+        return getattr(reduction, f"{self.method}_reduce")(rho, self.sys, **self.weights, **run)
+
+    def stack(self, cut: reduction.Support) -> reduction.Stack:
+        return reduction.reduce_stack(cut, self.sys, self.method, tol=self.tol, **self.weights)
+
+    def point(self, block: np.ndarray) -> reduction.ReductionResult:
+        return reduction._reduce_block(block, self.sys, self.method, tol=self.tol,
+                                       max_iter=self.max_iter, **self.weights)
 
 
 def _reducer(rcfg: dict, sys_: BipartiteSystem) -> _Reducer:
     """Check a reduction config once and return the reduction it names.
 
     State files named by the config are read here, once; the reduction
-    itself checks their shapes against the system (DimensionMismatch).
+    itself checks their shapes against the system (DimensionMismatch), and
+    ``run`` checks them first.
     """
     for key in rcfg:
         if key not in REDUCTION_KEYS:
             raise ValidationError(f"unknown reduction key {key!r}")
     method = rcfg.get("method", "neumann")
-
-    def stack(**params):
-        return lambda cut: reduction.reduce_stack(cut, sys_, method, **params)
-
     if method == "neumann":
-        return _Reducer(lambda rho: reduction.neumann_reduce(rho, sys_), stack())
+        return _Reducer(sys_, method)
     if method == "projective":
         _required(rcfg, "level")
-        level = _number(rcfg, "level", kind=int)
-        return _Reducer(lambda rho: reduction.projective_reduce(rho, sys_, level), stack(level=level))
+        return _Reducer(sys_, method, {"level": _number(rcfg, "level", kind=int)})
     if method == "conditioned":
         sigma = _load_density(_required(rcfg, "state"))
         given = rcfg.get("given_side", "beta")
         if given not in ("alpha", "beta"):
             raise ValidationError(f"given_side must be 'alpha' or 'beta', got {given!r}")
-        return _Reducer(lambda rho: reduction.conditioned_reduce(rho, sys_, sigma, given),
-                        stack(sigma=sigma, given_side=given))
+        return _Reducer(sys_, method, {"sigma": sigma, "given_side": given})
     if method == "correlated":
         seed = rcfg.get("seed", "neumann")
         if isinstance(seed, str) and seed.startswith("file:"):
@@ -463,30 +461,20 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem) -> _Reducer:
             raise ValidationError(f"tol must be > 0, got {tol!r}")
         if max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-        return _Reducer(
-            lambda rho: reduction.correlated_reduce(rho, sys_, seed, tol=tol, max_iter=max_iter),
-            stack(tol=tol, seed=seed))
+        return _Reducer(sys_, method, {"seed": seed}, tol, max_iter)
     raise ValidationError(f"unknown reduction method {method!r}")
 
 
 def _max_coherence(m: np.ndarray) -> np.ndarray:
     """Largest |m_ij|, i != j, of each matrix of a stack (..., n, n); 0 for n < 2.
 
-    Taken over blocks of rows of at most ``COHERENCE_BLOCK_ENTRIES`` entries
-    over the stack, one row at least, so no |m| of a whole N x N reduced
-    state is made.
+    One |m| of the whole stack: a chunk's reduced states on its support, a
+    point's on its model block's levels, or the one reduced state of a
+    state that does not change, whose own state file is many times its size.
     """
-    n = m.shape[-1]
-    best = np.zeros(m.shape[:-2])
-    if n < 2:
-        return best
-    k = max(1, COHERENCE_BLOCK_ENTRIES // max(1, m.size // n))
-    for i in range(0, n, k):
-        off = np.abs(m[..., i:i + k, :])
-        diag = np.arange(i, i + off.shape[-2])
-        off[..., diag - i, diag] = 0.0
-        best = np.maximum(best, off.max(axis=(-2, -1)))
-    return best
+    off = np.abs(m)
+    off[..., range(m.shape[-1]), range(m.shape[-1])] = 0.0
+    return off.max(axis=(-2, -1), initial=0.0)
 
 
 def cmd_run(args) -> int:
@@ -503,6 +491,10 @@ def cmd_run(args) -> int:
         path = args.out or out_cfg.get("path")
         if path is not None and not isinstance(path, str):
             raise ValidationError(f"output.path must be a string, got {path!r}")
+        # The weights on no level: a projective level's range and the shapes
+        # of sigma and a seed checked against the system, before the output
+        # is opened, with no matrix of the system's size built.
+        reduction._weights(sys_, reducer.method, *[np.arange(0)] * 2, **reducer.weights)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad config: {exc!r}") from exc
 
@@ -517,10 +509,10 @@ def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, state,
     """One output row per time point of ts (an array or a ``_Grid``), each
     chunk of ``CHUNK`` points reduced only when its first row is asked for;
     points with a degenerate overlap are skipped. A state that does not
-    change (no ``_Model``) is reduced once, at the first t, and its row is
-    written at every t."""
+    change (not a model, a function of t) is reduced once, at the first t,
+    and its row is written at every t."""
     written = False
-    if isinstance(state, _Model):
+    if callable(state):
         for i in range(0, len(ts), CHUNK):
             for row in _chunk(ts[i:i + CHUNK], sys_, state, reducer):
                 written = True
@@ -536,24 +528,26 @@ def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, state,
         raise DegenerateOverlap("degenerate overlap at every time point")
 
 
-def _chunk(ts: np.ndarray, sys_: BipartiteSystem, model: _Model, reducer: _Reducer) -> Iterator[dict]:
+def _chunk(ts: np.ndarray, sys_: BipartiteSystem, model: Callable,
+           reducer: _Reducer) -> Iterator[dict]:
     """The rows of the time points ts, without the degenerate ones.
 
     A model makes the chunk's amplitude matrices in one call, on the levels
     that can hold its state, reduced together by ``reducer.stack``. A point
-    the stack leaves undone is made again as a whole vector and reduced
-    alone (``_alone``), and so is every point of a chunk where one state
-    raises, so the rows before it come first, then its error.
+    the stack leaves undone is made as its own one-point block, on the same
+    levels, and reduced alone (``_alone``, ``reducer.point``), and so is
+    every point of a chunk where one state raises, so the rows before it
+    come first, then its error.
     """
     points = ts.tolist()
     try:
-        cut = reduction.support(model.chunk(ts))
+        cut = reduction.support(model(ts))
     except CorredError:
         cut = None
     rows = () if cut is None else _stack_rows(points, reducer.stack(cut), sys_)
     for t, row in itertools.zip_longest(points, rows):
         if row is None:
-            yield from _stack_rows([t], _alone(t, model.vector(t), reducer.one, sys_), sys_)
+            yield from _stack_rows([t], _alone(t, model(np.array([t])), reducer.point, sys_), sys_)
         else:
             yield row
 
@@ -616,19 +610,22 @@ def _populations(diag: np.ndarray, levels: np.ndarray, n: int) -> Callable[[int]
 
 
 def _alone(t: float, state, reduce_one, sys_: BipartiteSystem) -> reduction.Stack:
-    """Time point t reduced alone, as a stack of one on all levels, not done
-    where its overlap is degenerate; the library's log records name t."""
-    levels = np.arange(sys_.dim_alpha), np.arange(sys_.dim_beta)
+    """Time point t reduced alone by ``reduce_one``, as a stack of one on the
+    leading levels its reduced states cover: all levels of ``sys_`` for a
+    whole state, a model block's for a block. Not done where its overlap is
+    degenerate; the library's log records name t."""
     try:
         with _naming(t):
             res = reduce_one(state)
     except DegenerateOverlap as exc:
         log.warning("t=%g: %s", t, exc)
-        return reduction.Stack(*levels, None, None, None, np.zeros(1, dtype=bool))
+        return reduction.Stack(np.arange(sys_.dim_alpha), np.arange(sys_.dim_beta), None, None, None,
+                               np.zeros(1, dtype=bool))
+    ra = res.rho_alpha.matrix[None]
     rb = None if res.rho_beta is None else res.rho_beta.matrix[None]
     error = None if res.reconstruction_error is None else np.array([res.reconstruction_error])
-    return reduction.Stack(*levels, res.rho_alpha.matrix[None], rb, error, np.ones(1, dtype=bool),
-                           res.verdict, res.iterations)
+    return reduction.Stack(np.arange(ra.shape[-1]), np.arange(0 if rb is None else rb.shape[-1]),
+                           ra, rb, error, np.ones(1, dtype=bool), res.verdict, res.iterations)
 
 
 @contextlib.contextmanager

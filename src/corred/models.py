@@ -6,9 +6,10 @@ Both models evolve pure states. ``jcm_vacuum_amplitudes`` and
 ``spin_pair_amplitudes`` give the evolved amplitude vector psi, which the
 reductions take as the composite state. The JCM state has two nonzero
 entries at any n_max, on |2,0> and |1,1>: ``_jcm_vacuum_block`` writes
-U(t)|2,0> on atom and field levels {0, 1} alone, without forming U, which
-``corred run`` reduces at any n_max with nothing of length N, and
-``jcm_vacuum_amplitudes`` scatters that block into the whole vector. The
+U(t)|2,0> on atom and field levels {0, 1} alone, without forming U. It is
+every state ``corred run`` reduces, a chunk of times or one point reduced
+alone, at any n_max with nothing of length N; ``jcm_vacuum_amplitudes``
+scatters that block into the whole vector, for the library's callers. The
 spin-pair one applies the closed-form 4x4 ``spin_pair_evolution``. All of
 them take t as a scalar or an array of times, each stacked with the bits of
 its t alone.

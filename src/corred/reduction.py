@@ -43,9 +43,20 @@ on the support of the stack: the rows and columns of Psi that hold a
 nonzero entry in some state. Off it every reduced entry is exactly 0, so
 ``support`` first cuts Psi to it, from a model's block on the levels that
 can hold its state where the model gives one, and no full Na x Na or
-Nb x Nb matrix is built; only the public reductions, which return one, do.
-A sum over the support skips zero terms, so its last bit can differ from
-the public reduction of the whole Psi.
+Nb x Nb matrix is built. A point that the stack leaves undone is reduced
+alone from its one-point model block (``_reduce_block``), on the block's
+levels, with no full matrix either; only the public reductions, which
+return one, build one. A sum over the support or the block skips zero
+terms, so its last bits can differ from the public reduction of the
+whole Psi.
+
+One body. The four methods are written once, in ``_pair``: the partial
+traces, the conditioning on sigma or on the beta projector, and the
+correlated start. ``_reduce`` adds, for one state, the sweep loop, the
+verdict and the epilogue; the public reductions call it after their entry
+checks, and so does ``_reduce_block``. ``reduce_stack`` calls ``_pair`` on
+a chunk's support. ``_weights`` prepares what a method conditions on, cut
+to the levels of a support or a block, and checks it against the system.
 """
 
 from __future__ import annotations
@@ -254,13 +265,7 @@ def neumann_reduce(rho, sys: BipartiteSystem) -> ReductionResult:
     Psi Psi^dag and Psi^T Psi^*: O(N min(Na, Nb)) work plus the output, and
     psi psi^dag is never formed.
     """
-    r = _state(rho, sys)
-    ra, rb = mc._contract(r, sys, "beta"), mc._contract(r, sys, "alpha")
-    if r.ndim == 1:
-        return _result("neumann", r, ra, rb)
-    # Hermitized where built, so a relaxed input's asymmetry does not add up
-    # over the traced side; on hermitian input hermitize changes no bit.
-    return _result("neumann", r, mc.hermitize(ra), mc.hermitize(rb))
+    return _reduce(_state(rho, sys), sys, "neumann")
 
 
 def replacement_operator(rho, sys: BipartiteSystem, observed: str = "alpha") -> np.ndarray:
@@ -326,11 +331,7 @@ def conditioned_reduce(rho, sys: BipartiteSystem, sigma, given_side: str) -> Red
     error. Given alpha, it is (partial trace over beta, conditioned beta)
     with that pair's reconstruction error.
     """
-    r = _state(rho, sys)
-    cond = _condition(r, sys, _matrix(sigma, sys, given_side), given_side)
-    if given_side == "beta":
-        return _result("conditioned", r, cond, None)
-    return _result("conditioned", r, mc.hermitize(mc._contract(r, sys, "beta")), cond)
+    return _reduce(_state(rho, sys), sys, "conditioned", given_side, _matrix(sigma, sys, given_side))
 
 
 def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
@@ -339,17 +340,30 @@ def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
     Pairs the conditioned alpha state with the beta projector itself, the
     quantum-nondemolition-measurement limit.
     """
-    r = _state(rho, sys)
-    proj = _projector(sys, level)
-    return _result("projective", r, _condition(r, sys, proj, given_side="beta"), proj)
+    return _reduce(_state(rho, sys), sys, "projective",
+                   *_weights(sys, "projective", None, np.arange(sys.dim_beta), level=level))
 
 
-def _projector(sys: BipartiteSystem, level: int, levels: np.ndarray | None = None) -> np.ndarray:
-    """|level><level| on the beta ``levels``, by default all (else IndexOutOfRange)."""
-    if not 0 <= level < sys.dim_beta:
-        raise IndexOutOfRange(f"level {level} outside [0, {sys.dim_beta})")
-    levels = np.arange(sys.dim_beta) if levels is None else levels
-    return np.diag(levels == level).astype(complex)
+def _weights(sys: BipartiteSystem, method: str, rows: np.ndarray, cols: np.ndarray, sigma=None,
+             given_side: str = "beta", level: int = 0, seed=None):
+    """(side, w, seed): what ``method`` conditions on, for a state on the
+    alpha levels ``rows`` and beta levels ``cols`` of ``sys``.
+
+    ``side`` is the side conditioned on and ``w`` its weight on that side's
+    levels: sigma cut to them ("conditioned") or |level><level| on them
+    ("projective"). ``seed`` is the correlated seed, on every alpha level.
+    Each is checked against ``sys`` (DimensionMismatch, IndexOutOfRange)
+    however few the levels, so on no level this is the check alone and
+    builds nothing of size Na or Nb.
+    """
+    if method == "projective":
+        if not 0 <= level < sys.dim_beta:
+            raise IndexOutOfRange(f"level {level} outside [0, {sys.dim_beta})")
+        return "beta", np.diag(cols == level).astype(complex), None
+    if method == "conditioned":
+        on = cols if given_side == "beta" else rows
+        return given_side, _matrix(sigma, sys, given_side)[on[:, None], on], None
+    return "beta", None, None if seed is None else _matrix(seed, sys, "alpha")
 
 
 def _start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray | None, tol: float,
@@ -474,10 +488,45 @@ def correlated_reduce(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    seed = None if seed is None else _matrix(seed, sys, "alpha")
+    return _reduce(r, sys, "correlated", seed=seed, tol=tol, max_iter=max_iter)
 
+
+def _pair(r: np.ndarray, sys: BipartiteSystem, method: str, side: str, w, seed, tol, warnings):
+    """(rho_alpha, rho_beta, residual) of ``method`` on the checked state r,
+    one state or a stack: the four methods' one body, with the weights of
+    ``_weights``.
+
+    Neumann is both partial traces, hermitized on an N x N rho, where a
+    relaxed input's asymmetry would add up over the traced side (on
+    hermitian input hermitize changes no bit). Conditioned and projective
+    condition the side opposite ``side`` on w (``_condition``) and pair it,
+    given alpha, with the partial trace over beta, else with the projector
+    itself ("projective") or None. Correlated is ``_start`` from ``seed``,
+    whose residual is the only one not None. On a stack a state that one
+    state alone would raise or warn for is NaN (see ``_condition`` and
+    ``_start``).
+    """
+    if method == "neumann":
+        ra, rb = mc._contract(r, sys, "beta"), mc._contract(r, sys, "alpha")
+        return (mc.hermitize(ra), mc.hermitize(rb), None) if r.ndim == 2 else (ra, rb, None)
+    if method == "correlated":
+        return _start(r, sys, seed, tol, warnings)
+    cond = _condition(r, sys, w, side)
+    if side == "alpha":
+        return mc.hermitize(mc._contract(r, sys, "beta")), cond, None
+    return cond, w if method == "projective" else None, None
+
+
+def _reduce(r: np.ndarray, sys: BipartiteSystem, method: str, side: str = "beta", w=None,
+            seed=None, tol: float = 1e-12, max_iter: int = 10_000) -> ReductionResult:
+    """The reduction ``method`` of one checked state r (``_pair``), as the
+    public reductions give it: their exceptions and warnings, and for the
+    correlated one the sweep loop from the start, its verdict and iterations."""
     warnings: list[str] = []
-    ra, rb, residual = _start(r, sys, None if seed is None else _matrix(seed, sys, "alpha"),
-                              tol, warnings)
+    ra, rb, residual = _pair(r, sys, method, side, w, seed, tol, warnings)
+    if method != "correlated":
+        return _result(method, r, ra, rb)
     residuals = [] if residual is None else [float(residual)]
     try:
         while len(residuals) < max_iter and not (residuals and residuals[-1] < tol):
@@ -493,6 +542,27 @@ def correlated_reduce(
 
     return _result("correlated", r, ra, rb, verdict=verdict, iterations=len(residuals),
                    residuals=residuals, warnings=warnings)
+
+
+def _reduce_block(block: np.ndarray, sys: BipartiteSystem, method: str, tol: float = 1e-12,
+                  max_iter: int = 10_000, **weights) -> ReductionResult:
+    """One time point reduced alone from its model block: its Psi on every
+    alpha level and the leading c beta levels, (Na, c) or (1, Na, c),
+    outside which Psi is 0. The ``weights`` are ``_weights``' keywords,
+    checked against ``sys``.
+
+    The same body as the public reduction of the point's whole vector
+    (``_reduce``), with its exceptions, warnings, loop, verdict and
+    iterations, on the system of the block's levels: sigma or the projector
+    is cut to them as ``reduce_stack`` cuts it. The reduced states are those
+    of the whole vector on these levels, where the whole vector's are
+    exactly 0 off them, up to the last bit of a sum that skips zero terms;
+    no whole vector and no Nb x Nb matrix is made.
+    """
+    sub = BipartiteSystem(*block.shape[-2:])
+    r = _state(block.ravel(), sub)
+    levels = np.arange(sub.dim_alpha), np.arange(sub.dim_beta)
+    return _reduce(r, sub, method, *_weights(sys, method, *levels, **weights), tol, max_iter)
 
 
 class Support(NamedTuple):
@@ -532,7 +602,7 @@ class Stack(NamedTuple):
     are the reduced states on the levels ``rows`` and ``cols``, exactly 0
     off them; ``error`` holds each state's reconstruction error, and
     ``verdict`` and ``iterations`` those of every state that is ``done``.
-    A state not done is one to reduce alone, by the public reduction.
+    A state not done is one to reduce alone, with the public semantics.
     """
 
     rows: np.ndarray
@@ -553,44 +623,32 @@ def reduce_stack(cut: Support, sys: BipartiteSystem, method: str, sigma=None,
     (``level``) or ``correlated_reduce`` (``seed``, ``tol``; one sweep
     suffices where the state is done, so ``max_iter`` does not matter).
 
-    The same kernels as the public reductions, over a leading axis and on the
-    support of the stack, where they give each state's reduced states and
-    error on its rows and columns: off them every entry is exactly 0. Only
-    the states that the kernels settle are done. The others are left to the
-    public reduction of that state alone, with its exceptions, warnings,
-    verdict and iterations: a state that fails ``_state``'s check, a
-    conditioning overlap below ``NEAR_DEGENERACY_THRESHOLD``, a correlated
-    start that ``_start`` does not certify, and a verifying sweep whose
-    residual is not below ``tol``; and, with a ``seed``, a stack whose
-    support leaves out an alpha level, where the seed test could decide otherwise.
+    The same body as the public reductions (``_pair``), over a leading axis
+    and on the support of the stack, where it gives each state's reduced
+    states and error on its rows and columns: off them every entry is
+    exactly 0. Only the states that it settles are done. The others are
+    left to the reduction of that state alone (``_reduce_block``), with its
+    exceptions, warnings, verdict and iterations: a state that fails
+    ``_state``'s check, a conditioning overlap below
+    ``NEAR_DEGENERACY_THRESHOLD``, a correlated start that ``_start`` does
+    not certify, and a verifying sweep whose residual is not below ``tol``;
+    and, with a ``seed``, a stack whose support leaves out an alpha level,
+    where the seed test could decide otherwise.
     """
     p, rows, cols, valid = cut
     not_done = Stack(rows, cols, None, None, None, np.zeros_like(valid))
-    if not valid.any():
+    if not valid.any() or seed is not None and rows.size < sys.dim_alpha:
         return not_done
-    sub = BipartiteSystem(rows.size, cols.size)
-    rb = None
-    if method == "neumann":
-        ra, rb = mc._contract(p, sub, "beta"), mc._contract(p, sub, "alpha")
-    elif method == "correlated":
-        if seed is not None and rows.size < sys.dim_alpha:
-            return not_done
-        ra, rb, residual = _start(p, sub, seed if seed is None else _matrix(seed, sys, "alpha"),
-                                  tol, [])
+    side, w, seed = _weights(sys, method, rows, cols, sigma, given_side, level, seed)
+    ra, rb, residual = _pair(p, BipartiteSystem(rows.size, cols.size), method, side, w, seed, tol, [])
+    if method == "correlated":
         if residual is None:
             return not_done
         valid = valid & (residual < tol)
     else:
-        side = given_side if method == "conditioned" else "beta"
-        on = cols if side == "beta" else rows
-        w = (_matrix(sigma, sys, side)[on[:, None], on] if method == "conditioned"
-             else _projector(sys, level, cols))
-        ra = cond = _condition(p, sub, w, side)
-        valid = valid & ~np.isnan(cond).any(axis=(-2, -1))
-        if side == "alpha":
-            ra, rb = mc.hermitize(mc._contract(p, sub, "beta")), cond
-        elif method == "projective":
-            rb = np.broadcast_to(w, (len(p), *w.shape))
+        valid = valid & ~np.isnan(rb if side == "alpha" else ra).any(axis=(-2, -1))
+    if method == "projective":
+        rb = np.broadcast_to(rb, (len(p), *rb.shape))
     error = None if rb is None else _reconstruction_error(p, ra, rb)
     run = ("converged", 1) if method == "correlated" else ()
     return Stack(rows, cols, ra, rb, error, valid, *run)

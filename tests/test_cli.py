@@ -513,15 +513,16 @@ def test_a_seeded_run_has_the_per_point_verdicts(tmp_path, rng, caplog, seed):
     sys_, model = cli._state_factory(cfg)
     reducer = cli._reducer(cfg["reduction"], sys_)
     caplog.set_level(logging.WARNING, logger="corred")
-    one = reduction.correlated_reduce
-    with mock.patch.object(reduction, "correlated_reduce", wraps=one) as spy:
+    one = reduction._reduce_block
+    with mock.patch.object(reduction, "_reduce_block", wraps=one) as spy:
         rows = list(cli._series(ts, sys_, model, reducer))
     assert 0 < spy.call_count < len(ts)  # some points on the stack, some alone
     messages = [r.getMessage() for r in caplog.records]
     want_messages, want_rows = [], []
     for t in ts.tolist():
         try:
-            res = reduction.correlated_reduce(model.vector(t), sys_, sigma)
+            psi = models.jcm_vacuum_amplitudes(models.JcmParams(1.0, 1.0, 3), t)
+            res = reduction.correlated_reduce(psi, sys_, sigma)
         except DegenerateOverlap as exc:
             want_messages.append(f"t={t:g}: {exc}")
             continue
@@ -683,6 +684,40 @@ def test_a_jcm_run_holds_no_k_by_n_array(tmp_path):
     assert run_peak_bytes(tmp_path, 4096, 2 * k, "neumann") < 16 * k * n
 
 
+@pytest.mark.parametrize("params,grid,rcfg,code", [
+    ({}, {"start": math.pi / 2, "stop": math.pi / 2 + 1.0, "steps": 3}, {"method": "correlated"}, 0),
+    # omega * t overflows at t = 1.81, inside the third chunk.
+    ({"omega": 1e308}, {"start": 0.0, "stop": 10.0, "steps": 200}, {"method": "neumann"}, 2),
+    ({}, {"start": math.pi - 2e-6, "stop": math.pi + 4e-6, "steps": 7},
+     {"method": "projective", "level": 0}, 0),
+    ({}, {"start": 0.0, "stop": 2 * math.pi, "steps": 41},
+     {"method": "conditioned", "state": "{ground}", "given_side": "alpha"}, 0),
+], ids=["tie", "overflow", "projective-near-zero", "conditioned-near-zero"])
+def test_a_point_reduced_alone_holds_no_large_array(tmp_path, params, grid, rcfg, code):
+    # Each run reduces points alone: a tie the start does not certify, the
+    # points of a chunk before an overflow, and overlaps below 1e-10. A
+    # point alone is its own one-point block, so none is made as a whole
+    # vector of N = 2050 or reduced to a 1025 x 1025 field state, and each
+    # run peaks below one (K, N) complex array, as a chunk does.
+    k, n = cli.CHUNK, 2 * 1025
+    ground = write_state(tmp_path, "ground.json", projector_state(2, 1))
+    rcfg = {key: value.format(ground=ground) if isinstance(value, str) else value
+            for key, value in rcfg.items()}
+    cfg = {"experiment": "jcm_vacuum", "params": {"n_max": 1024, **params}, "time_grid": grid,
+           "reduction": rcfg}
+    argv = ["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out.csv")]
+    with mock.patch.object(reduction, "_reduce_block", wraps=reduction._reduce_block) as spy:
+        assert cli.main(argv) == code
+    assert spy.call_count > 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * k * n
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 5), st.data())
 def test_populations_are_the_diagonal_on_its_levels_and_zeros_off_them(n, k, data):
@@ -714,21 +749,12 @@ def test_max_coherence_equals_the_whole_matrix_maximum(lead, n, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((*lead, n, n)) + 1j * rng.standard_normal((*lead, n, n))
     m *= rng.random(m.shape) < 0.3
-    with mock.patch.object(cli, "COHERENCE_BLOCK_ENTRIES", int(rng.integers(1, 2 * m.size + 2))):
-        assert cli._max_coherence(m).tobytes() == max_coherence_dense(m).tobytes()
+    assert cli._max_coherence(m).tobytes() == max_coherence_dense(m).tobytes()
 
 
-def test_max_coherence_of_a_large_state_takes_blocks_of_rows(rng):
-    # |m| of the whole 257 x 257 matrix would take 257**2 * 8 bytes.
+def test_max_coherence_of_a_large_state_equals_the_whole_matrix_maximum(rng):
     m = random_density(rng, 257).matrix
-    tracemalloc.start()
-    try:
-        got = cli._max_coherence(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == max_coherence_dense(m)
-    assert peak < 2 * cli.COHERENCE_BLOCK_ENTRIES * 8 + 4096
+    assert cli._max_coherence(m) == max_coherence_dense(m)
 
 
 def csv_line_per_cell(r: dict) -> str:
@@ -1808,7 +1834,20 @@ EXIT_CASES = [
     # mock of its allocation finds no memory for (see MOCKS).
     ("n_max-too-big", '{"experiment": "jcm_vacuum", "params": {"n_max": 1e18}}', RUN, 2),
     ("n_max-out-of-memory", '{"experiment": "jcm_vacuum", "params": {"n_max": 1000}}', RUN, 2),
+    # Reduction settings that do not fit the system (JCM n_max = 3: 2 x 4),
+    # refused before the output file is opened (SETTINGS_ERRORS).
+    *[(name, '{"experiment": "jcm_vacuum", "params": {"n_max": 3}, "reduction": %s}' % rcfg,
+       [*RUN, "--out", "{dir}/out.csv"], 2) for name, rcfg in [
+        ("run-level-out-of-range", '{"method": "projective", "level": 5}'),
+        ("run-state-shape", '{"method": "conditioned", "state": "{dir}/beta1.json"}'),
+        ("run-seed-shape", '{"method": "correlated", "seed": "file:{dir}/product.json"}'),
+    ]],
 ]
+SETTINGS_ERRORS = {
+    "run-level-out-of-range": "level 5 outside [0, 4)",
+    "run-state-shape": "matrix shape (2, 2) does not match dim_beta=4",
+    "run-seed-shape": "matrix shape (4, 4) does not match dim_alpha=2",
+}
 
 
 def run_exit_case(tmp_path, capsys, config, argv) -> tuple[int, str]:
@@ -1864,6 +1903,14 @@ def test_exit_code_map(tmp_path, capsys, name, config, argv, code):
     else:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", SETTINGS_ERRORS)
+def test_reduction_settings_are_refused_before_the_output_is_opened(tmp_path, capsys, name):
+    _, config, argv, _ = next(case for case in EXIT_CASES if case[0] == name)
+    _, err = run_exit_case(tmp_path, capsys, config, argv)
+    assert err == f"error: {SETTINGS_ERRORS[name]}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("key", ["n_max", "steps", "level", "dims"])

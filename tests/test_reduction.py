@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import tracemalloc
 from unittest import mock
@@ -12,6 +13,7 @@ from corred import matrixcore as mc
 from corred import models
 from corred import reduction as red
 from corred.errors import (
+    CorredError,
     DegenerateOverlap,
     DimensionMismatch,
     NotConverged,
@@ -729,6 +731,114 @@ class TestStackedKernels:
                 accepted.append(False)
         assert accepted == (~hit).tolist()
         assert red._unit(psi).tolist() == accepted
+
+
+@st.composite
+def alone_points(draw):
+    """One time point of a model, its whole amplitude vector and its one-point
+    block, with a reduction's method and ``reduce_stack`` keywords: JCM
+    vacuum at n_max 1-40 or the spin pair; t on a tie of the correlated step
+    limit, 1e-8 from one, or off ties, or by a zero of a conditioning
+    overlap; a projective level on the block's beta levels, off them or out
+    of range; a conditioning sigma with a zero overlap somewhere; and a
+    ``file:`` seed of the ground state or a random one."""
+    if draw(st.integers(0, 4)):
+        p = JcmParams(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.2, 3.0)), draw(st.integers(1, 40)))
+        sys_, turn = jcm_system(p), math.pi / p.rabi  # cos^2(rabi t / 2) = 1/2 at odd t / turn / 2
+
+        def whole(t):
+            return models.jcm_vacuum_amplitudes(p, t)
+
+        def block(t):
+            return models._jcm_vacuum_block(p, np.array([t]))
+    else:
+        p = models.SpinPairParams(draw(st.floats(-2.0, 2.0)), draw(st.floats(-1.0, 1.0)),
+                                  draw(st.floats(0.2, 2.0)), draw(st.floats(-1.0, 1.0)))
+        phi = draw(st.floats(-1.5, 1.5))
+        sys_, turn = models.SPIN_PAIR_SYSTEM, math.pi / (2 * p.c_coupling)
+
+        def whole(t):
+            return models.spin_pair_amplitudes(p, phi, t)
+
+        def block(t):
+            return models.spin_pair_amplitudes(p, phi, np.array([t])).reshape(-1, 2, 2)
+    # Ties at odd multiples of turn / 2. The JCM overlaps with |1> of the
+    # atom or of the field vanish at even multiples of turn, those with |0>
+    # at odd ones; 1e-6 from a zero an overlap is near-degenerate.
+    mark = draw(st.integers(0, 7)) * turn / 2
+    t = mark + draw(st.sampled_from([0.0, 1e-8, -1e-8, 1e-6, -1e-6, draw(st.floats(-1.0, 1.0))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    method = draw(st.sampled_from(["correlated", "conditioned", "projective", "neumann"]))
+    kwargs = {}
+    if method == "projective":
+        kwargs["level"] = draw(st.integers(0, sys_.dim_beta))
+    elif method == "conditioned":
+        side = kwargs["given_side"] = draw(st.sampled_from(["alpha", "beta"]))
+        n = sys_.dim_alpha if side == "alpha" else sys_.dim_beta
+        kwargs["sigma"] = draw(st.sampled_from([random_density(rng, n), projector_state(n, 0),
+                                                projector_state(n, 1), projector_state(n, n - 1)]))
+    elif method == "correlated" and draw(st.booleans()):
+        kwargs["seed"] = draw(st.sampled_from([projector_state(2, 1), random_density(rng, 2)]))
+    return sys_, whole(t), block(t), method, kwargs
+
+
+def _public(sys_, psi, method, kwargs):
+    """The public reduction ``method`` of the whole vector psi."""
+    if method == "neumann":
+        return red.neumann_reduce(psi, sys_)
+    if method == "projective":
+        return red.projective_reduce(psi, sys_, kwargs["level"])
+    if method == "conditioned":
+        return red.conditioned_reduce(psi, sys_, kwargs["sigma"], kwargs["given_side"])
+    return red.correlated_reduce(psi, sys_, kwargs.get("seed"))
+
+
+def _run_logged(reduce):
+    """(the result of ``reduce()`` or its CorredError's type and message, the
+    messages the library logs meanwhile)."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    red.log.addHandler(handler)
+    try:
+        return reduce(), messages
+    except CorredError as exc:
+        return (type(exc), str(exc)), messages
+    finally:
+        red.log.removeHandler(handler)
+
+
+class TestPointReducedAlone:
+    """A point reduced alone from its one-point block is the public reduction
+    of its whole vector on the block's levels."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(alone_points())
+    def test_the_block_reduces_as_the_whole_vector(self, case):
+        sys_, psi, block, method, kwargs = case
+        want, want_log = _run_logged(lambda: _public(sys_, psi, method, kwargs))
+        got, got_log = _run_logged(lambda: red._reduce_block(block, sys_, method, **kwargs))
+        assert got_log == want_log
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        run = ("verdict", "iterations", "warnings", "method")
+        assert [getattr(got, key) for key in run] == [getattr(want, key) for key in run]
+        # The README's identity rule: the last bits, here within 2 ulp of 1,
+        # which bounds every entry of a state of unit trace.
+        ulps = 2 * np.finfo(float).eps
+        for side in ("rho_alpha", "rho_beta"):
+            whole, alone = getattr(want, side), getattr(got, side)
+            assert (whole is None) == (alone is None)
+            if whole is None:
+                continue
+            whole, alone = whole.matrix, alone.matrix
+            c = len(alone)
+            assert abs(whole[:c, :c] - alone).max() <= ulps
+            assert not whole[c:].any() and not whole[:, c:].any()
+        assert (want.reconstruction_error is None) == (got.reconstruction_error is None)
+        if want.reconstruction_error is not None:
+            assert abs(want.reconstruction_error - got.reconstruction_error) <= ulps
 
 
 class TestAmplitudeVectorInput:
