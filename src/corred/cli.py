@@ -81,10 +81,11 @@ EXIT_IO = 4
 
 #: Time points that ``run`` reduces together. numpy's fixed cost per call is
 #: what a stack saves, while each point's amplitudes are held until the
-#: chunk is cut to its support and the kernels' temporaries grow with it. On
-#: the run workloads of ``bench/``, 16 takes 25 to 30 % less time than 8 for
-#: 1 to 5 % more peak memory; 32 takes another 25 % less time for 10 to 15 %
-#: more (ROADMAP, Recent).
+#: chunk is cut to its support and the kernels' temporaries grow with it:
+#: ``reduction.reduce_stack`` peaks about 0.7 KB per state above its entry
+#: (14.7, 26.2 and 49.3 KB at K = 16, 32 and 64 on the README config, in
+#: process). On the run workloads of ``bench/``, 16 takes 25 to 30 % less
+#: time than 8, and 32 another 25 % less (ROADMAP, Recent).
 CHUNK = 16
 
 #: Keys of the ``reduction`` config section, shared by ``run`` and ``reduce``.
@@ -98,30 +99,37 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.ERROR))
 
 
-def _load_json(path: str):
-    """The JSON value in the file at ``path``, read with the cyclic garbage
-    collector paused.
-
-    A state file parses into one [re, im] list per entry, 264,196 lists for
-    a 514 x 514 state, and every collection the parse would trigger walks
-    the whole growing tree. A JSON value holds no reference cycle, so the
-    pause leaves nothing to collect; the collector is switched back on only
-    if it was on. The file is read as UTF-8 whatever the locale; text that
-    is not UTF-8 and text that is no JSON are a ``ValidationError``, and a
-    file that cannot be opened raises ``OSError``.
-    """
-    if not isinstance(path, str):
-        raise ValidationError(f"file path must be a string, got {path!r}")
+@contextlib.contextmanager
+def _collector_paused():
+    """The cyclic garbage collector off meanwhile, and back on after only if
+    it was on, so pauses nest."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def _load_json(path: str):
+    """The JSON value in the file at ``path``, parsed with the cyclic garbage
+    collector paused (``_load_density`` keeps it paused longer).
+
+    A JSON value holds no reference cycle, so a collection during the parse
+    would only walk the growing tree and free nothing. The file is read as
+    UTF-8 whatever the locale; text that is not UTF-8 and text that is no
+    JSON are a ``ValidationError``, and a file that cannot be opened raises
+    ``OSError``.
+    """
+    if not isinstance(path, str):
+        raise ValidationError(f"file path must be a string, got {path!r}")
+    with _collector_paused():
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
 _encode_scalar = json.JSONEncoder().encode
@@ -285,12 +293,30 @@ def _finite(value, key: str, kind=float):
 
 
 def _load_density(path: str, validation: str | None = None) -> DensityMatrix:
-    """The state in a state file, validated at its own level or at ``validation``."""
-    obj = _object(_load_json(path), f"state file {path}")
+    """The state in a state file, validated at its own level (as
+    ``DensityMatrix.from_json`` reads it) or at ``validation``.
+
+    A state file parses into one [re, im] list per entry, 264,196 lists for
+    a 514 x 514 state. The collector stays paused until that tree has been
+    made into the matrix and dropped: a collection in between would walk
+    every list and free none, and the tree is not held while the matrix is
+    validated.
+    """
+    with _collector_paused():
+        obj = _object(_load_json(path), f"state file {path}")
+        level = obj.get("validation", "strict") if validation is None else validation
+        with _bad_state_file(path):
+            m = mc.matrix_from_json(obj)
+        del obj
+    with _bad_state_file(path):
+        return DensityMatrix(m, validation=level)
+
+
+@contextlib.contextmanager
+def _bad_state_file(path: str):
+    """An error of a malformed state file raised meanwhile as a ``ValidationError``."""
     try:
-        if validation is None:
-            return DensityMatrix.from_json(obj)
-        return DensityMatrix(mc.matrix_from_json(obj), validation=validation)
+        yield
     except KeyError as exc:
         raise ValidationError(f"{path}: state file lacks key {exc}") from exc
     except (DimensionMismatch, TypeError, ValueError, OverflowError) as exc:
@@ -779,58 +805,86 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _run_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="experiment config path")
+    p.add_argument("--out", help="output file (default stdout)")
+    p.add_argument("--format", choices=["csv", "json"], help="override output format")
+    p.set_defaults(func=cmd_run)
+
+
+def _reduce_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("state", help="density matrix JSON file")
+    p.add_argument("--dims", type=int, nargs=2, required=True, metavar=("NA", "NB"))
+    p.add_argument(
+        "--method",
+        choices=["neumann", "projective", "conditioned", "correlated"],
+        default="neumann",
+    )
+    p.add_argument("--level", type=int, default=0, help="projective level index")
+    p.add_argument("--sigma", help="conditioning state file")
+    p.add_argument("--given-side", choices=["alpha", "beta"], default="beta")
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--seed", default="neumann", help="'neumann' or file:<path>")
+    p.set_defaults(func=cmd_reduce)
+
+
+def _decompose_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "kind", choices=["epr", "triplet", "spin_pair_initial", "spin_pair_t"]
+    )
+    p.add_argument("--theta", type=float, default=0.0, help="hidden phase")
+    p.add_argument("--phi", type=float, default=0.0, help="initial mixing angle")
+    p.add_argument("--c", type=float, default=1.0, help="flip-flop coupling")
+    p.add_argument("--t", type=float, default=0.0, help="time")
+    p.add_argument("--omega", type=float, default=1.0, help="Zeeman frequency")
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument(
+        "--report-only",
+        action="store_true",
+        help="exit 0 even when the assembled ensemble misses the target",
+    )
+    p.set_defaults(func=cmd_decompose)
+
+
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("state")
+    p.add_argument("--level", choices=["strict", "relaxed"], default="strict")
+    p.set_defaults(func=cmd_validate)
+
+
+#: Each command's help and the function that adds its arguments, in the
+#: order ``corred --help`` lists them.
+COMMANDS = {
+    "run": ("run an experiment from a JSON config", _run_arguments),
+    "reduce": ("reduce a density-matrix file", _reduce_arguments),
+    "decompose": ("hidden-ensemble decomposition", _decompose_arguments),
+    "validate": ("validate a density-matrix file", _validate_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``corred`` parser, with the arguments of every command, or only
+    those of ``command`` when it names one.
+
+    Every command's subparser is made, so the top-level help, usage and
+    errors are the same either way. argparse hands every token after a
+    command's name to that command's subparser alone, so parsing a command
+    line whose first token is ``command`` gives the same result with either
+    parser. The one with only that command's arguments takes 24 to 32 KB
+    in place of 47 KB (tracemalloc), and argparse's back-references keep a
+    parser alive until the cyclic garbage collector runs.
+    """
     parser = argparse.ArgumentParser(
         prog="corred",
         description="Reduction algorithms for bipartite quantum states "
         "(dimensionless units, hbar = k_B = 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run an experiment from a JSON config")
-    p_run.add_argument("--config", required=True, help="experiment config path")
-    p_run.add_argument("--out", help="output file (default stdout)")
-    p_run.add_argument("--format", choices=["csv", "json"], help="override output format")
-    p_run.set_defaults(func=cmd_run)
-
-    p_red = sub.add_parser("reduce", help="reduce a density-matrix file")
-    p_red.add_argument("state", help="density matrix JSON file")
-    p_red.add_argument("--dims", type=int, nargs=2, required=True, metavar=("NA", "NB"))
-    p_red.add_argument(
-        "--method",
-        choices=["neumann", "projective", "conditioned", "correlated"],
-        default="neumann",
-    )
-    p_red.add_argument("--level", type=int, default=0, help="projective level index")
-    p_red.add_argument("--sigma", help="conditioning state file")
-    p_red.add_argument("--given-side", choices=["alpha", "beta"], default="beta")
-    p_red.add_argument("--tol", type=float, default=1e-12)
-    p_red.add_argument("--max-iter", type=int, default=10_000)
-    p_red.add_argument("--seed", default="neumann", help="'neumann' or file:<path>")
-    p_red.set_defaults(func=cmd_reduce)
-
-    p_dec = sub.add_parser("decompose", help="hidden-ensemble decomposition")
-    p_dec.add_argument(
-        "kind", choices=["epr", "triplet", "spin_pair_initial", "spin_pair_t"]
-    )
-    p_dec.add_argument("--theta", type=float, default=0.0, help="hidden phase")
-    p_dec.add_argument("--phi", type=float, default=0.0, help="initial mixing angle")
-    p_dec.add_argument("--c", type=float, default=1.0, help="flip-flop coupling")
-    p_dec.add_argument("--t", type=float, default=0.0, help="time")
-    p_dec.add_argument("--omega", type=float, default=1.0, help="Zeeman frequency")
-    p_dec.add_argument("--tol", type=float, default=1e-10)
-    p_dec.add_argument(
-        "--report-only",
-        action="store_true",
-        help="exit 0 even when the assembled ensemble misses the target",
-    )
-    p_dec.set_defaults(func=cmd_decompose)
-
-    p_val = sub.add_parser("validate", help="validate a density-matrix file")
-    p_val.add_argument("state")
-    p_val.add_argument("--level", choices=["strict", "relaxed"], default="strict")
-    p_val.set_defaults(func=cmd_validate)
-
+    for name, (help_, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if command not in COMMANDS or command == name:
+            add_arguments(p)
     return parser
 
 
@@ -851,7 +905,8 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

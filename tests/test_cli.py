@@ -1,10 +1,12 @@
 import contextlib
 import csv
 import gc
+import io
 import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -2043,3 +2045,109 @@ def test_module_entry_point_exit_status(tmp_path):
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_a_state_file_tree_is_never_walked_by_the_collector(tmp_path, rng):
+    # 4,096 [re, im] lists, each of which a collection during the load would walk.
+    path = write_state(tmp_path, "rho.json", random_density(rng, 64))
+    walked = []
+
+    def record(phase, info):
+        if phase == "start":
+            walked.append(len(gc.get_objects(info["generation"])))
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        rho = cli._load_density(path)
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was else gc.disable)()
+    assert rho.dim == 64
+    assert max(walked, default=0) < 64 * 64
+
+
+# Every command name and every flag of every command, values that look like
+# flags, and tokens argparse must refuse.
+PARSER_TOKENS = [
+    *cli.COMMANDS,
+    "--config", "--out", "--format", "--dims", "--method", "--level", "--sigma", "--given-side",
+    "--tol", "--max-iter", "--seed", "--theta", "--phi", "--c", "--t", "--omega", "--report-only",
+    "-1e5", "-inf", "-nan", "-1", "2", "0.5", "1e-3",
+    "csv", "json", "neumann", "correlated", "strict", "relaxed", "epr", "spin_pair_t", "alpha",
+    "file:s.json", "s.json",
+    "--", "-h", "--help", "--he", "--conf", "--tol=-1e5", "-x", "--bogus", "bogus", "",
+]
+
+
+def parsed(parser, argv):
+    """What ``parser.parse_args(argv)`` gives: the Namespace's fields, or
+    the SystemExit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_parsed_as_by_the_full_parser(argv):
+    argv = cli._glue_negative_values(argv)
+    assert parsed(cli.build_parser(argv[0] if argv else None), argv) == parsed(cli.build_parser(), argv)
+
+
+def test_parser_tokens_name_every_flag():
+    for command in cli.COMMANDS:
+        _, out, _ = parsed(cli.build_parser(), [command, "--help"])
+        assert set(re.findall(r"--[a-z-]+", out)) <= set(PARSER_TOKENS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([[], *([name] for name in cli.COMMANDS)]),
+       st.lists(st.sampled_from(PARSER_TOKENS), max_size=8))
+def test_the_invoked_commands_parser_parses_as_the_full_parser(command, tokens):
+    assert_parsed_as_by_the_full_parser(command + tokens)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["run", "--help"], ["reduce", "--help"], ["decompose", "-h"], ["validate", "--help"],
+    ["run"], ["reduce", "s.json"], ["decompose"], ["validate"],  # a missing required argument
+    ["run", "--config", "x", "--bogus"], ["validate", "s.json", "--bogus"],  # an unknown flag
+    ["reduce", "s.json", "--dims", "2", "2", "--method", "nope"], ["decompose", "nope"],  # a bad choice
+    ["--bogus"], ["--bogus", "run", "--config", "x"],  # an unknown top-level argument
+    [], ["bogus"], ["Run", "--config", "x"],  # no argv, an unknown command
+    ["run", "--config", "x"], ["reduce", "s.json", "--dims", "2", "2", "--tol", "-1e5"],
+    ["decompose", "spin_pair_t", "--t", "-inf"], ["validate", "s.json", "--level", "relaxed"],
+], ids=" ".join)
+def test_parser_cases(argv):
+    assert_parsed_as_by_the_full_parser(argv)
+
+
+def test_main_adds_only_the_invoked_commands_arguments(monkeypatch):
+    added = []
+    for name, (help_, add_arguments) in cli.COMMANDS.items():
+        def add(p, name=name, add_arguments=add_arguments):
+            added.append(name)
+            add_arguments(p)
+        monkeypatch.setitem(cli.COMMANDS, name, (help_, add))
+    assert cli.main(["decompose", "epr"]) == 0
+    assert added == ["decompose"]
+    with pytest.raises(SystemExit):
+        cli.main(["bogus"])
+    assert added == ["decompose", *cli.COMMANDS]
+
+
+@pytest.mark.parametrize("command", [[], *([name] for name in cli.COMMANDS)], ids=str)
+def test_console_help_is_the_full_parsers(command, monkeypatch, capsys):
+    src = str(Path(corred.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "corred.cli", *command, "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"},
+        timeout=60,
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parsed(cli.build_parser(), [*command, "--help"]) == (("exit", 0), proc.stdout, "")
+    assert (proc.returncode, proc.stderr) == (0, "")
