@@ -39,8 +39,13 @@ row is read off a stack by the same reader, its populations listed as it is
 read, and written as one formatted line, and the chunk's states are freed
 before the next chunk is made. After a nonzero
 exit the output holds only the rows of the points before the failure.
-The ``reduction`` section takes only the keys in ``REDUCTION_KEYS``; an
-unknown key and a correlated ``tol`` <= 0 are config errors.
+
+Every config section is read through one table (``PARAMS`` by experiment,
+``REDUCTION`` by method, ``SECTIONS`` for the rest), which holds each key's
+kind and default: a key that it does not list for the chosen experiment or
+method, a missing key without a default and a value of the wrong kind are
+config errors, raised before the output is opened. ``reduce`` passes the
+flags that its method reads through the same table.
 Every reduction returns a ``ReductionResult``; its ``verdict`` and
 ``iterations`` fill the row's columns of the same name ("-" and 0 for the
 one-shot methods), and a correlated ``file:`` seed is the starting alpha
@@ -84,12 +89,14 @@ EXIT_IO = 4
 #: chunk is cut to its support and the kernels' temporaries grow with it:
 #: ``reduction.reduce_stack`` peaks about 0.7 KB per state above its entry
 #: (14.7, 26.2 and 49.3 KB at K = 16, 32 and 64 on the README config, in
-#: process). On the run workloads of ``bench/``, 16 takes 25 to 30 % less
-#: time than 8, and 32 another 25 % less (ROADMAP, Recent).
+#: process). One ``bench/run.py --seed 0 --seconds 6 --trace 0`` run per
+#: cell on a 2-core host gave run_s (ms) / peak_mem_mb at K = 8, 16 and 32:
+#: ``jcm_n16_correlated`` 13.5/0.0904, 9.5/0.0914, 7.2/0.1044;
+#: ``jcm_n256_neumann`` 2.93/0.1381, 2.77/0.1546, 3.19/0.1549;
+#: ``spin_pair_correlated`` 12.9/0.0881, 9.5/0.0923, 7.0/0.1029. K = 32
+#: would cost 10 to 15 % more peak memory than 16, over the benchmark's
+#: 10 % bound.
 CHUNK = 16
-
-#: Keys of the ``reduction`` config section, shared by ``run`` and ``reduce``.
-REDUCTION_KEYS = ("method", "level", "state", "given_side", "tol", "max_iter", "seed")
 
 log = logging.getLogger("corred")
 
@@ -122,8 +129,6 @@ def _load_json(path: str):
     JSON are a ``ValidationError``, and a file that cannot be opened raises
     ``OSError``.
     """
-    if not isinstance(path, str):
-        raise ValidationError(f"file path must be a string, got {path!r}")
     with _collector_paused():
         try:
             with open(path, encoding="utf-8") as fh:
@@ -154,7 +159,7 @@ def _block_depth(value) -> int:
     return 0
 
 
-def _dumps(obj) -> str:
+def _dumps(obj, indent: str = "\n") -> str:
     """``json.dumps`` of ``obj`` with an indent of 2, byte for byte, for JSON values (str keys).
 
     A complex array in ``obj`` is written as the "data" of ``matrix_to_json``
@@ -162,54 +167,31 @@ def _dumps(obj) -> str:
     ``json.dumps(mc.matrix_to_json(m), indent=2)``.
 
     CPython's C encoder ignores ``indent``, so the stdlib writes indented
-    JSON in pure Python. Here dicts and lists are walked in Python, but a
-    number block (``_block_depth``) is encoded compactly in one C call and
-    then indented at its separators. That is exact because no encoded
-    number, ``true``, ``false``, ``null``, ``NaN`` or ``Infinity`` contains
-    a bracket or ", ". The walk keeps its own stack, so nesting depth costs
-    no Python frames: whatever ``json.load`` reads can be written back.
+    JSON in pure Python. Here dicts and lists are walked in Python, one
+    frame per level, but a number block (``_block_depth``) is encoded
+    compactly in one C call and then indented at its separators. That is
+    exact because no encoded number, ``true``, ``false``, ``null``, ``NaN``
+    or ``Infinity`` contains a bracket or ", ". What is written is a checked
+    config, a row or a result, none nested more than a few levels deep.
     """
-    pieces: list[str] = []
-    # Popped from the end: a (value, line break before its closing bracket)
-    # pair, or a str that is written as it is.
-    todo: list = [(obj, "\n")]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            pieces.append(item)
-            continue
-        value, indent = item
-        if isinstance(value, np.ndarray):
-            pieces.append(_matrix_block(value, indent))
-            continue
-        inner = indent + "  "
-        depth = _block_depth(value)
-        if depth == 1:
-            body = json.dumps(value)[1:-1].replace(", ", "," + inner)
-            pieces.append(f"[{inner}{body}{indent}]")
-            continue
-        if depth == 2:
-            cell = inner + "  "
-            body = json.dumps(value)[2:-2].replace("], [", f"{inner}],{inner}[{cell}")
-            pieces.append(f"[{inner}[{cell}{body.replace(', ', ',' + cell)}{inner}]{indent}]")
-            continue
-        if isinstance(value, dict) and value:
-            opener, closer = "{", "}"
-            entries = [(f"{_encode_key(key)}: ", child) for key, child in value.items()]
-        elif isinstance(value, (list, tuple)) and value:
-            opener, closer = "[", "]"
-            entries = [("", child) for child in value]
-        elif type(value) is float and math.isfinite(value):
-            pieces.append(float.__repr__(value))  # what the C encoder writes, without its set-up
-            continue
-        else:  # another scalar, {} or []
-            pieces.append(_encode_scalar(value))
-            continue
-        todo.append(indent + closer)
-        for i in reversed(range(len(entries))):
-            label, child = entries[i]
-            todo += [(child, inner), f"{',' if i else opener}{inner}{label}"]
-    return "".join(pieces)
+    if isinstance(obj, np.ndarray):
+        return _matrix_block(obj, indent)
+    inner = indent + "  "
+    depth = _block_depth(obj)
+    if depth == 1:
+        return f"[{inner}{json.dumps(obj)[1:-1].replace(', ', ',' + inner)}{indent}]"
+    if depth == 2:
+        cell = inner + "  "
+        body = json.dumps(obj)[2:-2].replace("], [", f"{inner}],{inner}[{cell}")
+        return f"[{inner}[{cell}{body.replace(', ', ',' + cell)}{inner}]{indent}]"
+    if isinstance(obj, dict) and obj:
+        items = (f"{_encode_key(key)}: {_dumps(value, inner)}" for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + inner + ("," + inner).join(_dumps(value, inner) for value in obj) + indent + "]"
+    if type(obj) is float and math.isfinite(obj):
+        return float.__repr__(obj)  # what the C encoder writes, without its set-up
+    return _encode_scalar(obj)  # another scalar, {} or []
 
 
 def _matrix_block(m: np.ndarray, indent: str) -> str:
@@ -264,18 +246,8 @@ def _object(value, name: str) -> dict:
     return value
 
 
-def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
-    """The object-valued config section ``key``, ``default`` (or {}) when absent."""
-    return _object(cfg.get(key, {} if default is None else default), key)
-
-
-def _number(section: dict, key: str, default=None, kind=float):
-    """``section[key]`` (or ``default``) read by ``_finite``."""
-    return _finite(section.get(key, default), key, kind)
-
-
-def _finite(value, key: str, kind=float):
-    """``value`` of config key ``key`` as a finite float, or an integral one as an int.
+def _finite(value, key: str) -> float:
+    """``value`` of config key ``key`` as a finite float.
 
     A JSON string or boolean is no number, though ``float`` would take it.
     """
@@ -285,11 +257,122 @@ def _finite(value, key: str, kind=float):
         number = math.nan
     if not math.isfinite(number):
         raise ValidationError(f"{key} must be a finite number, got {value!r}")
-    if kind is int:
-        if not number.is_integer():
-            raise ValidationError(f"{key} must be an integer, got {value!r}")
-        return int(number)
     return number
+
+
+def _integer(value, key: str) -> int:
+    """``value`` as an int: a finite number with no fractional part (``2.0`` and ``1e4`` are integers)."""
+    number = _finite(value, key)
+    if not number.is_integer():
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _positive(value, key: str) -> float:
+    number = _finite(value, key)
+    if number <= 0:
+        raise ValidationError(f"{key} must be > 0, got {number!r}")
+    return number
+
+
+def _count(value, key: str) -> int:
+    number = _integer(value, key)
+    if number < 1:
+        raise ValidationError(f"{key} must be >= 1, got {number}")
+    return number
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _one_of(*choices: str):
+    """The kind of a key whose value is one of the strings ``choices``."""
+    def kind(value, key: str) -> str:
+        if value not in choices:
+            names = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
+            raise ValidationError(f"{key} must be {names}, got {value!r}")
+        return value
+    return kind
+
+
+def _seed(value, key: str) -> str:
+    if value == "neumann" or isinstance(value, str) and value.startswith("file:"):
+        return value
+    raise ValidationError(f"{key} must be 'neumann' or file:<path>, got {value!r}")
+
+
+def _dims(value, key: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValidationError(f"{key} must be a list of two integers, got {value!r}")
+    return _integer(value[0], key), _integer(value[1], key)
+
+
+#: The default of a key that has none: leaving it out is a config error.
+REQUIRED = object()
+#: The keys where a JSON null stands for the key left out; anywhere else
+#: null is a value of the wrong kind.
+NULL_IS_ABSENT = ("level", "state", "path")
+
+# The config table: every key of each section, as (kind, default). A kind
+# reads a value, ``kind(value, "section.key")``, and raises a
+# ValidationError that names the key. Any key not listed here is refused.
+
+#: The ``params`` keys of each experiment.
+PARAMS = {
+    "epr": {},
+    "spin_pair": {"omega": (_finite, 1.0), "j": (_finite, 0.0), "c": (_finite, 0.0),
+                  "d": (_finite, 0.0), "phi": (_finite, 0.0)},
+    "jcm_vacuum": {"omega": (_finite, 1.0), "rabi": (_finite, 1.0), "n_max": (_integer, 16)},
+    "custom": {"state": (_string, REQUIRED), "dims": (_dims, REQUIRED)},
+}
+#: The ``reduction`` keys of each method, besides ``method`` (``METHOD``).
+REDUCTION = {
+    "neumann": {},
+    "projective": {"level": (_integer, REQUIRED)},
+    "conditioned": {"state": (_string, REQUIRED), "given_side": (_one_of("alpha", "beta"), "beta")},
+    "correlated": {"tol": (_positive, 1e-12), "max_iter": (_count, 10_000),
+                   "seed": (_seed, "neumann")},
+}
+METHOD = (_one_of(*REDUCTION), "neumann")
+#: The keys of the top level ("config") and of the other sections.
+SECTIONS = {
+    "config": {
+        "experiment": (_one_of(*PARAMS), REQUIRED),
+        "params": (_object, {}),
+        "time_grid": (_object, {"start": 0.0, "stop": 0.0, "steps": 1}),
+        "reduction": (_object, {}),
+        "output": (_object, {}),
+    },
+    "time_grid": {"start": (_finite, REQUIRED), "stop": (_finite, REQUIRED),
+                  "steps": (_integer, REQUIRED)},
+    "output": {"format": (_one_of("csv", "json"), "csv"), "path": (_string, None)},
+}
+
+
+def _read(obj: dict, section: str, keys: dict, chosen: str = "") -> dict:
+    """Config section ``obj`` read through its table ``keys``: each key's
+    value read by its kind, or its default where the key is absent.
+
+    A key that ``keys`` does not list and an absent key without a default
+    are config errors, which name ``section``, the key and ``chosen``, the
+    experiment or method that chose ``keys``.
+    """
+    for key in obj:
+        if key not in keys:
+            raise ValidationError(f"unknown {section} key {key!r}{chosen}")
+    values = {}
+    for key, (kind, default) in keys.items():
+        value = obj.get(key)
+        if value is None and (key not in obj or key in NULL_IS_ABSENT):
+            if default is REQUIRED:
+                raise ValidationError(f"missing {section} key {key!r}{chosen}")
+            values[key] = default
+        else:
+            values[key] = kind(value, f"{section}.{key}")
+    return values
 
 
 def _load_density(path: str, validation: str | None = None) -> DensityMatrix:
@@ -358,8 +441,8 @@ class _Grid:
 
 
 def _time_grid(grid: dict) -> _Grid:
-    start, stop = _number(grid, "start"), _number(grid, "stop")
-    steps = _number(grid, "steps", kind=int)
+    g = _read(grid, "time_grid", SECTIONS["time_grid"])
+    start, stop, steps = g["start"], g["stop"], g["steps"]
     # A span stop - start that overflows would make the first t 0 * inf = nan.
     if not 1 <= steps <= sys.maxsize or stop < start or math.isinf(stop - start):
         raise ValidationError(f"bad time grid {grid}")
@@ -372,7 +455,7 @@ def _zeros(n: int) -> list[float]:
 
 
 def _state_factory(cfg: dict):
-    """Returns (system, state) for the configured experiment.
+    """Returns (system, state) for the experiment and params of ``cfg``.
 
     The two models evolve pure states, which the reductions take as
     amplitudes in place of the N x N state: their state is a function of an
@@ -381,26 +464,17 @@ def _state_factory(cfg: dict):
     stack that ``reduction.support`` takes. The states of ``epr`` and
     ``custom`` do not change, so their state is that state itself.
     """
-    experiment = cfg.get("experiment")
-    params = _section(cfg, "params")
+    experiment = cfg["experiment"]
+    params = _read(cfg["params"], "params", PARAMS[experiment], f" for experiment {experiment!r}")
     if experiment == "epr":
         return BipartiteSystem(2, 2), epr_state()
     if experiment == "spin_pair":
-        p = models.SpinPairParams(
-            omega=_number(params, "omega", 1.0),
-            j_coupling=_number(params, "j", 0.0),
-            c_coupling=_number(params, "c", 0.0),
-            d_coupling=_number(params, "d", 0.0),
-        )
-        phi = _number(params, "phi", 0.0)
+        p = models.SpinPairParams(omega=params["omega"], j_coupling=params["j"],
+                                  c_coupling=params["c"], d_coupling=params["d"])
         return models.SPIN_PAIR_SYSTEM, lambda ts: (
-            models.spin_pair_amplitudes(p, phi, ts).reshape(-1, 2, 2))
+            models.spin_pair_amplitudes(p, params["phi"], ts).reshape(-1, 2, 2))
     if experiment == "jcm_vacuum":
-        p = models.JcmParams(
-            omega=_number(params, "omega", 1.0),
-            rabi=_number(params, "rabi", 1.0),
-            n_max=_number(params, "n_max", 16, int),
-        )
+        p = models.JcmParams(omega=params["omega"], rabi=params["rabi"], n_max=params["n_max"])
         # Each row lists the n_max + 1 field populations, the first thing of
         # the run that grows with n_max: a field too large to list is
         # refused here, once, before the output is opened.
@@ -410,33 +484,26 @@ def _state_factory(cfg: dict):
             raise ValidationError(f"n_max={p.n_max} is too large: a row of its "
                                   f"{p.n_max + 1} field populations cannot be allocated") from None
         return models.jcm_system(p), lambda ts: models._jcm_vacuum_block(p, ts)
-    if experiment == "custom":
-        rho = _load_density(params["state"])
-        na, nb = (_finite(n, "dims", int) for n in params["dims"])
-        # Checked before anything of size na or nb is made.
-        if na * nb != rho.dim:
-            raise DimensionMismatch(
-                f"matrix shape {rho.matrix.shape} does not match composite dimension {na * nb}")
-        return BipartiteSystem(na, nb), rho
-    raise ValidationError(f"unknown experiment {experiment!r}")
-
-
-def _required(rcfg: dict, key: str):
-    if rcfg.get(key) is None:
-        raise ValidationError(f"reduction method {rcfg.get('method')!r} needs {key!r}")
-    return rcfg[key]
+    rho = _load_density(params["state"])  # custom
+    na, nb = params["dims"]
+    # Checked before anything of size na or nb is made.
+    if na * nb != rho.dim:
+        raise DimensionMismatch(
+            f"matrix shape {rho.matrix.shape} does not match composite dimension {na * nb}")
+    return BipartiteSystem(na, nb), rho
 
 
 class _Reducer(NamedTuple):
     """The reduction a config names: its ``method`` on the system ``sys``,
     with the ``weights`` (the keywords of ``reduction._weights``: sigma and
-    given_side, level or seed), ``tol`` and ``max_iter``."""
+    given_side, level or seed) and the correlated ``tol`` and ``max_iter``,
+    None for the one-shot methods, which read neither."""
 
     sys: BipartiteSystem
     method: str
-    weights: dict = {}
-    tol: float = 1e-12
-    max_iter: int = 10_000
+    weights: dict
+    tol: float | None
+    max_iter: int | None
 
     def one(self, rho) -> reduction.ReductionResult:
         """The public reduction of a state, ``reduction.<method>_reduce``."""
@@ -452,43 +519,22 @@ class _Reducer(NamedTuple):
 
 
 def _reducer(rcfg: dict, sys_: BipartiteSystem) -> _Reducer:
-    """Check a reduction config once and return the reduction it names.
+    """The reduction that the ``reduction`` section ``rcfg`` names, read
+    through ``METHOD`` and its method's ``REDUCTION`` keys.
 
     State files named by the config are read here, once; the reduction
     itself checks their shapes against the system (DimensionMismatch), and
     ``run`` checks them first.
     """
-    for key in rcfg:
-        if key not in REDUCTION_KEYS:
-            raise ValidationError(f"unknown reduction key {key!r}")
-    method = rcfg.get("method", "neumann")
-    if method == "neumann":
-        return _Reducer(sys_, method)
-    if method == "projective":
-        _required(rcfg, "level")
-        return _Reducer(sys_, method, {"level": _number(rcfg, "level", kind=int)})
-    if method == "conditioned":
-        sigma = _load_density(_required(rcfg, "state"))
-        given = rcfg.get("given_side", "beta")
-        if given not in ("alpha", "beta"):
-            raise ValidationError(f"given_side must be 'alpha' or 'beta', got {given!r}")
-        return _Reducer(sys_, method, {"sigma": sigma, "given_side": given})
-    if method == "correlated":
-        seed = rcfg.get("seed", "neumann")
-        if isinstance(seed, str) and seed.startswith("file:"):
-            seed = _load_density(seed[5:])
-        elif seed == "neumann":
-            seed = None
-        else:
-            raise ValidationError(f"seed must be 'neumann' or file:<path>, got {seed!r}")
-        tol = _number(rcfg, "tol", 1e-12)
-        max_iter = _number(rcfg, "max_iter", 10_000, int)
-        if tol <= 0:
-            raise ValidationError(f"tol must be > 0, got {tol!r}")
-        if max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-        return _Reducer(sys_, method, {"seed": seed}, tol, max_iter)
-    raise ValidationError(f"unknown reduction method {method!r}")
+    method = _read({k: v for k, v in rcfg.items() if k == "method"}, "reduction",
+                   {"method": METHOD})["method"]
+    r = _read(rcfg, "reduction", {"method": METHOD, **REDUCTION[method]}, f" for method {method!r}")
+    weights = {key: r[key] for key in ("level", "given_side") if key in r}
+    if "state" in r:
+        weights["sigma"] = _load_density(r["state"])
+    if "seed" in r:
+        weights["seed"] = None if r["seed"] == "neumann" else _load_density(r["seed"][5:])
+    return _Reducer(sys_, method, weights, r.get("tol"), r.get("max_iter"))
 
 
 def _max_coherence(m: np.ndarray) -> np.ndarray:
@@ -504,19 +550,14 @@ def _max_coherence(m: np.ndarray) -> np.ndarray:
 
 
 def cmd_run(args) -> int:
-    cfg = _object(_load_json(args.config), "config")
+    raw = _object(_load_json(args.config), "config")
     try:
-        grid = _section(cfg, "time_grid", {"start": 0.0, "stop": 0.0, "steps": 1})
+        cfg = _read(raw, "config", SECTIONS["config"])
         sys_, rho_of_t = _state_factory(cfg)
-        ts = _time_grid(grid)
-        reducer = _reducer(_section(cfg, "reduction"), sys_)
-        out_cfg = _section(cfg, "output")
-        fmt = args.format or out_cfg.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ValidationError(f"output.format must be 'csv' or 'json', got {fmt!r}")
-        path = args.out or out_cfg.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ValidationError(f"output.path must be a string, got {path!r}")
+        ts = _time_grid(cfg["time_grid"])
+        reducer = _reducer(cfg["reduction"], sys_)
+        output = _read(cfg["output"], "output", SECTIONS["output"])
+        fmt, path = args.format or output["format"], args.out or output["path"]
         # The weights on no level: a projective level's range and the shapes
         # of sigma and a seed checked against the system, before the output
         # is opened, with no matrix of the system's size built.
@@ -526,7 +567,7 @@ def cmd_run(args) -> int:
 
     # Open the output first, so an unwritable path fails before the computation.
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
-        _write_series(_series(ts, sys_, rho_of_t, reducer), cfg, fmt, out)
+        _write_series(_series(ts, sys_, rho_of_t, reducer), raw, fmt, out)
     return 0
 
 
@@ -688,7 +729,8 @@ def _write_series(rows: Iterable[dict], cfg: dict, fmt: str, out) -> None:
     for r in rows:
         if line is None:
             out.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
-            out.write(",".join(_csv_header(r)) + "\n")
+            for piece in _csv_header(r):
+                out.write(piece)
             line = _csv_line(r)
         out.write(line(r))
 
@@ -714,16 +756,23 @@ def _csv_line(first: dict) -> Callable[[dict], str]:
     return line
 
 
-def _csv_header(row: dict) -> list[str]:
-    nb = len(row.get("pop_beta", []))
-    return (
-        ["t"]
-        + [f"pop_alpha_{i}" for i in range(len(row["pop_alpha"]))]
-        + [f"pop_beta_{i}" for i in range(nb)]
-        + ["coh_alpha"]
-        + (["coh_beta"] if nb else [])
-        + ["reconstruction_error", "verdict", "iterations"]
+def _csv_header(row: dict) -> Iterator[str]:
+    """The CSV header line of a series whose first row is ``row``, in pieces
+    of up to 1,024 names each, so that a wide run (8,200 columns at n_max =
+    4096) holds no list of one name per column."""
+    nb = len(row.get("pop_beta", ()))
+    names = itertools.chain(
+        ["t"],
+        (f"pop_alpha_{i}" for i in range(len(row["pop_alpha"]))),
+        (f"pop_beta_{i}" for i in range(nb)),
+        ["coh_alpha"] + (["coh_beta"] if nb else []),
+        ["reconstruction_error", "verdict", "iterations"],
     )
+    piece = ",".join(itertools.islice(names, 1024))
+    while piece:
+        following = ",".join(itertools.islice(names, 1024))
+        yield piece + ("," if following else "\n")
+        piece = following
 
 
 # ---------------------------------------------------------------- reduce
@@ -731,15 +780,10 @@ def _csv_header(row: dict) -> list[str]:
 
 def cmd_reduce(args) -> int:
     rho = _load_density(args.state)
-    rcfg = {
-        "method": args.method,
-        "level": args.level,
-        "state": args.sigma,
-        "given_side": args.given_side,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "seed": args.seed,
-    }
+    # The flags that the method reads, by their reduction keys (--sigma is
+    # "state"); a flag left out takes the key's default.
+    flags = {**vars(args), "state": args.sigma}
+    rcfg = {key: flags[key] for key in ("method", *REDUCTION[args.method]) if flags[key] is not None}
     out = _reducer(rcfg, BipartiteSystem(args.dims[0], args.dims[1])).one(rho)
     print(_dumps(out._to_json(mc._matrix_fields)))
     return 0
@@ -749,10 +793,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    flags = ("theta", "phi", "c", "t", "omega", "tol")
-    theta, phi, c, t, omega, tol = (_finite(getattr(args, f), f"--{f}") for f in flags)
-    if tol <= 0:
-        raise ValidationError(f"--tol must be > 0, got {tol!r}")
+    flags = ("theta", "phi", "c", "t", "omega")
+    theta, phi, c, t, omega = (_finite(getattr(args, f), f"--{f}") for f in flags)
+    tol = _positive(args.tol, "--tol")
     if args.kind == "epr":
         ens = ensembles.epr_decomposition(theta)
         target = epr_state()
@@ -815,17 +858,13 @@ def _run_arguments(p: argparse.ArgumentParser) -> None:
 def _reduce_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("state", help="density matrix JSON file")
     p.add_argument("--dims", type=int, nargs=2, required=True, metavar=("NA", "NB"))
-    p.add_argument(
-        "--method",
-        choices=["neumann", "projective", "conditioned", "correlated"],
-        default="neumann",
-    )
+    p.add_argument("--method", choices=list(REDUCTION), default=METHOD[1])
     p.add_argument("--level", type=int, default=0, help="projective level index")
     p.add_argument("--sigma", help="conditioning state file")
-    p.add_argument("--given-side", choices=["alpha", "beta"], default="beta")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=10_000)
-    p.add_argument("--seed", default="neumann", help="'neumann' or file:<path>")
+    p.add_argument("--given-side", choices=["alpha", "beta"])
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--seed", help="'neumann' or file:<path>")
     p.set_defaults(func=cmd_reduce)
 
 

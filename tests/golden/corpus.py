@@ -20,11 +20,13 @@ import contextlib
 import io
 import json
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from corred import cli
+from corred.states import DensityMatrix, epr_state
 
 HERE = Path(__file__).resolve().parent
 STATES = HERE / "states"
@@ -174,8 +176,6 @@ CASES = {
 
 def _states() -> dict:
     """The state files of the corpus, as ``DensityMatrix.to_json`` writes them."""
-    from corred.states import DensityMatrix, epr_state
-
     rng = np.random.default_rng(26)
 
     def wishart(n):
@@ -190,8 +190,6 @@ def _states() -> dict:
 def record(name: str, workdir: Path) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of case ``name`` run in process in
     ``workdir``, with the path of ``workdir`` written "{dir}"."""
-    from corred import cli
-
     cfg, argv = CASES[name]
     for path in STATES.glob("*.json"):
         shutil.copy(path, workdir / path.name)
@@ -224,4 +222,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import gc
 import io
+import itertools
 import json
 import logging
 import math
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corred
@@ -778,6 +779,18 @@ _cells = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, math.nan, math.inf])
 
 
+@pytest.mark.parametrize("na,nb", [(2, 0), (3, 0), (2, 17), (2, 1016), (2, 1017), (2, 4097)])
+def test_csv_header_is_the_joined_column_names(na, nb):
+    # 1,024 columns (na 2, nb 1016) are one piece, 1,025 two; n_max = 4096 is 8,200 columns.
+    row = {"pop_alpha": [0.0] * na, **({"pop_beta": [0.0] * nb} if nb else {})}
+    names = ["t", *(f"pop_alpha_{i}" for i in range(na)), *(f"pop_beta_{i}" for i in range(nb)),
+             "coh_alpha", *(["coh_beta"] if nb else []), "reconstruction_error", "verdict",
+             "iterations"]
+    pieces = list(cli._csv_header(row))
+    assert "".join(pieces) == ",".join(names) + "\n"
+    assert len(pieces) == -(-len(names) // 1024)
+
+
 @st.composite
 def series_rows(draw):
     """Rows of one series: the populations of na (and nb) levels, any floats."""
@@ -1076,7 +1089,6 @@ JSON_OUTPUT_CASES = [
             "params": {"omega": 1.0, "rabi": 1.0, "n_max": 3},
             "time_grid": {"start": 0.0, "stop": 3.0, "steps": 4},
             "reduction": {"method": "correlated"},
-            "note": ["a, b", "[[", "]]", {"x": [[1, -0.0], [1e300, 5e-324]], "y": []}],
         },
         ["run", "--format", "json"],
     ),
@@ -1126,6 +1138,7 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(JSON_VALUES)
+@example(["a, b", "[[", "]]", {"x": [[1, -0.0], [1e300, 5e-324]], "y": []}])
 def test_dumps_matches_stdlib_encoder(value):
     assert_same_text(cli._dumps(value), json.dumps(value, indent=2))
 
@@ -1203,33 +1216,28 @@ def test_matrix_block_matches_stdlib_encoder(m):
                                                                    indent=2)
 
 
-def test_run_json_writes_back_any_config_it_reads(tmp_path, capsys):
-    # The stdlib's indented encoder takes one Python frame per nesting level;
-    # whatever config depth json.load reads, run --format json writes it back.
-    def run(depth: int):
+def test_run_refuses_an_unknown_key_at_any_depth(tmp_path, capsys):
+    # A config that json.load reads is refused for its unknown key, however
+    # deep the key's value nests; one nested deeper than json.load reads is
+    # invalid JSON. Either way the run exits 2 with one error line.
+    def run(depth: int) -> str:
         note = "[" * depth + '{"a": [[1.5, -0.0]], "b": "x"}' + "]" * depth
         path = tmp_path / "config.json"
         path.write_text('{"experiment": "epr", "note": ' + note + "}")
         code = cli.main(["run", "--config", str(path), "--format", "json"])
-        return code, capsys.readouterr()
+        out, err = capsys.readouterr()
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        return err
 
+    unknown = "error: unknown config key 'note'\n"
     readable, unreadable = 0, sys.getrecursionlimit()
+    assert run(readable) == unknown
     while unreadable - readable > 1:
         depth = (readable + unreadable) // 2
-        code, _ = run(depth)
-        assert code in (0, 2)
-        readable, unreadable = (depth, unreadable) if code == 0 else (readable, depth)
-    code, captured = run(unreadable)
-    assert code == 2
-    assert captured.err.startswith("error: invalid JSON in ") and "recursion" in captured.err
-    code, captured = run(readable)
-    assert code == 0
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 200)  # for the stdlib's own encoder below
-    try:
-        assert_same_text(captured.out, json.dumps(json.loads(captured.out), indent=2) + "\n")
-    finally:
-        sys.setrecursionlimit(limit)
+        readable, unreadable = (depth, unreadable) if run(depth) == unknown else (readable, depth)
+    assert run(readable) == unknown
+    err = run(unreadable)
+    assert err.startswith("error: invalid JSON in ") and "recursion" in err
 
 
 README_CONFIG = {
@@ -1642,6 +1650,32 @@ def write_text(path: Path, text: str | bytes) -> None:
 
 OVERFLOW_GRID = '{"experiment": %s, "time_grid": {"start": 0, "stop": 10, "steps": 11}}'
 SPAN_OVERFLOW_GRID = '{"experiment": %s, "time_grid": {"start": -1e308, "stop": 1e308, "steps": 3}}'
+# Keys that the table does not list where they stand, and an output.format
+# that --format overrides: each exits 2 with one error line that names the
+# key, before the output file is opened. name -> (config, flags, message)
+KEY_ERRORS = {
+    "n_mx": ('{"experiment": "jcm_vacuum", "params": {"n_mx": 64}}', [],
+             "unknown params key 'n_mx' for experiment 'jcm_vacuum'"),
+    "time_gird": ('{"experiment": "jcm_vacuum", "time_gird": {"start": 0, "stop": 10, "steps": 200}}',
+                  [], "unknown config key 'time_gird'"),
+    "c_coupling": ('{"experiment": "spin_pair", "params": {"c_coupling": 1.0}}', [],
+                   "unknown params key 'c_coupling' for experiment 'spin_pair'"),
+    "fromat": ('{"experiment": "epr", "output": {"fromat": "json"}}', [],
+               "unknown output key 'fromat'"),
+    "spin-pair-n_max": ('{"experiment": "spin_pair", "params": {"n_max": 4}}', [],
+                        "unknown params key 'n_max' for experiment 'spin_pair'"),
+    "neumann-tol": ('{"experiment": "epr", "reduction": {"method": "neumann", "tol": 1e-9}}', [],
+                    "unknown reduction key 'tol' for method 'neumann'"),
+    "epr-params": ('{"experiment": "epr", "params": {"omega": 1.0}}', [],
+                   "unknown params key 'omega' for experiment 'epr'"),
+    "format-under-flag": ('{"experiment": "epr", "output": {"format": "xml"}}', ["--format", "csv"],
+                          "output.format must be 'csv' or 'json', got 'xml'"),
+    # Four mistakes in one config: the first key read names the first.
+    "four-mistakes": ('{"experiment": "spin_pair", "params": {"c_coupling": 1.0},'
+                      ' "reduction": {"method": "neumann", "tol": 1e-9},'
+                      ' "output": {"fromat": "json"}, "notes": "x"}', [],
+                      "unknown config key 'notes'"),
+}
 EXIT_CASES = [
     ("ok", '{"experiment": "epr"}', RUN, 0),
     ("params-list", '{"experiment": "spin_pair", "params": [1, 2]}', RUN, 2),
@@ -1844,6 +1878,8 @@ EXIT_CASES = [
         ("run-state-shape", '{"method": "conditioned", "state": "{dir}/beta1.json"}'),
         ("run-seed-shape", '{"method": "correlated", "seed": "file:{dir}/product.json"}'),
     ]],
+    *[(f"key-{name}", config, [*RUN, "--out", "{dir}/out.csv", *flags], 2)
+      for name, (config, flags, _) in KEY_ERRORS.items()],
 ]
 SETTINGS_ERRORS = {
     "run-level-out-of-range": "level 5 outside [0, 4)",
@@ -1912,6 +1948,14 @@ def test_reduction_settings_are_refused_before_the_output_is_opened(tmp_path, ca
     _, config, argv, _ = next(case for case in EXIT_CASES if case[0] == name)
     _, err = run_exit_case(tmp_path, capsys, config, argv)
     assert err == f"error: {SETTINGS_ERRORS[name]}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("name", KEY_ERRORS)
+def test_a_key_error_is_refused_before_the_output_is_opened(tmp_path, capsys, name):
+    _, config, argv, _ = next(case for case in EXIT_CASES if case[0] == f"key-{name}")
+    _, err = run_exit_case(tmp_path, capsys, config, argv)
+    assert err == f"error: {KEY_ERRORS[name][2]}\n"
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -1987,6 +2031,128 @@ def test_state_files_are_read_as_utf8_in_an_ascii_locale(tmp_path, command):
         assert "Traceback" not in proc.stderr
         codes[name] = proc.returncode
     assert codes == {"note": 0, "not-utf8": 2}
+
+
+@pytest.fixture(scope="module")
+def mutation_files(tmp_path_factory):
+    """A 2 x 2 custom state, a 2 x 2 conditioning state and seed, and an output path."""
+    d = tmp_path_factory.mktemp("mutations")
+    rng = np.random.default_rng(7)
+    return {"custom": write_state(d, "custom.json", random_density(rng, 4)),
+            "sigma": write_state(d, "sigma.json", random_density(rng, 2)),
+            "seed": "file:" + write_state(d, "seed.json", random_density(rng, 2)),
+            "out": str(d / "out.txt")}
+
+
+# A valid value of each config key by section, besides the experiment and
+# method, small: n_max, steps and dims at most 8. "{name}" stands for the
+# file ``name`` of mutation_files.
+SMALL = st.floats(-2.0, 2.0)
+CONFIG_VALUES = {
+    "params": {"omega": SMALL, "j": SMALL, "c": SMALL, "d": SMALL, "phi": SMALL, "rabi": SMALL,
+               "n_max": st.integers(1, 8), "state": st.just("{custom}"), "dims": st.just([2, 2])},
+    "time_grid": {"start": st.floats(0.0, 1.0), "stop": st.floats(1.0, 3.0),
+                  "steps": st.integers(1, 8)},
+    "reduction": {"level": st.integers(0, 3),
+                  "state": st.just("{sigma}"), "given_side": st.sampled_from(["alpha", "beta"]),
+                  "tol": st.floats(1e-12, 1e-3), "max_iter": st.integers(1, 50),
+                  "seed": st.sampled_from(["neumann", "{seed}"])},
+    "output": {"format": st.sampled_from(["csv", "json"]), "path": st.sampled_from([None, "{out}"])},
+}
+# Values of another kind than a key's; "{out}.x" names a file that does not exist.
+SWAPPED = st.sampled_from(["{out}.x", "", True, None, [1], {"k": 1}, -1, 0, 0.5, math.nan, math.inf])
+ALL_KEYS = sorted({*cli.SECTIONS["config"], "method",
+                   *(key for keys in CONFIG_VALUES.values() for key in keys)})
+
+
+def test_config_values_cover_the_table():
+    keys = {"params": set().union(*cli.PARAMS.values()),
+            "reduction": set().union(*cli.REDUCTION.values()),
+            "time_grid": set(cli.SECTIONS["time_grid"]), "output": set(cli.SECTIONS["output"])}
+    assert keys == {section: set(values) for section, values in CONFIG_VALUES.items()}
+
+
+@st.composite
+def mutated_configs(draw):
+    """(config, mutation, key): a valid config drawn from the table, with
+    each optional key and section present or not, then one mutation: an
+    unknown or misplaced key, a null or a value of another kind."""
+    experiment = draw(st.sampled_from(list(cli.PARAMS)))
+    method = draw(st.sampled_from(list(cli.REDUCTION)))
+
+    def section(name: str, keys: dict) -> dict:
+        return {key: draw(CONFIG_VALUES[name][key]) for key, (_, default) in keys.items()
+                if default is cli.REQUIRED or draw(st.booleans())}
+
+    cfg = {"experiment": experiment, "params": section("params", cli.PARAMS[experiment]),
+           "time_grid": section("time_grid", cli.SECTIONS["time_grid"]),
+           "reduction": {"method": method, **section("reduction", cli.REDUCTION[method])},
+           "output": section("output", cli.SECTIONS["output"])}
+    for name in ("params", "time_grid", "reduction", "output"):
+        if not cfg[name] and draw(st.booleans()):
+            del cfg[name]
+    tables = {"config": cli.SECTIONS["config"], "params": cli.PARAMS[experiment],
+              "time_grid": cli.SECTIONS["time_grid"],
+              "reduction": {"method": cli.METHOD, **cli.REDUCTION[method]},
+              "output": cli.SECTIONS["output"]}
+    where = draw(st.sampled_from(["config", *(name for name in tables if name in cfg)]))
+    target, listed = (cfg if where == "config" else cfg[where]), tables[where]
+    mutation = draw(st.sampled_from(["unknown", "misplaced", "null", "swap", "none"]))
+    key = None
+    if mutation in ("unknown", "misplaced"):
+        names = (st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10)
+                 if mutation == "unknown" else st.sampled_from(ALL_KEYS))
+        key = draw(names.filter(lambda k: k not in listed))
+        target[key] = draw(SMALL)
+    elif mutation in ("null", "swap") and target:
+        key = draw(st.sampled_from(sorted(target)))
+        target[key] = None if mutation == "null" else draw(SWAPPED)
+    return cfg, mutation, key
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_configs())
+def test_a_mutated_config_keeps_the_exit_code_contract(mutation_files, case):
+    cfg, mutation, key = case
+    text = json.dumps(cfg)
+    for name, path in mutation_files.items():
+        text = text.replace("{%s}" % name, path)
+    config = Path(mutation_files["out"]).with_name("config.json")
+    config.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--config", str(config)])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+    if mutation in ("unknown", "misplaced"):
+        assert code == 2 and f" key {key!r}" in err.getvalue()
+
+
+def readme_config_table() -> dict:
+    """(section, for) -> [(key, default)] from README's table of config keys."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| section | for | keys (default) |")
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        section, chosen, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[section.strip("`"), chosen.strip("`")] = re.findall(r"`(\w+)` \(([^)]*)\)", keys)
+    return rows
+
+
+def test_readme_lists_the_config_table():
+    def listed(keys: dict) -> list:
+        return [(key, "required" if default is cli.REQUIRED else json.dumps(default))
+                for key, (_, default) in keys.items()]
+
+    assert readme_config_table() == {
+        ("top level", ""): listed(cli.SECTIONS["config"]),
+        **{("params", name): listed(keys) for name, keys in cli.PARAMS.items()},
+        ("time_grid", ""): listed(cli.SECTIONS["time_grid"]),
+        ("reduction", "every method"): listed({"method": cli.METHOD}),
+        **{("reduction", name): listed(keys) for name, keys in cli.REDUCTION.items()},
+        ("output", ""): listed(cli.SECTIONS["output"]),
+    }
 
 
 def test_huge_custom_dims_name_the_mismatch(tmp_path, capsys):

@@ -30,7 +30,8 @@ def ulps(a: float, b: float) -> int:
 
 def differences(got: str, want: str) -> list[str]:
     """Each differing cell of two texts, line by line, with its ulp distance
-    where both cells read as floats."""
+    where both cells read as floats; a line whose cells do not pair up is
+    named whole."""
     lines = []
     got_lines, want_lines = got.splitlines(), want.splitlines()
     if len(got_lines) != len(want_lines):
@@ -38,11 +39,12 @@ def differences(got: str, want: str) -> list[str]:
     for number, (g, w) in enumerate(zip(got_lines, want_lines), 1):
         if g == w:
             continue
-        cells = list(zip(CELL.findall(g), CELL.findall(w)))
-        found = [(a, b) for a, b in cells if a != b]
-        if not found:
+        got_cells, want_cells = CELL.findall(g), CELL.findall(w)
+        cells = [(a, b) for a, b in zip(got_cells, want_cells) if a != b]
+        if len(got_cells) != len(want_cells) or not cells:
             lines.append(f"line {number}: {g!r} != {w!r}")
-        for a, b in found:
+            continue
+        for a, b in cells:
             try:
                 distance = f"{ulps(float(a), float(b))} ulp"
             except ValueError:
@@ -76,10 +78,12 @@ def test_ulps(a, b, distance):
 
 
 def test_differences_name_each_cell():
-    got = "t,pop\n0.5,1\n[\"x\", 2]\n"
-    want = "t,pop\n0.5000000000000001,1\n[\"y\", 2]\nextra\n"
+    got = "t,pop\n0.5,1\n[\"x\", 2]\nerror: a b\n1,2\n"
+    want = "t,pop\n0.5000000000000001,1\n[\"y\", 2]\nerror: a\n1, 2\nextra\n"
     assert differences(got, want) == [
-        "3 lines, want 4",
+        "5 lines, want 6",
         "line 2: 0.5 != 0.5000000000000001 (1 ulp)",
         'line 3: "x" != "y" (not numbers)',
+        "line 4: 'error: a b' != 'error: a'",
+        "line 5: '1,2' != '1, 2'",
     ]
