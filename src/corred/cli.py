@@ -89,14 +89,16 @@ EXIT_IO = 4
 #: chunk is cut to its support and the kernels' temporaries grow with it:
 #: ``reduction.reduce_stack`` peaks about 0.7 KB per state above its entry
 #: (14.7, 26.2 and 49.3 KB at K = 16, 32 and 64 on the README config, in
-#: process). One ``bench/run.py --seed 0 --seconds 6 --trace 0`` run per
-#: cell on a 2-core host gave run_s (ms) / peak_mem_mb at K = 8, 16 and 32:
-#: ``jcm_n16_correlated`` 13.5/0.0904, 9.5/0.0914, 7.2/0.1044;
-#: ``jcm_n256_neumann`` 2.93/0.1381, 2.77/0.1546, 3.19/0.1549;
-#: ``spin_pair_correlated`` 12.9/0.0881, 9.5/0.0923, 7.0/0.1029. K = 32
-#: would cost 10 to 15 % more peak memory than 16, over the benchmark's
-#: 10 % bound.
-CHUNK = 16
+#: process). Medians of 3 to 5 ``bench/run.py --seed 0 --seconds 5 --trace 0``
+#: runs per cell on a 2-core host, run_s (ms) / peak_mem_mb (KB) at K = 16,
+#: 32 and 48, with ``main``'s parser freed before the first chunk:
+#: ``jcm_n16_correlated`` 7.2/55.9, 5.3/68.9, 5.1/79.0;
+#: ``spin_pair_correlated`` 7.7/57.1, 5.8/68.0, 5.2/80.7;
+#: ``jcm_n256_neumann`` (one chunk of 10 points) 2.1/51.9, 2.0/52.1, 2.1/51.8.
+#: With the parser held through the first chunk, K = 16 peaks at 70.2 and
+#: 71.3 KB on the first two. K = 32 fits under that; K = 48 is 12 to 13 %
+#: above it, over the benchmark's 10 % bound, for a gain that flattens.
+CHUNK = 32
 
 log = logging.getLogger("corred")
 
@@ -377,7 +379,8 @@ def _read(obj: dict, section: str, keys: dict, chosen: str = "") -> dict:
 
 def _load_density(path: str, validation: str | None = None) -> DensityMatrix:
     """The state in a state file, validated at its own level (as
-    ``DensityMatrix.from_json`` reads it) or at ``validation``.
+    ``DensityMatrix.from_json`` reads it) or at ``validation``. Every
+    refusal names ``path``.
 
     A state file parses into one [re, im] list per entry, 264,196 lists for
     a 514 x 514 state. The collector stays paused until that tree has been
@@ -397,11 +400,14 @@ def _load_density(path: str, validation: str | None = None) -> DensityMatrix:
 
 @contextlib.contextmanager
 def _bad_state_file(path: str):
-    """An error of a malformed state file raised meanwhile as a ``ValidationError``."""
+    """An error of a malformed state file, or of a matrix that is no state,
+    raised meanwhile as a ``ValidationError`` that names ``path``."""
     try:
         yield
     except KeyError as exc:
         raise ValidationError(f"{path}: state file lacks key {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     except (DimensionMismatch, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: bad state file: {exc}") from exc
 
@@ -828,7 +834,8 @@ def cmd_validate(args) -> int:
     try:
         dm = _load_density(args.state, "relaxed")
         if args.level == "strict":
-            dm._check_positive()
+            with _bad_state_file(args.state):
+                dm._check_positive()
     except ValidationError as exc:
         print(json.dumps({"valid": False, "reason": str(exc)}))
         return EXIT_CONFIG
@@ -911,8 +918,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     command's name to that command's subparser alone, so parsing a command
     line whose first token is ``command`` gives the same result with either
     parser. The one with only that command's arguments takes 24 to 32 KB
-    in place of 47 KB (tracemalloc), and argparse's back-references keep a
-    parser alive until the cyclic garbage collector runs.
+    in place of 47 KB (tracemalloc). argparse's back-references make a
+    parser a reference cycle, which only the cyclic garbage collector frees:
+    made with the collector on, it is promoted to an older generation while
+    it is built and outlives its parse until that generation is collected,
+    so ``main`` makes and uses it with the collector paused and then
+    collects the youngest generation, where it still is.
     """
     parser = argparse.ArgumentParser(
         prog="corred",
@@ -945,7 +956,11 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     _setup_logging()
     argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # The parser is garbage once it has parsed, and one collection of the
+    # youngest generation (about 0.04 ms) frees it before the command runs.
+    with _collector_paused():
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+    gc.collect(0)
     try:
         return args.func(args)
     except OSError as exc:

@@ -93,7 +93,7 @@ NORM_TOL = max(POSITIVITY_TOL, 1e-12)
 #: Most entries of rho's (Na, Nb, Na, Nb) view, over all states of a stack,
 #: that ``_reconstruction_error`` compares in one block of alpha rows; so no
 #: N x N temporary. A block holds at least one alpha row of every state of a
-#: stack, so a chunk's block can exceed it: 128 entries on a 16-state 2 x 2
+#: stack, so a chunk's block can exceed it: 256 entries on a 32-state 2 x 2
 #: chunk. A block's broadcast products also take numpy buffers of about
 #: three times its size. At 64 a chunk of ``corred run`` (8 or more states
 #: on a 2 x 2 support) takes a block per row and keeps ``peak_mem_mb`` near

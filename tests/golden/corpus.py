@@ -70,6 +70,12 @@ RUN_CASES = {
     **_run_cases(),
     "run-readme-20-steps": (_jcm({"method": "correlated", "tol": 1e-12, "max_iter": 10000},
                                  {"start": 0.0, "stop": 10.0, "steps": 20}, 16), None),
+    # Grids that span several chunks of cli.CHUNK points, the last one short.
+    "run-readme-40-steps": (_jcm({"method": "correlated", "tol": 1e-12, "max_iter": 10000},
+                                 {"start": 0.0, "stop": 10.0, "steps": 40}, 16), None),
+    "run-spin-pair-40-steps": ({"experiment": "spin_pair", "params": EXPERIMENTS["spin_pair"][0],
+                                "time_grid": {"start": 0.0, "stop": 10.0, "steps": 40},
+                                "reduction": {"method": "correlated"}}, None),
     "run-jcm-file-seed": (_jcm({"method": "correlated", "seed": "file:{dir}/sigma2.json"}), None),
     "run-jcm-conditioned-alpha": (_jcm({"method": "conditioned", "state": "{dir}/sigma2.json",
                                         "given_side": "alpha"}), None),
@@ -160,6 +166,18 @@ ARGV_CASES = {
     "reduce-refused-no-sigma": [*CUSTOM, "--method", "conditioned"],
     "reduce-refused-seed": [*CUSTOM, "--method", "correlated", "--seed", "partial"],
     "reduce-refused-level": [*CUSTOM, "--method", "projective", "--level", "3"],
+    "reduce-refused-dims-zero-alpha": ["reduce", "{dir}/epr.json", "--dims", "0", "4"],
+    "reduce-refused-dims-zero-beta": ["reduce", "{dir}/epr.json", "--dims", "4", "0"],
+    # State files that parse but hold no state, as the state, sigma or seed.
+    "reduce-refused-entry-not-pair": ["reduce", "{dir}/entry-not-pair.json", "--dims", "2", "2"],
+    "reduce-refused-not-square": ["reduce", "{dir}/not-square.json", "--dims", "2", "2"],
+    "reduce-refused-sigma-not-hermitian": [*REDUCE, "--method", "conditioned", "--sigma",
+                                           "{dir}/not-hermitian.json"],
+    "reduce-refused-seed-not-hermitian": [*REDUCE, "--method", "correlated", "--seed",
+                                          "file:{dir}/not-hermitian.json"],
+    "validate-refused-entry-not-pair": ["validate", "{dir}/entry-not-pair.json"],
+    "validate-refused-not-square": ["validate", "{dir}/not-square.json"],
+    "validate-refused-not-hermitian": ["validate", "{dir}/not-hermitian.json"],
     "validate-custom": ["validate", "{dir}/custom23.json"],
     "decompose-spin-pair-t": ["decompose", "spin_pair_t", "--phi", "0.3", "--c", "0.7", "--t", "0.4"],
 }
@@ -175,7 +193,8 @@ CASES = {
 
 
 def _states() -> dict:
-    """The state files of the corpus, as ``DensityMatrix.to_json`` writes them."""
+    """The state files of the corpus: states as ``DensityMatrix.to_json``
+    writes them, and three files that parse but hold no state."""
     rng = np.random.default_rng(26)
 
     def wishart(n):
@@ -183,8 +202,12 @@ def _states() -> dict:
         m = g @ g.conj().T
         return DensityMatrix(m / np.trace(m).real).to_json()
 
+    half = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
     return {"epr": epr_state().to_json(), "sigma2": wishart(2), "sigma3": wishart(3),
-            "sigma4": wishart(4), "custom23": wishart(6)}
+            "sigma4": wishart(4), "custom23": wishart(6),
+            "entry-not-pair": {"rows": 2, "cols": 2, "data": [*half[:3], [0.5]]},
+            "not-square": {"rows": 1, "cols": 4, "data": half},
+            "not-hermitian": {"rows": 2, "cols": 2, "data": [half[0], [0.25, 0.0], *half[2:]]}}
 
 
 def record(name: str, workdir: Path) -> tuple[int, str, str]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import gc
@@ -12,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -1546,7 +1548,7 @@ class TestValidate:
         path.write_text(json.dumps(mc.matrix_to_json(m)))
         assert cli.main(["validate", str(path)]) == 2
         obj = json.loads(capsys.readouterr().out)
-        assert obj["reason"] == "density matrix has non-finite entries"
+        assert obj["reason"] == f"{path}: density matrix has non-finite entries"
 
     def test_non_object_state_reported_invalid(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -1595,7 +1597,7 @@ class TestValidate:
         refused = level == "strict" and min(diagonal) < 0
         with pytest.raises(ValidationError) if refused else contextlib.nullcontext() as exc:
             dm = DensityMatrix(m, level)
-        want = ({"valid": False, "reason": str(exc.value)} if refused else
+        want = ({"valid": False, "reason": f"{path}: {exc.value}"} if refused else
                 {"valid": True, "dim": 2, "min_eigenvalue": dm.min_eigenvalue, "purity": dm.purity()})
         calls = []
         for name in ("cholesky", "eigvalsh"):
@@ -1624,12 +1626,17 @@ RUN = ["run", "--config", "{cfg}"]
 PRODUCT = ["{dir}/product.json", "--dims", "2", "2"]
 DECOMPOSE = ["decompose", "spin_pair_t"]
 # State files whose rows and cols are no integer (I/2 read as 2 x 2, or [1]
-# read as 1 x 1, if they were truncated), and one whose 2.0 is an integer.
+# read as 1 x 1, if they were truncated), and one whose 2.0 is an integer;
+# then files that parse but hold no state: a data entry that is no [re, im]
+# pair, a 1 x 4 matrix and a matrix that is not hermitian.
 HALF = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
 SIZE_FILES = {
     "size-fractional": {"rows": 2.5, "cols": 2.5, "data": HALF},
     "size-bool": {"rows": True, "cols": True, "data": [[1.0, 0.0]]},
     "size-integral-float": {"rows": 2.0, "cols": 2.0, "data": HALF},
+    "entry-not-pair": {"rows": 2, "cols": 2, "data": [*HALF[:3], [0.5]]},
+    "not-square": {"rows": 1, "cols": 4, "data": HALF},
+    "not-hermitian": {"rows": 2, "cols": 2, "data": [HALF[0], [0.25, 0.0], *HALF[2:]]},
 }
 # State files that json.load reads but no float holds (an integer of 401
 # digits), or that json.load cannot read for their nesting depth or encoding.
@@ -1844,6 +1851,31 @@ EXIT_CASES = [
         2,
     ),
     ("reduce-deep", "{}", ["reduce", "{dir}/deep.json", "--dims", "1", "1"], 2),
+    # Refusals of a state file that parses (STATE_ERRORS), and of dims < 1.
+    ("reduce-entry-not-pair", "{}", ["reduce", "{dir}/entry-not-pair.json", "--dims", "2", "2"], 2),
+    ("validate-entry-not-pair", "{}", ["validate", "{dir}/entry-not-pair.json"], 2),
+    ("reduce-not-square", "{}", ["reduce", "{dir}/not-square.json", "--dims", "2", "2"], 2),
+    ("validate-not-square", "{}", ["validate", "{dir}/not-square.json"], 2),
+    (
+        "sigma-not-hermitian",
+        "{}",
+        ["reduce", *PRODUCT, "--method", "conditioned", "--sigma", "{dir}/not-hermitian.json"],
+        2,
+    ),
+    (
+        "seed-not-hermitian",
+        "{}",
+        ["reduce", *PRODUCT, "--method", "correlated", "--seed", "file:{dir}/not-hermitian.json"],
+        2,
+    ),
+    (
+        "custom-not-hermitian",
+        '{"experiment": "custom", "params": {"state": "{dir}/not-hermitian.json", "dims": [2, 1]}}',
+        RUN,
+        2,
+    ),
+    ("reduce-dims-zero-alpha", "{}", ["reduce", "{dir}/product.json", "--dims", "0", "4"], 2),
+    ("reduce-dims-zero-beta", "{}", ["reduce", "{dir}/product.json", "--dims", "4", "0"], 2),
     ("reduce-data-bool", "{}", ["reduce", "{dir}/data-bool.json", "--dims", "2", "1"], 2),
     ("validate-data-bool", "{}", ["validate", "{dir}/data-bool.json"], 2),
     ("reduce-not-utf8", "{}", ["reduce", "{dir}/not-utf8.json", "--dims", "2", "2"], 2),
@@ -1881,6 +1913,14 @@ EXIT_CASES = [
     *[(f"key-{name}", config, [*RUN, "--out", "{dir}/out.csv", *flags], 2)
       for name, (config, flags, _) in KEY_ERRORS.items()],
 ]
+# The error line of each refused state file, which names the file.
+STATE_ERRORS = {
+    "reduce-entry-not-pair": "{dir}/entry-not-pair.json: bad state file: "
+                             "data entries must be [re, im] pairs",
+    "reduce-not-square": "{dir}/not-square.json: density matrix must be square, got (1, 4)",
+    **{f"{name}-not-hermitian": "{dir}/not-hermitian.json: density matrix is not hermitian "
+                                "within tolerance" for name in ("sigma", "seed", "custom")},
+}
 SETTINGS_ERRORS = {
     "run-level-out-of-range": "level 5 outside [0, 4)",
     "run-state-shape": "matrix shape (2, 2) does not match dim_beta=4",
@@ -1949,6 +1989,13 @@ def test_reduction_settings_are_refused_before_the_output_is_opened(tmp_path, ca
     _, err = run_exit_case(tmp_path, capsys, config, argv)
     assert err == f"error: {SETTINGS_ERRORS[name]}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("name", STATE_ERRORS)
+def test_a_refused_state_file_is_named(tmp_path, capsys, name):
+    _, config, argv, _ = next(case for case in EXIT_CASES if case[0] == name)
+    _, err = run_exit_case(tmp_path, capsys, config, argv)
+    assert err == f"error: {STATE_ERRORS[name]}\n".replace("{dir}", str(tmp_path))
 
 
 @pytest.mark.parametrize("name", KEY_ERRORS)
@@ -2304,6 +2351,47 @@ def test_main_adds_only_the_invoked_commands_arguments(monkeypatch):
     with pytest.raises(SystemExit):
         cli.main(["bogus"])
     assert added == ["decompose", *cli.COMMANDS]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, code", [
+    (["decompose", "epr"], 0), (["decompose", "--bogus"], 2), (["decompose", "--help"], 0),
+], ids=["command", "usage-error", "help"])
+def test_main_frees_its_parsers_before_the_command_runs(monkeypatch, capsys, enabled, argv, code):
+    # A parser is a reference cycle, which only the cyclic collector frees.
+    # Every parser that main makes is gone when the command function starts,
+    # and the collector is on or off after main as it was before, also
+    # where argparse exits. The youngest generation is collected at every
+    # allocation and no older one ever, so a parser made with the collector
+    # on would be promoted while it is made and outlive main.
+    made, alive = [], []
+    init = argparse.ArgumentParser.__init__
+
+    def record(self, *args, **kwargs):
+        made.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    def command(args):
+        alive.extend(ref for ref in made if ref() is not None)
+        return 0
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
+    monkeypatch.setattr(cli, "cmd_decompose", command)
+    was, thresholds = gc.isenabled(), gc.get_threshold()
+    (gc.enable if enabled else gc.disable)()
+    gc.set_threshold(1, 10**9, 10**9)
+    try:
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error or help
+            got = exc.code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.set_threshold(*thresholds)
+        (gc.enable if was else gc.disable)()
+    assert got == code
+    assert len(made) == 1 + len(cli.COMMANDS)
+    assert alive == []
 
 
 @pytest.mark.parametrize("command", [[], *([name] for name in cli.COMMANDS)], ids=str)

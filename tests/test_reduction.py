@@ -472,6 +472,22 @@ class TestClosedFormStart:
         with pytest.raises(DegenerateOverlap):
             red.correlated_reduce(rho, SYS22)
 
+    def test_a_degenerate_certified_start_falls_back_and_the_loop_ends_degenerate(self, caplog):
+        # A relaxed rho (trace 1, not positive) whose certified top vector
+        # diag(1, 0) has an overlap denominator of exactly 0, so the loop
+        # starts at the seed; from there each sweep's denominator shrinks,
+        # three of them below the warning threshold, until one is degenerate.
+        rho, seed = np.diag([2.0, -2.0, 0.5, 0.5]), np.diag([0.5, 0.5])
+        with pytest.raises(DegenerateOverlap, match=r"overlap denominator 0\.000e\+00"):
+            red._condition(rho, SYS22, np.diag([1.0, 0.0]), "alpha")
+        with caplog.at_level(logging.WARNING, logger="corred"):
+            rep = red.correlated_reduce(rho, SYS22, seed=seed)
+        assert rep.verdict == "degenerate"
+        assert rep.iterations == len(rep.residuals) == 12
+        assert rep.warnings == [f"near-degenerate overlap denominator {d}"
+                                for d in ("1.455e-11", "9.095e-13", "5.684e-14")]
+        assert [r.getMessage() for r in caplog.records] == rep.warnings
+
     @pytest.mark.parametrize("seed", [None, np.diag([0.7, 0.3])])
     def test_degenerate_spectrum_keeps_the_seed_start(self, seed):
         # All four operator-Schmidt values of EPR are 1/2.
