@@ -11,7 +11,8 @@ stdout, stderr).
 
 writes the state files that are missing and each case's ``<name>.out`` and
 ``<name>.err``, and the exit codes in ``codes.json``, from the code on the
-path. ``tests/test_golden.py`` runs every case and compares.
+path, and deletes the ``.out`` and ``.err`` files of cases that ``CASES``
+no longer names. ``tests/test_golden.py`` runs every case and compares.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -32,6 +35,8 @@ HERE = Path(__file__).resolve().parent
 STATES = HERE / "states"
 
 GRID = {"start": 0.0, "stop": 10.0, "steps": 20}
+# A grid of 40 points: chunks of 32 and 8 at cli.CHUNK = 32, of 16, 16 and 8 at 16.
+GRID_40 = {"start": 0.0, "stop": 10.0, "steps": 40}
 CONSTANT_GRID = {"start": 0.0, "stop": 1.0, "steps": 3}
 # Per experiment: its params, its time grid, and its conditioning state on
 # the beta side (dim_beta levels).
@@ -72,10 +77,16 @@ RUN_CASES = {
                                  {"start": 0.0, "stop": 10.0, "steps": 20}, 16), None),
     # Grids that span several chunks of cli.CHUNK points, the last one short.
     "run-readme-40-steps": (_jcm({"method": "correlated", "tol": 1e-12, "max_iter": 10000},
-                                 {"start": 0.0, "stop": 10.0, "steps": 40}, 16), None),
+                                 GRID_40, 16), None),
     "run-spin-pair-40-steps": ({"experiment": "spin_pair", "params": EXPERIMENTS["spin_pair"][0],
-                                "time_grid": {"start": 0.0, "stop": 10.0, "steps": 40},
-                                "reduction": {"method": "correlated"}}, None),
+                                "time_grid": GRID_40, "reduction": {"method": "correlated"}}, None),
+    # A state that does not change, its one row written across chunks.
+    **{f"run-{experiment}-40-steps-{fmt}": (
+        {"experiment": experiment, "params": EXPERIMENTS[experiment][0], "time_grid": GRID_40,
+         "reduction": {"method": "correlated"}, "output": {"format": fmt}}, None)
+       for experiment in ("epr", "custom") for fmt in ("csv", "json")},
+    # Wide rows, every field population off the 2 x 2 block a literal 0.
+    "run-jcm-n64-neumann-csv": (_jcm({"method": "neumann"}, GRID, 64), None),
     "run-jcm-file-seed": (_jcm({"method": "correlated", "seed": "file:{dir}/sigma2.json"}), None),
     "run-jcm-conditioned-alpha": (_jcm({"method": "conditioned", "state": "{dir}/sigma2.json",
                                         "given_side": "alpha"}), None),
@@ -168,6 +179,7 @@ ARGV_CASES = {
     "reduce-refused-level": [*CUSTOM, "--method", "projective", "--level", "3"],
     "reduce-refused-dims-zero-alpha": ["reduce", "{dir}/epr.json", "--dims", "0", "4"],
     "reduce-refused-dims-zero-beta": ["reduce", "{dir}/epr.json", "--dims", "4", "0"],
+    "reduce-refused-dims-negative-alpha": ["reduce", "{dir}/epr.json", "--dims", "-1", "4"],
     # State files that parse but hold no state, as the state, sigma or seed.
     "reduce-refused-entry-not-pair": ["reduce", "{dir}/entry-not-pair.json", "--dims", "2", "2"],
     "reduce-refused-not-square": ["reduce", "{dir}/not-square.json", "--dims", "2", "2"],
@@ -179,7 +191,21 @@ ARGV_CASES = {
     "validate-refused-not-square": ["validate", "{dir}/not-square.json"],
     "validate-refused-not-hermitian": ["validate", "{dir}/not-hermitian.json"],
     "validate-custom": ["validate", "{dir}/custom23.json"],
+    "decompose-epr": ["decompose", "epr", "--theta", "0.3"],
+    "decompose-triplet": ["decompose", "triplet", "--theta", "0.7"],
+    # Away from |tan(phi)| = 1 the two-term approximation misses: exit 3.
+    "decompose-spin-pair-initial": ["decompose", "spin_pair_initial", "--phi", "0.3",
+                                    "--theta", "0.2"],
     "decompose-spin-pair-t": ["decompose", "spin_pair_t", "--phi", "0.3", "--c", "0.7", "--t", "0.4"],
+    "decompose-spin-pair-t-report-only": ["decompose", "spin_pair_t", "--phi", "0.3", "--c", "0.7",
+                                          "--t", "0.4", "--report-only"],
+    # cos(2 c t) = 6e-17 at c t = pi / 4: the branch tie.
+    "decompose-spin-pair-t-tie": ["decompose", "spin_pair_t", "--c", "1", "--t",
+                                  "0.7853981633974483"],
+    # argparse's usage errors: its usage text and one "error:" line.
+    "usage-unknown-flag": ["validate", "{dir}/epr.json", "--bogus"],
+    "usage-run-without-config": ["run"],
+    "usage-method-choice": [*REDUCE, "--method", "bogus"],
 }
 
 #: name -> (config or None, argv)
@@ -212,7 +238,8 @@ def _states() -> dict:
 
 def record(name: str, workdir: Path) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of case ``name`` run in process in
-    ``workdir``, with the path of ``workdir`` written "{dir}"."""
+    ``workdir``, with the path of ``workdir`` written "{dir}". argparse wraps
+    its usage text at the terminal width, which is fixed at 80 columns."""
     cfg, argv = CASES[name]
     for path in STATES.glob("*.json"):
         shutil.copy(path, workdir / path.name)
@@ -220,7 +247,8 @@ def record(name: str, workdir: Path) -> tuple[int, str, str]:
     if cfg is not None:
         (workdir / "config.json").write_text(json.dumps(cfg).replace("{dir}", here))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          mock.patch.dict(os.environ, COLUMNS="80")):
         try:
             code = cli.main([arg.replace("{dir}", here) for arg in argv])
         except SystemExit as exc:  # argparse's usage errors
@@ -242,6 +270,14 @@ def main() -> None:
         (HERE / f"{name}.out").write_text(out)
         (HERE / f"{name}.err").write_text(err)
     (HERE / "codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+    for path in orphans():
+        path.unlink()
+
+
+def orphans() -> list[Path]:
+    """The ``.out`` and ``.err`` files of no case in ``CASES``."""
+    return sorted(path for path in [*HERE.glob("*.out"), *HERE.glob("*.err")]
+                  if path.stem not in CASES)
 
 
 if __name__ == "__main__":

@@ -68,6 +68,18 @@ def test_the_corpus_records_every_case():
     assert list(CODES) == list(corpus.CASES)
 
 
+def test_every_recorded_file_belongs_to_a_case():
+    assert corpus.orphans() == []
+
+
+def test_orphans_are_the_files_of_no_case(tmp_path, monkeypatch):
+    for name in ("run-epr-neumann-csv.out", "run-epr-neumann-csv.err", "gone.out", "gone.err",
+                 "notes.txt"):
+        (tmp_path / name).write_text("")
+    monkeypatch.setattr(corpus, "HERE", tmp_path)
+    assert corpus.orphans() == [tmp_path / "gone.err", tmp_path / "gone.out"]
+
+
 @pytest.mark.parametrize("a,b,distance", [
     (1.0, 1.0, 0), (0.0, -0.0, 0), (1.0, float(np.nextafter(1.0, 2.0)), 1),
     (-5e-324, 5e-324, 2), (2.0, 4.0, 2**52),
