@@ -941,10 +941,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _glue_negative_values(argv: list[str]) -> list[str]:
     """``--flag -1e5`` as ``--flag=-1e5``, so that argparse reads the value:
     it takes a token that starts with "-" for a value only if it is a plain
-    decimal such as -1 or -0.5, and reads -1e5, -inf or -nan as a flag."""
+    decimal such as -1 or -0.5 (its pattern below), and reads -1e5, -inf or
+    -nan as a flag. A plain decimal is left alone, so that ``--dims -1 4``
+    still gives a two-value flag both its values."""
     out: list[str] = []
     for arg in argv:
-        if out and arg[:1] == "-" and re.fullmatch(r"--[^=]+", out[-1]):
+        if (out and arg[:1] == "-" and re.fullmatch(r"--[^=]+", out[-1])
+                and not re.fullmatch(r"-\d+|-\d*\.\d+", arg)):
             with contextlib.suppress(ValueError):
                 float(arg)
                 out[-1] += "=" + arg

@@ -1876,6 +1876,9 @@ EXIT_CASES = [
     ),
     ("reduce-dims-zero-alpha", "{}", ["reduce", "{dir}/product.json", "--dims", "0", "4"], 2),
     ("reduce-dims-zero-beta", "{}", ["reduce", "{dir}/product.json", "--dims", "4", "0"], 2),
+    # A negative dimension after a space reaches the dims check, as it does after 4.
+    ("reduce-dims-negative-alpha", "{}", ["reduce", "{dir}/product.json", "--dims", "-1", "4"], 2),
+    ("reduce-dims-negative-beta", "{}", ["reduce", "{dir}/product.json", "--dims", "4", "-1"], 2),
     ("reduce-data-bool", "{}", ["reduce", "{dir}/data-bool.json", "--dims", "2", "1"], 2),
     ("validate-data-bool", "{}", ["validate", "{dir}/data-bool.json"], 2),
     ("reduce-not-utf8", "{}", ["reduce", "{dir}/not-utf8.json", "--dims", "2", "2"], 2),
