@@ -34,10 +34,11 @@ that does not fit the system (a projective level, the shape of a
 conditioning state or of a seed) is a config error before the output is
 opened. A state that does not change (``epr``, ``custom``) is reduced
 once, at the first t, its warnings logged once, and its row is written at
-every t. Every
-row is read off a stack by the same reader, its populations listed as it is
-read, and written as one formatted line, and the chunk's states are freed
-before the next chunk is made. After a nonzero
+every t. The rows reach the writer as pieces (points, stack): a run of a
+chunk's stack, a point reduced alone, or the one reduced state. A CSV line
+is formatted from one template made per stack, whose populations off the
+stack's levels are a literal 0, and a JSON row is one dict; the chunk's
+states are freed before the next chunk is made. After a nonzero
 exit the output holds only the rows of the points before the failure.
 
 Every config section is read through one table (``PARAMS`` by experiment,
@@ -89,15 +90,16 @@ EXIT_IO = 4
 #: chunk is cut to its support and the kernels' temporaries grow with it:
 #: ``reduction.reduce_stack`` peaks about 0.7 KB per state above its entry
 #: (14.7, 26.2 and 49.3 KB at K = 16, 32 and 64 on the README config, in
-#: process). Medians of 3 to 5 ``bench/run.py --seed 0 --seconds 5 --trace 0``
+#: process). Medians of 3 ``bench/run.py --seed 0 --seconds 5 --trace 0``
 #: runs per cell on a 2-core host, run_s (ms) / peak_mem_mb (KB) at K = 16,
-#: 32 and 48, with ``main``'s parser freed before the first chunk:
-#: ``jcm_n16_correlated`` 7.2/55.9, 5.3/68.9, 5.1/79.0;
-#: ``spin_pair_correlated`` 7.7/57.1, 5.8/68.0, 5.2/80.7;
-#: ``jcm_n256_neumann`` (one chunk of 10 points) 2.1/51.9, 2.0/52.1, 2.1/51.8.
-#: With the parser held through the first chunk, K = 16 peaks at 70.2 and
-#: 71.3 KB on the first two. K = 32 fits under that; K = 48 is 12 to 13 %
-#: above it, over the benchmark's 10 % bound, for a gain that flattens.
+#: 32 and 48, with ``main``'s parser freed before the first chunk and each
+#: CSV line formatted from its stack's template:
+#: ``jcm_n16_correlated`` 7.3/56.9, 5.4/67.9, 4.7/77.4;
+#: ``spin_pair_correlated`` 7.6/56.8, 5.6/66.7, 5.0/79.3;
+#: ``jcm_n256_neumann`` (one chunk of 10 points) 1.8/51.5, 1.8/51.7, 1.9/51.5.
+#: With the parser held through the first chunk, K = 16 peaked at 70.2 and
+#: 71.3 KB on the first two. K = 32 fits under that; K = 48 peaks 14 to 19 %
+#: above K = 32, over the benchmark's 10 % bound.
 CHUNK = 32
 
 log = logging.getLogger("corred")
@@ -481,9 +483,10 @@ def _state_factory(cfg: dict):
             models.spin_pair_amplitudes(p, params["phi"], ts).reshape(-1, 2, 2))
     if experiment == "jcm_vacuum":
         p = models.JcmParams(omega=params["omega"], rabi=params["rabi"], n_max=params["n_max"])
-        # Each row lists the n_max + 1 field populations, the first thing of
-        # the run that grows with n_max: a field too large to list is
-        # refused here, once, before the output is opened.
+        # Each JSON row lists the n_max + 1 field populations, and each CSV
+        # template holds a cell for each: the first things of the run that
+        # grow with n_max. A field too large to list is refused here, once,
+        # before the output is opened.
         try:
             _zeros(p.n_max + 1)
         except (MemoryError, OverflowError):
@@ -550,9 +553,10 @@ def _max_coherence(m: np.ndarray) -> np.ndarray:
     point's on its model block's levels, or the one reduced state of a
     state that does not change, whose own state file is many times its size.
     """
-    off = np.abs(m)
-    off[..., range(m.shape[-1]), range(m.shape[-1])] = 0.0
-    return off.max(axis=(-2, -1), initial=0.0)
+    n = m.shape[-1]
+    off = np.abs(m).reshape(*m.shape[:-2], n * n)
+    off[..., ::n + 1] = 0.0  # the diagonal
+    return off.max(axis=-1, initial=0.0)
 
 
 def cmd_run(args) -> int:
@@ -573,70 +577,70 @@ def cmd_run(args) -> int:
 
     # Open the output first, so an unwritable path fails before the computation.
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
-        _write_series(_series(ts, sys_, rho_of_t, reducer), raw, fmt, out)
+        _write_series(_series(ts, sys_, rho_of_t, reducer), raw, fmt, out, sys_)
     return 0
 
 
 def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, state,
-            reducer: _Reducer) -> Iterator[dict]:
-    """One output row per time point of ts (an array or a ``_Grid``), each
-    chunk of ``CHUNK`` points reduced only when its first row is asked for;
-    points with a degenerate overlap are skipped. A state that does not
-    change (not a model, a function of t) is reduced once, at the first t,
-    and its row is written at every t."""
-    written = False
+            reducer: _Reducer) -> Iterator[tuple[list[float], reduction.Stack]]:
+    """The time points of ts (an array or a ``_Grid``) in order, in pieces
+    (points, stack) whose stack is done at every entry or at none (a
+    degenerate overlap, no row). Point j of a piece is entry j of its stack,
+    or its only entry: a state that does not change (not a model, a
+    function of t) is reduced once, at the first t, and that stack of one
+    is the stack of every chunk. Each chunk of ``CHUNK`` points is reduced
+    only when its first piece is asked for (``_chunk``)."""
     if callable(state):
-        for i in range(0, len(ts), CHUNK):
-            for row in _chunk(ts[i:i + CHUNK], sys_, state, reducer):
-                written = True
-                yield row
-    else:
-        first = ts[:1].tolist()
-        once = next(iter(_stack_rows(first, _alone(first[0], state, reducer.one, sys_), sys_)), None)
-        for i in range(0, len(ts) if once else 0, CHUNK):
-            for t in ts[i:i + CHUNK].tolist():
-                written = True
-                yield {**once, "t": t}
-    if not written:
-        raise DegenerateOverlap("degenerate overlap at every time point")
+        return itertools.chain.from_iterable(
+            _chunk(ts[i:i + CHUNK], sys_, state, reducer) for i in range(0, len(ts), CHUNK))
+    once = _alone(ts[:1].item(), state, reducer.one, sys_)
+    return ((ts[i:i + CHUNK].tolist(), once) for i in range(0, len(ts) if once.done[0] else 0, CHUNK))
 
 
 def _chunk(ts: np.ndarray, sys_: BipartiteSystem, model: Callable,
-           reducer: _Reducer) -> Iterator[dict]:
-    """The rows of the time points ts, without the degenerate ones.
+           reducer: _Reducer) -> Iterator[tuple[list[float], reduction.Stack]]:
+    """The pieces of the time points ts.
 
     A model makes the chunk's amplitude matrices in one call, on the levels
-    that can hold its state, reduced together by ``reducer.stack``. A point
-    the stack leaves undone is made as its own one-point block, on the same
-    levels, and reduced alone (``_alone``, ``reducer.point``), and so is
-    every point of a chunk where one state raises, so the rows before it
-    come first, then its error.
+    that can hold its state, reduced together by ``reducer.stack``; each run
+    of points that it does is a piece of that stack. A point the stack
+    leaves undone is made as its own one-point block, on the same levels,
+    and reduced alone (``_alone``, ``reducer.point``) when its piece is
+    asked for, after the pieces before it, and so is every point of a chunk
+    where one state raises: the rows before it are written, then its error.
     """
     points = ts.tolist()
     try:
-        cut = reduction.support(model(ts))
+        stack = reducer.stack(reduction.support(model(ts)))
     except CorredError:
-        cut = None
-    rows = () if cut is None else _stack_rows(points, reducer.stack(cut), sys_)
-    for t, row in itertools.zip_longest(points, rows):
-        if row is None:
-            yield from _stack_rows([t], _alone(t, model(np.array([t])), reducer.point, sys_), sys_)
-        else:
-            yield row
+        stack = None
+    first = 0
+    for j in range(len(points)) if stack is None else np.flatnonzero(~stack.done).tolist():
+        if first < j:
+            yield points[first:j], _part(stack, first, j)
+        yield points[j:j + 1], _alone(points[j], model(ts[j:j + 1]), reducer.point, sys_)
+        first = j + 1
+    if first < len(points):
+        yield points[first:], _part(stack, first, len(points))
 
 
-def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) -> Iterable:
-    """The row of each point ts of the stack, or None where it is not done:
-    the one reader of every ``run`` row.
+def _part(stack: reduction.Stack, a: int, b: int) -> reduction.Stack:
+    """Entries a to b of a stack."""
+    return stack._replace(**{key: value[a:b] for key, value in stack._asdict().items()
+                             if key in ("rho_alpha", "rho_beta", "error", "done") and value is not None})
+
+
+def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) -> Iterable[dict]:
+    """The row of each point ts of a piece of ``_series``, none if its stack
+    is not done: the rows that JSON writes.
 
     The populations are the diagonal of each reduced state on the levels of
     the stack and exact zeros off them, its coherence the largest
     off-diagonal there; on a chunk's support no Na x Na or Nb x Nb matrix is
     built. The rows are made one at a time from these columns, each row's
-    populations when it is made, and the stack itself is not held meanwhile.
+    populations when it is made.
     """
-    done = stack.done
-    if not done.any():
+    if not stack.done[0]:
         return ()
     sides = {"alpha": (stack.rho_alpha, stack.rows, sys_.dim_alpha)}
     if stack.rho_beta is not None:
@@ -645,8 +649,7 @@ def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) 
     for side, (m, levels, n) in sides.items():
         pops[side] = _populations(m.diagonal(axis1=-2, axis2=-1).real, levels, n)
         cohs[side] = _max_coherence(m).tolist()
-    errors = [None] * len(done) if stack.error is None else stack.error.tolist()
-    verdict, iterations = stack.verdict, stack.iterations
+    errors = [None] * len(stack.done) if stack.error is None else stack.error.tolist()
 
     def row(j: int, t: float) -> dict:
         out = {
@@ -654,15 +657,16 @@ def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) 
             "pop_alpha": pops["alpha"](j),
             "coh_alpha": cohs["alpha"][j],
             "reconstruction_error": errors[j],
-            "verdict": verdict,
-            "iterations": iterations,
+            "verdict": stack.verdict,
+            "iterations": stack.iterations,
         }
         if "beta" in pops:
             out["pop_beta"] = pops["beta"](j)
             out["coh_beta"] = cohs["beta"][j]
         return out
 
-    return (row(j, t) if done[j] else None for j, t in enumerate(ts))
+    # Point j is entry j, or the only entry.
+    return map(row, np.broadcast_to(np.arange(len(stack.done)), len(ts)).tolist(), ts)
 
 
 def _populations(diag: np.ndarray, levels: np.ndarray, n: int) -> Callable[[int], list[float]]:
@@ -715,61 +719,88 @@ def _naming(t: float):
         log.removeFilter(name)
 
 
-def _write_series(rows: Iterable[dict], cfg: dict, fmt: str, out) -> None:
-    """Write each row as it arrives, after the config and, in CSV, the header
-    of the first row's columns.
+def _write_series(pieces: Iterable[tuple[list[float], reduction.Stack]], cfg: dict, fmt: str,
+                  out, sys_: BipartiteSystem) -> None:
+    """Write the rows of each piece of ``_series`` as it arrives, after the
+    config and, in CSV, the header; a series of no row writes nothing and
+    raises ``DegenerateOverlap``. A piece is let go before the next one is
+    made.
 
     The JSON document is byte for byte ``_dumps({"config": cfg, "rows":
-    [...]})`` and a line break: a value nested d levels deep is its own
-    ``_dumps`` with 2 d spaces after each line break, since encoded JSON
-    holds literal line breaks only as indentation.
+    [...]})`` of ``_stack_rows``'s rows and a line break: a value nested d
+    levels deep is its own ``_dumps`` with 2 d spaces after each line break,
+    since encoded JSON holds literal line breaks only as indentation.
     """
     if fmt == "json":
-        lead = '{\n  "config": ' + _dumps(cfg).replace("\n", "\n  ") + ',\n  "rows": [\n    '
-        for row in rows:
-            out.write(lead + _dumps(row).replace("\n", "\n    "))
-            lead = ",\n    "
-        out.write("\n  ]\n}\n")
+        head = '{\n  "config": ' + _dumps(cfg).replace("\n", "\n  ") + ',\n  "rows": [\n    '
+        for ts, stack in pieces:
+            for row in _stack_rows(ts, stack, sys_):
+                out.write(head + _dumps(row).replace("\n", "\n    "))
+                head = ",\n    "
+            del ts, stack
+        if head == ",\n    ":
+            out.write("\n  ]\n}\n")
+            return
+    else:
+        head = f"# config: {json.dumps(cfg, sort_keys=True)}\n"
+        for ts, stack in pieces:
+            for line in _csv_lines(ts, stack, sys_):
+                if head:
+                    out.write(head)
+                    nb = 0 if stack.rho_beta is None else sys_.dim_beta
+                    for names in _csv_header(sys_.dim_alpha, nb):
+                        out.write(names)
+                    head = ""
+                out.write(line)
+            del ts, stack
+        if not head:
+            return
+    raise DegenerateOverlap("degenerate overlap at every time point")
+
+
+def _csv_lines(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) -> Iterator[str]:
+    """The CSV line of each point ts of a piece of ``_series``, none if its
+    stack is not done: the cells of ``_stack_rows``'s row, each number as
+    ``"%.17g"`` formats it, an error of None as an empty cell, and the
+    verdict and iterations as text.
+
+    Each line is formatted from one template made for the stack. A
+    population off the levels of the stack is the exact 0.0, which "%.17g"
+    writes as "0", so the template holds a literal 0 there. A line formats
+    only the numbers on the levels of the stack, a row of one (K, m) array
+    listed as the line is made: no list of a row's populations and no K x N
+    array is made.
+    """
+    if not stack.done[0]:
         return
-    line = None
-    for r in rows:
-        if line is None:
-            out.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
-            for piece in _csv_header(r):
-                out.write(piece)
-            line = _csv_line(r)
-        out.write(line(r))
+    sides = [(stack.rho_alpha, stack.rows, sys_.dim_alpha)]
+    if stack.rho_beta is not None:
+        sides.append((stack.rho_beta, stack.cols, sys_.dim_beta))
+    cells, columns = "%.17g,", []
+    for m, levels, n in sides:
+        levels = levels.tolist()
+        # The zeros before each level (they ascend) and after the last one.
+        zeros = [b - a - 1 for a, b in zip([-1, *levels], [*levels, n])]
+        cells += "%.17g,".join(["0," * k for k in zeros])
+        columns.append(m.diagonal(axis1=-2, axis2=-1).real)
+    columns += [_max_coherence(m)[:, None] for m, _, _ in sides]
+    if stack.error is not None:
+        columns.append(stack.error[:, None])
+    template = (f"{cells}{'%.17g,' * len(sides)}{'' if stack.error is None else '%.17g'},"
+                f"{stack.verdict.replace('%', '%%')},{stack.iterations}\n")
+    table = np.concatenate(columns, axis=1)
+    for t, numbers in zip(ts, np.broadcast_to(table, (len(ts), table.shape[1]))):
+        yield template % (t, *numbers.tolist())
 
 
-def _csv_line(first: dict) -> Callable[[dict], str]:
-    """The writer of the CSV rows of a series whose first row is ``first``:
-    each number as ``f"{x:.17g}"`` writes it, an error of None as an empty
-    cell, and the verdict and iterations as text, in one format call per row."""
-    # t, the populations, coh_alpha and, with beta populations, coh_beta
-    nb = len(first.get("pop_beta", ()))
-    numbers = ",".join(["%.17g"] * (2 + len(first["pop_alpha"]) + nb + (nb > 0)))
-    with_error, without_error = f"{numbers},%.17g,%s,%s\n", f"{numbers},,%s,%s\n"
-
-    def line(r: dict) -> str:
-        cells = [r["t"], *r["pop_alpha"], *r.get("pop_beta", ()), r["coh_alpha"]]
-        if "coh_beta" in r:
-            cells.append(r["coh_beta"])
-        error = r["reconstruction_error"]
-        if error is None:
-            return without_error % (*cells, r["verdict"], r["iterations"])
-        return with_error % (*cells, error, r["verdict"], r["iterations"])
-
-    return line
-
-
-def _csv_header(row: dict) -> Iterator[str]:
-    """The CSV header line of a series whose first row is ``row``, in pieces
-    of up to 1,024 names each, so that a wide run (8,200 columns at n_max =
-    4096) holds no list of one name per column."""
-    nb = len(row.get("pop_beta", ()))
+def _csv_header(na: int, nb: int) -> Iterator[str]:
+    """The CSV header line of a series of na alpha and nb beta populations
+    (no beta columns for nb = 0), in pieces of up to 1,024 names each, so
+    that a wide run (8,200 columns at n_max = 4096) holds no list of one
+    name per column."""
     names = itertools.chain(
         ["t"],
-        (f"pop_alpha_{i}" for i in range(len(row["pop_alpha"]))),
+        (f"pop_alpha_{i}" for i in range(na)),
         (f"pop_beta_{i}" for i in range(nb)),
         ["coh_alpha"] + (["coh_beta"] if nb else []),
         ["reconstruction_error", "verdict", "iterations"],
@@ -941,13 +972,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _glue_negative_values(argv: list[str]) -> list[str]:
     """``--flag -1e5`` as ``--flag=-1e5``, so that argparse reads the value:
     it takes a token that starts with "-" for a value only if it is a plain
-    decimal such as -1 or -0.5 (its pattern below), and reads -1e5, -inf or
-    -nan as a flag. A plain decimal is left alone, so that ``--dims -1 4``
-    still gives a two-value flag both its values."""
+    decimal such as -1 or -0.5 (its pattern is the lookahead below), and
+    reads -1e5, -inf or -nan as a flag. A plain decimal is left alone, so
+    that ``--dims -1 4`` gives a two-value flag both its values."""
     out: list[str] = []
     for arg in argv:
-        if (out and arg[:1] == "-" and re.fullmatch(r"--[^=]+", out[-1])
-                and not re.fullmatch(r"-\d+|-\d*\.\d+", arg)):
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.fullmatch(r"-(?!\d+$|\d*\.\d+$).*", arg):
             with contextlib.suppress(ValueError):
                 float(arg)
                 out[-1] += "=" + arg

@@ -478,6 +478,11 @@ def test_overflow_inside_a_chunk_leaves_the_rows_before_it(tmp_path, capsys):
     assert [float(line.split(",")[0]) for line in out.splitlines()[2:]] == ts[:fail].tolist()
 
 
+def rows_of(pieces, sys_) -> list[dict]:
+    """The rows that JSON writes of the pieces of ``cli._series``."""
+    return [row for ts, stack in pieces for row in cli._stack_rows(ts, stack, sys_)]
+
+
 def test_degenerate_and_near_degenerate_points_inside_a_chunk(tmp_path, capsys, caplog):
     # Projective on the excited atom's field vacuum: the overlap cos^2(t / 2)
     # is 0 at t = pi, 1e-12 at pi + 2e-6. Each sits inside a chunk.
@@ -493,7 +498,7 @@ def test_degenerate_and_near_degenerate_points_inside_a_chunk(tmp_path, capsys, 
     caplog.set_level(logging.WARNING, logger="corred")
     reducer = cli._reducer(cfg["reduction"], models.jcm_system(models.JcmParams(1.0, 1.0, 3)))
     sys_, model = cli._state_factory(cfg)
-    rows = list(cli._series(ts, sys_, model, reducer))
+    rows = rows_of(cli._series(ts, sys_, model, reducer), sys_)
     assert [row["t"] for row in rows] == [t for t in ts.tolist() if t != math.pi]
     messages = [r.getMessage() for r in caplog.records]
     assert messages[0].startswith(f"t={math.pi:g}: overlap denominator")
@@ -520,7 +525,7 @@ def test_a_seeded_run_has_the_per_point_verdicts(tmp_path, rng, caplog, seed):
     caplog.set_level(logging.WARNING, logger="corred")
     one = reduction._reduce_block
     with mock.patch.object(reduction, "_reduce_block", wraps=one) as spy:
-        rows = list(cli._series(ts, sys_, model, reducer))
+        rows = rows_of(cli._series(ts, sys_, model, reducer), sys_)
     assert 0 < spy.call_count < len(ts)  # some points on the stack, some alone
     messages = [r.getMessage() for r in caplog.records]
     want_messages, want_rows = [], []
@@ -763,7 +768,8 @@ def test_max_coherence_of_a_large_state_equals_the_whole_matrix_maximum(rng):
 
 
 def csv_line_per_cell(r: dict) -> str:
-    """Reference for ``cli._csv_line``: each cell formatted on its own."""
+    """The CSV line of a row that JSON writes, each cell formatted on its own:
+    the reference for ``cli._csv_lines``."""
     def fmt(x):
         return f"{x:.17g}"
 
@@ -784,43 +790,101 @@ _cells = st.floats() | st.sampled_from(
 @pytest.mark.parametrize("na,nb", [(2, 0), (3, 0), (2, 17), (2, 1016), (2, 1017), (2, 4097)])
 def test_csv_header_is_the_joined_column_names(na, nb):
     # 1,024 columns (na 2, nb 1016) are one piece, 1,025 two; n_max = 4096 is 8,200 columns.
-    row = {"pop_alpha": [0.0] * na, **({"pop_beta": [0.0] * nb} if nb else {})}
     names = ["t", *(f"pop_alpha_{i}" for i in range(na)), *(f"pop_beta_{i}" for i in range(nb)),
              "coh_alpha", *(["coh_beta"] if nb else []), "reconstruction_error", "verdict",
              "iterations"]
-    pieces = list(cli._csv_header(row))
+    pieces = list(cli._csv_header(na, nb))
     assert "".join(pieces) == ",".join(names) + "\n"
     assert len(pieces) == -(-len(names) // 1024)
 
 
 @st.composite
-def series_rows(draw):
-    """Rows of one series: the populations of na (and nb) levels, any floats."""
-    na, nb = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+def csv_pieces(draw):
+    """(system, stack, points) of a run: 1 to ``cli.CHUNK`` points on a
+    stack of as many entries, or on a stack of one (a state that does not
+    change). Its levels are a strict subset of the system's or all of them;
+    its populations, coherences, errors and points any floats, -0.0 and
+    subnormals among them; its done mask any, undone points inside it."""
+    sys_ = mc.BipartiteSystem(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    k = draw(st.integers(1, cli.CHUNK))
+    entries = draw(st.sampled_from([k, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(draw(st.lists(_cells, min_size=1, max_size=6)))
 
-    def row():
-        r = {
-            "t": draw(_cells),
-            "pop_alpha": draw(st.lists(_cells, min_size=na, max_size=na)),
-            "coh_alpha": draw(_cells),
-            "reconstruction_error": draw(st.none() | _cells),
-            "verdict": draw(st.sampled_from(["-", "converged", "max_iter", "degenerate"]) | st.text()),
-            "iterations": draw(st.integers(0, 10**6)),
-        }
-        if nb:
-            r["pop_beta"] = draw(st.lists(_cells, min_size=nb, max_size=nb))
-            r["coh_beta"] = draw(_cells)
-        return r
+    def floats(*shape):
+        x = rng.standard_normal(shape)
+        drawn = rng.random(shape) < 0.5
+        x[drawn] = rng.choice(pool, size=drawn.sum())
+        return x
 
-    return [row() for _ in range(draw(st.integers(1, 4)))]
+    def levels(n):
+        if n == 1 or draw(st.booleans()):
+            return np.arange(n)
+        return np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))))
+
+    def matrices(levels):
+        m = np.empty((entries, levels.size, levels.size), dtype=complex)
+        m.real, m.imag = floats(*m.shape), floats(*m.shape)
+        return m
+
+    rows, cols = levels(sys_.dim_alpha), levels(sys_.dim_beta)
+    stack = reduction.Stack(
+        rows, cols, matrices(rows), matrices(cols) if draw(st.booleans()) else None,
+        draw(st.sampled_from([None, floats(entries)])),
+        np.array(draw(st.lists(st.booleans(), min_size=entries, max_size=entries))),
+        draw(st.sampled_from(["-", "converged", "max_iter", "oscillating", "50% done"]) | st.text()),
+        draw(st.integers(0, 10**6)))
+    return sys_, stack, floats(k).tolist()
 
 
 @settings(max_examples=300, deadline=None)
-@given(series_rows())
-def test_csv_line_equals_the_per_cell_writer(rows):
-    line = cli._csv_line(rows[0])
-    for r in rows:
-        assert line(r) == csv_line_per_cell(r)
+@given(csv_pieces())
+def test_csv_lines_equal_the_per_cell_writer_of_the_json_rows(piece):
+    # The pieces that _chunk makes of a stack: each run of done points, and
+    # each undone point as a stack of one that is not done.
+    sys_, stack, ts = piece
+    done = stack.done.tolist()
+    pieces, first = [], 0
+    for j in [j for j, ok in enumerate(done) if not ok] if len(done) > 1 else []:
+        if first < j:
+            pieces.append((ts[first:j], cli._part(stack, first, j)))
+        pieces.append((ts[j:j + 1], stack._replace(done=np.zeros(1, dtype=bool))))
+        first = j + 1
+    if first < len(ts):
+        pieces.append((ts[first:], cli._part(stack, first, len(ts)) if len(done) > 1 else stack))
+    every = list(cli._stack_rows(ts, stack._replace(done=np.ones_like(stack.done)), sys_))
+    rows = [row for row, ok in zip(every, np.broadcast_to(done, len(ts))) if ok]
+    cfg = {"experiment": "epr"}
+    out = io.StringIO()
+    if not rows:
+        with pytest.raises(DegenerateOverlap, match="degenerate overlap at every time point"):
+            cli._write_series(iter(pieces), cfg, "csv", out, sys_)
+        assert out.getvalue() == ""
+        return
+    cli._write_series(iter(pieces), cfg, "csv", out, sys_)
+    nb = len(rows[0].get("pop_beta", ()))
+    names = ["t", *(f"pop_alpha_{i}" for i in range(len(rows[0]["pop_alpha"]))),
+             *(f"pop_beta_{i}" for i in range(nb)), "coh_alpha", *(["coh_beta"] if nb else []),
+             "reconstruction_error", "verdict", "iterations"]
+    want = ['# config: {"experiment": "epr"}\n', ",".join(names) + "\n", *map(csv_line_per_cell, rows)]
+    assert out.getvalue() == "".join(want)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_writer_lets_a_piece_go_before_the_next_is_made(fmt):
+    # A piece's arrays are dead when the next piece is made, so a chunk's
+    # states are not held while the next chunk's kernels run.
+    def pieces():
+        dead = []
+        for t in (0.0, 1.0, 2.0):
+            assert all(ref() is None for ref in dead)
+            rho = np.full((1, 2, 2), 0.25 + 0j)
+            dead.append(weakref.ref(rho))
+            yield [t], reduction.Stack(np.arange(2), np.arange(2), rho, rho.copy(), np.zeros(1),
+                                       np.ones(1, dtype=bool))
+            del rho
+
+    cli._write_series(pieces(), {"experiment": "epr"}, fmt, io.StringIO(), mc.BipartiteSystem(2, 2))
 
 
 @st.composite
