@@ -99,7 +99,10 @@ EXIT_IO = 4
 #: ``jcm_n256_neumann`` (one chunk of 10 points) 1.8/51.5, 1.8/51.7, 1.9/51.5.
 #: With the parser held through the first chunk, K = 16 peaked at 70.2 and
 #: 71.3 KB on the first two. K = 32 fits under that; K = 48 peaks 14 to 19 %
-#: above K = 32, over the benchmark's 10 % bound.
+#: above K = 32, over the benchmark's 10 % bound. These figures were taken
+#: while ``main`` still built argparse's parsers for every command line; a
+#: plain one now builds none (``_plain``), which takes about 9 KB off each
+#: ``run`` peak and about 1 ms off each run_s.
 CHUNK = 32
 
 log = logging.getLogger("corred")
@@ -940,22 +943,8 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``corred`` parser, with the arguments of every command, or only
-    those of ``command`` when it names one.
-
-    Every command's subparser is made, so the top-level help, usage and
-    errors are the same either way. argparse hands every token after a
-    command's name to that command's subparser alone, so parsing a command
-    line whose first token is ``command`` gives the same result with either
-    parser. The one with only that command's arguments takes 24 to 32 KB
-    in place of 47 KB (tracemalloc). argparse's back-references make a
-    parser a reference cycle, which only the cyclic garbage collector frees:
-    made with the collector on, it is promoted to an older generation while
-    it is built and outlives its parse until that generation is collected,
-    so ``main`` makes and uses it with the collector paused and then
-    collects the youngest generation, where it still is.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The ``corred`` parser, with every command's subparser and arguments."""
     parser = argparse.ArgumentParser(
         prog="corred",
         description="Reduction algorithms for bipartite quantum states "
@@ -963,10 +952,95 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, add_arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
-        if command not in COMMANDS or command == name:
-            add_arguments(p)
+        add_arguments(sub.add_parser(name, help=help_))
     return parser
+
+
+class _Arguments:
+    """The arguments that a command's function in ``COMMANDS`` adds, recorded
+    in place of a parser: flags by name and positionals in order, each as
+    (dest, nargs, type, choices, required) with nargs 0 for a switch, and
+    every dest's default."""
+
+    def __init__(self, command: str):
+        self.flags, self.positionals, self.defaults = {}, [], {"command": command}
+
+    def add_argument(self, name, *, nargs=None, action=None, type=str, choices=None,
+                     default=None, required=False, help=None, metavar=None):
+        if action == "store_true":
+            nargs, default = 0, False
+        elif action is not None:
+            raise TypeError(f"_plain does not read action={action!r}")
+        dest = name.lstrip("-").replace("-", "_")
+        # argparse passes a default given as a string through the type.
+        self.defaults[dest] = type(default) if isinstance(default, str) else default
+        if name.startswith("-"):
+            self.flags[name] = (dest, nargs, type, choices, required)
+        else:
+            self.positionals.append((dest, nargs, type, choices, required))
+
+    def set_defaults(self, **kwargs) -> None:
+        self.defaults.update(kwargs)
+
+
+def _plain(argv: list[str]) -> argparse.Namespace | None:
+    """argv read as ``build_parser().parse_args`` reads it, with no parser
+    made, if it is plain: a command's name, then its positionals and its
+    flags spelled out in full, each flag followed by its values, no token
+    of which starts with "-", every value of its type and among its
+    choices, and every required argument there. None for any other command
+    line, which argparse reads, and reports where it is wrong.
+
+    On a 2-core host, right after other work has left the caches cold,
+    building argparse's five parsers and parsing takes about 1.1 ms (0.7 ms
+    with only the command's arguments added), against 0.07 ms here; a
+    ``run`` of 10 time points at n_max = 256 takes about 1 ms besides.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    spec = _Arguments(argv[0])
+    COMMANDS[argv[0]][1](spec)
+    values, given = dict(spec.defaults), set()
+    positionals, tokens = iter(spec.positionals), iter(argv[1:])
+    for token in tokens:
+        flag = token.startswith("-")
+        arg = spec.flags.get(token) if flag else next(positionals, None)
+        if arg is None:
+            return None
+        dest, nargs, type_, choices, _ = arg
+        count = 1 if nargs is None else nargs
+        raw = list(itertools.islice(tokens, count)) if flag else [token]
+        if len(raw) != count or any(v.startswith("-") for v in raw):
+            return None
+        try:
+            got = [type_(v) for v in raw]
+        except ValueError:
+            return None
+        if choices is not None and any(v not in choices for v in got):
+            return None
+        # A switch is True, one value itself, and nargs values a list.
+        values[dest] = True if count == 0 else got[0] if nargs is None else got
+        given.add(dest)
+    if next(positionals, None) or any(req and dest not in given
+                                      for dest, *_, req in spec.flags.values()):
+        return None
+    return argparse.Namespace(**values)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv read by ``_plain``, or else parsed by ``build_parser()``.
+
+    argparse's back-references make a parser a reference cycle, which only
+    the cyclic garbage collector frees. Made with the collector paused, the
+    parsers stay in its youngest generation, and one collection of it
+    (about 0.04 ms) frees them before the command runs.
+    """
+    args = _plain(argv)
+    if args is None:
+        with _collector_paused():
+            args = build_parser().parse_args(argv)
+        gc.collect(0)
+    return args
 
 
 def _glue_negative_values(argv: list[str]) -> list[str]:
@@ -989,11 +1063,7 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     _setup_logging()
     argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
-    # The parser is garbage once it has parsed, and one collection of the
-    # youngest generation (about 0.04 ms) frees it before the command runs.
-    with _collector_paused():
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-    gc.collect(0)
+    args = _parse(argv)
     try:
         return args.func(args)
     except OSError as exc:

@@ -2362,13 +2362,13 @@ PARSER_TOKENS = [
 ]
 
 
-def parsed(parser, argv):
-    """What ``parser.parse_args(argv)`` gives: the Namespace's fields, or
-    the SystemExit code, with what it printed."""
+def parsed(parse, argv):
+    """What ``parse(argv)`` gives: the Namespace's fields, or the SystemExit
+    code, with what it printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = vars(parse(argv))
         except SystemExit as exc:
             result = ("exit", exc.code)
     return result, out.getvalue(), err.getvalue()
@@ -2376,12 +2376,12 @@ def parsed(parser, argv):
 
 def assert_parsed_as_by_the_full_parser(argv):
     argv = cli._glue_negative_values(argv)
-    assert parsed(cli.build_parser(argv[0] if argv else None), argv) == parsed(cli.build_parser(), argv)
+    assert parsed(cli._parse, argv) == parsed(cli.build_parser().parse_args, argv)
 
 
 def test_parser_tokens_name_every_flag():
     for command in cli.COMMANDS:
-        _, out, _ = parsed(cli.build_parser(), [command, "--help"])
+        _, out, _ = parsed(cli.build_parser().parse_args, [command, "--help"])
         assert set(re.findall(r"--[a-z-]+", out)) <= set(PARSER_TOKENS)
 
 
@@ -2406,6 +2406,65 @@ def test_parser_cases(argv):
     assert_parsed_as_by_the_full_parser(argv)
 
 
+#: Values that only argparse reads, or that it refuses, for ``plain_lines``.
+OTHER_VALUES = ["-1", "-1e5", "x", "", "2.5", "csv", "neumann", "--", "-h", "--con", "--config=x"]
+
+
+@st.composite
+def plain_lines(draw):
+    """A command's name, then its positionals, its required flags and some
+    of its other flags in any order, each flag followed by values of its
+    type and among its choices; in half of the lines, one token is then
+    added, replaced or removed."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    spec = cli._Arguments(command)
+    cli.COMMANDS[command][1](spec)
+    typed = {int: ["2", "0", "7"], float: ["0.5", "1e-3", "inf", "2"], str: ["s.json", "x", ""]}
+
+    def values(arg):
+        _, nargs, type_, choices, _ = arg
+        pool = [str(c) for c in choices] if choices else typed[type_]
+        return [draw(st.sampled_from(pool)) for _ in range(1 if nargs is None else nargs)]
+
+    items = [[flag, *values(arg)] for flag, arg in spec.flags.items() if arg[4] or draw(st.booleans())]
+    items += [values(arg) for arg in spec.positionals]
+    line = [command, *itertools.chain.from_iterable(draw(st.permutations(items)))]
+    if draw(st.booleans()):
+        at = draw(st.integers(1, len(line)))
+        token = draw(st.sampled_from([*OTHER_VALUES, *spec.flags]))
+        line[at:at + draw(st.integers(0, 1))] = draw(st.sampled_from([[], [token]]))
+    return line
+
+
+@settings(max_examples=400, deadline=None)
+@given(plain_lines())
+def test_plain_lines_parse_as_by_the_full_parser(argv):
+    assert_parsed_as_by_the_full_parser(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "x"], ["run", "--format", "json", "--out", "o.csv", "--config", "x"],
+    ["reduce", "s.json", "--dims", "2", "2", "--method", "correlated", "--tol", "1e-9"],
+    ["reduce", "--dims", "2", "3", "s.json", "--seed", "file:s.json", "--max-iter", "5"],
+    ["decompose", "spin_pair_t", "--t", "0.5", "--report-only"], ["decompose", "epr"],
+    ["validate", "s.json", "--level", "relaxed"], ["validate", ""],
+], ids=" ".join)
+def test_a_plain_command_line_is_read_without_a_parser(argv):
+    assert cli._plain(argv) is not None
+    assert_parsed_as_by_the_full_parser(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["run", "--conf", "x"], ["run", "--config=x"], ["run", "--config", "x", "-h"],
+    ["run", "--config", "x", "--format", "xml"], ["run", "--config", "x", "y"],
+    ["reduce", "s.json", "--dims", "2"], ["reduce", "s.json", "--dims", "2", "-1"],
+    ["reduce", "s.json", "--dims", "2", "2", "--level", "0.5"], ["validate", "-"],
+    ["decompose", "--", "epr"], ["bogus"], [],
+], ids=" ".join)
+def test_a_command_line_that_is_not_plain_is_left_to_argparse(argv):
+    assert cli._plain(argv) is None
+
+
 def test_main_adds_only_the_invoked_commands_arguments(monkeypatch):
     added = []
     for name, (help_, add_arguments) in cli.COMMANDS.items():
@@ -2421,10 +2480,16 @@ def test_main_adds_only_the_invoked_commands_arguments(monkeypatch):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-@pytest.mark.parametrize("argv, code", [
-    (["decompose", "epr"], 0), (["decompose", "--bogus"], 2), (["decompose", "--help"], 0),
-], ids=["command", "usage-error", "help"])
-def test_main_frees_its_parsers_before_the_command_runs(monkeypatch, capsys, enabled, argv, code):
+@pytest.mark.parametrize("argv, code, parsers", [
+    # A plain command line makes no parser; any other makes the full one:
+    # one top-level parser and one subparser per command.
+    (["decompose", "epr"], 0, 0),
+    (["decompose", "--bogus"], 2, 1 + len(cli.COMMANDS)),
+    (["decompose", "--help"], 0, 1 + len(cli.COMMANDS)),
+    (["decompose", "epr", "--bogus"], 2, 1 + len(cli.COMMANDS)),
+], ids=["command", "usage-error", "help", "left-over-token"])
+def test_main_frees_its_parsers_before_the_command_runs(monkeypatch, capsys, enabled, argv, code,
+                                                         parsers):
     # A parser is a reference cycle, which only the cyclic collector frees.
     # Every parser that main makes is gone when the command function starts,
     # and the collector is on or off after main as it was before, also
@@ -2457,7 +2522,7 @@ def test_main_frees_its_parsers_before_the_command_runs(monkeypatch, capsys, ena
         gc.set_threshold(*thresholds)
         (gc.enable if was else gc.disable)()
     assert got == code
-    assert len(made) == 1 + len(cli.COMMANDS)
+    assert len(made) == parsers
     assert alive == []
 
 
@@ -2470,5 +2535,5 @@ def test_console_help_is_the_full_parsers(command, monkeypatch, capsys):
         timeout=60,
     )
     monkeypatch.setenv("COLUMNS", "80")
-    assert parsed(cli.build_parser(), [*command, "--help"]) == (("exit", 0), proc.stdout, "")
+    assert parsed(cli.build_parser().parse_args, [*command, "--help"]) == (("exit", 0), proc.stdout, "")
     assert (proc.returncode, proc.stderr) == (0, "")
