@@ -35,11 +35,12 @@ conditioning state or of a seed) is a config error before the output is
 opened. A state that does not change (``epr``, ``custom``) is reduced
 once, at the first t, its warnings logged once, and its row is written at
 every t. The rows reach the writer as pieces (points, stack): a run of a
-chunk's stack, a point reduced alone, or the one reduced state. A CSV line
-is formatted from one template made per stack, whose populations off the
-stack's levels are a literal 0, and a JSON row is one dict; the chunk's
-states are freed before the next chunk is made. After a nonzero
-exit the output holds only the rows of the points before the failure.
+chunk's stack, a point reduced alone, or the one reduced state. A row, a
+CSV line or a JSON row object, is formatted from one template made per
+stack, whose populations off the stack's levels are literal text ("0" or
+"0.0"), so no row holds a list of N populations; the chunk's states are
+freed before the next chunk is made. After a nonzero exit the output holds
+only the rows of the points before the failure.
 
 Every config section is read through one table (``PARAMS`` by experiment,
 ``REDUCTION`` by method, ``SECTIONS`` for the rest), which holds each key's
@@ -53,9 +54,11 @@ one-shot methods), and a correlated ``file:`` seed is the starting alpha
 state of every time point where the loop does not start at its closed form
 (see ``reduction``).
 
-Indented JSON output (``reduce``, ``decompose``, ``run --format json``) goes
-through ``_dumps``, byte for byte the stdlib's ``json.dumps`` with an indent of 2;
-``reduce`` hands it the result's matrices as arrays (``_matrix_block``).
+Indented JSON output (``reduce``, ``decompose``, ``run --format json``) is
+byte for byte the stdlib's ``json.dumps`` with an indent of 2. ``reduce`` and
+``decompose`` write through ``_dumps``, to which ``reduce`` hands the result's
+matrices as arrays (``_matrix_block``); ``run`` writes its config through it
+and each row from its stack's template (``_lines``).
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def _dumps(obj, indent: str = "\n") -> str:
     compactly in one C call and then indented at its separators. That is
     exact because no encoded number, ``true``, ``false``, ``null``, ``NaN``
     or ``Infinity`` contains a bracket or ", ". What is written is a checked
-    config, a row or a result, none nested more than a few levels deep.
+    config or a result, none nested more than a few levels deep.
     """
     if isinstance(obj, np.ndarray):
         return _matrix_block(obj, indent)
@@ -461,7 +464,8 @@ def _time_grid(grid: dict) -> _Grid:
 
 
 def _zeros(n: int) -> list[float]:
-    """n exact zeros: a row's populations off the levels of its stack."""
+    """n exact zeros. Only the probe of ``_state_factory``'s refusal of an
+    n_max too large to list: no row is made from it."""
     return [0.0] * n
 
 
@@ -486,10 +490,10 @@ def _state_factory(cfg: dict):
             models.spin_pair_amplitudes(p, params["phi"], ts).reshape(-1, 2, 2))
     if experiment == "jcm_vacuum":
         p = models.JcmParams(omega=params["omega"], rabi=params["rabi"], n_max=params["n_max"])
-        # Each JSON row lists the n_max + 1 field populations, and each CSV
-        # template holds a cell for each: the first things of the run that
-        # grow with n_max. A field too large to list is refused here, once,
-        # before the output is opened.
+        # Each row's template holds a cell for each of the n_max + 1 field
+        # populations: the first thing of the run that grows with n_max. A
+        # field too large to list is refused here, once, before the output
+        # is opened.
         try:
             _zeros(p.n_max + 1)
         except (MemoryError, OverflowError):
@@ -633,62 +637,6 @@ def _part(stack: reduction.Stack, a: int, b: int) -> reduction.Stack:
                              if key in ("rho_alpha", "rho_beta", "error", "done") and value is not None})
 
 
-def _stack_rows(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) -> Iterable[dict]:
-    """The row of each point ts of a piece of ``_series``, none if its stack
-    is not done: the rows that JSON writes.
-
-    The populations are the diagonal of each reduced state on the levels of
-    the stack and exact zeros off them, its coherence the largest
-    off-diagonal there; on a chunk's support no Na x Na or Nb x Nb matrix is
-    built. The rows are made one at a time from these columns, each row's
-    populations when it is made.
-    """
-    if not stack.done[0]:
-        return ()
-    sides = {"alpha": (stack.rho_alpha, stack.rows, sys_.dim_alpha)}
-    if stack.rho_beta is not None:
-        sides["beta"] = (stack.rho_beta, stack.cols, sys_.dim_beta)
-    pops, cohs = {}, {}
-    for side, (m, levels, n) in sides.items():
-        pops[side] = _populations(m.diagonal(axis1=-2, axis2=-1).real, levels, n)
-        cohs[side] = _max_coherence(m).tolist()
-    errors = [None] * len(stack.done) if stack.error is None else stack.error.tolist()
-
-    def row(j: int, t: float) -> dict:
-        out = {
-            "t": t,
-            "pop_alpha": pops["alpha"](j),
-            "coh_alpha": cohs["alpha"][j],
-            "reconstruction_error": errors[j],
-            "verdict": stack.verdict,
-            "iterations": stack.iterations,
-        }
-        if "beta" in pops:
-            out["pop_beta"] = pops["beta"](j)
-            out["coh_beta"] = cohs["beta"][j]
-        return out
-
-    # Point j is entry j, or the only entry.
-    return map(row, np.broadcast_to(np.arange(len(stack.done)), len(ts)).tolist(), ts)
-
-
-def _populations(diag: np.ndarray, levels: np.ndarray, n: int) -> Callable[[int], list[float]]:
-    """The populations of state j of a stack, as a list of n: the diagonal
-    ``diag`` (K, r) of its reduced states on the ``levels``, exact zeros off
-    them."""
-    if len(levels) == n:
-        return lambda j: diag[j].tolist()
-    levels = levels.tolist()
-
-    def row(j: int) -> list[float]:
-        pops = _zeros(n)
-        for level, x in zip(levels, diag[j].tolist()):
-            pops[level] = x
-        return pops
-
-    return row
-
-
 def _alone(t: float, state, reduce_one, sys_: BipartiteSystem) -> reduction.Stack:
     """Time point t reduced alone by ``reduce_one``, as a stack of one on the
     leading levels its reduced states cover: all levels of ``sys_`` for a
@@ -724,76 +672,115 @@ def _naming(t: float):
 
 def _write_series(pieces: Iterable[tuple[list[float], reduction.Stack]], cfg: dict, fmt: str,
                   out, sys_: BipartiteSystem) -> None:
-    """Write the rows of each piece of ``_series`` as it arrives, after the
-    config and, in CSV, the header; a series of no row writes nothing and
+    """Write the rows of each piece of ``_series`` (``_lines``) as it
+    arrives: the format's head before the first, its separator between two
+    and its tail after the last. A series of no row writes nothing and
     raises ``DegenerateOverlap``. A piece is let go before the next one is
     made.
 
     The JSON document is byte for byte ``_dumps({"config": cfg, "rows":
-    [...]})`` of ``_stack_rows``'s rows and a line break: a value nested d
+    [...]})`` of the rows as dicts, and a line break: a value nested d
     levels deep is its own ``_dumps`` with 2 d spaces after each line break,
     since encoded JSON holds literal line breaks only as indentation.
     """
+    separator, tail = (",\n    ", "\n  ]\n}\n") if fmt == "json" else ("", "")
+    head = True
+    for ts, stack in pieces:
+        for line in _lines(ts, stack, sys_, fmt):
+            if head:
+                for text in _head(cfg, fmt, sys_.dim_alpha, 0 if stack.rho_beta is None else sys_.dim_beta):
+                    out.write(text)
+                head = False
+            elif separator:
+                out.write(separator)
+            out.write(line)
+        del ts, stack
+    if head:
+        raise DegenerateOverlap("degenerate overlap at every time point")
+    out.write(tail)
+
+
+def _head(cfg: dict, fmt: str, na: int, nb: int) -> Iterator[str]:
+    """What a series of na alpha and nb beta populations writes before its
+    first row: in JSON the document up to the rows, in CSV the config line
+    and the header (``_csv_header``)."""
     if fmt == "json":
-        head = '{\n  "config": ' + _dumps(cfg).replace("\n", "\n  ") + ',\n  "rows": [\n    '
-        for ts, stack in pieces:
-            for row in _stack_rows(ts, stack, sys_):
-                out.write(head + _dumps(row).replace("\n", "\n    "))
-                head = ",\n    "
-            del ts, stack
-        if head == ",\n    ":
-            out.write("\n  ]\n}\n")
-            return
+        yield '{\n  "config": ' + _dumps(cfg).replace("\n", "\n  ") + ',\n  "rows": [\n    '
     else:
-        head = f"# config: {json.dumps(cfg, sort_keys=True)}\n"
-        for ts, stack in pieces:
-            for line in _csv_lines(ts, stack, sys_):
-                if head:
-                    out.write(head)
-                    nb = 0 if stack.rho_beta is None else sys_.dim_beta
-                    for names in _csv_header(sys_.dim_alpha, nb):
-                        out.write(names)
-                    head = ""
-                out.write(line)
-            del ts, stack
-        if not head:
-            return
-    raise DegenerateOverlap("degenerate overlap at every time point")
+        yield f"# config: {json.dumps(cfg, sort_keys=True)}\n"
+        yield from _csv_header(na, nb)
 
 
-def _csv_lines(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem) -> Iterator[str]:
-    """The CSV line of each point ts of a piece of ``_series``, none if its
-    stack is not done: the cells of ``_stack_rows``'s row, each number as
-    ``"%.17g"`` formats it, an error of None as an empty cell, and the
-    verdict and iterations as text.
-
-    Each line is formatted from one template made for the stack. A
-    population off the levels of the stack is the exact 0.0, which "%.17g"
-    writes as "0", so the template holds a literal 0 there. A line formats
-    only the numbers on the levels of the stack, a row of one (K, m) array
-    listed as the line is made: no list of a row's populations and no K x N
-    array is made.
-    """
+def _lines(ts: list[float], stack: reduction.Stack, sys_: BipartiteSystem, fmt: str) -> Iterator[str]:
+    """The row of each point ts of a piece of ``_series``, none if its stack
+    is not done: a CSV line, or a JSON row object as ``_dumps`` writes it in
+    the list of rows. Each is formatted from the stack's ``_template``, with
+    t and a row of its table listed as the row is made, so no K x N array
+    is made. The template is made in a call of its own, so that what it is
+    made from (a wide run's text of the populations) is not held while the
+    rows are formatted."""
     if not stack.done[0]:
         return
+    template, table = _template(stack, sys_, fmt)
+    if fmt == "json" and not (np.isfinite(ts).all() and np.isfinite(table).all()):
+        # "%s" writes a finite float as its repr; NaN and ±Infinity are
+        # written as JSON writes them.
+        ts = _floats(np.array(ts))
+        table = np.array(_floats(table.ravel()), dtype=object).reshape(table.shape)
+    for t, numbers in zip(ts, np.broadcast_to(table, (len(ts), table.shape[1]))):
+        yield template % (t, *numbers.tolist())
+
+
+def _template(stack: reduction.Stack, sys_: BipartiteSystem, fmt: str) -> tuple[str, np.ndarray]:
+    """The %-template of a row of a done stack in the format ``fmt``, and the
+    (K, m) table of the numbers it takes after t, a row per state.
+
+    A row holds t, each side's populations (the diagonal of its reduced
+    state on the levels of the stack, the exact 0.0 off them) and largest
+    off-diagonal (``_max_coherence``), the reconstruction error, the verdict
+    and the iterations. JSON keys them "t", "pop_alpha", "coh_alpha",
+    "reconstruction_error", "verdict", "iterations", then "pop_beta" and
+    "coh_beta" where the stack has a beta side. CSV writes each number as
+    "%.17g" formats it, JSON as ``_floats`` does.
+
+    The template holds as text all that every row of the stack shares: a
+    population off its levels ("0" in CSV, which is what "%.17g" writes of
+    0.0, and "0.0" in JSON), an error of None (an empty cell, or null), the
+    verdict and the iterations. So only the numbers on the levels of the
+    stack are formatted, and no list of a row's populations is made.
+    """
     sides = [(stack.rho_alpha, stack.rows, sys_.dim_alpha)]
     if stack.rho_beta is not None:
         sides.append((stack.rho_beta, stack.cols, sys_.dim_beta))
-    cells, columns = "%.17g,", []
-    for m, levels, n in sides:
-        levels = levels.tolist()
-        # The zeros before each level (they ascend) and after the last one.
-        zeros = [b - a - 1 for a, b in zip([-1, *levels], [*levels, n])]
-        cells += "%.17g,".join(["0," * k for k in zeros])
-        columns.append(m.diagonal(axis1=-2, axis2=-1).real)
-    columns += [_max_coherence(m)[:, None] for m, _, _ in sides]
-    if stack.error is not None:
-        columns.append(stack.error[:, None])
-    template = (f"{cells}{'%.17g,' * len(sides)}{'' if stack.error is None else '%.17g'},"
-                f"{stack.verdict.replace('%', '%%')},{stack.iterations}\n")
-    table = np.concatenate(columns, axis=1)
-    for t, numbers in zip(ts, np.broadcast_to(table, (len(ts), table.shape[1]))):
-        yield template % (t, *numbers.tolist())
+    diags = [m.diagonal(axis1=-2, axis2=-1).real for m, _, _ in sides]
+    cohs = [_max_coherence(m)[:, None] for m, _, _ in sides]
+    errors = [] if stack.error is None else [stack.error[:, None]]
+    if fmt == "csv":
+        pops = (_cells(levels.tolist(), n, "%.17g", "0", ",") for _, levels, n in sides)
+        template = ",".join(["%.17g", *pops, *["%.17g"] * len(sides), "%.17g" if errors else "",
+                             stack.verdict.replace("%", "%%"), f"{stack.iterations}\n"])
+        return template, np.concatenate([*diags, *cohs, *errors], axis=1)
+    item = ",\n        "  # between two populations
+    pops = [f'"pop_{side}": [\n        {_cells(levels.tolist(), n, "%s", "0.0", item)}\n      ]'
+            for side, (_, levels, n) in zip(("alpha", "beta"), sides)]
+    fields = ['{\n      "t": %s', pops[0], '"coh_alpha": %s',
+              f'"reconstruction_error": {"%s" if errors else "null"}',
+              f'"verdict": {_encode_scalar(stack.verdict).replace("%", "%%")}',
+              f'"iterations": {stack.iterations}']
+    columns = [diags[0], cohs[0], *errors]
+    if len(sides) == 2:
+        fields += [pops[1], '"coh_beta": %s']
+        columns += [diags[1], cohs[1]]
+    fields[-1] += "\n    }"
+    return ",\n      ".join(fields), np.concatenate(columns, axis=1)
+
+
+def _cells(levels: list[int], n: int, number: str, zero: str, sep: str) -> str:
+    """The text of n populations joined by sep: the conversion ``number``
+    on the levels (they ascend) and the literal ``zero`` off them, made a
+    run of zeros at a time, with no list of n cells."""
+    runs = [(zero + sep) * (b - a - 1) for a, b in zip([-1, *levels], levels)]
+    return (number + sep).join(runs) + number + (sep + zero) * (n - 1 - levels[-1])
 
 
 def _csv_header(na: int, nb: int) -> Iterator[str]:

@@ -102,6 +102,13 @@ RUN_CASES = {
     "run-spin-pair-overflow": ({"experiment": "spin_pair", "params": {"c": 1e308},
                                 "time_grid": {"start": 0, "stop": 10, "steps": 11}}, None),
 }
+# JSON twins of CSV cases: long zero runs, a point reduced alone inside a
+# chunk, a partial document after a nonzero exit, and a chunk boundary.
+RUN_CASES |= {
+    f"{name.removesuffix('-csv')}-json": ({**RUN_CASES[name][0], "output": {"format": "json"}}, None)
+    for name in ("run-jcm-n64-neumann-csv", "run-jcm-tie", "run-spin-pair-overflow",
+                 "run-readme-40-steps")
+}
 
 # Configs that exit 2 before any row is written.
 REFUSED_CONFIGS = {

@@ -346,17 +346,18 @@ def test_correlated_run_reports_the_tie_in_one_sweep(tmp_path, capsys, experimen
     assert row["pop_alpha"][0] == pytest.approx(0.5, abs=1e-12)
 
 
-def run_peak_bytes(tmp_path, n_max: int, steps: int, method: str) -> int:
-    """Peak tracemalloc bytes of a JCM vacuum ``run`` that writes to a file,
-    after one untraced run of the same config, so that first-call caches do
-    not count."""
+def run_peak_bytes(tmp_path, n_max: int, steps: int, method: str, fmt: str = "csv") -> int:
+    """Peak tracemalloc bytes of a JCM vacuum ``run`` that writes to a file
+    in the format ``fmt``, after one untraced run of the same config, so
+    that first-call caches do not count."""
     cfg = {
         "experiment": "jcm_vacuum",
         "params": {"omega": 1.0, "rabi": 1.0, "n_max": n_max},
         "time_grid": {"start": 0.0, "stop": 10.0, "steps": steps},
         "reduction": {"method": method},
+        "output": {"format": fmt},
     }
-    argv = ["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out.csv")]
+    argv = ["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / f"out.{fmt}")]
     assert cli.main(argv) == 0
     tracemalloc.start()
     try:
@@ -478,9 +479,59 @@ def test_overflow_inside_a_chunk_leaves_the_rows_before_it(tmp_path, capsys):
     assert [float(line.split(",")[0]) for line in out.splitlines()[2:]] == ts[:fail].tolist()
 
 
+def stack_rows(ts: list[float], stack: reduction.Stack, sys_) -> list[dict]:
+    """The row of each point ts of a piece of ``cli._series`` as a dict, none
+    if its stack is not done: the reference for ``cli._lines``.
+
+    The populations are a list of every level of a side: the diagonal of
+    its reduced state on the levels of the stack and exact zeros off them.
+    Its coherence is the largest off-diagonal there.
+    """
+    if not stack.done[0]:
+        return []
+    sides = {"alpha": (stack.rho_alpha, stack.rows, sys_.dim_alpha)}
+    if stack.rho_beta is not None:
+        sides["beta"] = (stack.rho_beta, stack.cols, sys_.dim_beta)
+    pops, cohs = {}, {}
+    for side, (m, levels, n) in sides.items():
+        pops[side] = populations(m.diagonal(axis1=-2, axis2=-1).real, levels, n)
+        cohs[side] = cli._max_coherence(m).tolist()
+    errors = [None] * len(stack.done) if stack.error is None else stack.error.tolist()
+
+    def row(j: int, t: float) -> dict:
+        out = {
+            "t": t,
+            "pop_alpha": pops["alpha"][j],
+            "coh_alpha": cohs["alpha"][j],
+            "reconstruction_error": errors[j],
+            "verdict": stack.verdict,
+            "iterations": stack.iterations,
+        }
+        if "beta" in pops:
+            out["pop_beta"] = pops["beta"][j]
+            out["coh_beta"] = cohs["beta"][j]
+        return out
+
+    # Point j is entry j, or the only entry.
+    return list(map(row, np.broadcast_to(np.arange(len(stack.done)), len(ts)).tolist(), ts))
+
+
+def populations(diag: np.ndarray, levels: np.ndarray, n: int) -> list[list[float]]:
+    """The populations of each state of a stack as a list of n: the diagonal
+    ``diag`` (K, r) of its reduced states on the ``levels``, exact zeros off
+    them."""
+    rows = []
+    for values in diag.tolist():
+        pops = [0.0] * n
+        for level, x in zip(levels.tolist(), values):
+            pops[level] = x
+        rows.append(pops)
+    return rows
+
+
 def rows_of(pieces, sys_) -> list[dict]:
     """The rows that JSON writes of the pieces of ``cli._series``."""
-    return [row for ts, stack in pieces for row in cli._stack_rows(ts, stack, sys_)]
+    return [row for ts, stack in pieces for row in stack_rows(ts, stack, sys_)]
 
 
 def test_degenerate_and_near_degenerate_points_inside_a_chunk(tmp_path, capsys, caplog):
@@ -576,7 +627,7 @@ def test_a_state_that_does_not_change_is_reduced_once(tmp_path, rng, experiment)
     assert spy.call_count == 1
     reducer = cli._reducer(cfg["reduction"], sys_)
     want = [row for t in (0.0, 0.5, 1.0)
-            for row in cli._stack_rows([t], cli._alone(t, rho, reducer.one, sys_), sys_)]
+            for row in stack_rows([t], cli._alone(t, rho, reducer.one, sys_), sys_)]
     assert json.loads(out.read_text())["rows"] == want
 
 
@@ -685,13 +736,18 @@ def test_kernels_run_without_the_full_length_stack(tmp_path):
     assert all(peak < 16 * k * n for _, peak in seen)
 
 
-def test_a_jcm_run_holds_no_k_by_n_array(tmp_path):
-    # Each chunk is made on its two levels, and each row's populations when
-    # the row is read, so a run at n_max = 4096 (N = 8194) over two chunks
-    # peaks below one (K, N) complex array of 16 K N bytes, where a chunk
-    # made as K whole vectors peaked at 2.3 MB.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_jcm_run_holds_no_k_by_n_array(tmp_path, fmt):
+    # Each chunk is made on its two levels, and each row is formatted from
+    # its stack's template, so a run at n_max = 4096 (N = 8194) over two
+    # chunks peaks below one (K, N) complex array of 16 K N bytes, where a
+    # chunk made as K whole vectors peaked at 2.3 MB. A JSON row is about
+    # 53 KB of text here, and the run holds its stack's template and one
+    # row: it peaks at about 0.18 MB (0.15 MB in CSV), where a dict and a
+    # list of the 4,097 field populations per row peaked at 0.36 MB.
     k, n = cli.CHUNK, 2 * 4097
-    assert run_peak_bytes(tmp_path, 4096, 2 * k, "neumann") < 16 * k * n
+    peak = run_peak_bytes(tmp_path, 4096, 2 * k, "neumann", fmt)
+    assert peak < (16 * k * n if fmt == "csv" else 270_000)
 
 
 @pytest.mark.parametrize("params,grid,rcfg,code", [
@@ -728,21 +784,6 @@ def test_a_point_reduced_alone_holds_no_large_array(tmp_path, params, grid, rcfg
     assert peak < 16 * k * n
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 5), st.data())
-def test_populations_are_the_diagonal_on_its_levels_and_zeros_off_them(n, k, data):
-    levels = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=np.intp)
-    cells = st.floats() | st.sampled_from([0.0, -0.0, 5e-324])
-    diag = np.array(data.draw(st.lists(st.lists(cells, min_size=len(levels), max_size=len(levels)),
-                                       min_size=k, max_size=k)))
-    dense = np.zeros((k, n))
-    dense[:, levels] = diag
-    pops = cli._populations(diag, levels, n)
-    for j in range(k):
-        got = pops(j)
-        assert type(got) is list and np.array(got).tobytes() == dense[j].tobytes()
-
-
 def max_coherence_dense(m):
     """Reference for ``cli._max_coherence``: one |m| of the whole stack."""
     n = m.shape[-1]
@@ -768,8 +809,8 @@ def test_max_coherence_of_a_large_state_equals_the_whole_matrix_maximum(rng):
 
 
 def csv_line_per_cell(r: dict) -> str:
-    """The CSV line of a row that JSON writes, each cell formatted on its own:
-    the reference for ``cli._csv_lines``."""
+    """The CSV line of a reference row (``stack_rows``), each cell formatted
+    on its own."""
     def fmt(x):
         return f"{x:.17g}"
 
@@ -837,11 +878,11 @@ def csv_pieces(draw):
     return sys_, stack, floats(k).tolist()
 
 
-@settings(max_examples=300, deadline=None)
-@given(csv_pieces())
-def test_csv_lines_equal_the_per_cell_writer_of_the_json_rows(piece):
-    # The pieces that _chunk makes of a stack: each run of done points, and
-    # each undone point as a stack of one that is not done.
+def chunked(piece) -> tuple:
+    """(system, pieces, rows) of a ``csv_pieces`` draw: the pieces that
+    ``cli._chunk`` makes of its stack, each run of done points and each
+    undone point as a stack of one that is not done, and the reference rows
+    (``stack_rows``) of its done points."""
     sys_, stack, ts = piece
     done = stack.done.tolist()
     pieces, first = [], 0
@@ -852,22 +893,46 @@ def test_csv_lines_equal_the_per_cell_writer_of_the_json_rows(piece):
         first = j + 1
     if first < len(ts):
         pieces.append((ts[first:], cli._part(stack, first, len(ts)) if len(done) > 1 else stack))
-    every = list(cli._stack_rows(ts, stack._replace(done=np.ones_like(stack.done)), sys_))
-    rows = [row for row, ok in zip(every, np.broadcast_to(done, len(ts))) if ok]
-    cfg = {"experiment": "epr"}
+    every = stack_rows(ts, stack._replace(done=np.ones_like(stack.done)), sys_)
+    return sys_, pieces, [row for row, ok in zip(every, np.broadcast_to(done, len(ts))) if ok]
+
+
+def written(sys_, pieces, cfg: dict, fmt: str) -> str | None:
+    """What ``cli._write_series`` writes of the pieces, or None where it
+    raises that no point is done, having written nothing."""
     out = io.StringIO()
-    if not rows:
-        with pytest.raises(DegenerateOverlap, match="degenerate overlap at every time point"):
-            cli._write_series(iter(pieces), cfg, "csv", out, sys_)
-        assert out.getvalue() == ""
-        return
-    cli._write_series(iter(pieces), cfg, "csv", out, sys_)
-    nb = len(rows[0].get("pop_beta", ()))
-    names = ["t", *(f"pop_alpha_{i}" for i in range(len(rows[0]["pop_alpha"]))),
-             *(f"pop_beta_{i}" for i in range(nb)), "coh_alpha", *(["coh_beta"] if nb else []),
-             "reconstruction_error", "verdict", "iterations"]
-    want = ['# config: {"experiment": "epr"}\n', ",".join(names) + "\n", *map(csv_line_per_cell, rows)]
-    assert out.getvalue() == "".join(want)
+    try:
+        cli._write_series(iter(pieces), cfg, fmt, out, sys_)
+    except DegenerateOverlap as exc:
+        assert str(exc) == "degenerate overlap at every time point" and out.getvalue() == ""
+        return None
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_pieces())
+def test_csv_lines_equal_the_per_cell_writer_of_the_json_rows(piece):
+    sys_, pieces, rows = chunked(piece)
+    want = None
+    if rows:
+        nb = len(rows[0].get("pop_beta", ()))
+        names = ["t", *(f"pop_alpha_{i}" for i in range(len(rows[0]["pop_alpha"]))),
+                 *(f"pop_beta_{i}" for i in range(nb)), "coh_alpha", *(["coh_beta"] if nb else []),
+                 "reconstruction_error", "verdict", "iterations"]
+        want = "".join(['# config: {"experiment": "epr"}\n', ",".join(names) + "\n",
+                        *map(csv_line_per_cell, rows)])
+    assert written(sys_, pieces, {"experiment": "epr"}, "csv") == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_pieces())
+def test_json_rows_equal_the_dumps_of_the_reference_rows(piece):
+    # NaN, Infinity, -0.0 and subnormals, a None error and a verdict with
+    # "%" or non-ASCII text are written as the encoder writes them.
+    sys_, pieces, rows = chunked(piece)
+    cfg = {"experiment": "epr", "params": {}, "time_grid": {"start": 0.0, "stop": 1.0, "steps": 3}}
+    want = cli._dumps({"config": cfg, "rows": rows}) + "\n" if rows else None
+    assert written(sys_, pieces, cfg, "json") == want
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -2241,6 +2306,93 @@ def test_a_mutated_config_keeps_the_exit_code_contract(mutation_files, case):
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
     if mutation in ("unknown", "misplaced"):
         assert code == 2 and f" key {key!r}" in err.getvalue()
+
+
+# A valid 2 x 2 state file, and values to put in its place: of other
+# kinds, not finite, and sizes that are small or at least 2**63, so that no
+# mutation asks for a large allocation.
+STATE_FILE = {"rows": 2, "cols": 2, "kind": "density", "validation": "strict",
+              "data": [[0.5, 0.0], [0.25, 0.125], [0.25, -0.125], [0.5, 0.0]]}
+HUGE = st.sampled_from([2**63, 2**63 + 1, 2**64, 10**30, 9.3e18, 1e300])
+STATE_VALUES = (st.sampled_from(["", "0.5", "strict", "relaxed", True, False, None, [], [1], {},
+                                 {"k": 1}, -1, 0, 1, 2, 0.5, math.nan, math.inf, -math.inf])
+                | HUGE)
+# The command lines that read a state file "{file}": as the state, as
+# sigma, as a seed, and as a custom run's state. "{config}" is a config
+# file that holds a config of the row, and "{epr}" the EPR state.
+STATE_FILE_PATHS = {
+    "reduce": (None, ["reduce", "{file}", "--dims", "2", "1"]),
+    "validate": (None, ["validate", "{file}"]),
+    "sigma": (None, ["reduce", "{epr}", "--dims", "2", "2", "--method", "conditioned",
+                     "--sigma", "{file}"]),
+    "seed": ({"experiment": "epr", "reduction": {"method": "correlated", "seed": "file:{file}"}},
+             ["run", "--config", "{config}"]),
+    "custom": ({"experiment": "custom", "params": {"state": "{file}", "dims": [2, 1]},
+                "time_grid": {"start": 0.0, "stop": 1.0, "steps": 2}},
+               ["run", "--config", "{config}"]),
+}
+
+
+@st.composite
+def mutated_state_files(draw):
+    """``STATE_FILE`` with one to three mutations: a value swapped for one of
+    another kind (the whole file, a key's, an entry's or a number's), a
+    missing key, an entry that is no pair, or rows or cols small or at least
+    2**63."""
+    obj = json.loads(json.dumps(STATE_FILE))
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(obj, dict):
+            break
+        mutation = draw(st.sampled_from(["file", "key", "missing", "size", "entry", "pair", "number"]))
+        cells = obj.get("data")
+        if mutation in ("entry", "pair", "number") and not (isinstance(cells, list) and cells):
+            mutation = "key"
+        if mutation == "file":
+            obj = draw(STATE_VALUES)
+        elif mutation == "key":
+            obj[draw(st.sampled_from(sorted(STATE_FILE)))] = draw(STATE_VALUES)
+        elif mutation == "missing":
+            obj.pop(draw(st.sampled_from(sorted(STATE_FILE))), None)
+        elif mutation == "size":
+            obj[draw(st.sampled_from(["rows", "cols"]))] = draw(st.integers(-2, 5) | HUGE)
+        else:
+            i = draw(st.integers(0, len(cells) - 1))
+            if mutation == "entry":
+                cells[i] = draw(STATE_VALUES)
+            elif mutation == "pair":
+                cells[i] = draw(st.lists(st.floats(-1.0, 1.0), max_size=4).filter(lambda x: len(x) != 2))
+            elif isinstance(cells[i], list) and cells[i]:
+                cells[i][draw(st.integers(0, len(cells[i]) - 1))] = draw(STATE_VALUES)
+    return obj
+
+
+@pytest.fixture(scope="module")
+def state_file_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("state-files")
+    write_state(d, "epr.json", epr_state())
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_state_files())
+def test_a_mutated_state_file_keeps_the_exit_code_contract(state_file_dir, obj):
+    # Each command line that reads the file exits 0, 2, 3 or 4, raises
+    # nothing out of main, and on a failure writes one "error:" line, or
+    # validate's {"valid": false} report and nothing on stderr.
+    d = state_file_dir
+    names = {"file": str(d / "state.json"), "config": str(d / "config.json"), "epr": str(d / "epr.json")}
+    (d / "state.json").write_text(json.dumps(obj))
+    for name, (cfg, argv) in STATE_FILE_PATHS.items():
+        if cfg is not None:
+            (d / "config.json").write_text(json.dumps(cfg).replace("{file}", names["file"]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([arg.format(**names) for arg in argv])
+        assert code in (0, 2, 3, 4), name
+        if name == "validate" and code == 2:
+            assert err.getvalue() == "" and json.loads(out.getvalue())["valid"] is False
+        elif code:
+            assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), name
 
 
 def readme_config_table() -> dict:
