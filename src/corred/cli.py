@@ -16,7 +16,12 @@ code, first match wins: ``OSError`` -> 4, ``DegenerateOverlap`` or
 ``TieUndefined`` -> 3, any other ``CorredError`` -> 2. Malformed JSON and
 config values are raised as ``ValidationError``. The only codes a command
 returns itself are 3 from ``decompose`` when verification misses and 2 from
-``validate`` after its ``{"valid": false}`` report.
+``validate`` after its ``{"valid": false}`` report. A nonempty
+``CORRED_LOG`` that names no level of ``LOG_LEVELS`` is a config error.
+
+A command imports only the modules that it runs: ``models`` is imported
+where ``run`` makes its state and by ``decompose``, and ``ensembles`` by
+``decompose`` alone, so ``reduce`` and ``validate`` compile neither.
 
 ``run`` reads its whole config and opens its output before the time loop.
 It then holds one chunk of ``CHUNK`` time points at a time, and makes each
@@ -79,7 +84,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ensembles, matrixcore as mc, models, reduction
+from . import matrixcore as mc, reduction
 from .errors import CorredError, DegenerateOverlap, DimensionMismatch, TieUndefined, ValidationError
 from .matrixcore import BipartiteSystem
 from .states import DensityMatrix, epr_state, spin_pair_initial, triplet_state
@@ -111,9 +116,18 @@ CHUNK = 32
 log = logging.getLogger("corred")
 
 
+#: The values that ``CORRED_LOG`` takes, in any case, and their levels.
+LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING,
+              "error": logging.ERROR, "critical": logging.CRITICAL}
+
+
 def _setup_logging() -> None:
-    level = os.environ.get("CORRED_LOG", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR))
+    """The root logger at the level that ``CORRED_LOG`` names (unset or
+    empty: error). Any other value is a config error."""
+    value = os.environ.get("CORRED_LOG") or "error"
+    if value.lower() not in LOG_LEVELS:
+        _one_of(*LOG_LEVELS)(value, "CORRED_LOG")  # raises, naming the levels
+    logging.basicConfig(level=LOG_LEVELS[value.lower()])
 
 
 @contextlib.contextmanager
@@ -479,6 +493,7 @@ def _state_factory(cfg: dict):
     stack that ``reduction.support`` takes. The states of ``epr`` and
     ``custom`` do not change, so their state is that state itself.
     """
+    from . import models  # here, so that reduce and validate never load it
     experiment = cfg["experiment"]
     params = _read(cfg["params"], "params", PARAMS[experiment], f" for experiment {experiment!r}")
     if experiment == "epr":
@@ -820,6 +835,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import ensembles, models  # here, so that no other command loads them
     flags = ("theta", "phi", "c", "t", "omega")
     theta, phi, c, t, omega = (_finite(getattr(args, f), f"--{f}") for f in flags)
     tol = _positive(args.tol, "--tol")
@@ -1048,10 +1064,10 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
     args = _parse(argv)
     try:
+        _setup_logging()
         return args.func(args)
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))

@@ -1933,6 +1933,10 @@ EXIT_CASES = [
     ("decompose-tol-nan", "{}", ["decompose", "epr", "--tol", "nan"], 2),
     ("decompose-tol-negative", "{}", ["decompose", "epr", "--tol", "-1"], 2),
     ("decompose-tol-zero", "{}", ["decompose", "epr", "--tol", "0"], 2),
+    # CORRED_LOG (set by MOCKS) names no level: logging.BASIC_FORMAT is an
+    # attribute of logging, but no level.
+    ("log-basic-format", "{}", ["decompose", "epr"], 2),
+    ("log-nonsense", "{}", ["decompose", "epr"], 2),
     (
         "reduce-size-fractional",
         "{}",
@@ -2088,7 +2092,11 @@ def _no_memory_for_jcm_rows(n, _zeros=cli._zeros):
 
 
 #: Patches that EXIT_CASES rows run under.
-MOCKS = {"n_max-out-of-memory": lambda: mock.patch.object(cli, "_zeros", _no_memory_for_jcm_rows)}
+MOCKS = {
+    "n_max-out-of-memory": lambda: mock.patch.object(cli, "_zeros", _no_memory_for_jcm_rows),
+    "log-basic-format": lambda: mock.patch.dict(os.environ, {"CORRED_LOG": "basic_format"}),
+    "log-nonsense": lambda: mock.patch.dict(os.environ, {"CORRED_LOG": "nonsense"}),
+}
 
 
 # Rows that argparse rejects before corred sees them. Their stderr is
@@ -2113,6 +2121,29 @@ def test_exit_code_map(tmp_path, capsys, name, config, argv, code):
     else:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["basic_format", "BASIC_FORMAT", "warn", "10", " error"])
+def test_corred_log_names_the_accepted_levels(monkeypatch, capsys, value):
+    monkeypatch.setenv("CORRED_LOG", value)
+    assert cli.main(["decompose", "epr"]) == 2
+    assert capsys.readouterr() == ("", "error: CORRED_LOG must be 'debug', 'info', 'warning', "
+                                       f"'error' or 'critical', got {value!r}\n")
+
+
+@pytest.mark.parametrize("value, level", [
+    ("debug", logging.DEBUG), ("Info", logging.INFO), ("WARNING", logging.WARNING),
+    ("critical", logging.CRITICAL), ("error", logging.ERROR), ("", logging.ERROR), (None, logging.ERROR),
+])
+def test_corred_log_sets_its_level(monkeypatch, value, level):
+    if value is None:
+        monkeypatch.delenv("CORRED_LOG", raising=False)
+    else:
+        monkeypatch.setenv("CORRED_LOG", value)
+    seen = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: seen.append(kwargs))
+    assert cli.main(["decompose", "epr"]) == 0
+    assert seen == [{"level": level}]
 
 
 @pytest.mark.parametrize("name", SETTINGS_ERRORS)
@@ -2393,6 +2424,107 @@ def test_a_mutated_state_file_keeps_the_exit_code_contract(state_file_dir, obj):
             assert err.getvalue() == "" and json.loads(out.getvalue())["valid"] is False
         elif code:
             assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), name
+
+
+# Valid values of the command-line arguments, for ``mutated_command_lines``:
+# the files in ``argv_dir`` by dest, and numbers by type, no integer above 8.
+ARGV_FILES = {"config": ["{dir}/jcm.json", "{dir}/spin-pair.json", "{dir}/epr.json"],
+              "out": ["{dir}/out.txt"], "state": ["{dir}/state.json"], "sigma": ["{dir}/sigma.json"],
+              "seed": ["neumann", "file:{dir}/sigma.json"]}
+ARGV_NUMBERS = {int: ["0", "1", "2", "8"], float: ["0.5", "1", "0", "2.5e-3", "1e-12"]}
+# Values to put in a value's place: of other kinds, negative, special, or
+# integers that are small or at least 2**63, so that no size is large.
+ARGV_SWAPS = ["", "x", "-", "0.5", "-1", "-0", "-1e5", "-2.5E-3", "-inf", "-nan", "nan", "inf", "1e400",
+              "9223372036854775808", "-9223372036854775809", "18446744073709551616", "true", "[]",
+              "neumann", "file:", "file:{dir}/absent.json", "{dir}", "csv", "strict", "epr", "alpha"]
+ARGV_UNKNOWN = ["--bogus", "--Config", "--dims3", "-x", "-h", "--he", "--", "--report-only=1", "--tol="]
+
+
+@st.composite
+def mutated_command_lines(draw):
+    """A valid command line of one of the four commands (its positionals,
+    required flags and some other flags, each with valid values), with one
+    to three mutations: a flag or positional dropped or duplicated, an
+    unknown flag added, a value swapped for one of another kind (negative,
+    special or huge among them), or a flag's value glued on as --flag=value.
+    """
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    spec = cli._Arguments(command)
+    cli.COMMANDS[command][1](spec)
+
+    def values(arg):
+        dest, nargs, type_, choices, _ = arg
+        if nargs == 0:  # a switch
+            return []
+        pool = ARGV_FILES.get(dest) or [str(c) for c in choices or ()] or ARGV_NUMBERS[type_]
+        return [draw(st.sampled_from(pool)) for _ in range(nargs or 1)]
+
+    items = [[flag, *values(arg)] for flag, arg in spec.flags.items() if arg[4] or draw(st.booleans())]
+    items += [values(arg) for arg in spec.positionals]
+    for _ in range(draw(st.integers(1, 3))):
+        mutation = draw(st.sampled_from(["drop", "duplicate", "unknown", "swap", "glue"]))
+        at = draw(st.integers(0, len(items)))
+        item = items[at] if at < len(items) else None
+        if mutation == "unknown":
+            items.insert(at, [draw(st.sampled_from(ARGV_UNKNOWN)), *draw(st.lists(st.sampled_from(
+                ARGV_SWAPS), max_size=1))])
+        elif item is None:
+            continue
+        elif mutation == "drop":
+            del items[at]
+        elif mutation == "duplicate":
+            items.insert(draw(st.integers(0, len(items))), list(item))
+        elif mutation == "swap":
+            i = draw(st.integers(0, len(item) - 1))
+            if i or not item[0].startswith("-"):
+                item[i] = draw(st.sampled_from(ARGV_SWAPS))
+        elif len(item) == 2 and item[0].startswith("--"):  # glue
+            items[at] = [f"{item[0]}={item[1]}"]
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(items)))]
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    write_state(d, "state.json", DensityMatrix(np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)))
+    write_state(d, "sigma.json", DensityMatrix(np.diag([0.75, 0.25]).astype(complex)))
+    grid = {"start": 0.0, "stop": 1.0, "steps": 3}
+    for name, experiment, params in [("jcm", "jcm_vacuum", {"n_max": 2}), ("spin-pair", "spin_pair", {}),
+                                     ("epr", "epr", {})]:
+        (d / f"{name}.json").write_text(json.dumps({
+            "experiment": experiment, "params": params, "time_grid": grid,
+            "reduction": {"method": "correlated"}}))
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_command_lines())
+def test_a_mutated_command_line_keeps_the_exit_code_contract(argv_dir, argv):
+    # Each command line exits 0, 2, 3 or 4 and raises nothing out of main but
+    # argparse's SystemExit. A failure writes one "error:" line, argparse's
+    # usage and its one error line, or validate's {"valid": false} report and
+    # nothing on stderr. Relative paths, an --out among them, land in argv_dir.
+    argv = [arg.replace("{dir}", str(argv_dir)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(argv_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error or help
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3, 4)
+    if argv[0] == "validate" and code == 2 and not lines:
+        assert json.loads(out.getvalue())["valid"] is False
+    elif code and lines[0].startswith("usage: corred"):
+        assert [line for line in lines if ": error: " in line] == lines[-1:]
+        assert re.match(rf"corred( {argv[0]})?: error: ", lines[-1])
+    elif code:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def readme_config_table() -> dict:

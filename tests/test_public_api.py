@@ -1,6 +1,10 @@
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import corred
 
@@ -24,13 +28,96 @@ PUBLIC_NAMES = [
 ]
 
 
+def fresh(script: str, *args: str, cwd=None) -> str:
+    """stdout of ``script`` run in a fresh interpreter that imports corred
+    from this checkout."""
+    src = str(Path(corred.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          check=True, cwd=cwd, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    return proc.stdout
+
+
 def test_public_names_are_pinned():
     # A fresh interpreter, so that submodules other tests import (corred.cli)
     # do not show up as attributes of the package.
-    src = str(Path(corred.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import corred; print(*sorted(n for n in dir(corred) if not n.startswith('_')))"],
-        capture_output=True, text=True, check=True, cwd=src, timeout=60,
-    )
-    assert proc.stdout.split() == sorted(PUBLIC_NAMES)
+    script = "import corred; print(*sorted(n for n in dir(corred) if not n.startswith('_')))"
+    assert fresh(script).split() == sorted(PUBLIC_NAMES)
+
+
+# Each public name, reached first by attribute or by "from corred import",
+# is the object that its defining submodule holds under that name; each
+# submodule name is that submodule.
+RESOLVES = """
+import sys
+import corred
+for name in sys.argv[2:]:
+    if sys.argv[1] == "from":
+        exec(f"from corred import {name} as got")
+    else:
+        got = getattr(corred, name)
+    module = sys.modules.get(f"corred.{name}")
+    assert got is (module or getattr(sys.modules[got.__module__], name)), name
+    assert got is getattr(corred, name), name
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("how", ["attribute", "from"])
+def test_every_public_name_resolves_to_its_submodules_object(how):
+    assert fresh(RESOLVES, how, *PUBLIC_NAMES) == "ok\n"
+
+
+def test_star_import_binds_every_pinned_name():
+    script = "from corred import *; print(*sorted(n for n in dir() if not n.startswith('_')))"
+    assert fresh(script).split() == sorted(PUBLIC_NAMES)
+
+
+def test_an_unknown_name_is_an_attribute_error_that_names_it():
+    with pytest.raises(AttributeError, match="module 'corred' has no attribute 'no_such_name'"):
+        corred.no_such_name  # noqa: B018
+    with pytest.raises(ImportError, match="no_such_name"):
+        from corred import no_such_name  # noqa: F401
+
+
+# Runs one command line through cli.main and prints its exit code and the
+# corred modules that the process then holds.
+LOADED = """
+import contextlib, io, json, sys
+import corred
+if sys.argv[1:]:
+    from corred import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+else:
+    code = 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("corred"))]))
+"""
+ALL_MODULES = ["corred", *(f"corred.{name}" for name in ("cli", "ensembles", "errors",
+                                                         "matrixcore", "models", "reduction",
+                                                         "states"))]
+
+
+#: Command lines (run in a directory that holds state.json and config.json)
+#: and the corred modules that each leaves unloaded.
+UNLOADED = {
+    "import corred": ([], ALL_MODULES[1:]),
+    "reduce": (["reduce", "state.json", "--dims", "2", "2", "--method", "correlated"],
+               ["corred.ensembles", "corred.models"]),
+    "validate": (["validate", "state.json"], ["corred.ensembles", "corred.models"]),
+    "run": (["run", "--config", "config.json"], ["corred.ensembles"]),
+    "decompose": (["decompose", "spin_pair_t", "--t", "0.5", "--report-only"], []),
+}
+
+
+@pytest.mark.parametrize("argv, unloaded", UNLOADED.values(), ids=UNLOADED)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unloaded):
+    # The console script enters through corred.cli, and a submodule that the
+    # command does not run is never compiled.
+    (tmp_path / "state.json").write_text(json.dumps(corred.projector_state(4, 1).to_json()))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "experiment": "jcm_vacuum", "params": {"n_max": 2},
+        "time_grid": {"start": 0.0, "stop": 1.0, "steps": 3},
+        "reduction": {"method": "correlated"}}))
+    code, loaded = json.loads(fresh(LOADED, *argv, cwd=tmp_path))
+    assert code == 0
+    assert sorted(set(ALL_MODULES) - set(loaded)) == unloaded
