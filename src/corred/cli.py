@@ -95,22 +95,13 @@ EXIT_IO = 4
 
 #: Time points that ``run`` reduces together. numpy's fixed cost per call is
 #: what a stack saves, while each point's amplitudes are held until the
-#: chunk is cut to its support and the kernels' temporaries grow with it:
-#: ``reduction.reduce_stack`` peaks about 0.7 KB per state above its entry
-#: (14.7, 26.2 and 49.3 KB at K = 16, 32 and 64 on the README config, in
-#: process). Medians of 3 ``bench/run.py --seed 0 --seconds 5 --trace 0``
-#: runs per cell on a 2-core host, run_s (ms) / peak_mem_mb (KB) at K = 16,
-#: 32 and 48, with ``main``'s parser freed before the first chunk and each
-#: CSV line formatted from its stack's template:
-#: ``jcm_n16_correlated`` 7.3/56.9, 5.4/67.9, 4.7/77.4;
-#: ``spin_pair_correlated`` 7.6/56.8, 5.6/66.7, 5.0/79.3;
-#: ``jcm_n256_neumann`` (one chunk of 10 points) 1.8/51.5, 1.8/51.7, 1.9/51.5.
-#: With the parser held through the first chunk, K = 16 peaked at 70.2 and
-#: 71.3 KB on the first two. K = 32 fits under that; K = 48 peaks 14 to 19 %
-#: above K = 32, over the benchmark's 10 % bound. These figures were taken
-#: while ``main`` still built argparse's parsers for every command line; a
-#: plain one now builds none (``_plain``), which takes about 9 KB off each
-#: ``run`` peak and about 1 ms off each run_s.
+#: chunk is cut to its support and the kernels' temporaries grow with it, so
+#: a larger chunk runs faster and peaks higher. With ``main``'s parser freed
+#: before the first chunk, 32 peaks below what 16 peaked with the parser
+#: held; 48 runs barely faster than 32 and peaks more than the benchmark's
+#: 10 % bound above it.
+#: The measurements are in CHANGES.md, in its entries on chunks of 32 points
+#: and on the CSV-template writer.
 CHUNK = 32
 
 log = logging.getLogger("corred")
@@ -163,24 +154,6 @@ def _load_json(path: str):
 
 _encode_scalar = json.JSONEncoder().encode
 _encode_key = json.encoder.encode_basestring_ascii
-#: Types of the entries of a number block; see ``_dumps``.
-_NUMBER_TYPES = {float, int, bool, type(None)}
-
-
-def _block_depth(value) -> int:
-    """1 for a non-empty list of numbers, booleans and nulls, 2 for a non-empty
-    list of such lists (``matrix_to_json``'s ``data``), 0 for anything else."""
-    if not isinstance(value, list) or not value:
-        return 0
-    if _NUMBER_TYPES.issuperset(map(type, value)):
-        return 1
-    if (
-        set(map(type, value)) == {list}
-        and all(value)
-        and _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(value)))
-    ):
-        return 2
-    return 0
 
 
 def _dumps(obj, indent: str = "\n") -> str:
@@ -191,23 +164,15 @@ def _dumps(obj, indent: str = "\n") -> str:
     ``json.dumps(mc.matrix_to_json(m), indent=2)``.
 
     CPython's C encoder ignores ``indent``, so the stdlib writes indented
-    JSON in pure Python. Here dicts and lists are walked in Python, one
-    frame per level, but a number block (``_block_depth``) is encoded
-    compactly in one C call and then indented at its separators. That is
-    exact because no encoded number, ``true``, ``false``, ``null``, ``NaN``
-    or ``Infinity`` contains a bracket or ", ". What is written is a checked
-    config or a result, none nested more than a few levels deep.
+    JSON in pure Python. Here every dict and list is walked in Python too,
+    one frame per level, and each scalar is encoded as the stdlib encodes
+    it. What is written is a checked config or a result, none nested more
+    than a few levels deep; its matrices come as arrays, and its longest
+    list, ``residuals``, holds one number per sweep.
     """
     if isinstance(obj, np.ndarray):
         return _matrix_block(obj, indent)
     inner = indent + "  "
-    depth = _block_depth(obj)
-    if depth == 1:
-        return f"[{inner}{json.dumps(obj)[1:-1].replace(', ', ',' + inner)}{indent}]"
-    if depth == 2:
-        cell = inner + "  "
-        body = json.dumps(obj)[2:-2].replace("], [", f"{inner}],{inner}[{cell}")
-        return f"[{inner}[{cell}{body.replace(', ', ',' + cell)}{inner}]{indent}]"
     if isinstance(obj, dict) and obj:
         items = (f"{_encode_key(key)}: {_dumps(value, inner)}" for key, value in obj.items())
         return "{" + inner + ("," + inner).join(items) + indent + "}"
@@ -994,10 +959,9 @@ def _plain(argv: list[str]) -> argparse.Namespace | None:
     choices, and every required argument there. None for any other command
     line, which argparse reads, and reports where it is wrong.
 
-    On a 2-core host, right after other work has left the caches cold,
-    building argparse's five parsers and parsing takes about 1.1 ms (0.7 ms
-    with only the command's arguments added), against 0.07 ms here; a
-    ``run`` of 10 time points at n_max = 256 takes about 1 ms besides.
+    Building argparse's parsers costs more than a small ``run`` itself; the
+    measurements are in CHANGES.md, in its entry on steadying
+    ``jcm_n256_neumann``'s cpu_s.
     """
     if not argv or argv[0] not in COMMANDS:
         return None

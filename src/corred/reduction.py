@@ -90,16 +90,6 @@ MEAN_ZERO_TOL = 1e-12
 #: Largest deviation from 1 of an amplitude vector's squared norm.
 NORM_TOL = max(POSITIVITY_TOL, 1e-12)
 
-#: Most entries of rho's (Na, Nb, Na, Nb) view, over all states of a stack,
-#: that ``_reconstruction_error`` compares in one block of alpha rows; so no
-#: N x N temporary. A block holds at least one alpha row of every state of a
-#: stack, so a chunk's block can exceed it: 256 entries on a 32-state 2 x 2
-#: chunk. A block's broadcast products also take numpy buffers of about
-#: three times its size. At 64 a chunk of ``corred run`` (8 or more states
-#: on a 2 x 2 support) takes a block per row and keeps ``peak_mem_mb`` near
-#: the per-point code's, while one state up to 2 x 2 still goes in one block.
-ERROR_BLOCK_ENTRIES = 64
-
 #: Largest min(Na, Nb) at which the Gauss-Seidel loop starts an N x N rho at
 #: its closed form; an amplitude vector starts there at any size, since its
 #: Gram is only n x n. With n = min(Na, Nb) and m the other dimension, the
@@ -210,9 +200,8 @@ def _reconstruction_error(state: np.ndarray, ra: np.ndarray, rb: np.ndarray):
     for a stack of amplitude matrices Psi (..., Na, Nb) with its pairs ra
     (..., Na, Na) and rb (..., Nb, Nb), the array of each state's error.
 
-    Taken over blocks of alpha rows i of at most ``ERROR_BLOCK_ENTRIES``
-    entries, or of one alpha row of every state of a stack where that is
-    more: rho[i:i+k] of the view, or psi psi^dag on the rows Psi[i:i+k],
+    Taken one alpha row i of every state at a time, so no N x N temporary:
+    rho[i] of the view, or psi psi^dag on the row Psi[i],
     Psi = psi.reshape(Na, Nb) restricted to its rows and columns that hold a
     nonzero entry, in any state of a stack (outside them psi_ib psi_jc^* and
     ra[i,j] rb[b,c] are both exactly 0). The products are np.outer's,
@@ -237,12 +226,11 @@ def _reconstruction_error(state: np.ndarray, ra: np.ndarray, rb: np.ndarray):
     else:
         lead = ()
         rho = state.reshape(na, nb, na, nb)
-    k = max(1, ERROR_BLOCK_ENTRIES // (int(np.prod(lead)) * na * nb * nb))
     blocks = []
-    for i in range(0, na, k):
-        diff = ra[..., i:i + k, None, :, None] * rb[..., None, :, None, :]
-        np.subtract((psi[..., i:i + k, :].reshape(*lead, -1, 1) * psic).reshape(diff.shape)
-                    if pure else rho[i:i + k], diff, out=diff)
+    for i in range(na):
+        diff = ra[..., i:i + 1, None, :, None] * rb[..., None, :, None, :]
+        np.subtract((psi[..., i:i + 1, :].reshape(*lead, -1, 1) * psic).reshape(diff.shape)
+                    if pure else rho[i:i + 1], diff, out=diff)
         blocks.append(np.abs(diff).max(axis=(-4, -3, -2, -1)))
     error = np.max(blocks, axis=0)
     return error if lead else float(error)

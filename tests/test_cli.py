@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import csv
 import gc
 import io
@@ -1258,7 +1259,9 @@ NUMBERS = st.one_of(
     st.floats(),
     st.sampled_from(SPECIAL_FLOATS),
 )
-# strings that look like the separators the number blocks are indented at
+# strings of brackets, separators, quotes, escapes, controls and non-ASCII
+# characters, as keys and values, which must come out escaped as the stdlib
+# escapes them
 TEXT = st.text(st.sampled_from(["[", "]", ",", " ", '"', "\\", "\n", "1", "é", "中", "\x00"]))
 JSON_VALUES = st.recursive(
     NUMBERS | TEXT | st.lists(st.lists(NUMBERS, max_size=4), max_size=4),
@@ -2341,13 +2344,14 @@ def test_a_mutated_config_keeps_the_exit_code_contract(mutation_files, case):
 
 # A valid 2 x 2 state file, and values to put in its place: of other
 # kinds, not finite, and sizes that are small or at least 2**63, so that no
-# mutation asks for a large allocation.
+# mutation asks for a large allocation. Each draw is a fresh copy, so that no
+# mutation stores a list or dict inside itself or changes a later example's.
 STATE_FILE = {"rows": 2, "cols": 2, "kind": "density", "validation": "strict",
               "data": [[0.5, 0.0], [0.25, 0.125], [0.25, -0.125], [0.5, 0.0]]}
 HUGE = st.sampled_from([2**63, 2**63 + 1, 2**64, 10**30, 9.3e18, 1e300])
 STATE_VALUES = (st.sampled_from(["", "0.5", "strict", "relaxed", True, False, None, [], [1], {},
                                  {"k": 1}, -1, 0, 1, 2, 0.5, math.nan, math.inf, -math.inf])
-                | HUGE)
+                .map(copy.deepcopy) | HUGE)
 # The command lines that read a state file "{file}": as the state, as
 # sigma, as a seed, and as a custom run's state. "{config}" is a config
 # file that holds a config of the row, and "{epr}" the EPR state.

@@ -869,13 +869,10 @@ class TestAmplitudeVectorInput:
         assert abs(pure.reconstruction_error - dense.reconstruction_error) < 1e-14
 
     @settings(max_examples=300, deadline=None)
-    @given(amplitude_vectors(max_na=9), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
-           st.booleans())
-    def test_slab_error_equals_the_kron_form(self, case, seed, pure, traces, whole):
+    @given(amplitude_vectors(max_na=9), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_slab_error_equals_the_kron_form(self, case, seed, pure, traces):
         # Dense states and amplitude vectors (zeroed rows and columns) of
-        # 1-9 x 1-9, so Na > Nb and, above ERROR_BLOCK_ENTRIES entries, blocks
-        # of some alpha rows with a shorter last one; a budget of 0 takes one
-        # row a block.
+        # 1-9 x 1-9, so Na > Nb too, compared one alpha row at a time.
         psi, sys_ = case
         rng = np.random.default_rng(seed)
         state = psi if pure else random_density(rng, sys_.dim).matrix
@@ -888,10 +885,7 @@ class TestAmplitudeVectorInput:
                       for over, n in (("beta", sys_.dim_beta), ("alpha", sys_.dim_alpha)))
         else:
             ra, rb = random_density(rng, sys_.dim_alpha).matrix, random_density(rng, sys_.dim_beta).matrix
-        budget = red.ERROR_BLOCK_ENTRIES if whole else 0
-        with mock.patch.object(red, "ERROR_BLOCK_ENTRIES", budget):
-            got = red._reconstruction_error(state, ra, rb)
-        assert got == mc.max_abs_diff(rho, np.kron(ra, rb))
+        assert red._reconstruction_error(state, ra, rb) == mc.max_abs_diff(rho, np.kron(ra, rb))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (4, 2), (2, 17)])
     def test_iterated_and_conditioned_reductions_match_the_dense_state(self, rng, dims):
