@@ -857,57 +857,42 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _run_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="experiment config path")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--format", choices=["csv", "json"], help="override output format")
-    p.set_defaults(func=cmd_run)
-
-
-def _reduce_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("state", help="density matrix JSON file")
-    p.add_argument("--dims", type=int, nargs=2, required=True, metavar=("NA", "NB"))
-    p.add_argument("--method", choices=list(REDUCTION), default=METHOD[1])
-    p.add_argument("--level", type=int, default=0, help="projective level index")
-    p.add_argument("--sigma", help="conditioning state file")
-    p.add_argument("--given-side", choices=["alpha", "beta"])
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--seed", help="'neumann' or file:<path>")
-    p.set_defaults(func=cmd_reduce)
-
-
-def _decompose_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "kind", choices=["epr", "triplet", "spin_pair_initial", "spin_pair_t"]
-    )
-    p.add_argument("--theta", type=float, default=0.0, help="hidden phase")
-    p.add_argument("--phi", type=float, default=0.0, help="initial mixing angle")
-    p.add_argument("--c", type=float, default=1.0, help="flip-flop coupling")
-    p.add_argument("--t", type=float, default=0.0, help="time")
-    p.add_argument("--omega", type=float, default=1.0, help="Zeeman frequency")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument(
-        "--report-only",
-        action="store_true",
-        help="exit 0 even when the assembled ensemble misses the target",
-    )
-    p.set_defaults(func=cmd_decompose)
-
-
-def _validate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("state")
-    p.add_argument("--level", choices=["strict", "relaxed"], default="strict")
-    p.set_defaults(func=cmd_validate)
-
-
-#: Each command's help and the function that adds its arguments, in the
-#: order ``corred --help`` lists them.
+#: Each command's help, its function and its arguments, in the order
+#: ``corred --help`` lists them: an argument's name (a flag's starts with
+#: "-") and its keywords of ``ArgumentParser.add_argument``. ``build_parser``
+#: adds them in this order, and ``_plain`` reads them directly.
 COMMANDS = {
-    "run": ("run an experiment from a JSON config", _run_arguments),
-    "reduce": ("reduce a density-matrix file", _reduce_arguments),
-    "decompose": ("hidden-ensemble decomposition", _decompose_arguments),
-    "validate": ("validate a density-matrix file", _validate_arguments),
+    "run": ("run an experiment from a JSON config", cmd_run, {
+        "--config": {"required": True, "help": "experiment config path"},
+        "--out": {"help": "output file (default stdout)"},
+        "--format": {"choices": ["csv", "json"], "help": "override output format"},
+    }),
+    "reduce": ("reduce a density-matrix file", cmd_reduce, {
+        "state": {"help": "density matrix JSON file"},
+        "--dims": {"type": int, "nargs": 2, "required": True, "metavar": ("NA", "NB")},
+        "--method": {"choices": list(REDUCTION), "default": METHOD[1]},
+        "--level": {"type": int, "default": 0, "help": "projective level index"},
+        "--sigma": {"help": "conditioning state file"},
+        "--given-side": {"choices": ["alpha", "beta"]},
+        "--tol": {"type": float},
+        "--max-iter": {"type": int},
+        "--seed": {"help": "'neumann' or file:<path>"},
+    }),
+    "decompose": ("hidden-ensemble decomposition", cmd_decompose, {
+        "kind": {"choices": ["epr", "triplet", "spin_pair_initial", "spin_pair_t"]},
+        "--theta": {"type": float, "default": 0.0, "help": "hidden phase"},
+        "--phi": {"type": float, "default": 0.0, "help": "initial mixing angle"},
+        "--c": {"type": float, "default": 1.0, "help": "flip-flop coupling"},
+        "--t": {"type": float, "default": 0.0, "help": "time"},
+        "--omega": {"type": float, "default": 1.0, "help": "Zeeman frequency"},
+        "--tol": {"type": float, "default": 1e-10},
+        "--report-only": {"action": "store_true",
+                          "help": "exit 0 even when the assembled ensemble misses the target"},
+    }),
+    "validate": ("validate a density-matrix file", cmd_validate, {
+        "state": {},
+        "--level": {"choices": ["strict", "relaxed"], "default": "strict"},
+    }),
 }
 
 
@@ -919,36 +904,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(dimensionless units, hbar = k_B = 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_))
+    for name, (help_, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for argument, keywords in arguments.items():
+            p.add_argument(argument, **keywords)
+        p.set_defaults(func=func)
     return parser
-
-
-class _Arguments:
-    """The arguments that a command's function in ``COMMANDS`` adds, recorded
-    in place of a parser: flags by name and positionals in order, each as
-    (dest, nargs, type, choices, required) with nargs 0 for a switch, and
-    every dest's default."""
-
-    def __init__(self, command: str):
-        self.flags, self.positionals, self.defaults = {}, [], {"command": command}
-
-    def add_argument(self, name, *, nargs=None, action=None, type=str, choices=None,
-                     default=None, required=False, help=None, metavar=None):
-        if action == "store_true":
-            nargs, default = 0, False
-        elif action is not None:
-            raise TypeError(f"_plain does not read action={action!r}")
-        dest = name.lstrip("-").replace("-", "_")
-        # argparse passes a default given as a string through the type.
-        self.defaults[dest] = type(default) if isinstance(default, str) else default
-        if name.startswith("-"):
-            self.flags[name] = (dest, nargs, type, choices, required)
-        else:
-            self.positionals.append((dest, nargs, type, choices, required))
-
-    def set_defaults(self, **kwargs) -> None:
-        self.defaults.update(kwargs)
 
 
 def _plain(argv: list[str]) -> argparse.Namespace | None:
@@ -957,7 +918,8 @@ def _plain(argv: list[str]) -> argparse.Namespace | None:
     flags spelled out in full, each flag followed by its values, no token
     of which starts with "-", every value of its type and among its
     choices, and every required argument there. None for any other command
-    line, which argparse reads, and reports where it is wrong.
+    line, which argparse reads, and reports where it is wrong. An argument
+    of ``COMMANDS`` whose action is not ``store_true`` is a TypeError.
 
     Building argparse's parsers costs more than a small ``run`` itself; the
     measurements are in CHANGES.md, in its entry on steadying
@@ -965,37 +927,48 @@ def _plain(argv: list[str]) -> argparse.Namespace | None:
     """
     if not argv or argv[0] not in COMMANDS:
         return None
-    spec = _Arguments(argv[0])
-    COMMANDS[argv[0]][1](spec)
-    values, given = dict(spec.defaults), set()
-    positionals, tokens = iter(spec.positionals), iter(argv[1:])
+    _, func, arguments = COMMANDS[argv[0]]
+    values, given = {"command": argv[0], "func": func}, set()
+    for name, kw in arguments.items():
+        if kw.get("action", "store_true") != "store_true":
+            raise TypeError(f"_plain does not read action={kw['action']!r}")
+        default = kw.get("default", False if "action" in kw else None)
+        # argparse passes a default given as a string through the type.
+        values[name] = kw.get("type", str)(default) if isinstance(default, str) else default
+    positionals = (name for name in arguments if not name.startswith("-"))
+    tokens = iter(argv[1:])
     for token in tokens:
         flag = token.startswith("-")
-        arg = spec.flags.get(token) if flag else next(positionals, None)
-        if arg is None:
+        name = (token if token in arguments else None) if flag else next(positionals, None)
+        if name is None:
             return None
-        dest, nargs, type_, choices, _ = arg
-        count = 1 if nargs is None else nargs
+        kw = arguments[name]
+        count = 0 if "action" in kw else kw.get("nargs", 1)
         raw = list(itertools.islice(tokens, count)) if flag else [token]
         if len(raw) != count or any(v.startswith("-") for v in raw):
             return None
         try:
-            got = [type_(v) for v in raw]
+            got = [kw.get("type", str)(v) for v in raw]
         except ValueError:
             return None
-        if choices is not None and any(v not in choices for v in got):
+        if "choices" in kw and any(v not in kw["choices"] for v in got):
             return None
         # A switch is True, one value itself, and nargs values a list.
-        values[dest] = True if count == 0 else got[0] if nargs is None else got
-        given.add(dest)
-    if next(positionals, None) or any(req and dest not in given
-                                      for dest, *_, req in spec.flags.values()):
+        values[name] = True if count == 0 else got if "nargs" in kw else got[0]
+        given.add(name)
+    if next(positionals, None) or any(kw.get("required") and name not in given
+                                      for name, kw in arguments.items()):
         return None
-    return argparse.Namespace(**values)
+    # Each value under the attribute that argparse stores it as.
+    return argparse.Namespace(**{name.lstrip("-").replace("-", "_"): value
+                                 for name, value in values.items()})
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv read by ``_plain``, or else parsed by ``build_parser()``.
+    """argv read by ``_plain``, or else, its negative values glued to their
+    flags (``_glue_negative_values``), parsed by ``build_parser()``. The
+    glue changes only a line with a token that starts with "-" after a
+    flag, which ``_plain`` never reads.
 
     argparse's back-references make a parser a reference cycle, which only
     the cyclic garbage collector frees. Made with the collector paused, the
@@ -1005,7 +978,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     args = _plain(argv)
     if args is None:
         with _collector_paused():
-            args = build_parser().parse_args(argv)
+            args = build_parser().parse_args(_glue_negative_values(argv))
         gc.collect(0)
     return args
 
@@ -1028,8 +1001,7 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
-    args = _parse(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         _setup_logging()
         return args.func(args)

@@ -2453,18 +2453,20 @@ def mutated_command_lines(draw):
     special or huge among them), or a flag's value glued on as --flag=value.
     """
     command = draw(st.sampled_from(list(cli.COMMANDS)))
-    spec = cli._Arguments(command)
-    cli.COMMANDS[command][1](spec)
+    arguments = cli.COMMANDS[command][2]
 
-    def values(arg):
-        dest, nargs, type_, choices, _ = arg
-        if nargs == 0:  # a switch
+    def values(name):
+        kw = arguments[name]
+        if "action" in kw:  # a switch
             return []
-        pool = ARGV_FILES.get(dest) or [str(c) for c in choices or ()] or ARGV_NUMBERS[type_]
-        return [draw(st.sampled_from(pool)) for _ in range(nargs or 1)]
+        pool = (ARGV_FILES.get(name.lstrip("-")) or [str(c) for c in kw.get("choices", ())]
+                or ARGV_NUMBERS[kw.get("type")])
+        return [draw(st.sampled_from(pool)) for _ in range(kw.get("nargs", 1))]
 
-    items = [[flag, *values(arg)] for flag, arg in spec.flags.items() if arg[4] or draw(st.booleans())]
-    items += [values(arg) for arg in spec.positionals]
+    flags = [name for name in arguments if name.startswith("-")]
+    items = [[flag, *values(flag)] for flag in flags
+             if arguments[flag].get("required") or draw(st.booleans())]
+    items += [values(name) for name in arguments if name not in flags]
     for _ in range(draw(st.integers(1, 3))):
         mutation = draw(st.sampled_from(["drop", "duplicate", "unknown", "swap", "glue"]))
         at = draw(st.integers(0, len(items)))
@@ -2662,9 +2664,14 @@ def parsed(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+def full_parse(argv):
+    """argv parsed by the full parser, its negative values glued to their
+    flags first, as ``_parse`` hands a line to argparse."""
+    return cli.build_parser().parse_args(cli._glue_negative_values(argv))
+
+
 def assert_parsed_as_by_the_full_parser(argv):
-    argv = cli._glue_negative_values(argv)
-    assert parsed(cli._parse, argv) == parsed(cli.build_parser().parse_args, argv)
+    assert parsed(cli._parse, argv) == parsed(full_parse, argv)
 
 
 def test_parser_tokens_name_every_flag():
@@ -2705,21 +2712,22 @@ def plain_lines(draw):
     type and among its choices; in half of the lines, one token is then
     added, replaced or removed."""
     command = draw(st.sampled_from(list(cli.COMMANDS)))
-    spec = cli._Arguments(command)
-    cli.COMMANDS[command][1](spec)
+    arguments = cli.COMMANDS[command][2]
     typed = {int: ["2", "0", "7"], float: ["0.5", "1e-3", "inf", "2"], str: ["s.json", "x", ""]}
 
-    def values(arg):
-        _, nargs, type_, choices, _ = arg
-        pool = [str(c) for c in choices] if choices else typed[type_]
-        return [draw(st.sampled_from(pool)) for _ in range(1 if nargs is None else nargs)]
+    def values(name):
+        kw = arguments[name]
+        pool = [str(c) for c in kw["choices"]] if "choices" in kw else typed[kw.get("type", str)]
+        return [draw(st.sampled_from(pool)) for _ in range(0 if "action" in kw else kw.get("nargs", 1))]
 
-    items = [[flag, *values(arg)] for flag, arg in spec.flags.items() if arg[4] or draw(st.booleans())]
-    items += [values(arg) for arg in spec.positionals]
+    flags = [name for name in arguments if name.startswith("-")]
+    items = [[flag, *values(flag)] for flag in flags
+             if arguments[flag].get("required") or draw(st.booleans())]
+    items += [values(name) for name in arguments if name not in flags]
     line = [command, *itertools.chain.from_iterable(draw(st.permutations(items)))]
     if draw(st.booleans()):
         at = draw(st.integers(1, len(line)))
-        token = draw(st.sampled_from([*OTHER_VALUES, *spec.flags]))
+        token = draw(st.sampled_from([*OTHER_VALUES, *flags]))
         line[at:at + draw(st.integers(0, 1))] = draw(st.sampled_from([[], [token]]))
     return line
 
@@ -2731,15 +2739,18 @@ def test_plain_lines_parse_as_by_the_full_parser(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--config", "x"], ["run", "--format", "json", "--out", "o.csv", "--config", "x"],
+    # The benchmark's workloads: run on a config, and reduce on a 2 x 257 state.
+    ["run", "--config", "x"], ["reduce", "s.json", "--dims", "2", "257", "--method", "correlated"],
+    ["run", "--format", "json", "--out", "o.csv", "--config", "x"],
     ["reduce", "s.json", "--dims", "2", "2", "--method", "correlated", "--tol", "1e-9"],
     ["reduce", "--dims", "2", "3", "s.json", "--seed", "file:s.json", "--max-iter", "5"],
     ["decompose", "spin_pair_t", "--t", "0.5", "--report-only"], ["decompose", "epr"],
     ["validate", "s.json", "--level", "relaxed"], ["validate", ""],
 ], ids=" ".join)
-def test_a_plain_command_line_is_read_without_a_parser(argv):
-    assert cli._plain(argv) is not None
-    assert_parsed_as_by_the_full_parser(argv)
+def test_a_plain_command_line_is_read_without_a_parser(monkeypatch, argv):
+    want = parsed(full_parse, argv)
+    monkeypatch.setattr(argparse, "ArgumentParser", None)  # no parser can be made
+    assert parsed(cli._parse, argv) == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -2753,18 +2764,24 @@ def test_a_command_line_that_is_not_plain_is_left_to_argparse(argv):
     assert cli._plain(argv) is None
 
 
-def test_main_adds_only_the_invoked_commands_arguments(monkeypatch):
-    added = []
-    for name, (help_, add_arguments) in cli.COMMANDS.items():
-        def add(p, name=name, add_arguments=add_arguments):
-            added.append(name)
-            add_arguments(p)
-        monkeypatch.setitem(cli.COMMANDS, name, (help_, add))
-    assert cli.main(["decompose", "epr"]) == 0
-    assert added == ["decompose"]
-    with pytest.raises(SystemExit):
-        cli.main(["bogus"])
-    assert added == ["decompose", *cli.COMMANDS]
+@settings(max_examples=300, deadline=None)
+@given(plain_lines(), st.data())
+def test_a_line_that_the_glue_changes_is_not_plain(line, data):
+    # A negative number added or put in place of a token after the command,
+    # so often after a flag: only argparse's lines need the glue, and _parse
+    # glues only those.
+    at = data.draw(st.integers(1, len(line)))
+    number = data.draw(st.sampled_from(["-1e5", "-2.5E-3", "-inf", "-nan", "-1", "-.5"]))
+    line[at:at + data.draw(st.integers(0, 1))] = [number]
+    assert cli._glue_negative_values(line) == line or cli._plain(line) is None
+
+
+def test_an_argument_that_plain_cannot_read_fails_loudly(monkeypatch):
+    help_, func, arguments = cli.COMMANDS["validate"]
+    monkeypatch.setitem(cli.COMMANDS, "validate",
+                        (help_, func, {**arguments, "--verbose": {"action": "count"}}))
+    with pytest.raises(TypeError, match="_plain does not read action='count'"):
+        cli._plain(["validate", "s.json"])
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
@@ -2796,7 +2813,8 @@ def test_main_frees_its_parsers_before_the_command_runs(monkeypatch, capsys, ena
         return 0
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
-    monkeypatch.setattr(cli, "cmd_decompose", command)
+    help_, _, arguments = cli.COMMANDS["decompose"]
+    monkeypatch.setitem(cli.COMMANDS, "decompose", (help_, command, arguments))
     was, thresholds = gc.isenabled(), gc.get_threshold()
     (gc.enable if enabled else gc.disable)()
     gc.set_threshold(1, 10**9, 10**9)

@@ -101,6 +101,17 @@ class TestSpinPairInitialDecomposition:
         assert not rep.matches
         assert rep.diagonal_error > 0.1
 
+    @pytest.mark.parametrize("phi", [1.2, -1.2])
+    def test_beyond_the_epr_angles_the_diagonal_matches(self, phi):
+        # |tan phi| > 1: weight cos^2 on up x down and sin^2 on down x up,
+        # the initial state's diagonal; only its coherence is missed.
+        e = ens.spin_pair_initial_decomposition(phi)
+        assert [(term.weight, term.left[0, 0], term.right[0, 0]) for term in e.terms] == [
+            (math.cos(phi) ** 2, 1.0, 0.0), (math.sin(phi) ** 2, 0.0, 1.0)]
+        rep = ens.verify_ensemble(e, spin_pair_initial(phi))
+        assert rep.diagonal_error == 0.0
+        assert rep.coherence_error == pytest.approx(abs(math.sin(2 * phi)) / 2, abs=1e-15)
+
 
 class TestSpinPairReducedDecomposition:
     def test_positive_branch_at_t_zero(self):
@@ -133,6 +144,10 @@ class TestSpinPairReducedDecomposition:
     def test_epr_angle_stationary(self):
         e = ens.spin_pair_reduced_decomposition(phi=math.pi / 4, c=1.0, t=2.7)
         assert mc.max_abs_diff(ens.assemble(e), epr_state().matrix) < 1e-12
+
+    def test_triplet_angle_stationary(self):
+        e = ens.spin_pair_reduced_decomposition(phi=-math.pi / 4, c=1.0, t=2.7)
+        assert mc.max_abs_diff(ens.assemble(e), triplet_state().matrix) < 1e-12
 
     def test_diagonals_match_evolved_state(self):
         phi, c, t = math.pi / 8, 0.4, 0.9

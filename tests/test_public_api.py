@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import corred
@@ -121,3 +122,46 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unloaded):
     code, loaded = json.loads(fresh(LOADED, *argv, cwd=tmp_path))
     assert code == 0
     assert sorted(set(ALL_MODULES) - set(loaded)) == unloaded
+
+
+EPR, PAIR = corred.epr_state().matrix, corred.BipartiteSystem(2, 2)
+SKEW = np.array([[0.0, 1.0], [0.0, 0.0]])  # not hermitian
+HALF = np.eye(2) / 2
+
+
+def _ensemble(*terms):
+    return corred.Ensemble(terms=tuple(corred.EnsembleTerm(*term) for term in terms), system=PAIR)
+
+
+# A public call on an argument it refuses, the error it raises and the start
+# of its message.
+REFUSALS = {
+    "max_iter-0": (lambda: corred.correlated_reduce(EPR, PAIR, max_iter=0),
+                   ValueError, "max_iter must be >= 1, got 0"),
+    "observed-gamma": (lambda: corred.replacement_operator(EPR, PAIR, observed="gamma"),
+                       ValueError, "observed must be 'alpha' or 'beta', got 'gamma'"),
+    "over-gamma": (lambda: corred.partial_trace(EPR, PAIR, over="gamma"),
+                   ValueError, "over must be 'alpha' or 'beta', got 'gamma'"),
+    "dimension-0": (lambda: corred.minimum_information_state(0),
+                    corred.IndexOutOfRange, "dimension must be >= 1, got 0"),
+    "observable-not-hermitian": (lambda: corred.Observable(SKEW, "a"),
+                                 corred.NotHermitian, "observable 'a' is not hermitian"),
+    "operator-not-hermitian": (lambda: corred.state_from_observable(SKEW),
+                               corred.NotHermitian, "operator is not hermitian"),
+    "negative-weight": (lambda: _ensemble((1.5, HALF, HALF), (-0.5, HALF, HALF)),
+                        ValueError, "negative weight -0.5"),
+    "term-shape": (lambda: _ensemble((1.0, np.eye(3) / 3, HALF)),
+                   corred.DimensionMismatch, "term shape (3, 3) vs dimension 2"),
+    "target-size": (lambda: corred.verify_ensemble(corred.epr_decomposition(0.0), HALF),
+                    corred.DimensionMismatch, "target shape (2, 2) vs composite dim 4"),
+    # Refused before any array is made: 2 * 10**18 complex entries.
+    "n_max-1e18": (lambda: corred.jcm_vacuum_amplitudes(corred.JcmParams(1.0, 1.0, 10**18), 0.5),
+                   corred.ValidationError, "n_max=1000000000000000000 is too large: "),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_a_public_call_refuses_a_bad_argument(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)
