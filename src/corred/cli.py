@@ -28,9 +28,9 @@ It then holds one chunk of ``CHUNK`` time points at a time, and makes each
 chunk's t values as ``np.linspace`` makes them, so memory does not grow
 with ``steps``. A model makes a chunk's amplitude matrices in one call, on
 the levels that can hold its state (a 2 x 2 block for the JCM vacuum at any
-n_max); they are cut to the support of the chunk (``reduction.support``)
-before the stacked kernels run (``reduction.reduce_stack``), so a chunk
-holds nothing of size K x N. A point the stack does not settle is made as
+n_max), which the stacked kernels (``reduction.reduce_stack``) cut to the
+support of the chunk before they run, so a chunk holds nothing of size
+K x N. A point the stack does not settle is made as
 its own one-point block, on the same levels, and reduced alone
 (``reduction._reduce_block``, the same body with the public semantics),
 its result a stack of one, and so is every point of a chunk that holds a
@@ -94,9 +94,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 #: Time points that ``run`` reduces together. numpy's fixed cost per call is
-#: what a stack saves, while each point's amplitudes are held until the
-#: chunk is cut to its support and the kernels' temporaries grow with it, so
-#: a larger chunk runs faster and peaks higher. With ``main``'s parser freed
+#: what a stack saves, while the kernels' temporaries grow with it, so a
+#: larger chunk runs faster and peaks higher. With ``main``'s parser freed
 #: before the first chunk, 32 peaks below what 16 peaked with the parser
 #: held; 48 runs barely faster than 32 and peaks more than the benchmark's
 #: 10 % bound above it.
@@ -271,9 +270,19 @@ def _count(value, key: str) -> int:
     return number
 
 
-def _string(value, key: str) -> str:
+def _path(value, key: str) -> str:
+    """``value`` as a file path: a string that ``os.fsencode`` encodes with
+    no NUL byte. ``open`` refuses any other string, with a ValueError or a
+    UnicodeEncodeError."""
     if not isinstance(value, str):
         raise ValidationError(f"{key} must be a string, got {value!r}")
+    try:
+        ok = b"\0" not in os.fsencode(value)
+    except UnicodeEncodeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"{key} must be a file path the file system can encode, "
+                              f"with no NUL character, got {value!r}")
     return value
 
 
@@ -288,8 +297,10 @@ def _one_of(*choices: str):
 
 
 def _seed(value, key: str) -> str:
-    if value == "neumann" or isinstance(value, str) and value.startswith("file:"):
+    if value == "neumann":
         return value
+    if isinstance(value, str) and value.startswith("file:"):
+        return "file:" + _path(value[5:], key)
     raise ValidationError(f"{key} must be 'neumann' or file:<path>, got {value!r}")
 
 
@@ -315,13 +326,13 @@ PARAMS = {
     "spin_pair": {"omega": (_finite, 1.0), "j": (_finite, 0.0), "c": (_finite, 0.0),
                   "d": (_finite, 0.0), "phi": (_finite, 0.0)},
     "jcm_vacuum": {"omega": (_finite, 1.0), "rabi": (_finite, 1.0), "n_max": (_integer, 16)},
-    "custom": {"state": (_string, REQUIRED), "dims": (_dims, REQUIRED)},
+    "custom": {"state": (_path, REQUIRED), "dims": (_dims, REQUIRED)},
 }
 #: The ``reduction`` keys of each method, besides ``method`` (``METHOD``).
 REDUCTION = {
     "neumann": {},
     "projective": {"level": (_integer, REQUIRED)},
-    "conditioned": {"state": (_string, REQUIRED), "given_side": (_one_of("alpha", "beta"), "beta")},
+    "conditioned": {"state": (_path, REQUIRED), "given_side": (_one_of("alpha", "beta"), "beta")},
     "correlated": {"tol": (_positive, 1e-12), "max_iter": (_count, 10_000),
                    "seed": (_seed, "neumann")},
 }
@@ -337,7 +348,7 @@ SECTIONS = {
     },
     "time_grid": {"start": (_finite, REQUIRED), "stop": (_finite, REQUIRED),
                   "steps": (_integer, REQUIRED)},
-    "output": {"format": (_one_of("csv", "json"), "csv"), "path": (_string, None)},
+    "output": {"format": (_one_of("csv", "json"), "csv"), "path": (_path, None)},
 }
 
 
@@ -455,7 +466,7 @@ def _state_factory(cfg: dict):
     amplitudes in place of the N x N state: their state is a function of an
     array of K times to the amplitude matrices on the leading levels that
     can hold the state, every alpha level and c beta levels, the (K, Na, c)
-    stack that ``reduction.support`` takes. The states of ``epr`` and
+    stack that ``reduction.reduce_stack`` takes. The states of ``epr`` and
     ``custom`` do not change, so their state is that state itself.
     """
     from . import models  # here, so that reduce and validate never load it
@@ -506,8 +517,8 @@ class _Reducer(NamedTuple):
         run = {"tol": self.tol, "max_iter": self.max_iter} if self.method == "correlated" else {}
         return getattr(reduction, f"{self.method}_reduce")(rho, self.sys, **self.weights, **run)
 
-    def stack(self, cut: reduction.Support) -> reduction.Stack:
-        return reduction.reduce_stack(cut, self.sys, self.method, tol=self.tol, **self.weights)
+    def stack(self, block: np.ndarray) -> reduction.Stack:
+        return reduction.reduce_stack(block, self.sys, self.method, tol=self.tol, **self.weights)
 
     def point(self, block: np.ndarray) -> reduction.ReductionResult:
         return reduction._reduce_block(block, self.sys, self.method, tol=self.tol,
@@ -598,7 +609,7 @@ def _chunk(ts: np.ndarray, sys_: BipartiteSystem, model: Callable,
     """
     points = ts.tolist()
     try:
-        stack = reducer.stack(reduction.support(model(ts)))
+        stack = reducer.stack(model(ts))
     except CorredError:
         stack = None
     first = 0

@@ -41,9 +41,9 @@ where K = N. Where one state raises or warns, a stack marks that state NaN
 instead. ``reduce_stack`` reduces K time points of ``corred run`` this way,
 on the support of the stack: the rows and columns of Psi that hold a
 nonzero entry in some state. Off it every reduced entry is exactly 0, so
-``support`` first cuts Psi to it, from a model's block on the levels that
-can hold its state where the model gives one, and no full Na x Na or
-Nb x Nb matrix is built. A point that the stack leaves undone is reduced
+it first cuts Psi to it, from a model's block on the levels that can hold
+its state where the model gives one, and no full Na x Na or Nb x Nb
+matrix is built. A point that the stack leaves undone is reduced
 alone from its one-point model block (``_reduce_block``), on the block's
 levels, with no full matrix either; only the public reductions, which
 return one, build one. A sum over the support or the block skips zero
@@ -553,40 +553,9 @@ def _reduce_block(block: np.ndarray, sys: BipartiteSystem, method: str, tol: flo
     return _reduce(r, sub, method, *_weights(sys, method, *levels, **weights), tol, max_iter)
 
 
-class Support(NamedTuple):
-    """A stack of K amplitude matrices cut to its support (``support``):
-    ``p`` (K, r, c) holds each Psi = psi.reshape(Na, Nb) on the alpha levels
-    ``rows`` and beta levels ``cols`` that hold a nonzero entry in some
-    state; ``valid`` marks the states that pass ``_state``'s check, and the
-    others are zeroed."""
-
-    p: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    valid: np.ndarray
-
-
-def support(p: np.ndarray) -> Support:
-    """The amplitude matrices p (K, r, c) checked and cut to their support.
-
-    p holds the leading r alpha and c beta levels of each state's Psi,
-    outside which every entry is 0: a model's block on the levels that can
-    hold its state, or the whole Psi, psi.reshape(K, Na, Nb). The cut is a
-    copy where the support is smaller than r x c, so the caller can free p
-    before ``reduce_stack`` runs the kernels.
-    """
-    valid = _unit(p.reshape(len(p), -1))
-    if not valid.all():
-        p = np.where(valid[:, None, None], p, 0)
-    rows, cols = np.flatnonzero(p.any(axis=(0, 2))), np.flatnonzero(p.any(axis=(0, 1)))
-    if (rows.size, cols.size) != p.shape[1:]:
-        p = p[:, rows[:, None], cols]
-    return Support(p, rows, cols, valid)
-
-
 class Stack(NamedTuple):
     """The reductions of a stack of K amplitude vectors, on the support of the
-    stack (``Support``). ``rho_alpha`` (K, r, r) and ``rho_beta`` (K, c, c)
+    stack (``reduce_stack``). ``rho_alpha`` (K, r, r) and ``rho_beta`` (K, c, c)
     are the reduced states on the levels ``rows`` and ``cols``, exactly 0
     off them; ``error`` holds each state's reconstruction error, and
     ``verdict`` and ``iterations`` those of every state that is ``done``.
@@ -603,13 +572,21 @@ class Stack(NamedTuple):
     iterations: int = 0
 
 
-def reduce_stack(cut: Support, sys: BipartiteSystem, method: str, sigma=None,
+def reduce_stack(p: np.ndarray, sys: BipartiteSystem, method: str, sigma=None,
                  given_side: str = "beta", level: int = 0, tol: float = 1e-12, seed=None) -> Stack:
-    """The reduction ``method`` of each amplitude vector of a stack cut to its
-    support (``support``), with the parameters of ``neumann_reduce``,
+    """The reduction ``method`` of each state of a stack of K amplitude
+    matrices p (K, r, c), with the parameters of ``neumann_reduce``,
     ``conditioned_reduce`` (``sigma``, ``given_side``), ``projective_reduce``
     (``level``) or ``correlated_reduce`` (``seed``, ``tol``; one sweep
     suffices where the state is done, so ``max_iter`` does not matter).
+
+    p holds the leading r alpha and c beta levels of each state's Psi,
+    outside which every entry is 0: a model's block on the levels that can
+    hold its state, or the whole Psi, psi.reshape(K, Na, Nb). A state that
+    fails ``_state``'s check (``_unit``) is zeroed, and p is cut to its
+    support, the rows and columns that hold a nonzero entry in some state:
+    a copy only where that is smaller than r x c, which a model's block,
+    made on the levels that can hold its state, seldom is.
 
     The same body as the public reductions (``_pair``), over a leading axis
     and on the support of the stack, where it gives each state's reduced
@@ -623,7 +600,12 @@ def reduce_stack(cut: Support, sys: BipartiteSystem, method: str, sigma=None,
     and, with a ``seed``, a stack whose support leaves out an alpha level,
     where the seed test could decide otherwise.
     """
-    p, rows, cols, valid = cut
+    valid = _unit(p.reshape(len(p), -1))
+    if not valid.all():
+        p = np.where(valid[:, None, None], p, 0)
+    rows, cols = np.flatnonzero(p.any(axis=(0, 2))), np.flatnonzero(p.any(axis=(0, 1)))
+    if (rows.size, cols.size) != p.shape[1:]:
+        p = p[:, rows[:, None], cols]
     not_done = Stack(rows, cols, None, None, None, np.zeros_like(valid))
     if not valid.any() or seed is not None and rows.size < sys.dim_alpha:
         return not_done

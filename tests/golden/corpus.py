@@ -213,6 +213,9 @@ ARGV_CASES = {
     "usage-unknown-flag": ["validate", "{dir}/epr.json", "--bogus"],
     "usage-run-without-config": ["run"],
     "usage-method-choice": [*REDUCE, "--method", "bogus"],
+    # The help text of corred and of each command, at 80 columns.
+    "help": ["--help"],
+    **{f"help-{command}": [command, "--help"] for command in cli.COMMANDS},
 }
 
 #: name -> (config or None, argv)

@@ -720,10 +720,10 @@ def test_kernels_run_without_the_full_length_stack(tmp_path):
     argv = ["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out.csv")]
     reduce_stack, seen = reduction.reduce_stack, []
 
-    def traced(cut, *args, **kwargs):
+    def traced(block, *args, **kwargs):
         tracemalloc.reset_peak()  # to the memory in use at the start
-        stack = reduce_stack(cut, *args, **kwargs)
-        seen.append((len(cut.valid), tracemalloc.get_traced_memory()[1]))
+        stack = reduce_stack(block, *args, **kwargs)
+        seen.append((len(block), tracemalloc.get_traced_memory()[1]))
         return stack
 
     assert cli.main(argv) == 0
@@ -1789,9 +1789,10 @@ def write_text(path: Path, text: str | bytes) -> None:
 
 OVERFLOW_GRID = '{"experiment": %s, "time_grid": {"start": 0, "stop": 10, "steps": 11}}'
 SPAN_OVERFLOW_GRID = '{"experiment": %s, "time_grid": {"start": -1e308, "stop": 1e308, "steps": 3}}'
-# Keys that the table does not list where they stand, and an output.format
-# that --format overrides: each exits 2 with one error line that names the
-# key, before the output file is opened. name -> (config, flags, message)
+# Keys that the table does not list where they stand, an output.format that
+# --format overrides, and the paths of PATH_KEYS below: each exits 2 with
+# one error line that names the key, before the output file is opened.
+# name -> (config, flags, message)
 KEY_ERRORS = {
     "n_mx": ('{"experiment": "jcm_vacuum", "params": {"n_mx": 64}}', [],
              "unknown params key 'n_mx' for experiment 'jcm_vacuum'"),
@@ -1814,6 +1815,24 @@ KEY_ERRORS = {
                       ' "reduction": {"method": "neumann", "tol": 1e-9},'
                       ' "output": {"fromat": "json"}, "notes": "x"}', [],
                       "unknown config key 'notes'"),
+}
+# Paths that no file can have, under each key that names a file: a NUL
+# character, and a lone surrogate that the file system encoding refuses.
+# ``open`` would raise ValueError or UnicodeEncodeError on them.
+PATH_KEYS = {
+    "output.path": ('{"experiment": "epr", "output": {"path": %s}}', ""),
+    "params.state": ('{"experiment": "custom", "params": {"state": %s, "dims": [2, 2]}}', ""),
+    "reduction.state": ('{"experiment": "epr", "reduction": {"method": "conditioned", "state": %s}}',
+                        ""),
+    "reduction.seed": ('{"experiment": "epr", "reduction": {"method": "correlated", "seed": %s}}',
+                       "file:"),
+}
+KEY_ERRORS |= {
+    f"{key}-{what}": (config % json.dumps(prefix + path), [],
+                      f"{key} must be a file path the file system can encode, with no NUL "
+                      f"character, got {path!r}")
+    for key, (config, prefix) in PATH_KEYS.items()
+    for what, path in (("nul", "a\u0000b"), ("surrogate", "a\ud800b"))
 }
 EXIT_CASES = [
     ("ok", '{"experiment": "epr"}', RUN, 0),
@@ -2273,7 +2292,8 @@ CONFIG_VALUES = {
     "output": {"format": st.sampled_from(["csv", "json"]), "path": st.sampled_from([None, "{out}"])},
 }
 # Values of another kind than a key's; "{out}.x" names a file that does not exist.
-SWAPPED = st.sampled_from(["{out}.x", "", True, None, [1], {"k": 1}, -1, 0, 0.5, math.nan, math.inf])
+SWAPPED = st.sampled_from(["{out}.x", "", "a\u0000b", "a\ud800b", True, None, [1], {"k": 1}, -1, 0,
+                           0.5, math.nan, math.inf])
 ALL_KEYS = sorted({*cli.SECTIONS["config"], "method",
                    *(key for keys in CONFIG_VALUES.values() for key in keys)})
 
@@ -2325,6 +2345,7 @@ def mutated_configs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(mutated_configs())
+@example(({"experiment": "epr", "output": {"path": "a\u0000b"}}, "swap", "path"))
 def test_a_mutated_config_keeps_the_exit_code_contract(mutation_files, case):
     cfg, mutation, key = case
     text = json.dumps(cfg)

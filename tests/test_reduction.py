@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import math
 import tracemalloc
@@ -667,8 +668,7 @@ class TestStackedKernels:
         p = JcmParams(1.0, 1.0, n_max=3)
         ts = [0.3, math.pi / 2, 2.0]
         psi = models.jcm_vacuum_amplitudes(p, np.array(ts))
-        stack = red.reduce_stack(red.support(psi.reshape(len(ts), 2, -1)), jcm_system(p),
-                                 "correlated")
+        stack = red.reduce_stack(psi.reshape(len(ts), 2, -1), jcm_system(p), "correlated")
         assert stack.done.tolist() == [True, False, True]
         assert (stack.verdict, stack.iterations) == ("converged", 1)
         assert stack.rows.tolist() == [0, 1] and stack.cols.tolist() == [0, 1]
@@ -682,22 +682,27 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("n_max", [1, 2, 16, 256])
     def test_a_block_cuts_as_its_whole_vectors_cut(self, n_max):
-        # ``support`` of a JCM chunk's block on levels {0, 1} is, bit for bit,
-        # that of its whole vectors: a chunk of t = 0 alone cuts beta to
+        # ``reduce_stack`` of a JCM chunk's block on levels {0, 1} is, bit for
+        # bit, that of its whole vectors: a chunk of t = 0 alone cuts beta to
         # level 0, and a state off the unit norm is zeroed in both.
         p = JcmParams(0.7, 1.3, n_max=n_max)
-        for ts in (np.zeros(1), np.zeros(3), np.linspace(0.0, 10.0, 16), np.linspace(0.5, 3.0, 5)):
-            for scale in (1.0, 2.0):
-                block = models._jcm_vacuum_block(p, ts)
-                whole = models.jcm_vacuum_amplitudes(p, ts).reshape(len(ts), 2, n_max + 1)
-                block[-1] *= scale
-                whole[-1] *= scale
-                got, want = red.support(block), red.support(whole)
-                assert got.p.shape == want.p.shape and got.p.tobytes() == want.p.tobytes()
-                for a, b in zip(got[1:], want[1:]):
-                    assert a.dtype == b.dtype and a.tolist() == b.tolist()
-                if scale == 1.0 and not ts.any():
-                    assert (got.rows.tolist(), got.cols.tolist()) == ([0], [0])
+        sys_ = jcm_system(p)
+        for ts, scale, method in itertools.product(
+                (np.zeros(1), np.zeros(3), np.linspace(0.0, 10.0, 16), np.linspace(0.5, 3.0, 5)),
+                (1.0, 2.0), ("neumann", "correlated")):
+            block = models._jcm_vacuum_block(p, ts)
+            whole = models.jcm_vacuum_amplitudes(p, ts).reshape(len(ts), 2, n_max + 1)
+            block[-1] *= scale
+            whole[-1] *= scale
+            got, want = red.reduce_stack(block, sys_, method), red.reduce_stack(whole, sys_, method)
+            for a, b in zip(got, want):
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                else:
+                    assert a == b
+            assert scale == 1.0 or not got.done[-1]
+            if scale == 1.0 and not ts.any():
+                assert (got.rows.tolist(), got.cols.tolist()) == ([0], [0])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 600), st.integers(1, 20), st.integers(0, 2**32 - 1))
