@@ -271,11 +271,13 @@ def _count(value, key: str) -> int:
 
 
 def _path(value, key: str) -> str:
-    """``value`` as a file path: a string that ``os.fsencode`` encodes with
-    no NUL byte. ``open`` refuses any other string, with a ValueError or a
-    UnicodeEncodeError."""
+    """``value`` as a file path: a nonempty string that ``os.fsencode``
+    encodes with no NUL byte. ``open`` refuses any other string, with a
+    ValueError, a UnicodeEncodeError or, for "", FileNotFoundError."""
     if not isinstance(value, str):
         raise ValidationError(f"{key} must be a string, got {value!r}")
+    if not value:
+        raise ValidationError(f"{key} must be a nonempty file path, got ''")
     try:
         ok = b"\0" not in os.fsencode(value)
     except UnicodeEncodeError:
@@ -565,7 +567,8 @@ def cmd_run(args) -> int:
         ts = _time_grid(cfg["time_grid"])
         reducer = _reducer(cfg["reduction"], sys_)
         output = _read(cfg["output"], "output", SECTIONS["output"])
-        fmt, path = args.format or output["format"], args.out or output["path"]
+        fmt = args.format or output["format"]
+        path = output["path"] if args.out is None else _path(args.out, "--out")
         # The weights on no level: a projective level's range and the shapes
         # of sigma and a seed checked against the system, before the output
         # is opened, with no matrix of the system's size built.
@@ -574,7 +577,7 @@ def cmd_run(args) -> int:
         raise ValidationError(f"bad config: {exc!r}") from exc
 
     # Open the output first, so an unwritable path fails before the computation.
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as out:
         _write_series(_series(ts, sys_, rho_of_t, reducer), raw, fmt, out, sys_)
     return 0
 
@@ -590,12 +593,12 @@ def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, state,
     only when its first piece is asked for (``_chunk``)."""
     if callable(state):
         return itertools.chain.from_iterable(
-            _chunk(ts[i:i + CHUNK], sys_, state, reducer) for i in range(0, len(ts), CHUNK))
-    once = _alone(ts[:1].item(), state, reducer.one, sys_)
+            _chunk(ts[i:i + CHUNK], state, reducer) for i in range(0, len(ts), CHUNK))
+    once = _alone(ts[:1].item(), state, reducer.one)
     return ((ts[i:i + CHUNK].tolist(), once) for i in range(0, len(ts) if once.done[0] else 0, CHUNK))
 
 
-def _chunk(ts: np.ndarray, sys_: BipartiteSystem, model: Callable,
+def _chunk(ts: np.ndarray, model: Callable,
            reducer: _Reducer) -> Iterator[tuple[list[float], reduction.Stack]]:
     """The pieces of the time points ts.
 
@@ -616,7 +619,7 @@ def _chunk(ts: np.ndarray, sys_: BipartiteSystem, model: Callable,
     for j in range(len(points)) if stack is None else np.flatnonzero(~stack.done).tolist():
         if first < j:
             yield points[first:j], _part(stack, first, j)
-        yield points[j:j + 1], _alone(points[j], model(ts[j:j + 1]), reducer.point, sys_)
+        yield points[j:j + 1], _alone(points[j], model(ts[j:j + 1]), reducer.point)
         first = j + 1
     if first < len(points):
         yield points[first:], _part(stack, first, len(points))
@@ -628,37 +631,24 @@ def _part(stack: reduction.Stack, a: int, b: int) -> reduction.Stack:
                              if key in ("rho_alpha", "rho_beta", "error", "done") and value is not None})
 
 
-def _alone(t: float, state, reduce_one, sys_: BipartiteSystem) -> reduction.Stack:
+def _alone(t: float, state, reduce_one) -> reduction.Stack:
     """Time point t reduced alone by ``reduce_one``, as a stack of one on the
-    leading levels its reduced states cover: all levels of ``sys_`` for a
-    whole state, a model block's for a block. Not done where its overlap is
-    degenerate; the library's log records name t."""
+    leading levels its reduced states cover: all levels of the system for a
+    whole state, a model block's for a block. Not done, on no level, where
+    its overlap is degenerate. Its exception, or each of its result's
+    warnings, is logged after t."""
     try:
-        with _naming(t):
-            res = reduce_one(state)
+        res = reduce_one(state)
     except DegenerateOverlap as exc:
         log.warning("t=%g: %s", t, exc)
-        return reduction.Stack(np.arange(sys_.dim_alpha), np.arange(sys_.dim_beta), None, None, None,
-                               np.zeros(1, dtype=bool))
+        return reduction.Stack(np.arange(0), np.arange(0), None, None, None, np.zeros(1, dtype=bool))
+    for warning in res.warnings:
+        log.warning("t=%g: %s", t, warning)
     ra = res.rho_alpha.matrix[None]
     rb = None if res.rho_beta is None else res.rho_beta.matrix[None]
     error = None if res.reconstruction_error is None else np.array([res.reconstruction_error])
     return reduction.Stack(np.arange(ra.shape[-1]), np.arange(0 if rb is None else rb.shape[-1]),
                            ra, rb, error, np.ones(1, dtype=bool), res.verdict, res.iterations)
-
-
-@contextlib.contextmanager
-def _naming(t: float):
-    """Prefix "t=...: " to the messages the library logs meanwhile."""
-    def name(record: logging.LogRecord) -> bool:
-        record.msg = f"t={t:g}: {record.msg}"
-        return True
-
-    log.addFilter(name)
-    try:
-        yield
-    finally:
-        log.removeFilter(name)
 
 
 def _write_series(pieces: Iterable[tuple[list[float], reduction.Stack]], cfg: dict, fmt: str,

@@ -143,6 +143,29 @@ def triplet_decomposition(theta: float = 0.0) -> Ensemble:
     return Ensemble(terms=terms, system=_QUBIT_PAIR)
 
 
+def _stationary(phi: float, theta: float) -> Ensemble | None:
+    """The EPR four-term ensemble at tan(phi) = 1 and the triplet one at
+    tan(phi) = -1, where the spin-pair state does not change and each
+    assembles it exactly; None at any other phi."""
+    tan_phi = math.tan(phi) if abs(math.cos(phi)) > 1e-300 else math.inf
+    if abs(tan_phi - 1.0) < 1e-12:
+        return epr_decomposition(theta)
+    if abs(tan_phi + 1.0) < 1e-12:
+        return triplet_decomposition(theta)
+    return None
+
+
+def _diagonal(up: float, down: float, up_first: bool) -> Ensemble:
+    """The two-term diagonal ensemble of weight ``up`` on |1><1| x |2><2|
+    and ``down`` on |2><2| x |1><1|, the first term first as ``up_first``
+    says. A term of weight not above WEIGHT_TOL carries no content and is
+    left out."""
+    terms = (EnsembleTerm(up, P_UP, P_DOWN), EnsembleTerm(down, P_DOWN, P_UP))
+    terms = terms if up_first else terms[::-1]
+    return Ensemble(terms=tuple(term for term in terms if term.weight > WEIGHT_TOL),
+                    system=_QUBIT_PAIR)
+
+
 def spin_pair_initial_decomposition(phi: float, theta: float = 0.0) -> Ensemble:
     """Hidden-ensemble representation of the spin-pair initial state.
 
@@ -150,25 +173,12 @@ def spin_pair_initial_decomposition(phi: float, theta: float = 0.0) -> Ensemble:
     four-term ensembles; elsewhere it is the printed two-term diagonal
     approximation (see verify_ensemble for the resulting error report).
     """
-    t = math.tan(phi) if abs(math.cos(phi)) > 1e-300 else math.inf
-    if abs(t - 1.0) < 1e-12:
-        return epr_decomposition(theta)
-    if abs(t + 1.0) < 1e-12:
-        return triplet_decomposition(theta)
+    stationary = _stationary(phi, theta)
+    if stationary is not None:
+        return stationary
     c2, s2 = math.cos(phi) ** 2, math.sin(phi) ** 2
-    if abs(t) > 1.0:
-        terms = (
-            EnsembleTerm(c2, P_UP, P_DOWN),
-            EnsembleTerm(s2, P_DOWN, P_UP),
-        )
-    else:
-        terms = (
-            EnsembleTerm(c2, P_DOWN, P_UP),
-            EnsembleTerm(s2, P_UP, P_DOWN),
-        )
-    # Zero-weight terms carry no content.
-    terms = tuple(term for term in terms if term.weight > WEIGHT_TOL)
-    return Ensemble(terms=terms, system=_QUBIT_PAIR)
+    # |tan(phi)| > 1 outside the window that _stationary takes.
+    return _diagonal(c2, s2, True) if s2 > c2 else _diagonal(s2, c2, False)
 
 
 def spin_pair_reduced_decomposition(
@@ -181,23 +191,14 @@ def spin_pair_reduced_decomposition(
     branch is undefined and TieUndefined is raised; at |tan(phi)| = 1 the
     stationary EPR / triplet ensembles apply for all t.
     """
-    tan_phi = math.tan(phi) if abs(math.cos(phi)) > 1e-300 else math.inf
-    if abs(tan_phi - 1.0) < 1e-12:
-        return epr_decomposition(theta)
-    if abs(tan_phi + 1.0) < 1e-12:
-        return triplet_decomposition(theta)
+    stationary = _stationary(phi, theta)
+    if stationary is not None:
+        return stationary
     corr = spin_pair_correlation(phi, c, t)
     if abs(corr) < TIE_TOL:
         raise TieUndefined(f"C(phi={phi}, t={t}) = {corr:.3e} is at the branch tie")
-    p_half = (1.0 + corr) / 2.0
-    m_half = (1.0 - corr) / 2.0
     # Dominant term first; the sign of the correlation selects which pair it is.
-    if corr > 0:
-        terms = (EnsembleTerm(p_half, P_UP, P_DOWN), EnsembleTerm(m_half, P_DOWN, P_UP))
-    else:
-        terms = (EnsembleTerm(m_half, P_DOWN, P_UP), EnsembleTerm(p_half, P_UP, P_DOWN))
-    terms = tuple(term for term in terms if term.weight > WEIGHT_TOL)
-    return Ensemble(terms=terms, system=_QUBIT_PAIR)
+    return _diagonal((1.0 + corr) / 2.0, (1.0 - corr) / 2.0, corr > 0)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,6 @@ to the levels of a support or a block, and checks it against the system.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -78,11 +77,9 @@ from .errors import (
 from .matrixcore import BipartiteSystem
 from .states import POSITIVITY_TOL, DensityMatrix, Observable, state_from_observable
 
-log = logging.getLogger("corred")
-
 #: Overlap denominators below this raise DegenerateOverlap.
 DEGENERACY_THRESHOLD = 1e-14
-#: Denominators below this (but above the hard threshold) emit a warning.
+#: Denominators below this (but above the hard threshold) add to a result's warnings.
 NEAR_DEGENERACY_THRESHOLD = 1e-10
 
 MEAN_ZERO_TOL = 1e-12
@@ -157,11 +154,12 @@ class ReductionResult:
 
     ``reconstruction_error`` is the max-abs difference between the composite
     state and the product rho_alpha x rho_beta, or None when ``rho_beta`` is
-    absent, as for a reduction conditioned on the beta side. The correlated
-    reduction also reports its fixed-point run: the ``verdict`` (converged |
-    max_iter | degenerate), the number of ``iterations``, the max-abs change
-    of each sweep in ``residuals`` and near-degeneracy ``warnings``. The
-    one-shot methods leave these at "-", 0 and empty.
+    absent, as for a reduction conditioned on the beta side. ``warnings``
+    names each near-degenerate overlap of its conditionings (``_condition``).
+    The correlated reduction also reports its fixed-point run: its
+    ``verdict`` (converged | max_iter | degenerate), the number of
+    ``iterations`` and the max-abs change of each sweep in ``residuals``;
+    the one-shot methods leave these at "-", 0 and empty.
     """
 
     rho_alpha: DensityMatrix
@@ -273,7 +271,7 @@ def replacement_operator(rho, sys: BipartiteSystem, observed: str = "alpha") -> 
 
 
 def _condition(rho: np.ndarray, sys: BipartiteSystem, sigma: np.ndarray, given_side: str,
-               warnings: list[str] | None = None) -> np.ndarray:
+               warnings: list[str]) -> np.ndarray:
     """Raw conditioned reduction: Sp_given(rho sigma') / Sp(rho sigma').
 
     sigma' is sigma extended by the identity on the other side. The numerator
@@ -284,10 +282,10 @@ def _condition(rho: np.ndarray, sys: BipartiteSystem, sigma: np.ndarray, given_s
     ``given_side``: the numerator hermitized, divided once by its real trace.
 
     On one state a denominator below ``DEGENERACY_THRESHOLD`` raises
-    DegenerateOverlap, one below ``NEAR_DEGENERACY_THRESHOLD`` warns. On a
-    stack of amplitude matrices (with one sigma, or one per state) neither
-    happens: the state's matrix is NaN instead, so that the caller reduces
-    that state alone.
+    DegenerateOverlap, one below ``NEAR_DEGENERACY_THRESHOLD`` adds its
+    message to ``warnings``. On a stack of amplitude matrices (with one
+    sigma, or one per state) neither happens: the state's matrix is NaN
+    instead, so that the caller reduces that state alone.
     """
     numerator = mc.hermitize(mc._contract(rho, sys, given_side, sigma))
     denom = numerator.trace(axis1=-2, axis2=-1).real
@@ -303,10 +301,7 @@ def _condition(rho: np.ndarray, sys: BipartiteSystem, sigma: np.ndarray, given_s
             "the conditioning state is orthogonal to the support of rho"
         )
     if abs(denom) < NEAR_DEGENERACY_THRESHOLD:
-        msg = f"near-degenerate overlap denominator {denom:.3e}"
-        log.warning(msg)
-        if warnings is not None:
-            warnings.append(msg)
+        warnings.append(f"near-degenerate overlap denominator {denom:.3e}")
     return numerator / denom
 
 
@@ -428,7 +423,7 @@ def _start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray | None, tol: fl
     del gram, lam, vecs, x, top, trace, residual
     try:
         if side == "beta":
-            ra = _condition(r, sys, ra, "beta")
+            ra = _condition(r, sys, ra, "beta", warnings)
         overlap = abs((ra.conj() * seed).sum(axis=(-2, -1)))
         ok &= overlap > tol * np.linalg.norm(ra, axis=(-2, -1)) * np.linalg.norm(seed, axis=(-2, -1))
         if not ok.any():
@@ -500,7 +495,7 @@ def _pair(r: np.ndarray, sys: BipartiteSystem, method: str, side: str, w, seed, 
         return (mc.hermitize(ra), mc.hermitize(rb), None) if r.ndim == 2 else (ra, rb, None)
     if method == "correlated":
         return _start(r, sys, seed, tol, warnings)
-    cond = _condition(r, sys, w, side)
+    cond = _condition(r, sys, w, side, warnings)
     if side == "alpha":
         return mc.hermitize(mc._contract(r, sys, "beta")), cond, None
     return cond, w if method == "projective" else None, None
@@ -514,7 +509,7 @@ def _reduce(r: np.ndarray, sys: BipartiteSystem, method: str, side: str = "beta"
     warnings: list[str] = []
     ra, rb, residual = _pair(r, sys, method, side, w, seed, tol, warnings)
     if method != "correlated":
-        return _result(method, r, ra, rb)
+        return _result(method, r, ra, rb, warnings=warnings)
     residuals = [] if residual is None else [float(residual)]
     try:
         while len(residuals) < max_iter and not (residuals and residuals[-1] < tol):
@@ -639,7 +634,7 @@ class CorrelatorBreakdown:
 
     ``ab_form`` is <A>_B * <B>_N (alpha conditioned on the B-derived state),
     ``ba_form`` is <A>_N * <B>_A. The factorized forms are None when either
-    von Neumann mean vanishes.
+    von Neumann mean vanishes; ``warnings`` as in ``ReductionResult``.
     """
 
     exact: complex
@@ -647,6 +642,7 @@ class CorrelatorBreakdown:
     ba_form: complex | None
     mean_a_neumann: complex
     mean_b_neumann: complex
+    warnings: list[str]
 
 
 def correlator(rho, sys: BipartiteSystem, a: Observable, b: Observable) -> CorrelatorBreakdown:
@@ -661,9 +657,10 @@ def correlator(rho, sys: BipartiteSystem, a: Observable, b: Observable) -> Corre
     mean_a_n = mean_value(mc._contract(r, sys, "beta"), a)
     mean_b_n = mean_value(mc._contract(r, sys, "alpha"), b)
     ab_form = ba_form = None
+    warnings: list[str] = []
     if abs(mean_a_n) > MEAN_ZERO_TOL and abs(mean_b_n) > MEAN_ZERO_TOL:
-        rho_alpha_b = _condition(r, sys, state_from_observable(b).matrix, given_side="beta")
-        rho_beta_a = _condition(r, sys, state_from_observable(a).matrix, given_side="alpha")
+        rho_alpha_b = _condition(r, sys, state_from_observable(b).matrix, "beta", warnings)
+        rho_beta_a = _condition(r, sys, state_from_observable(a).matrix, "alpha", warnings)
         ab_form = mean_value(rho_alpha_b, a) * mean_b_n
         ba_form = mean_a_n * mean_value(rho_beta_a, b)
     return CorrelatorBreakdown(
@@ -672,6 +669,7 @@ def correlator(rho, sys: BipartiteSystem, a: Observable, b: Observable) -> Corre
         ba_form=ba_form,
         mean_a_neumann=mean_a_n,
         mean_b_neumann=mean_b_n,
+        warnings=warnings,
     )
 
 

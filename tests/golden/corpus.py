@@ -175,6 +175,9 @@ ARGV_CASES = {
                                  "--max-iter", "500"],
     "reduce-custom-file-seed": [*CUSTOM, "--method", "correlated", "--seed",
                                 "file:{dir}/sigma2.json"],
+    # An overlap denominator of 1e-12, which the result's warnings report.
+    "reduce-projective-near-degenerate": ["reduce", "{dir}/near-degenerate23.json", "--dims", "2",
+                                          "3", "--method", "projective", "--level", "2"],
     # Flags of other methods are ignored.
     "reduce-custom-neumann-other-flags": [*CUSTOM, "--tol", "0", "--level", "7",
                                           "--given-side", "alpha"],
@@ -230,7 +233,8 @@ CASES = {
 
 def _states() -> dict:
     """The state files of the corpus: states as ``DensityMatrix.to_json``
-    writes them, and three files that parse but hold no state."""
+    writes them, one with beta level 2 at 1e-12, and three files that parse
+    but hold no state."""
     rng = np.random.default_rng(26)
 
     def wishart(n):
@@ -241,6 +245,7 @@ def _states() -> dict:
     half = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
     return {"epr": epr_state().to_json(), "sigma2": wishart(2), "sigma3": wishart(3),
             "sigma4": wishart(4), "custom23": wishart(6),
+            "near-degenerate23": DensityMatrix(np.diag([1 - 1e-12, 0, 1e-12, 0, 0, 0])).to_json(),
             "entry-not-pair": {"rows": 2, "cols": 2, "data": [*half[:3], [0.5]]},
             "not-square": {"rows": 1, "cols": 4, "data": half},
             "not-hermitian": {"rows": 2, "cols": 2, "data": [half[0], [0.25, 0.0], *half[2:]]}}

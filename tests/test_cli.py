@@ -105,7 +105,7 @@ class TestRun:
             # both time points sit on the excited plateau
             assert float(cells[1]) == pytest.approx(1.0, abs=1e-9)
 
-    def test_tie_nudging_default(self, tmp_path, capsys):
+    def test_a_grid_point_on_a_tie_is_sampled_as_given(self, tmp_path, capsys):
         # Nothing is nudged: the grid point on the step tie t = pi/2 is sampled as given.
         cfg = {
             "experiment": "jcm_vacuum",
@@ -119,7 +119,7 @@ class TestRun:
         assert ts == np.linspace(0.0, math.pi, 3).tolist()
         assert ts[1] == math.pi / 2
 
-    def test_include_ties_keeps_grid(self, tmp_path, capsys):
+    def test_include_ties_is_no_option_and_the_grid_keeps_its_ties(self, tmp_path, capsys):
         # The grid keeps its ties without an option, and --include-ties is no option.
         cfg = {
             "experiment": "jcm_vacuum",
@@ -298,8 +298,8 @@ def test_pure_neumann_run_forms_no_composite_matrix(tmp_path, capsys, monkeypatc
     extra=st.integers(0, 3),
     jitter=st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]),
 )
-def test_tie_nudging_matches_reference(tmp_path_factory, tie_step, start_half_steps,
-                                       span_half_steps, per_half_step, extra, jitter):
+def test_the_t_column_is_linspace_near_ties(tmp_path_factory, tie_step, start_half_steps,
+                                            span_half_steps, per_half_step, extra, jitter):
     # No sample is nudged off a tie: the reference the emitted t column must
     # equal is linspace itself. JCM ties sit at odd multiples of
     # pi / (2 rabi) = tie_step; the grids start and end on (near) multiples of
@@ -628,7 +628,7 @@ def test_a_state_that_does_not_change_is_reduced_once(tmp_path, rng, experiment)
     assert spy.call_count == 1
     reducer = cli._reducer(cfg["reduction"], sys_)
     want = [row for t in (0.0, 0.5, 1.0)
-            for row in stack_rows([t], cli._alone(t, rho, reducer.one, sys_), sys_)]
+            for row in stack_rows([t], cli._alone(t, rho, reducer.one), sys_)]
     assert json.loads(out.read_text())["rows"] == want
 
 
@@ -783,6 +783,23 @@ def test_a_point_reduced_alone_holds_no_large_array(tmp_path, params, grid, rcfg
     finally:
         tracemalloc.stop()
     assert peak < 16 * k * n
+
+
+def test_a_degenerate_point_alone_holds_no_levels():
+    # Projective level 5 lies outside the JCM vacuum's field levels {0, 1},
+    # so every overlap is 0 and a point reduced alone is not done. Its stack
+    # holds no levels, where a list of the 10**6 + 1 field levels is 8 MB.
+    p = models.JcmParams(1.0, 1.0, 10**6)
+    reducer = cli._reducer({"method": "projective", "level": 5}, models.jcm_system(p))
+    block = models._jcm_vacuum_block(p, np.array([0.3]))
+    tracemalloc.start()
+    try:
+        stack = cli._alone(0.3, block, reducer.point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not stack.done[0] and stack.rows.size == stack.cols.size == 0
+    assert peak < 1_000_000
 
 
 def max_coherence_dense(m):
@@ -1817,8 +1834,9 @@ KEY_ERRORS = {
                       "unknown config key 'notes'"),
 }
 # Paths that no file can have, under each key that names a file: a NUL
-# character, and a lone surrogate that the file system encoding refuses.
-# ``open`` would raise ValueError or UnicodeEncodeError on them.
+# character, a lone surrogate that the file system encoding refuses, and
+# the empty path. ``open`` would raise ValueError, UnicodeEncodeError or
+# FileNotFoundError on them; an empty output.path would write to stdout.
 PATH_KEYS = {
     "output.path": ('{"experiment": "epr", "output": {"path": %s}}', ""),
     "params.state": ('{"experiment": "custom", "params": {"state": %s, "dims": [2, 2]}}', ""),
@@ -1829,13 +1847,15 @@ PATH_KEYS = {
 }
 KEY_ERRORS |= {
     f"{key}-{what}": (config % json.dumps(prefix + path), [],
+                      f"{key} must be a nonempty file path, got ''" if not path else
                       f"{key} must be a file path the file system can encode, with no NUL "
                       f"character, got {path!r}")
     for key, (config, prefix) in PATH_KEYS.items()
-    for what, path in (("nul", "a\u0000b"), ("surrogate", "a\ud800b"))
+    for what, path in (("nul", "a\u0000b"), ("surrogate", "a\ud800b"), ("empty", ""))
 }
 EXIT_CASES = [
     ("ok", '{"experiment": "epr"}', RUN, 0),
+    ("out-empty", '{"experiment": "epr"}', [*RUN, "--out", ""], 2),
     ("params-list", '{"experiment": "spin_pair", "params": [1, 2]}', RUN, 2),
     ("time-grid-list", '{"experiment": "spin_pair", "time_grid": [1]}', RUN, 2),
     ("output-list", '{"experiment": "epr", "output": [1]}', RUN, 2),

@@ -159,7 +159,7 @@ class TestConditionedReduce:
         sys_ = BipartiteSystem(na, nb)
         rho = random_density(rng, sys_.dim).matrix
         sigma = random_density(rng, na if side == "alpha" else nb).matrix
-        got = red._condition(rho, sys_, sigma, side)
+        got = red._condition(rho, sys_, sigma, side, [])
         assert mc.max_abs_diff(got, condition_dense(rho, sys_, sigma, side)) <= 1e-13
 
     def test_epr_pair_given_alpha(self):
@@ -480,14 +480,14 @@ class TestClosedFormStart:
         # three of them below the warning threshold, until one is degenerate.
         rho, seed = np.diag([2.0, -2.0, 0.5, 0.5]), np.diag([0.5, 0.5])
         with pytest.raises(DegenerateOverlap, match=r"overlap denominator 0\.000e\+00"):
-            red._condition(rho, SYS22, np.diag([1.0, 0.0]), "alpha")
+            red._condition(rho, SYS22, np.diag([1.0, 0.0]), "alpha", [])
         with caplog.at_level(logging.WARNING, logger="corred"):
             rep = red.correlated_reduce(rho, SYS22, seed=seed)
         assert rep.verdict == "degenerate"
         assert rep.iterations == len(rep.residuals) == 12
         assert rep.warnings == [f"near-degenerate overlap denominator {d}"
                                 for d in ("1.455e-11", "9.095e-13", "5.684e-14")]
-        assert [r.getMessage() for r in caplog.records] == rep.warnings
+        assert not caplog.records  # the result is the one report
 
     @pytest.mark.parametrize("seed", [None, np.diag([0.7, 0.3])])
     def test_degenerate_spectrum_keeps_the_seed_start(self, seed):
@@ -601,8 +601,10 @@ def assert_vector_and_density_agree(psi, rho, sys_, rng):
     if want is DegenerateOverlap:
         assert got is DegenerateOverlap
         return
-    for field in dataclasses.fields(want):
-        x, y = getattr(got, field.name), getattr(want, field.name)
+    # Every number; not the warnings, whose text a denominator that rounds
+    # differently from psi and from rho can change.
+    for name in [field.name for field in dataclasses.fields(want) if field.name != "warnings"]:
+        x, y = getattr(got, name), getattr(want, name)
         assert (x is None) == (y is None)
         assert x is None or abs(x - y) <= PURE_TOL
 
@@ -637,13 +639,13 @@ class TestStackedKernels:
                     assert got[k].tobytes() == mc._contract(psi.ravel(), sys_, side, each[k]).tobytes()
                 if weight is None:
                     continue
-                got = red._condition(p, sys_, weight, side)
+                got = red._condition(p, sys_, weight, side, [])
                 for k, psi in enumerate(p):
                     num = mc._contract(psi.ravel(), sys_, side, each[k])
                     if abs(num.trace().real) < red.NEAR_DEGENERACY_THRESHOLD:
                         assert np.isnan(got[k]).all()
                     else:
-                        want = red._condition(psi.ravel(), sys_, each[k], side)
+                        want = red._condition(psi.ravel(), sys_, each[k], side, [])
                         assert got[k].tobytes() == want.tobytes()
         ra, rb = mc._contract(p, sys_, "beta"), mc._contract(p, sys_, "alpha")
         errors = red._reconstruction_error(p, ra, rb)
@@ -823,19 +825,12 @@ def _public(sys_, psi, method, kwargs):
     return red.correlated_reduce(psi, sys_, kwargs.get("seed"))
 
 
-def _run_logged(reduce):
-    """(the result of ``reduce()`` or its CorredError's type and message, the
-    messages the library logs meanwhile)."""
-    messages = []
-    handler = logging.Handler()
-    handler.emit = lambda record: messages.append(record.getMessage())
-    red.log.addHandler(handler)
+def _run(reduce):
+    """The result of ``reduce()``, or its CorredError's type and message."""
     try:
-        return reduce(), messages
+        return reduce()
     except CorredError as exc:
-        return (type(exc), str(exc)), messages
-    finally:
-        red.log.removeHandler(handler)
+        return type(exc), str(exc)
 
 
 class TestPointReducedAlone:
@@ -846,9 +841,8 @@ class TestPointReducedAlone:
     @given(alone_points())
     def test_the_block_reduces_as_the_whole_vector(self, case):
         sys_, psi, block, method, kwargs = case
-        want, want_log = _run_logged(lambda: _public(sys_, psi, method, kwargs))
-        got, got_log = _run_logged(lambda: red._reduce_block(block, sys_, method, **kwargs))
-        assert got_log == want_log
+        want = _run(lambda: _public(sys_, psi, method, kwargs))
+        got = _run(lambda: red._reduce_block(block, sys_, method, **kwargs))
         if isinstance(want, tuple):
             assert got == want
             return
@@ -1142,6 +1136,20 @@ class TestCorrelator:
         br = red.correlator(rho, SYS22, a, Observable(np.eye(2)))
         assert br.ab_form is None and br.ba_form is None
         assert br.exact == pytest.approx(0.0, abs=1e-12)
+
+    def test_each_result_reports_its_near_degenerate_conditioning(self, caplog):
+        # Beta level 1 holds 1e-11 of the state, so conditioning on it is
+        # near-degenerate: the projective, conditioned and correlator
+        # results say so, and the library logs nothing.
+        rho = np.diag([1 - 1e-11, 1e-11, 0.0, 0.0])
+        up = np.diag([0.0, 1.0])
+        want = ["near-degenerate overlap denominator 1.000e-11"]
+        with caplog.at_level(logging.WARNING, logger="corred"):
+            assert red.projective_reduce(rho, SYS22, 1).warnings == want
+            assert red.conditioned_reduce(rho, SYS22, up, "beta").warnings == want
+            assert red.conditioned_reduce(rho, SYS22, np.eye(2) / 2, "alpha").warnings == []
+            assert red.correlator(rho, SYS22, Observable(np.eye(2)), Observable(up)).warnings == want
+        assert not caplog.records
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
