@@ -97,6 +97,19 @@ RUN_CASES = {
                               {"start": 1.5707963167948966, "stop": 1.5707963367948966,
                                "steps": 3}), None),
     "run-spin-pair-defaults": ({"experiment": "spin_pair"}, None),
+    # Blocks with an all-zero row or column: the JCM vacuum at t = 0 alone,
+    # Psi = [[0, 1], [0, 0]] at every t of the spin pair at default params.
+    **{f"run-jcm-t0-{name}": ({"experiment": "jcm_vacuum", "params": {"n_max": 3},
+                              "reduction": rcfg}, None)
+       for name, rcfg in (("correlated", {"method": "correlated"}),
+                          ("projective", {"method": "projective", "level": 1}),
+                          ("conditioned-alpha", {"method": "conditioned", "given_side": "alpha",
+                                                 "state": "{dir}/sigma2.json"}))},
+    "run-spin-pair-defaults-correlated": ({"experiment": "spin_pair", "time_grid": GRID,
+                                           "reduction": {"method": "correlated"}}, None),
+    "run-spin-pair-defaults-file-seed": ({"experiment": "spin_pair", "time_grid": GRID,
+                                          "reduction": {"method": "correlated",
+                                                        "seed": "file:{dir}/sigma2.json"}}, None),
     "run-format-flag": ({"experiment": "epr", "output": {"format": "csv"}}, ["--format", "json"]),
     # A phase that overflows at t = 2, inside the first chunk.
     "run-spin-pair-overflow": ({"experiment": "spin_pair", "params": {"c": 1e308},
