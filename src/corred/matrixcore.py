@@ -5,8 +5,8 @@ behind partial traces and conditioning, of an N x N state, of a pure
 state's amplitude vector or of a stack of amplitude matrices (``_contract``),
 the comparison and hermiticity helpers, and the JSON (de)serialization of
 complex matrices. A stack carries leading axes, (..., Na, Nb), and each of
-its states gets the bits it gets alone; the caller may restrict a stack to
-the rows and columns that hold a nonzero entry (see ``reduction``).
+its states gets the bits it gets alone; the caller may give a stack on the
+leading levels that can hold its states, a model's block (see ``reduction``).
 Kronecker products and eigendecompositions are numpy's own (``np.kron``,
 ``np.linalg.eigh``).
 

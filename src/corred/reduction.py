@@ -39,24 +39,24 @@ with no leading axis, not a second implementation. A stack keeps the
 (Na, Nb) split, since K vectors of length N would read as an N x N rho
 where K = N. Where one state raises or warns, a stack marks that state NaN
 instead. ``reduce_stack`` reduces K time points of ``corred run`` this way,
-on the support of the stack: the rows and columns of Psi that hold a
-nonzero entry in some state. Off it every reduced entry is exactly 0, so
-it first cuts Psi to it, from a model's block on the levels that can hold
-its state where the model gives one, and no full Na x Na or Nb x Nb
-matrix is built. A point that the stack leaves undone is reduced
-alone from its one-point model block (``_reduce_block``), on the block's
-levels, with no full matrix either; only the public reductions, which
-return one, build one. A sum over the support or the block skips zero
-terms, so its last bits can differ from the public reduction of the
-whole Psi.
+on the levels of a model's block: the leading r alpha and c beta levels,
+which can hold the state, outside which every entry of Psi and every
+reduced entry is exactly 0, so no full Na x Na or Nb x Nb matrix is built.
+A point that the stack leaves undone is reduced alone from its one-point
+block, on the same levels, with no full matrix either; only the public
+reductions, which return one, build one. A sum over a block's levels skips
+the zero terms off them, so its last bits can differ from the public
+reduction of the whole Psi.
 
 One body. The four methods are written once, in ``_pair``: the partial
 traces, the conditioning on sigma or on the beta projector, and the
-correlated start. ``_reduce`` adds, for one state, the sweep loop, the
-verdict and the epilogue; the public reductions call it after their entry
-checks, and so does ``_reduce_block``. ``reduce_stack`` calls ``_pair`` on
-a chunk's support. ``_weights`` prepares what a method conditions on, cut
-to the levels of a support or a block, and checks it against the system.
+correlated start. ``_reduce_one`` is the one entry of a state reduced
+alone, a composite state or a model's one-point block: it checks the state
+(``_state``) and the settings (``_weights``), and adds to ``_pair`` the
+sweep loop, the verdict and the epilogue. Each public reduction is one call
+of it. ``reduce_stack`` calls ``_pair`` on a model's block. ``_weights``
+checks a method's settings against the system and cuts what the method
+conditions on to a block's leading levels.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def neumann_reduce(rho, sys: BipartiteSystem) -> ReductionResult:
     Psi Psi^dag and Psi^T Psi^*: O(N min(Na, Nb)) work plus the output, and
     psi psi^dag is never formed.
     """
-    return _reduce(_state(rho, sys), sys, "neumann")
+    return _reduce_one(rho, sys, "neumann")
 
 
 def replacement_operator(rho, sys: BipartiteSystem, observed: str = "alpha") -> np.ndarray:
@@ -314,7 +314,7 @@ def conditioned_reduce(rho, sys: BipartiteSystem, sigma, given_side: str) -> Red
     error. Given alpha, it is (partial trace over beta, conditioned beta)
     with that pair's reconstruction error.
     """
-    return _reduce(_state(rho, sys), sys, "conditioned", given_side, _matrix(sigma, sys, given_side))
+    return _reduce_one(rho, sys, "conditioned", sigma=sigma, given_side=given_side)
 
 
 def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
@@ -323,29 +323,38 @@ def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
     Pairs the conditioned alpha state with the beta projector itself, the
     quantum-nondemolition-measurement limit.
     """
-    return _reduce(_state(rho, sys), sys, "projective",
-                   *_weights(sys, "projective", None, np.arange(sys.dim_beta), level=level))
+    return _reduce_one(rho, sys, "projective", level=level)
 
 
-def _weights(sys: BipartiteSystem, method: str, rows: np.ndarray, cols: np.ndarray, sigma=None,
-             given_side: str = "beta", level: int = 0, seed=None):
+def _weights(sys: BipartiteSystem, method: str, r: int, c: int, sigma=None,
+             given_side: str = "beta", level: int = 0, seed=None, tol: float = 1e-12,
+             max_iter: int = 10_000):
     """(side, w, seed): what ``method`` conditions on, for a state on the
-    alpha levels ``rows`` and beta levels ``cols`` of ``sys``.
+    leading r alpha and c beta levels of ``sys``.
 
     ``side`` is the side conditioned on and ``w`` its weight on that side's
-    levels: sigma cut to them ("conditioned") or |level><level| on them
-    ("projective"). ``seed`` is the correlated seed, on every alpha level.
-    Each is checked against ``sys`` (DimensionMismatch, IndexOutOfRange)
-    however few the levels, so on no level this is the check alone and
-    builds nothing of size Na or Nb.
+    leading levels: sigma cut to them ("conditioned") or |level><level| on
+    them ("projective"). ``seed`` is the correlated seed, on every alpha
+    level. Every setting is checked against ``sys`` (DimensionMismatch,
+    IndexOutOfRange, ValueError) however few the levels, so on no level this
+    is the check alone and builds nothing of size Na or Nb.
     """
     if method == "projective":
         if not 0 <= level < sys.dim_beta:
             raise IndexOutOfRange(f"level {level} outside [0, {sys.dim_beta})")
-        return "beta", np.diag(cols == level).astype(complex), None
+        if level != int(level):
+            raise IndexOutOfRange(f"level {level} is not an integer")
+        return "beta", np.diag(np.arange(c) == level).astype(complex), None
     if method == "conditioned":
-        on = cols if given_side == "beta" else rows
-        return given_side, _matrix(sigma, sys, given_side)[on[:, None], on], None
+        if given_side not in ("alpha", "beta"):
+            raise ValueError(f"given_side must be 'alpha' or 'beta', got {given_side!r}")
+        n = c if given_side == "beta" else r
+        return given_side, _matrix(sigma, sys, given_side)[:n, :n], None
+    if method == "correlated":
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        if not tol > 0:
+            raise ValueError(f"tol must be > 0, got {tol}")
     return "beta", None, None if seed is None else _matrix(seed, sys, "alpha")
 
 
@@ -466,13 +475,7 @@ def correlated_reduce(
         form; the partial trace over beta by default. The beta iterate then
         starts at the partial trace over alpha.
     """
-    r = _state(rho, sys)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    seed = None if seed is None else _matrix(seed, sys, "alpha")
-    return _reduce(r, sys, "correlated", seed=seed, tol=tol, max_iter=max_iter)
+    return _reduce_one(rho, sys, "correlated", tol, max_iter, seed=seed)
 
 
 def _pair(r: np.ndarray, sys: BipartiteSystem, method: str, side: str, w, seed, tol, warnings):
@@ -501,20 +504,39 @@ def _pair(r: np.ndarray, sys: BipartiteSystem, method: str, side: str, w, seed, 
     return cond, w if method == "projective" else None, None
 
 
-def _reduce(r: np.ndarray, sys: BipartiteSystem, method: str, side: str = "beta", w=None,
-            seed=None, tol: float = 1e-12, max_iter: int = 10_000) -> ReductionResult:
-    """The reduction ``method`` of one checked state r (``_pair``), as the
-    public reductions give it: their exceptions and warnings, and for the
-    correlated one the sweep loop from the start, its verdict and iterations."""
+def _reduce_one(state, sys: BipartiteSystem, method: str, tol: float = 1e-12,
+                max_iter: int = 10_000, **weights) -> ReductionResult:
+    """The reduction ``method`` of one state, with the semantics of the
+    public reductions: their entry checks, exceptions and warnings, and for
+    the correlated one the sweep loop from the start, its verdict and
+    iterations. The ``weights`` are ``_weights``' keywords, checked against
+    ``sys`` after the state.
+
+    ``state`` is a composite state of ``sys`` (``_state``), or a model's
+    one-point block (1, r, c), r <= Na and c <= Nb: its Psi on the leading
+    r alpha and c beta levels, outside which Psi is 0; ``_state`` refuses a
+    3-D array of any other shape. A block is reduced on the system of its
+    levels, sigma or the projector cut to them as ``reduce_stack`` cuts
+    them; its reduced states are those of the whole vector on these levels,
+    where the whole vector's are exactly 0 off them, up to the last bit of a
+    sum that skips zero terms, and no whole vector and no Nb x Nb matrix is
+    made.
+    """
+    shape = np.shape(state)
+    block = len(shape) == 3 and shape[0] == 1 and shape[1] <= sys.dim_alpha and shape[2] <= sys.dim_beta
+    sub = BipartiteSystem(*shape[1:]) if block else sys
+    r = _state(np.ravel(state) if block else state, sub)
+    side, w, seed = _weights(sys, method, sub.dim_alpha, sub.dim_beta, tol=tol, max_iter=max_iter,
+                             **weights)
     warnings: list[str] = []
-    ra, rb, residual = _pair(r, sys, method, side, w, seed, tol, warnings)
+    ra, rb, residual = _pair(r, sub, method, side, w, seed, tol, warnings)
     if method != "correlated":
         return _result(method, r, ra, rb, warnings=warnings)
     residuals = [] if residual is None else [float(residual)]
     try:
         while len(residuals) < max_iter and not (residuals and residuals[-1] < tol):
-            rb_new = _condition(r, sys, ra, "alpha", warnings)
-            ra_new = _condition(r, sys, rb_new, "beta", warnings)
+            rb_new = _condition(r, sub, ra, "alpha", warnings)
+            ra_new = _condition(r, sub, rb_new, "beta", warnings)
             residuals.append(max(mc.max_abs_diff(ra_new, ra), mc.max_abs_diff(rb_new, rb)))
             ra, rb = ra_new, rb_new
         verdict = "converged" if residuals[-1] < tol else "max_iter"
@@ -527,38 +549,15 @@ def _reduce(r: np.ndarray, sys: BipartiteSystem, method: str, side: str = "beta"
                    residuals=residuals, warnings=warnings)
 
 
-def _reduce_block(block: np.ndarray, sys: BipartiteSystem, method: str, tol: float = 1e-12,
-                  max_iter: int = 10_000, **weights) -> ReductionResult:
-    """One time point reduced alone from its model block: its Psi on every
-    alpha level and the leading c beta levels, (Na, c) or (1, Na, c),
-    outside which Psi is 0. The ``weights`` are ``_weights``' keywords,
-    checked against ``sys``.
-
-    The same body as the public reduction of the point's whole vector
-    (``_reduce``), with its exceptions, warnings, loop, verdict and
-    iterations, on the system of the block's levels: sigma or the projector
-    is cut to them as ``reduce_stack`` cuts it. The reduced states are those
-    of the whole vector on these levels, where the whole vector's are
-    exactly 0 off them, up to the last bit of a sum that skips zero terms;
-    no whole vector and no Nb x Nb matrix is made.
-    """
-    sub = BipartiteSystem(*block.shape[-2:])
-    r = _state(block.ravel(), sub)
-    levels = np.arange(sub.dim_alpha), np.arange(sub.dim_beta)
-    return _reduce(r, sub, method, *_weights(sys, method, *levels, **weights), tol, max_iter)
-
-
 class Stack(NamedTuple):
-    """The reductions of a stack of K amplitude vectors, on the support of the
-    stack (``reduce_stack``). ``rho_alpha`` (K, r, r) and ``rho_beta`` (K, c, c)
-    are the reduced states on the levels ``rows`` and ``cols``, exactly 0
-    off them; ``error`` holds each state's reconstruction error, and
+    """The reductions of a stack of K amplitude matrices on a model's block
+    (``reduce_stack``). ``rho_alpha`` (K, r, r) and ``rho_beta`` (K, c, c)
+    are the reduced states on the leading r alpha and c beta levels, exactly
+    0 off them; ``error`` holds each state's reconstruction error, and
     ``verdict`` and ``iterations`` those of every state that is ``done``.
     A state not done is one to reduce alone, with the public semantics.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
     rho_alpha: np.ndarray | None
     rho_beta: np.ndarray | None
     error: np.ndarray | None
@@ -567,45 +566,38 @@ class Stack(NamedTuple):
     iterations: int = 0
 
 
-def reduce_stack(p: np.ndarray, sys: BipartiteSystem, method: str, sigma=None,
-                 given_side: str = "beta", level: int = 0, tol: float = 1e-12, seed=None) -> Stack:
+def reduce_stack(p: np.ndarray, sys: BipartiteSystem, method: str, tol: float = 1e-12,
+                 max_iter: int = 10_000, **weights) -> Stack:
     """The reduction ``method`` of each state of a stack of K amplitude
-    matrices p (K, r, c), with the parameters of ``neumann_reduce``,
-    ``conditioned_reduce`` (``sigma``, ``given_side``), ``projective_reduce``
-    (``level``) or ``correlated_reduce`` (``seed``, ``tol``; one sweep
-    suffices where the state is done, so ``max_iter`` does not matter).
+    matrices p (K, r, c), with the settings of ``_reduce_one``: the
+    ``weights`` of ``_weights`` and, for the correlated reduction, ``tol``
+    and ``max_iter``, which is only checked, since a done state takes one
+    sweep.
 
     p holds the leading r alpha and c beta levels of each state's Psi,
     outside which every entry is 0: a model's block on the levels that can
     hold its state, or the whole Psi, psi.reshape(K, Na, Nb). A state that
-    fails ``_state``'s check (``_unit``) is zeroed, and p is cut to its
-    support, the rows and columns that hold a nonzero entry in some state:
-    a copy only where that is smaller than r x c, which a model's block,
-    made on the levels that can hold its state, seldom is.
+    fails ``_state``'s check (``_unit``) is zeroed.
 
     The same body as the public reductions (``_pair``), over a leading axis
-    and on the support of the stack, where it gives each state's reduced
-    states and error on its rows and columns: off them every entry is
-    exactly 0. Only the states that it settles are done. The others are
-    left to the reduction of that state alone (``_reduce_block``), with its
-    exceptions, warnings, verdict and iterations: a state that fails
-    ``_state``'s check, a conditioning overlap below
-    ``NEAR_DEGENERACY_THRESHOLD``, a correlated start that ``_start`` does
-    not certify, and a verifying sweep whose residual is not below ``tol``;
-    and, with a ``seed``, a stack whose support leaves out an alpha level,
-    where the seed test could decide otherwise.
+    and on the block's levels, where it gives each state's reduced states
+    and error: off them every entry is exactly 0. Only the states that it
+    settles are done. The others are left to the reduction of that state
+    alone (``_reduce_one`` of its one-point block), with its exceptions,
+    warnings, verdict and iterations: a state that fails ``_state``'s check,
+    a conditioning overlap below ``NEAR_DEGENERACY_THRESHOLD``, a correlated
+    start that ``_start`` does not certify, and a verifying sweep whose
+    residual is not below ``tol``; and, with a ``seed``, a block that leaves
+    out an alpha level, where the seed test could decide otherwise.
     """
     valid = _unit(p.reshape(len(p), -1))
     if not valid.all():
         p = np.where(valid[:, None, None], p, 0)
-    rows, cols = np.flatnonzero(p.any(axis=(0, 2))), np.flatnonzero(p.any(axis=(0, 1)))
-    if (rows.size, cols.size) != p.shape[1:]:
-        p = p[:, rows[:, None], cols]
-    not_done = Stack(rows, cols, None, None, None, np.zeros_like(valid))
-    if not valid.any() or seed is not None and rows.size < sys.dim_alpha:
+    not_done = Stack(None, None, None, np.zeros_like(valid))
+    if not valid.any() or weights.get("seed") is not None and p.shape[1] < sys.dim_alpha:
         return not_done
-    side, w, seed = _weights(sys, method, rows, cols, sigma, given_side, level, seed)
-    ra, rb, residual = _pair(p, BipartiteSystem(rows.size, cols.size), method, side, w, seed, tol, [])
+    side, w, seed = _weights(sys, method, *p.shape[1:], tol=tol, max_iter=max_iter, **weights)
+    ra, rb, residual = _pair(p, BipartiteSystem(*p.shape[1:]), method, side, w, seed, tol, [])
     if method == "correlated":
         if residual is None:
             return not_done
@@ -616,7 +608,7 @@ def reduce_stack(p: np.ndarray, sys: BipartiteSystem, method: str, sigma=None,
         rb = np.broadcast_to(rb, (len(p), *rb.shape))
     error = None if rb is None else _reconstruction_error(p, ra, rb)
     run = ("converged", 1) if method == "correlated" else ()
-    return Stack(rows, cols, ra, rb, error, valid, *run)
+    return Stack(ra, rb, error, valid, *run)
 
 
 def mean_value(rho_sub, a: Observable | np.ndarray) -> complex:

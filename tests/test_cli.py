@@ -485,17 +485,17 @@ def stack_rows(ts: list[float], stack: reduction.Stack, sys_) -> list[dict]:
     if its stack is not done: the reference for ``cli._lines``.
 
     The populations are a list of every level of a side: the diagonal of
-    its reduced state on the levels of the stack and exact zeros off them.
-    Its coherence is the largest off-diagonal there.
+    its reduced state on the leading levels that the state covers and exact
+    zeros on the others. Its coherence is the largest off-diagonal there.
     """
     if not stack.done[0]:
         return []
-    sides = {"alpha": (stack.rho_alpha, stack.rows, sys_.dim_alpha)}
+    sides = {"alpha": (stack.rho_alpha, sys_.dim_alpha)}
     if stack.rho_beta is not None:
-        sides["beta"] = (stack.rho_beta, stack.cols, sys_.dim_beta)
+        sides["beta"] = (stack.rho_beta, sys_.dim_beta)
     pops, cohs = {}, {}
-    for side, (m, levels, n) in sides.items():
-        pops[side] = populations(m.diagonal(axis1=-2, axis2=-1).real, levels, n)
+    for side, (m, n) in sides.items():
+        pops[side] = populations(m.diagonal(axis1=-2, axis2=-1).real, n)
         cohs[side] = cli._max_coherence(m).tolist()
     errors = [None] * len(stack.done) if stack.error is None else stack.error.tolist()
 
@@ -517,14 +517,14 @@ def stack_rows(ts: list[float], stack: reduction.Stack, sys_) -> list[dict]:
     return list(map(row, np.broadcast_to(np.arange(len(stack.done)), len(ts)).tolist(), ts))
 
 
-def populations(diag: np.ndarray, levels: np.ndarray, n: int) -> list[list[float]]:
+def populations(diag: np.ndarray, n: int) -> list[list[float]]:
     """The populations of each state of a stack as a list of n: the diagonal
-    ``diag`` (K, r) of its reduced states on the ``levels``, exact zeros off
-    them."""
+    ``diag`` (K, r) of its reduced states on the leading r levels, exact
+    zeros on the others."""
     rows = []
     for values in diag.tolist():
         pops = [0.0] * n
-        for level, x in zip(levels.tolist(), values):
+        for level, x in enumerate(values):
             pops[level] = x
         rows.append(pops)
     return rows
@@ -548,8 +548,8 @@ def test_degenerate_and_near_degenerate_points_inside_a_chunk(tmp_path, capsys, 
         "output": {"format": "json"},
     }
     caplog.set_level(logging.WARNING, logger="corred")
-    reducer = cli._reducer(cfg["reduction"], models.jcm_system(models.JcmParams(1.0, 1.0, 3)))
     sys_, model = cli._state_factory(cfg)
+    reducer = cli._reducer(cfg["reduction"], sys_)
     rows = rows_of(cli._series(ts, sys_, model, reducer), sys_)
     assert [row["t"] for row in rows] == [t for t in ts.tolist() if t != math.pi]
     messages = [r.getMessage() for r in caplog.records]
@@ -575,8 +575,7 @@ def test_a_seeded_run_has_the_per_point_verdicts(tmp_path, rng, caplog, seed):
     sys_, model = cli._state_factory(cfg)
     reducer = cli._reducer(cfg["reduction"], sys_)
     caplog.set_level(logging.WARNING, logger="corred")
-    one = reduction._reduce_block
-    with mock.patch.object(reduction, "_reduce_block", wraps=one) as spy:
+    with mock.patch.object(reduction, "_reduce_one", wraps=reduction._reduce_one) as spy:
         rows = rows_of(cli._series(ts, sys_, model, reducer), sys_)
     assert 0 < spy.call_count < len(ts)  # some points on the stack, some alone
     messages = [r.getMessage() for r in caplog.records]
@@ -623,12 +622,12 @@ def test_a_state_that_does_not_change_is_reduced_once(tmp_path, rng, experiment)
            "time_grid": {"start": 0.0, "stop": 1.0, "steps": 3}, "reduction": {"method": "correlated"}}
     out = tmp_path / "out.json"
     argv = ["run", "--config", write_config(tmp_path, cfg), "--format", "json", "--out", str(out)]
-    with mock.patch.object(reduction, "correlated_reduce", wraps=reduction.correlated_reduce) as spy:
+    with mock.patch.object(reduction, "_reduce_one", wraps=reduction._reduce_one) as spy:
         assert cli.main(argv) == 0
     assert spy.call_count == 1
     reducer = cli._reducer(cfg["reduction"], sys_)
     want = [row for t in (0.0, 0.5, 1.0)
-            for row in stack_rows([t], cli._alone(t, rho, reducer.one), sys_)]
+            for row in stack_rows([t], cli._alone(t, rho, sys_, reducer), sys_)]
     assert json.loads(out.read_text())["rows"] == want
 
 
@@ -688,7 +687,9 @@ def test_a_point_reduced_alone_has_the_public_reductions_row(tmp_path, rng, rcfg
     argv = ["run", "--config", write_config(tmp_path, cfg), "--format", "json", "--out", str(out)]
     assert cli.main(argv) == 0
     sys_ = mc.BipartiteSystem(2, 3)
-    res = cli._reducer(rcfg, sys_).one(cli._load_density(files["state"]))
+    reducer = cli._reducer(rcfg, sys_)
+    public = getattr(reduction, f"{reducer.pop('method')}_reduce")
+    res = public(cli._load_density(files["state"]), sys_, **reducer)
     want = {
         "pop_alpha": res.rho_alpha.matrix.diagonal().real.tolist(),
         "coh_alpha": float(max_coherence_dense(res.rho_alpha.matrix)),
@@ -773,7 +774,7 @@ def test_a_point_reduced_alone_holds_no_large_array(tmp_path, params, grid, rcfg
     cfg = {"experiment": "jcm_vacuum", "params": {"n_max": 1024, **params}, "time_grid": grid,
            "reduction": rcfg}
     argv = ["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out.csv")]
-    with mock.patch.object(reduction, "_reduce_block", wraps=reduction._reduce_block) as spy:
+    with mock.patch.object(reduction, "_reduce_one", wraps=reduction._reduce_one) as spy:
         assert cli.main(argv) == code
     assert spy.call_count > 0
     tracemalloc.start()
@@ -788,17 +789,19 @@ def test_a_point_reduced_alone_holds_no_large_array(tmp_path, params, grid, rcfg
 def test_a_degenerate_point_alone_holds_no_levels():
     # Projective level 5 lies outside the JCM vacuum's field levels {0, 1},
     # so every overlap is 0 and a point reduced alone is not done. Its stack
-    # holds no levels, where a list of the 10**6 + 1 field levels is 8 MB.
+    # holds no reduced state and nothing of the 10**6 + 1 field levels, of
+    # which a list is 8 MB.
     p = models.JcmParams(1.0, 1.0, 10**6)
-    reducer = cli._reducer({"method": "projective", "level": 5}, models.jcm_system(p))
+    sys_ = models.jcm_system(p)
+    reducer = cli._reducer({"method": "projective", "level": 5}, sys_)
     block = models._jcm_vacuum_block(p, np.array([0.3]))
     tracemalloc.start()
     try:
-        stack = cli._alone(0.3, block, reducer.point)
+        stack = cli._alone(0.3, block, sys_, reducer)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not stack.done[0] and stack.rows.size == stack.cols.size == 0
+    assert not stack.done[0] and stack.rho_alpha is stack.rho_beta is stack.error is None
     assert peak < 1_000_000
 
 
@@ -861,9 +864,10 @@ def test_csv_header_is_the_joined_column_names(na, nb):
 def csv_pieces(draw):
     """(system, stack, points) of a run: 1 to ``cli.CHUNK`` points on a
     stack of as many entries, or on a stack of one (a state that does not
-    change). Its levels are a strict subset of the system's or all of them;
-    its populations, coherences, errors and points any floats, -0.0 and
-    subnormals among them; its done mask any, undone points inside it."""
+    change). Its levels are the leading ones of the system, fewer than the
+    system's or all of them; its populations, coherences, errors and points
+    any floats, -0.0 and subnormals among them; its done mask any, undone
+    points inside it."""
     sys_ = mc.BipartiteSystem(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     k = draw(st.integers(1, cli.CHUNK))
     entries = draw(st.sampled_from([k, 1]))
@@ -876,19 +880,14 @@ def csv_pieces(draw):
         x[drawn] = rng.choice(pool, size=drawn.sum())
         return x
 
-    def levels(n):
-        if n == 1 or draw(st.booleans()):
-            return np.arange(n)
-        return np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))))
-
-    def matrices(levels):
-        m = np.empty((entries, levels.size, levels.size), dtype=complex)
+    def matrices(n):
+        levels = n if n == 1 or draw(st.booleans()) else draw(st.integers(1, n - 1))
+        m = np.empty((entries, levels, levels), dtype=complex)
         m.real, m.imag = floats(*m.shape), floats(*m.shape)
         return m
 
-    rows, cols = levels(sys_.dim_alpha), levels(sys_.dim_beta)
     stack = reduction.Stack(
-        rows, cols, matrices(rows), matrices(cols) if draw(st.booleans()) else None,
+        matrices(sys_.dim_alpha), matrices(sys_.dim_beta) if draw(st.booleans()) else None,
         draw(st.sampled_from([None, floats(entries)])),
         np.array(draw(st.lists(st.booleans(), min_size=entries, max_size=entries))),
         draw(st.sampled_from(["-", "converged", "max_iter", "oscillating", "50% done"]) | st.text()),
@@ -963,8 +962,7 @@ def test_the_writer_lets_a_piece_go_before_the_next_is_made(fmt):
             assert all(ref() is None for ref in dead)
             rho = np.full((1, 2, 2), 0.25 + 0j)
             dead.append(weakref.ref(rho))
-            yield [t], reduction.Stack(np.arange(2), np.arange(2), rho, rho.copy(), np.zeros(1),
-                                       np.ones(1, dtype=bool))
+            yield [t], reduction.Stack(rho, rho.copy(), np.zeros(1), np.ones(1, dtype=bool))
             del rho
 
     cli._write_series(pieces(), {"experiment": "epr"}, fmt, io.StringIO(), mc.BipartiteSystem(2, 2))

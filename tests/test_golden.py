@@ -9,11 +9,16 @@ cells are numbers.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corred
 from golden import corpus
 
 CODES = json.loads((corpus.HERE / "codes.json").read_text())
@@ -62,6 +67,63 @@ def test_the_corpus_case_gives_its_recorded_output(tmp_path, name):
         if got != want:
             failures += [f"{name}.{stream}: {line}" for line in differences(got, want)]
     assert not failures, "\n".join(failures)
+
+
+#: The cases whose recorded bytes depend on OpenBLAS's kernel: each gives
+#: other last bits under OpenBLAS's Haswell kernel than the recorded ones,
+#: which this host's own kernel gave. A case leaves this list once it gives
+#: the same bytes under both; none joins it.
+KERNEL_DEPENDENT = [
+    *(f"run-{experiment}-{method}-{fmt}" for experiment in ("spin_pair", "jcm_vacuum")
+      for method in corpus.METHODS for fmt in ("csv", "json")),
+    "run-custom-correlated-csv", "run-custom-correlated-json",
+    "run-readme-20-steps", "run-readme-40-steps", "run-readme-40-steps-json",
+    "run-spin-pair-40-steps", "run-custom-40-steps-csv", "run-custom-40-steps-json",
+    "run-jcm-n64-neumann-csv", "run-jcm-n64-neumann-json",
+    "run-jcm-file-seed", "run-jcm-conditioned-alpha",
+    "reduce-custom-correlated", "reduce-custom-file-seed", "validate-custom",
+]
+
+# The core that numpy's bundled OpenBLAS runs (its config string, which CI
+# prints too) and, on Haswell, the corpus cases whose output differs from
+# the recorded files.
+HASWELL_RUN = """
+import ctypes, glob, json, os, sys, tempfile
+from pathlib import Path
+import numpy
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")
+config = ""
+for path in sorted(glob.glob(libs)):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_config64_", "openblas_get_config"):
+        if hasattr(lib, name):
+            getattr(lib, name).restype = ctypes.c_char_p
+            config += getattr(lib, name)().decode()
+            break
+differ = []
+if "Haswell" in config:
+    from golden import corpus
+    codes = json.loads((corpus.HERE / "codes.json").read_text())
+    for name in corpus.CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            got = corpus.record(name, Path(tmp))
+        want = [(corpus.HERE / f"{name}.{stream}").read_text() for stream in ("out", "err")]
+        if list(got) != [codes[name], *want]:
+            differ.append(name)
+print(json.dumps([config, differ]))
+"""
+
+
+def test_only_the_kernel_dependent_cases_differ_under_haswell():
+    paths = [str(Path(corred.__file__).resolve().parents[1]), str(corpus.HERE.parent)]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run([sys.executable, "-c", HASWELL_RUN], capture_output=True, text=True,
+                          check=True, env=env, timeout=60)
+    config, differ = json.loads(proc.stdout)
+    if "Haswell" not in config:
+        pytest.skip(f"numpy's OpenBLAS does not run its Haswell kernel here: {config!r}")
+    assert set(KERNEL_DEPENDENT) <= set(corpus.CASES)
+    assert sorted(set(differ) - set(KERNEL_DEPENDENT)) == []
 
 
 def test_the_corpus_records_every_case():

@@ -138,6 +138,13 @@ def _ensemble(*terms):
 REFUSALS = {
     "max_iter-0": (lambda: corred.correlated_reduce(EPR, PAIR, max_iter=0),
                    ValueError, "max_iter must be >= 1, got 0"),
+    "given_side-gamma": (lambda: corred.conditioned_reduce(EPR, PAIR, HALF, "gamma"),
+                         ValueError, "given_side must be 'alpha' or 'beta', got 'gamma'"),
+    "given_side-gamma-3x3": (lambda: corred.conditioned_reduce(EPR, PAIR, np.eye(3) / 3, "gamma"),
+                             ValueError, "given_side must be 'alpha' or 'beta', got 'gamma'"),
+    # np.arange(2) == 1.5 would be a zero projector: a degenerate overlap.
+    "level-1.5": (lambda: corred.projective_reduce(EPR, PAIR, 1.5),
+                  corred.IndexOutOfRange, "level 1.5 is not an integer"),
     "observed-gamma": (lambda: corred.replacement_operator(EPR, PAIR, observed="gamma"),
                        ValueError, "observed must be 'alpha' or 'beta', got 'gamma'"),
     "over-gamma": (lambda: corred.partial_trace(EPR, PAIR, over="gamma"),
@@ -165,3 +172,10 @@ def test_a_public_call_refuses_a_bad_argument(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("level", [1, 1.0, np.int64(1)], ids=["int", "float", "int64"])
+def test_an_integral_level_of_any_type_is_the_level(level):
+    got, want = corred.projective_reduce(EPR, PAIR, level), corred.projective_reduce(EPR, PAIR, 1)
+    assert got.rho_alpha.matrix.tobytes() == want.rho_alpha.matrix.tobytes()
+    assert got.rho_beta.matrix.tobytes() == want.rho_beta.matrix.tobytes()
