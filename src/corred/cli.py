@@ -599,7 +599,7 @@ def _chunk(ts: np.ndarray, model: Callable, sys_: BipartiteSystem,
     for j in range(len(points)) if stack is None else np.flatnonzero(~stack.done).tolist():
         if first < j:
             yield points[first:j], _part(stack, first, j)
-        yield points[j:j + 1], _alone(points[j], model(ts[j:j + 1]), sys_, reducer)
+        yield points[j:j + 1], _alone(points[j], model(ts[j:j + 1]), sys_, reducer, block=True)
         first = j + 1
     if first < len(points):
         yield points[first:], _part(stack, first, len(points))
@@ -611,15 +611,17 @@ def _part(stack: reduction.Stack, a: int, b: int) -> reduction.Stack:
                              if isinstance(value, np.ndarray)})
 
 
-def _alone(t: float, state, sys_: BipartiteSystem, reducer: dict) -> reduction.Stack:
+def _alone(t: float, state, sys_: BipartiteSystem, reducer: dict,
+           block: bool = False) -> reduction.Stack:
     """Time point t reduced alone on ``sys_`` (``reduction._reduce_one``), a
-    whole state or a model's one-point block, as a stack of one on the
-    leading levels that its reduced states cover: every level of the system
-    for a whole state, the block's for a block. Not done, with no reduced
-    state, where its overlap is degenerate. Its exception, or each of its
-    result's warnings, is logged after t."""
+    whole state or, with ``block``, a model's one-point block, as a stack of
+    one on the leading levels that its reduced states cover: every level of
+    the system for a whole state, the block's for a block (see
+    ``reduction._reduce_one``). Not done, with no reduced state, where its
+    overlap is degenerate. Its exception, or each of its result's warnings,
+    is logged after t."""
     try:
-        res = reduction._reduce_one(state, sys_, **reducer)
+        res = reduction._reduce_one(state, sys_, block=block, **reducer)
     except DegenerateOverlap as exc:
         log.warning("t=%g: %s", t, exc)
         return reduction.Stack(None, None, None, np.zeros(1, dtype=bool))

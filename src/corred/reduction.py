@@ -51,12 +51,13 @@ reduction of the whole Psi.
 One body. The four methods are written once, in ``_pair``: the partial
 traces, the conditioning on sigma or on the beta projector, and the
 correlated start. ``_reduce_one`` is the one entry of a state reduced
-alone, a composite state or a model's one-point block: it checks the state
-(``_state``) and the settings (``_weights``), and adds to ``_pair`` the
-sweep loop, the verdict and the epilogue. Each public reduction is one call
-of it. ``reduce_stack`` calls ``_pair`` on a model's block. ``_weights``
-checks a method's settings against the system and cuts what the method
-conditions on to a block's leading levels.
+alone, a composite state or, where its caller says so, a model's one-point
+block: it checks the state (``_state``) and the settings (``_weights``), and
+adds to ``_pair`` the sweep loop, the verdict and the epilogue. Each public
+reduction is one call of it, so each refuses a block as no matrix.
+``reduce_stack`` calls ``_pair`` on a model's block. ``_weights`` checks a
+method's settings against the system and cuts what the method conditions
+on to a block's leading levels.
 """
 
 from __future__ import annotations
@@ -505,27 +506,30 @@ def _pair(r: np.ndarray, sys: BipartiteSystem, method: str, side: str, w, seed, 
 
 
 def _reduce_one(state, sys: BipartiteSystem, method: str, tol: float = 1e-12,
-                max_iter: int = 10_000, **weights) -> ReductionResult:
+                max_iter: int = 10_000, block: bool = False, **weights) -> ReductionResult:
     """The reduction ``method`` of one state, with the semantics of the
     public reductions: their entry checks, exceptions and warnings, and for
     the correlated one the sweep loop from the start, its verdict and
     iterations. The ``weights`` are ``_weights``' keywords, checked against
     ``sys`` after the state.
 
-    ``state`` is a composite state of ``sys`` (``_state``), or a model's
-    one-point block (1, r, c), r <= Na and c <= Nb: its Psi on the leading
-    r alpha and c beta levels, outside which Psi is 0; ``_state`` refuses a
-    3-D array of any other shape. A block is reduced on the system of its
-    levels, sigma or the projector cut to them as ``reduce_stack`` cuts
-    them; its reduced states are those of the whole vector on these levels,
-    where the whole vector's are exactly 0 off them, up to the last bit of a
-    sum that skips zero terms, and no whole vector and no Nb x Nb matrix is
-    made.
+    ``state`` is a composite state of ``sys`` (``_state``) or, with
+    ``block``, a model's one-point block (1, r, c), r <= Na and c <= Nb: its
+    Psi on the leading r alpha and c beta levels, outside which Psi is 0. A
+    block is reduced on the system of its levels, sigma or the projector cut
+    to them as ``reduce_stack`` cuts them; with a seed, whose test reads
+    every alpha level, it is first given the alpha levels it leaves out, as
+    zero rows. Its reduced states are those of the whole vector on these
+    levels, where the whole vector's are exactly 0 off them, up to the last
+    bit of a sum that skips zero terms, and no whole vector and no Nb x Nb
+    matrix is made.
     """
-    shape = np.shape(state)
-    block = len(shape) == 3 and shape[0] == 1 and shape[1] <= sys.dim_alpha and shape[2] <= sys.dim_beta
-    sub = BipartiteSystem(*shape[1:]) if block else sys
-    r = _state(np.ravel(state) if block else state, sub)
+    sub = sys
+    if block:
+        if weights.get("seed") is not None:
+            state = np.pad(state, ((0, 0), (0, sys.dim_alpha - state.shape[1]), (0, 0)))
+        sub, state = BipartiteSystem(*state.shape[1:]), state.ravel()
+    r = _state(state, sub)
     side, w, seed = _weights(sys, method, sub.dim_alpha, sub.dim_beta, tol=tol, max_iter=max_iter,
                              **weights)
     warnings: list[str] = []

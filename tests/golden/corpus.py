@@ -18,6 +18,8 @@ no longer names. ``tests/test_golden.py`` runs every case and compares.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import io
 import json
 import os
@@ -300,6 +302,23 @@ def main() -> None:
     (HERE / "codes.json").write_text(json.dumps(codes, indent=1) + "\n")
     for path in orphans():
         path.unlink()
+
+
+def openblas_config() -> list[str]:
+    """"<library>: <config string>" of each OpenBLAS that numpy bundles. The
+    config string names the core type whose kernels run (SkylakeX, Haswell,
+    ...), which decides the last bits of most cases; numpy.show_runtime()
+    does not name it without threadpoolctl."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    found = []
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_config64_", "openblas_get_config"):
+            if hasattr(lib, name):
+                getattr(lib, name).restype = ctypes.c_char_p
+                found.append(f"{os.path.basename(path)}: {getattr(lib, name)().decode()}")
+                break
+    return found
 
 
 def orphans() -> list[Path]:

@@ -797,7 +797,7 @@ def test_a_degenerate_point_alone_holds_no_levels():
     block = models._jcm_vacuum_block(p, np.array([0.3]))
     tracemalloc.start()
     try:
-        stack = cli._alone(0.3, block, sys_, reducer)
+        stack = cli._alone(0.3, block, sys_, reducer, block=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1943,6 +1943,14 @@ EXIT_CASES = [
     ("missing-config", "{}", ["run", "--config", "{dir}/absent.json"], 4),
     ("missing-state", "{}", ["reduce", "{dir}/absent.json", "--dims", "2", "2"], 4),
     ("unwritable-output", '{"experiment": "epr", "output": {"path": "{dir}/no/out.csv"}}', RUN, 4),
+    # The output section is read before the reduction section and its state file.
+    (
+        "bad-output-key-and-missing-state",
+        '{"experiment": "epr", "output": {"bogus": 1},'
+        ' "reduction": {"method": "conditioned", "state": "{dir}/absent.json"}}',
+        RUN,
+        2,
+    ),
     (
         "degenerate-at-every-time",
         '{"experiment": "custom", "params": {"state": "{dir}/product.json", "dims": [2, 2]},'

@@ -145,6 +145,14 @@ REFUSALS = {
     # np.arange(2) == 1.5 would be a zero projector: a degenerate overlap.
     "level-1.5": (lambda: corred.projective_reduce(EPR, PAIR, 1.5),
                   corred.IndexOutOfRange, "level 1.5 is not an integer"),
+    # A model's one-point block (1, r, c) is no composite state of the system.
+    "block-neumann": (lambda: corred.neumann_reduce(np.array([[[0.0, 1.0]]]), PAIR),
+                      corred.DimensionMismatch, "expected a 2-D matrix, got ndim=3"),
+    "block-correlated": (lambda: corred.correlated_reduce(np.array([[[1.0, 0.0]]]), PAIR),
+                         corred.DimensionMismatch, "expected a 2-D matrix, got ndim=3"),
+    "block-correlated-seed": (lambda: corred.correlated_reduce(np.array([[[1.0, 0.0]]]), PAIR,
+                                                               seed=np.diag([0.0, 1.0])),
+                              corred.DimensionMismatch, "expected a 2-D matrix, got ndim=3"),
     "observed-gamma": (lambda: corred.replacement_operator(EPR, PAIR, observed="gamma"),
                        ValueError, "observed must be 'alpha' or 'beta', got 'gamma'"),
     "over-gamma": (lambda: corred.partial_trace(EPR, PAIR, over="gamma"),

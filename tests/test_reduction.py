@@ -694,6 +694,30 @@ class TestStackedKernels:
         assert red.reduce_stack(p, sys_, "correlated").done.all()
         assert not red.reduce_stack(p, sys_, "correlated", seed=np.eye(2) / 2).done.any()
 
+    @pytest.mark.parametrize("psi", [[[1.0, 0.0]], [[0.0, 1.0]], [[0.6, 0.8]]])
+    @pytest.mark.parametrize("seed", [None, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.eye(2) / 2])
+    def test_a_block_short_of_an_alpha_level_reduces_alone_as_its_whole_vector(self, psi, seed):
+        # A block on alpha level 0 of three: the seed lies on every alpha
+        # level, so the point alone is reduced on all three, and the seed
+        # test and the loop read it as for the whole vector. A seed on
+        # level 1 does not overlap the start of [1, 0] on level 0.
+        sys_ = BipartiteSystem(3, 2)
+        block = np.array([psi], dtype=complex)
+        whole = np.pad(block[0], ((0, 2), (0, 0))).ravel()
+        seed = None if seed is None else np.pad(seed, ((0, 1), (0, 1)))
+        want = _run(lambda: red.correlated_reduce(whole, sys_, seed))
+        got = _run(lambda: red._reduce_one(block, sys_, "correlated", block=True, seed=seed))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert (got.verdict, got.iterations, got.warnings) == (want.verdict, want.iterations,
+                                                              want.warnings)
+        n = sys_.dim_alpha if seed is not None else 1
+        assert got.rho_alpha.matrix.shape == (n, n)
+        assert abs(got.rho_alpha.matrix - want.rho_alpha.matrix[:n, :n]).max() <= 1e-15
+        assert not want.rho_alpha.matrix[n:].any() and not want.rho_alpha.matrix[:, n:].any()
+        assert abs(got.rho_beta.matrix - want.rho_beta.matrix).max() <= 1e-15
+
     @pytest.mark.parametrize("n_max", [1, 2, 16, 256])
     def test_a_block_cuts_as_its_whole_vectors_cut(self, n_max):
         # ``reduce_stack`` of a JCM chunk's block on levels {0, 1} is that of
@@ -864,7 +888,7 @@ class TestPointReducedAlone:
     def test_the_block_reduces_as_the_whole_vector(self, case):
         sys_, psi, block, method, kwargs = case
         want = _run(lambda: _public(sys_, psi, method, kwargs))
-        got = _run(lambda: red._reduce_one(block, sys_, method, **kwargs))
+        got = _run(lambda: red._reduce_one(block, sys_, method, block=True, **kwargs))
         if isinstance(want, tuple):
             assert got == want
             return
