@@ -51,8 +51,9 @@ Every config section is read through one table (``PARAMS`` by experiment,
 ``REDUCTION`` by method, ``SECTIONS`` for the rest), which holds each key's
 kind and default: a key that it does not list for the chosen experiment or
 method, a missing key without a default and a value of the wrong kind are
-config errors, raised before the output is opened. ``reduce`` passes the
-flags that its method reads through the same table.
+config errors, raised before the output is opened, since a run that ignored
+a misspelt key would quietly take the default it was meant to change.
+``reduce`` passes the flags that its method reads through the same table.
 Every reduction returns a ``ReductionResult``; its ``verdict`` and
 ``iterations`` fill the row's columns of the same name ("-" and 0 for the
 one-shot methods), and a correlated ``file:`` seed is the starting alpha
@@ -523,7 +524,7 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem) -> dict:
         settings["sigma"] = _load_density(r["state"])
     if "seed" in r:
         settings["seed"] = None if r["seed"] == "neumann" else _load_density(r["seed"][5:])
-    reduction._weights(sys_, method, 0, 0, **settings)
+    reduction._weights(sys_, method, 0, **settings)
     return {"method": method, **settings}
 
 

@@ -19,6 +19,7 @@ two-level system), and the composite index of the pair (i, i') is
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
@@ -62,12 +63,19 @@ class BipartiteSystem:
 
     The composite index of basis pair (i, i') is ``i * dim_beta + i'`` with
     subsystem levels ordered by descending energy (see module docstring).
+    Each dimension is an integer (``operator.index`` takes it: an int or a
+    numpy integer, not 2.0) and >= 1, else DimensionMismatch.
     """
 
     dim_alpha: int
     dim_beta: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.dim_alpha), operator.index(self.dim_beta)
+        except TypeError:
+            raise DimensionMismatch(f"subsystem dimensions must be integers, "
+                                    f"got ({self.dim_alpha!r}, {self.dim_beta!r})") from None
         if self.dim_alpha < 1 or self.dim_beta < 1:
             raise DimensionMismatch(
                 f"subsystem dimensions must be >= 1, got ({self.dim_alpha}, {self.dim_beta})"

@@ -30,6 +30,7 @@ Basis conventions (hbar = 1 throughout):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,13 +133,20 @@ def spin_pair_coherence(phi: float, c: float, t: float) -> complex:
 
 @dataclass(frozen=True)
 class JcmParams:
-    """Resonant JCM: field/atom frequency, atom-field coupling, Fock cutoff."""
+    """Resonant JCM: field/atom frequency, atom-field coupling, Fock cutoff.
+
+    ``n_max`` is an integer >= 1, as a dimension of ``BipartiteSystem`` is,
+    else DimensionMismatch."""
 
     omega: float
     rabi: float
     n_max: int = 16
 
     def __post_init__(self):
+        try:
+            operator.index(self.n_max)
+        except TypeError:
+            raise DimensionMismatch(f"n_max must be an integer, got {self.n_max!r}") from None
         if self.n_max < 1:
             raise DimensionMismatch(f"n_max must be >= 1, got {self.n_max}")
 

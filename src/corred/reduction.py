@@ -39,10 +39,10 @@ with no leading axis, not a second implementation. A stack keeps the
 (Na, Nb) split, since K vectors of length N would read as an N x N rho
 where K = N. Where one state raises or warns, a stack marks that state NaN
 instead. ``reduce_stack`` reduces K time points of ``corred run`` this way,
-on the levels of a model's block: the leading r alpha and c beta levels,
-which can hold the state, outside which every entry of Psi and every
-reduced entry is exactly 0, so no full Na x Na or Nb x Nb matrix is built.
-A point that the stack leaves undone is reduced alone from its one-point
+on the levels of a model's block: every alpha level and the leading c beta
+levels, which can hold the state, outside which every entry of Psi and
+every reduced entry is exactly 0, so no full Nb x Nb matrix is built. A
+point that the stack leaves undone is reduced alone from its one-point
 block, on the same levels, with no full matrix either; only the public
 reductions, which return one, build one. A sum over a block's levels skips
 the zero terms off them, so its last bits can differ from the public
@@ -57,7 +57,7 @@ adds to ``_pair`` the sweep loop, the verdict and the epilogue. Each public
 reduction is one call of it, so each refuses a block as no matrix.
 ``reduce_stack`` calls ``_pair`` on a model's block. ``_weights`` checks a
 method's settings against the system and cuts what the method conditions
-on to a block's leading levels.
+on to a block's leading beta levels.
 """
 
 from __future__ import annotations
@@ -327,18 +327,19 @@ def projective_reduce(rho, sys: BipartiteSystem, level: int) -> ReductionResult:
     return _reduce_one(rho, sys, "projective", level=level)
 
 
-def _weights(sys: BipartiteSystem, method: str, r: int, c: int, sigma=None,
+def _weights(sys: BipartiteSystem, method: str, c: int, sigma=None,
              given_side: str = "beta", level: int = 0, seed=None, tol: float = 1e-12,
              max_iter: int = 10_000):
-    """(side, w, seed): what ``method`` conditions on, for a state on the
-    leading r alpha and c beta levels of ``sys``.
+    """(side, w, seed): what ``method`` conditions on, for a state on every
+    alpha level and the leading c beta levels of ``sys``.
 
-    ``side`` is the side conditioned on and ``w`` its weight on that side's
-    leading levels: sigma cut to them ("conditioned") or |level><level| on
-    them ("projective"). ``seed`` is the correlated seed, on every alpha
-    level. Every setting is checked against ``sys`` (DimensionMismatch,
-    IndexOutOfRange, ValueError) however few the levels, so on no level this
-    is the check alone and builds nothing of size Na or Nb.
+    ``side`` is the side conditioned on and ``w`` its weight: sigma, cut to
+    the leading c levels given beta ("conditioned"), or |level><level| on
+    them ("projective"). ``seed`` is the correlated seed. Every setting is
+    checked against ``sys`` (DimensionMismatch, IndexOutOfRange, ValueError)
+    however few the levels, so on no level this is the check alone and
+    builds nothing of size Nb. A correlated ``tol`` must be finite and
+    above 0, and ``max_iter`` an integral number >= 1, such as 10 or 10.0.
     """
     if method == "projective":
         if not 0 <= level < sys.dim_beta:
@@ -349,13 +350,17 @@ def _weights(sys: BipartiteSystem, method: str, r: int, c: int, sigma=None,
     if method == "conditioned":
         if given_side not in ("alpha", "beta"):
             raise ValueError(f"given_side must be 'alpha' or 'beta', got {given_side!r}")
-        n = c if given_side == "beta" else r
-        return given_side, _matrix(sigma, sys, given_side)[:n, :n], None
+        w = _matrix(sigma, sys, given_side)
+        return given_side, w[:c, :c] if given_side == "beta" else w, None
     if method == "correlated":
-        if max_iter < 1:
+        if not max_iter >= 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        if max_iter == np.inf or max_iter != int(max_iter):
+            raise ValueError(f"max_iter must be an integer, got {max_iter}")
         if not tol > 0:
             raise ValueError(f"tol must be > 0, got {tol}")
+        if tol == np.inf:
+            raise ValueError(f"tol must be finite, got {tol}")
     return "beta", None, None if seed is None else _matrix(seed, sys, "alpha")
 
 
@@ -514,24 +519,19 @@ def _reduce_one(state, sys: BipartiteSystem, method: str, tol: float = 1e-12,
     ``sys`` after the state.
 
     ``state`` is a composite state of ``sys`` (``_state``) or, with
-    ``block``, a model's one-point block (1, r, c), r <= Na and c <= Nb: its
-    Psi on the leading r alpha and c beta levels, outside which Psi is 0. A
-    block is reduced on the system of its levels, sigma or the projector cut
-    to them as ``reduce_stack`` cuts them; with a seed, whose test reads
-    every alpha level, it is first given the alpha levels it leaves out, as
-    zero rows. Its reduced states are those of the whole vector on these
-    levels, where the whole vector's are exactly 0 off them, up to the last
-    bit of a sum that skips zero terms, and no whole vector and no Nb x Nb
-    matrix is made.
+    ``block``, a model's one-point block (1, Na, c), c <= Nb: its Psi on
+    every alpha level and the leading c beta levels, outside which Psi is 0
+    (``_block_system``). A block is reduced on the system of its levels,
+    sigma or the projector cut to them as ``reduce_stack`` cuts them. Its
+    reduced states are those of the whole vector on these levels, where the
+    whole vector's are exactly 0 off them, up to the last bit of a sum that
+    skips zero terms, and no whole vector and no Nb x Nb matrix is made.
     """
     sub = sys
     if block:
-        if weights.get("seed") is not None:
-            state = np.pad(state, ((0, 0), (0, sys.dim_alpha - state.shape[1]), (0, 0)))
-        sub, state = BipartiteSystem(*state.shape[1:]), state.ravel()
+        sub, state = _block_system(state, sys), state.ravel()
     r = _state(state, sub)
-    side, w, seed = _weights(sys, method, sub.dim_alpha, sub.dim_beta, tol=tol, max_iter=max_iter,
-                             **weights)
+    side, w, seed = _weights(sys, method, sub.dim_beta, tol=tol, max_iter=max_iter, **weights)
     warnings: list[str] = []
     ra, rb, residual = _pair(r, sub, method, side, w, seed, tol, warnings)
     if method != "correlated":
@@ -553,12 +553,24 @@ def _reduce_one(state, sys: BipartiteSystem, method: str, tol: float = 1e-12,
                    residuals=residuals, warnings=warnings)
 
 
+def _block_system(p: np.ndarray, sys: BipartiteSystem) -> BipartiteSystem:
+    """The system of a model's block p (..., Na, c) of ``sys``: every alpha
+    level and the leading c beta levels. A block with another count of alpha
+    levels is a DimensionMismatch: the correlated seed test reads every alpha
+    level, so only a block that holds them all decides it as the whole
+    vector does, with a ``file:`` seed too."""
+    if p.shape[-2] != sys.dim_alpha:
+        raise DimensionMismatch(f"block shape {p.shape} does not match dim_alpha={sys.dim_alpha}")
+    return BipartiteSystem(sys.dim_alpha, p.shape[-1])
+
+
 class Stack(NamedTuple):
     """The reductions of a stack of K amplitude matrices on a model's block
-    (``reduce_stack``). ``rho_alpha`` (K, r, r) and ``rho_beta`` (K, c, c)
-    are the reduced states on the leading r alpha and c beta levels, exactly
-    0 off them; ``error`` holds each state's reconstruction error, and
-    ``verdict`` and ``iterations`` those of every state that is ``done``.
+    (``reduce_stack``). ``rho_alpha`` (K, Na, Na) and ``rho_beta`` (K, c, c)
+    are the reduced states on every alpha level and the leading c beta
+    levels, exactly 0 off them; ``error`` holds each state's reconstruction
+    error, and ``verdict`` and ``iterations`` those of every state that is
+    ``done``.
     A state not done is one to reduce alone, with the public semantics.
     """
 
@@ -573,15 +585,16 @@ class Stack(NamedTuple):
 def reduce_stack(p: np.ndarray, sys: BipartiteSystem, method: str, tol: float = 1e-12,
                  max_iter: int = 10_000, **weights) -> Stack:
     """The reduction ``method`` of each state of a stack of K amplitude
-    matrices p (K, r, c), with the settings of ``_reduce_one``: the
+    matrices p (K, Na, c), with the settings of ``_reduce_one``: the
     ``weights`` of ``_weights`` and, for the correlated reduction, ``tol``
     and ``max_iter``, which is only checked, since a done state takes one
     sweep.
 
-    p holds the leading r alpha and c beta levels of each state's Psi,
-    outside which every entry is 0: a model's block on the levels that can
-    hold its state, or the whole Psi, psi.reshape(K, Na, Nb). A state that
-    fails ``_state``'s check (``_unit``) is zeroed.
+    p holds every alpha level and the leading c beta levels of each state's
+    Psi, outside which every entry is 0 (``_block_system``): a model's block
+    on the levels that can hold its state, or the whole Psi,
+    psi.reshape(K, Na, Nb). A state that fails ``_state``'s check
+    (``_unit``) is zeroed.
 
     The same body as the public reductions (``_pair``), over a leading axis
     and on the block's levels, where it gives each state's reduced states
@@ -591,17 +604,17 @@ def reduce_stack(p: np.ndarray, sys: BipartiteSystem, method: str, tol: float = 
     warnings, verdict and iterations: a state that fails ``_state``'s check,
     a conditioning overlap below ``NEAR_DEGENERACY_THRESHOLD``, a correlated
     start that ``_start`` does not certify, and a verifying sweep whose
-    residual is not below ``tol``; and, with a ``seed``, a block that leaves
-    out an alpha level, where the seed test could decide otherwise.
+    residual is not below ``tol``.
     """
+    sub = _block_system(p, sys)
     valid = _unit(p.reshape(len(p), -1))
     if not valid.all():
         p = np.where(valid[:, None, None], p, 0)
     not_done = Stack(None, None, None, np.zeros_like(valid))
-    if not valid.any() or weights.get("seed") is not None and p.shape[1] < sys.dim_alpha:
+    if not valid.any():
         return not_done
-    side, w, seed = _weights(sys, method, *p.shape[1:], tol=tol, max_iter=max_iter, **weights)
-    ra, rb, residual = _pair(p, BipartiteSystem(*p.shape[1:]), method, side, w, seed, tol, [])
+    side, w, seed = _weights(sys, method, sub.dim_beta, tol=tol, max_iter=max_iter, **weights)
+    ra, rb, residual = _pair(p, sub, method, side, w, seed, tol, [])
     if method == "correlated":
         if residual is None:
             return not_done

@@ -2580,9 +2580,12 @@ def test_a_mutated_command_line_keeps_the_exit_code_contract(argv_dir, argv):
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def readme_config_table() -> dict:
     """(section, for) -> [(key, default)] from README's table of config keys."""
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    lines = (ROOT / "README.md").read_text().splitlines()
     start = lines.index("| section | for | keys (default) |")
     rows = {}
     for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
@@ -2604,6 +2607,24 @@ def test_readme_lists_the_config_table():
         **{("reduction", name): listed(keys) for name, keys in cli.REDUCTION.items()},
         ("output", ""): listed(cli.SECTIONS["output"]),
     }
+
+
+def test_readme_names_no_private_identifier():
+    # README states the public contract; what a private name does is said in
+    # its docstring, so README need not follow it.
+    private = re.findall(r"(?<!\w)_+[A-Za-z]\w*", (ROOT / "README.md").read_text())
+    assert private == []
+
+
+def test_the_readme_config_is_the_one_ci_runs():
+    # The example config has three copies: README's, README_CONFIG, and the
+    # file that CI's console-script step writes and runs.
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^Example config:\n\n```json\n(.*?)^```$", readme, re.M | re.S)
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    heredoc = re.search(r"cat > readme-config\.json <<'EOF'\n(.*?)^\s*EOF$", ci, re.M | re.S)
+    assert json.loads(block[1]) == README_CONFIG
+    assert json.loads(heredoc[1]) == README_CONFIG
 
 
 def test_huge_custom_dims_name_the_mismatch(tmp_path, capsys):

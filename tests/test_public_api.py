@@ -138,6 +138,24 @@ def _ensemble(*terms):
 REFUSALS = {
     "max_iter-0": (lambda: corred.correlated_reduce(EPR, PAIR, max_iter=0),
                    ValueError, "max_iter must be >= 1, got 0"),
+    # No sweep would run, and the verdict would read a residual of none.
+    "max_iter-nan": (lambda: corred.correlated_reduce(EPR, PAIR, max_iter=float("nan")),
+                     ValueError, "max_iter must be >= 1, got nan"),
+    # 2.5 would run 3 sweeps.
+    "max_iter-2.5": (lambda: corred.correlated_reduce(EPR, PAIR, max_iter=2.5),
+                     ValueError, "max_iter must be an integer, got 2.5"),
+    # inf times the zero gap of the EPR tie would be nan.
+    "tol-inf": (lambda: corred.correlated_reduce(EPR, PAIR, tol=float("inf")),
+                ValueError, "tol must be finite, got inf"),
+    "tol-nan": (lambda: corred.correlated_reduce(EPR, PAIR, tol=float("nan")),
+                ValueError, "tol must be > 0, got nan"),
+    # Each would fail later, at the first reshape or array of that size.
+    "dims-2.0": (lambda: corred.BipartiteSystem(2.0, 2), corred.DimensionMismatch,
+                 "subsystem dimensions must be integers, got (2.0, 2)"),
+    "dims-nan": (lambda: corred.BipartiteSystem(float("nan"), 2), corred.DimensionMismatch,
+                 "subsystem dimensions must be integers, got (nan, 2)"),
+    "n_max-2.5": (lambda: corred.JcmParams(1.0, 1.0, 2.5),
+                  corred.DimensionMismatch, "n_max must be an integer, got 2.5"),
     "given_side-gamma": (lambda: corred.conditioned_reduce(EPR, PAIR, HALF, "gamma"),
                          ValueError, "given_side must be 'alpha' or 'beta', got 'gamma'"),
     "given_side-gamma-3x3": (lambda: corred.conditioned_reduce(EPR, PAIR, np.eye(3) / 3, "gamma"),
@@ -187,3 +205,13 @@ def test_an_integral_level_of_any_type_is_the_level(level):
     got, want = corred.projective_reduce(EPR, PAIR, level), corred.projective_reduce(EPR, PAIR, 1)
     assert got.rho_alpha.matrix.tobytes() == want.rho_alpha.matrix.tobytes()
     assert got.rho_beta.matrix.tobytes() == want.rho_beta.matrix.tobytes()
+
+
+def test_integral_settings_of_any_type_are_taken():
+    # max_iter 10.0 as 10, as an integral level is the level; numpy integers
+    # as dimensions.
+    got, want = (corred.correlated_reduce(EPR, PAIR, max_iter=n) for n in (10.0, 10))
+    assert (got.verdict, got.iterations) == (want.verdict, want.iterations)
+    assert got.rho_alpha.matrix.tobytes() == want.rho_alpha.matrix.tobytes()
+    assert corred.BipartiteSystem(np.int64(2), np.int64(3)).dim == 6
+    assert corred.jcm_system(corred.JcmParams(1.0, 1.0, np.int64(3))).dim == 8

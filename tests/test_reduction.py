@@ -683,40 +683,21 @@ class TestStackedKernels:
             assert mc.max_abs_diff(stack.rho_beta[k], one.rho_beta.matrix) < 1e-15
             assert abs(stack.error[k] - one.reconstruction_error) < 1e-15
 
-
-    def test_a_seeded_block_short_of_an_alpha_level_goes_alone(self):
-        # Psi = [[0, 1], [0, 0]], the spin pair at default params, on its
-        # one nonzero alpha level: the seed test reads every alpha level, so
-        # with a seed no state is done, and without one every state is.
-        p = np.zeros((3, 1, 2), dtype=complex)
+    @pytest.mark.parametrize("seed", [None, np.eye(2) / 2], ids=["no-seed", "seed"])
+    @pytest.mark.parametrize("k, reduce", [
+        (3, lambda p, sys_, seed: red.reduce_stack(p, sys_, "correlated", seed=seed)),
+        (1, lambda p, sys_, seed: red._reduce_one(p, sys_, "correlated", block=True, seed=seed)),
+    ], ids=["stack", "alone"])
+    def test_a_block_short_of_an_alpha_level_is_refused(self, seed, k, reduce):
+        # Psi = [[0, 1], [0, 0]], the spin pair at default params, on its one
+        # nonzero alpha level: a model's block holds every alpha level, which
+        # the seed test reads, so the stack and the point alone refuse it,
+        # with a seed or without.
+        p = np.zeros((k, 1, 2), dtype=complex)
         p[:, 0, 1] = 1.0
-        sys_ = BipartiteSystem(2, 2)
-        assert red.reduce_stack(p, sys_, "correlated").done.all()
-        assert not red.reduce_stack(p, sys_, "correlated", seed=np.eye(2) / 2).done.any()
-
-    @pytest.mark.parametrize("psi", [[[1.0, 0.0]], [[0.0, 1.0]], [[0.6, 0.8]]])
-    @pytest.mark.parametrize("seed", [None, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.eye(2) / 2])
-    def test_a_block_short_of_an_alpha_level_reduces_alone_as_its_whole_vector(self, psi, seed):
-        # A block on alpha level 0 of three: the seed lies on every alpha
-        # level, so the point alone is reduced on all three, and the seed
-        # test and the loop read it as for the whole vector. A seed on
-        # level 1 does not overlap the start of [1, 0] on level 0.
-        sys_ = BipartiteSystem(3, 2)
-        block = np.array([psi], dtype=complex)
-        whole = np.pad(block[0], ((0, 2), (0, 0))).ravel()
-        seed = None if seed is None else np.pad(seed, ((0, 1), (0, 1)))
-        want = _run(lambda: red.correlated_reduce(whole, sys_, seed))
-        got = _run(lambda: red._reduce_one(block, sys_, "correlated", block=True, seed=seed))
-        if isinstance(want, tuple):
-            assert got == want
-            return
-        assert (got.verdict, got.iterations, got.warnings) == (want.verdict, want.iterations,
-                                                              want.warnings)
-        n = sys_.dim_alpha if seed is not None else 1
-        assert got.rho_alpha.matrix.shape == (n, n)
-        assert abs(got.rho_alpha.matrix - want.rho_alpha.matrix[:n, :n]).max() <= 1e-15
-        assert not want.rho_alpha.matrix[n:].any() and not want.rho_alpha.matrix[:, n:].any()
-        assert abs(got.rho_beta.matrix - want.rho_beta.matrix).max() <= 1e-15
+        refused = rf"^block shape \({k}, 1, 2\) does not match dim_alpha=2$"
+        with pytest.raises(DimensionMismatch, match=refused):
+            reduce(p, BipartiteSystem(2, 2), seed)
 
     @pytest.mark.parametrize("n_max", [1, 2, 16, 256])
     def test_a_block_cuts_as_its_whole_vectors_cut(self, n_max):
