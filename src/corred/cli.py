@@ -57,7 +57,8 @@ a misspelt key would quietly take the default it was meant to change.
 Every reduction returns a ``ReductionResult``; its ``verdict`` and
 ``iterations`` fill the row's columns of the same name ("-" and 0 for the
 one-shot methods), and a correlated ``file:`` seed is the starting alpha
-state of every time point where the loop does not start at its closed form
+state of every time point where the loop does not start at the top
+operator-Schmidt pair, which on an N x N state is searched for from it
 (see ``reduction``).
 
 Indented JSON output (``reduce``, ``decompose``, ``run --format json``) is
@@ -85,9 +86,10 @@ from collections.abc import Callable, Iterable, Iterator
 import numpy as np
 
 from . import matrixcore as mc, reduction
-from .errors import CorredError, DegenerateOverlap, DimensionMismatch, TieUndefined, ValidationError
+from .errors import (CorredError, DegenerateOverlap, DimensionMismatch, IndexOutOfRange, TieUndefined,
+                     ValidationError)
 from .matrixcore import BipartiteSystem
-from .states import DensityMatrix, epr_state, spin_pair_initial, triplet_state
+from .states import DensityMatrix, _check_level, epr_state, spin_pair_initial, triplet_state
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -379,8 +381,9 @@ def _read(obj: dict, section: str, keys: dict, chosen: str = "") -> dict:
 
 def _load_density(path: str, validation: str | None = None) -> DensityMatrix:
     """The state in a state file, validated at its own level (as
-    ``DensityMatrix.from_json`` reads it) or at ``validation``. Every
-    refusal names ``path``.
+    ``DensityMatrix.from_json`` reads it) or at ``validation``; a file's own
+    level is checked either way, so every command refuses the same files.
+    Every refusal names ``path``.
 
     A state file parses into one [re, im] list per entry, 264,196 lists for
     a 514 x 514 state. The collector stays paused until that tree has been
@@ -390,12 +393,14 @@ def _load_density(path: str, validation: str | None = None) -> DensityMatrix:
     """
     with _collector_paused():
         obj = _object(_load_json(path), f"state file {path}")
-        level = obj.get("validation", "strict") if validation is None else validation
+        declared = obj.get("validation", "strict")
         with _bad_state_file(path):
             m = mc.matrix_from_json(obj)
         del obj
     with _bad_state_file(path):
-        return DensityMatrix(m, validation=level)
+        dm = DensityMatrix(m, validation=declared if validation is None else validation)
+        _check_level(declared)
+        return dm
 
 
 @contextlib.contextmanager
@@ -514,17 +519,25 @@ def _reducer(rcfg: dict, sys_: BipartiteSystem) -> dict:
     State files named by the config are read here, once. The settings are
     then checked against ``sys_`` on no level: a projective level's range and
     the shapes of sigma and a seed, with no matrix of the system's size
-    built, so that ``run`` refuses them before it opens the output.
+    built, so that ``run`` refuses them before it opens the output. A
+    refusal names the key and, for a file, its path.
     """
     method = _read({k: v for k, v in rcfg.items() if k == "method"}, "reduction",
                    {"method": METHOD})["method"]
     r = _read(rcfg, "reduction", {"method": METHOD, **REDUCTION[method]}, f" for method {method!r}")
     settings = {key: r[key] for key in ("level", "given_side", "tol", "max_iter") if key in r}
+    # The one setting of the method that the system can refuse.
+    checked = "reduction.level"
     if "state" in r:
+        checked = f"reduction.state: {r['state']}"
         settings["sigma"] = _load_density(r["state"])
-    if "seed" in r:
-        settings["seed"] = None if r["seed"] == "neumann" else _load_density(r["seed"][5:])
-    reduction._weights(sys_, method, 0, **settings)
+    if r.get("seed", "neumann") != "neumann":  # "file:<path>"; "neumann" is the default seed
+        checked = f"reduction.seed: {r['seed'][5:]}"
+        settings["seed"] = _load_density(r["seed"][5:])
+    try:
+        reduction._weights(sys_, method, 0, **settings)
+    except (DimensionMismatch, IndexOutOfRange) as exc:
+        raise type(exc)(f"{checked}: {exc}") from exc
     return {"method": method, **settings}
 
 

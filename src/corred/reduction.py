@@ -22,14 +22,14 @@ blocks of alpha rows of rho, or of Psi, so no N x N temporary is built.
 The correlated fixed point is the top pair of rho's operator-Schmidt
 decomposition, its nearest Kronecker product (Van Loan & Pitsianis 1993),
 which each Gauss-Seidel sweep approaches by one power-iteration step.
-``_start``, for one state and a stack alike, starts the loop at that pair,
-from the top eigenvector of a small Gram matrix, once an a-posteriori
-residual test bounds its error below tol, and runs the loop's first sweep
-from it: a converged run takes one sweep. For psi the pair is the projector
-pair on the top Schmidt vectors of Psi, from the Gram Psi Psi^dag or
-Psi^T Psi^* of the smaller side, at any size; for an N x N rho the start
-needs min(Na, Nb) <= CLOSED_FORM_MAX_DIM. Otherwise the loop starts at the
-given alpha state, by default the partial trace.
+``_start``, for one state and a stack alike, starts the loop at that pair
+once an a-posteriori residual test bounds its error below tol, and runs the
+loop's first sweep from it: a converged run takes one sweep. For psi the
+pair is the projector pair on the top Schmidt vectors of Psi, from the
+eigh of the Gram Psi Psi^dag or Psi^T Psi^* of the smaller side; for an
+N x N rho it is the top Ritz pair of the sweep map on the smaller side,
+from Lanczos (``_lanczos``) started at the seed, at any size. Otherwise the
+loop starts at the given alpha state, by default the partial trace.
 
 Stacks. The kernels on amplitudes (``_contract``, ``_condition``,
 ``_start``, ``_reconstruction_error``) also take a stack of
@@ -87,16 +87,6 @@ MEAN_ZERO_TOL = 1e-12
 
 #: Largest deviation from 1 of an amplitude vector's squared norm.
 NORM_TOL = max(POSITIVITY_TOL, 1e-12)
-
-#: Largest min(Na, Nb) at which the Gauss-Seidel loop starts an N x N rho at
-#: its closed form; an amplitude vector starts there at any size, since its
-#: Gram is only n x n. With n = min(Na, Nb) and m the other dimension, the
-#: start on a matrix costs the flops of about n^2 / 2 sweeps for the Gram
-#: matrix plus an n^2 x n^2 eigh growing as n^6 against a sweep's n^2 m^2:
-#: a few sweeps at n <= 4, where a loop from the partial trace takes 10 to
-#: 17 on random states and thousands near a tie, but at n = 16 an eigh alone
-#: of about 35 sweeps.
-CLOSED_FORM_MAX_DIM = 4
 
 
 def _matrix(x, sys: BipartiteSystem, side: str | None = None) -> np.ndarray:
@@ -364,41 +354,77 @@ def _weights(sys: BipartiteSystem, method: str, c: int, sigma=None,
     return "beta", None, None if seed is None else _matrix(seed, sys, "alpha")
 
 
+def _lanczos(apply, v: np.ndarray, steps: int, tol: float):
+    """(x, theta, gap, residual): the top Ritz pair of the hermitian map
+    ``apply`` on n x n matrices (Frobenius inner product) on the Krylov
+    space of the nonzero start v, the gap from theta to the next Ritz value
+    (to 0 if there is none), and the pair's residual ||apply(x) - theta x||.
+
+    Lanczos with full reorthogonalization (Golub & Van Loan 10.1; Parlett,
+    The Symmetric Eigenvalue Problem): each step keeps the image W_k of the
+    newest basis vector q_k and takes it twice against every basis vector
+    for q_k+1. (theta, y) is the top eigenpair of Q^dag W, Lanczos'
+    tridiagonal T_k, and the residual is W y - theta x, x = Q y: in exact
+    arithmetic beta_k |y_k|, but unlike that it counts the rounding of
+    T_k's entries, which near a tie moves x by more than beta_k |y_k| shows.
+    It stops once the residual is below tol * gap, at an invariant Krylov
+    space, or after ``steps``, the dimension n^2 of the space. Products are
+    einsums and norms ``_norm``, whose bits no BLAS kernel decides.
+    """
+    shape = v.shape
+    basis = (v / np.sqrt(_norm(v.ravel()))).reshape(1, -1)
+    images = np.empty((0, basis.shape[1]), dtype=complex)
+    while True:
+        images = np.vstack([images, apply(basis[-1].reshape(shape)).reshape(1, -1)])
+        theta, y = np.linalg.eigh(mc.hermitize(np.einsum("ki,li->kl", basis.conj(), images)))
+        x = np.einsum("k,ki->i", y[:, -1], basis)
+        gap = theta[-1] - (theta[-2] if len(theta) > 1 else 0.0)
+        residual = np.sqrt(_norm(np.einsum("k,ki->i", y[:, -1], images) - theta[-1] * x))
+        w = images[-1]
+        for _ in range(2):
+            w = w - np.einsum("k,ki->i", np.einsum("ki,i->k", basis.conj(), w), basis)
+        beta = np.sqrt(_norm(w))
+        if residual < tol * gap or not beta or len(basis) == steps:
+            return x.reshape(shape), theta[-1], gap, residual
+        basis = np.vstack([basis, w / beta])
+
+
 def _start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray | None, tol: float,
            warnings: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Where the correlated loop starts: (rho_alpha, rho_beta, residual).
 
     The certified start is the top operator-Schmidt pair of rho after one
     verifying sweep, with that sweep's residual. With R the realigned state,
-    R[(i,j),(b,c)] = rho[(i,b),(j,c)], a Gauss-Seidel sweep maps
-    vec(rho_alpha) to R R^dag vec(rho_alpha) up to normalization, so the
-    sweep loop is a power iteration. Its limit is the top eigenvector of the
-    Gram matrix R R^dag (Na^2 x Na^2), or, read on the beta side, of
-    R^T R^* (Nb^2 x Nb^2); the smaller one is one matmul of the realigned
-    copy. That vector, reshaped to a matrix, divided by its trace and
-    hermitized, is the start. For an amplitude vector psi,
-    R R^dag = G x G^* with G = Psi Psi^dag (or Psi^T Psi^* on the beta side),
-    so the start is x x^dag for the top eigenvector x of the min(Na, Nb)
-    square G, with the same relative gap, and no realigned copy is made.
-    rho_beta is conditioned on rho_alpha, so the sweep moves only rho_alpha.
+    R[(i,j),(b,c)] = rho[(i,b),(j,c)], a Gauss-Seidel sweep maps rho_alpha
+    to M(rho_alpha) up to normalization, M(X) = Sp_beta(rho (1 x Y)) with
+    Y = Sp_alpha(rho (X x 1)): vec(X) to R R^dag vec(X), so the sweep loop
+    is a power iteration. Its limit from the seed is the top eigenvector of
+    M on the seed's Krylov space, or, read on the beta side, of the map
+    R^T R^* that conditions on beta first. On the smaller side, n x n with
+    n = min(Na, Nb), ``_lanczos`` finds it from the seed (on the beta side,
+    from the beta state conditioned on the seed), two contractions a step
+    and no realigned copy. That matrix, divided by its trace and hermitized,
+    is the start. For an amplitude vector psi, R R^dag = G x G^* with
+    G = Psi Psi^dag (or Psi^T Psi^* on the beta side), so the start is
+    x x^dag for the top eigenvector x of the n x n G from eigh, with the
+    same relative gap. rho_beta is conditioned on rho_alpha, so the sweep
+    moves only rho_alpha.
 
     Otherwise the seeded start, ``seed`` (by default Sp_beta rho) and
-    Sp_alpha rho, with residual None: where the closed form costs more than
-    the sweeps it saves, is not certified, or could be another fixed point
-    than the loop from ``seed`` reaches. That is an N x N rho with
-    min(Na, Nb) above ``CLOSED_FORM_MAX_DIM``; a tie, a gap
-    lambda_1 - lambda_2 within tol * lambda_1; a residual
-    ||G x - lambda_1 x|| of the top vector x not below tol * gap, the
-    Davis-Kahan (1970) bound on sin of its angle to the true one; a trace
-    about 0, which is no state; a seed that overlaps the start by less than
-    tol; and a degenerate overlap before the verifying sweep, whose own
-    DegenerateOverlap is raised. Each partial trace is taken once. On a
-    stack of amplitude matrices a refused state, or one with a
-    near-degenerate overlap (see ``_condition``), is NaN, and residual None
-    means every state was refused.
+    Sp_alpha rho, with residual None: where the top pair is not certified,
+    or could be another fixed point than the loop from ``seed`` reaches.
+    That is a tie, a gap lambda_1 - lambda_2 within tol * lambda_1; a
+    residual of the top vector x not below tol * gap, the Davis-Kahan
+    (1970) bound on sin of its angle to the true one; a trace about 0,
+    which is no state; a seed that overlaps the start by less than tol, or
+    whose beta state is 0; and a degenerate overlap before the verifying
+    sweep, whose own DegenerateOverlap is raised. Each partial trace is
+    taken once. On a stack of amplitude matrices a refused state, or one
+    with a near-degenerate overlap (see ``_condition``), is NaN, and
+    residual None means every state was refused.
     """
     na, nb = sys.dim_alpha, sys.dim_beta
-    side, n = ("alpha", na) if na <= nb else ("beta", nb)
+    side, other, n = ("alpha", "beta", na) if na <= nb else ("beta", "alpha", nb)
     pure = r.ndim != 2
     # Sp_beta rho is the default seed and an amplitude vector's Gram on the
     # alpha side, Sp_alpha rho its Gram on the beta side and the seeded rho_beta.
@@ -410,32 +436,32 @@ def _start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray | None, tol: fl
         return seed, mc._contract(r, sys, "alpha") if over_alpha is None else over_alpha, None
 
     if pure:
-        gram = over_beta if side == "alpha" else over_alpha
-    elif n > CLOSED_FORM_MAX_DIM:
-        return seeded()
+        # eigh reads one triangle and ignores the roundoff imaginary parts of a
+        # matmul's diagonal, which the residual below would count against x.
+        gram = mc.hermitize(over_beta if side == "alpha" else over_alpha)
+        lam, vecs = np.linalg.eigh(gram)
+        x, top_lam = vecs[..., -1], lam[..., -1]
+        gap = top_lam - (lam[..., -2] if n > 1 else 0.0)
+        top = x[..., :, None] * x.conj()[..., None, :]
+        residual = np.linalg.norm(gram @ x[..., None] - top_lam[..., None, None] * x[..., None],
+                                  axis=(-2, -1))
+        # The eigensolve's temporaries go before the conditionings, which set
+        # the peak memory of a chunk.
+        del gram, lam, vecs, x
     else:
-        rr = r.reshape(na, nb, na, nb).transpose(0, 2, 1, 3).reshape(na * na, nb * nb)
-        gram = rr @ rr.conj().T if side == "alpha" else rr.T @ rr.conj()
-        del rr
-    # eigh reads one triangle and ignores the roundoff imaginary parts of a
-    # matmul's diagonal, which the residual below would count against x.
-    gram = mc.hermitize(gram)
-    lam, vecs = np.linalg.eigh(gram)
-    x, top_lam = vecs[..., -1], lam[..., -1]
-    gap = top_lam - (lam[..., -2] if n > 1 else 0.0)
-    top = x[..., :, None] * x.conj()[..., None, :] if pure else x.reshape(n, n)
+        start = seed if side == "alpha" else mc._contract(r, sys, "alpha", seed)
+        if not start.any():
+            return seeded()
+        top, top_lam, gap, residual = _lanczos(
+            lambda x: mc._contract(r, sys, other, mc._contract(r, sys, side, x)), start, n * n, tol)
     trace = top.trace(axis1=-2, axis2=-1)
-    residual = np.linalg.norm(gram @ x[..., None] - top_lam[..., None, None] * x[..., None],
-                              axis=(-2, -1))
     ok = (gap > tol * top_lam) & (residual < tol * gap) & (abs(trace) > NEAR_DEGENERACY_THRESHOLD)
     if not ok.any():
         return seeded()
     # The top vector's state: rho_alpha, or on the beta side the state of
     # beta that rho_alpha is conditioned on.
     ra = mc.hermitize(top / np.where(ok, trace, 1.0)[..., None, None])
-    # The eigensolve's temporaries go before the conditionings, which set
-    # the peak memory of a chunk.
-    del gram, lam, vecs, x, top, trace, residual
+    del top, trace, residual
     try:
         if side == "beta":
             ra = _condition(r, sys, ra, "beta", warnings)
@@ -469,16 +495,17 @@ def correlated_reduce(
     counts the sweeps run. The sweep is a power iteration on a positive
     semidefinite map, so it has no period-2 cycle to detect.
 
-    The loop starts where ``_start`` puts it: at its closed-form fixed
-    point, the top operator-Schmidt pair, after one verifying sweep that
-    counts as the first, so a converged run takes one sweep; or, where that
-    start is not certified, at the seeded start.
+    The loop starts where ``_start`` puts it: at the top operator-Schmidt
+    pair, once its Davis-Kahan bound certifies it within tol, after one
+    verifying sweep that counts as the first, so a converged run takes one
+    sweep; or, where that start is not certified, at the seeded start.
 
     Parameters
     ----------
     seed : DensityMatrix or array, optional
-        Starting alpha iterate where the loop does not start at the closed
-        form; the partial trace over beta by default. The beta iterate then
+        Where the search for the top pair of an N x N rho starts, and the
+        starting alpha iterate where the loop does not start at that pair;
+        the partial trace over beta by default. The beta iterate then
         starts at the partial trace over alpha.
     """
     return _reduce_one(rho, sys, "correlated", tol, max_iter, seed=seed)

@@ -24,6 +24,12 @@ from .errors import (
 POSITIVITY_TOL = 1e-10
 
 
+def _check_level(validation) -> None:
+    """A validation level is "strict" or "relaxed", else ValueError."""
+    if validation not in ("strict", "relaxed"):
+        raise ValueError(f"validation must be 'strict' or 'relaxed', got {validation!r}")
+
+
 class DensityMatrix:
     """Validated state operator: hermitian, unit trace, positive semidefinite.
 
@@ -50,8 +56,7 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > max(tol, 1e-12):
             raise ValidationError(f"trace must be 1, got {tr}")
-        if validation not in ("strict", "relaxed"):
-            raise ValueError(f"validation must be 'strict' or 'relaxed', got {validation!r}")
+        _check_level(validation)
         self.matrix = m
         self.validation = validation
         self._min_eigenvalue: float | None = None

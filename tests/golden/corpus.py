@@ -215,6 +215,8 @@ ARGV_CASES = {
     "validate-refused-entry-not-pair": ["validate", "{dir}/entry-not-pair.json"],
     "validate-refused-not-square": ["validate", "{dir}/not-square.json"],
     "validate-refused-not-hermitian": ["validate", "{dir}/not-hermitian.json"],
+    # A level that is neither "strict" nor "relaxed", which reduce refuses too.
+    "validate-refused-bogus-level": ["validate", "{dir}/bogus-level.json"],
     "validate-custom": ["validate", "{dir}/custom23.json"],
     "decompose-epr": ["decompose", "epr", "--theta", "0.3"],
     "decompose-triplet": ["decompose", "triplet", "--theta", "0.7"],
@@ -248,8 +250,8 @@ CASES = {
 
 def _states() -> dict:
     """The state files of the corpus: states as ``DensityMatrix.to_json``
-    writes them, one with beta level 2 at 1e-12, and three files that parse
-    but hold no state."""
+    writes them, one with beta level 2 at 1e-12, three files that parse but
+    hold no state, and a state with an unknown validation level."""
     rng = np.random.default_rng(26)
 
     def wishart(n):
@@ -263,7 +265,8 @@ def _states() -> dict:
             "near-degenerate23": DensityMatrix(np.diag([1 - 1e-12, 0, 1e-12, 0, 0, 0])).to_json(),
             "entry-not-pair": {"rows": 2, "cols": 2, "data": [*half[:3], [0.5]]},
             "not-square": {"rows": 1, "cols": 4, "data": half},
-            "not-hermitian": {"rows": 2, "cols": 2, "data": [half[0], [0.25, 0.0], *half[2:]]}}
+            "not-hermitian": {"rows": 2, "cols": 2, "data": [half[0], [0.25, 0.0], *half[2:]]},
+            "bogus-level": {**epr_state().to_json(), "validation": "bogus"}}
 
 
 def record(name: str, workdir: Path) -> tuple[int, str, str]:

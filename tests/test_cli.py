@@ -30,6 +30,9 @@ from corred.states import DensityMatrix, epr_state, minimum_information_state, p
 
 from conftest import matrices_close, random_density
 
+#: An edit of a state file that deletes its key.
+DELETE = object()
+
 
 def write_state(tmp_path, name, dm):
     path = tmp_path / name
@@ -1126,15 +1129,17 @@ class TestReduce:
         [
             ({"data": [[0.5, 0.0]] * 3}, "data length 3 != rows*cols = 4"),
             ({"validation": "bogus"}, "bogus"),
-            ({"rows": None}, "lacks key 'rows'"),
-            ({"cols": None}, "lacks key 'cols'"),
-            ({"data": None}, "lacks key 'data'"),
+            ({"rows": DELETE}, "lacks key 'rows'"),
+            ({"cols": DELETE}, "lacks key 'cols'"),
+            ({"data": DELETE}, "lacks key 'data'"),
+            ({"validation": None}, "validation must be 'strict' or 'relaxed', got None"),
         ],
     )
     def test_bad_state_file_exits_config(self, tmp_path, capsys, edit, message):
+        # reduce and validate refuse the same files, whatever level validate checks.
         obj = minimum_information_state(2).to_json()
         for key, value in edit.items():
-            if value is None:
+            if value is DELETE:
                 del obj[key]
             else:
                 obj[key] = value
@@ -1142,6 +1147,10 @@ class TestReduce:
         path.write_text(json.dumps(obj))
         assert cli.main(["reduce", str(path), "--dims", "2", "1"]) == 2
         assert message in capsys.readouterr().err
+        for level in ("strict", "relaxed"):
+            assert cli.main(["validate", str(path), "--level", level]) == 2
+            report = json.loads(capsys.readouterr().out)
+            assert not report["valid"] and message in report["reason"]
 
     def test_missing_state_exits_io(self, tmp_path):
         assert cli.main(["reduce", str(tmp_path / "none.json"), "--dims", "2", "2"]) == 4
@@ -2105,10 +2114,14 @@ STATE_ERRORS = {
     **{f"{name}-not-hermitian": "{dir}/not-hermitian.json: density matrix is not hermitian "
                                 "within tolerance" for name in ("sigma", "seed", "custom")},
 }
+# The error line of each setting that does not fit the system, which names
+# its key and, for a file, the file.
 SETTINGS_ERRORS = {
-    "run-level-out-of-range": "level 5 outside [0, 4)",
-    "run-state-shape": "matrix shape (2, 2) does not match dim_beta=4",
-    "run-seed-shape": "matrix shape (4, 4) does not match dim_alpha=2",
+    "run-level-out-of-range": "reduction.level: level 5 outside [0, 4)",
+    "run-state-shape": "reduction.state: {dir}/beta1.json: matrix shape (2, 2) does not match "
+                       "dim_beta=4",
+    "run-seed-shape": "reduction.seed: {dir}/product.json: matrix shape (4, 4) does not match "
+                      "dim_alpha=2",
 }
 
 
@@ -2198,7 +2211,7 @@ def test_corred_log_sets_its_level(monkeypatch, value, level):
 def test_reduction_settings_are_refused_before_the_output_is_opened(tmp_path, capsys, name):
     _, config, argv, _ = next(case for case in EXIT_CASES if case[0] == name)
     _, err = run_exit_case(tmp_path, capsys, config, argv)
-    assert err == f"error: {SETTINGS_ERRORS[name]}\n"
+    assert err == f"error: {SETTINGS_ERRORS[name]}\n".replace("{dir}", str(tmp_path))
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -76,12 +76,9 @@ def test_the_corpus_case_gives_its_recorded_output(tmp_path, name):
 KERNEL_DEPENDENT = [
     *(f"run-{experiment}-{method}-{fmt}" for experiment in ("spin_pair", "jcm_vacuum")
       for method in corpus.METHODS for fmt in ("csv", "json")),
-    "run-custom-correlated-csv", "run-custom-correlated-json",
     "run-readme-20-steps", "run-readme-40-steps", "run-readme-40-steps-json",
-    "run-spin-pair-40-steps", "run-custom-40-steps-csv", "run-custom-40-steps-json",
-    "run-jcm-n64-neumann-csv", "run-jcm-n64-neumann-json",
-    "run-jcm-file-seed", "run-jcm-conditioned-alpha",
-    "reduce-custom-correlated", "reduce-custom-file-seed", "validate-custom",
+    "run-spin-pair-40-steps", "run-jcm-n64-neumann-csv", "run-jcm-n64-neumann-json",
+    "run-jcm-file-seed", "run-jcm-conditioned-alpha", "validate-custom",
 ]
 
 # The core that numpy's bundled OpenBLAS runs (``corpus.openblas_config``,

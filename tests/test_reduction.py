@@ -78,6 +78,36 @@ def gauss_seidel_reference(rho, sys_, seed=None, tol=1e-12, max_iter=10_000):
     return ra, rb, None
 
 
+def haar_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def near_tie_mixture(a, b, w, noise):
+    """w |a_0><a_0| x |b_0><b_0| + (1 - w) |a_1><a_1| x |b_1><b_1| for the
+    columns of the unitaries a and b, plus 1e-3 of the state ``noise``,
+    normalized: its top two operator-Schmidt values are about w and 1 - w."""
+    terms = [np.kron(np.outer(a[:, k], a[:, k].conj()), np.outer(b[:, k], b[:, k].conj()))
+             for k in (0, 1)]
+    rho = w * terms[0] + (1 - w) * terms[1] + 1e-3 * noise
+    return rho / np.trace(rho).real
+
+
+@st.composite
+def correlated_states(draw):
+    """(rho, system) of dims 1-9 x 1-9: a Wishart state or, where both dims
+    are 2 or more, a near-tie mixture in Haar bases with w in
+    [0.5005, 0.6] and a Wishart state as its noise."""
+    na, nb = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = random_density(rng, na * nb).matrix
+    if min(na, nb) > 1 and draw(st.booleans()):
+        w = draw(st.floats(0.5005, 0.6))
+        rho = near_tie_mixture(haar_unitary(rng, na), haar_unitary(rng, nb), w, rho)
+    return rho, BipartiteSystem(na, nb)
+
+
 class TestNeumannReduce:
     def test_product_state_exact(self, rng):
         ra, rb = random_density(rng, 2), random_density(rng, 2)
@@ -284,7 +314,7 @@ class TestCorrelatedReduce:
 
 class TestClosedFormStart:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
     def test_matches_sweep_reference(self, na, nb, seed):
         rng = np.random.default_rng(seed)
         sys_ = BipartiteSystem(na, nb)
@@ -339,17 +369,21 @@ class TestClosedFormStart:
     def test_near_tie_reaches_the_step_limit_in_one_sweep(self, offset):
         # The relative gap at 5 pi / 2 + offset is about 2 |offset|: 2e-5 and
         # 1e-4, below eps / tol = 2.2e-4. The loop from the partial trace
-        # contracts at 1 - gap per sweep, so it ends at max_iter; the Gram
-        # matrix is diagonal, so eigh's top vector has residual 0 and the
-        # certified start is the step limit.
+        # contracts at 1 - gap per sweep, so it ends at max_iter. The
+        # amplitude vector's Gram is diagonal, so eigh's top vector has
+        # residual 0 and the certified start is the step limit. The density's
+        # Lanczos residual is of rounding size, above tol * gap at this gap
+        # unless it is exactly 0, so its run is certified only within tol.
         p = JcmParams(omega=1.0, rabi=1.0, n_max=1)
         t = 5 * math.pi / 2 + offset
         rho = jcm_vacuum_density(p, t).matrix
         assert gauss_seidel_reference(rho, jcm_system(p), max_iter=40)[2] is None
-        rep = red.correlated_reduce(rho, jcm_system(p), max_iter=40)
-        assert rep.verdict == "converged" and rep.iterations == 1
         limit_c, _ = models.jcm_correlated_limit(t, p)
+        rep = red.correlated_reduce(models.jcm_vacuum_amplitudes(p, t), jcm_system(p), max_iter=40)
+        assert rep.verdict == "converged" and rep.iterations == 1
         assert abs(rep.rho_alpha.matrix[0, 0].real - limit_c) < 1e-12
+        dense = red.correlated_reduce(rho, jcm_system(p), max_iter=40)
+        assert dense.verdict == "max_iter" or abs(dense.rho_alpha.matrix[0, 0].real - limit_c) < 1e-12
 
     @pytest.mark.parametrize("rabi", [0.7, 1.0, 2.3])
     def test_jcm_near_tie_band_converges_in_one_sweep(self, rabi):
@@ -379,14 +413,13 @@ class TestClosedFormStart:
         assert abs(rep.rho_alpha.matrix[0, 0].real - limit_c) < 1e-12
 
     @pytest.mark.parametrize("na,nb", [(5, 5), (5, 7), (7, 5)])
-    def test_min_dim_above_the_cutoff_keeps_the_seed_start(self, rng, na, nb):
-        assert min(na, nb) > red.CLOSED_FORM_MAX_DIM
+    def test_min_dim_above_four_starts_at_the_top_pair(self, rng, na, nb):
         sys_ = BipartiteSystem(na, nb)
         rho = random_density(rng, sys_.dim).matrix
         ra, rb, sweeps = gauss_seidel_reference(rho, sys_)
         assert sweeps is not None and sweeps > 1
         rep = red.correlated_reduce(rho, sys_)
-        assert rep.verdict == "converged" and rep.iterations == sweeps
+        assert rep.verdict == "converged" and rep.iterations == 1
         assert mc.max_abs_diff(rep.rho_alpha.matrix, ra) < 1e-13
         assert mc.max_abs_diff(rep.rho_beta.matrix, rb) < 1e-13
 
@@ -405,12 +438,14 @@ class TestClosedFormStart:
 
     @pytest.mark.parametrize("na,nb,pure,seeded,calls", [
         (2, 3, True, False, 3), (4, 9, True, False, 3), (2, 3, True, True, 3),
-        (2, 3, False, False, 3), (2, 3, False, True, 2), (3, 2, True, False, 5),
-        (3, 2, True, True, 4), (3, 2, False, False, 4), (3, 2, False, True, 3)])
+        (2, 3, False, False, 11), (2, 3, False, True, 10), (3, 2, True, False, 5),
+        (3, 2, True, True, 4), (3, 2, False, False, 13), (3, 2, False, True, 12)])
     def test_closed_form_run_contracts_no_gram_twice(self, rng, monkeypatch, na, nb, pure,
                                                      seeded, calls):
         # The conditionings counted above, the default seed Sp_beta rho and an
-        # amplitude vector's Gram, which on the alpha side is that seed.
+        # amplitude vector's Gram, which on the alpha side is that seed. A
+        # matrix adds two per Lanczos step, here all n^2 = 4 of them, and on
+        # the beta side the beta state of the seed that Lanczos starts from.
         seen = []
         contract = mc._contract
         monkeypatch.setattr(mc, "_contract", lambda *a, **k: seen.append(a[2]) or contract(*a, **k))
@@ -438,11 +473,12 @@ class TestClosedFormStart:
 
     @pytest.mark.parametrize("max_iter", [1, 3])
     def test_a_seeded_run_stops_at_max_iter(self, max_iter):
-        # 5 x 5 is above the cutoff, so the loop starts at the seed and
-        # converges in 13 sweeps; every sweep up to max_iter is recorded.
-        sys_ = BipartiteSystem(5, 5)
-        rho = random_density(np.random.default_rng(3), sys_.dim)
-        assert red.correlated_reduce(rho, sys_).iterations == 13
+        # At a relative gap of 2e-5 the JCM density's start is not certified
+        # (see above), so the loop starts at the seed and runs past 40
+        # sweeps; every sweep up to max_iter is recorded.
+        p = JcmParams(omega=1.0, rabi=1.0, n_max=1)
+        sys_, rho = jcm_system(p), jcm_vacuum_density(p, 5 * math.pi / 2 + 1e-5)
+        assert red.correlated_reduce(rho, sys_, max_iter=40).verdict == "max_iter"
         ra, rb, sweeps = gauss_seidel_reference(rho.matrix, sys_, max_iter=max_iter)
         rep = red.correlated_reduce(rho, sys_, max_iter=max_iter)
         assert sweeps is None and rep.verdict == "max_iter"
@@ -457,6 +493,15 @@ class TestClosedFormStart:
         rho = DensityMatrix(np.kron(p0, p1))
         with pytest.raises(DegenerateOverlap, match=r"overlap denominator 0\.000e\+00 below 1e-14"):
             red.correlated_reduce(rho, SYS22, seed=DensityMatrix(p1))
+
+    def test_a_seed_with_no_beta_state_raises_at_the_first_sweep(self):
+        # Na > Nb, so the start is searched for on beta, from the beta state
+        # that the seed |1><1| conditions, which is 0 here: the loop starts
+        # at the seed, whose overlap with rho is 0.
+        rho = DensityMatrix(np.kron(np.diag([1.0, 0.0, 0.0]), np.eye(2) / 2))
+        seed = DensityMatrix(np.diag([0.0, 1.0, 0.0]))
+        with pytest.raises(DegenerateOverlap, match=r"overlap denominator 0\.000e\+00 below 1e-14"):
+            red.correlated_reduce(rho, BipartiteSystem(3, 2), seed=seed)
 
     def test_a_degenerate_verifying_sweep_raises(self, rng, monkeypatch):
         # No sweep is recorded before the verifying one, so its
@@ -491,26 +536,47 @@ class TestClosedFormStart:
 
     @pytest.mark.parametrize("seed", [None, np.diag([0.7, 0.3])])
     def test_degenerate_spectrum_keeps_the_seed_start(self, seed):
-        # All four operator-Schmidt values of EPR are 1/2.
+        # All four operator-Schmidt values of EPR are 1/2, so the seed is a
+        # top vector and its Krylov space is the seed alone: the start is the
+        # seed, where the loop stays, and it takes one sweep.
         ra, rb, sweeps = gauss_seidel_reference(epr_state().matrix, SYS22, seed)
+        assert sweeps is not None
         rep = red.correlated_reduce(epr_state(), SYS22, seed=seed)
-        assert rep.verdict == "converged" and rep.iterations == sweeps
+        assert rep.verdict == "converged" and rep.iterations == 1
         assert mc.max_abs_diff(rep.rho_alpha.matrix, ra) < 1e-15
         assert mc.max_abs_diff(rep.rho_beta.matrix, rb) < 1e-15
 
     def test_seed_orthogonal_to_top_vector_keeps_the_seed_start(self):
         # Two fixed points, |00> (top, sigma 0.8) and |11> (sigma 0.2); the
-        # seed |1><1| sees only the second.
+        # seed |1><1| sees only the second, and so does its Krylov space.
         p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         rho = DensityMatrix(0.8 * np.kron(p0, p0) + 0.2 * np.kron(p1, p1))
         ra, rb, sweeps = gauss_seidel_reference(rho.matrix, SYS22, p1)
+        assert sweeps is not None
         rep = red.correlated_reduce(rho, SYS22, seed=DensityMatrix(p1))
-        assert rep.verdict == "converged" and rep.iterations == sweeps
+        assert rep.verdict == "converged" and rep.iterations == 1
         assert mc.max_abs_diff(rep.rho_alpha.matrix, ra) < 1e-15
         assert mc.max_abs_diff(rep.rho_alpha.matrix, p1) < 1e-15
         assert mc.max_abs_diff(rep.rho_beta.matrix, rb) < 1e-15
         top = red.correlated_reduce(rho, SYS22)
         assert mc.max_abs_diff(top.rho_alpha.matrix, p0) < 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(correlated_states())
+    # The sweep loop from the partial trace reports `converged` here after
+    # 2,839 sweeps, 1.2e-10 from the SVD pair.
+    @example((near_tie_mixture(np.eye(5), np.eye(5), 0.501, np.eye(25) / 25),
+              BipartiteSystem(5, 5)))
+    def test_a_converged_run_is_within_tol_of_the_svd_pair(self, case):
+        rho, sys_ = case
+        na, nb = sys_.dim_alpha, sys_.dim_beta
+        u, s, vh = np.linalg.svd(realigned(rho, sys_))
+        assume(s.size == 1 or s[1] < (1 - 1e-6) * s[0])
+        rep = red.correlated_reduce(rho, sys_, tol=1e-12)
+        if rep.verdict == "converged":
+            ra, rb = u[:, 0].reshape(na, na), vh[0].reshape(nb, nb)
+            assert mc.max_abs_diff(rep.rho_alpha.matrix, ra / ra.trace()) <= 1e-12
+            assert mc.max_abs_diff(rep.rho_beta.matrix, rb / rb.trace()) <= 1e-12
 
 
 @st.composite
@@ -948,7 +1014,7 @@ class TestAmplitudeVectorInput:
             assert_vector_and_density_agree(psi, rho, jcm_system(p), rng)
 
     @settings(max_examples=200, deadline=None)
-    @given(amplitude_vectors(max_na=red.CLOSED_FORM_MAX_DIM), st.integers(0, 2**32 - 1))
+    @given(amplitude_vectors(max_na=9), st.integers(0, 2**32 - 1))
     # One amplitude with |psi|^2 = 1 + 2 eps: the errors differ by 2 eps in
     # the real part and 8.0e-18 in the imaginary part.
     @example((np.eye(20)[12] * (0.9920221139150377 + 0.12606397385272416j), BipartiteSystem(4, 5)), 1)
