@@ -33,19 +33,21 @@ reduce the chunk on those levels, so a chunk holds nothing of size K x N.
 A point the stack does not settle is made as its own one-point block, on
 the same levels, and reduced alone by the one entry of the reductions
 (``reduction._reduce_one``, with the public semantics), its result a stack
-of one, and so is every point of a chunk that holds a state that cannot be
-made; no whole vector is made. A reduction setting that does not fit the
+of one; no whole vector is made. A reduction setting that does not fit the
 system (a projective level, the shape of a conditioning state or of a
-seed) is a config error before the output is opened. A state that does not
-change (``epr``, ``custom``) is reduced once, at the first t, by the same
-entry, its warnings logged once, and its row is written at every t. The
-rows reach the writer as pieces (points, stack): a run of a chunk's stack,
-a point reduced alone, or the one reduced state. A row, a CSV line or a
-JSON row object, is formatted from one template made per stack, whose
-populations on the levels that the stack's reduced states leave out are
-literal text ("0" or "0.0"), so no row holds a list of N populations; the
-chunk's states are freed before the next chunk is made. After a nonzero
-exit the output holds only the rows of the points before the failure.
+seed) is a config error before the output is opened, and so is a model's
+phase that overflows at any t of the grid (``_refuse_overflow``). A state
+that does not change (``epr``, ``custom``) is reduced once, at the first t,
+by the same entry, its warnings logged once, and its row is written at
+every t. The rows reach the writer as pieces (points, stack): a run of a
+chunk's stack, a point reduced alone, or the one reduced state. A row, a
+CSV line or a JSON row object, is formatted from one template made per
+stack, whose populations on the levels that the stack's reduced states
+leave out are literal text ("0" or "0.0"), so no row holds a list of N
+populations; the chunk's states are freed before the next chunk is made.
+Once the output is open, only a degenerate overlap at every point (no row)
+and an I/O error can fail the run; after an I/O error the output holds the
+rows written before it.
 
 Every config section is read through one table (``PARAMS`` by experiment,
 ``REDUCTION`` by method, ``SECTIONS`` for the rest), which holds each key's
@@ -568,11 +570,42 @@ def cmd_run(args) -> int:
         reducer = _reducer(cfg["reduction"], sys_)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad config: {exc!r}") from exc
+    if callable(rho_of_t):
+        _refuse_overflow(ts, rho_of_t)
 
     # Open the output first, so an unwritable path fails before the computation.
     with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as out:
         _write_series(_series(ts, sys_, rho_of_t, reducer), raw, fmt, out, sys_)
     return 0
+
+
+def _refuse_overflow(ts: _Grid, model: Callable) -> None:
+    """Raise the error of the first point of ts where ``model`` raises, a
+    phase rate * t that overflows (``models._check_phases``), before the
+    output is opened, with no array of the grid's points made.
+
+    |rate * t| grows with |t|, so if any point overflows, an endpoint does:
+    the first where the grid starts below 0, else the last. Past a first
+    point that does not, the points that overflow are the grid's tail,
+    whose first point a bisection over one-point slices finds.
+    """
+    def overflows(i: int) -> bool:
+        try:
+            model(ts[i:i + 1])
+        except ValidationError:
+            return True
+        return False
+
+    ok, bad = -1, len(ts) - 1
+    if ts.start < 0:
+        model(ts[:1])
+        ok = 0
+    if not overflows(bad):
+        return
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        ok, bad = (ok, mid) if overflows(mid) else (mid, bad)
+    model(ts[bad:bad + 1])
 
 
 def _series(ts: np.ndarray | _Grid, sys_: BipartiteSystem, state,
@@ -601,16 +634,14 @@ def _chunk(ts: np.ndarray, model: Callable, sys_: BipartiteSystem,
     each run of points that it does is a piece of that stack. A point the
     stack leaves undone is made as its own one-point block, on the same
     levels, and reduced alone (``_alone``) when its piece is asked for,
-    after the pieces before it, and so is every point of a chunk where one
-    state raises: the rows before it are written, then its error.
+    after the pieces before it. Neither raises: ``_refuse_overflow`` refused a
+    phase that overflows, and ``_reducer`` the settings, before the output
+    was opened.
     """
     points = ts.tolist()
-    try:
-        stack = reduction.reduce_stack(model(ts), sys_, **reducer)
-    except CorredError:
-        stack = None
+    stack = reduction.reduce_stack(model(ts), sys_, **reducer)
     first = 0
-    for j in range(len(points)) if stack is None else np.flatnonzero(~stack.done).tolist():
+    for j in np.flatnonzero(~stack.done).tolist():
         if first < j:
             yield points[first:j], _part(stack, first, j)
         yield points[j:j + 1], _alone(points[j], model(ts[j:j + 1]), sys_, reducer, block=True)

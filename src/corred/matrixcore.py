@@ -7,8 +7,9 @@ the comparison and hermiticity helpers, and the JSON (de)serialization of
 complex matrices. A stack carries leading axes, (..., Na, Nb), and each of
 its states gets the bits it gets alone; the caller may give a stack on the
 leading levels that can hold its states, a model's block (see ``reduction``).
-Kronecker products and eigendecompositions are numpy's own (``np.kron``,
-``np.linalg.eigh``).
+Every contraction is a numpy einsum, on an N x N state and on amplitudes
+alike, so no BLAS kernel decides its bits. Kronecker products and
+eigendecompositions are numpy's own (``np.kron``, ``np.linalg.eigh``).
 
 All operators are plain ``numpy.ndarray`` of dtype complex128, row-major.
 Composite basis convention: within each subsystem the levels are listed in
@@ -119,8 +120,9 @@ def _contract(state: np.ndarray, sys: BipartiteSystem, over: str,
 
     On amplitudes, with P = Psi over beta and P = Psi^T over alpha, it is
     P P^dag, or P W^T P^dag with a weight: O(Na Nb (Na + Nb)) per state, by
-    broadcasting matmul, and psi psi^dag is never formed. One vector is a
-    stack with no leading axis, so it gets the same bits as in a stack.
+    two-operand einsums over the leading axes, without ``optimize``, which
+    would hand them to BLAS, and psi psi^dag is never formed. One vector is
+    a stack with no leading axis, so it gets the same bits as in a stack.
     """
     na, nb = sys.dim_alpha, sys.dim_beta
     if over not in ("alpha", "beta"):
@@ -132,7 +134,8 @@ def _contract(state: np.ndarray, sys: BipartiteSystem, over: str,
         p = state.reshape(na, nb) if state.ndim == 1 else state
         if over == "alpha":
             p = p.swapaxes(-1, -2)
-        return (p if weight is None else p @ weight.swapaxes(-1, -2)) @ p.conj().swapaxes(-1, -2)
+        q = p if weight is None else np.einsum("...ij,...kj->...ik", p, weight)
+        return np.einsum("...ij,...kj->...ik", q, p.conj())
     if state.shape != (sys.dim, sys.dim):
         raise DimensionMismatch(
             f"matrix shape {state.shape} does not match composite dimension {sys.dim}"

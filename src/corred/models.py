@@ -100,7 +100,7 @@ def spin_pair_amplitudes(p: SpinPairParams, phi: float, t) -> np.ndarray:
     """Evolved pure state U(t) psi(0), psi(0) = cos(phi)|21> - sin(phi)|12>,
     whose projector is ``spin_pair_initial(phi)``; (K, 4) for K times."""
     psi0 = np.array([0.0, math.cos(phi), -math.sin(phi), 0.0], dtype=complex)
-    return spin_pair_evolution(p, t) @ psi0
+    return np.einsum("...ij,j->...i", spin_pair_evolution(p, t), psi0)
 
 
 def spin_pair_density(p: SpinPairParams, phi: float, t: float) -> DensityMatrix:

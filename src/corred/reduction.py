@@ -32,8 +32,8 @@ from Lanczos (``_lanczos``) started at the seed, at any size. Otherwise the
 loop starts at the given alpha state, by default the partial trace.
 
 Stacks. The kernels on amplitudes (``_contract``, ``_condition``,
-``_start``, ``_reconstruction_error``) also take a stack of
-amplitude matrices Psi (..., Na, Nb), 3-D or more, by broadcasting matmul,
+``_start``, ``_reconstruction_error``) also take a stack of amplitude
+matrices Psi (..., Na, Nb), 3-D or more, by einsums over the leading axes,
 and give each state of it the bits it gets alone: one vector is a stack
 with no leading axis, not a second implementation. A stack keeps the
 (Na, Nb) split, since K vectors of length N would read as an N x N rho
@@ -436,15 +436,15 @@ def _start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray | None, tol: fl
         return seed, mc._contract(r, sys, "alpha") if over_alpha is None else over_alpha, None
 
     if pure:
-        # eigh reads one triangle and ignores the roundoff imaginary parts of a
-        # matmul's diagonal, which the residual below would count against x.
+        # eigh reads one triangle and ignores the roundoff imaginary parts of
+        # the contraction's diagonal, which the residual below would count
+        # against x.
         gram = mc.hermitize(over_beta if side == "alpha" else over_alpha)
         lam, vecs = np.linalg.eigh(gram)
         x, top_lam = vecs[..., -1], lam[..., -1]
         gap = top_lam - (lam[..., -2] if n > 1 else 0.0)
         top = x[..., :, None] * x.conj()[..., None, :]
-        residual = np.linalg.norm(gram @ x[..., None] - top_lam[..., None, None] * x[..., None],
-                                  axis=(-2, -1))
+        residual = np.sqrt(_norm(np.einsum("...ij,...j->...i", gram, x) - top_lam[..., None] * x))
         # The eigensolve's temporaries go before the conditionings, which set
         # the peak memory of a chunk.
         del gram, lam, vecs, x
@@ -661,7 +661,7 @@ def mean_value(rho_sub, a: Observable | np.ndarray) -> complex:
     m = a.matrix if isinstance(a, Observable) else mc.as_matrix(a)
     if r.shape != m.shape:
         raise DimensionMismatch(f"state shape {r.shape} vs observable shape {m.shape}")
-    return complex(np.trace(r @ m))
+    return complex(np.einsum("ij,ji->", r, m))
 
 
 @dataclass(frozen=True)
@@ -689,7 +689,7 @@ def correlator(rho, sys: BipartiteSystem, a: Observable, b: Observable) -> Corre
     additionally require nonnegative A, B with nonzero von Neumann means.
     """
     r = _state(rho, sys)
-    exact = complex(np.trace(mc._contract(r, sys, "beta", b.matrix) @ a.matrix))
+    exact = complex(np.einsum("ij,ji->", mc._contract(r, sys, "beta", b.matrix), a.matrix))
     mean_a_n = mean_value(mc._contract(r, sys, "beta"), a)
     mean_b_n = mean_value(mc._contract(r, sys, "alpha"), b)
     ab_form = ba_form = None

@@ -87,7 +87,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        return float(np.real(np.einsum("ij,ji->", self.matrix, self.matrix)))
 
     def to_json(self) -> dict:
         return self._to_json(mc.matrix_to_json)

@@ -113,12 +113,12 @@ RUN_CASES = {
                                           "reduction": {"method": "correlated",
                                                         "seed": "file:{dir}/sigma2.json"}}, None),
     "run-format-flag": ({"experiment": "epr", "output": {"format": "csv"}}, ["--format", "json"]),
-    # A phase that overflows at t = 2, inside the first chunk.
+    # A phase that overflows from t = 2 on: refused before any row.
     "run-spin-pair-overflow": ({"experiment": "spin_pair", "params": {"c": 1e308},
                                 "time_grid": {"start": 0, "stop": 10, "steps": 11}}, None),
 }
 # JSON twins of CSV cases: long zero runs, a point reduced alone inside a
-# chunk, a partial document after a nonzero exit, and a chunk boundary.
+# chunk, no document after a phase overflow, and a chunk boundary.
 RUN_CASES |= {
     f"{name.removesuffix('-csv')}-json": ({**RUN_CASES[name][0], "output": {"format": "json"}}, None)
     for name in ("run-jcm-n64-neumann-csv", "run-jcm-tie", "run-spin-pair-overflow",

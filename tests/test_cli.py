@@ -385,25 +385,39 @@ def test_large_neumann_run_holds_one_time_point(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_failing_time_point_leaves_the_rows_before_it(tmp_path, capsys, fmt):
-    # c * t overflows from t = 2 on.
+def test_failing_time_point_leaves_no_row(tmp_path, capsys, fmt):
+    # c * t overflows from t = 2 on: the run is refused before the output
+    # is opened, so stdout gets no row and --out no file.
     cfg = {
         "experiment": "spin_pair",
         "params": {"c": 1e308},
         "time_grid": {"start": 0.0, "stop": 10.0, "steps": 11},
         "output": {"format": fmt},
     }
-    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
-    out, err = capsys.readouterr()
-    assert err == "error: c * t overflows at t=2.0\n"
-    lines = out.splitlines()
-    if fmt == "csv":
-        assert lines[0].startswith("# config: ") and lines[1].startswith("t,pop_alpha_0,")
-        assert [float(line.split(",")[0]) for line in lines[2:]] == [0.0, 1.0]
-    else:  # the unfinished document up to the last complete row
-        assert lines[-1] == "    }"
-        rows = json.loads(out + "\n  ]\n}")["rows"]
-        assert [row["t"] for row in rows] == [0.0, 1.0]
+    out = tmp_path / f"out.{fmt}"
+    for argv in ([], ["--out", str(out)]):
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg), *argv]) == 2
+        assert capsys.readouterr() == ("", "error: c * t overflows at t=2.0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start,stop,steps,first", [
+    (-10.0, 10.0, 21, -10.0),  # the first point overflows
+    (-10.0, -1.0, 10, -10.0),
+    (-1.5, 10.0, 24, 2.0),  # the points below 0 do not, the tail from t = 2 does
+    (-1.5, 1.5, 7, None),
+])
+def test_a_grid_from_below_zero_is_refused_at_its_first_overflow(tmp_path, capsys, start, stop,
+                                                                 steps, first):
+    cfg = {"experiment": "spin_pair", "params": {"c": 1e308},
+           "time_grid": {"start": start, "stop": stop, "steps": steps}}
+    out = tmp_path / "out.csv"
+    code = cli.main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    if first is None:
+        assert code == 0 and out.exists()
+        return
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: c * t overflows at t={first!r}\n"
 
 
 def test_large_neumann_run_forms_no_field_matrix(tmp_path):
@@ -467,8 +481,9 @@ def test_chunked_run_equals_point_by_point_run(tmp_path_factory, case):
         assert outs[0] == outs[1]
 
 
-def test_overflow_inside_a_chunk_leaves_the_rows_before_it(tmp_path, capsys):
-    # c * t overflows from the point in the middle of the second chunk on.
+def test_overflow_inside_a_chunk_leaves_no_row(tmp_path, capsys):
+    # c * t overflows from the point in the middle of the second chunk on;
+    # the error names that point, as a chunk reduced up to it would.
     fail = cli.CHUNK + cli.CHUNK // 2
     step = np.finfo(float).max / 1e308 / (fail - 0.5)
     cfg = {
@@ -476,11 +491,12 @@ def test_overflow_inside_a_chunk_leaves_the_rows_before_it(tmp_path, capsys):
         "params": {"c": 1e308},
         "time_grid": {"start": 0.0, "stop": 2 * cli.CHUNK * step, "steps": 2 * cli.CHUNK + 1},
     }
-    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
-    out, err = capsys.readouterr()
     ts = np.linspace(0.0, 2 * cli.CHUNK * step, 2 * cli.CHUNK + 1)
-    assert err == f"error: c * t overflows at t={float(ts[fail])!r}\n"
-    assert [float(line.split(",")[0]) for line in out.splitlines()[2:]] == ts[:fail].tolist()
+    out = tmp_path / "out.csv"
+    for argv in ([], ["--out", str(out)]):
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: c * t overflows at t={float(ts[fail])!r}\n")
+    assert not out.exists()
 
 
 def stack_rows(ts: list[float], stack: reduction.Stack, sys_) -> list[dict]:
@@ -675,8 +691,9 @@ def test_degenerate_at_every_time_point_writes_nothing(tmp_path, capsys, fmt):
     {"method": "projective", "level": 1},
     {"method": "correlated"},
     {"method": "correlated", "seed": "file:{sigma_alpha}"},
+    {"method": "correlated", "seed": "neumann"},
 ], ids=["neumann", "conditioned-alpha", "conditioned-beta", "projective", "correlated",
-        "correlated-file-seed"])
+        "correlated-file-seed", "correlated-neumann-seed"])
 def test_a_point_reduced_alone_has_the_public_reductions_row(tmp_path, rng, rcfg):
     # A custom 2 x 3 state is N x N, so each point is reduced alone and its
     # row read off a stack of one.
@@ -708,6 +725,13 @@ def test_a_point_reduced_alone_has_the_public_reductions_row(tmp_path, rng, rcfg
     assert res.verdict == ("converged" if rcfg["method"] == "correlated" else "-")
     rows = json.loads(out.read_text())["rows"]
     assert rows == [{"t": 0.0, **want}, {"t": 1.0, **want}]
+    if rcfg.get("seed") == "neumann":  # the default, named: the rows' bytes of no seed
+        cfg["reduction"] = {"method": "correlated"}
+        default = tmp_path / "default.json"
+        argv = ["run", "--config", write_config(tmp_path, cfg), "--format", "json",
+                "--out", str(default)]
+        assert cli.main(argv) == 0
+        assert default.read_text().partition('"rows"')[2] == out.read_text().partition('"rows"')[2]
 
 
 def test_kernels_run_without_the_full_length_stack(tmp_path):
@@ -755,34 +779,32 @@ def test_a_jcm_run_holds_no_k_by_n_array(tmp_path, fmt):
     assert peak < (16 * k * n if fmt == "csv" else 270_000)
 
 
-@pytest.mark.parametrize("params,grid,rcfg,code", [
-    ({}, {"start": math.pi / 2, "stop": math.pi / 2 + 1.0, "steps": 3}, {"method": "correlated"}, 0),
-    # omega * t overflows at t = 1.81, inside the third chunk.
-    ({"omega": 1e308}, {"start": 0.0, "stop": 10.0, "steps": 200}, {"method": "neumann"}, 2),
-    ({}, {"start": math.pi - 2e-6, "stop": math.pi + 4e-6, "steps": 7},
-     {"method": "projective", "level": 0}, 0),
-    ({}, {"start": 0.0, "stop": 2 * math.pi, "steps": 41},
-     {"method": "conditioned", "state": "{ground}", "given_side": "alpha"}, 0),
-], ids=["tie", "overflow", "projective-near-zero", "conditioned-near-zero"])
-def test_a_point_reduced_alone_holds_no_large_array(tmp_path, params, grid, rcfg, code):
-    # Each run reduces points alone: a tie the start does not certify, the
-    # points of a chunk before an overflow, and overlaps below 1e-10. A
-    # point alone is its own one-point block, so none is made as a whole
-    # vector of N = 2050 or reduced to a 1025 x 1025 field state, and each
-    # run peaks below one (K, N) complex array, as a chunk does.
+@pytest.mark.parametrize("grid,rcfg", [
+    ({"start": math.pi / 2, "stop": math.pi / 2 + 1.0, "steps": 3}, {"method": "correlated"}),
+    ({"start": math.pi - 2e-6, "stop": math.pi + 4e-6, "steps": 7},
+     {"method": "projective", "level": 0}),
+    ({"start": 0.0, "stop": 2 * math.pi, "steps": 41},
+     {"method": "conditioned", "state": "{ground}", "given_side": "alpha"}),
+], ids=["tie", "projective-near-zero", "conditioned-near-zero"])
+def test_a_point_reduced_alone_holds_no_large_array(tmp_path, grid, rcfg):
+    # Each run reduces points alone: a tie the start does not certify and
+    # overlaps below 1e-10. A point alone is its own one-point block, so
+    # none is made as a whole vector of N = 2050 or reduced to a 1025 x 1025
+    # field state, and each run peaks below one (K, N) complex array, as a
+    # chunk does.
     k, n = cli.CHUNK, 2 * 1025
     ground = write_state(tmp_path, "ground.json", projector_state(2, 1))
     rcfg = {key: value.format(ground=ground) if isinstance(value, str) else value
             for key, value in rcfg.items()}
-    cfg = {"experiment": "jcm_vacuum", "params": {"n_max": 1024, **params}, "time_grid": grid,
+    cfg = {"experiment": "jcm_vacuum", "params": {"n_max": 1024}, "time_grid": grid,
            "reduction": rcfg}
     argv = ["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out.csv")]
     with mock.patch.object(reduction, "_reduce_one", wraps=reduction._reduce_one) as spy:
-        assert cli.main(argv) == code
+        assert cli.main(argv) == 0
     assert spy.call_count > 0
     tracemalloc.start()
     try:
-        assert cli.main(argv) == code
+        assert cli.main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1179,6 +1201,8 @@ SHAPE_CASES = [
         ONE_SHOT_KEYS,
     ),
     ("correlated", "epr", ["--method", "correlated"], CORRELATED_KEYS),
+    ("correlated-neumann-seed", "epr", ["--method", "correlated", "--seed", "neumann"],
+     CORRELATED_KEYS),
     (
         "correlated-warnings",
         "faint",
@@ -1210,6 +1234,9 @@ def test_reduce_result_json_shape(tmp_path, capsys, monkeypatch, state, argv, ke
     obj = json.loads(out)
     assert list(obj) == keys
     assert obj.get("warnings", ["non-empty"])
+    if "neumann" in argv:  # the default seed, named: the bytes of no --seed
+        assert cli.main(argv[:-2]) == 0
+        assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("method", [{"method": "neumann"}, {"method": "projective", "level": 0}])

@@ -72,14 +72,10 @@ def test_the_corpus_case_gives_its_recorded_output(tmp_path, name):
 #: The cases whose recorded bytes depend on OpenBLAS's kernel: each gives
 #: other last bits under OpenBLAS's Haswell kernel than the recorded ones,
 #: which the recording machine's kernel gave. A case leaves this list once
-#: it gives the same bytes under both; none joins it.
-KERNEL_DEPENDENT = [
-    *(f"run-{experiment}-{method}-{fmt}" for experiment in ("spin_pair", "jcm_vacuum")
-      for method in corpus.METHODS for fmt in ("csv", "json")),
-    "run-readme-20-steps", "run-readme-40-steps", "run-readme-40-steps-json",
-    "run-spin-pair-40-steps", "run-jcm-n64-neumann-csv", "run-jcm-n64-neumann-json",
-    "run-jcm-file-seed", "run-jcm-conditioned-alpha", "validate-custom",
-]
+#: it gives the same bytes under both; none joins it. Every contraction is
+#: an einsum, so only LAPACK's ``eigvalsh`` (``validate-custom``'s
+#: ``min_eigenvalue``) is left.
+KERNEL_DEPENDENT = ["validate-custom"]
 
 # The core that numpy's bundled OpenBLAS runs (``corpus.openblas_config``,
 # which CI prints too) and, on Haswell, the corpus cases whose output
@@ -102,9 +98,14 @@ print(json.dumps([config, differ]))
 """
 
 
-def test_only_the_kernel_dependent_cases_differ_under_haswell():
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    # numpy's own SIMD dispatch as on an x86-64 CPU with AVX2 and no AVX-512.
+    {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+], ids=["haswell", "avx2-host"])
+def test_only_the_kernel_dependent_cases_differ_under_haswell(env):
     paths = [str(Path(corred.__file__).resolve().parents[1]), str(corpus.HERE.parent)]
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(paths)}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(paths)}
     proc = subprocess.run([sys.executable, "-c", HASWELL_RUN], capture_output=True, text=True,
                           check=True, env=env, timeout=60)
     config, differ = json.loads(proc.stdout)
