@@ -99,13 +99,14 @@ EXIT_IO = 4
 
 #: Time points that ``run`` reduces together. numpy's fixed cost per call is
 #: what a stack saves, while the kernels' temporaries grow with it, so a
-#: larger chunk runs faster and peaks higher. With ``main``'s parser freed
-#: before the first chunk, 32 peaks below what 16 peaked with the parser
-#: held; 48 runs barely faster than 32 and peaks more than the benchmark's
-#: 10 % bound above it.
-#: The measurements are in CHANGES.md, in its entries on chunks of 32 points
-#: and on the CSV-template writer.
-CHUNK = 32
+#: larger chunk runs faster and peaks higher. The reconstruction error walks
+#: a chunk in tiles of states (``reduction.ERROR_TILE_BYTES``), so the
+#: correlated start, its outer product and its conditionings, sets the
+#: peak: 64 points run the README config in about 0.8 of the time 32 took
+#: and peak about 5 % below what 32 peaked before the tiles; 96 would peak
+#: 7 to 26 % above that.
+#: The measurements are in CHANGES.md, in its entry on chunks of 64 points.
+CHUNK = 64
 
 log = logging.getLogger("corred")
 
@@ -638,8 +639,8 @@ def _chunk(ts: np.ndarray, model: Callable, sys_: BipartiteSystem,
     phase that overflows, and ``_reducer`` the settings, before the output
     was opened.
     """
-    points = ts.tolist()
     stack = reduction.reduce_stack(model(ts), sys_, **reducer)
+    points = ts.tolist()  # after the stack, whose peak it would add to
     first = 0
     for j in np.flatnonzero(~stack.done).tolist():
         if first < j:

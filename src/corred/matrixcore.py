@@ -53,9 +53,20 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def hermitize(m) -> np.ndarray:
-    """Project onto the hermitian part, (M + M^dag)/2, of each matrix of a stack (..., n, n)."""
+    """Project onto the hermitian part, (M + M^dag)/2, of each matrix of a stack (..., n, n).
+
+    Built in one row-major buffer, the operations and bits of
+    0.5 * (M + M^dag): M^T copied into it and conjugated, then M added and
+    the sum halved in place. Each step runs on arrays of one shape and
+    layout, so numpy's ufuncs make no buffer of their own.
+    """
     m = np.asarray(m, dtype=complex)
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    h = np.empty(m.shape, dtype=complex)
+    h.swapaxes(-1, -2)[...] = m
+    np.conjugate(h, out=h)
+    h += m
+    h *= 0.5
+    return h
 
 
 @dataclass(frozen=True)

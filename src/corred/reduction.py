@@ -16,8 +16,9 @@ vector through every reduction: the one contraction kernel
 (``matrixcore._contract``) takes partial traces and conditionings from
 Psi = psi.reshape(Na, Nb), and no reduction forms psi psi^dag. The reduced
 states are built hermitian with unit trace, and one epilogue (``_result``)
-wraps them without a second check and takes the reconstruction error over
-blocks of alpha rows of rho, or of Psi, so no N x N temporary is built.
+wraps them without a second check and takes the reconstruction error one
+alpha row of rho, or of Psi, at a time, on a stack one tile of states at a
+time, so no N x N temporary is built and none grows with a stack.
 
 The correlated fixed point is the top pair of rho's operator-Schmidt
 decomposition, its nearest Kronecker product (Van Loan & Pitsianis 1993),
@@ -63,6 +64,7 @@ on to a block's leading beta levels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -87,6 +89,10 @@ MEAN_ZERO_TOL = 1e-12
 
 #: Largest deviation from 1 of an amplitude vector's squared norm.
 NORM_TOL = max(POSITIVITY_TOL, 1e-12)
+
+#: Bytes of one alpha row's difference over a tile of states of a stack in
+#: ``_reconstruction_error``: 16 states of a 2 x 2 block.
+ERROR_TILE_BYTES = 2048
 
 
 def _matrix(x, sys: BipartiteSystem, side: str | None = None) -> np.ndarray:
@@ -189,8 +195,11 @@ def _reconstruction_error(state: np.ndarray, ra: np.ndarray, rb: np.ndarray):
     for a stack of amplitude matrices Psi (..., Na, Nb) with its pairs ra
     (..., Na, Na) and rb (..., Nb, Nb), the array of each state's error.
 
-    Taken one alpha row i of every state at a time, so no N x N temporary:
-    rho[i] of the view, or psi psi^dag on the row Psi[i],
+    Taken one alpha row i at a time, of one tile of states of a stack at a
+    time, so no temporary is N x N or grows with the stack: a tile is as
+    many states (along the first leading axis) as fit one row's
+    (Nb, Na, Nb) difference in ``ERROR_TILE_BYTES``, one at least. The row
+    is rho[i] of the view, or psi psi^dag on the row Psi[i],
     Psi = psi.reshape(Na, Nb) restricted to its rows and columns that hold a
     nonzero entry, in any state of a stack (outside them psi_ib psi_jc^* and
     ra[i,j] rb[b,c] are both exactly 0). The products are np.outer's,
@@ -198,31 +207,45 @@ def _reconstruction_error(state: np.ndarray, ra: np.ndarray, rb: np.ndarray):
     max |rho - kron(ra, rb)| exactly, rho = np.outer(psi, psi.conj()) for psi.
     """
     na, nb = ra.shape[-1], rb.shape[-1]
-    pure = state.ndim != 2
-    if pure:
-        psi = state.reshape(na, nb) if state.ndim == 1 else state
-        lead = psi.shape[:-2]
-        axes = tuple(range(len(lead)))
-        rows, cols = psi.any(axis=axes + (-1,)), psi.any(axis=axes + (-2,))
-        if not (rows.all() and cols.all()):
-            psi = psi[..., rows, :][..., cols]
-            ra, rb = ra[..., rows, :][..., rows], rb[..., cols, :][..., cols]
-        na, nb = psi.shape[-2:]
-        # A column times a row, the shapes np.outer multiplies: numpy can round
-        # a one-entry product of other shapes differently (np.multiply.outer of
-        # a 1 x 1 Psi gives |psi_k|^2 an imaginary part of 0, np.outer ~1e-17).
-        psic = psi.conj().reshape(*lead, 1, -1)
-    else:
-        lead = ()
+    if state.ndim == 2:
         rho = state.reshape(na, nb, na, nb)
-    blocks = []
-    for i in range(na):
-        diff = ra[..., i:i + 1, None, :, None] * rb[..., None, :, None, :]
-        np.subtract((psi[..., i:i + 1, :].reshape(*lead, -1, 1) * psic).reshape(diff.shape)
-                    if pure else rho[i:i + 1], diff, out=diff)
-        blocks.append(np.abs(diff).max(axis=(-4, -3, -2, -1)))
-    error = np.max(blocks, axis=0)
-    return error if lead else float(error)
+        return float(reduce(np.maximum, (_row_error(rho[i:i + 1], ra, rb, i) for i in range(na))))
+    psi = state.reshape(na, nb) if state.ndim == 1 else state
+    axes = tuple(range(psi.ndim - 2))
+    rows, cols = psi.any(axis=axes + (-1,)), psi.any(axis=axes + (-2,))
+    support = None if rows.all() and cols.all() else (rows, cols)
+    if not axes:
+        return float(_pure_error(psi, ra, rb, support))
+    # psi[:1].size * nb: the entries of one row's difference per index of the first axis.
+    tile = max(1, ERROR_TILE_BYTES // (16 * psi[:1].size * nb))
+    if len(psi) <= tile:  # one tile, the stack itself: no slices to join
+        return _pure_error(psi, ra, rb, support)
+    return np.concatenate([_pure_error(psi[s:s + tile], ra[s:s + tile], rb[s:s + tile], support)
+                           for s in range(0, len(psi), tile)])
+
+
+def _pure_error(psi: np.ndarray, ra: np.ndarray, rb: np.ndarray, support) -> np.ndarray:
+    """``_reconstruction_error`` of Psi (..., Na, Nb), one state or a tile,
+    cut to the (rows, cols) ``support`` that hold a nonzero entry, if any."""
+    if support is not None:
+        rows, cols = support
+        psi = psi[..., rows, :][..., cols]
+        ra, rb = ra[..., rows, :][..., rows], rb[..., cols, :][..., cols]
+    lead = psi.shape[:-2]
+    # A column times a row, the shapes np.outer multiplies: numpy can round
+    # a one-entry product of other shapes differently (np.multiply.outer of
+    # a 1 x 1 Psi gives |psi_k|^2 an imaginary part of 0, np.outer ~1e-17).
+    psic = psi.conj().reshape(*lead, 1, -1)
+    rows = (psi[..., i:i + 1, :].reshape(*lead, -1, 1) * psic for i in range(psi.shape[-2]))
+    return reduce(np.maximum, (_row_error(row, ra, rb, i) for i, row in enumerate(rows)))
+
+
+def _row_error(row: np.ndarray, ra: np.ndarray, rb: np.ndarray, i: int) -> np.ndarray:
+    """max |row - ra[i] x rb| of each state, row the alpha row i of its
+    (Na, Nb, Na, Nb) state, of as many entries."""
+    diff = ra[..., i:i + 1, None, :, None] * rb[..., None, :, None, :]
+    np.subtract(row.reshape(diff.shape), diff, out=diff)
+    return np.abs(diff).max(axis=(-4, -3, -2, -1))
 
 
 def _result(method: str, state: np.ndarray, ra: np.ndarray, rb: np.ndarray | None,
@@ -443,25 +466,29 @@ def _start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray | None, tol: fl
         lam, vecs = np.linalg.eigh(gram)
         x, top_lam = vecs[..., -1], lam[..., -1]
         gap = top_lam - (lam[..., -2] if n > 1 else 0.0)
-        top = x[..., :, None] * x.conj()[..., None, :]
         residual = np.sqrt(_norm(np.einsum("...ij,...j->...i", gram, x) - top_lam[..., None] * x))
-        # The eigensolve's temporaries go before the conditionings, which set
-        # the peak memory of a chunk.
-        del gram, lam, vecs, x
+        del gram, lam, vecs
     else:
         start = seed if side == "alpha" else mc._contract(r, sys, "alpha", seed)
         if not start.any():
             return seeded()
         top, top_lam, gap, residual = _lanczos(
             lambda x: mc._contract(r, sys, other, mc._contract(r, sys, side, x)), start, n * n, tol)
+    ok = (gap > tol * top_lam) & (residual < tol * gap)
+    # The eigensolve's arrays go before the outer product x x^dag and the
+    # conditionings, which set the peak memory of a chunk.
+    del top_lam, gap, residual
+    if pure:
+        top = x[..., :, None] * x.conj()[..., None, :]
+        del x
     trace = top.trace(axis1=-2, axis2=-1)
-    ok = (gap > tol * top_lam) & (residual < tol * gap) & (abs(trace) > NEAR_DEGENERACY_THRESHOLD)
+    ok &= abs(trace) > NEAR_DEGENERACY_THRESHOLD
     if not ok.any():
         return seeded()
     # The top vector's state: rho_alpha, or on the beta side the state of
     # beta that rho_alpha is conditioned on.
     ra = mc.hermitize(top / np.where(ok, trace, 1.0)[..., None, None])
-    del top, trace, residual
+    del top, trace
     try:
         if side == "beta":
             ra = _condition(r, sys, ra, "beta", warnings)
@@ -473,8 +500,10 @@ def _start(r: np.ndarray, sys: BipartiteSystem, seed: np.ndarray | None, tol: fl
     except DegenerateOverlap:
         return seeded()
     if ok.ndim:
-        ok = ok[..., None, None]
-        ra, rb = np.where(ok, ra, np.nan), np.where(ok, rb, np.nan)
+        ra[~ok], rb[~ok] = np.nan, np.nan
+    # Past the last fallback the seed goes before the verifying sweep, which
+    # sets the peak memory of a chunk with the conditionings before it.
+    seed = over_beta = None
     ra_new = _condition(r, sys, rb, "beta", warnings)
     return ra_new, rb, abs(ra_new - ra).max(axis=(-2, -1))
 

@@ -37,8 +37,10 @@ HERE = Path(__file__).resolve().parent
 STATES = HERE / "states"
 
 GRID = {"start": 0.0, "stop": 10.0, "steps": 20}
-# A grid of 40 points: chunks of 32 and 8 at cli.CHUNK = 32, of 16, 16 and 8 at 16.
+# A grid of 40 points: one chunk at cli.CHUNK = 64, chunks of 32 and 8 at 32.
 GRID_40 = {"start": 0.0, "stop": 10.0, "steps": 40}
+# A grid of 136 points: chunks of 64, 64 and 8 at cli.CHUNK = 64.
+GRID_136 = {"start": 0.0, "stop": 10.0, "steps": 136}
 CONSTANT_GRID = {"start": 0.0, "stop": 1.0, "steps": 3}
 # Per experiment: its params, its time grid, and its conditioning state on
 # the beta side (dim_beta levels).
@@ -77,11 +79,16 @@ RUN_CASES = {
     **_run_cases(),
     "run-readme-20-steps": (_jcm({"method": "correlated", "tol": 1e-12, "max_iter": 10000},
                                  {"start": 0.0, "stop": 10.0, "steps": 20}, 16), None),
-    # Grids that span several chunks of cli.CHUNK points, the last one short.
+    # Grids that span several chunks of cli.CHUNK points, the last one short
+    # (136 points), and chunks of an earlier CHUNK, 32 (40 points).
     "run-readme-40-steps": (_jcm({"method": "correlated", "tol": 1e-12, "max_iter": 10000},
                                  GRID_40, 16), None),
     "run-spin-pair-40-steps": ({"experiment": "spin_pair", "params": EXPERIMENTS["spin_pair"][0],
                                 "time_grid": GRID_40, "reduction": {"method": "correlated"}}, None),
+    "run-readme-136-steps": (_jcm({"method": "correlated", "tol": 1e-12, "max_iter": 10000},
+                                  GRID_136, 16), None),
+    "run-spin-pair-136-steps": ({"experiment": "spin_pair", "params": EXPERIMENTS["spin_pair"][0],
+                                 "time_grid": GRID_136, "reduction": {"method": "correlated"}}, None),
     # A state that does not change, its one row written across chunks.
     **{f"run-{experiment}-40-steps-{fmt}": (
         {"experiment": experiment, "params": EXPERIMENTS[experiment][0], "time_grid": GRID_40,
@@ -118,11 +125,11 @@ RUN_CASES = {
                                 "time_grid": {"start": 0, "stop": 10, "steps": 11}}, None),
 }
 # JSON twins of CSV cases: long zero runs, a point reduced alone inside a
-# chunk, no document after a phase overflow, and a chunk boundary.
+# chunk, no document after a phase overflow, and chunk boundaries.
 RUN_CASES |= {
     f"{name.removesuffix('-csv')}-json": ({**RUN_CASES[name][0], "output": {"format": "json"}}, None)
     for name in ("run-jcm-n64-neumann-csv", "run-jcm-tie", "run-spin-pair-overflow",
-                 "run-readme-40-steps")
+                 "run-readme-40-steps", "run-readme-136-steps")
 }
 
 # Configs that exit 2 before any row is written.

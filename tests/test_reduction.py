@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from corred import cli
 from corred import matrixcore as mc
 from corred import models
 from corred import reduction as red
@@ -717,6 +718,59 @@ class TestStackedKernels:
         errors = red._reconstruction_error(p, ra, rb)
         for k, psi in enumerate(p):
             assert errors[k] == red._reconstruction_error(psi.ravel(), ra[k], rb[k])
+
+    @pytest.mark.parametrize("na, nb", [(2, 2), (3, 4)])
+    def test_each_state_gets_its_own_bits_across_error_tiles(self, na, nb):
+        # amplitude_stacks draws at most 5 states, inside one tile of the
+        # error; these stacks end one state short of a tile, on it and one
+        # past it, and run a chunk of CHUNK states over several tiles.
+        sys_ = BipartiteSystem(na, nb)
+        tile = max(1, red.ERROR_TILE_BYTES // (16 * na * nb * nb))
+        rng = np.random.default_rng(na * nb)
+        sigma_a, sigma_b = random_density(rng, na).matrix, random_density(rng, nb).matrix
+        methods = [("neumann", {}), ("correlated", {}), ("projective", {"level": 1}),
+                   ("conditioned", {"sigma": sigma_a, "given_side": "alpha"}),
+                   ("conditioned", {"sigma": sigma_b, "given_side": "beta"})]
+        for k in sorted({max(1, tile - 1), tile, tile + 1, cli.CHUNK}):
+            p = rng.standard_normal((k, na, nb)) + 1j * rng.standard_normal((k, na, nb))
+            p /= np.linalg.norm(p, axis=(1, 2))[:, None, None]
+            ra, rb = mc._contract(p, sys_, "beta"), mc._contract(p, sys_, "alpha")
+            errors = red._reconstruction_error(p, ra, rb)
+            assert errors.shape == (k,)
+            for j in range(k):
+                assert errors[j] == red._reconstruction_error(p[j].ravel(), ra[j], rb[j])
+            for method, weights in methods:
+                stack = red.reduce_stack(p, sys_, method, **weights)
+                assert stack.done.any()
+                for j in np.flatnonzero(stack.done):
+                    one = red._reduce_one(p[j:j + 1], sys_, method, block=True, **weights)
+                    assert stack.rho_alpha[j].tobytes() == one.rho_alpha.matrix.tobytes()
+                    if one.rho_beta is None:
+                        assert stack.rho_beta is None and stack.error is None
+                    else:
+                        assert stack.rho_beta[j].tobytes() == one.rho_beta.matrix.tobytes()
+                        assert stack.error[j] == one.reconstruction_error
+                    assert (stack.verdict, stack.iterations) == (one.verdict, one.iterations)
+
+    def test_the_error_of_a_stack_holds_no_temporary_that_grows_with_it(self):
+        # The error walks a stack in tiles of ERROR_TILE_BYTES, so from 64 to
+        # 256 states of a 2 x 2 JCM block its peak grows by the output and
+        # the support mask, not by the (K, 1, 2, 2, 2) rows of every state
+        # at once, about 585 bytes a state.
+        p, sys_ = JcmParams(1.0, 1.0), BipartiteSystem(2, 2)
+
+        def peak(k):
+            block = models._jcm_vacuum_block(p, np.linspace(0.1, 10.0, k))
+            ra, rb = mc._contract(block, sys_, "beta"), mc._contract(block, sys_, "alpha")
+            red._reconstruction_error(block, ra, rb)
+            tracemalloc.start()
+            try:
+                red._reconstruction_error(block, ra, rb)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(256) - peak(64)) / (256 - 64) < 100
 
     @settings(max_examples=200, deadline=None)
     @given(amplitude_stacks())
